@@ -11,7 +11,7 @@ import argparse
 
 import numpy as np
 
-from nilgauss import closed_form_report, foliation_leaf_chart, harmonicity, laplacian_numeric
+from nilgauss import evaluate_point, foliation_leaf_chart, harmonicity
 
 
 def main():
@@ -25,8 +25,8 @@ def main():
           f"{'normal(closed)':>15} {'normal(oracle)':>15} {'gap':>9}")
     for x in np.linspace(0.0, args.xmax, args.count):
         u = [float(x), 0.0]
-        rep, frame, shape = closed_form_report(chart, u)
-        num = laplacian_numeric(chart, u, frame=frame)
+        ev = evaluate_point(chart, u, ["general", "numeric_oracle"])
+        rep, num, shape = ev.reports["general"], ev.reports["numeric_oracle"], ev.shape
         verdict = harmonicity(rep)
         gap = np.abs(rep.coeffs - num.coeffs).max()
         print(f"{x:6.3f} {shape.h:10.2e} {shape.norm_b2:10.6f} {verdict.defect:10.6f} "

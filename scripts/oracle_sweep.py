@@ -12,7 +12,7 @@ import time
 
 import numpy as np
 
-from nilgauss import closed_form_report, exp_model, heisenberg, laplacian_numeric, random_graph_chart
+from nilgauss import evaluate_point, exp_model, heisenberg, random_graph_chart
 
 
 def main():
@@ -32,8 +32,8 @@ def main():
         for _ in range(args.charts):
             chart = random_graph_chart(model, rng)
             for u in rng.uniform(-0.45, 0.45, size=(args.points, alg.n)):
-                rep, frame, _ = closed_form_report(chart, u)
-                num = laplacian_numeric(chart, u, frame=frame)
+                ev = evaluate_point(chart, u, ["general", "numeric_oracle"])
+                rep, num = ev.reports["general"], ev.reports["numeric_oracle"]
                 gap = np.abs(rep.coeffs - num.coeffs)
                 allowed = np.maximum(5e-4, 5e-4 * np.abs(rep.coeffs))
                 worst_abs = max(worst_abs, gap.max())

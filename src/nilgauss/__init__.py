@@ -35,8 +35,10 @@ from .laplacian import (
     HarmonicityVerdict,
     JacobiReport,
     LaplacianReport,
+    PointEval,
     central_h_variation,
     closed_form_report,
+    evaluate_point,
     gauss_codazzi_residuals,
     harmonicity,
     harmonicity_cmc_residuals,

@@ -18,6 +18,7 @@ and every operation is a pure function, so instances can be shared freely.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -55,6 +56,16 @@ class NilpotentAlgebra:
     def n(self) -> int:
         """Dimension of a hypersurface in the group, dim_total - 1."""
         return self.dim_total - 1
+
+    @cached_property
+    def is_h_type(self) -> bool:
+        """Heisenberg type at tolerance 1e-9, decided once per algebra."""
+        return is_heisenberg_type(self, 1e-9)
+
+    @cached_property
+    def is_heisenberg(self) -> bool:
+        """Heisenberg algebra: H-type with a one-dimensional center."""
+        return self.dim_center == 1 and self.is_h_type
 
     def v_part(self, vec) -> np.ndarray:
         out = np.array(vec, dtype=float)

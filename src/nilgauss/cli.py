@@ -15,44 +15,35 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import (
-    NilpotentAlgebra,
-    algebra_from_json,
-    heisenberg,
-    is_heisenberg_type,
-    validate,
-)
+from .algebra import NilpotentAlgebra, algebra_from_json, heisenberg, validate
 from .expressions import ParseError
 from .fd import FDParams
 from .laplacian import (
-    CLOSED_FORMS,
     central_h_variation,
+    evaluate_point,
     gauss_codazzi_residuals,
     harmonicity_cmc_residuals,
     jacobi_residuals,
-    laplacian_numeric,
 )
 from .models import CoordinateModel, exp_model, nil_polarized_model
 from .surfaces import (
     SurfaceChart,
-    adapted_frame,
     cylinder_chart,
     expression_chart,
     foliation_leaf_chart,
-    gauss_map,
     graph_chart,
-    mean_curvature_derivatives,
     random_graph_chart,
-    shape_data,
     vertical_plane_chart,
 )
 
 METHOD_NAMES = ("general", "h_type", "heisenberg", "numeric_oracle")
+NIL_CHARTS = ("nil_foliation_leaf", "nil_vertical_plane", "nil_cylinder")
 CHECK_NAMES = ("harmonicity", "prop3", "corollary1", "jacobi", "gauss_codazzi")
 
 DEFAULT_TOLERANCES = {
@@ -132,6 +123,9 @@ def _build_chart(spec, model, orientation, domain, seed, problems) -> SurfaceCha
             problems.append("missing chart specification")
         return None
     try:
+        if domain is not None and len(domain) != model.dim - 1:
+            problems.append(f"domain needs {model.dim - 1} axis ranges")
+            return None
         if "components" in spec:
             if domain is None:
                 problems.append("expression charts need a domain")
@@ -139,6 +133,9 @@ def _build_chart(spec, model, orientation, domain, seed, problems) -> SurfaceCha
             return expression_chart(model, spec["components"], domain, orientation)
         name = spec.get("catalog")
         params = spec.get("params", {})
+        if name in NIL_CHARTS and model.name != "nil_polarized":
+            problems.append(f"chart {name!r} needs the nil_polarized model")
+            return None
         if name == "nil_foliation_leaf":
             kwargs = {}
             if "z0" in params:
@@ -166,9 +163,37 @@ def _build_chart(spec, model, orientation, domain, seed, problems) -> SurfaceCha
             return random_graph_chart(model, rng, terms=int(params.get("terms", 3)))
         problems.append(f"unknown chart catalog entry {name!r}")
         return None
-    except (KeyError, ValueError, ParseError) as exc:
+    except (KeyError, TypeError, ValueError, ParseError) as exc:
         problems.append(f"bad chart specification: {exc}")
         return None
+
+
+def _build_fd(spec, problems) -> FDParams | None:
+    levels = spec.get("levels", 2) if isinstance(spec, dict) else None
+    try:
+        step = float(spec.get("step", 1e-4))
+    except (AttributeError, TypeError, ValueError):
+        step = math.nan
+    ok = True
+    if not (math.isfinite(step) and step > 0.0):
+        problems.append("fd step must be a finite number > 0")
+        ok = False
+    if isinstance(levels, bool) or not isinstance(levels, int) or levels < 1:
+        problems.append("fd levels must be an integer >= 1")
+        ok = False
+    return FDParams(step=step, levels=levels) if ok else None
+
+
+def _check_stencil_room(chart, fdp, point, problems) -> None:
+    """Grid and point must keep the 4*step FD margin inside the domain."""
+    margin = 4.0 * fdp.step
+    if any(hi - lo <= 2.0 * margin for lo, hi in chart.domain):
+        problems.append(f"fd step {fdp.step} too large: 8*step must be below every domain width")
+    elif point is not None:
+        if len(point) != chart.param_dim:
+            problems.append(f"point needs {chart.param_dim} coordinates")
+        elif not all(lo + margin <= x <= hi - margin for x, (lo, hi) in zip(point, chart.domain)):
+            problems.append(f"point must lie at least 4*step = {margin} inside the domain")
 
 
 def load_config(doc: dict) -> JobConfig:
@@ -210,26 +235,28 @@ def load_config(doc: dict) -> JobConfig:
     for key, val in doc.get("tolerances", {}).items():
         tolerances[key] = float(val)
 
-    fd_doc = doc.get("fd", {})
-    fdp = FDParams(step=float(fd_doc.get("step", 1e-4)), levels=int(fd_doc.get("levels", 2)))
+    fdp = _build_fd(doc.get("fd", {}), problems)
 
     point = doc.get("point")
     if point is not None:
-        point = [float(x) for x in point]
+        try:
+            point = [float(x) for x in point]
+        except (TypeError, ValueError):
+            problems.append("point must be a list of numbers")
+            point = None
+    if chart is not None and fdp is not None:
+        _check_stencil_room(chart, fdp, point, problems)
 
     direction = doc.get("jacobi_direction")
     if direction is not None:
         direction = [float(x) for x in direction]
 
     if alg is not None and chart is not None:
-        is_heis = (
-            alg.dim_center == 1 and alg.dim_v % 2 == 0 and is_heisenberg_type(alg, 1e-9)
-        )
-        if "heisenberg" in methods and not is_heis:
+        if "heisenberg" in methods and not alg.is_heisenberg:
             problems.append("method 'heisenberg' requires a Heisenberg algebra")
-        if "h_type" in methods and not is_heisenberg_type(alg, 1e-9):
+        if "h_type" in methods and not alg.is_h_type:
             problems.append("method 'h_type' requires a Heisenberg-type algebra")
-        if "prop3" in checks and not is_heis:
+        if "prop3" in checks and not alg.is_heisenberg:
             problems.append("check 'prop3' requires a Heisenberg algebra")
         if "gauss_codazzi" in checks and alg.dim_total != 3:
             problems.append("check 'gauss_codazzi' requires a 3-dimensional model")
@@ -270,58 +297,38 @@ def grid_points(chart: SurfaceChart, grid, fd: FDParams, point=None) -> list[np.
 def run(config: JobConfig) -> dict:
     """Evaluate all requested methods and checks; deterministic output."""
     chart = config.chart
-    alg = config.algebra
     fdp = config.fd
     tols = config.tolerances
     points = grid_points(chart, config.grid, fdp, config.point)
 
-    rows = []
+    evals = [evaluate_point(chart, u, config.methods, fdp) for u in points]
+    rows = [
+        {
+            "point": [float(x) for x in ev.u],
+            "method": mth,
+            "coeffs": [float(c) for c in ev.reports[mth].coeffs],
+            "tangential_norm": ev.reports[mth].tangential_norm,
+            "normal_coeff": ev.reports[mth].normal_coeff,
+            "h": ev.shape.h,
+            "norm_b2": ev.shape.norm_b2,
+        }
+        for ev in evals
+        for mth in config.methods
+    ]
     closed_methods = [m for m in config.methods if m != "numeric_oracle"]
     preferred = closed_methods[0] if closed_methods else None
-    defects = []
+    defects = [ev.reports[preferred].tangential_norm for ev in evals] if preferred else []
     gaps = []
-    per_point = []
-    for u in points:
-        frame = adapted_frame(alg, gauss_map(chart, u))
-        shape = shape_data(chart, u, frame)
-        dh = mean_curvature_derivatives(chart, u, frame, fdp)
-        reports = {}
-        for mth in config.methods:
-            if mth == "numeric_oracle":
-                rep = laplacian_numeric(chart, u, fdp, frame=frame)
-            else:
-                rep = CLOSED_FORMS[mth](alg, frame, shape, dh)
-            reports[mth] = rep
-            rows.append(
-                {
-                    "point": [float(x) for x in u],
-                    "method": mth,
-                    "coeffs": [float(c) for c in rep.coeffs],
-                    "tangential_norm": rep.tangential_norm,
-                    "normal_coeff": rep.normal_coeff,
-                    "h": shape.h,
-                    "norm_b2": shape.norm_b2,
-                }
-            )
-        per_point.append((u, frame, shape, reports))
-        if preferred:
-            defects.append(reports[preferred].tangential_norm)
-        if preferred and "numeric_oracle" in reports:
-            gaps.append(
-                float(
-                    np.abs(
-                        reports[preferred].coeffs - reports["numeric_oracle"].coeffs
-                    ).max()
-                )
-            )
+    if preferred and "numeric_oracle" in config.methods:
+        gaps = [
+            float(np.abs(ev.reports[preferred].coeffs - ev.reports["numeric_oracle"].coeffs).max())
+            for ev in evals
+        ]
 
     checks: dict[str, dict] = {}
     if "harmonicity" in config.checks:
         source = preferred or config.methods[0]
-        worst = max(
-            (reports[source].tangential_norm for _, _, _, reports in per_point),
-            default=0.0,
-        )
+        worst = max((ev.reports[source].tangential_norm for ev in evals), default=0.0)
         verdict = worst < tols["harmonicity"]
         checks["harmonicity"] = {
             "pass": bool(verdict),
@@ -330,15 +337,15 @@ def run(config: JobConfig) -> dict:
         }
     if "prop3" in config.checks:
         worst = 0.0
-        for _, frame, shape, _ in per_point:
-            worst = max(worst, max(harmonicity_cmc_residuals(shape, frame)))
+        for ev in evals:
+            worst = max(worst, max(harmonicity_cmc_residuals(ev.shape, ev.frame)))
         checks["prop3"] = {
             "pass": bool(worst < tols["prop3"]),
             "max_residual": worst,
             "tol": tols["prop3"],
         }
     if "corollary1" in config.checks:
-        rep = central_h_variation(chart, points, fdp, tol=tols["harmonicity"])
+        rep = central_h_variation(chart, evals, tol=tols["harmonicity"])
         checks["corollary1"] = {
             "pass": bool(rep.skipped or rep.max_variation < tols["corollary1"]),
             "skipped": rep.skipped,
@@ -348,9 +355,9 @@ def run(config: JobConfig) -> dict:
     if "jacobi" in config.checks:
         direction = config.jacobi_direction
         if direction is None:
-            mean_g = np.mean([gauss_map(chart, u) for u in points], axis=0)
+            mean_g = np.mean([ev.frame.normal for ev in evals], axis=0)
             direction = mean_g / np.linalg.norm(mean_g)
-        rep = jacobi_residuals(chart, points, direction, fdp, tol=tols["harmonicity"])
+        rep = jacobi_residuals(chart, evals, direction, fdp, tol=tols["harmonicity"])
         checks["jacobi"] = {
             "pass": bool(rep.max_residual < tols["jacobi"]),
             "max_residual": rep.max_residual,

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import NilpotentAlgebra, is_heisenberg_type
+from .algebra import NilpotentAlgebra
 from .curvature import connection, curvature, ricci
 from .fd import FDParams, directional_derivative, gradient_hessian
 from .surfaces import (
@@ -85,12 +85,10 @@ def laplacian_general(
     frame: AdaptedFrame,
     shape: ShapeData,
     dh,
-    point=None,
 ) -> LaplacianReport:
     """Closed-form Delta G for any 2-step algebra, in the adapted frame.
 
-    ``dh`` holds the n derivatives Y_k(n H); ``point`` is accepted for
-    interface symmetry and is not used (every input is already pointwise).
+    ``dh`` holds the n derivatives Y_k(n H).
     """
     d = alg.dim_total
     n = alg.n
@@ -146,7 +144,6 @@ def laplacian_h_type(
     frame: AdaptedFrame,
     shape: ShapeData,
     dh,
-    point=None,
 ) -> LaplacianReport:
     """Specialized Delta G for Heisenberg-type algebras.
 
@@ -154,7 +151,7 @@ def laplacian_h_type(
     from the norms of the normal's two parts; the result must agree with
     the general form coefficient by coefficient.
     """
-    if not is_heisenberg_type(alg, 1e-9):
+    if not alg.is_h_type:
         raise ValueError("laplacian_h_type requires a Heisenberg-type algebra")
     d = alg.dim_total
     n = alg.n
@@ -201,7 +198,6 @@ def laplacian_heisenberg(
     frame: AdaptedFrame,
     shape: ShapeData,
     dh,
-    point=None,
 ) -> LaplacianReport:
     """Delta G over a Heisenberg group in the symplectically adapted basis.
 
@@ -213,7 +209,7 @@ def laplacian_heisenberg(
     Y_{m+k}, and the mean-curvature term in the Y_m slot carries the
     product s*c.
     """
-    if alg.dim_center != 1 or alg.dim_v % 2 != 0:
+    if not alg.is_heisenberg:
         raise ValueError("laplacian_heisenberg requires a Heisenberg algebra")
     if not frame.special_heisenberg:
         raise ValueError("frame was not built in the symplectically adapted basis")
@@ -300,6 +296,43 @@ CLOSED_FORMS = {
 }
 
 
+@dataclass(frozen=True, eq=False)
+class PointEval:
+    """Frame, shape and one Laplacian report per method at a chart point."""
+
+    u: np.ndarray
+    frame: AdaptedFrame
+    shape: ShapeData
+    reports: dict[str, LaplacianReport]
+
+
+def evaluate_point(
+    chart: SurfaceChart,
+    u,
+    methods=("general",),
+    fd: FDParams = FDParams(),
+    completion_start: int = 0,
+) -> PointEval:
+    """Frame, shape and a report per method at u: the one per-point pipeline.
+
+    ``general`` is always evaluated, because the checkers read it.  The
+    oracle gets only the frame: the two routes share nothing past chart
+    evaluation.
+    """
+    alg = chart.model.algebra
+    u = np.asarray(u, dtype=float)
+    frame = adapted_frame(alg, gauss_map(chart, u), completion_start=completion_start)
+    shape = shape_data(chart, u, frame)
+    dh = mean_curvature_derivatives(chart, u, frame, fd)
+    reports = {"general": laplacian_general(alg, frame, shape, dh)}
+    for mth in methods:
+        if mth == "numeric_oracle":
+            reports[mth] = laplacian_numeric(chart, u, fd, frame=frame)
+        elif mth not in reports:
+            reports[mth] = CLOSED_FORMS[mth](alg, frame, shape, dh)
+    return PointEval(u=u, frame=frame, shape=shape, reports=reports)
+
+
 def closed_form_report(
     chart: SurfaceChart,
     u,
@@ -308,12 +341,8 @@ def closed_form_report(
     completion_start: int = 0,
 ):
     """Frame, shape and Laplacian report at one chart point."""
-    alg = chart.model.algebra
-    frame = adapted_frame(alg, gauss_map(chart, u), completion_start=completion_start)
-    shape = shape_data(chart, u, frame)
-    dh = mean_curvature_derivatives(chart, u, frame, fd)
-    report = CLOSED_FORMS[method](alg, frame, shape, dh)
-    return report, frame, shape
+    ev = evaluate_point(chart, u, [method], fd, completion_start)
+    return ev.reports[method], ev.frame, ev.shape
 
 
 # ---------------------------------------------------------------------------
@@ -376,16 +405,16 @@ class JacobiReport:
 
 def jacobi_residuals(
     chart: SurfaceChart,
-    points,
+    evals,
     direction,
     fd: FDParams = FDParams(),
     tol: float = 1e-3,
 ) -> JacobiReport:
     """Residual of (Delta + |B|^2 + Ric(normal, normal)) w, w = <G, v>.
 
-    The chart is expected to be CMC with harmonic Gauss map; both are
-    checked within tol and reported.  A strictly positive w over the grid
-    is the stability certificate.
+    ``evals`` are ``evaluate_point`` records; the chart is expected to be
+    CMC with harmonic Gauss map, both checked within tol and reported.  A
+    strictly positive w over the grid is the stability certificate.
     """
     alg = chart.model.algebra
     v = np.asarray(direction, dtype=float)
@@ -395,13 +424,13 @@ def jacobi_residuals(
     min_w = np.inf
     hs = []
     max_defect = 0.0
-    for u in points:
-        report, frame, shape = closed_form_report(chart, u, "general", fd)
+    for ev in evals:
+        normal, shape = ev.frame.normal, ev.shape
         hs.append(shape.h)
-        max_defect = max(max_defect, report.tangential_norm)
-        w = w_field(u)
-        lw = laplace_beltrami_scalar(chart, u, w_field, fd)
-        pot = shape.norm_b2 + ricci(alg, frame.normal, frame.normal)
+        max_defect = max(max_defect, ev.reports["general"].tangential_norm)
+        w = float(normal @ v)
+        lw = laplace_beltrami_scalar(chart, ev.u, w_field, fd)
+        pot = shape.norm_b2 + ricci(alg, normal, normal)
         max_res = max(max_res, abs(lw + pot * w))
         min_w = min(min_w, w)
     spread = float(max(hs) - min(hs)) if hs else 0.0
@@ -424,8 +453,7 @@ class CentralVariationReport:
 
 def central_h_variation(
     chart: SurfaceChart,
-    points,
-    fd: FDParams = FDParams(),
+    evals,
     tol: float = 1e-3,
     span: float = 0.25,
     steps: int = 16,
@@ -434,17 +462,15 @@ def central_h_variation(
 
     When the Gauss map is harmonic, H must be constant along every curve
     in the surface whose tangent is a central frame vector.  The check is
-    gated: for a non-harmonic chart it reports skipped.  Tangent frame
-    vectors lying in the center are followed by RK4 integration of their
-    chart coefficient field, from each starting point, and H is sampled
-    along the way.
+    gated on the ``general`` reports of the ``evaluate_point`` records:
+    for a non-harmonic chart it reports skipped.  Tangent frame vectors
+    lying in the center are followed by RK4 integration of their chart
+    coefficient field, from each evaluated point, and H is sampled along
+    the way.
     """
     alg = chart.model.algebra
     q = alg.dim_v
-    max_defect = 0.0
-    for u in points:
-        report, _, _ = closed_form_report(chart, u, "general", fd)
-        max_defect = max(max_defect, report.tangential_norm)
+    max_defect = max((ev.reports["general"].tangential_norm for ev in evals), default=0.0)
     if max_defect > tol:
         return CentralVariationReport(skipped=True, max_variation=None, max_defect=max_defect)
 
@@ -468,11 +494,10 @@ def central_h_variation(
 
     max_var = 0.0
     dt = span / steps
-    for u0 in points:
-        frame0 = adapted_frame(alg, gauss_map(chart, u0))
-        for k in central_indices(frame0):
+    for ev in evals:
+        for k in central_indices(ev.frame):
             for sign in (1.0, -1.0):
-                u = np.asarray(u0, dtype=float).copy()
+                u = ev.u.copy()
                 ref = None
                 hs = [mean_curvature(chart, u)]
                 for _ in range(steps):

@@ -25,11 +25,11 @@ specialized Laplacian formula is stated in.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import NilpotentAlgebra, is_heisenberg_type
+from .algebra import NilpotentAlgebra
 from .expressions import Expr, parse_expression
 from .fd import FDParams, directional_derivative
 from .models import CoordinateModel, nil_polarized_model
@@ -299,13 +299,7 @@ def adapted_frame(
     mu = c / s if s > tol else 0.0
     y_q = x_q - z_q
 
-    special = (
-        alg.dim_center == 1
-        and q % 2 == 0
-        and q >= 2
-        and is_heisenberg_type(alg, 1e-9)
-    )
-    if special:
+    if alg.is_heisenberg:
         m = q // 2
         jz = alg.j_matrix(z_dir)
         x_m = -(jz @ u_dir)
@@ -331,7 +325,7 @@ def adapted_frame(
         z_n1=z_n1,
         lam=lam,
         mu=mu,
-        special_heisenberg=special,
+        special_heisenberg=alg.is_heisenberg,
     )
 
 
@@ -519,11 +513,3 @@ def random_graph_chart(
     height = " + ".join(parts)
     domain = [(-domain_half, domain_half)] * n
     return graph_chart(model, height, domain)
-
-
-CHART_CATALOG = {
-    "nil_foliation_leaf": foliation_leaf_chart,
-    "nil_vertical_plane": vertical_plane_chart,
-    "nil_cylinder": cylinder_chart,
-    "graph": graph_chart,
-}

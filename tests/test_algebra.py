@@ -148,6 +148,15 @@ def test_is_heisenberg_type_free5_fails(free5):
     assert validate(free5).ok
 
 
+def test_heisenberg_flags(h1, h2, free5):
+    assert h1.is_heisenberg and h2.is_heisenberg and h2.is_h_type
+    quat = quaternionic_heisenberg()
+    assert quat.is_h_type and not quat.is_heisenberg  # three-dimensional center
+    assert not free5.is_h_type and not free5.is_heisenberg
+    scaled = NilpotentAlgebra(3, 1, 2.0 * h1.bracket_tensor)
+    assert not scaled.is_h_type and not scaled.is_heisenberg
+
+
 def test_validate_clean(h1):
     assert validate(h1).ok
 

@@ -275,3 +275,45 @@ def test_random_graph_chart_config(tmp_path):
     assert main(["compare", "--config", path, "--out", str(out1)]) == 0
     assert main(["compare", "--config", path, "--out", str(out2)]) == 0
     assert out1.read_text() == out2.read_text()
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"domain": [[-1.0, 1.0]]},  # one range for a two-parameter chart
+        {"model": "exp", "chart": {"catalog": "nil_cylinder",
+                                   "params": {"f1": "cos(u1)", "f2": "sin(u1)"}}},
+    ],
+    ids=["domain_ranges", "nil_chart_off_model"],
+)
+def test_chart_catalog_rejects_mis_built_charts(tmp_path, change):
+    doc = dict(BASE_CONFIG, **change)
+    path = write_config(tmp_path, doc)
+    assert main(["sweep", "--config", path]) == 2
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"fd": {"levels": 0}},
+        {"fd": {"levels": 1.5}},
+        {"fd": {"step": -1e-4}},
+        {"fd": {"step": 0.0}},
+        {"fd": {"step": float("inf")}},
+        {"fd": {"step": 10.0}},  # 8*step exceeds the domain width 2
+        {"point": [0.0]},
+        {"point": [0.0, 0.0, 0.0]},
+        {"point": [1.5, 0.0]},  # outside the domain
+        {"point": [0.9999, 0.0]},  # inside, but within 4*step of the edge
+        {"point": ["a", 0.0]},
+    ],
+)
+def test_bad_fd_and_point_exit_2(tmp_path, change):
+    doc = dict(BASE_CONFIG, **change)
+    path = write_config(tmp_path, doc)
+    assert main(["sweep", "--config", path]) == 2
+
+
+def test_point_near_the_fd_margin_is_accepted():
+    config = load_config(dict(BASE_CONFIG, point=[0.9995, -0.9995]))
+    assert config.point == [0.9995, -0.9995]

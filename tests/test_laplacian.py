@@ -6,6 +6,7 @@ from nilgauss import (
     central_h_variation,
     closed_form_report,
     cylinder_chart,
+    evaluate_point,
     expression_chart,
     exp_model,
     foliation_leaf_chart,
@@ -340,6 +341,20 @@ def test_coupling_reverse_direction():
         assert rep.tangential_norm < 5e-4
 
 
+def test_evaluate_point_carries_general_and_matches_single_views():
+    chart = cylinder_chart("cos(u1)", "sin(u1)", (-0.6, 0.6), (-1, 1))
+    u = [0.2, 0.1]
+    ev = evaluate_point(chart, u, ["heisenberg", "numeric_oracle"])
+    assert list(ev.reports) == ["general", "heisenberg", "numeric_oracle"]
+    for method in ("general", "heisenberg"):
+        rep, frame, shape = closed_form_report(chart, u, method)
+        np.testing.assert_array_equal(rep.coeffs, ev.reports[method].coeffs)
+        np.testing.assert_array_equal(frame.ys, ev.frame.ys)
+        assert shape.h == ev.shape.h
+    oracle = laplacian_numeric(chart, u, frame=ev.frame)
+    np.testing.assert_array_equal(oracle.coeffs, ev.reports["numeric_oracle"].coeffs)
+
+
 def test_coupling_requires_special_frame(free5):
     rng = np.random.default_rng(3)
     frame = adapted_frame(free5, random_unit(rng, 5))
@@ -354,7 +369,7 @@ def test_coupling_requires_special_frame(free5):
 def test_jacobi_vertical_plane():
     chart = vertical_plane_chart()
     pts = [np.array([s, t]) for s in (-0.4, 0.0, 0.4) for t in (-0.4, 0.4)]
-    rep = jacobi_residuals(chart, pts, [0.0, 1.0, 0.0])
+    rep = jacobi_residuals(chart, [evaluate_point(chart, u) for u in pts], [0.0, 1.0, 0.0])
     assert rep.max_residual < 1e-12
     assert rep.min_w == pytest.approx(1.0)
     assert rep.cmc_ok and rep.harmonic_ok
@@ -366,7 +381,8 @@ def test_jacobi_vertical_plane():
 def test_jacobi_direction_orthogonal_gives_zero():
     chart = vertical_plane_chart()
     pts = [np.array([0.0, 0.0]), np.array([0.3, -0.2])]
-    rep = jacobi_residuals(chart, pts, [0.0, 0.0, 1.0])  # v orthogonal to G = L
+    evals = [evaluate_point(chart, u) for u in pts]
+    rep = jacobi_residuals(chart, evals, [0.0, 0.0, 1.0])  # v orthogonal to G = L
     assert rep.max_residual < 1e-12
     assert abs(rep.min_w) < 1e-12
 
@@ -375,7 +391,9 @@ def test_jacobi_circular_arc_cylinder():
     chart = cylinder_chart("cos(u1)", "sin(u1)", (-0.6, 0.6), (-1, 1))
     pts = [np.array([s, t]) for s in (-0.45, 0.0, 0.45) for t in (-0.5, 0.5)]
     mean_g = np.mean([gauss_map(chart, u) for u in pts], axis=0)
-    rep = jacobi_residuals(chart, pts, mean_g / np.linalg.norm(mean_g))
+    rep = jacobi_residuals(
+        chart, [evaluate_point(chart, u) for u in pts], mean_g / np.linalg.norm(mean_g)
+    )
     assert rep.max_residual < 5e-4
     assert rep.min_w > 0.0  # image in an open hemisphere: stability certificate
     assert rep.cmc_ok and rep.harmonic_ok
@@ -405,14 +423,14 @@ def test_pointwise_subharmonicity_identity():
 def test_central_variation_cylinder():
     chart = cylinder_chart("cos(u1)", "sin(u1)", (-0.6, 0.6), (-1, 1))
     pts = [np.array([s, 0.0]) for s in (-0.3, 0.0, 0.3)]
-    rep = central_h_variation(chart, pts)
+    rep = central_h_variation(chart, [evaluate_point(chart, u) for u in pts])
     assert not rep.skipped
     assert rep.max_variation < 1e-8
 
 
 def test_central_variation_skipped_for_non_harmonic():
     chart = foliation_leaf_chart()
-    rep = central_h_variation(chart, [np.array([0.7, 0.0])])
+    rep = central_h_variation(chart, [evaluate_point(chart, np.array([0.7, 0.0]))])
     assert rep.skipped
     assert rep.max_variation is None
 
@@ -423,7 +441,7 @@ def test_central_variation_harmonic_h2_chart(h2):
         model, ["0", "u1", "u2", "u3", "u4"], [(-0.8, 0.8)] * 4
     )
     pts = [np.array([0.1, -0.2, 0.3, 0.0]), np.array([-0.2, 0.1, 0.0, 0.2])]
-    rep = central_h_variation(chart, pts)
+    rep = central_h_variation(chart, [evaluate_point(chart, u) for u in pts])
     assert not rep.skipped
     assert rep.max_variation < 5e-4
 
