@@ -67,6 +67,8 @@ from .surfaces import (
     mean_curvature_derivatives,
     random_graph_chart,
     shape_data,
+    stacked_gauss_map,
+    stacked_mean_curvature,
     vertical_plane_chart,
 )
 

@@ -6,9 +6,12 @@ four arithmetic operations, integer powers and the functions sin, cos,
 exp, sqrt.  Precedence is power > unary minus > mul/div > add/sub.
 
 Every tree evaluates either on floats or on second-order jets (value,
-gradient, Hessian).  Jet evaluation is exact forward-mode automatic
-differentiation, which is how all chart derivatives in this package are
-obtained; finite differences only ever touch derived scalar fields.
+gradient, Hessian) over a batch of points: ``Expr.jets`` walks the tree
+once for a whole (N, n) array of points, and ``Expr.jet`` is its N = 1
+row.  Jet evaluation is exact forward-mode automatic differentiation
+(vector mode, with the stack of points as the vector), which is how all
+chart derivatives in this package are obtained; finite differences only
+ever touch derived fields.
 """
 
 from __future__ import annotations
@@ -34,101 +37,153 @@ class ParseError(ValueError):
 
 
 class Jet:
-    """Value, gradient and Hessian of a scalar quantity in n parameters."""
+    """Value, gradient and Hessian of a scalar quantity in n parameters.
+
+    Leading axes are batch axes: ``val`` has a batch shape B, ``grad``
+    B + (n,) and ``hess`` B + (n, n), with B = () for one point and (N,)
+    for a stack of points.  Every operation is the same float arithmetic
+    applied row by row, so a row of a stack equals the jet of its point
+    alone, bit for bit.  A plain float operand is a constant: its zero
+    derivatives are never materialised.  Jets are never modified in
+    place, so they may share arrays.
+    """
 
     __slots__ = ("val", "grad", "hess")
 
-    def __init__(self, val: float, grad: np.ndarray, hess: np.ndarray):
-        self.val = float(val)
+    def __init__(self, val, grad: np.ndarray, hess: np.ndarray):
+        self.val = val
         self.grad = grad
         self.hess = hess
 
     @classmethod
-    def seed(cls, value: float, index: int, n: int) -> "Jet":
-        grad = np.zeros(n)
-        grad[index] = 1.0
-        return cls(value, grad, np.zeros((n, n)))
+    def seed(cls, value, index: int, n: int) -> "Jet":
+        val = np.asarray(value, dtype=float)
+        grad = np.zeros(val.shape + (n,))
+        grad[..., index] = 1.0
+        return cls(val, grad, np.zeros(val.shape + (n, n)))
 
     @classmethod
-    def const(cls, value: float, n: int) -> "Jet":
-        return cls(value, np.zeros(n), np.zeros((n, n)))
-
-    def _lift(self, other) -> "Jet":
-        if isinstance(other, Jet):
-            return other
-        return Jet.const(float(other), self.grad.size)
+    def const(cls, value, n: int) -> "Jet":
+        val = np.asarray(value, dtype=float)
+        return cls(val, np.zeros(val.shape + (n,)), np.zeros(val.shape + (n, n)))
 
     def __add__(self, other):
-        o = self._lift(other)
-        return Jet(self.val + o.val, self.grad + o.grad, self.hess + o.hess)
+        if isinstance(other, Jet):
+            return Jet(self.val + other.val, self.grad + other.grad, self.hess + other.hess)
+        return Jet(self.val + other, self.grad, self.hess)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._lift(other)
-        return Jet(self.val - o.val, self.grad - o.grad, self.hess - o.hess)
+        if isinstance(other, Jet):
+            return Jet(self.val - other.val, self.grad - other.grad, self.hess - other.hess)
+        return Jet(self.val - other, self.grad, self.hess)
 
     def __rsub__(self, other):
-        return self._lift(other) - self
+        return Jet(other - self.val, -self.grad, -self.hess)
 
     def __neg__(self):
         return Jet(-self.val, -self.grad, -self.hess)
 
     def __mul__(self, other):
-        o = self._lift(other)
-        cross = np.outer(self.grad, o.grad)
+        if not isinstance(other, Jet):
+            return Jet(self.val * other, other * self.grad, other * self.hess)
+        cross = self.grad[..., :, None] * other.grad[..., None, :]
         return Jet(
-            self.val * o.val,
-            self.val * o.grad + o.val * self.grad,
-            self.val * o.hess + o.val * self.hess + cross + cross.T,
+            self.val * other.val,
+            self.val[..., None] * other.grad + other.val[..., None] * self.grad,
+            self.val[..., None, None] * other.hess
+            + other.val[..., None, None] * self.hess
+            + cross
+            + np.swapaxes(cross, -1, -2),
         )
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._lift(other)
-        return self * _chain(o, 1.0 / o.val, -1.0 / o.val**2, 2.0 / o.val**3)
+        if not isinstance(other, Jet):
+            return self * (1.0 / other)
+        return self * _reciprocal(other)
 
     def __rtruediv__(self, other):
-        return self._lift(other) / self
+        return _reciprocal(self) * other
 
     def __pow__(self, k: int):
         return jet_pow(self, k)
 
 
-def _chain(x: Jet, f0: float, f1: float, f2: float) -> Jet:
+def _floats(fn, x) -> np.ndarray:
+    """fn applied to every entry of x as a Python float.
+
+    numpy's exp and integer powers differ from the float ones in the last
+    bit, and return inf or nan where the float ones raise; mapping the
+    float function keeps both its values and its exceptions.
+    """
+    x = np.asarray(x)
+    return np.array([fn(v) for v in x.ravel().tolist()]).reshape(x.shape)
+
+
+def _chain(x: Jet, f0, f1, f2) -> Jet:
     """Second-order chain rule for a unary function applied to a jet."""
-    return Jet(f0, f1 * x.grad, f1 * x.hess + f2 * np.outer(x.grad, x.grad))
+    g = x.grad
+    return Jet(
+        f0,
+        f1[..., None] * g,
+        f1[..., None, None] * x.hess + f2[..., None, None] * (g[..., :, None] * g[..., None, :]),
+    )
+
+
+def _divide(num: float, den: np.ndarray) -> np.ndarray:
+    """num / den, raising ZeroDivisionError where float division would."""
+    if (den == 0.0).any():
+        raise ZeroDivisionError("float division by zero")
+    return num / den
+
+
+def _reciprocal(x: Jet) -> Jet:
+    return _chain(
+        x,
+        _divide(1.0, x.val),
+        _divide(-1.0, _floats(lambda v: v**2, x.val)),
+        _divide(2.0, _floats(lambda v: v**3, x.val)),
+    )
 
 
 def jet_pow(x: Jet, k: int) -> Jet:
     if k == 0:
-        return Jet.const(1.0, x.grad.size)
+        return Jet.const(np.ones_like(x.val), x.grad.shape[-1])
     if k == 1:
-        return Jet(x.val, x.grad.copy(), x.hess.copy())
-    if k < 0 and x.val == 0.0:
+        return x
+    if k < 0 and (x.val == 0.0).any():
         raise ZeroDivisionError("negative power of zero")
-    return _chain(x, x.val**k, k * x.val ** (k - 1), k * (k - 1) * x.val ** (k - 2))
+    return _chain(
+        x,
+        _floats(lambda v: v**k, x.val),
+        k * _floats(lambda v: v ** (k - 1), x.val),
+        k * (k - 1) * _floats(lambda v: v ** (k - 2), x.val),
+    )
 
 
 def jet_sin(x: Jet) -> Jet:
-    return _chain(x, math.sin(x.val), math.cos(x.val), -math.sin(x.val))
+    s = _floats(math.sin, x.val)
+    return _chain(x, s, _floats(math.cos, x.val), -s)
 
 
 def jet_cos(x: Jet) -> Jet:
-    return _chain(x, math.cos(x.val), -math.sin(x.val), -math.cos(x.val))
+    c = _floats(math.cos, x.val)
+    return _chain(x, c, -_floats(math.sin, x.val), -c)
 
 
 def jet_exp(x: Jet) -> Jet:
-    e = math.exp(x.val)
+    e = _floats(math.exp, x.val)
     return _chain(x, e, e, e)
 
 
 def jet_sqrt(x: Jet) -> Jet:
-    if x.val <= 0.0:
+    if (x.val <= 0.0).any():
         raise ValueError("sqrt argument must be positive for jet evaluation")
-    r = math.sqrt(x.val)
-    return _chain(x, r, 0.5 / r, -0.25 / (x.val * r))
+    r = np.sqrt(x.val)  # correctly rounded, like math.sqrt
+    return _chain(x, r, _divide(0.5, r), _divide(-0.25, x.val * r))
 
 
 _FUNCTIONS = {
@@ -349,7 +404,7 @@ def _substitute(node, mapping):
 
 @dataclass(frozen=True)
 class Expr:
-    """Parsed expression; callable on floats, jet() for derivatives."""
+    """Parsed expression; callable on floats, jet()/jets() for derivatives."""
 
     root: tuple
     source: str
@@ -363,18 +418,26 @@ class Expr:
             )
         return float(_eval(self.root, vals))
 
-    def jet(self, u) -> Jet:
-        vals = [float(x) for x in u]
-        n = len(vals)
+    def jets(self, points) -> Jet:
+        """Jets at every row of an (N, n) array, from one walk of the tree."""
+        points = np.array(points, dtype=float)  # a copy: seed values are its columns
+        if points.ndim != 2:
+            raise ValueError("points must be an (N, n) array")
+        n = points.shape[1]
         if self.max_param > n:
             raise ValueError(
                 f"expression uses u{self.max_param} but only {n} parameters given"
             )
-        seeds = [Jet.seed(v, i, n) for i, v in enumerate(vals)]
+        seeds = [Jet.seed(points[:, i], i, n) for i in range(self.max_param)]
         out = _eval(self.root, seeds)
         if not isinstance(out, Jet):
-            out = Jet.const(float(out), n)
+            out = Jet.const(np.full(len(points), float(out)), n)
         return out
+
+    def jet(self, u) -> Jet:
+        """Jet at one point: the single row of ``jets``."""
+        out = self.jets([[float(x) for x in u]])
+        return Jet(float(out.val[0]), out.grad[0], out.hess[0])
 
     def substitute(self, mapping: dict[int, "Expr"]) -> "Expr":
         """Replace parameter u<k> by the tree of mapping[k]."""

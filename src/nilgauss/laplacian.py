@@ -49,6 +49,7 @@ from .surfaces import (
     mean_curvature,
     mean_curvature_derivatives,
     shape_data,
+    stacked_gauss_map,
 )
 
 TERM_KEYS = ("dh", "bracket_j", "curvature", "norm_b2_ric")
@@ -259,7 +260,10 @@ def laplace_beltrami_coefficients(chart: SurfaceChart, u):
 def laplace_beltrami_scalar(
     chart: SurfaceChart, u, field, fd: FDParams = FDParams()
 ) -> float:
-    """Laplace-Beltrami operator of a scalar field on the chart."""
+    """Laplace-Beltrami operator of a scalar field on the chart.
+
+    ``field`` maps an (N, n) array of points to N values.
+    """
     ginv, cvec = laplace_beltrami_coefficients(chart, u)
     grad, hess = gradient_hessian(field, u, fd, domain=chart.domain)
     return float(np.einsum("ab,ab->", ginv, hess) + cvec @ grad)
@@ -276,7 +280,7 @@ def laplacian_numeric(
     if frame is None:
         frame = adapted_frame(alg, gauss_map(chart, u))
     ginv, cvec = laplace_beltrami_coefficients(chart, u)
-    field = lambda uu: gauss_map(chart, uu)
+    field = lambda pts: stacked_gauss_map(chart, pts)
     grad, hess = gradient_hessian(field, u, fd, domain=chart.domain)
     delta = np.einsum("ab,kab->k", ginv, hess) + np.einsum("b,kb->k", cvec, grad)
     coeffs = frame.ys @ delta
@@ -419,7 +423,8 @@ def jacobi_residuals(
     alg = chart.model.algebra
     v = np.asarray(direction, dtype=float)
     v = v / np.linalg.norm(v)
-    w_field = lambda uu: float(gauss_map(chart, uu) @ v)
+    # one dot per row: a matrix-vector product sums in another order
+    w_field = lambda pts: np.array([float(g @ v) for g in stacked_gauss_map(chart, pts)])
     max_res = 0.0
     min_w = np.inf
     hs = []
@@ -553,68 +558,61 @@ def gauss_codazzi_residuals(
     if a < 1e-8 or bb < 1e-8:
         return GaussCodazziResult(True, None, None, None, None)
 
-    def frame_at(uu) -> AdaptedFrame:
-        return adapted_frame(alg, gauss_map(chart, uu))
+    def frames(pts) -> list[AdaptedFrame]:
+        return [adapted_frame(alg, g) for g in stacked_gauss_map(chart, pts)]
 
-    def frame_vec(uu, i):
-        fr = frame_at(uu)
-        vec = fr.ys[i]
+    def aligned(fr: AdaptedFrame, i: int) -> np.ndarray:
         # keep the field single-valued across the FD stencil
-        if float(vec @ frame0.ys[i]) < 0.0:
-            vec = -vec
-        return vec
+        vec = fr.ys[i]
+        return -vec if float(vec @ frame0.ys[i]) < 0.0 else vec
 
-    def b_entries(uu):
-        fr = frame_at(uu)
-        sh = shape_data(chart, uu, fr)
-        # diagonal entries are insensitive to frame sign flips; the mixed
-        # entry needs the same alignment as frame_vec
-        s1 = 1.0 if float(fr.ys[0] @ frame0.ys[0]) >= 0.0 else -1.0
-        s2 = 1.0 if float(fr.ys[1] @ frame0.ys[1]) >= 0.0 else -1.0
-        return np.array([sh.b[0, 0], s1 * s2 * sh.b[1, 0], sh.b[1, 1]])
+    def b_entries(pts) -> np.ndarray:
+        rows = []
+        for uu, fr in zip(pts, frames(pts)):
+            sh = shape_data(chart, uu, fr)
+            # diagonal entries are insensitive to frame sign flips; the mixed
+            # entry needs the same alignment as the frame vectors
+            s1 = 1.0 if float(fr.ys[0] @ frame0.ys[0]) >= 0.0 else -1.0
+            s2 = 1.0 if float(fr.ys[1] @ frame0.ys[1]) >= 0.0 else -1.0
+            rows.append([sh.b[0, 0], s1 * s2 * sh.b[1, 0], sh.b[1, 1]])
+        return np.array(rows)
 
-    def chart_dir(uu, i):
-        return chart_coefficients(chart_jets(chart, uu), frame_vec(uu, i))
-
-    def ambient_derivative(uu, i, j):
-        """nabla_{F_i} F_j at uu: component FD plus the invariant part."""
-        direction = chart_dir(uu, i)
+    def kappa(uu, i: int, j: int) -> float:
+        """<nabla_{F_i} F_i, F_j> at uu: component FD plus the invariant part."""
+        fr = frames(uu[None])[0]
+        fi = aligned(fr, i)
+        direction = chart_coefficients(chart_jets(chart, uu), fi)
         comp = directional_derivative(
-            lambda vv: frame_vec(vv, j), uu, direction, fd, domain=chart.domain
+            lambda pts: np.array([aligned(f, i) for f in frames(pts)]),
+            uu, direction, fd, domain=chart.domain,
         )
-        return comp + connection(alg, frame_vec(uu, i), frame_vec(uu, j))
+        return float((comp + connection(alg, fi, fi)) @ aligned(fr, j))
 
-    def kappa(uu, which):
-        if which == 1:
-            return float(ambient_derivative(uu, 0, 0) @ frame_vec(uu, 1))
-        return float(ambient_derivative(uu, 1, 1) @ frame_vec(uu, 0))
+    def kappa_derivative(i: int, j: int, direction) -> float:
+        field = lambda pts: np.array([kappa(vv, i, j) for vv in pts])
+        return float(directional_derivative(field, u, direction, fd, domain=chart.domain))
 
     f1 = frame0.ys[0]
     f2 = frame0.ys[1]
     eta = frame0.normal
-    b11, b21, b22 = b_entries(u)
-    k1 = kappa(u, 1)
-    k2 = kappa(u, 2)
-    d1 = chart_dir(u, 0)
-    d2 = chart_dir(u, 1)
+    b11, b21, b22 = b_entries(u[None])[0]
+    k1 = kappa(u, 0, 1)
+    k2 = kappa(u, 1, 0)
+    cj = chart_jets(chart, u)
+    d1 = chart_coefficients(cj, f1)
+    d2 = chart_coefficients(cj, f2)
 
-    def dfield(field, direction):
-        return float(
-            directional_derivative(field, u, direction, fd, domain=chart.domain)
-        )
-
-    f1_b21 = dfield(lambda vv: b_entries(vv)[1], d1)
-    f2_b11 = dfield(lambda vv: b_entries(vv)[0], d2)
-    f2_b21 = dfield(lambda vv: b_entries(vv)[1], d2)
-    f1_b22 = dfield(lambda vv: b_entries(vv)[2], d1)
+    # row r: the three entries of b differentiated along d_{r+1}
+    db = directional_derivative(b_entries, u, [d1, d2], fd, domain=chart.domain)
+    f1_b21, f2_b11, f2_b21, f1_b22 = db[0, 1], db[1, 0], db[1, 1], db[0, 2]
 
     r_121 = float(curvature(alg, f1, f2, f1) @ eta)
     r_212 = float(curvature(alg, f2, f1, f2) @ eta)
     cod1 = (f1_b21 + k1 * (b11 - b22)) - (f2_b11 + 2.0 * k2 * b21) - r_121
     cod2 = (f2_b21 + k2 * (b22 - b11)) - (f1_b22 + 2.0 * k1 * b21) - r_212
 
-    f1_k2 = dfield(lambda vv: kappa(vv, 2), d1)
-    f2_k1 = dfield(lambda vv: kappa(vv, 1), d2)
+    f1_k2 = kappa_derivative(1, 0, d1)
+    f2_k1 = kappa_derivative(0, 1, d2)
     k_intrinsic = f1_k2 + f2_k1 - k1**2 - k2**2
     k_extrinsic = b11 * b22 - b21**2
     sectional = float(curvature(alg, f1, f2, f2) @ f1)

@@ -29,6 +29,10 @@ class CoordinateModel:
     ``frame_lin[k, j, i]`` is the coefficient of p_i in entry (k, j) of
     L(p); ``product_bilin[k, i, j]`` the coefficient of p_i q_j in the
     quadratic part of the product.
+
+    ``frame_correction``, ``frame_field``, ``frame_inverse``,
+    ``coordinate_metric``, ``metric_derivatives`` and ``christoffels`` take
+    one point p (d,) or a stack (N, d), and return a stack for a stack.
     """
 
     algebra: NilpotentAlgebra
@@ -61,7 +65,7 @@ class CoordinateModel:
 
     def frame_correction(self, p) -> np.ndarray:
         """L(p); column a holds the coordinate correction of field e_a."""
-        return np.einsum("kji,i->kj", self.frame_lin, np.asarray(p, dtype=float))
+        return np.einsum("kji,...i->...kj", self.frame_lin, np.asarray(p, dtype=float))
 
     def frame_field(self, p) -> np.ndarray:
         return np.eye(self.dim) + self.frame_correction(p)
@@ -84,16 +88,17 @@ class CoordinateModel:
 
     def coordinate_metric(self, p) -> np.ndarray:
         ainv = self.frame_inverse(p)
-        return ainv.T @ ainv
+        return np.swapaxes(ainv, -1, -2) @ ainv
 
     def metric_derivatives(self, p) -> np.ndarray:
         """dg[m, i, j] = partial_m g_ij, exact from the linear frame."""
         ainv = self.frame_inverse(p)
+        ainv_t = np.swapaxes(ainv, -1, -2)
         d = self.dim
-        dg = np.empty((d, d, d))
+        dg = np.empty(ainv.shape[:-2] + (d, d, d))
         for m in range(d):
             lm = self.frame_lin[:, :, m]
-            dg[m] = -(lm.T @ ainv) - (ainv.T @ lm)
+            dg[..., m, :, :] = -(lm.T @ ainv) - (ainv_t @ lm)
         return dg
 
     def christoffels(self, p) -> np.ndarray:
@@ -103,9 +108,9 @@ class CoordinateModel:
         ginv = np.linalg.inv(g)
         # Koszul formula: Gamma_{m,ij} = (d_i g_mj + d_j g_mi - d_m g_ij)/2
         lower = 0.5 * (
-            np.einsum("imj->mij", dg) + np.einsum("jmi->mij", dg) - dg
+            np.einsum("...imj->...mij", dg) + np.einsum("...jmi->...mij", dg) - dg
         )
-        return np.einsum("km,mij->kij", ginv, lower)
+        return np.einsum("...km,...mij->...kij", ginv, lower)
 
 
 def exp_model(alg: NilpotentAlgebra) -> CoordinateModel:

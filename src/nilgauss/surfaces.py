@@ -83,7 +83,11 @@ class SurfaceChart:
 
 @dataclass(eq=False)
 class ChartJet:
-    """Chart data at one parameter point: value, jets, algebra tangents."""
+    """Chart data at one parameter point: value, jets, algebra tangents.
+
+    ``stacked_chart_jets`` fills the same fields for a stack of N points,
+    each with a leading axis of length N.
+    """
 
     point: np.ndarray   # (d,)
     jac: np.ndarray     # (d, n)
@@ -92,42 +96,67 @@ class ChartJet:
     tangents: np.ndarray  # tangents in the algebra basis, (d, n)
 
 
-def chart_jets(chart: SurfaceChart, u) -> ChartJet:
-    u = np.asarray(u, dtype=float)
+def stacked_chart_jets(chart: SurfaceChart, points) -> ChartJet:
+    """Chart jets at every row of an (N, n) array, one tree walk per component.
+
+    Raises ImmersionError naming the first point whose Jacobian is nearly
+    rank deficient.
+    """
+    points = np.asarray(points, dtype=float)
     n = chart.param_dim
     d = chart.model.dim
-    if u.shape != (n,):
-        raise ValueError(f"parameter point must have length {n}")
-    val = np.empty(d)
-    jac = np.empty((d, n))
-    hess = np.empty((d, n, n))
+    if points.ndim != 2 or points.shape[1] != n:
+        raise ValueError(f"parameter points must be rows of length {n}")
+    count = len(points)
+    val = np.empty((count, d))
+    jac = np.empty((count, d, n))
+    hess = np.empty((count, d, n, n))
     for k, comp in enumerate(chart.components):
-        jet = comp.jet(u)
-        val[k] = jet.val
-        jac[k] = jet.grad
-        hess[k] = jet.hess
-    smin = np.linalg.svd(jac, compute_uv=False)[-1]
-    if smin <= IMMERSION_RANK_TOL:
+        jet = comp.jets(points)
+        val[:, k] = jet.val
+        jac[:, k] = jet.grad
+        hess[:, k] = jet.hess
+    smin = np.linalg.svd(jac, compute_uv=False)[:, -1]
+    bad = smin <= IMMERSION_RANK_TOL
+    if bad.any():
+        i = int(np.argmax(bad))
         raise ImmersionError(
-            f"chart Jacobian nearly rank deficient at u={u.tolist()} "
-            f"(smallest singular value {smin:.3e})"
+            f"chart Jacobian nearly rank deficient at u={points[i].tolist()} "
+            f"(smallest singular value {smin[i]:.3e})"
         )
     ainv = chart.model.frame_inverse(val)
     return ChartJet(point=val, jac=jac, hess=hess, ainv=ainv, tangents=ainv @ jac)
 
 
+def chart_jets(chart: SurfaceChart, u) -> ChartJet:
+    """Chart jets at one point: the single row of ``stacked_chart_jets``."""
+    u = np.asarray(u, dtype=float)
+    n = chart.param_dim
+    if u.shape != (n,):
+        raise ValueError(f"parameter point must have length {n}")
+    cj = stacked_chart_jets(chart, u[None])
+    return ChartJet(
+        point=cj.point[0], jac=cj.jac[0], hess=cj.hess[0], ainv=cj.ainv[0], tangents=cj.tangents[0]
+    )
+
+
 def _gauss_from_tangents(tangents: np.ndarray, orientation: int) -> np.ndarray:
-    u_full, _, _ = np.linalg.svd(tangents, full_matrices=True)
-    normal = u_full[:, -1]
-    det = np.linalg.det(np.column_stack([tangents, normal]))
-    if det * orientation < 0.0:
-        normal = -normal
-    return normal
+    """Unit normal of tangents (d, n), or of each frame in a stack (N, d, n)."""
+    u_full = np.linalg.svd(tangents, full_matrices=True)[0]
+    normal = u_full[..., :, -1]
+    det = np.linalg.det(np.concatenate([tangents, normal[..., None]], axis=-1))
+    return np.where((det * orientation < 0.0)[..., None], -normal, normal)
 
 
 def gauss_map(chart: SurfaceChart, u) -> np.ndarray:
     """Unit normal at r(u), expressed in the algebra basis."""
     cj = chart_jets(chart, u)
+    return _gauss_from_tangents(cj.tangents, chart.orientation)
+
+
+def stacked_gauss_map(chart: SurfaceChart, points) -> np.ndarray:
+    """Unit normals (N, d) at every row of an (N, n) array of points."""
+    cj = stacked_chart_jets(chart, points)
     return _gauss_from_tangents(cj.tangents, chart.orientation)
 
 
@@ -151,23 +180,38 @@ def induced_metric_with_gradient(chart: SurfaceChart, u):
     return g, dg
 
 
+def _second_fundamental(chart: SurfaceChart, cj: ChartJet):
+    """Coordinate second fundamental form and unit normal, one point or a stack."""
+    gamma = chart.model.christoffels(cj.point)
+    nabla = cj.hess + np.einsum("...kij,...ia,...jb->...kab", gamma, cj.jac, cj.jac)
+    w_alg = np.einsum("...kl,...lab->...kab", cj.ainv, nabla)
+    normal = _gauss_from_tangents(cj.tangents, chart.orientation)
+    return np.einsum("...kab,...k->...ab", w_alg, normal), normal
+
+
 def second_fundamental_coords(chart: SurfaceChart, u, cj: ChartJet | None = None):
     """Coordinate second fundamental form h_ab and the chart data."""
     if cj is None:
         cj = chart_jets(chart, u)
-    gamma = chart.model.christoffels(cj.point)
-    nabla = cj.hess + np.einsum("kij,ia,jb->kab", gamma, cj.jac, cj.jac)
-    w_alg = np.einsum("kl,lab->kab", cj.ainv, nabla)
-    normal = _gauss_from_tangents(cj.tangents, chart.orientation)
-    h = np.einsum("kab,k->ab", w_alg, normal)
+    h, normal = _second_fundamental(chart, cj)
     return h, cj, normal
+
+
+def _mean_curvature(chart: SurfaceChart, cj: ChartJet):
+    h, _ = _second_fundamental(chart, cj)
+    t = cj.tangents
+    g = np.swapaxes(t, -1, -2) @ t
+    return np.trace(np.linalg.solve(g, h), axis1=-2, axis2=-1) / chart.param_dim
 
 
 def mean_curvature(chart: SurfaceChart, u) -> float:
     """Frame-independent mean curvature H = tr(g^-1 h) / n."""
-    h, cj, _ = second_fundamental_coords(chart, u)
-    g = cj.tangents.T @ cj.tangents
-    return float(np.trace(np.linalg.solve(g, h))) / chart.param_dim
+    return float(_mean_curvature(chart, chart_jets(chart, u)))
+
+
+def stacked_mean_curvature(chart: SurfaceChart, points) -> np.ndarray:
+    """Mean curvature (N,) at every row of an (N, n) array of points."""
+    return _mean_curvature(chart, stacked_chart_jets(chart, points))
 
 
 # ---------------------------------------------------------------------------
@@ -377,12 +421,18 @@ def frame_directional_derivative(
     scalar_field,
     y_vec,
     fd: FDParams = FDParams(),
-) -> float:
-    """Derivative of a scalar field on the chart along a tangent frame vector."""
+):
+    """Derivative of a scalar field on the chart along tangent frame vectors.
+
+    ``scalar_field`` maps an (N, n) array of points to N values.
+    ``y_vec`` is one algebra vector, giving a float, or a stack of k of
+    them, giving k derivatives from one call of the field.
+    """
     cj = chart_jets(chart, u)
-    direction = chart_coefficients(cj, y_vec)
-    out = directional_derivative(scalar_field, u, direction, fd, domain=chart.domain)
-    return float(out)
+    y = np.asarray(y_vec, dtype=float)
+    directions = np.array([chart_coefficients(cj, vec) for vec in np.atleast_2d(y)])
+    out = directional_derivative(scalar_field, u, directions, fd, domain=chart.domain)
+    return out if y.ndim == 2 else float(out[0])
 
 
 def mean_curvature_derivatives(
@@ -393,10 +443,8 @@ def mean_curvature_derivatives(
 ) -> np.ndarray:
     """Y_k(n H) for the n tangent frame vectors, by Richardson FD."""
     n = chart.param_dim
-    field = lambda uu: n * mean_curvature(chart, uu)
-    return np.array(
-        [frame_directional_derivative(chart, u, field, frame.ys[k], fd) for k in range(n)]
-    )
+    field = lambda pts: n * stacked_mean_curvature(chart, pts)
+    return frame_directional_derivative(chart, u, field, frame.ys[:n], fd)
 
 
 # ---------------------------------------------------------------------------

@@ -139,3 +139,66 @@ def test_jet_seed_and_const():
     prod = jet * Jet.seed(5.0, 1, 3)
     assert prod.val == 10.0
     assert prod.hess[0, 1] == 1.0
+
+
+@pytest.mark.parametrize(
+    "source, bad, error",
+    [
+        ("sqrt(u1 + u2)", [-1.0, 0.5], ValueError),
+        ("sqrt(u1)", [0.0, 0.3], ValueError),
+        ("u2 / u1", [0.0, 0.3], ZeroDivisionError),
+        ("1 / (u1 - u2)", [0.3, 0.3], ZeroDivisionError),
+        ("1 / u1", [1e-200, 0.3], ZeroDivisionError),  # u1^2 underflows to 0
+        ("sqrt(u1)", [1e-300, 0.3], ZeroDivisionError),  # so does u1 * sqrt(u1)
+        ("u1^-2 + u2", [0.0, 0.3], ZeroDivisionError),
+        ("exp(u1) * u2", [800.0, 0.3], OverflowError),
+        ("u1^3", [1e200, 0.3], OverflowError),
+        ("sin(u1) + u2", [math.inf, 0.3], ValueError),
+        ("cos(u2) * u1", [0.3, -math.inf], ValueError),
+    ],
+)
+def test_batched_jets_raise_like_single_point_jets(source, bad, error):
+    expr = parse_expression(source)
+    good = np.array([[0.4, 0.9], [1.2, 0.7]])
+    expr.jets(good)
+    with pytest.raises(error):
+        expr.jet(bad)
+    with pytest.raises(error):
+        expr.jets(np.vstack([good[:1], [bad], good[1:]]))
+
+
+_LEAVES = st.sampled_from(["u1", "u2", "u3", "0.5", "1.7", "3"])
+
+
+def _grow(child):
+    unary = st.builds(lambda f, a: f"{f}({a})", st.sampled_from(["sin", "cos", "exp", "sqrt", "-"]), child)
+    binary = st.builds(
+        lambda a, op, b: f"({a} {op} {b})", child, st.sampled_from(["+", "-", "*", "/"]), child
+    )
+    power = st.builds(lambda a, k: f"({a})^{k}", child, st.integers(-3, 3))
+    return unary | binary | power
+
+
+@given(
+    source=st.recursive(_LEAVES, _grow, max_leaves=8),
+    points=st.lists(
+        st.tuples(*[st.floats(-1.5, 1.5, allow_nan=False)] * 3), min_size=1, max_size=6
+    ),
+)
+@settings(max_examples=300, deadline=None)
+# inf and nan arise where float arithmetic gives them too, silently
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_batch_rows_equal_single_point_jets(source, points):
+    expr = parse_expression(source)
+    pts = np.array(points)
+    try:
+        singles = [expr.jet(p) for p in pts]
+    except (ValueError, ZeroDivisionError, OverflowError):
+        with pytest.raises((ValueError, ZeroDivisionError, OverflowError)):
+            expr.jets(pts)
+        return
+    batch = expr.jets(pts)
+    for i, single in enumerate(singles):
+        np.testing.assert_array_equal(batch.val[i], single.val)
+        np.testing.assert_array_equal(batch.grad[i], single.grad)
+        np.testing.assert_array_equal(batch.hess[i], single.hess)

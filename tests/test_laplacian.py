@@ -27,7 +27,7 @@ from nilgauss import (
     shape_data,
     vertical_plane_chart,
 )
-from nilgauss.surfaces import ShapeData
+from nilgauss.surfaces import ShapeData, stacked_gauss_map
 from conftest import abelian_3d, quaternionic_heisenberg, random_unit
 
 
@@ -409,7 +409,7 @@ def test_pointwise_subharmonicity_identity():
     v = random_unit(rng, 3)
     for u in ([0.2, 0.1], [-0.3, -0.4]):
         w = float(gauss_map(chart, u) @ v)
-        lw = laplace_beltrami_scalar(chart, u, lambda uu: float(gauss_map(chart, uu) @ v))
+        lw = laplace_beltrami_scalar(chart, u, lambda pts: stacked_gauss_map(chart, pts) @ v)
         frame = adapted_frame(alg, gauss_map(chart, u))
         shape = shape_data(chart, u, frame)
         pot = shape.norm_b2 + ricci(alg, frame.normal, frame.normal)

@@ -22,7 +22,7 @@ from nilgauss import (
     vertical_plane_chart,
 )
 from nilgauss.fd import BoundaryError
-from nilgauss.surfaces import chart_jets
+from nilgauss.surfaces import chart_jets, stacked_chart_jets, stacked_gauss_map, stacked_mean_curvature
 from conftest import abelian_3d, basis, random_unit
 
 
@@ -78,6 +78,30 @@ def test_rank_deficient_chart_raises():
     chart = expression_chart(model, ["u1", "u1", "0.0"], [(-1, 1), (-1, 1)])
     with pytest.raises(ImmersionError):
         gauss_map(chart, [0.0, 0.0])
+
+
+def test_stacked_immersion_error_names_the_first_bad_point():
+    # the second Jacobian column (0, 2 u2, 3 u2^2) vanishes at u2 = 0
+    chart = expression_chart(nil_polarized_model(), ["u1", "u2^2", "u2^3"], [(-1, 1), (-1, 1)])
+    stacked_chart_jets(chart, [[0.1, 0.2], [0.3, 0.4]])
+    with pytest.raises(ImmersionError, match=r"u=\[0\.3, 0\.0\]"):
+        stacked_chart_jets(chart, [[0.1, 0.2], [0.3, 0.0], [-0.5, 0.0]])
+
+
+@pytest.mark.parametrize("algebra", [heisenberg(1), heisenberg(2)])
+def test_stacked_chart_layers_equal_single_points_bit_for_bit(algebra):
+    rng = np.random.default_rng(5)
+    chart = random_graph_chart(exp_model(algebra), rng, terms=4)
+    pts = rng.uniform(-0.4, 0.4, (7, chart.param_dim))
+    cj = stacked_chart_jets(chart, pts)
+    normals = stacked_gauss_map(chart, pts)
+    hs = stacked_mean_curvature(chart, pts)
+    for i, u in enumerate(pts):
+        single = chart_jets(chart, u)
+        for name in ("point", "jac", "hess", "ainv", "tangents"):
+            np.testing.assert_array_equal(getattr(cj, name)[i], getattr(single, name))
+        np.testing.assert_array_equal(normals[i], gauss_map(chart, u))
+        assert hs[i] == mean_curvature(chart, u)
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +306,7 @@ def test_vertical_plane_induced_metric_identity():
 
 def test_directional_derivative_constant_field():
     chart = foliation_leaf_chart()
-    val = frame_directional_derivative(chart, [0.5, 0.0], lambda u: 4.2, K)
+    val = frame_directional_derivative(chart, [0.5, 0.0], lambda pts: np.full(len(pts), 4.2), K)
     assert val == pytest.approx(0.0, abs=1e-12)
 
 
@@ -299,7 +323,7 @@ def test_directional_derivative_linear_in_direction():
     u = [0.6, 0.2]
     frame = adapted_frame(heisenberg(1), gauss_map(chart, u))
     y1, y2 = frame.ys[0], frame.ys[1]
-    field = lambda uu: np.sin(uu[0]) * uu[1] + 0.3 * uu[0] ** 2
+    field = lambda pts: np.sin(pts[:, 0]) * pts[:, 1] + 0.3 * pts[:, 0] ** 2
     d1 = frame_directional_derivative(chart, u, field, y1)
     d2 = frame_directional_derivative(chart, u, field, y2)
     combo = frame_directional_derivative(chart, u, field, 0.7 * y1 + 1.3 * y2)
