@@ -13,6 +13,8 @@ All of the metric geometry is channelled through the skew maps
 
 which this module exposes alongside the bracket.  Algebras are immutable
 and every operation is a pure function, so instances can be shared freely.
+The J maps of the basis, the connection, the curvature and the Ricci
+tensor are computed once per instance, as read-only cached arrays.
 """
 
 from __future__ import annotations
@@ -21,6 +23,12 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+
+
+def _read_only(arr) -> np.ndarray:
+    arr = np.ascontiguousarray(arr, dtype=float)
+    arr.flags.writeable = False
+    return arr
 
 
 @dataclass(frozen=True, eq=False)
@@ -40,12 +48,11 @@ class NilpotentAlgebra:
             raise ValueError("dim_center must be at least 1")
         if self.dim_center >= self.dim_total:
             raise ValueError("dim_center must be smaller than dim_total")
-        tensor = np.ascontiguousarray(np.asarray(self.bracket_tensor, dtype=float))
+        tensor = np.asarray(self.bracket_tensor, dtype=float)
         d = self.dim_total
         if tensor.shape != (d, d, d):
             raise ValueError(f"bracket tensor must have shape {(d, d, d)}")
-        tensor.flags.writeable = False
-        object.__setattr__(self, "bracket_tensor", tensor)
+        object.__setattr__(self, "bracket_tensor", _read_only(tensor))
 
     @property
     def dim_v(self) -> int:
@@ -56,6 +63,47 @@ class NilpotentAlgebra:
     def n(self) -> int:
         """Dimension of a hypersurface in the group, dim_total - 1."""
         return self.dim_total - 1
+
+    @cached_property
+    def j_tensor(self) -> np.ndarray:
+        """j[k] = J(e_k) as a full d x d matrix, for every basis vector e_k."""
+        return _read_only(np.einsum("ijk->kji", self.bracket_tensor))
+
+    @cached_property
+    def connection_tensor(self) -> np.ndarray:
+        """g[a, b, k]: grad_{e_a} e_b = sum_k g[a, b, k] e_k (Koszul formula)."""
+        c = self.bracket_tensor
+        return _read_only(
+            0.5 * (c - np.einsum("akb->abk", c) - np.einsum("bka->abk", c))
+        )
+
+    @cached_property
+    def curvature_tensor(self) -> np.ndarray:
+        """r[a, b, c, k]: R(e_a, e_b) e_c = sum_k r[a, b, c, k] e_k.
+
+        From the definition R(a, b) = grad_a grad_b - grad_b grad_a - grad_[a, b],
+        which for constant connection coefficients composes coefficient arrays.
+        """
+        g = self.connection_tensor
+        nested = np.einsum("bcm,amk->abck", g, g)
+        return _read_only(
+            nested - nested.transpose(1, 0, 2, 3)
+            - np.einsum("abm,mck->abck", self.bracket_tensor, g)
+        )
+
+    @cached_property
+    def ricci_matrix(self) -> np.ndarray:
+        """Ric[a, b] from the closed blocks, not as a trace of the curvature.
+
+        Horizontal block sum_k J(z_k)^2 / 2 over the central basis, central
+        block -Tr(J(z_a) J(z_b)) / 4, mixed blocks zero.
+        """
+        q = self.dim_v
+        jz = self.j_tensor[q:, :q, :q]
+        ric = np.zeros((self.dim_total, self.dim_total))
+        ric[:q, :q] = 0.5 * np.einsum("kij,kjl->il", jz, jz)
+        ric[q:, q:] = -0.25 * np.einsum("aij,bji->ab", jz, jz)
+        return _read_only(ric)
 
     @cached_property
     def is_h_type(self) -> bool:
@@ -89,7 +137,7 @@ class NilpotentAlgebra:
         z = np.asarray(z, dtype=float)
         if z.shape != (self.dim_total,):
             raise ValueError("central argument must have length dim_total")
-        return np.einsum("ijk,k->ji", self.bracket_tensor, z)
+        return np.einsum("k,kji->ji", z, self.j_tensor)
 
     def j_apply(self, z, x, tol: float = 1e-10) -> np.ndarray:
         """J(z) x for z in the center and x horizontal."""
@@ -163,18 +211,12 @@ def validate(alg: NilpotentAlgebra, tol: float = 1e-10) -> ValidationReport:
     if top <= tol:
         found.append(Violation("non-abelian", float(top)))
 
-    stacked = np.vstack([alg.j_matrix(_basis(alg, k))[:q, :q] for k in range(q, alg.dim_total)])
-    smin = np.linalg.svd(stacked, compute_uv=False)[-1] if stacked.size else 0.0
+    stacked = alg.j_tensor[q:, :q, :q].reshape(-1, q)
+    smin = np.linalg.svd(stacked, compute_uv=False)[-1]
     if smin <= tol:
         found.append(Violation("true center", float(smin)))
 
     return ValidationReport(tuple(found))
-
-
-def _basis(alg: NilpotentAlgebra, k: int) -> np.ndarray:
-    e = np.zeros(alg.dim_total)
-    e[k] = 1.0
-    return e
 
 
 def is_heisenberg_type(alg: NilpotentAlgebra, tol: float = 1e-10) -> bool:
@@ -185,14 +227,13 @@ def is_heisenberg_type(alg: NilpotentAlgebra, tol: float = 1e-10) -> bool:
     """
     q = alg.dim_v
     eye = np.eye(q)
-    zs = [_basis(alg, k) for k in range(q, alg.dim_total)]
-    worst = 0.0
-    for a, za in enumerate(zs):
-        ja = alg.j_matrix(za)[:q, :q]
-        worst = max(worst, np.abs(ja @ ja + eye).max())
-        for zb in zs[a + 1:]:
-            jj = alg.j_matrix(za + zb)[:q, :q]
-            worst = max(worst, np.abs(jj @ jj + 2.0 * eye).max())
+    jz = alg.j_tensor[q:, :q, :q]
+    ia, ib = np.triu_indices(len(jz), 1)
+    pairs = jz[ia] + jz[ib]  # J(z_a + z_b) for a < b
+    worst = max(
+        np.abs(jz @ jz + eye).max(),
+        np.abs(pairs @ pairs + 2.0 * eye).max(initial=0.0),
+    )
     return worst <= tol
 
 

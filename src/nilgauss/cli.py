@@ -118,9 +118,13 @@ def _build_model(name, alg, problems) -> CoordinateModel | None:
 
 
 def _build_chart(spec, model, orientation, domain, seed, problems) -> SurfaceChart | None:
-    if model is None or spec is None:
-        if spec is None:
-            problems.append("missing chart specification")
+    if spec is None:
+        problems.append("missing chart specification")
+        return None
+    if not isinstance(spec, dict):
+        problems.append("chart must be an object")
+        return None
+    if model is None:
         return None
     try:
         if domain is not None and len(domain) != model.dim - 1:
@@ -159,13 +163,47 @@ def _build_chart(spec, model, orientation, domain, seed, problems) -> SurfaceCha
                 return None
             return graph_chart(model, params["expr"], domain, orientation)
         if name == "random_graph":
-            rng = np.random.default_rng(int(seed) + int(params.get("index", 0)))
+            rng = np.random.default_rng(seed + int(params.get("index", 0)))
             return random_graph_chart(model, rng, terms=int(params.get("terms", 3)))
         problems.append(f"unknown chart catalog entry {name!r}")
         return None
-    except (KeyError, TypeError, ValueError, ParseError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError, ParseError) as exc:
         problems.append(f"bad chart specification: {exc}")
         return None
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+
+
+def _name_list(doc, key, known, problems) -> list:
+    names = doc.get(key, [])
+    if not isinstance(names, list):
+        problems.append(f"{key} must be a list")
+        return []
+    for name in names:
+        if name not in known:
+            problems.append(f"unknown {key[:-1]} {name!r}")
+    return names
+
+
+def _build_tolerances(spec, problems) -> dict[str, float]:
+    tolerances = dict(DEFAULT_TOLERANCES)
+    if not isinstance(spec, dict):
+        problems.append("tolerances must be an object")
+        return tolerances
+    for key, val in spec.items():
+        if key not in DEFAULT_TOLERANCES:
+            problems.append(f"unknown tolerance {key!r}")
+        elif not (_is_number(val) and val > 0):
+            problems.append(f"tolerance {key!r} must be a finite number > 0")
+        else:
+            tolerances[key] = float(val)
+    return tolerances
 
 
 def _build_fd(spec, problems) -> FDParams | None:
@@ -178,7 +216,7 @@ def _build_fd(spec, problems) -> FDParams | None:
     if not (math.isfinite(step) and step > 0.0):
         problems.append("fd step must be a finite number > 0")
         ok = False
-    if isinstance(levels, bool) or not isinstance(levels, int) or levels < 1:
+    if not _is_int(levels) or levels < 1:
         problems.append("fd levels must be an integer >= 1")
         ok = False
     return FDParams(step=step, levels=levels) if ok else None
@@ -204,25 +242,26 @@ def load_config(doc: dict) -> JobConfig:
 
     alg = _build_algebra(doc.get("algebra"), problems)
     model = _build_model(doc.get("model", "exp"), alg, problems)
-    orientation = int(doc.get("orientation", 1))
-    if orientation not in (1, -1):
-        problems.append("orientation must be +1 or -1")
+    orientation = doc.get("orientation", 1)
+    if not _is_int(orientation) or orientation not in (1, -1):
+        problems.append("orientation must be the integer 1 or -1")
         orientation = 1
+    seed = doc.get("seed", 0)
+    if not _is_int(seed):
+        problems.append("seed must be an integer")
+        seed = 0
     domain = doc.get("domain")
-    chart = _build_chart(doc.get("chart"), model, orientation, domain, doc.get("seed", 0), problems)
+    chart = _build_chart(doc.get("chart"), model, orientation, domain, seed, problems)
 
-    methods = list(doc.get("methods", []))
+    methods = _name_list(doc, "methods", METHOD_NAMES, problems)
     if not methods:
         problems.append("no methods requested")
-    for mth in methods:
-        if mth not in METHOD_NAMES:
-            problems.append(f"unknown method {mth!r}")
-    checks = list(doc.get("checks", []))
-    for chk in checks:
-        if chk not in CHECK_NAMES:
-            problems.append(f"unknown check {chk!r}")
+    checks = _name_list(doc, "checks", CHECK_NAMES, problems)
 
-    grid = [int(g) for g in doc.get("grid", [])]
+    grid = doc.get("grid", [])
+    if not isinstance(grid, list) or not all(_is_int(g) for g in grid):
+        problems.append("grid must be a list of integers")
+        grid = []
     if chart is not None:
         if not grid:
             grid = [3] * chart.param_dim
@@ -231,10 +270,7 @@ def load_config(doc: dict) -> JobConfig:
         elif any(g < 2 for g in grid):
             problems.append("grid resolution must be at least 2 per axis")
 
-    tolerances = dict(DEFAULT_TOLERANCES)
-    for key, val in doc.get("tolerances", {}).items():
-        tolerances[key] = float(val)
-
+    tolerances = _build_tolerances(doc.get("tolerances", {}), problems)
     fdp = _build_fd(doc.get("fd", {}), problems)
 
     point = doc.get("point")
@@ -249,7 +285,11 @@ def load_config(doc: dict) -> JobConfig:
 
     direction = doc.get("jacobi_direction")
     if direction is not None:
-        direction = [float(x) for x in direction]
+        ok = isinstance(direction, list) and all(_is_number(x) for x in direction)
+        ok = ok and any(direction) and (alg is None or len(direction) == alg.dim_total)
+        if not ok:
+            problems.append("jacobi_direction must be dim_total finite numbers, not all zero")
+        direction = [float(x) for x in direction] if ok else None
 
     if alg is not None and chart is not None:
         if "heisenberg" in methods and not alg.is_heisenberg:
@@ -275,7 +315,7 @@ def load_config(doc: dict) -> JobConfig:
         checks=checks,
         tolerances=tolerances,
         fd=fdp,
-        seed=int(doc.get("seed", 0)),
+        seed=seed,
         point=point,
         jacobi_direction=direction,
         raw=doc,
@@ -369,8 +409,8 @@ def run(config: JobConfig) -> dict:
         worst = 0.0
         identity_worst = 0.0
         evaluated = 0
-        for u in points:
-            res = gauss_codazzi_residuals(chart, u, fdp)
+        for ev in evals:
+            res = gauss_codazzi_residuals(chart, ev, fdp)
             if res.skipped:
                 continue
             evaluated += 1
@@ -508,9 +548,11 @@ def _load_config_file(path: str) -> dict:
         return json.load(fh)
 
 
-def _apply_overrides(doc: dict, args) -> dict:
+def _apply_overrides(doc, args) -> dict:
+    if not isinstance(doc, dict):
+        raise ConfigError(["config must be a JSON object"])
     doc = dict(doc)
-    if args.tol is not None:
+    if args.tol is not None and isinstance(doc.get("tolerances", {}), dict):
         tols = dict(doc.get("tolerances", {}))
         for key in CHECK_NAMES + ("oracle_gap",):
             tols[key] = args.tol
@@ -592,8 +634,9 @@ def main(argv=None) -> int:
             _emit(result, args)
             return _exit_code(result)
         if args.verb == "compare":
-            if "numeric_oracle" not in doc.get("methods", []):
-                doc["methods"] = list(doc.get("methods", [])) + ["numeric_oracle"]
+            methods = doc.get("methods", [])
+            if isinstance(methods, list) and "numeric_oracle" not in methods:
+                doc["methods"] = methods + ["numeric_oracle"]
             config = load_config(doc)
             if not [m for m in config.methods if m != "numeric_oracle"]:
                 raise ConfigError(["compare needs at least one closed-form method"])

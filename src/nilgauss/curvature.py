@@ -9,14 +9,17 @@ expression in the bracket and the J maps:
     grad_Z Z* = 0
 
 so everything in this module is exact linear algebra (no derivatives are
-taken).  ``curvature`` implements the closed case table;
-``curvature_oracle`` recomputes
+taken).  ``connection``, ``curvature`` and ``ricci`` contract the tensors
+a ``NilpotentAlgebra`` computes once: the curvature tensor comes from the
+definition
 
-    R(a, b) w = grad_a grad_b w - grad_b grad_a w - grad_[a,b] w
+    R(a, b) w = grad_a grad_b w - grad_b grad_a w - grad_[a,b] w,
 
-from the connection alone and is the independent cross-check used by the
-test suite.  The Ricci tensor carries its own oracle in the tests, the
-trace of curvature over the orthonormal basis.
+the Ricci matrix from its closed block formula.  ``curvature_oracle``
+evaluates the closed case table of Eberlein instead and is the
+independent cross-check used by the test suite; the Ricci tensor carries
+its own oracle in the tests, the trace of curvature over the orthonormal
+basis.
 """
 
 from __future__ import annotations
@@ -26,28 +29,28 @@ import numpy as np
 from .algebra import NilpotentAlgebra
 
 
-def connection(alg: NilpotentAlgebra, a, b) -> np.ndarray:
-    """Covariant derivative grad_a b of left-invariant fields."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != (alg.dim_total,) or b.shape != (alg.dim_total,):
-        raise ValueError("connection arguments must have length dim_total")
-    xa, za = alg.v_part(a), alg.z_part(a)
-    xb, zb = alg.v_part(b), alg.z_part(b)
-    out = 0.5 * alg.bracket(xa, xb)
-    out -= 0.5 * (alg.j_matrix(zb) @ xa)
-    out -= 0.5 * (alg.j_matrix(za) @ xb)
+def _vectors(alg: NilpotentAlgebra, what: str, *vecs) -> list[np.ndarray]:
+    out = [np.asarray(v, dtype=float) for v in vecs]
+    if any(v.shape != (alg.dim_total,) for v in out):
+        raise ValueError(f"{what} arguments must have length dim_total")
     return out
 
 
+def connection(alg: NilpotentAlgebra, a, b) -> np.ndarray:
+    """Covariant derivative grad_a b of left-invariant fields."""
+    a, b = _vectors(alg, "connection", a, b)
+    return np.einsum("a,b,abk->k", a, b, alg.connection_tensor)
+
+
 def curvature(alg: NilpotentAlgebra, x, y, w) -> np.ndarray:
+    """R(x, y) w, a contraction of the algebra's curvature tensor."""
+    x, y, w = _vectors(alg, "curvature", x, y, w)
+    return np.einsum("a,b,c,abck->k", x, y, w, alg.curvature_tensor)
+
+
+def curvature_oracle(alg: NilpotentAlgebra, x, y, w) -> np.ndarray:
     """R(x, y) w from the closed case table, extended trilinearly."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    w = np.asarray(w, dtype=float)
-    for v in (x, y, w):
-        if v.shape != (alg.dim_total,):
-            raise ValueError("curvature arguments must have length dim_total")
+    x, y, w = _vectors(alg, "curvature", x, y, w)
     xx, zx = alg.v_part(x), alg.z_part(x)
     xy, zy = alg.v_part(y), alg.z_part(y)
     xw, zw = alg.v_part(w), alg.z_part(w)
@@ -73,18 +76,6 @@ def curvature(alg: NilpotentAlgebra, x, y, w) -> np.ndarray:
     return out
 
 
-def curvature_oracle(alg: NilpotentAlgebra, x, y, w) -> np.ndarray:
-    """R(x, y) w from the definition, using only connection and bracket."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    w = np.asarray(w, dtype=float)
-    return (
-        connection(alg, x, connection(alg, y, w))
-        - connection(alg, y, connection(alg, x, w))
-        - connection(alg, alg.bracket(x, y), w)
-    )
-
-
 def ricci(alg: NilpotentAlgebra, a, b) -> float:
     """Ricci tensor of the ambient metric on left-invariant vectors.
 
@@ -94,19 +85,7 @@ def ricci(alg: NilpotentAlgebra, a, b) -> float:
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    xa, za = alg.v_part(a), alg.z_part(a)
-    xb, zb = alg.v_part(b), alg.z_part(b)
-    q = alg.dim_v
-    total = 0.0
-    for k in range(q, alg.dim_total):
-        z = np.zeros(alg.dim_total)
-        z[k] = 1.0
-        jk = alg.j_matrix(z)
-        total += 0.5 * float((jk @ (jk @ xa)) @ xb)
-    ja = alg.j_matrix(za)
-    jb = alg.j_matrix(zb)
-    total += -0.25 * float(np.trace(ja @ jb))
-    return total
+    return float(a @ alg.ricci_matrix @ b)
 
 
 def ricci_identity_check(alg: NilpotentAlgebra, x, y, frame) -> float:

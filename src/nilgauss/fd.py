@@ -35,14 +35,16 @@ def _richardson(estimates):
     return rows[0]
 
 
-def check_stencil(u, radius: float, domain) -> None:
+def check_stencil(u, radius, domain) -> None:
+    """Raise BoundaryError unless u +- radius, per axis or for all, lies in the domain."""
     if domain is None:
         return
+    radius = np.broadcast_to(np.asarray(radius, dtype=float), (len(domain),))
     for a, (lo, hi) in enumerate(domain):
-        if u[a] - radius < lo or u[a] + radius > hi:
+        if u[a] - radius[a] < lo or u[a] + radius[a] > hi:
             raise BoundaryError(
                 f"point {np.asarray(u).tolist()} too close to the domain "
-                f"boundary for an FD stencil of radius {radius}"
+                f"boundary for an FD stencil of radius {radius[a]} along u{a + 1}"
             )
 
 
@@ -75,7 +77,7 @@ def directional_derivative(f, u, direction, fd: FDParams = FDParams(), domain=No
             plan.append(None)
             continue
         d = d / scale
-        check_stencil(u, fd.step * np.abs(d).max(), domain)
+        check_stencil(u, fd.step * np.abs(d), domain)
         plan.append((scale, len(stencil)))
         for lvl in range(fd.levels):
             h = fd.step / 2.0**lvl

@@ -81,6 +81,23 @@ def _term_arrays(d: int) -> dict[str, np.ndarray]:
     return {key: np.zeros(d) for key in TERM_KEYS}
 
 
+def _horizontal_rows(frame: AdaptedFrame) -> np.ndarray:
+    """X_1 .. X_q as rows."""
+    return np.array([frame.x(i) for i in range(1, frame.q + 1)])
+
+
+def _b_form(alg: NilpotentAlgebra, frame: AdaptedFrame, b: np.ndarray) -> np.ndarray:
+    """The linear form in t of the b sums, as a vector:
+
+        t -> sum_i 2 b_iq <J(z_q) X_i, t> - sum_{i, j > q} 2 b_ij <J(Z_j) X_i, t>.
+    """
+    q, n = frame.q, frame.dim - 1
+    zs = np.vstack([frame.z_q, frame.ys[q:n]])  # z_q, Z_{q+1} .. Z_n
+    weights = 2.0 * b[:q, q - 1:n] * np.r_[1.0, -np.ones(n - q)]
+    # <J(Z) X, t> = <[X, t], Z>
+    return np.einsum("ij,abk,ia,jk->b", weights, alg.bracket_tensor, _horizontal_rows(frame), zs)
+
+
 def laplacian_general(
     alg: NilpotentAlgebra,
     frame: AdaptedFrame,
@@ -99,43 +116,25 @@ def laplacian_general(
         raise ValueError(f"dh must hold {n} frame derivatives of nH")
     if frame.ys.shape != (d, d):
         raise ValueError("frame dimension does not match the algebra")
-    b = shape.b
-    nH = n * shape.h
-    x_n1, z_n1, z_qv = frame.x_n1, frame.z_n1, frame.z_q
-    jm = alg.j_matrix
-    br = alg.bracket
+    x_n1, z_n1 = frame.x_n1, frame.z_n1
+    c = alg.bracket_tensor
+    xs = _horizontal_rows(frame)
+
+    # Each slot evaluates linear forms at its target t = X_k (k <= q) or x_n1:
+    # sum_{j<q} <J([t, X_j]) X_j, x_n1> = sum_{j<q} <[t, X_j], [X_j, x_n1]>,
+    # the b sums, n H <J(z_n1) x_n1, t> (k <= q only) and 4 <R(t, z_n1) z_n1, x_n1>.
+    pair_brackets = np.einsum("abk,ja,b->jk", c, xs[:-1], x_n1)
+    bracket_form = np.einsum("abk,jb,jk->a", c, xs[:-1], pair_brackets)
+    bracket_form += _b_form(alg, frame, shape.b)
+    mean_form = n * shape.h * (alg.j_matrix(z_n1) @ x_n1)
+    curvature_form = 4.0 * np.einsum("abck,b,c,k->a", alg.curvature_tensor, z_n1, z_n1, x_n1)
 
     terms = _term_arrays(d)
-    j_zn1_xn1 = jm(z_n1) @ x_n1
-    # J(Z_j) X_i contractions reused across target slots
-    jz_x = {
-        j: np.array([jm(frame.z(j)) @ frame.x(i) for i in range(1, q + 1)])
-        for j in range(q + 1, n + 1)
-    }
-    jzq_x = np.array([jm(z_qv) @ frame.x(i) for i in range(1, q + 1)])
-
-    def bracket_block(target: np.ndarray, with_mean_term: bool) -> float:
-        total = 0.0
-        for j in range(1, q):
-            xj = frame.x(j)
-            total += float((jm(br(target, xj)) @ xj) @ x_n1)
-        for j in range(q + 1, n + 1):
-            col = jz_x[j]
-            total += -2.0 * float(b[: q, j - 1] @ (col @ target))
-        total += 2.0 * float(b[: q, q - 1] @ (jzq_x @ target))
-        if with_mean_term:
-            total += nH * float(j_zn1_xn1 @ target)
-        return total
-
-    for k in range(1, q + 1):
-        xk = frame.x(k)
-        terms["dh"][k - 1] = -dh[k - 1]
-        terms["bracket_j"][k - 1] = bracket_block(xk, with_mean_term=True)
-        terms["curvature"][k - 1] = 4.0 * float(curvature(alg, xk, z_n1, z_n1) @ x_n1)
-    for k in range(q + 1, n + 1):
-        terms["dh"][k - 1] = -dh[k - 1]
-    terms["bracket_j"][n] = bracket_block(x_n1, with_mean_term=False)
-    terms["curvature"][n] = 4.0 * float(curvature(alg, x_n1, z_n1, z_n1) @ x_n1)
+    terms["dh"][:n] = -dh
+    terms["bracket_j"][:q] = xs @ (bracket_form + mean_form)
+    terms["bracket_j"][n] = bracket_form @ x_n1
+    terms["curvature"][:q] = xs @ curvature_form
+    terms["curvature"][n] = curvature_form @ x_n1
     terms["norm_b2_ric"][n] = -shape.norm_b2 - ricci(alg, frame.normal, frame.normal)
     return LaplacianReport.from_terms(terms, "general")
 
@@ -158,36 +157,16 @@ def laplacian_h_type(
     n = alg.n
     q = frame.q
     dh = np.asarray(dh, dtype=float)
-    b = shape.b
-    nH = n * shape.h
     a_x = float(np.linalg.norm(frame.x_n1))
     a_z = float(np.linalg.norm(frame.z_n1))
-    jm = alg.j_matrix
-    x_n1, z_n1, z_qv = frame.x_n1, frame.z_n1, frame.z_q
-    j_zn1_xn1 = jm(z_n1) @ x_n1
+    b_form = _b_form(alg, frame, shape.b)
+    mean_form = n * shape.h * (alg.j_matrix(frame.z_n1) @ frame.x_n1)
 
     terms = _term_arrays(d)
-
-    def b_sums(target: np.ndarray) -> float:
-        total = 0.0
-        for j in range(q + 1, n + 1):
-            zj = frame.z(j)
-            for i in range(1, q + 1):
-                total += -2.0 * b[i - 1, j - 1] * float((jm(zj) @ frame.x(i)) @ target)
-        for i in range(1, q + 1):
-            total += 2.0 * b[i - 1, q - 1] * float((jm(z_qv) @ frame.x(i)) @ target)
-        return total
-
-    closed = q - n - 1 + a_z**2
-    for k in range(1, q + 1):
-        xk = frame.x(k)
-        terms["dh"][k - 1] = -dh[k - 1]
-        terms["bracket_j"][k - 1] = b_sums(xk) + nH * float(j_zn1_xn1 @ xk)
-        if k == q:
-            terms["curvature"][k - 1] = a_z * a_x * closed
-    for k in range(q + 1, n + 1):
-        terms["dh"][k - 1] = -dh[k - 1]
-    terms["bracket_j"][n] = b_sums(x_n1)
+    terms["dh"][:n] = -dh
+    terms["bracket_j"][:q] = _horizontal_rows(frame) @ (b_form + mean_form)
+    terms["bracket_j"][n] = b_form @ frame.x_n1
+    terms["curvature"][q - 1] = a_z * a_x * (q - n - 1 + a_z**2)
     terms["norm_b2_ric"][n] = (
         -shape.norm_b2 - (q / 4.0) * a_z**2 + a_x**2 * (0.5 * (q - n - 1) + a_z**2)
     )
@@ -534,7 +513,7 @@ class GaussCodazziResult:
 
 def gauss_codazzi_residuals(
     chart: SurfaceChart,
-    u,
+    ev: PointEval,
     fd: FDParams = FDParams(),
 ) -> GaussCodazziResult:
     """Compatibility residuals of a surface in a 3-dimensional model.
@@ -546,13 +525,15 @@ def gauss_codazzi_residuals(
     ambient curvature; residual two compares the intrinsic curvature
     F_1(k2) + F_2(k1) - k1^2 - k2^2 against det b plus the ambient
     sectional term.  Points where either part of the normal vanishes are
-    reported as skipped (the frame field is not smooth there).
+    reported as skipped (the frame field is not smooth there).  ``ev`` is
+    the ``evaluate_point`` record at the point: its frame and b entries are
+    the centre values of the stencils.
     """
     alg = chart.model.algebra
     if alg.dim_total != 3:
         raise ValueError("gauss_codazzi_residuals requires a 3-dimensional model")
-    u = np.asarray(u, dtype=float)
-    frame0 = adapted_frame(alg, gauss_map(chart, u))
+    u = ev.u
+    frame0 = ev.frame
     a = float(np.linalg.norm(frame0.x_n1))
     bb = float(np.linalg.norm(frame0.z_n1))
     if a < 1e-8 or bb < 1e-8:
@@ -595,7 +576,7 @@ def gauss_codazzi_residuals(
     f1 = frame0.ys[0]
     f2 = frame0.ys[1]
     eta = frame0.normal
-    b11, b21, b22 = b_entries(u[None])[0]
+    b11, b21, b22 = ev.shape.b[0, 0], ev.shape.b[1, 0], ev.shape.b[1, 1]
     k1 = kappa(u, 0, 1)
     k2 = kappa(u, 1, 0)
     cj = chart_jets(chart, u)

@@ -189,14 +189,6 @@ def _second_fundamental(chart: SurfaceChart, cj: ChartJet):
     return np.einsum("...kab,...k->...ab", w_alg, normal), normal
 
 
-def second_fundamental_coords(chart: SurfaceChart, u, cj: ChartJet | None = None):
-    """Coordinate second fundamental form h_ab and the chart data."""
-    if cj is None:
-        cj = chart_jets(chart, u)
-    h, normal = _second_fundamental(chart, cj)
-    return h, cj, normal
-
-
 def _mean_curvature(chart: SurfaceChart, cj: ChartJet):
     h, _ = _second_fundamental(chart, cj)
     t = cj.tangents
@@ -403,7 +395,8 @@ def shape_data(chart: SurfaceChart, u, frame: AdaptedFrame) -> ShapeData:
     contracting those coefficients with the coordinate form of
     <nabla_{d_a r} d_b r, normal> is exactly the frame value.
     """
-    h_coords, cj, normal = second_fundamental_coords(chart, u)
+    cj = chart_jets(chart, u)
+    h_coords, normal = _second_fundamental(chart, cj)
     if np.linalg.norm(frame.normal - normal) > 1e-8:
         raise ValueError("adapted frame normal does not match the chart normal")
     n = chart.param_dim

@@ -197,7 +197,7 @@ def test_criterion_7_gauss_codazzi_residuals():
     with timer("7 Gauss-Codazzi residuals on the leaf", 5.0):
         chart = foliation_leaf_chart()
         for x in np.linspace(0.35, 2.0, 10):
-            res = gauss_codazzi_residuals(chart, [x, 0.0])
+            res = gauss_codazzi_residuals(chart, evaluate_point(chart, [x, 0.0]))
             assert not res.skipped
             assert res.codazzi_residual < 5e-4
             assert res.gauss_residual < 5e-4

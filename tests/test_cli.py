@@ -314,6 +314,53 @@ def test_bad_fd_and_point_exit_2(tmp_path, change):
     assert main(["sweep", "--config", path]) == 2
 
 
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"orientation": "x"},
+        {"orientation": [1]},
+        {"orientation": 1.5},
+        {"grid": ["a", 2]},
+        {"grid": 3},
+        {"grid": [2.7, 3]},
+        {"tolerances": "abc"},
+        {"tolerances": [1]},
+        {"tolerances": {"harmonicity_typo": 1e-3}},
+        {"tolerances": {"jacobi": "abc"}},
+        {"tolerances": {"jacobi": 0.0}},
+        {"tolerances": {"jacobi": float("inf")}},
+        {"checks": ["jacobi"], "jacobi_direction": [0, 0, 0]},
+        {"checks": ["jacobi"], "jacobi_direction": [1, 0]},
+        {"checks": ["jacobi"], "jacobi_direction": ["a", 0, 0]},
+        {"checks": ["jacobi"], "jacobi_direction": 5},
+        {"chart": "nil_vertical_plane"},
+        {"chart": [1]},
+        {"checks": 5},
+        {"checks": {"harmonicity": True}},
+        {"seed": "a"},
+        {"seed": 1.5},
+    ],
+)
+def test_bad_field_types_exit_2(tmp_path, change):
+    doc = dict(BASE_CONFIG, **change)
+    path = write_config(tmp_path, doc)
+    assert main(["sweep", "--config", path]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["sweep"], ["validate"], ["compare"], ["sweep", "--tol", "1e-3"]],
+)
+def test_top_level_array_exits_2(tmp_path, argv):
+    path = write_config(tmp_path, [BASE_CONFIG])
+    assert main(argv + ["--config", path]) == 2
+
+
+def test_tol_override_leaves_bad_tolerances_to_the_config_check(tmp_path):
+    path = write_config(tmp_path, dict(BASE_CONFIG, tolerances=[1]))
+    assert main(["sweep", "--tol", "1e-3", "--config", path]) == 2
+
+
 def test_point_near_the_fd_margin_is_accepted():
     config = load_config(dict(BASE_CONFIG, point=[0.9995, -0.9995]))
     assert config.point == [0.9995, -0.9995]

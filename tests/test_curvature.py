@@ -30,6 +30,24 @@ ALGEBRA_BUILDERS = {
 }
 
 
+@pytest.mark.parametrize("name", ["h1", "h2", "free5", "quat7"])
+def test_geometry_tensors_are_cached_and_read_only(name):
+    alg = ALGEBRA_BUILDERS[name]()
+    d = alg.dim_total
+    shapes = {
+        "j_tensor": (d, d, d),
+        "connection_tensor": (d, d, d),
+        "curvature_tensor": (d, d, d, d),
+        "ricci_matrix": (d, d),
+    }
+    for attr, shape in shapes.items():
+        tensor = getattr(alg, attr)
+        assert tensor.shape == shape
+        assert getattr(alg, attr) is tensor
+        with pytest.raises(ValueError):
+            tensor[(0,) * tensor.ndim] = 1.0
+
+
 def test_connection_examples(h1):
     K, L, Z = (basis(3, i) for i in range(3))
     np.testing.assert_allclose(connection(h1, K, L), 0.5 * Z)

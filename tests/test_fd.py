@@ -111,3 +111,13 @@ def test_output_shapes_follow_the_field_rows():
 def test_pointwise_field_is_rejected():
     with pytest.raises(ValueError, match="one row per point"):
         gradient_hessian(lambda pt: 4.2, np.array([0.1, 0.2]))
+
+
+def test_stencil_room_is_checked_per_axis():
+    """Close to the u1 edge, a derivative along u2 keeps its stencil inside."""
+    domain = [(-1.0, 1.0), (-1.0, 1.0)]
+    u = np.array([1.0 - 5e-5, 0.3])
+    deriv = directional_derivative(trig, u, [0.0, 1.0], FDParams(), domain=domain)
+    assert abs(deriv + np.sin(u[0]) * np.sin(u[1])) < 1e-8
+    with pytest.raises(BoundaryError):
+        directional_derivative(trig, u, [1.0, 1.0], FDParams(), domain=domain)

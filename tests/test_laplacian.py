@@ -454,7 +454,7 @@ def test_gauss_codazzi_identity_exact():
     """<R(F1, F2) F1, normal> equals the product of the two normal norms."""
     chart = foliation_leaf_chart()
     for x in (0.4, 0.9, 1.6):
-        res = gauss_codazzi_residuals(chart, [x, 0.0])
+        res = gauss_codazzi_residuals(chart, evaluate_point(chart, [x, 0.0]))
         assert not res.skipped
         assert res.curvature_term == pytest.approx(res.ab_product, abs=1e-10)
 
@@ -462,14 +462,15 @@ def test_gauss_codazzi_identity_exact():
 def test_gauss_codazzi_leaf_residuals():
     chart = foliation_leaf_chart()
     for x in np.linspace(0.35, 2.0, 10):
-        res = gauss_codazzi_residuals(chart, [x, 0.0])
+        res = gauss_codazzi_residuals(chart, evaluate_point(chart, [x, 0.0]))
         assert res.codazzi_residual < 5e-4
         assert res.gauss_residual < 5e-4
 
 
 def test_gauss_codazzi_skips_degenerate_normal():
-    assert gauss_codazzi_residuals(foliation_leaf_chart(), [0.0, 0.0]).skipped
-    assert gauss_codazzi_residuals(vertical_plane_chart(), [0.1, 0.1]).skipped
+    leaf, plane = foliation_leaf_chart(), vertical_plane_chart()
+    assert gauss_codazzi_residuals(leaf, evaluate_point(leaf, [0.0, 0.0])).skipped
+    assert gauss_codazzi_residuals(plane, evaluate_point(plane, [0.1, 0.1])).skipped
 
 
 def test_gauss_codazzi_abelian_limit():
@@ -477,7 +478,7 @@ def test_gauss_codazzi_abelian_limit():
     chart = expression_chart(
         model, ["u1", "u2", "0.4*u1 + 0.7*u2"], [(-1, 1), (-1, 1)]
     )
-    res = gauss_codazzi_residuals(chart, [0.1, -0.2])
+    res = gauss_codazzi_residuals(chart, evaluate_point(chart, [0.1, -0.2]))
     assert not res.skipped
     assert res.codazzi_residual < 1e-8
     assert res.gauss_residual < 1e-8
@@ -487,5 +488,6 @@ def test_gauss_codazzi_abelian_limit():
 def test_gauss_codazzi_requires_3d():
     model = exp_model(heisenberg(2))
     chart = graph_chart(model, "0", [(-1, 1)] * 4)
+    ev = evaluate_point(chart, [0.0, 0.0, 0.0, 0.0])
     with pytest.raises(ValueError, match="3-dimensional"):
-        gauss_codazzi_residuals(chart, [0.0, 0.0, 0.0, 0.0])
+        gauss_codazzi_residuals(chart, ev)
