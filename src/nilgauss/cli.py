@@ -275,11 +275,10 @@ def load_config(doc: dict) -> JobConfig:
 
     point = doc.get("point")
     if point is not None:
-        try:
-            point = [float(x) for x in point]
-        except (TypeError, ValueError):
-            problems.append("point must be a list of numbers")
-            point = None
+        ok = isinstance(point, list) and all(_is_number(x) for x in point)
+        if not ok:
+            problems.append("point must be a list of finite numbers")
+        point = [float(x) for x in point] if ok else None
     if chart is not None and fdp is not None:
         _check_stencil_room(chart, fdp, point, problems)
 
@@ -620,7 +619,10 @@ def main(argv=None) -> int:
             return 0
         if args.verb == "report":
             if getattr(args, "point", None):
-                doc["point"] = [float(x) for x in args.point.split(",")]
+                try:
+                    doc["point"] = [float(x) for x in args.point.split(",")]
+                except ValueError:
+                    raise ConfigError(["--point must be comma-separated numbers"]) from None
             config = load_config(doc)
             if config.point is None:
                 centers = [0.5 * (lo + hi) for lo, hi in config.chart.domain]

@@ -40,13 +40,11 @@ from .surfaces import (
     AdaptedFrame,
     ShapeData,
     SurfaceChart,
-    _gauss_from_tangents,
     adapted_frame,
     chart_coefficients,
     chart_jets,
     gauss_map,
     induced_metric_with_gradient,
-    mean_curvature,
     mean_curvature_derivatives,
     shape_data,
     stacked_gauss_map,
@@ -281,11 +279,12 @@ CLOSED_FORMS = {
 
 @dataclass(frozen=True, eq=False)
 class PointEval:
-    """Frame, shape and one Laplacian report per method at a chart point."""
+    """Frame, shape, Y_k(n H) and one Laplacian report per method at a chart point."""
 
     u: np.ndarray
     frame: AdaptedFrame
     shape: ShapeData
+    dh: np.ndarray
     reports: dict[str, LaplacianReport]
 
 
@@ -313,7 +312,7 @@ def evaluate_point(
             reports[mth] = laplacian_numeric(chart, u, fd, frame=frame)
         elif mth not in reports:
             reports[mth] = CLOSED_FORMS[mth](alg, frame, shape, dh)
-    return PointEval(u=u, frame=frame, shape=shape, reports=reports)
+    return PointEval(u=u, frame=frame, shape=shape, dh=dh, reports=reports)
 
 
 def closed_form_report(
@@ -439,66 +438,28 @@ def central_h_variation(
     chart: SurfaceChart,
     evals,
     tol: float = 1e-3,
-    span: float = 0.25,
-    steps: int = 16,
 ) -> CentralVariationReport:
-    """Mean curvature variation along curves tangent to central directions.
+    """Largest rate of change of H along a central tangent direction.
 
-    When the Gauss map is harmonic, H must be constant along every curve
-    in the surface whose tangent is a central frame vector.  The check is
-    gated on the ``general`` reports of the ``evaluate_point`` records:
-    for a non-harmonic chart it reports skipped.  Tangent frame vectors
-    lying in the center are followed by RK4 integration of their chart
-    coefficient field, from each evaluated point, and H is sampled along
-    the way.
+    When the Gauss map is harmonic, Z(H) = 0 for every tangent frame
+    vector Z lying in the center.  The check is gated on the ``general``
+    reports of the ``evaluate_point`` records: for a non-harmonic chart it
+    reports skipped.  Otherwise the value is the largest |Y_k(n H)| / n
+    over the central slots k of each record's ``dh``: Y_{q+1} .. Y_n, and
+    the mixed vector Y_q where its horizontal part vanishes.
     """
     alg = chart.model.algebra
-    q = alg.dim_v
+    q, n = alg.dim_v, alg.n
     max_defect = max((ev.reports["general"].tangential_norm for ev in evals), default=0.0)
     if max_defect > tol:
         return CentralVariationReport(skipped=True, max_variation=None, max_defect=max_defect)
-
-    def central_indices(frame: AdaptedFrame) -> list[int]:
-        idx = list(range(q, alg.n))
-        if np.linalg.norm(frame.x_q) < 1e-9:
-            idx.append(q - 1)  # mixed vector degenerates to a central one
-        return idx
-
-    def coeff_field(u, k, ref):
-        """Chart coefficients of the k-th frame vector, sign-aligned to ref."""
-        cj = chart_jets(chart, u)
-        frame = adapted_frame(alg, _gauss_from_tangents(cj.tangents, chart.orientation))
-        vec = chart_coefficients(cj, frame.ys[k])
-        if ref is not None and float(vec @ ref) < 0.0:
-            vec = -vec
-        return vec
-
-    def inside(u):
-        return all(lo <= u[a] <= hi for a, (lo, hi) in enumerate(chart.domain))
-
     max_var = 0.0
-    dt = span / steps
     for ev in evals:
-        for k in central_indices(ev.frame):
-            for sign in (1.0, -1.0):
-                u = ev.u.copy()
-                ref = None
-                hs = [mean_curvature(chart, u)]
-                for _ in range(steps):
-                    try:
-                        v1 = coeff_field(u, k, ref)
-                        v2 = coeff_field(u + 0.5 * dt * sign * v1, k, v1)
-                        v3 = coeff_field(u + 0.5 * dt * sign * v2, k, v1)
-                        v4 = coeff_field(u + dt * sign * v3, k, v1)
-                    except ValueError:
-                        break
-                    nxt = u + sign * (dt / 6.0) * (v1 + 2 * v2 + 2 * v3 + v4)
-                    if not inside(nxt):
-                        break
-                    u = nxt
-                    ref = v1
-                    hs.append(mean_curvature(chart, u))
-                max_var = max(max_var, max(hs) - min(hs))
+        idx = list(range(q, n))
+        if np.linalg.norm(ev.frame.x_q) < 1e-9:
+            idx.append(q - 1)  # mixed vector degenerates to a central one
+        for k in idx:
+            max_var = max(max_var, abs(ev.dh[k]) / n)
     return CentralVariationReport(skipped=False, max_variation=float(max_var), max_defect=max_defect)
 
 

@@ -162,6 +162,12 @@ def test_main_report_single_point(tmp_path):
     assert doc["rows"][0]["point"] == [0.25, 0.1]
 
 
+@pytest.mark.parametrize("point", ["a,b", "0.25,"])
+def test_main_report_bad_point_exit_2(tmp_path, point):
+    path = write_config(tmp_path, BASE_CONFIG)
+    assert main(["report", "--config", path, "--point", point]) == 2
+
+
 def test_main_report_defaults_to_domain_center(tmp_path):
     path = write_config(tmp_path, BASE_CONFIG)
     out = tmp_path / "report.json"
@@ -306,6 +312,8 @@ def test_chart_catalog_rejects_mis_built_charts(tmp_path, change):
         {"point": [1.5, 0.0]},  # outside the domain
         {"point": [0.9999, 0.0]},  # inside, but within 4*step of the edge
         {"point": ["a", 0.0]},
+        {"point": ["0.5", 0.0]},
+        {"point": [0.5, False]},
     ],
 )
 def test_bad_fd_and_point_exit_2(tmp_path, change):

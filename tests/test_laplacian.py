@@ -10,6 +10,7 @@ from nilgauss import (
     expression_chart,
     exp_model,
     foliation_leaf_chart,
+    frame_directional_derivative,
     gauss_codazzi_residuals,
     gauss_map,
     graph_chart,
@@ -27,7 +28,7 @@ from nilgauss import (
     shape_data,
     vertical_plane_chart,
 )
-from nilgauss.surfaces import ShapeData, stacked_gauss_map
+from nilgauss.surfaces import ShapeData, stacked_gauss_map, stacked_mean_curvature
 from conftest import abelian_3d, quaternionic_heisenberg, random_unit
 
 
@@ -444,6 +445,37 @@ def test_central_variation_harmonic_h2_chart(h2):
     rep = central_h_variation(chart, [evaluate_point(chart, u) for u in pts])
     assert not rep.skipped
     assert rep.max_variation < 5e-4
+
+
+def test_central_variation_makes_no_chart_evaluation(monkeypatch):
+    chart = cylinder_chart("cos(u1)", "sin(u1)", (-0.6, 0.6), (-1, 1))
+    evals = [evaluate_point(chart, np.array([s, 0.2])) for s in (-0.3, 0.3)]
+
+    def no_evaluation(*args, **kwargs):
+        raise AssertionError("the chart was evaluated")
+
+    monkeypatch.setattr("nilgauss.surfaces.stacked_chart_jets", no_evaluation)
+    rep = central_h_variation(chart, evals)
+    assert not rep.skipped
+    assert rep.max_variation < 1e-8
+
+
+def test_central_variation_reads_central_frame_derivatives(free5):
+    """With the gate open, the value is max |Z(H)| over central frame vectors Z."""
+    chart = graph_chart(exp_model(free5), "0.3*u1*u2 + 0.2*sin(u3) + 0.1*u4*u1", [(-0.8, 0.8)] * 4)
+    pts = [np.array([0.1, -0.2, 0.3, 0.0]), np.array([-0.2, 0.1, 0.0, 0.2])]
+    evals = [evaluate_point(chart, u) for u in pts]
+    rep = central_h_variation(chart, evals, tol=np.inf)
+    h_field = lambda p: stacked_mean_curvature(chart, p)
+    expected = 0.0
+    for ev in evals:
+        # tangent frame vectors with no horizontal part
+        zs = [y for y in ev.frame.ys[:-1] if np.linalg.norm(y[: free5.dim_v]) < 1e-9]
+        assert zs
+        for z in zs:
+            expected = max(expected, abs(frame_directional_derivative(chart, ev.u, h_field, z)))
+    assert expected > 1e-5
+    assert rep.max_variation == pytest.approx(expected, rel=1e-9)
 
 
 # ---------------------------------------------------------------------------
