@@ -11,7 +11,7 @@ import argparse
 
 import numpy as np
 
-from nilgauss import evaluate_point, foliation_leaf_chart, harmonicity
+from nilgauss import evaluate_points, foliation_leaf_chart, harmonicity
 
 
 def main():
@@ -23,9 +23,9 @@ def main():
     chart = foliation_leaf_chart(x_range=(-args.xmax - 0.5, args.xmax + 0.5))
     print(f"{'x':>6} {'H':>10} {'|B|^2':>10} {'defect':>10} "
           f"{'normal(closed)':>15} {'normal(oracle)':>15} {'gap':>9}")
-    for x in np.linspace(0.0, args.xmax, args.count):
-        u = [float(x), 0.0]
-        ev = evaluate_point(chart, u, ["general", "numeric_oracle"])
+    xs = np.linspace(0.0, args.xmax, args.count)
+    points = np.stack([xs, np.zeros_like(xs)], axis=1)
+    for x, ev in zip(xs, evaluate_points(chart, points, ["general", "numeric_oracle"])):
         rep, num, shape = ev.reports["general"], ev.reports["numeric_oracle"], ev.shape
         verdict = harmonicity(rep)
         gap = np.abs(rep.coeffs - num.coeffs).max()

@@ -12,7 +12,7 @@ import time
 
 import numpy as np
 
-from nilgauss import evaluate_point, exp_model, heisenberg, random_graph_chart
+from nilgauss import evaluate_points, exp_model, heisenberg, random_graph_chart
 
 
 def main():
@@ -31,8 +31,8 @@ def main():
         t0 = time.perf_counter()
         for _ in range(args.charts):
             chart = random_graph_chart(model, rng)
-            for u in rng.uniform(-0.45, 0.45, size=(args.points, alg.n)):
-                ev = evaluate_point(chart, u, ["general", "numeric_oracle"])
+            points = rng.uniform(-0.45, 0.45, size=(args.points, alg.n))
+            for ev in evaluate_points(chart, points, ["general", "numeric_oracle"]):
                 rep, num = ev.reports["general"], ev.reports["numeric_oracle"]
                 gap = np.abs(rep.coeffs - num.coeffs)
                 allowed = np.maximum(5e-4, 5e-4 * np.abs(rep.coeffs))

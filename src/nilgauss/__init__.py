@@ -39,6 +39,7 @@ from .laplacian import (
     central_h_variation,
     closed_form_report,
     evaluate_point,
+    evaluate_points,
     gauss_codazzi_residuals,
     harmonicity,
     harmonicity_cmc_residuals,

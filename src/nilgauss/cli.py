@@ -6,7 +6,8 @@ grid resolution, the Laplacian methods to evaluate and the checks to
 run.  Reports echo the config, carry one row per grid point and method,
 and end with a summary block whose check verdicts drive the exit code:
 0 when every requested check passes, 1 on a check failure, 2 on a
-configuration or parse error.
+configuration or parse error or a chart that cannot be evaluated on its
+grid.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .expressions import ParseError
 from .fd import FDParams
 from .laplacian import (
     central_h_variation,
-    evaluate_point,
+    evaluate_points,
     gauss_codazzi_residuals,
     harmonicity_cmc_residuals,
     jacobi_residuals,
@@ -321,16 +322,17 @@ def load_config(doc: dict) -> JobConfig:
     )
 
 
-def grid_points(chart: SurfaceChart, grid, fd: FDParams, point=None) -> list[np.ndarray]:
+def grid_points(chart: SurfaceChart, grid, fd: FDParams, point=None) -> np.ndarray:
+    """Evaluation points as rows of an (N, n) array, in grid (C) order."""
     if point is not None:
-        return [np.asarray(point, dtype=float)]
+        return np.array([point], dtype=float)
     margin = 4.0 * fd.step
     axes = [
         np.linspace(lo + margin, hi - margin, res)
         for (lo, hi), res in zip(chart.domain, grid)
     ]
     mesh = np.meshgrid(*axes, indexing="ij")
-    return [np.array(pt) for pt in zip(*(m.ravel() for m in mesh))]
+    return np.stack([m.ravel() for m in mesh], axis=1)
 
 
 def run(config: JobConfig) -> dict:
@@ -340,7 +342,7 @@ def run(config: JobConfig) -> dict:
     tols = config.tolerances
     points = grid_points(chart, config.grid, fdp, config.point)
 
-    evals = [evaluate_point(chart, u, config.methods, fdp) for u in points]
+    evals = evaluate_points(chart, points, config.methods, fdp)
     rows = [
         {
             "point": [float(x) for x in ev.u],
@@ -656,8 +658,10 @@ def main(argv=None) -> int:
         for problem in exc.problems:
             print(f"config error: {problem}", file=sys.stderr)
         return 2
-    except (ParseError, json.JSONDecodeError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (FileNotFoundError, ValueError, ArithmeticError) as exc:
+        # besides parse errors: a chart that cannot be evaluated on its grid
+        # (not immersed, a jet outside its domain, overflow)
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     raise AssertionError("unreachable verb")
 

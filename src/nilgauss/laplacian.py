@@ -38,16 +38,19 @@ from .curvature import connection, curvature, ricci
 from .fd import FDParams, directional_derivative, gradient_hessian
 from .surfaces import (
     AdaptedFrame,
+    ChartJet,
     ShapeData,
     SurfaceChart,
+    _gauss_from_tangents,
     adapted_frame,
     chart_coefficients,
     chart_jets,
     gauss_map,
     induced_metric_with_gradient,
-    mean_curvature_derivatives,
-    shape_data,
+    stacked_chart_jets,
     stacked_gauss_map,
+    stacked_mean_curvature_derivatives,
+    stacked_shape_data,
 )
 
 TERM_KEYS = ("dh", "bracket_j", "curvature", "norm_b2_ric")
@@ -222,9 +225,9 @@ def laplacian_heisenberg(
 # numeric oracle
 
 
-def laplace_beltrami_coefficients(chart: SurfaceChart, u):
-    """Exact g^{ab}(u) and first-order coefficients c^b(u) of the operator."""
-    g, dg = induced_metric_with_gradient(chart, u)
+def laplace_beltrami_coefficients(chart: SurfaceChart, cj: ChartJet):
+    """Exact g^{ab} and first-order coefficients c^b of the operator at a ChartJet row."""
+    g, dg = induced_metric_with_gradient(chart, cj)
     ginv = np.linalg.inv(g)
     # c^b = d_a g^{ab} + g^{ab} tr(g^-1 d_a g) / 2
     dg_inv = -np.einsum("xy,ayz,zw->axw", ginv, dg, ginv)
@@ -241,9 +244,25 @@ def laplace_beltrami_scalar(
 
     ``field`` maps an (N, n) array of points to N values.
     """
-    ginv, cvec = laplace_beltrami_coefficients(chart, u)
+    ginv, cvec = laplace_beltrami_coefficients(chart, chart_jets(chart, u))
     grad, hess = gradient_hessian(field, u, fd, domain=chart.domain)
     return float(np.einsum("ab,ab->", ginv, hess) + cvec @ grad)
+
+
+def oracle_laplacians(chart: SurfaceChart, cj: ChartJet, points, fd=FDParams()) -> np.ndarray:
+    """Numeric Delta G in the algebra basis, (N, d), at every row of an (N, n) array.
+
+    ``cj`` holds the stacked chart jets at the points, which give the
+    metric coefficients exactly; the Gauss map is differenced on its own
+    stencils, those of all points in one field call.
+    """
+    field = lambda pts: stacked_gauss_map(chart, pts)
+    grad, hess = gradient_hessian(field, points, fd, domain=chart.domain)
+    delta = np.empty(grad.shape[:2])
+    for i in range(len(delta)):
+        ginv, cvec = laplace_beltrami_coefficients(chart, cj[i])
+        delta[i] = np.einsum("ab,kab->k", ginv, hess[i]) + np.einsum("b,kb->k", cvec, grad[i])
+    return delta
 
 
 def laplacian_numeric(
@@ -252,22 +271,13 @@ def laplacian_numeric(
     fd: FDParams = FDParams(),
     frame: AdaptedFrame | None = None,
 ) -> LaplacianReport:
-    """Numeric Delta G, re-expressed in the adapted frame at u."""
-    alg = chart.model.algebra
+    """Numeric Delta G, re-expressed in the adapted frame at u: the
+    one-point view of ``oracle_laplacians``."""
+    u = np.asarray(u, dtype=float)
     if frame is None:
-        frame = adapted_frame(alg, gauss_map(chart, u))
-    ginv, cvec = laplace_beltrami_coefficients(chart, u)
-    field = lambda pts: stacked_gauss_map(chart, pts)
-    grad, hess = gradient_hessian(field, u, fd, domain=chart.domain)
-    delta = np.einsum("ab,kab->k", ginv, hess) + np.einsum("b,kb->k", cvec, grad)
-    coeffs = frame.ys @ delta
-    return LaplacianReport(
-        coeffs=coeffs,
-        terms={"numeric": coeffs.copy()},
-        tangential_norm=float(np.linalg.norm(coeffs[:-1])),
-        normal_coeff=float(coeffs[-1]),
-        method="numeric_oracle",
-    )
+        frame = adapted_frame(chart.model.algebra, gauss_map(chart, u))
+    delta = oracle_laplacians(chart, stacked_chart_jets(chart, u[None]), u[None], fd)[0]
+    return LaplacianReport.from_terms({"numeric": frame.ys @ delta}, "numeric_oracle")
 
 
 CLOSED_FORMS = {
@@ -279,13 +289,54 @@ CLOSED_FORMS = {
 
 @dataclass(frozen=True, eq=False)
 class PointEval:
-    """Frame, shape, Y_k(n H) and one Laplacian report per method at a chart point."""
+    """Frame, shape, Y_k(n H) and one Laplacian report per method at a chart point,
+    with the oracle's Delta G in the algebra basis as ``delta`` (None without it)."""
 
     u: np.ndarray
     frame: AdaptedFrame
     shape: ShapeData
     dh: np.ndarray
     reports: dict[str, LaplacianReport]
+    delta: np.ndarray | None
+
+
+def evaluate_points(
+    chart: SurfaceChart,
+    points,
+    methods=("general",),
+    fd: FDParams = FDParams(),
+    completion_start: int = 0,
+) -> list[PointEval]:
+    """Frame, shape and a report per method at every row of an (N, n) array.
+
+    The one pipeline: one stacked chart evaluation at the N points, one
+    field call for the Y_k(n H) stencils of all of them and one for the
+    oracle's.  ``general`` is always evaluated, because the checkers read
+    it.  The oracle shares only the chart jets at the points with the
+    closed forms, and gets the frame only to re-express Delta G.
+    """
+    alg = chart.model.algebra
+    points = np.asarray(points, dtype=float)
+    cj = stacked_chart_jets(chart, points)
+    frames = [
+        adapted_frame(alg, normal, completion_start=completion_start)
+        for normal in _gauss_from_tangents(cj.tangents, chart.orientation)
+    ]
+    shapes, coeffs = stacked_shape_data(chart, cj, frames)
+    dhs = stacked_mean_curvature_derivatives(chart, points, coeffs, fd)
+    deltas = [None] * len(points)
+    if "numeric_oracle" in methods:
+        deltas = oracle_laplacians(chart, cj, points, fd)
+    evals = []
+    for u, frame, shape, dh, delta in zip(points, frames, shapes, dhs, deltas):
+        reports = {"general": laplacian_general(alg, frame, shape, dh)}
+        for mth in methods:
+            if mth == "numeric_oracle":
+                reports[mth] = LaplacianReport.from_terms({"numeric": frame.ys @ delta}, mth)
+            elif mth not in reports:
+                reports[mth] = CLOSED_FORMS[mth](alg, frame, shape, dh)
+        evals.append(PointEval(u=u, frame=frame, shape=shape, dh=dh, reports=reports, delta=delta))
+    return evals
 
 
 def evaluate_point(
@@ -295,24 +346,9 @@ def evaluate_point(
     fd: FDParams = FDParams(),
     completion_start: int = 0,
 ) -> PointEval:
-    """Frame, shape and a report per method at u: the one per-point pipeline.
-
-    ``general`` is always evaluated, because the checkers read it.  The
-    oracle gets only the frame: the two routes share nothing past chart
-    evaluation.
-    """
-    alg = chart.model.algebra
-    u = np.asarray(u, dtype=float)
-    frame = adapted_frame(alg, gauss_map(chart, u), completion_start=completion_start)
-    shape = shape_data(chart, u, frame)
-    dh = mean_curvature_derivatives(chart, u, frame, fd)
-    reports = {"general": laplacian_general(alg, frame, shape, dh)}
-    for mth in methods:
-        if mth == "numeric_oracle":
-            reports[mth] = laplacian_numeric(chart, u, fd, frame=frame)
-        elif mth not in reports:
-            reports[mth] = CLOSED_FORMS[mth](alg, frame, shape, dh)
-    return PointEval(u=u, frame=frame, shape=shape, dh=dh, reports=reports)
+    """Frame, shape and a report per method at u: the one-point view of
+    ``evaluate_points``."""
+    return evaluate_points(chart, np.asarray(u, dtype=float)[None], methods, fd, completion_start)[0]
 
 
 def closed_form_report(
@@ -397,12 +433,15 @@ def jacobi_residuals(
     ``evals`` are ``evaluate_point`` records; the chart is expected to be
     CMC with harmonic Gauss map, both checked within tol and reported.  A
     strictly positive w over the grid is the stability certificate.
+    Delta w is read from each record's oracle ``delta``; the records
+    without one get it from one ``oracle_laplacians`` call with ``fd``.
     """
     alg = chart.model.algebra
     v = np.asarray(direction, dtype=float)
     v = v / np.linalg.norm(v)
-    # one dot per row: a matrix-vector product sums in another order
-    w_field = lambda pts: np.array([float(g @ v) for g in stacked_gauss_map(chart, pts)])
+    missing = np.array([ev.u for ev in evals if ev.delta is None])
+    if len(missing):
+        computed = iter(oracle_laplacians(chart, stacked_chart_jets(chart, missing), missing, fd))
     max_res = 0.0
     min_w = np.inf
     hs = []
@@ -412,7 +451,8 @@ def jacobi_residuals(
         hs.append(shape.h)
         max_defect = max(max_defect, ev.reports["general"].tangential_norm)
         w = float(normal @ v)
-        lw = laplace_beltrami_scalar(chart, ev.u, w_field, fd)
+        delta = next(computed) if ev.delta is None else ev.delta
+        lw = float(delta @ v)  # v is constant: Delta <G, v> = <Delta G, v>
         pot = shape.norm_b2 + ricci(alg, normal, normal)
         max_res = max(max_res, abs(lw + pot * w))
         min_w = min(min_w, w)
@@ -509,9 +549,10 @@ def gauss_codazzi_residuals(
         return -vec if float(vec @ frame0.ys[i]) < 0.0 else vec
 
     def b_entries(pts) -> np.ndarray:
+        cj = stacked_chart_jets(chart, pts)
+        frs = [adapted_frame(alg, g) for g in _gauss_from_tangents(cj.tangents, chart.orientation)]
         rows = []
-        for uu, fr in zip(pts, frames(pts)):
-            sh = shape_data(chart, uu, fr)
+        for fr, sh in zip(frs, stacked_shape_data(chart, cj, frs)[0]):
             # diagonal entries are insensitive to frame sign flips; the mixed
             # entry needs the same alignment as the frame vectors
             s1 = 1.0 if float(fr.ys[0] @ frame0.ys[0]) >= 0.0 else -1.0

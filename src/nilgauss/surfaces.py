@@ -95,6 +95,10 @@ class ChartJet:
     ainv: np.ndarray    # inverse frame at point, (d, d)
     tangents: np.ndarray  # tangents in the algebra basis, (d, n)
 
+    def __getitem__(self, i) -> "ChartJet":
+        """Row i of a stacked ChartJet."""
+        return ChartJet(self.point[i], self.jac[i], self.hess[i], self.ainv[i], self.tangents[i])
+
 
 def stacked_chart_jets(chart: SurfaceChart, points) -> ChartJet:
     """Chart jets at every row of an (N, n) array, one tree walk per component.
@@ -130,14 +134,7 @@ def stacked_chart_jets(chart: SurfaceChart, points) -> ChartJet:
 
 def chart_jets(chart: SurfaceChart, u) -> ChartJet:
     """Chart jets at one point: the single row of ``stacked_chart_jets``."""
-    u = np.asarray(u, dtype=float)
-    n = chart.param_dim
-    if u.shape != (n,):
-        raise ValueError(f"parameter point must have length {n}")
-    cj = stacked_chart_jets(chart, u[None])
-    return ChartJet(
-        point=cj.point[0], jac=cj.jac[0], hess=cj.hess[0], ainv=cj.ainv[0], tangents=cj.tangents[0]
-    )
+    return stacked_chart_jets(chart, np.asarray(u, dtype=float)[None])[0]
 
 
 def _gauss_from_tangents(tangents: np.ndarray, orientation: int) -> np.ndarray:
@@ -165,9 +162,8 @@ def induced_metric(chart: SurfaceChart, u) -> np.ndarray:
     return cj.tangents.T @ cj.tangents
 
 
-def induced_metric_with_gradient(chart: SurfaceChart, u):
-    """Induced metric g_ab(u) and its exact gradient dg[c, a, b]."""
-    cj = chart_jets(chart, u)
+def induced_metric_with_gradient(chart: SurfaceChart, cj: ChartJet):
+    """Induced metric g_ab and its exact gradient dg[c, a, b] at a ChartJet row."""
     fl = chart.model.frame_lin
     # d_c tangent_a = -L(d_c r) d_a r + Ainv d^2_{ac} r
     lc = np.einsum("kji,ic->kjc", fl, cj.jac)
@@ -387,25 +383,40 @@ def chart_coefficients(cj: ChartJet, vec) -> np.ndarray:
     return sol
 
 
+def frame_coefficients(cj: ChartJet, frame: AdaptedFrame) -> np.ndarray:
+    """Chart-direction coefficients of Y_1 .. Y_n at a ChartJet row, one row each."""
+    return np.array([chart_coefficients(cj, y) for y in frame.ys[:-1]])
+
+
+def stacked_shape_data(chart: SurfaceChart, cj: ChartJet, frames):
+    """``shape_data`` at every row of a stacked ChartJet, one frame per row.
+
+    Also returns the rows' ``frame_coefficients`` (N, n, n): the chart
+    directions of Y_1 .. Y_n, along which Y_k(n H) is differenced.
+    """
+    h_coords, normals = _second_fundamental(chart, cj)
+    shapes, coeffs = [], []
+    for i, frame in enumerate(frames):
+        if np.linalg.norm(frame.normal - normals[i]) > 1e-8:
+            raise ValueError("adapted frame normal does not match the chart normal")
+        coeffs.append(frame_coefficients(cj[i], frame))
+        vmat = np.ascontiguousarray(coeffs[-1].T)
+        b = vmat.T @ h_coords[i] @ vmat
+        shapes.append(ShapeData(b=b, h=float(np.trace(b)) / len(b), norm_b2=float((b * b).sum())))
+    return shapes, np.array(coeffs)
+
+
 def shape_data(chart: SurfaceChart, u, frame: AdaptedFrame) -> ShapeData:
     """b_ij = <nabla_{Y_i} Y_j, normal> via ambient coordinate Christoffels.
 
     The frame vectors are expressed in chart-tangent coordinates by a
     pointwise linear solve; the second fundamental form is tensorial, so
     contracting those coefficients with the coordinate form of
-    <nabla_{d_a r} d_b r, normal> is exactly the frame value.
+    <nabla_{d_a r} d_b r, normal> is exactly the frame value.  This is the
+    one-point view of ``stacked_shape_data``.
     """
-    cj = chart_jets(chart, u)
-    h_coords, normal = _second_fundamental(chart, cj)
-    if np.linalg.norm(frame.normal - normal) > 1e-8:
-        raise ValueError("adapted frame normal does not match the chart normal")
-    n = chart.param_dim
-    vmat = np.empty((n, n))
-    for i in range(n):
-        vmat[:, i] = chart_coefficients(cj, frame.ys[i])
-    b = vmat.T @ h_coords @ vmat
-    h = float(np.trace(b)) / n
-    return ShapeData(b=b, h=h, norm_b2=float((b * b).sum()))
+    cj = stacked_chart_jets(chart, np.asarray(u, dtype=float)[None])
+    return stacked_shape_data(chart, cj, [frame])[0][0]
 
 
 def frame_directional_derivative(
@@ -428,16 +439,21 @@ def frame_directional_derivative(
     return out if y.ndim == 2 else float(out[0])
 
 
-def mean_curvature_derivatives(
-    chart: SurfaceChart,
-    u,
-    frame: AdaptedFrame,
-    fd: FDParams = FDParams(),
-) -> np.ndarray:
-    """Y_k(n H) for the n tangent frame vectors, by Richardson FD."""
+def stacked_mean_curvature_derivatives(chart: SurfaceChart, points, coeffs, fd=FDParams()):
+    """Y_k(n H) at every row of an (N, n) array, or at one point, by Richardson FD.
+
+    ``coeffs`` (N, n, n), or (n, n), are the ``frame_coefficients``; the
+    stencils of all rows go to one field call.
+    """
     n = chart.param_dim
     field = lambda pts: n * stacked_mean_curvature(chart, pts)
-    return frame_directional_derivative(chart, u, field, frame.ys[:n], fd)
+    return directional_derivative(field, points, coeffs, fd, domain=chart.domain)
+
+
+def mean_curvature_derivatives(chart: SurfaceChart, u, frame: AdaptedFrame, fd=FDParams()):
+    """Y_k(n H) for the n tangent frame vectors at one point u."""
+    coeffs = frame_coefficients(chart_jets(chart, u), frame)
+    return stacked_mean_curvature_derivatives(chart, u, coeffs, fd)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from nilgauss import ImmersionError, cli
 from nilgauss.cli import (
     ConfigError,
     EXAMPLE_JOBS,
@@ -12,6 +13,7 @@ from nilgauss.cli import (
     main,
     run,
 )
+from nilgauss.fd import BoundaryError
 
 
 BASE_CONFIG = {
@@ -372,3 +374,41 @@ def test_tol_override_leaves_bad_tolerances_to_the_config_check(tmp_path):
 def test_point_near_the_fd_margin_is_accepted():
     config = load_config(dict(BASE_CONFIG, point=[0.9995, -0.9995]))
     assert config.point == [0.9995, -0.9995]
+
+
+@pytest.mark.parametrize(
+    "components, error",
+    [
+        (["u1", "u2", "sqrt(u1)"], "ValueError"),
+        (["u1*u1", "u2", "0"], "ImmersionError"),
+        (["u1", "u2", "exp(1000*u1)"], "OverflowError"),
+        (["u1", "u2", "1/u1"], "ZeroDivisionError"),
+    ],
+)
+def test_chart_failing_on_its_grid_exits_2(tmp_path, capsys, components, error):
+    path = write_config(tmp_path, dict(BASE_CONFIG, chart={"components": components}))
+    assert main(["sweep", "--config", path]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {error}: ")
+
+
+def test_boundary_error_during_run_exits_2(tmp_path, capsys, monkeypatch):
+    def stencil_outside(*args, **kwargs):
+        raise BoundaryError("point [0.9999, 0.0] too close to the domain boundary")
+
+    monkeypatch.setattr(cli, "evaluate_points", stencil_outside)
+    assert main(["sweep", "--config", write_config(tmp_path, BASE_CONFIG)]) == 2
+    assert capsys.readouterr().err.startswith("error: BoundaryError: point [0.9999, 0.0]")
+
+
+def test_immersion_error_names_the_first_bad_grid_point():
+    config = load_config(dict(BASE_CONFIG, chart={"components": ["u1*u1", "u2", "0"]}))
+    with pytest.raises(ImmersionError, match=r"u=\[0\.0, -0\.9996\]"):
+        run(config)
+
+
+def test_chunked_field_calls_give_the_same_report_bytes(monkeypatch):
+    config = load_config(EXAMPLE_JOBS["nil_cylinder_circle"][1])
+    whole = document_to_json(run(config))
+    monkeypatch.setattr("nilgauss.fd.FIELD_ROWS", 5)
+    assert document_to_json(run(config)) == whole

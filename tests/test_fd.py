@@ -121,3 +121,47 @@ def test_stencil_room_is_checked_per_axis():
     assert abs(deriv + np.sin(u[0]) * np.sin(u[1])) < 1e-8
     with pytest.raises(BoundaryError):
         directional_derivative(trig, u, [1.0, 1.0], FDParams(), domain=domain)
+
+
+def polynomial(pts):
+    """Two rows per point from elementwise products only, so every row is
+    computed the same way whatever the stack around it."""
+    x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
+    return np.stack([x * y * z + 0.5 * x * x - y, z * z * z - 2.0 * x * z + y * y], axis=1)
+
+
+@pytest.mark.parametrize("levels", [1, 2, 3])
+def test_stacked_centres_equal_single_centre_calls(levels):
+    rng = np.random.default_rng(4)
+    centres = rng.uniform(-0.5, 0.5, (5, 3))
+    dirs = rng.normal(size=(5, 2, 3))
+    dirs[3, 1] = 0.0
+    fd = FDParams(step=1e-3, levels=levels)
+    field = counted(polynomial)
+    grad, hess = gradient_hessian(field, centres, fd)
+    assert field.calls == 1
+    assert grad.shape == (5, 2, 3) and hess.shape == (5, 2, 3, 3)
+    several = directional_derivative(field, centres, dirs, fd)
+    assert field.calls == 2
+    assert several.shape == (5, 2, 2)
+    one_each = directional_derivative(field, centres, dirs[:, 0], fd)
+    assert field.calls == 3
+    assert one_each.shape == (5, 2)
+    for i, u in enumerate(centres):
+        g, h = gradient_hessian(polynomial, u, fd)
+        np.testing.assert_array_equal(grad[i], g)
+        np.testing.assert_array_equal(hess[i], h)
+        np.testing.assert_array_equal(several[i], directional_derivative(polynomial, u, dirs[i], fd))
+        np.testing.assert_array_equal(one_each[i], directional_derivative(polynomial, u, dirs[i, 0], fd))
+
+
+def test_boundary_error_names_the_offending_centre():
+    domain = [(-1.0, 1.0)] * 3
+    centres = np.array([[0.0, 0.0, 0.0], [1.0 - 5e-5, 0.2, 0.0], [0.1, 1.0 - 5e-5, 0.0]])
+    field = counted(polynomial)
+    with pytest.raises(BoundaryError, match=r"point \[0\.99995, 0\.2, 0\.0\] .* along u1"):
+        gradient_hessian(field, centres, FDParams(step=1e-4), domain=domain)
+    along_u2 = np.tile([0.0, 1.0, 0.0], (3, 1))  # keeps the second centre's stencil inside
+    with pytest.raises(BoundaryError, match=r"point \[0\.1, 0\.99995, 0\.0\] .* along u2"):
+        directional_derivative(field, centres, along_u2, FDParams(step=1e-4), domain=domain)
+    assert field.calls == 0

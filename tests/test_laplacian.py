@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nilgauss import (
     adapted_frame,
@@ -7,6 +9,7 @@ from nilgauss import (
     closed_form_report,
     cylinder_chart,
     evaluate_point,
+    evaluate_points,
     expression_chart,
     exp_model,
     foliation_leaf_chart,
@@ -18,6 +21,7 @@ from nilgauss import (
     harmonicity_cmc_residuals,
     heisenberg,
     jacobi_residuals,
+    laplace_beltrami_scalar,
     laplacian_general,
     laplacian_h_type,
     laplacian_heisenberg,
@@ -28,8 +32,13 @@ from nilgauss import (
     shape_data,
     vertical_plane_chart,
 )
-from nilgauss.surfaces import ShapeData, stacked_gauss_map, stacked_mean_curvature
-from conftest import abelian_3d, quaternionic_heisenberg, random_unit
+from nilgauss.surfaces import (
+    ShapeData,
+    stacked_chart_jets,
+    stacked_gauss_map,
+    stacked_mean_curvature,
+)
+from conftest import abelian_3d, free_two_step_5d, quaternionic_heisenberg, random_unit
 
 
 def leaf_target(x):
@@ -402,8 +411,6 @@ def test_jacobi_circular_arc_cylinder():
 
 def test_pointwise_subharmonicity_identity():
     """Delta <G, v> = -(|B|^2 + Ric(n, n)) <G, v> on harmonic CMC charts."""
-    from nilgauss import laplace_beltrami_scalar
-
     alg = heisenberg(1)
     chart = cylinder_chart("cos(u1)", "sin(u1)", (-0.6, 0.6), (-1, 1))
     rng = np.random.default_rng(8)
@@ -415,6 +422,123 @@ def test_pointwise_subharmonicity_identity():
         shape = shape_data(chart, u, frame)
         pot = shape.norm_b2 + ricci(alg, frame.normal, frame.normal)
         assert lw == pytest.approx(-pot * w, abs=5e-4)
+
+
+CYLINDER_PROFILES = [
+    ("u1", "0"),
+    ("u1", "0.5*u1"),
+    ("cos(u1)", "sin(u1)"),
+    ("2*cos(u1)", "2*sin(u1)"),
+    ("1 + cos(u1)", "sin(u1)"),
+]
+
+
+@pytest.mark.parametrize("f1, f2", CYLINDER_PROFILES)
+def test_jacobi_reads_the_oracle_laplacian(f1, f2):
+    """Delta <G, v> from the oracle's Delta G equals the Laplace-Beltrami
+    operator applied to the scalar field <G, v> itself."""
+    alg = heisenberg(1)
+    chart = cylinder_chart(f1, f2, (-0.6, 0.6), (-1.0, 1.0))
+    pts = np.array([[s, t] for s in (-0.45, 0.0, 0.45) for t in (-0.5, 0.5)])
+    evals = evaluate_points(chart, pts)
+    v = np.mean([ev.frame.normal for ev in evals], axis=0)
+    v /= np.linalg.norm(v)
+    expected = 0.0
+    for ev in evals:
+        normal = ev.frame.normal
+        lw = laplace_beltrami_scalar(chart, ev.u, lambda p: stacked_gauss_map(chart, p) @ v)
+        pot = ev.shape.norm_b2 + ricci(alg, normal, normal)
+        expected = max(expected, abs(lw + pot * float(normal @ v)))
+    rep = jacobi_residuals(chart, evals, v)
+    assert rep.max_residual == pytest.approx(expected, abs=1e-6)
+
+
+def test_jacobi_makes_one_oracle_call_for_records_without_one(monkeypatch):
+    chart = cylinder_chart("cos(u1)", "sin(u1)", (-0.6, 0.6), (-1, 1))
+    pts = np.array([[s, t] for s in (-0.45, 0.0, 0.45) for t in (-0.5, 0.5)])
+    bare = evaluate_points(chart, pts)
+    with_oracle = evaluate_points(chart, pts, ["numeric_oracle"])
+    calls = []
+
+    def counted(chart_, p):
+        calls.append(len(p))
+        return stacked_gauss_map(chart_, p)
+
+    monkeypatch.setattr("nilgauss.laplacian.stacked_gauss_map", counted)
+    v = [0.3, 0.9, 0.1]
+    reference = jacobi_residuals(chart, with_oracle, v)
+    assert calls == []
+    assert jacobi_residuals(chart, bare, v) == reference
+    assert calls == [len(pts) * 17]  # centre and 2 levels of 8 neighbours per point
+
+
+# ---------------------------------------------------------------------------
+# one batched evaluation against its one-point view
+
+ALGEBRAS = {
+    "h1": heisenberg(1),
+    "h2": heisenberg(2),
+    "free5": free_two_step_5d(),
+    "quat7": quaternionic_heisenberg(),
+}
+
+
+def assert_same_record(a, b):
+    np.testing.assert_array_equal(a.u, b.u)
+    for name in ("ys", "x_q", "z_q", "x_n1", "z_n1"):
+        np.testing.assert_array_equal(getattr(a.frame, name), getattr(b.frame, name))
+    assert (a.frame.lam, a.frame.mu) == (b.frame.lam, b.frame.mu)
+    np.testing.assert_array_equal(a.shape.b, b.shape.b)
+    assert (a.shape.h, a.shape.norm_b2) == (b.shape.h, b.shape.norm_b2)
+    np.testing.assert_array_equal(a.dh, b.dh)
+    assert (a.delta is None) == (b.delta is None)
+    if a.delta is not None:
+        np.testing.assert_array_equal(a.delta, b.delta)
+    assert list(a.reports) == list(b.reports)
+    for method, rep in a.reports.items():
+        np.testing.assert_array_equal(rep.coeffs, b.reports[method].coeffs)
+        assert rep.tangential_norm == b.reports[method].tangential_norm
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    name=st.sampled_from(sorted(ALGEBRAS)),
+    count=st.integers(1, 6),
+    seed=st.integers(0, 2**16),
+    completion_start=st.integers(0, 2),
+    data=st.data(),
+)
+def test_evaluate_points_rows_equal_evaluate_point(name, count, seed, completion_start, data):
+    alg = ALGEBRAS[name]
+    valid = ["general", "numeric_oracle"]
+    valid += ["h_type"] if alg.is_h_type else []
+    valid += ["heisenberg"] if alg.is_heisenberg else []
+    methods = data.draw(st.lists(st.sampled_from(valid), min_size=1, unique=True))
+    rng = np.random.default_rng(seed)
+    chart = random_graph_chart(exp_model(alg), rng, terms=4)
+    pts = rng.uniform(-0.45, 0.45, (count, chart.param_dim))
+    evals = evaluate_points(chart, pts, methods, completion_start=completion_start)
+    assert len(evals) == count
+    for u, ev in zip(pts, evals):
+        assert_same_record(ev, evaluate_point(chart, u, methods, completion_start=completion_start))
+
+
+def test_evaluate_points_one_field_call_per_stage(monkeypatch):
+    """Centres, Y_k(n H) stencils and oracle stencils: one chart evaluation each."""
+    chart = random_graph_chart(exp_model(heisenberg(2)), np.random.default_rng(2), terms=4)
+    pts = np.random.default_rng(3).uniform(-0.4, 0.4, (6, 4))
+    sizes = []
+
+    def counted(chart_, p):
+        sizes.append(len(p))
+        return stacked_chart_jets(chart_, p)
+
+    monkeypatch.setattr("nilgauss.surfaces.stacked_chart_jets", counted)
+    monkeypatch.setattr("nilgauss.laplacian.stacked_chart_jets", counted)
+    evaluate_points(chart, pts, ["general", "numeric_oracle"])
+    # levels * 2 rows per direction, n directions per point; the oracle
+    # stencil holds the centre and levels * (2n + 4 n(n-1)/2) rows
+    assert sizes == [6, 6 * 4 * 2 * 2, 6 * (1 + 2 * (8 + 24))]
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,27 @@
+"""The runnable experiments under scripts/ run to completion on tiny inputs."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["leaf_table.py", "--xmax", "1.0", "--count", "3"],
+        ["oracle_sweep.py", "--charts", "1", "--points", "2"],
+    ],
+)
+def test_script_runs(argv):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / argv[0])] + argv[1:],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip()
