@@ -658,9 +658,9 @@ def main(argv=None) -> int:
         for problem in exc.problems:
             print(f"config error: {problem}", file=sys.stderr)
         return 2
-    except (FileNotFoundError, ValueError, ArithmeticError) as exc:
-        # besides parse errors: a chart that cannot be evaluated on its grid
-        # (not immersed, a jet outside its domain, overflow)
+    except (OSError, ValueError, ArithmeticError) as exc:
+        # besides parse errors and unreadable or unwritable files: a chart that
+        # cannot be evaluated on its grid (not immersed, a jet outside its domain, overflow)
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     raise AssertionError("unreachable verb")

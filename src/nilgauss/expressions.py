@@ -205,6 +205,11 @@ _TOKEN_RE = re.compile(
 
 _PARAM_RE = re.compile(r"^u([1-9][0-9]*)$")
 
+# Deepest accepted nesting and tree height.  The parser recurses about five
+# frames per nesting level and the tree walks one per level, so both stay
+# well inside Python's default recursion limit of 1000.
+MAX_DEPTH = 100
+
 
 @dataclass
 class _Token:
@@ -235,6 +240,7 @@ class _Parser:
         self.source = source
         self.tokens = _tokenize(source)
         self.i = 0
+        self.depth = 0  # nested unary() calls: parentheses, function arguments, minus signs
 
     def peek(self) -> _Token:
         return self.tokens[self.i]
@@ -255,6 +261,8 @@ class _Parser:
         tok = self.peek()
         if tok.kind != "end":
             raise ParseError(f"unexpected token {tok.text!r}", tok.pos)
+        if _height(node) > MAX_DEPTH:
+            raise ParseError(f"expression tree deeper than {MAX_DEPTH} levels", 0)
         return node
 
     def expr(self):
@@ -275,10 +283,16 @@ class _Parser:
 
     def unary(self):
         tok = self.peek()
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            raise ParseError(f"expression nested deeper than {MAX_DEPTH} levels", tok.pos)
         if tok.kind == "op" and tok.text == "-":
             self.advance()
-            return ("neg", self.unary())
-        return self.power()
+            node = ("neg", self.unary())
+        else:
+            node = self.power()
+        self.depth -= 1
+        return node
 
     def power(self):
         base = self.atom()
@@ -326,6 +340,16 @@ class _Parser:
         if tok.kind == "end":
             raise ParseError("unexpected end of input", tok.pos)
         raise ParseError(f"unexpected token {tok.text!r}", tok.pos)
+
+
+def _height(root) -> int:
+    """Number of levels of a tree, without recursion."""
+    height, stack = 0, [(root, 1)]
+    while stack:
+        node, level = stack.pop()
+        height = max(height, level)
+        stack.extend((child, level + 1) for child in node[1:] if isinstance(child, tuple))
+    return height
 
 
 def _max_param(node) -> int:

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import NilpotentAlgebra
-from .curvature import connection, curvature, ricci
+from .curvature import curvature, ricci
 from .fd import FDParams, directional_derivative, gradient_hessian
 from .surfaces import (
     AdaptedFrame,
@@ -42,6 +42,7 @@ from .surfaces import (
     ShapeData,
     SurfaceChart,
     _gauss_from_tangents,
+    _second_fundamental,
     adapted_frame,
     chart_coefficients,
     chart_jets,
@@ -318,11 +319,9 @@ def evaluate_points(
     alg = chart.model.algebra
     points = np.asarray(points, dtype=float)
     cj = stacked_chart_jets(chart, points)
-    frames = [
-        adapted_frame(alg, normal, completion_start=completion_start)
-        for normal in _gauss_from_tangents(cj.tangents, chart.orientation)
-    ]
-    shapes, coeffs = stacked_shape_data(chart, cj, frames)
+    normals = _gauss_from_tangents(cj.tangents, chart.orientation)
+    frames = [adapted_frame(alg, normal, completion_start=completion_start) for normal in normals]
+    shapes, coeffs = stacked_shape_data(chart, cj, frames, normals)
     dhs = stacked_mean_curvature_derivatives(chart, points, coeffs, fd)
     deltas = [None] * len(points)
     if "numeric_oracle" in methods:
@@ -512,99 +511,61 @@ class GaussCodazziResult:
     ab_product: float | None
 
 
+def _gc_field(chart: SurfaceChart, cj: ChartJet) -> np.ndarray:
+    """Rows of h_ab (4 entries), then the induced Christoffels Gamma^c_ab (8), at a ChartJet stack."""
+    h = _second_fundamental(chart, cj, _gauss_from_tangents(cj.tangents, chart.orientation))
+    g, dg = induced_metric_with_gradient(chart, cj)
+    # Gamma^c_ab = g^cd (d_a g_db + d_b g_da - d_d g_ab) / 2
+    lower = np.einsum("nadb->ndab", dg) + np.einsum("nbda->ndab", dg) - dg
+    gamma = 0.5 * np.einsum("ncd,ndab->ncab", np.linalg.inv(g), lower)
+    return np.concatenate([h.reshape(-1, 4), gamma.reshape(-1, 8)], axis=1)
+
+
 def gauss_codazzi_residuals(
     chart: SurfaceChart,
     ev: PointEval,
     fd: FDParams = FDParams(),
 ) -> GaussCodazziResult:
-    """Compatibility residuals of a surface in a 3-dimensional model.
+    """Compatibility residuals of a surface in a 3-dimensional model, in chart coordinates.
 
-    Uses the frame F_1 = Y_1, F_2 = Y_2 (the adapted tangent frame) with
-    geodesic curvature functions k1 = <nabla_{F_1} F_1, F_2> and
-    k2 = <nabla_{F_2} F_2, F_1> of the integral curves.  Residual one is
-    the worse of the two Codazzi lines relating derivatives of b to
-    ambient curvature; residual two compares the intrinsic curvature
-    F_1(k2) + F_2(k1) - k1^2 - k2^2 against det b plus the ambient
-    sectional term.  Points where either part of the normal vanishes are
-    reported as skipped (the frame field is not smooth there).  ``ev`` is
-    the ``evaluate_point`` record at the point: its frame and b entries are
-    the centre values of the stencils.
+    h_ab and Gamma^c_ab are exact from chart jets; their derivatives come
+    from one FD call along u1 and u2.  Residual one is the worse of the
+    Codazzi lines T(d1, d2, d1) and T(d2, d1, d2), where
+    T_abc = nabla_a h_bc - nabla_b h_ac - <R(t_a, t_b) t_c, normal> and d1, d2
+    are the chart directions of Y_1, Y_2 of the ``evaluate_point`` record
+    ``ev``.  Residual two is the Gauss equation K = det h / det g + the
+    ambient sectional curvature.  Points where either part of the normal
+    vanishes are skipped (the adapted frame is not smooth there).
     """
     alg = chart.model.algebra
     if alg.dim_total != 3:
         raise ValueError("gauss_codazzi_residuals requires a 3-dimensional model")
-    u = ev.u
-    frame0 = ev.frame
-    a = float(np.linalg.norm(frame0.x_n1))
-    bb = float(np.linalg.norm(frame0.z_n1))
+    a = float(np.linalg.norm(ev.frame.x_n1))
+    bb = float(np.linalg.norm(ev.frame.z_n1))
     if a < 1e-8 or bb < 1e-8:
         return GaussCodazziResult(True, None, None, None, None)
 
-    def frames(pts) -> list[AdaptedFrame]:
-        return [adapted_frame(alg, g) for g in stacked_gauss_map(chart, pts)]
+    cj = stacked_chart_jets(chart, ev.u[None])
+    centre = _gc_field(chart, cj)[0]
+    field = lambda pts: _gc_field(chart, stacked_chart_jets(chart, pts))
+    deriv = directional_derivative(field, ev.u, np.eye(2), fd, domain=chart.domain)
+    h, dh = centre[:4].reshape(2, 2), deriv[:, :4].reshape(2, 2, 2)  # dh[a, b, c] = d_a h_bc
+    gamma, dgamma = centre[4:].reshape(2, 2, 2), deriv[:, 4:].reshape(2, 2, 2, 2)
+    t = cj.tangents[0].T  # rows t_1, t_2
+    f1, f2, eta = ev.frame.ys
 
-    def aligned(fr: AdaptedFrame, i: int) -> np.ndarray:
-        # keep the field single-valued across the FD stencil
-        vec = fr.ys[i]
-        return -vec if float(vec @ frame0.ys[i]) < 0.0 else vec
+    nabla_h = dh - np.einsum("eab,ec->abc", gamma, h) - np.einsum("eac,be->abc", gamma, h)
+    ambient = np.einsum("abck,ia,jb,lc,k->ijl", alg.curvature_tensor, t, t, t, eta)
+    tensor = nabla_h - nabla_h.transpose(1, 0, 2) - ambient
+    d1, d2 = chart_coefficients(cj[0], f1), chart_coefficients(cj[0], f2)
+    codazzi = max(abs(np.einsum("abc,a,b,c->", tensor, x, y, x)) for x, y in ((d1, d2), (d2, d1)))
 
-    def b_entries(pts) -> np.ndarray:
-        cj = stacked_chart_jets(chart, pts)
-        frs = [adapted_frame(alg, g) for g in _gauss_from_tangents(cj.tangents, chart.orientation)]
-        rows = []
-        for fr, sh in zip(frs, stacked_shape_data(chart, cj, frs)[0]):
-            # diagonal entries are insensitive to frame sign flips; the mixed
-            # entry needs the same alignment as the frame vectors
-            s1 = 1.0 if float(fr.ys[0] @ frame0.ys[0]) >= 0.0 else -1.0
-            s2 = 1.0 if float(fr.ys[1] @ frame0.ys[1]) >= 0.0 else -1.0
-            rows.append([sh.b[0, 0], s1 * s2 * sh.b[1, 0], sh.b[1, 1]])
-        return np.array(rows)
+    # R^d_101 = d_0 Gamma^d_11 - d_1 Gamma^d_01 + Gamma^d_0e Gamma^e_11 - Gamma^d_1e Gamma^e_01
+    riem = dgamma[0, :, 1, 1] - dgamma[1, :, 0, 1]
+    riem += gamma[:, 0] @ gamma[:, 1, 1] - gamma[:, 1] @ gamma[:, 0, 1]
+    g = t @ t.T
+    sectional = curvature(alg, t[0], t[1], t[1]) @ t[0]
+    gauss_res = abs(g[0] @ riem - np.linalg.det(h) - sectional) / np.linalg.det(g)
 
-    def kappa(uu, i: int, j: int) -> float:
-        """<nabla_{F_i} F_i, F_j> at uu: component FD plus the invariant part."""
-        fr = frames(uu[None])[0]
-        fi = aligned(fr, i)
-        direction = chart_coefficients(chart_jets(chart, uu), fi)
-        comp = directional_derivative(
-            lambda pts: np.array([aligned(f, i) for f in frames(pts)]),
-            uu, direction, fd, domain=chart.domain,
-        )
-        return float((comp + connection(alg, fi, fi)) @ aligned(fr, j))
-
-    def kappa_derivative(i: int, j: int, direction) -> float:
-        field = lambda pts: np.array([kappa(vv, i, j) for vv in pts])
-        return float(directional_derivative(field, u, direction, fd, domain=chart.domain))
-
-    f1 = frame0.ys[0]
-    f2 = frame0.ys[1]
-    eta = frame0.normal
-    b11, b21, b22 = ev.shape.b[0, 0], ev.shape.b[1, 0], ev.shape.b[1, 1]
-    k1 = kappa(u, 0, 1)
-    k2 = kappa(u, 1, 0)
-    cj = chart_jets(chart, u)
-    d1 = chart_coefficients(cj, f1)
-    d2 = chart_coefficients(cj, f2)
-
-    # row r: the three entries of b differentiated along d_{r+1}
-    db = directional_derivative(b_entries, u, [d1, d2], fd, domain=chart.domain)
-    f1_b21, f2_b11, f2_b21, f1_b22 = db[0, 1], db[1, 0], db[1, 1], db[0, 2]
-
-    r_121 = float(curvature(alg, f1, f2, f1) @ eta)
-    r_212 = float(curvature(alg, f2, f1, f2) @ eta)
-    cod1 = (f1_b21 + k1 * (b11 - b22)) - (f2_b11 + 2.0 * k2 * b21) - r_121
-    cod2 = (f2_b21 + k2 * (b22 - b11)) - (f1_b22 + 2.0 * k1 * b21) - r_212
-
-    f1_k2 = kappa_derivative(1, 0, d1)
-    f2_k1 = kappa_derivative(0, 1, d2)
-    k_intrinsic = f1_k2 + f2_k1 - k1**2 - k2**2
-    k_extrinsic = b11 * b22 - b21**2
-    sectional = float(curvature(alg, f1, f2, f2) @ f1)
-    gauss_res = abs(k_intrinsic - k_extrinsic - sectional)
-
-    return GaussCodazziResult(
-        skipped=False,
-        codazzi_residual=float(max(abs(cod1), abs(cod2))),
-        gauss_residual=float(gauss_res),
-        curvature_term=r_121,
-        ab_product=a * bb,
-    )
+    curvature_term = float(curvature(alg, f1, f2, f1) @ eta)
+    return GaussCodazziResult(False, float(codazzi), float(gauss_res), curvature_term, a * bb)

@@ -163,30 +163,29 @@ def induced_metric(chart: SurfaceChart, u) -> np.ndarray:
 
 
 def induced_metric_with_gradient(chart: SurfaceChart, cj: ChartJet):
-    """Induced metric g_ab and its exact gradient dg[c, a, b] at a ChartJet row."""
+    """Induced metric g_ab and its exact gradient dg[c, a, b], one ChartJet row or a stack."""
     fl = chart.model.frame_lin
     # d_c tangent_a = -L(d_c r) d_a r + Ainv d^2_{ac} r
-    lc = np.einsum("kji,ic->kjc", fl, cj.jac)
-    dtan = -np.einsum("kjc,ja->kac", lc, cj.jac) + np.einsum(
-        "kj,jac->kac", cj.ainv, cj.hess
+    lc = np.einsum("kji,...ic->...kjc", fl, cj.jac)
+    dtan = -np.einsum("...kjc,...ja->...kac", lc, cj.jac) + np.einsum(
+        "...kj,...jac->...kac", cj.ainv, cj.hess
     )
     t = cj.tangents
-    g = t.T @ t
-    dg = np.einsum("kac,kb->cab", dtan, t) + np.einsum("ka,kbc->cab", t, dtan)
+    g = np.swapaxes(t, -1, -2) @ t
+    dg = np.einsum("...kac,...kb->...cab", dtan, t) + np.einsum("...ka,...kbc->...cab", t, dtan)
     return g, dg
 
 
-def _second_fundamental(chart: SurfaceChart, cj: ChartJet):
-    """Coordinate second fundamental form and unit normal, one point or a stack."""
+def _second_fundamental(chart: SurfaceChart, cj: ChartJet, normals):
+    """Coordinate second fundamental form against the unit normals, one point or a stack."""
     gamma = chart.model.christoffels(cj.point)
     nabla = cj.hess + np.einsum("...kij,...ia,...jb->...kab", gamma, cj.jac, cj.jac)
     w_alg = np.einsum("...kl,...lab->...kab", cj.ainv, nabla)
-    normal = _gauss_from_tangents(cj.tangents, chart.orientation)
-    return np.einsum("...kab,...k->...ab", w_alg, normal), normal
+    return np.einsum("...kab,...k->...ab", w_alg, normals)
 
 
 def _mean_curvature(chart: SurfaceChart, cj: ChartJet):
-    h, _ = _second_fundamental(chart, cj)
+    h = _second_fundamental(chart, cj, _gauss_from_tangents(cj.tangents, chart.orientation))
     t = cj.tangents
     g = np.swapaxes(t, -1, -2) @ t
     return np.trace(np.linalg.solve(g, h), axis1=-2, axis2=-1) / chart.param_dim
@@ -388,13 +387,14 @@ def frame_coefficients(cj: ChartJet, frame: AdaptedFrame) -> np.ndarray:
     return np.array([chart_coefficients(cj, y) for y in frame.ys[:-1]])
 
 
-def stacked_shape_data(chart: SurfaceChart, cj: ChartJet, frames):
-    """``shape_data`` at every row of a stacked ChartJet, one frame per row.
+def stacked_shape_data(chart: SurfaceChart, cj: ChartJet, frames, normals):
+    """``shape_data`` at every row of a stacked ChartJet, one frame and chart
+    normal per row; each frame's normal must match its row's.
 
     Also returns the rows' ``frame_coefficients`` (N, n, n): the chart
     directions of Y_1 .. Y_n, along which Y_k(n H) is differenced.
     """
-    h_coords, normals = _second_fundamental(chart, cj)
+    h_coords = _second_fundamental(chart, cj, normals)
     shapes, coeffs = [], []
     for i, frame in enumerate(frames):
         if np.linalg.norm(frame.normal - normals[i]) > 1e-8:
@@ -416,7 +416,8 @@ def shape_data(chart: SurfaceChart, u, frame: AdaptedFrame) -> ShapeData:
     one-point view of ``stacked_shape_data``.
     """
     cj = stacked_chart_jets(chart, np.asarray(u, dtype=float)[None])
-    return stacked_shape_data(chart, cj, [frame])[0][0]
+    normals = _gauss_from_tangents(cj.tangents, chart.orientation)
+    return stacked_shape_data(chart, cj, [frame], normals)[0][0]
 
 
 def frame_directional_derivative(

@@ -412,3 +412,30 @@ def test_chunked_field_calls_give_the_same_report_bytes(monkeypatch):
     whole = document_to_json(run(config))
     monkeypatch.setattr("nilgauss.fd.FIELD_ROWS", 5)
     assert document_to_json(run(config)) == whole
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        lambda d: ["sweep", "--config", d],
+        lambda d: ["examples", "nil_vertical_plane", "--out", d],
+    ],
+    ids=["config", "out"],
+)
+def test_os_error_exits_2(tmp_path, capsys, argv):
+    assert main(argv(str(tmp_path))) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: IsADirectoryError: ")
+
+
+@pytest.mark.parametrize(
+    "height",
+    ["(" * 200 + "u1" + ")" * 200, "+".join(["u1"] * 5000)],
+    ids=["nested", "long_sum"],
+)
+def test_too_deep_expression_is_a_chart_error(tmp_path, capsys, height):
+    chart = {"components": ["u1", "u2", height]}
+    assert main(["sweep", "--config", write_config(tmp_path, dict(BASE_CONFIG, chart=chart))]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error: bad chart specification: ")
+    assert "deeper than" in lines[0]

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nilgauss.expressions import Jet, ParseError, parse_expression
+from nilgauss.expressions import MAX_DEPTH, Jet, ParseError, parse_expression
 
 
 def test_basic_evaluation():
@@ -70,6 +70,25 @@ def test_parser_totality(text):
         parse_expression(text)
     except ParseError:
         pass  # structured diagnostics are the only acceptable failure
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda k: "(" * (k - 1) + "u1" + ")" * (k - 1),
+        lambda k: "+".join(["u1"] * k),
+        lambda k: "-" * (k - 1) + "u1",
+        lambda k: "sin(" * (k - 1) + "u1" + ")" * (k - 1),
+    ],
+    ids=["parentheses", "sum", "minus", "function"],
+)
+def test_depth_bound(build):
+    """Expressions up to MAX_DEPTH levels parse and evaluate; deeper ones are parse errors."""
+    expr = parse_expression(build(MAX_DEPTH))
+    assert expr.max_param == 1
+    assert np.isfinite(expr.jets([[0.3], [0.4]]).hess).all()
+    with pytest.raises(ParseError, match="deeper than"):
+        parse_expression(build(MAX_DEPTH + 1))
 
 
 @pytest.mark.parametrize(

@@ -27,11 +27,13 @@ from nilgauss import (
     laplacian_heisenberg,
     laplacian_numeric,
     mean_curvature_derivatives,
+    nil_polarized_model,
     random_graph_chart,
     ricci,
     shape_data,
     vertical_plane_chart,
 )
+from nilgauss.fd import directional_derivative
 from nilgauss.surfaces import (
     ShapeData,
     stacked_chart_jets,
@@ -647,3 +649,65 @@ def test_gauss_codazzi_requires_3d():
     ev = evaluate_point(chart, [0.0, 0.0, 0.0, 0.0])
     with pytest.raises(ValueError, match="3-dimensional"):
         gauss_codazzi_residuals(chart, ev)
+
+
+def test_gauss_codazzi_one_fd_call_and_no_frames(monkeypatch):
+    """One directional_derivative call with one field evaluation per evaluated
+    point; no adapted frame and no gauss_map / stacked_gauss_map call."""
+    chart = foliation_leaf_chart()
+    evals = [evaluate_point(chart, [x, 0.0]) for x in (0.0, 0.5, 1.2)]  # x = 0 is skipped
+    field_rows = []
+
+    def counted(f, *args, **kwargs):
+        def field(pts):
+            field_rows.append(len(pts))
+            return f(pts)
+
+        return directional_derivative(field, *args, **kwargs)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a frame or Gauss map was built")
+
+    monkeypatch.setattr("nilgauss.laplacian.directional_derivative", counted)
+    for name in ("adapted_frame", "gauss_map", "stacked_gauss_map"):
+        monkeypatch.setattr(f"nilgauss.laplacian.{name}", forbidden)
+        monkeypatch.setattr(f"nilgauss.surfaces.{name}", forbidden)
+    results = [gauss_codazzi_residuals(chart, ev) for ev in evals]
+    assert [res.skipped for res in results] == [True, False, False]
+    assert field_rows == [8, 8]  # 2 directions, 2 levels, 2 sides
+
+
+GC_CHARTS = {
+    "nil_graph": lambda orientation: graph_chart(
+        nil_polarized_model(), "0.3*u1*u2 + 0.2*sin(u1) - 0.1*u2^2", [(-1, 1)] * 2, orientation
+    ),
+    "exp_h1": lambda orientation: expression_chart(
+        exp_model(heisenberg(1)),
+        ["u1 + 0.1*u2^2", "u2", "0.3*u1*u2 + 0.2*cos(u1)"],
+        [(-1, 1)] * 2,
+        orientation,
+    ),
+}
+GC_POINTS = ([0.2, -0.3], [0.5, 0.4], [-0.4, 0.1])
+
+
+@pytest.mark.parametrize("name", GC_CHARTS)
+def test_gauss_codazzi_residuals_at_rounding_level(name):
+    chart = GC_CHARTS[name](1)
+    for u in GC_POINTS:
+        res = gauss_codazzi_residuals(chart, evaluate_point(chart, u))
+        assert not res.skipped
+        assert res.codazzi_residual < 1e-10
+        assert res.gauss_residual < 1e-10
+
+
+@pytest.mark.parametrize("name", GC_CHARTS)
+def test_gauss_codazzi_orientation_invariance(name):
+    for u in GC_POINTS:
+        plus, minus = (
+            gauss_codazzi_residuals(chart, evaluate_point(chart, u))
+            for chart in (GC_CHARTS[name](1), GC_CHARTS[name](-1))
+        )
+        assert minus.skipped == plus.skipped
+        assert minus.codazzi_residual == pytest.approx(plus.codazzi_residual, abs=1e-10)
+        assert minus.gauss_residual == pytest.approx(plus.gauss_residual, abs=1e-10)
