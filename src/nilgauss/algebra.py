@@ -24,6 +24,9 @@ from functools import cached_property
 
 import numpy as np
 
+# J(z)^2 = -|z|^2 Id must hold to this tolerance for a Heisenberg-type algebra
+H_TYPE_TOL = 1e-9
+
 
 def _read_only(arr) -> np.ndarray:
     arr = np.ascontiguousarray(arr, dtype=float)
@@ -107,8 +110,8 @@ class NilpotentAlgebra:
 
     @cached_property
     def is_h_type(self) -> bool:
-        """Heisenberg type at tolerance 1e-9, decided once per algebra."""
-        return is_heisenberg_type(self, 1e-9)
+        """Heisenberg type, decided once per algebra."""
+        return is_heisenberg_type(self)
 
     @cached_property
     def is_heisenberg(self) -> bool:
@@ -219,8 +222,8 @@ def validate(alg: NilpotentAlgebra, tol: float = 1e-10) -> ValidationReport:
     return ValidationReport(tuple(found))
 
 
-def is_heisenberg_type(alg: NilpotentAlgebra, tol: float = 1e-10) -> bool:
-    """True when J(z)^2 = -|z|^2 Id on V for every central z.
+def is_heisenberg_type(alg: NilpotentAlgebra) -> bool:
+    """True when J(z)^2 = -|z|^2 Id on V for every central z, within H_TYPE_TOL.
 
     J(z)^2 is quadratic in z, so checking the central basis vectors and
     all sums of two of them polarizes the identity to the whole center.
@@ -234,7 +237,7 @@ def is_heisenberg_type(alg: NilpotentAlgebra, tol: float = 1e-10) -> bool:
         np.abs(jz @ jz + eye).max(),
         np.abs(pairs @ pairs + 2.0 * eye).max(initial=0.0),
     )
-    return worst <= tol
+    return worst <= H_TYPE_TOL
 
 
 def algebra_from_json(data: dict) -> NilpotentAlgebra:

@@ -56,6 +56,8 @@ DEFAULT_TOLERANCES = {
     "oracle_gap": 5e-4,
     "cmc": 1e-6,
 }
+# grid points and report points keep this many FD steps from the domain edge
+GRID_MARGIN_STEPS = 4.0
 
 
 class ConfigError(ValueError):
@@ -225,7 +227,7 @@ def _build_fd(spec, problems) -> FDParams | None:
 
 def _check_stencil_room(chart, fdp, point, problems) -> None:
     """Grid and point must keep the 4*step FD margin inside the domain."""
-    margin = 4.0 * fdp.step
+    margin = GRID_MARGIN_STEPS * fdp.step
     if any(hi - lo <= 2.0 * margin for lo, hi in chart.domain):
         problems.append(f"fd step {fdp.step} too large: 8*step must be below every domain width")
     elif point is not None:
@@ -326,7 +328,7 @@ def grid_points(chart: SurfaceChart, grid, fd: FDParams, point=None) -> np.ndarr
     """Evaluation points as rows of an (N, n) array, in grid (C) order."""
     if point is not None:
         return np.array([point], dtype=float)
-    margin = 4.0 * fd.step
+    margin = GRID_MARGIN_STEPS * fd.step
     axes = [
         np.linspace(lo + margin, hi - margin, res)
         for (lo, hi), res in zip(chart.domain, grid)
@@ -569,39 +571,31 @@ def main(argv=None) -> int:
         description="Gauss map Laplacians on hypersurfaces of 2-step nilpotent groups",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
-    for verb in ("validate", "report", "sweep", "compare"):
+    for verb in ("validate", "report", "sweep", "compare", "examples"):
         p = sub.add_parser(verb)
-        p.add_argument("--config", required=True)
+        if verb == "examples":
+            p.add_argument("name", nargs="?")
+        else:
+            p.add_argument("--config", required=True)
         p.add_argument("--out")
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--tol", type=float)
         p.add_argument("--seed", type=int)
         if verb == "report":
             p.add_argument("--point", help="comma-separated chart parameters")
-    pex = sub.add_parser("examples")
-    pex.add_argument("name", nargs="?")
-    pex.add_argument("--out")
-    pex.add_argument("--format", choices=("json", "csv"), default="json")
-    pex.add_argument("--tol", type=float)
-    pex.add_argument("--seed", type=int)
     args = parser.parse_args(argv)
 
+    if args.verb == "examples":
+        if args.name is None:
+            for name, (desc, _) in EXAMPLE_JOBS.items():
+                print(f"{name}: {desc}")
+            return 0
+        if args.name not in EXAMPLE_JOBS:
+            print(f"unknown example {args.name!r}", file=sys.stderr)
+            return 2
     try:
-        if args.verb == "examples":
-            if args.name is None:
-                for name, (desc, _) in EXAMPLE_JOBS.items():
-                    print(f"{name}: {desc}")
-                return 0
-            if args.name not in EXAMPLE_JOBS:
-                print(f"unknown example {args.name!r}", file=sys.stderr)
-                return 2
-            doc = _apply_overrides(EXAMPLE_JOBS[args.name][1], args)
-            config = load_config(doc)
-            result = run(config)
-            _emit(result, args)
-            return _exit_code(result)
-
-        doc = _apply_overrides(_load_config_file(args.config), args)
+        raw = EXAMPLE_JOBS[args.name][1] if args.verb == "examples" else _load_config_file(args.config)
+        doc = _apply_overrides(raw, args)
         if args.verb == "validate":
             problems: list[str] = []
             alg = _build_algebra(doc.get("algebra"), problems)
@@ -619,32 +613,23 @@ def main(argv=None) -> int:
                 return 1
             load_config(doc)  # axioms hold; now surface any config problems
             return 0
-        if args.verb == "report":
-            if getattr(args, "point", None):
-                try:
-                    doc["point"] = [float(x) for x in args.point.split(",")]
-                except ValueError:
-                    raise ConfigError(["--point must be comma-separated numbers"]) from None
-            config = load_config(doc)
-            if config.point is None:
-                centers = [0.5 * (lo + hi) for lo, hi in config.chart.domain]
-                config.point = centers
-            result = run(config)
-            _emit(result, args)
-            return _exit_code(result)
-        if args.verb == "sweep":
-            config = load_config(doc)
-            result = run(config)
-            _emit(result, args)
-            return _exit_code(result)
+        if args.verb == "report" and args.point:
+            try:
+                doc["point"] = [float(x) for x in args.point.split(",")]
+            except ValueError:
+                raise ConfigError(["--point must be comma-separated numbers"]) from None
         if args.verb == "compare":
             methods = doc.get("methods", [])
             if isinstance(methods, list) and "numeric_oracle" not in methods:
                 doc["methods"] = methods + ["numeric_oracle"]
-            config = load_config(doc)
-            if not [m for m in config.methods if m != "numeric_oracle"]:
-                raise ConfigError(["compare needs at least one closed-form method"])
-            result = run(config)
+
+        config = load_config(doc)
+        if args.verb == "report" and config.point is None:
+            config.point = [0.5 * (lo + hi) for lo, hi in config.chart.domain]
+        if args.verb == "compare" and all(m == "numeric_oracle" for m in config.methods):
+            raise ConfigError(["compare needs at least one closed-form method"])
+        result = run(config)
+        if args.verb == "compare":
             gap = result["summary"]["max_oracle_gap"]
             tol = config.tolerances["oracle_gap"]
             result["summary"]["checks"]["oracle_gap"] = {
@@ -652,8 +637,8 @@ def main(argv=None) -> int:
                 "max_oracle_gap": gap,
                 "tol": tol,
             }
-            _emit(result, args)
-            return _exit_code(result)
+        _emit(result, args)
+        return _exit_code(result)
     except ConfigError as exc:
         for problem in exc.problems:
             print(f"config error: {problem}", file=sys.stderr)
@@ -663,7 +648,6 @@ def main(argv=None) -> int:
         # cannot be evaluated on its grid (not immersed, a jet outside its domain, overflow)
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    raise AssertionError("unreachable verb")
 
 
 def entry() -> None:

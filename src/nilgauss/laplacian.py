@@ -557,7 +557,7 @@ def gauss_codazzi_residuals(
     nabla_h = dh - np.einsum("eab,ec->abc", gamma, h) - np.einsum("eac,be->abc", gamma, h)
     ambient = np.einsum("abck,ia,jb,lc,k->ijl", alg.curvature_tensor, t, t, t, eta)
     tensor = nabla_h - nabla_h.transpose(1, 0, 2) - ambient
-    d1, d2 = chart_coefficients(cj[0], f1), chart_coefficients(cj[0], f2)
+    d1, d2 = chart_coefficients(cj[0], ev.frame.ys[:2])
     codazzi = max(abs(np.einsum("abc,a,b,c->", tensor, x, y, x)) for x, y in ((d1, d2), (d2, d1)))
 
     # R^d_101 = d_0 Gamma^d_11 - d_1 Gamma^d_01 + Gamma^d_0e Gamma^e_11 - Gamma^d_1e Gamma^e_01

@@ -35,6 +35,11 @@ from .fd import FDParams, directional_derivative
 from .models import CoordinateModel, nil_polarized_model
 
 IMMERSION_RANK_TOL = 1e-8
+# normal parts with a norm at or below this are treated as zero by adapted_frame
+NORMAL_SPLIT_TOL = 1e-10
+# random_graph_chart: coefficient range and half-width of the box domain
+RANDOM_COEFF_SCALE = 0.35
+RANDOM_DOMAIN_HALF = 0.8
 
 
 class ImmersionError(ValueError):
@@ -239,12 +244,6 @@ class AdaptedFrame:
             raise IndexError("horizontal index out of range")
         return self.x_q if k == self.q else self.ys[k - 1]
 
-    def z(self, k: int) -> np.ndarray:
-        """Central component vector Z_k, q <= k <= n (one-based)."""
-        if not self.q <= k <= self.dim - 1:
-            raise IndexError("central index out of range")
-        return self.z_q if k == self.q else self.ys[k - 1]
-
     def gram_residual(self) -> float:
         gram = self.ys @ self.ys.T
         return float(np.abs(gram - np.eye(self.dim)).max())
@@ -287,7 +286,6 @@ def _gs_complete(dim: int, indices, fixed, count: int, start: int) -> list[np.nd
 def adapted_frame(
     alg: NilpotentAlgebra,
     normal,
-    tol: float = 1e-10,
     completion_start: int = 0,
 ) -> AdaptedFrame:
     """Build the adapted orthonormal frame for a unit normal direction.
@@ -311,12 +309,12 @@ def adapted_frame(
     v_indices = range(q)
     z_indices = range(q, d)
 
-    if s > tol:
+    if s > NORMAL_SPLIT_TOL:
         u_dir = xn / s
     else:
         s = 0.0
         u_dir = _gs_pick(d, v_indices, [], completion_start)
-    if c > tol:
+    if c > NORMAL_SPLIT_TOL:
         z_dir = zn / c
     else:
         c = 0.0
@@ -326,8 +324,8 @@ def adapted_frame(
     z_q = s * z_dir
     x_n1 = s * u_dir
     z_n1 = c * z_dir
-    lam = s / c if c > tol else 0.0
-    mu = c / s if s > tol else 0.0
+    lam = s / c if c > NORMAL_SPLIT_TOL else 0.0
+    mu = c / s if s > NORMAL_SPLIT_TOL else 0.0
     y_q = x_q - z_q
 
     if alg.is_heisenberg:
@@ -373,37 +371,35 @@ class ShapeData:
     norm_b2: float
 
 
-def chart_coefficients(cj: ChartJet, vec) -> np.ndarray:
-    """Chart-direction coefficients of a tangent algebra vector."""
-    sol, _, _, _ = np.linalg.lstsq(cj.tangents, np.asarray(vec, dtype=float), rcond=None)
-    resid = np.linalg.norm(cj.tangents @ sol - vec)
-    if resid > 1e-6:
+def chart_coefficients(cj: ChartJet, vecs) -> np.ndarray:
+    """Chart directions c with T c = y of tangent algebra vectors y, T the tangent columns.
+
+    ``cj`` is one ChartJet row or a stack; ``vecs`` is one (d,) vector or
+    vectors (..., k, d) broadcast against the stack, giving (..., k, n).
+    One QR of the tangents and one triangular solve cover every vector.
+    """
+    t, y = cj.tangents, np.asarray(vecs, dtype=float)
+    qm, rm = np.linalg.qr(t)
+    sol = np.swapaxes(np.linalg.solve(rm, np.swapaxes(np.atleast_2d(y) @ qm, -1, -2)), -1, -2)
+    if (np.linalg.norm(sol @ np.swapaxes(t, -1, -2) - y, axis=-1) > 1e-6).any():
         raise ValueError("vector is not tangent to the chart at this point")
-    return sol
-
-
-def frame_coefficients(cj: ChartJet, frame: AdaptedFrame) -> np.ndarray:
-    """Chart-direction coefficients of Y_1 .. Y_n at a ChartJet row, one row each."""
-    return np.array([chart_coefficients(cj, y) for y in frame.ys[:-1]])
+    return sol[..., 0, :] if y.ndim == 1 else sol
 
 
 def stacked_shape_data(chart: SurfaceChart, cj: ChartJet, frames, normals):
     """``shape_data`` at every row of a stacked ChartJet, one frame and chart
     normal per row; each frame's normal must match its row's.
 
-    Also returns the rows' ``frame_coefficients`` (N, n, n): the chart
-    directions of Y_1 .. Y_n, along which Y_k(n H) is differenced.
+    Also returns the chart directions (N, n, n) of Y_1 .. Y_n, along which
+    Y_k(n H) is differenced: one ``chart_coefficients`` call for all rows.
     """
-    h_coords = _second_fundamental(chart, cj, normals)
-    shapes, coeffs = [], []
-    for i, frame in enumerate(frames):
-        if np.linalg.norm(frame.normal - normals[i]) > 1e-8:
-            raise ValueError("adapted frame normal does not match the chart normal")
-        coeffs.append(frame_coefficients(cj[i], frame))
-        vmat = np.ascontiguousarray(coeffs[-1].T)
-        b = vmat.T @ h_coords[i] @ vmat
-        shapes.append(ShapeData(b=b, h=float(np.trace(b)) / len(b), norm_b2=float((b * b).sum())))
-    return shapes, np.array(coeffs)
+    ys = np.array([frame.ys for frame in frames])
+    if (np.linalg.norm(ys[:, -1] - normals, axis=-1) > 1e-8).any():
+        raise ValueError("adapted frame normal does not match the chart normal")
+    coeffs = chart_coefficients(cj, ys[:, :-1])
+    b = coeffs @ _second_fundamental(chart, cj, normals) @ np.swapaxes(coeffs, -1, -2)
+    hs, norms = np.trace(b, axis1=-2, axis2=-1) / b.shape[-1], (b * b).sum(axis=(-2, -1))
+    return [ShapeData(b=x, h=float(h), norm_b2=float(nb)) for x, h, nb in zip(b, hs, norms)], coeffs
 
 
 def shape_data(chart: SurfaceChart, u, frame: AdaptedFrame) -> ShapeData:
@@ -433,9 +429,8 @@ def frame_directional_derivative(
     ``y_vec`` is one algebra vector, giving a float, or a stack of k of
     them, giving k derivatives from one call of the field.
     """
-    cj = chart_jets(chart, u)
     y = np.asarray(y_vec, dtype=float)
-    directions = np.array([chart_coefficients(cj, vec) for vec in np.atleast_2d(y)])
+    directions = chart_coefficients(chart_jets(chart, u), np.atleast_2d(y))
     out = directional_derivative(scalar_field, u, directions, fd, domain=chart.domain)
     return out if y.ndim == 2 else float(out[0])
 
@@ -443,7 +438,7 @@ def frame_directional_derivative(
 def stacked_mean_curvature_derivatives(chart: SurfaceChart, points, coeffs, fd=FDParams()):
     """Y_k(n H) at every row of an (N, n) array, or at one point, by Richardson FD.
 
-    ``coeffs`` (N, n, n), or (n, n), are the ``frame_coefficients``; the
+    ``coeffs`` (N, n, n), or (n, n), are the frame's chart directions; the
     stencils of all rows go to one field call.
     """
     n = chart.param_dim
@@ -453,7 +448,7 @@ def stacked_mean_curvature_derivatives(chart: SurfaceChart, points, coeffs, fd=F
 
 def mean_curvature_derivatives(chart: SurfaceChart, u, frame: AdaptedFrame, fd=FDParams()):
     """Y_k(n H) for the n tangent frame vectors at one point u."""
-    coeffs = frame_coefficients(chart_jets(chart, u), frame)
+    coeffs = chart_coefficients(chart_jets(chart, u), frame.ys[:-1])
     return stacked_mean_curvature_derivatives(chart, u, coeffs, fd)
 
 
@@ -549,8 +544,6 @@ def random_graph_chart(
     model: CoordinateModel,
     rng: np.random.Generator,
     terms: int = 3,
-    coeff_scale: float = 0.35,
-    domain_half: float = 0.8,
 ) -> SurfaceChart:
     """Seeded random graph chart with bounded polynomial/trig height."""
     n = model.dim - 1
@@ -559,7 +552,7 @@ def random_graph_chart(
         kind = int(rng.integers(0, 4))
         a = int(rng.integers(1, n + 1))
         b = int(rng.integers(1, n + 1))
-        coeff = float(np.round(rng.uniform(-coeff_scale, coeff_scale), 6))
+        coeff = float(np.round(rng.uniform(-RANDOM_COEFF_SCALE, RANDOM_COEFF_SCALE), 6))
         if kind == 0:
             parts.append(f"{coeff}*u{a}")
         elif kind == 1:
@@ -569,5 +562,5 @@ def random_graph_chart(
         else:
             parts.append(f"{coeff}*cos(u{a})")
     height = " + ".join(parts)
-    domain = [(-domain_half, domain_half)] * n
+    domain = [(-RANDOM_DOMAIN_HALF, RANDOM_DOMAIN_HALF)] * n
     return graph_chart(model, height, domain)

@@ -148,6 +148,13 @@ def test_is_heisenberg_type_free5_fails(free5):
     assert validate(free5).ok
 
 
+def test_one_h_type_tolerance(h1):
+    """The function and the cached flag that gates h_type, heisenberg and prop3 agree."""
+    alg = NilpotentAlgebra(3, 1, (1.0 + 1e-10) * h1.bracket_tensor)
+    assert is_heisenberg_type(alg)
+    assert alg.is_h_type and alg.is_heisenberg
+
+
 def test_heisenberg_flags(h1, h2, free5):
     assert h1.is_heisenberg and h2.is_heisenberg and h2.is_h_type
     quat = quaternionic_heisenberg()

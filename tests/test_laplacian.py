@@ -36,6 +36,7 @@ from nilgauss import (
 from nilgauss.fd import directional_derivative
 from nilgauss.surfaces import (
     ShapeData,
+    chart_coefficients,
     stacked_chart_jets,
     stacked_gauss_map,
     stacked_mean_curvature,
@@ -541,6 +542,29 @@ def test_evaluate_points_one_field_call_per_stage(monkeypatch):
     # levels * 2 rows per direction, n directions per point; the oracle
     # stencil holds the centre and levels * (2n + 4 n(n-1)/2) rows
     assert sizes == [6, 6 * 4 * 2 * 2, 6 * (1 + 2 * (8 + 24))]
+
+
+def test_evaluate_points_one_chart_direction_solve(monkeypatch):
+    """The frame vectors of all points go to one chart_coefficients call; no lstsq."""
+    chart = random_graph_chart(exp_model(heisenberg(2)), np.random.default_rng(2), terms=4)
+    pts = np.random.default_rng(3).uniform(-0.4, 0.4, (6, 4))
+    shapes, lstsq_calls = [], []
+
+    def counted(cj, vecs):
+        shapes.append(np.shape(vecs))
+        return chart_coefficients(cj, vecs)
+
+    def counted_lstsq(*args, **kwargs):
+        lstsq_calls.append(1)
+        return lstsq(*args, **kwargs)
+
+    lstsq = np.linalg.lstsq
+    monkeypatch.setattr("nilgauss.surfaces.chart_coefficients", counted)
+    monkeypatch.setattr("nilgauss.laplacian.chart_coefficients", counted)
+    monkeypatch.setattr(np.linalg, "lstsq", counted_lstsq)
+    evaluate_points(chart, pts, ["general", "h_type", "heisenberg", "numeric_oracle"])
+    assert shapes == [(6, 4, 5)]
+    assert lstsq_calls == []
 
 
 # ---------------------------------------------------------------------------

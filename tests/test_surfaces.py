@@ -22,7 +22,13 @@ from nilgauss import (
     vertical_plane_chart,
 )
 from nilgauss.fd import BoundaryError
-from nilgauss.surfaces import chart_jets, stacked_chart_jets, stacked_gauss_map, stacked_mean_curvature
+from nilgauss.surfaces import (
+    chart_coefficients,
+    chart_jets,
+    stacked_chart_jets,
+    stacked_gauss_map,
+    stacked_mean_curvature,
+)
 from conftest import abelian_3d, basis, random_unit
 
 
@@ -293,6 +299,57 @@ def test_reparametrization_invariance():
         s2 = shape_data(chart2, v, f2)
         assert s1.h == pytest.approx(s2.h, abs=1e-8)
         assert s1.norm_b2 == pytest.approx(s2.norm_b2, abs=1e-8)
+
+
+# ---------------------------------------------------------------------------
+# chart directions of tangent vectors
+
+
+def random_tangent_vectors(m, seed, count=5, k=3):
+    """Stacked chart jets of a random graph chart over H(m), k tangent vectors per row
+    and their exact chart directions."""
+    rng = np.random.default_rng(seed)
+    chart = random_graph_chart(exp_model(heisenberg(m)), rng, terms=4)
+    cj = stacked_chart_jets(chart, rng.uniform(-0.5, 0.5, (count, chart.param_dim)))
+    exact = rng.normal(size=(count, k, chart.param_dim))
+    return cj, np.einsum("ndj,nkj->nkd", cj.tangents, exact), exact
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_chart_coefficients_stack_equals_rows(m):
+    cj, vecs, _ = random_tangent_vectors(m, 50 + m)
+    stacked = chart_coefficients(cj, vecs)
+    assert stacked.shape == vecs.shape[:2] + (2 * m,)
+    for i in range(len(vecs)):
+        np.testing.assert_array_equal(stacked[i], chart_coefficients(cj[i], vecs[i]))
+    np.testing.assert_allclose(chart_coefficients(cj, vecs[:, :1]), stacked[:, :1], atol=1e-14)
+    np.testing.assert_allclose(chart_coefficients(cj[0], vecs[0, 0]), stacked[0, 0], atol=1e-14)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_chart_coefficients_match_lstsq(m):
+    for seed in range(3):
+        cj, vecs, exact = random_tangent_vectors(m, 10 * m + seed)
+        sol = chart_coefficients(cj, vecs)
+        for i in range(len(vecs)):
+            ref = np.linalg.lstsq(cj.tangents[i], vecs[i].T, rcond=None)[0].T
+            np.testing.assert_allclose(sol[i], ref, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(sol, exact, rtol=0.0, atol=1e-12)
+
+
+def test_chart_coefficients_reject_the_normal():
+    rng = np.random.default_rng(7)
+    chart = random_graph_chart(exp_model(heisenberg(2)), rng, terms=4)
+    pts = rng.uniform(-0.5, 0.5, (4, 4))
+    cj, normals = stacked_chart_jets(chart, pts), stacked_gauss_map(chart, pts)
+    with pytest.raises(ValueError, match="not tangent"):
+        chart_coefficients(cj[0], normals[0])
+    vecs = np.swapaxes(cj.tangents, 1, 2).copy()  # each row's tangent columns
+    identity = np.broadcast_to(np.eye(4), (4, 4, 4))
+    np.testing.assert_allclose(chart_coefficients(cj, vecs), identity, atol=1e-12)
+    vecs[2, 1] = normals[2]  # one normal in the stack
+    with pytest.raises(ValueError, match="not tangent"):
+        chart_coefficients(cj, vecs)
 
 
 # ---------------------------------------------------------------------------
