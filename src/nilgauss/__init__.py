@@ -63,13 +63,10 @@ from .surfaces import (
     frame_directional_derivative,
     gauss_map,
     graph_chart,
-    induced_metric,
     mean_curvature,
     mean_curvature_derivatives,
     random_graph_chart,
     shape_data,
-    stacked_gauss_map,
-    stacked_mean_curvature,
     vertical_plane_chart,
 )
 

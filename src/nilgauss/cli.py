@@ -56,6 +56,8 @@ DEFAULT_TOLERANCES = {
     "oracle_gap": 5e-4,
     "cmc": 1e-6,
 }
+# largest algebra dimension; one oracle stencil's chart jets: ~26 MB at 16, ~0.9 GB at 32
+MAX_DIM_TOTAL = 16
 # grid points and report points keep this many FD steps from the domain edge
 GRID_MARGIN_STEPS = 4.0
 
@@ -83,26 +85,28 @@ class JobConfig:
 
 
 def _build_algebra(spec, problems) -> NilpotentAlgebra | None:
-    if spec is None:
-        problems.append("missing algebra specification")
+    if not isinstance(spec, dict):
+        missing = spec is None
+        problems.append("missing algebra specification" if missing else "algebra must be an object")
         return None
-    if isinstance(spec, dict) and "builtin" in spec:
-        if spec["builtin"] != "heisenberg":
-            problems.append(f"unknown builtin algebra {spec['builtin']!r}")
-            return None
-        try:
-            return heisenberg(int(spec.get("m", 1)))
-        except (ValueError, TypeError) as exc:
-            problems.append(f"bad heisenberg parameter: {exc}")
-            return None
-    if isinstance(spec, dict):
-        try:
-            return algebra_from_json(spec)
-        except ValueError as exc:
-            problems.append(str(exc))
-            return None
-    problems.append("algebra must be an object")
-    return None
+    builtin = "builtin" in spec
+    if builtin and spec["builtin"] != "heisenberg":
+        problems.append(f"unknown builtin algebra {spec['builtin']!r}")
+        return None
+    sizes = ("m",) if builtin else ("dim_total", "dim_center")
+    bad = [f"algebra {key} must be an integer" for key in sizes if not _is_int(spec.get(key, 1))]
+    if bad:
+        problems.extend(bad)
+        return None
+    dim = 2 * spec.get("m", 1) + 1 if builtin else spec.get("dim_total", 1)
+    if dim > MAX_DIM_TOTAL:
+        problems.append(f"algebra dimension {dim} exceeds the limit of {MAX_DIM_TOTAL}")
+        return None
+    try:
+        return heisenberg(spec.get("m", 1)) if builtin else algebra_from_json(spec)
+    except ValueError as exc:
+        problems.append(f"bad heisenberg parameter: {exc}" if builtin else str(exc))
+        return None
 
 
 def _build_model(name, alg, problems) -> CoordinateModel | None:

@@ -41,17 +41,15 @@ from .surfaces import (
     ChartJet,
     ShapeData,
     SurfaceChart,
-    _gauss_from_tangents,
     _second_fundamental,
     adapted_frame,
     chart_coefficients,
     chart_jets,
     gauss_map,
     induced_metric_with_gradient,
+    mean_curvature_derivatives,
+    shape_data,
     stacked_chart_jets,
-    stacked_gauss_map,
-    stacked_mean_curvature_derivatives,
-    stacked_shape_data,
 )
 
 TERM_KEYS = ("dh", "bracket_j", "curvature", "norm_b2_ric")
@@ -257,7 +255,7 @@ def oracle_laplacians(chart: SurfaceChart, cj: ChartJet, points, fd=FDParams()) 
     metric coefficients exactly; the Gauss map is differenced on its own
     stencils, those of all points in one field call.
     """
-    field = lambda pts: stacked_gauss_map(chart, pts)
+    field = lambda pts: gauss_map(chart, pts)
     grad, hess = gradient_hessian(field, points, fd, domain=chart.domain)
     delta = np.empty(grad.shape[:2])
     for i in range(len(delta)):
@@ -275,9 +273,10 @@ def laplacian_numeric(
     """Numeric Delta G, re-expressed in the adapted frame at u: the
     one-point view of ``oracle_laplacians``."""
     u = np.asarray(u, dtype=float)
+    cj = stacked_chart_jets(chart, u[None])
     if frame is None:
-        frame = adapted_frame(chart.model.algebra, gauss_map(chart, u))
-    delta = oracle_laplacians(chart, stacked_chart_jets(chart, u[None]), u[None], fd)[0]
+        frame = adapted_frame(chart.model.algebra, cj.normal[0])
+    delta = oracle_laplacians(chart, cj, u[None], fd)[0]
     return LaplacianReport.from_terms({"numeric": frame.ys @ delta}, "numeric_oracle")
 
 
@@ -319,10 +318,9 @@ def evaluate_points(
     alg = chart.model.algebra
     points = np.asarray(points, dtype=float)
     cj = stacked_chart_jets(chart, points)
-    normals = _gauss_from_tangents(cj.tangents, chart.orientation)
-    frames = [adapted_frame(alg, normal, completion_start=completion_start) for normal in normals]
-    shapes, coeffs = stacked_shape_data(chart, cj, frames, normals)
-    dhs = stacked_mean_curvature_derivatives(chart, points, coeffs, fd)
+    frames = [adapted_frame(alg, nrm, completion_start=completion_start) for nrm in cj.normal]
+    shapes, coeffs = shape_data(chart, cj, frames)
+    dhs = mean_curvature_derivatives(chart, points, coeffs, fd)
     deltas = [None] * len(points)
     if "numeric_oracle" in methods:
         deltas = oracle_laplacians(chart, cj, points, fd)
@@ -513,7 +511,7 @@ class GaussCodazziResult:
 
 def _gc_field(chart: SurfaceChart, cj: ChartJet) -> np.ndarray:
     """Rows of h_ab (4 entries), then the induced Christoffels Gamma^c_ab (8), at a ChartJet stack."""
-    h = _second_fundamental(chart, cj, _gauss_from_tangents(cj.tangents, chart.orientation))
+    h = _second_fundamental(chart, cj)
     g, dg = induced_metric_with_gradient(chart, cj)
     # Gamma^c_ab = g^cd (d_a g_db + d_b g_da - d_d g_ab) / 2
     lower = np.einsum("nadb->ndab", dg) + np.einsum("nbda->ndab", dg) - dg

@@ -88,7 +88,7 @@ class SurfaceChart:
 
 @dataclass(eq=False)
 class ChartJet:
-    """Chart data at one parameter point: value, jets, algebra tangents.
+    """Chart data at one parameter point: value, jets, algebra tangents, normal.
 
     ``stacked_chart_jets`` fills the same fields for a stack of N points,
     each with a leading axis of length N.
@@ -99,17 +99,19 @@ class ChartJet:
     hess: np.ndarray    # (d, n, n)
     ainv: np.ndarray    # inverse frame at point, (d, d)
     tangents: np.ndarray  # tangents in the algebra basis, (d, n)
+    normal: np.ndarray  # oriented unit normal in the algebra basis, (d,)
 
     def __getitem__(self, i) -> "ChartJet":
         """Row i of a stacked ChartJet."""
-        return ChartJet(self.point[i], self.jac[i], self.hess[i], self.ainv[i], self.tangents[i])
+        return ChartJet(**{key: val[i] for key, val in vars(self).items()})
 
 
 def stacked_chart_jets(chart: SurfaceChart, points) -> ChartJet:
     """Chart jets at every row of an (N, n) array, one tree walk per component.
 
-    Raises ImmersionError naming the first point whose Jacobian is nearly
-    rank deficient.
+    One SVD of the algebra tangents T gives the normal and the immersion
+    check: the frame is unipotent, so T has the Jacobian's rank.  Raises
+    ImmersionError naming the first point where T is nearly rank deficient.
     """
     points = np.asarray(points, dtype=float)
     n = chart.param_dim
@@ -125,16 +127,21 @@ def stacked_chart_jets(chart: SurfaceChart, points) -> ChartJet:
         val[:, k] = jet.val
         jac[:, k] = jet.grad
         hess[:, k] = jet.hess
-    smin = np.linalg.svd(jac, compute_uv=False)[:, -1]
+    ainv = chart.model.frame_inverse(val)
+    tangents = ainv @ jac
+    u_full, sv, _ = np.linalg.svd(tangents, full_matrices=True)
+    smin = sv[:, -1]
     bad = smin <= IMMERSION_RANK_TOL
     if bad.any():
         i = int(np.argmax(bad))
         raise ImmersionError(
             f"chart Jacobian nearly rank deficient at u={points[i].tolist()} "
-            f"(smallest singular value {smin[i]:.3e})"
+            f"(smallest tangent singular value {smin[i]:.3e})"
         )
-    ainv = chart.model.frame_inverse(val)
-    return ChartJet(point=val, jac=jac, hess=hess, ainv=ainv, tangents=ainv @ jac)
+    normal = u_full[:, :, -1]
+    det = np.linalg.det(np.concatenate([tangents, normal[..., None]], axis=-1))
+    normal = np.where((det * chart.orientation < 0.0)[:, None], -normal, normal)
+    return ChartJet(point=val, jac=jac, hess=hess, ainv=ainv, tangents=tangents, normal=normal)
 
 
 def chart_jets(chart: SurfaceChart, u) -> ChartJet:
@@ -142,29 +149,11 @@ def chart_jets(chart: SurfaceChart, u) -> ChartJet:
     return stacked_chart_jets(chart, np.asarray(u, dtype=float)[None])[0]
 
 
-def _gauss_from_tangents(tangents: np.ndarray, orientation: int) -> np.ndarray:
-    """Unit normal of tangents (d, n), or of each frame in a stack (N, d, n)."""
-    u_full = np.linalg.svd(tangents, full_matrices=True)[0]
-    normal = u_full[..., :, -1]
-    det = np.linalg.det(np.concatenate([tangents, normal[..., None]], axis=-1))
-    return np.where((det * orientation < 0.0)[..., None], -normal, normal)
-
-
 def gauss_map(chart: SurfaceChart, u) -> np.ndarray:
-    """Unit normal at r(u), expressed in the algebra basis."""
-    cj = chart_jets(chart, u)
-    return _gauss_from_tangents(cj.tangents, chart.orientation)
-
-
-def stacked_gauss_map(chart: SurfaceChart, points) -> np.ndarray:
-    """Unit normals (N, d) at every row of an (N, n) array of points."""
-    cj = stacked_chart_jets(chart, points)
-    return _gauss_from_tangents(cj.tangents, chart.orientation)
-
-
-def induced_metric(chart: SurfaceChart, u) -> np.ndarray:
-    cj = chart_jets(chart, u)
-    return cj.tangents.T @ cj.tangents
+    """Unit normal at r(u) in the algebra basis: (n,) -> (d,), or (N, n) -> (N, d)."""
+    u = np.asarray(u, dtype=float)
+    normal = stacked_chart_jets(chart, np.atleast_2d(u)).normal
+    return normal if u.ndim == 2 else normal[0]
 
 
 def induced_metric_with_gradient(chart: SurfaceChart, cj: ChartJet):
@@ -181,29 +170,25 @@ def induced_metric_with_gradient(chart: SurfaceChart, cj: ChartJet):
     return g, dg
 
 
-def _second_fundamental(chart: SurfaceChart, cj: ChartJet, normals):
-    """Coordinate second fundamental form against the unit normals, one point or a stack."""
+def _second_fundamental(chart: SurfaceChart, cj: ChartJet):
+    """Coordinate second fundamental form against the chart normal, one point or a stack."""
     gamma = chart.model.christoffels(cj.point)
-    nabla = cj.hess + np.einsum("...kij,...ia,...jb->...kab", gamma, cj.jac, cj.jac)
+    jac = cj.jac[..., None, :, :]
+    # Gamma^k_ij J_ia J_jb as J^T Gamma^k J for every k
+    nabla = cj.hess + np.swapaxes(jac, -1, -2) @ gamma @ jac
     w_alg = np.einsum("...kl,...lab->...kab", cj.ainv, nabla)
-    return np.einsum("...kab,...k->...ab", w_alg, normals)
+    return np.einsum("...kab,...k->...ab", w_alg, cj.normal)
 
 
-def _mean_curvature(chart: SurfaceChart, cj: ChartJet):
-    h = _second_fundamental(chart, cj, _gauss_from_tangents(cj.tangents, chart.orientation))
-    t = cj.tangents
-    g = np.swapaxes(t, -1, -2) @ t
-    return np.trace(np.linalg.solve(g, h), axis1=-2, axis2=-1) / chart.param_dim
-
-
-def mean_curvature(chart: SurfaceChart, u) -> float:
-    """Frame-independent mean curvature H = tr(g^-1 h) / n."""
-    return float(_mean_curvature(chart, chart_jets(chart, u)))
-
-
-def stacked_mean_curvature(chart: SurfaceChart, points) -> np.ndarray:
-    """Mean curvature (N,) at every row of an (N, n) array of points."""
-    return _mean_curvature(chart, stacked_chart_jets(chart, points))
+def mean_curvature(chart: SurfaceChart, u):
+    """Frame-independent mean curvature H = tr(g^-1 h) / n: a float at one
+    point (n,), or (N,) at the rows of (N, n)."""
+    u = np.asarray(u, dtype=float)
+    cj = stacked_chart_jets(chart, np.atleast_2d(u))
+    g = np.swapaxes(cj.tangents, -1, -2) @ cj.tangents
+    h = _second_fundamental(chart, cj)
+    hs = np.trace(np.linalg.solve(g, h), axis1=-2, axis2=-1) / chart.param_dim
+    return hs if u.ndim == 2 else float(hs[0])
 
 
 # ---------------------------------------------------------------------------
@@ -386,34 +371,25 @@ def chart_coefficients(cj: ChartJet, vecs) -> np.ndarray:
     return sol[..., 0, :] if y.ndim == 1 else sol
 
 
-def stacked_shape_data(chart: SurfaceChart, cj: ChartJet, frames, normals):
-    """``shape_data`` at every row of a stacked ChartJet, one frame and chart
-    normal per row; each frame's normal must match its row's.
+def shape_data(chart: SurfaceChart, cj: ChartJet, frames):
+    """b_ij = <nabla_{Y_i} Y_j, normal> at a ChartJet row with its frame, or a list
+    of them at a stack with one frame per row; each frame's normal must match.
 
-    Also returns the chart directions (N, n, n) of Y_1 .. Y_n, along which
-    Y_k(n H) is differenced: one ``chart_coefficients`` call for all rows.
+    The form is tensorial, so the chart directions of Y_1 .. Y_n, from one
+    ``chart_coefficients`` call, contract its coordinate form to the frame
+    value.  Also returns those directions, (n, n) or (N, n, n), along which
+    Y_k(n H) is differenced.
     """
-    ys = np.array([frame.ys for frame in frames])
-    if (np.linalg.norm(ys[:, -1] - normals, axis=-1) > 1e-8).any():
+    one = cj.point.ndim == 1
+    ys = frames.ys if one else np.array([frame.ys for frame in frames])
+    if (np.linalg.norm(ys[..., -1, :] - cj.normal, axis=-1) > 1e-8).any():
         raise ValueError("adapted frame normal does not match the chart normal")
-    coeffs = chart_coefficients(cj, ys[:, :-1])
-    b = coeffs @ _second_fundamental(chart, cj, normals) @ np.swapaxes(coeffs, -1, -2)
+    coeffs = chart_coefficients(cj, ys[..., :-1, :])
+    b = coeffs @ _second_fundamental(chart, cj) @ np.swapaxes(coeffs, -1, -2)
     hs, norms = np.trace(b, axis1=-2, axis2=-1) / b.shape[-1], (b * b).sum(axis=(-2, -1))
+    if one:
+        return ShapeData(b=b, h=float(hs), norm_b2=float(norms)), coeffs
     return [ShapeData(b=x, h=float(h), norm_b2=float(nb)) for x, h, nb in zip(b, hs, norms)], coeffs
-
-
-def shape_data(chart: SurfaceChart, u, frame: AdaptedFrame) -> ShapeData:
-    """b_ij = <nabla_{Y_i} Y_j, normal> via ambient coordinate Christoffels.
-
-    The frame vectors are expressed in chart-tangent coordinates by a
-    pointwise linear solve; the second fundamental form is tensorial, so
-    contracting those coefficients with the coordinate form of
-    <nabla_{d_a r} d_b r, normal> is exactly the frame value.  This is the
-    one-point view of ``stacked_shape_data``.
-    """
-    cj = stacked_chart_jets(chart, np.asarray(u, dtype=float)[None])
-    normals = _gauss_from_tangents(cj.tangents, chart.orientation)
-    return stacked_shape_data(chart, cj, [frame], normals)[0][0]
 
 
 def frame_directional_derivative(
@@ -429,27 +405,21 @@ def frame_directional_derivative(
     ``y_vec`` is one algebra vector, giving a float, or a stack of k of
     them, giving k derivatives from one call of the field.
     """
-    y = np.asarray(y_vec, dtype=float)
-    directions = chart_coefficients(chart_jets(chart, u), np.atleast_2d(y))
+    directions = chart_coefficients(chart_jets(chart, u), y_vec)
     out = directional_derivative(scalar_field, u, directions, fd, domain=chart.domain)
-    return out if y.ndim == 2 else float(out[0])
+    return out if out.ndim else float(out)
 
 
-def stacked_mean_curvature_derivatives(chart: SurfaceChart, points, coeffs, fd=FDParams()):
-    """Y_k(n H) at every row of an (N, n) array, or at one point, by Richardson FD.
+def mean_curvature_derivatives(chart: SurfaceChart, u, coeffs, fd=FDParams()):
+    """Y_k(n H) at one point u, or at every row of an (N, n) array, by Richardson FD.
 
-    ``coeffs`` (N, n, n), or (n, n), are the frame's chart directions; the
-    stencils of all rows go to one field call.
+    ``coeffs`` (n, n), or (N, n, n), are the chart directions of the frame
+    vectors Y_1 .. Y_n, as ``shape_data`` returns them; the stencils of all
+    rows go to one field call.
     """
     n = chart.param_dim
-    field = lambda pts: n * stacked_mean_curvature(chart, pts)
-    return directional_derivative(field, points, coeffs, fd, domain=chart.domain)
-
-
-def mean_curvature_derivatives(chart: SurfaceChart, u, frame: AdaptedFrame, fd=FDParams()):
-    """Y_k(n H) for the n tangent frame vectors at one point u."""
-    coeffs = chart_coefficients(chart_jets(chart, u), frame.ys[:-1])
-    return stacked_mean_curvature_derivatives(chart, u, coeffs, fd)
+    field = lambda pts: n * mean_curvature(chart, pts)
+    return directional_derivative(field, u, coeffs, fd, domain=chart.domain)
 
 
 # ---------------------------------------------------------------------------

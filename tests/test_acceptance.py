@@ -37,7 +37,7 @@ from nilgauss import (
     shape_data,
     vertical_plane_chart,
 )
-from nilgauss.surfaces import ShapeData
+from nilgauss.surfaces import ShapeData, chart_jets
 from conftest import free_two_step_5d, quaternionic_heisenberg, random_unit
 
 
@@ -215,8 +215,8 @@ def test_criterion_8_degenerate_frames():
             g = gauss_map(chart, u)
             frame = adapted_frame(alg, g)
             assert frame.gram_residual() < 1e-10
-            shape = shape_data(chart, u, frame)
-            dh = mean_curvature_derivatives(chart, u, frame)
+            shape, coeffs = shape_data(chart, chart_jets(chart, u), frame)
+            dh = mean_curvature_derivatives(chart, u, coeffs)
             for fn in (laplacian_general, laplacian_h_type, laplacian_heisenberg):
                 rep = fn(alg, frame, shape, dh)
                 assert np.isfinite(rep.coeffs).all()

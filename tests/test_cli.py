@@ -439,3 +439,32 @@ def test_too_deep_expression_is_a_chart_error(tmp_path, capsys, height):
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("config error: bad chart specification: ")
     assert "deeper than" in lines[0]
+
+
+@pytest.mark.parametrize("verb", ["validate", "sweep"])
+@pytest.mark.parametrize(
+    "algebra, problem",
+    [
+        ({"builtin": "heisenberg", "m": 50000}, "algebra dimension 100001 exceeds the limit"),
+        (
+            {"dim_total": 100000, "dim_center": 1, "brackets": []},
+            "algebra dimension 100000 exceeds",
+        ),
+        ({"builtin": "heisenberg", "m": 2.5}, "algebra m must be an integer"),
+        ({"builtin": "heisenberg", "m": "2"}, "algebra m must be an integer"),
+        ({"dim_total": 3.7, "dim_center": 1, "brackets": []}, "algebra dim_total must be an int"),
+    ],
+)
+def test_oversized_or_non_integer_algebra_sizes_exit_2(
+    tmp_path, capsys, monkeypatch, verb, algebra, problem
+):
+    """Rejected from the document alone: no algebra is built, so nothing is allocated."""
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("an algebra was built")
+
+    monkeypatch.setattr(cli, "heisenberg", forbidden)
+    monkeypatch.setattr(cli, "algebra_from_json", forbidden)
+    path = write_config(tmp_path, dict(BASE_CONFIG, algebra=algebra))
+    assert main([verb, "--config", path]) == 2
+    assert f"config error: {problem}" in capsys.readouterr().err

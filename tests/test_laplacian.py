@@ -37,9 +37,9 @@ from nilgauss.fd import directional_derivative
 from nilgauss.surfaces import (
     ShapeData,
     chart_coefficients,
+    chart_jets,
+    mean_curvature,
     stacked_chart_jets,
-    stacked_gauss_map,
-    stacked_mean_curvature,
 )
 from conftest import abelian_3d, free_two_step_5d, quaternionic_heisenberg, random_unit
 
@@ -86,7 +86,8 @@ def test_leaf_laplacian_closed_form(x):
     rep, frame, shape = closed_form_report(chart, [x, 0.0])
     np.testing.assert_allclose(rep.coeffs, leaf_target(x), atol=1e-12)
     # same through the specialized Heisenberg form
-    dh = mean_curvature_derivatives(chart, [x, 0.0], frame)
+    coeffs = shape_data(chart, chart_jets(chart, [x, 0.0]), frame)[1]
+    dh = mean_curvature_derivatives(chart, [x, 0.0], coeffs)
     hrep = laplacian_heisenberg(heisenberg(1), frame, shape, dh)
     np.testing.assert_allclose(hrep.coeffs, rep.coeffs, atol=1e-12)
 
@@ -105,7 +106,7 @@ def test_leaf_displayed_block_identities():
     for x in (0.5, 1.0, 1.7):
         u = [x, 0.0]
         frame = adapted_frame(alg, gauss_map(chart, u))
-        shape = shape_data(chart, u, frame)
+        shape = shape_data(chart, chart_jets(chart, u), frame)[0]
         s = np.linalg.norm(frame.x_n1)
         c = np.linalg.norm(frame.z_n1)
         b = shape.b
@@ -123,7 +124,8 @@ def test_vertical_plane_all_methods_zero():
     u = [0.2, -0.4]
     rep, frame, shape = closed_form_report(chart, u)
     np.testing.assert_allclose(rep.coeffs, np.zeros(3), atol=1e-12)
-    dh = mean_curvature_derivatives(chart, u, frame)
+    coeffs = shape_data(chart, chart_jets(chart, u), frame)[1]
+    dh = mean_curvature_derivatives(chart, u, coeffs)
     for fn in (laplacian_h_type, laplacian_heisenberg):
         np.testing.assert_allclose(
             fn(heisenberg(1), frame, shape, dh).coeffs, np.zeros(3), atol=1e-12
@@ -242,7 +244,8 @@ def test_oracle_equivalence_heisenberg_3():
         rep, frame, shape = closed_form_report(chart, u)
         num = laplacian_numeric(chart, u, frame=frame)
         assert np.abs(rep.coeffs - num.coeffs).max() < 5e-4
-        dh = mean_curvature_derivatives(chart, u, frame)
+        coeffs = shape_data(chart, chart_jets(chart, u), frame)[1]
+        dh = mean_curvature_derivatives(chart, u, coeffs)
         assert np.abs(laplacian_heisenberg(alg, frame, shape, dh).coeffs - rep.coeffs).max() < 1e-10
 
 
@@ -256,7 +259,8 @@ def test_oracle_equivalence_quaternionic_h_type():
         rep, frame, shape = closed_form_report(chart, u)
         num = laplacian_numeric(chart, u, frame=frame)
         assert np.abs(rep.coeffs - num.coeffs).max() < 5e-4
-        dh = mean_curvature_derivatives(chart, u, frame)
+        coeffs = shape_data(chart, chart_jets(chart, u), frame)[1]
+        dh = mean_curvature_derivatives(chart, u, coeffs)
         assert np.abs(laplacian_h_type(quat, frame, shape, dh).coeffs - rep.coeffs).max() < 1e-10
 
 
@@ -314,7 +318,7 @@ def test_coupling_residuals_vertical_plane():
     chart = vertical_plane_chart()
     u = [0.1, 0.1]
     frame = adapted_frame(heisenberg(1), gauss_map(chart, u))
-    shape = shape_data(chart, u, frame)
+    shape = shape_data(chart, chart_jets(chart, u), frame)[0]
     assert harmonicity_cmc_residuals(shape, frame) == (0.0, 0.0, 0.0)
 
 
@@ -325,7 +329,7 @@ def test_coupling_residual_leaf_value():
     for x in (0.7, 1.3):
         u = [x, 0.0]
         frame = adapted_frame(alg, gauss_map(chart, u))
-        shape = shape_data(chart, u, frame)
+        shape = shape_data(chart, chart_jets(chart, u), frame)[0]
         r1, r2, r3 = harmonicity_cmc_residuals(shape, frame)
         assert r1 == 0.0  # empty index set for m = 1
         assert r2 == pytest.approx((1 + x * x) ** -1.5, abs=1e-12)
@@ -339,7 +343,7 @@ def test_coupling_residuals_cylinder_family():
         for s in (-0.4, 0.3):
             u = [s, 0.2]
             frame = adapted_frame(heisenberg(1), gauss_map(chart, u))
-            shape = shape_data(chart, u, frame)
+            shape = shape_data(chart, chart_jets(chart, u), frame)[0]
             assert max(harmonicity_cmc_residuals(shape, frame)) < 1e-6
 
 
@@ -420,9 +424,9 @@ def test_pointwise_subharmonicity_identity():
     v = random_unit(rng, 3)
     for u in ([0.2, 0.1], [-0.3, -0.4]):
         w = float(gauss_map(chart, u) @ v)
-        lw = laplace_beltrami_scalar(chart, u, lambda pts: stacked_gauss_map(chart, pts) @ v)
+        lw = laplace_beltrami_scalar(chart, u, lambda pts: gauss_map(chart, pts) @ v)
         frame = adapted_frame(alg, gauss_map(chart, u))
-        shape = shape_data(chart, u, frame)
+        shape = shape_data(chart, chart_jets(chart, u), frame)[0]
         pot = shape.norm_b2 + ricci(alg, frame.normal, frame.normal)
         assert lw == pytest.approx(-pot * w, abs=5e-4)
 
@@ -449,7 +453,7 @@ def test_jacobi_reads_the_oracle_laplacian(f1, f2):
     expected = 0.0
     for ev in evals:
         normal = ev.frame.normal
-        lw = laplace_beltrami_scalar(chart, ev.u, lambda p: stacked_gauss_map(chart, p) @ v)
+        lw = laplace_beltrami_scalar(chart, ev.u, lambda p: gauss_map(chart, p) @ v)
         pot = ev.shape.norm_b2 + ricci(alg, normal, normal)
         expected = max(expected, abs(lw + pot * float(normal @ v)))
     rep = jacobi_residuals(chart, evals, v)
@@ -465,9 +469,9 @@ def test_jacobi_makes_one_oracle_call_for_records_without_one(monkeypatch):
 
     def counted(chart_, p):
         calls.append(len(p))
-        return stacked_gauss_map(chart_, p)
+        return gauss_map(chart_, p)
 
-    monkeypatch.setattr("nilgauss.laplacian.stacked_gauss_map", counted)
+    monkeypatch.setattr("nilgauss.laplacian.gauss_map", counted)
     v = [0.3, 0.9, 0.1]
     reference = jacobi_residuals(chart, with_oracle, v)
     assert calls == []
@@ -616,7 +620,7 @@ def test_central_variation_reads_central_frame_derivatives(free5):
     pts = [np.array([0.1, -0.2, 0.3, 0.0]), np.array([-0.2, 0.1, 0.0, 0.2])]
     evals = [evaluate_point(chart, u) for u in pts]
     rep = central_h_variation(chart, evals, tol=np.inf)
-    h_field = lambda p: stacked_mean_curvature(chart, p)
+    h_field = lambda p: mean_curvature(chart, p)
     expected = 0.0
     for ev in evals:
         # tangent frame vectors with no horizontal part
@@ -677,7 +681,7 @@ def test_gauss_codazzi_requires_3d():
 
 def test_gauss_codazzi_one_fd_call_and_no_frames(monkeypatch):
     """One directional_derivative call with one field evaluation per evaluated
-    point; no adapted frame and no gauss_map / stacked_gauss_map call."""
+    point; no adapted frame and no gauss_map call."""
     chart = foliation_leaf_chart()
     evals = [evaluate_point(chart, [x, 0.0]) for x in (0.0, 0.5, 1.2)]  # x = 0 is skipped
     field_rows = []
@@ -693,7 +697,7 @@ def test_gauss_codazzi_one_fd_call_and_no_frames(monkeypatch):
         raise AssertionError("a frame or Gauss map was built")
 
     monkeypatch.setattr("nilgauss.laplacian.directional_derivative", counted)
-    for name in ("adapted_frame", "gauss_map", "stacked_gauss_map"):
+    for name in ("adapted_frame", "gauss_map"):
         monkeypatch.setattr(f"nilgauss.laplacian.{name}", forbidden)
         monkeypatch.setattr(f"nilgauss.surfaces.{name}", forbidden)
     results = [gauss_codazzi_residuals(chart, ev) for ev in evals]

@@ -25,3 +25,15 @@ def test_script_runs(argv):
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip()
+
+
+def test_readme_library_example_runs():
+    """The first python block under "## Library example" in the README runs."""
+    section = (ROOT / "README.md").read_text().split("\n## Library example\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=env
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip()

@@ -12,7 +12,6 @@ from nilgauss import (
     gauss_map,
     graph_chart,
     heisenberg,
-    induced_metric,
     mean_curvature,
     mean_curvature_derivatives,
     nil_polarized_model,
@@ -25,9 +24,8 @@ from nilgauss.fd import BoundaryError
 from nilgauss.surfaces import (
     chart_coefficients,
     chart_jets,
+    induced_metric_with_gradient,
     stacked_chart_jets,
-    stacked_gauss_map,
-    stacked_mean_curvature,
 )
 from conftest import abelian_3d, basis, random_unit
 
@@ -100,14 +98,33 @@ def test_stacked_chart_layers_equal_single_points_bit_for_bit(algebra):
     chart = random_graph_chart(exp_model(algebra), rng, terms=4)
     pts = rng.uniform(-0.4, 0.4, (7, chart.param_dim))
     cj = stacked_chart_jets(chart, pts)
-    normals = stacked_gauss_map(chart, pts)
-    hs = stacked_mean_curvature(chart, pts)
+    normals = gauss_map(chart, pts)
+    hs = mean_curvature(chart, pts)
     for i, u in enumerate(pts):
         single = chart_jets(chart, u)
-        for name in ("point", "jac", "hess", "ainv", "tangents"):
+        for name in ("point", "jac", "hess", "ainv", "tangents", "normal"):
             np.testing.assert_array_equal(getattr(cj, name)[i], getattr(single, name))
         np.testing.assert_array_equal(normals[i], gauss_map(chart, u))
         assert hs[i] == mean_curvature(chart, u)
+
+
+def test_one_svd_per_chart_evaluation(monkeypatch):
+    """The normal and the immersion check read one SVD of the tangents."""
+    rng = np.random.default_rng(6)
+    chart = random_graph_chart(exp_model(heisenberg(2)), rng, terms=4)
+    pts = rng.uniform(-0.4, 0.4, (5, chart.param_dim))
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(np.shape(args[0]))
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    stacked_chart_jets(chart, pts)
+    assert calls == [(5, 5, 4)]
+    gauss_map(chart, pts)
+    assert calls == [(5, 5, 4)] * 2
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +239,7 @@ def test_leaf_shape_values():
     for x in (0.0, 0.5, 1.0, 2.0):
         u = [x, 0.1]
         frame = adapted_frame(heisenberg(1), gauss_map(chart, u))
-        shape = shape_data(chart, u, frame)
+        shape = shape_data(chart, chart_jets(chart, u), frame)[0]
         assert shape.h == pytest.approx(0.0, abs=1e-12)
         assert shape.norm_b2 == pytest.approx(leaf_norm_b2(x), abs=1e-12)
         assert np.abs(shape.b - shape.b.T).max() < 1e-12
@@ -232,7 +249,7 @@ def test_vertical_plane_shape_values():
     chart = vertical_plane_chart()
     u = [0.3, -0.2]
     frame = adapted_frame(heisenberg(1), gauss_map(chart, u))
-    shape = shape_data(chart, u, frame)
+    shape = shape_data(chart, chart_jets(chart, u), frame)[0]
     assert shape.h == pytest.approx(0.0, abs=1e-13)
     assert shape.norm_b2 == pytest.approx(0.5, abs=1e-12)
     # frame is (K, -Z, L); the mixed entry is b(K, -Z) = +1/2
@@ -248,7 +265,7 @@ def test_abelian_affine_plane_flat():
     )
     u = [0.2, 0.4]
     frame = adapted_frame(model.algebra, gauss_map(chart, u))
-    shape = shape_data(chart, u, frame)
+    shape = shape_data(chart, chart_jets(chart, u), frame)[0]
     np.testing.assert_allclose(shape.b, np.zeros((2, 2)), atol=1e-12)
 
 
@@ -259,7 +276,7 @@ def test_shape_symmetry_on_random_charts(h2):
         chart = random_graph_chart(model, rng)
         u = rng.uniform(-0.4, 0.4, 4)
         frame = adapted_frame(h2, gauss_map(chart, u))
-        shape = shape_data(chart, u, frame)
+        shape = shape_data(chart, chart_jets(chart, u), frame)[0]
         assert np.abs(shape.b - shape.b.T).max() < 1e-8
         assert shape.h == pytest.approx(np.trace(shape.b) / 4, abs=1e-13)
         assert shape.norm_b2 == pytest.approx((shape.b**2).sum(), abs=1e-13)
@@ -269,7 +286,7 @@ def test_shape_frame_mismatch_rejected():
     chart = foliation_leaf_chart()
     frame = adapted_frame(heisenberg(1), gauss_map(chart, [0.5, 0.0]))
     with pytest.raises(ValueError, match="does not match"):
-        shape_data(chart, [1.0, 0.0], frame)
+        shape_data(chart, chart_jets(chart, [1.0, 0.0]), frame)
 
 
 def test_reparametrization_invariance():
@@ -295,8 +312,8 @@ def test_reparametrization_invariance():
         )
         f1 = adapted_frame(alg, gauss_map(chart, u))
         f2 = adapted_frame(alg, gauss_map(chart2, v))
-        s1 = shape_data(chart, u, f1)
-        s2 = shape_data(chart2, v, f2)
+        s1 = shape_data(chart, chart_jets(chart, u), f1)[0]
+        s2 = shape_data(chart2, chart_jets(chart2, v), f2)[0]
         assert s1.h == pytest.approx(s2.h, abs=1e-8)
         assert s1.norm_b2 == pytest.approx(s2.norm_b2, abs=1e-8)
 
@@ -341,7 +358,7 @@ def test_chart_coefficients_reject_the_normal():
     rng = np.random.default_rng(7)
     chart = random_graph_chart(exp_model(heisenberg(2)), rng, terms=4)
     pts = rng.uniform(-0.5, 0.5, (4, 4))
-    cj, normals = stacked_chart_jets(chart, pts), stacked_gauss_map(chart, pts)
+    cj, normals = stacked_chart_jets(chart, pts), gauss_map(chart, pts)
     with pytest.raises(ValueError, match="not tangent"):
         chart_coefficients(cj[0], normals[0])
     vecs = np.swapaxes(cj.tangents, 1, 2).copy()  # each row's tangent columns
@@ -358,7 +375,8 @@ def test_chart_coefficients_reject_the_normal():
 
 def test_vertical_plane_induced_metric_identity():
     chart = vertical_plane_chart()
-    np.testing.assert_allclose(induced_metric(chart, [0.4, 0.1]), np.eye(2), atol=1e-14)
+    g = induced_metric_with_gradient(chart, chart_jets(chart, [0.4, 0.1]))[0]
+    np.testing.assert_allclose(g, np.eye(2), atol=1e-14)
 
 
 def test_directional_derivative_constant_field():
@@ -371,7 +389,8 @@ def test_leaf_mean_curvature_derivatives_vanish():
     chart = foliation_leaf_chart()
     u = [0.7, 0.0]
     frame = adapted_frame(heisenberg(1), gauss_map(chart, u))
-    dh = mean_curvature_derivatives(chart, u, frame)
+    coeffs = shape_data(chart, chart_jets(chart, u), frame)[1]
+    dh = mean_curvature_derivatives(chart, u, coeffs)
     assert np.abs(dh).max() < 1e-10
 
 
@@ -392,7 +411,8 @@ def test_boundary_stencil_error():
     u = [1.0 - 1e-6, 0.0]
     frame = adapted_frame(heisenberg(1), gauss_map(chart, u))
     with pytest.raises(BoundaryError):
-        mean_curvature_derivatives(chart, u, frame)
+        coeffs = shape_data(chart, chart_jets(chart, u), frame)[1]
+        mean_curvature_derivatives(chart, u, coeffs)
 
 
 def test_mean_curvature_frame_free_matches_trace():
@@ -402,7 +422,7 @@ def test_mean_curvature_frame_free_matches_trace():
         chart = random_graph_chart(model, rng)
         u = rng.uniform(-0.4, 0.4, 2)
         frame = adapted_frame(model.algebra, gauss_map(chart, u))
-        shape = shape_data(chart, u, frame)
+        shape = shape_data(chart, chart_jets(chart, u), frame)[0]
         assert mean_curvature(chart, u) == pytest.approx(shape.h, abs=1e-11)
 
 
