@@ -2,14 +2,17 @@
 
 A field ``f`` maps an (N, n) array of parameter points to an array of N
 values, one row per point (each row a float or an array).  Both
-differentiators take one centre (n,) or a stack of M centres (M, n),
-build the whole stencil of every centre, every Richardson level
-included, as one array of points and call the field on it, in chunks of
-at most ``FIELD_ROWS`` rows.
+differentiators take one centre (n,) or a stack of M centres (M, n).
+Richardson extrapolation is folded into fixed weights on differenced
+values, so a constant field gives exactly zero.  The stencils, every
+level included, are built, evaluated and reduced one chunk of centres at
+a time: a field call gets at most ``FIELD_ROWS`` rows, or one whole
+centre's stencil if that is larger.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -17,6 +20,7 @@ import numpy as np
 
 # Rows per field call: a chart field holds second-order jets for every row,
 # which for all stencils of a large grid in high dimension take gigabytes.
+# Chunks hold whole centres, so one centre's stencil may exceed it.
 FIELD_ROWS = 8192
 
 
@@ -58,18 +62,23 @@ def check_stencil(u, radius, domain) -> None:
         )
 
 
-def _evaluate(f, points: np.ndarray) -> np.ndarray:
-    chunks = []
-    for first in range(0, len(points), FIELD_ROWS):
-        block = points[first:first + FIELD_ROWS]
-        values = np.asarray(f(block), dtype=float)
-        if values.shape[:1] != (len(block),):
+def _stencil_values(f, centres, size, offsets):
+    """Field values at the stencils of ``centres``, (c, S) + row shape, for one
+    chunk of c centres at a time: at most ``FIELD_ROWS`` rows per field call,
+    but never less than one whole centre.  ``offsets(chunk)`` gives the S
+    offsets of the centres in the slice ``chunk``, (S, n) or (c, S, n)."""
+    n = centres.shape[1]
+    per = max(1, FIELD_ROWS // size)
+    for first in range(0, len(centres), per):
+        chunk = slice(first, first + per)
+        points = (centres[chunk, None] + offsets(chunk)).reshape(-1, n)
+        values = np.asarray(f(points), dtype=float)
+        if values.shape[:1] != (len(points),):
             raise ValueError(
-                f"field returned shape {values.shape} for {len(block)} points; "
+                f"field returned shape {values.shape} for {len(points)} points; "
                 "it must return one row per point"
             )
-        chunks.append(values)
-    return np.concatenate(chunks)
+        yield values.reshape((-1, size) + values.shape[1:])
 
 
 def directional_derivative(f, u, direction, fd: FDParams = FDParams(), domain=None):
@@ -93,18 +102,63 @@ def directional_derivative(f, u, direction, fd: FDParams = FDParams(), domain=No
     unit = flat / np.where(scale == 0.0, 1.0, scale)[..., None]
     check_stencil(centres, fd.step * np.abs(unit).max(axis=1), domain)
     hs = fd.step / 2.0 ** np.arange(fd.levels)
+    # Richardson folded into one weight per level on (f(u + h d) - f(u - h d))
+    weights = _richardson(np.diag(0.5 / hs))
     # u + h d and u - h d, as u + (+-h) d: the sign flips are exact
-    steps = np.multiply.outer(hs, [1.0, -1.0])[:, :, None] * unit[:, :, None, None]
-    stencil = centres[:, None, None, None] + steps  # (M, k, levels, 2, n)
-    values = _evaluate(f, stencil.reshape(-1, n))
-    values = values.reshape(stencil.shape[:4] + values.shape[1:])
-    ests = [
-        (values[:, :, lvl, 0] - values[:, :, lvl, 1]) / (2.0 * h)
-        for lvl, h in enumerate(hs)
-    ]
-    row_axes = (1,) * (values.ndim - 4)
-    out = scale.reshape(scale.shape + row_axes) * _richardson(ests)
+    signed = np.multiply.outer(hs, [1.0, -1.0])[:, :, None]
+    k = flat.shape[1]
+    size = 2 * k * fd.levels
+    steps = lambda chunk: (signed * unit[chunk, :, None, None]).reshape(-1, size, n)
+    outs = []
+    for values in _stencil_values(f, centres, size, steps):
+        values = values.reshape((len(values), k, fd.levels, 2) + values.shape[2:])
+        diffs = values[:, :, :, 0] - values[:, :, :, 1]
+        outs.append(sum(w * diffs[:, :, lvl] for lvl, w in enumerate(weights)))
+    out = np.concatenate(outs)
+    out = scale.reshape(scale.shape + (1,) * (out.ndim - 2)) * out
     return out.reshape(dirs.shape[:-1] + out.shape[2:])
+
+
+@functools.lru_cache(maxsize=32)
+def _hessian_table(n: int, fd: FDParams):
+    """Stencil offsets (S, n) with the Richardson-folded weights of the gradient
+    (n, S) and of the Hessian (n * n, S).
+
+    Offset 0 is the centre; per level follow +-h e_a, then h (+-e_a +- e_b)
+    for a < b.  The weights apply to values differenced against the centre,
+    so the centre itself has weight zero.
+    """
+    ia, ib = np.triu_indices(n, 1)
+    pairs = len(ia)
+    per_level = 2 * n + 4 * pairs
+    size = 1 + fd.levels * per_level
+    offsets = np.zeros((size, n))
+    grads, hesss = [], []
+    diag, rows = np.arange(n), np.arange(pairs)
+    for lvl in range(fd.levels):
+        h = fd.step / 2.0**lvl
+        steps = np.eye(n) * h
+        first = 1 + lvl * per_level
+        offsets[first:first + per_level] = np.concatenate([
+            steps, -steps,
+            steps[ia] + steps[ib], steps[ia] - steps[ib],
+            -steps[ia] + steps[ib], -steps[ia] - steps[ib],
+        ])
+        grad = np.zeros((n, size))
+        grad[diag, first + diag] = 0.5 / h
+        grad[diag, first + n + diag] = -0.5 / h
+        hess = np.zeros((n, n, size))
+        hess[diag, diag, first + diag] = 1.0 / h**2
+        hess[diag, diag, first + n + diag] = 1.0 / h**2
+        for block, sign in enumerate((1.0, -1.0, -1.0, 1.0)):  # ++, +-, -+, --
+            col = first + 2 * n + block * pairs + rows
+            hess[ia, ib, col] = hess[ib, ia, col] = sign * 0.25 / h**2
+        grads.append(grad)
+        hesss.append(hess.reshape(n * n, size))
+    tables = offsets, _richardson(grads), _richardson(hesss)
+    for table in tables:
+        table.setflags(write=False)
+    return tables
 
 
 def gradient_hessian(f, u, fd: FDParams = FDParams(), domain=None):
@@ -112,47 +166,22 @@ def gradient_hessian(f, u, fd: FDParams = FDParams(), domain=None):
 
     ``u`` is one centre (n,) or a stack (M, n).  Returns arrays of shape
     ``u.shape[:-1] + out_shape + (n,)`` and ``u.shape[:-1] + out_shape +
-    (n, n)``.  Per level the stencil of a centre holds u +- h e_a, then
-    u +- h e_a +- h e_b for a < b; the centre u is shared by all levels.
+    (n, n)``.  Every centre shares one stencil table (``_hessian_table``):
+    the values, differenced against the centre's, meet two weight matrices.
     """
     u = np.asarray(u, dtype=float)
     n = u.shape[-1]
-    centres = u.reshape(-1, 1, n)
-    check_stencil(centres[:, 0], fd.step, domain)
-    ia, ib = np.triu_indices(n, 1)
-    stencil = [centres]
-    for lvl in range(fd.levels):
-        h = fd.step / 2.0**lvl
-        steps = np.eye(n) * h
-        plus, minus = centres + steps, centres - steps
-        stencil += [
-            plus, minus,
-            plus[:, ia] + steps[ib], plus[:, ia] - steps[ib],
-            minus[:, ia] + steps[ib], minus[:, ia] - steps[ib],
-        ]
-    stencil = np.concatenate(stencil, axis=1)
-    values = _evaluate(f, stencil.reshape(-1, n))
-    values = values.reshape(stencil.shape[:2] + values.shape[1:])
-    f0 = values[:, :1]
-    shape = values.shape[:1] + values.shape[2:]
-    pairs = len(ia)
+    centres = u.reshape(-1, n)
+    check_stencil(centres, fd.step, domain)
+    offsets, wgrad, whess = _hessian_table(n, fd)
     grads, hesss = [], []
-    first = 1
-    for lvl in range(fd.levels):
-        h = fd.step / 2.0**lvl
-        block = values[:, first:first + 2 * n + 4 * pairs]
-        first += block.shape[1]
-        fp, fm = block[:, :n], block[:, n:2 * n]
-        fpp, fpm, fmp, fmm = np.split(block[:, 2 * n:], 4, axis=1)
-        # contiguous, as einsum's summation order follows the memory layout
-        grad = np.ascontiguousarray(np.moveaxis((fp - fm) / (2.0 * h), 1, -1))
-        hess = np.empty(shape + (n, n))
-        hess[..., np.arange(n), np.arange(n)] = np.moveaxis((fp - 2.0 * f0 + fm) / h**2, 1, -1)
-        mixed = np.moveaxis((fpp - fpm - fmp + fmm) / (4.0 * h**2), 1, -1)
-        hess[..., ia, ib] = mixed
-        hess[..., ib, ia] = mixed
-        grads.append(grad)
-        hesss.append(hess)
-    grad, hess = _richardson(grads), _richardson(hesss)
+    for values in _stencil_values(f, centres, len(offsets), lambda chunk: offsets):
+        diff = values - values[:, :1]
+        rows = diff.shape[2:]
+        flat = diff.reshape(diff.shape[:2] + (-1,))  # (c, S, R)
+        grads.append(np.swapaxes(wgrad @ flat, 1, 2).reshape((-1,) + rows + (n,)))
+        hesss.append(np.swapaxes(whess @ flat, 1, 2).reshape((-1,) + rows + (n, n)))
+    # concatenate makes them contiguous: einsum's summation order follows the memory layout
+    grad, hess = np.concatenate(grads), np.concatenate(hesss)
     lead = u.shape[:-1]
     return grad.reshape(lead + grad.shape[1:]), hess.reshape(lead + hess.shape[1:])

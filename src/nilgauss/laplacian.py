@@ -225,14 +225,16 @@ def laplacian_heisenberg(
 
 
 def laplace_beltrami_coefficients(chart: SurfaceChart, cj: ChartJet):
-    """Exact g^{ab} and first-order coefficients c^b of the operator at a ChartJet row."""
+    """Exact g^{ab} and first-order coefficients c^b of the operator, at a ChartJet row or a stack."""
     g, dg = induced_metric_with_gradient(chart, cj)
     ginv = np.linalg.inv(g)
-    # c^b = d_a g^{ab} + g^{ab} tr(g^-1 d_a g) / 2
-    dg_inv = -np.einsum("xy,ayz,zw->axw", ginv, dg, ginv)
-    term1 = np.einsum("aab->b", dg_inv)
-    traces = np.einsum("xy,ayx->a", ginv, dg)
-    term2 = 0.5 * np.einsum("ab,a->b", ginv, traces)
+    # c^b = d_a g^{ab} + g^{ab} tr(g^-1 d_a g) / 2, with d_a g^-1 = -g^-1 (d_a g) g^-1
+    # matmul and trace rather than einsum: each row then sums in the same order
+    # in a stack as alone
+    ginv_a = ginv[..., None, :, :]
+    term1 = -np.trace(ginv_a @ dg @ ginv_a, axis1=-3, axis2=-2)
+    traces = np.trace(ginv_a @ dg, axis1=-2, axis2=-1)
+    term2 = 0.5 * (traces[..., None, :] @ ginv)[..., 0, :]
     return ginv, term1 + term2
 
 
@@ -252,16 +254,16 @@ def oracle_laplacians(chart: SurfaceChart, cj: ChartJet, points, fd=FDParams()) 
     """Numeric Delta G in the algebra basis, (N, d), at every row of an (N, n) array.
 
     ``cj`` holds the stacked chart jets at the points, which give the
-    metric coefficients exactly; the Gauss map is differenced on its own
-    stencils, those of all points in one field call.
+    metric coefficients exactly, one stacked inverse for all rows; the
+    Gauss map is differenced on its own stencils, those of all points in
+    one ``gradient_hessian`` call.
     """
     field = lambda pts: gauss_map(chart, pts)
     grad, hess = gradient_hessian(field, points, fd, domain=chart.domain)
-    delta = np.empty(grad.shape[:2])
-    for i in range(len(delta)):
-        ginv, cvec = laplace_beltrami_coefficients(chart, cj[i])
-        delta[i] = np.einsum("ab,kab->k", ginv, hess[i]) + np.einsum("b,kb->k", cvec, grad[i])
-    return delta
+    ginv, cvec = laplace_beltrami_coefficients(chart, cj)
+    count, d, n = grad.shape
+    second = hess.reshape(count, d, n * n) @ ginv.reshape(count, n * n, 1)
+    return (second + grad @ cvec[..., None])[..., 0]
 
 
 def laplacian_numeric(
@@ -310,7 +312,7 @@ def evaluate_points(
     """Frame, shape and a report per method at every row of an (N, n) array.
 
     The one pipeline: one stacked chart evaluation at the N points, one
-    field call for the Y_k(n H) stencils of all of them and one for the
+    FD call for the Y_k(n H) stencils of all of them and one for the
     oracle's.  ``general`` is always evaluated, because the checkers read
     it.  The oracle shares only the chart jets at the points with the
     closed forms, and gets the frame only to re-express Delta G.

@@ -109,9 +109,12 @@ class ChartJet:
 def stacked_chart_jets(chart: SurfaceChart, points) -> ChartJet:
     """Chart jets at every row of an (N, n) array, one tree walk per component.
 
-    One SVD of the algebra tangents T gives the normal and the immersion
-    check: the frame is unipotent, so T has the Jacobian's rank.  Raises
-    ImmersionError naming the first point where T is nearly rank deficient.
+    The normal is the last column of a complete QR of the algebra tangents
+    T, signed by the orientation through det(T | normal).  That determinant
+    also certifies the immersion check on most rows; the rest get the
+    singular values of T (the frame is unipotent, so T has the Jacobian's
+    rank).  Raises ImmersionError naming the first point where T is nearly
+    rank deficient.
     """
     points = np.asarray(points, dtype=float)
     n = chart.param_dim
@@ -129,17 +132,21 @@ def stacked_chart_jets(chart: SurfaceChart, points) -> ChartJet:
         hess[:, k] = jet.hess
     ainv = chart.model.frame_inverse(val)
     tangents = ainv @ jac
-    u_full, sv, _ = np.linalg.svd(tangents, full_matrices=True)
-    smin = sv[:, -1]
-    bad = smin <= IMMERSION_RANK_TOL
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise ImmersionError(
-            f"chart Jacobian nearly rank deficient at u={points[i].tolist()} "
-            f"(smallest tangent singular value {smin[i]:.3e})"
-        )
-    normal = u_full[:, :, -1]
+    normal = np.linalg.qr(tangents, mode="complete").Q[..., -1]
     det = np.linalg.det(np.concatenate([tangents, normal[..., None]], axis=-1))
+    # |det| is the product of T's n singular values, each at most |T|_F, so
+    # smin >= |det| / |T|_F^(n-1); rows not certified by a margin of 2 get an SVD
+    frob = np.sqrt((tangents * tangents).sum(axis=(-2, -1)))
+    unsure = np.flatnonzero(~(np.abs(det) > 2.0 * IMMERSION_RANK_TOL * frob ** (n - 1)))
+    if len(unsure):
+        smin = np.linalg.svd(tangents[unsure], compute_uv=False)[:, -1]
+        bad = smin <= IMMERSION_RANK_TOL
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ImmersionError(
+                f"chart Jacobian nearly rank deficient at u={points[unsure[i]].tolist()} "
+                f"(smallest tangent singular value {smin[i]:.3e})"
+            )
     normal = np.where((det * chart.orientation < 0.0)[:, None], -normal, normal)
     return ChartJet(point=val, jac=jac, hess=hess, ainv=ainv, tangents=tangents, normal=normal)
 
@@ -415,7 +422,7 @@ def mean_curvature_derivatives(chart: SurfaceChart, u, coeffs, fd=FDParams()):
 
     ``coeffs`` (n, n), or (N, n, n), are the chart directions of the frame
     vectors Y_1 .. Y_n, as ``shape_data`` returns them; the stencils of all
-    rows go to one field call.
+    rows go to one FD call.
     """
     n = chart.param_dim
     field = lambda pts: n * mean_curvature(chart, pts)

@@ -165,3 +165,47 @@ def test_boundary_error_names_the_offending_centre():
     with pytest.raises(BoundaryError, match=r"point \[0\.1, 0\.99995, 0\.0\] .* along u2"):
         directional_derivative(field, centres, along_u2, FDParams(step=1e-4), domain=domain)
     assert field.calls == 0
+
+
+@pytest.mark.parametrize("levels", [1, 2, 3])
+def test_constant_field_gives_exact_zeros(levels):
+    """Richardson weights meet differenced values, so no rounding is left over."""
+    centres = np.array([[0.3, -0.2, 0.5], [0.1, 0.7, -0.4]])
+    field = lambda pts: np.full((len(pts), 2), [1.0 / 3.0, -0.7])
+    fd = FDParams(step=1e-4, levels=levels)
+    grad, hess = gradient_hessian(field, centres, fd)
+    assert grad.shape == (2, 2, 3) and not grad.any()
+    assert hess.shape == (2, 2, 3, 3) and not hess.any()
+    dirs = np.array([[[1.0, 2.0, -1.0], [0.0, 0.3, 0.0]], [[0.2, 0.0, 0.0], [1.0, 1.0, 1.0]]])
+    deriv = directional_derivative(field, centres, dirs, fd)
+    assert deriv.shape == (2, 2, 2) and not deriv.any()
+
+
+@pytest.mark.parametrize("levels", [1, 2, 3])
+@pytest.mark.parametrize("rows", [1, 30, 64])
+def test_chunks_of_whole_centres_equal_single_centre_calls(monkeypatch, levels, rows):
+    """Each field call holds whole centres, at most FIELD_ROWS rows unless one
+    centre's stencil is larger, and every centre still equals its own call."""
+    rng = np.random.default_rng(7)
+    centres = rng.uniform(-0.5, 0.5, (5, 3))
+    dirs = rng.normal(size=(5, 2, 3))
+    fd = FDParams(step=1e-3, levels=levels)
+    single = [
+        (*gradient_hessian(polynomial, u, fd), directional_derivative(polynomial, u, dirs[i], fd))
+        for i, u in enumerate(centres)
+    ]
+    monkeypatch.setattr("nilgauss.fd.FIELD_ROWS", rows)
+    sizes = []
+    field = lambda pts: sizes.append(len(pts)) or polynomial(pts)
+    grad, hess = gradient_hessian(field, centres, fd)
+    stencil = 1 + levels * 2 * 3 * 3  # centre, then 2n + 4 n(n-1)/2 per level
+    per = max(1, rows // stencil)
+    assert sizes == [stencil * len(centres[i:i + per]) for i in range(0, 5, per)]
+    sizes.clear()
+    deriv = directional_derivative(field, centres, dirs, fd)
+    per = max(1, rows // (2 * 2 * levels))
+    assert sizes == [2 * 2 * levels * len(centres[i:i + per]) for i in range(0, 5, per)]
+    for i, (g, h, d) in enumerate(single):
+        np.testing.assert_array_equal(grad[i], g)
+        np.testing.assert_array_equal(hess[i], h)
+        np.testing.assert_array_equal(deriv[i], d)

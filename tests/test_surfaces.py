@@ -22,6 +22,7 @@ from nilgauss import (
 )
 from nilgauss.fd import BoundaryError
 from nilgauss.surfaces import (
+    IMMERSION_RANK_TOL,
     chart_coefficients,
     chart_jets,
     induced_metric_with_gradient,
@@ -108,23 +109,69 @@ def test_stacked_chart_layers_equal_single_points_bit_for_bit(algebra):
         assert hs[i] == mean_curvature(chart, u)
 
 
-def test_one_svd_per_chart_evaluation(monkeypatch):
-    """The normal and the immersion check read one SVD of the tangents."""
+def test_svd_only_on_uncertified_rows(monkeypatch):
+    """The QR normal's determinant certifies well-conditioned rows; only the
+    others get singular values, from one call without singular vectors."""
     rng = np.random.default_rng(6)
     chart = random_graph_chart(exp_model(heisenberg(2)), rng, terms=4)
     pts = rng.uniform(-0.4, 0.4, (5, chart.param_dim))
     calls = []
     svd = np.linalg.svd
 
-    def counted(*args, **kwargs):
-        calls.append(np.shape(args[0]))
-        return svd(*args, **kwargs)
+    def counted(a, *args, **kwargs):
+        calls.append((np.array(a), kwargs))
+        return svd(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counted)
     stacked_chart_jets(chart, pts)
-    assert calls == [(5, 5, 4)]
     gauss_map(chart, pts)
-    assert calls == [(5, 5, 4)] * 2
+    assert calls == []
+    # the u2-column (0, 3 u2^2 + 1.5e-8, 0) leaves smin ~ 1.5e-8 at u2 = 0 only
+    near = expression_chart(nil_polarized_model(), ["u1", "u2^3 + 1.5e-8*u2", "0"], [(-1, 1), (-1, 1)])
+    cj = stacked_chart_jets(near, [[0.1, 0.5], [0.2, 0.0], [-0.3, -0.4]])
+    assert len(calls) == 1
+    rows, kwargs = calls[0]
+    assert kwargs == {"compute_uv": False}
+    np.testing.assert_array_equal(rows, cj.tangents[[1]])
+    singular = expression_chart(nil_polarized_model(), ["u1", "u2^3 + 5e-9*u2", "0"], [(-1, 1), (-1, 1)])
+    with pytest.raises(ImmersionError, match=r"u=\[0\.2, 0\.0\] \(smallest tangent singular value 5\.0"):
+        stacked_chart_jets(singular, [[0.1, 0.5], [0.2, 0.0], [-0.3, -0.4]])
+    assert len(calls) == 2 and calls[1][0].shape == (1, 3, 2)
+
+
+def tangent_smin(chart, points):
+    """Smallest singular value of each row's algebra tangents, straight from the jets."""
+    jets = [comp.jets(np.asarray(points, dtype=float)) for comp in chart.components]
+    jac = np.stack([jet.grad for jet in jets], axis=1)
+    val = np.stack([jet.val for jet in jets], axis=1)
+    return np.linalg.svd(chart.model.frame_inverse(val) @ jac, compute_uv=False)[:, -1]
+
+
+def direct_svd_check(chart, points):
+    """The ImmersionError message a check on every row's singular values gives, or None."""
+    for u, s in zip(points, tangent_smin(chart, points)):
+        if s <= IMMERSION_RANK_TOL:
+            return (
+                f"chart Jacobian nearly rank deficient at u={list(map(float, u))} "
+                f"(smallest tangent singular value {s:.3e})"
+            )
+    return None
+
+
+@pytest.mark.parametrize("c", [5e-9, 1e-8, 2e-8, 1e-6])
+def test_certified_immersion_check_matches_a_direct_svd(c):
+    """At u1 = 0 the chart (u1, c u2, 0) has smallest tangent singular value c."""
+    chart = expression_chart(nil_polarized_model(), ["u1", f"{c!r}*u2", "0"], [(-1, 1), (-1, 1)])
+    assert tangent_smin(chart, [[0.0, 0.3]])[0] == pytest.approx(c, rel=1e-12)
+    assert (direct_svd_check(chart, [[0.0, 0.3]]) is None) == (c > IMMERSION_RANK_TOL)
+    for points in ([[0.0, 0.3]], [[0.5, 0.3], [0.0, -0.2]]):
+        expected = direct_svd_check(chart, points)
+        if expected is None:
+            stacked_chart_jets(chart, points)
+        else:
+            with pytest.raises(ImmersionError) as err:
+                stacked_chart_jets(chart, points)
+            assert str(err.value) == expected
 
 
 # ---------------------------------------------------------------------------
