@@ -60,7 +60,6 @@ from .surfaces import (
     cylinder_chart,
     expression_chart,
     foliation_leaf_chart,
-    frame_directional_derivative,
     gauss_map,
     graph_chart,
     mean_curvature,

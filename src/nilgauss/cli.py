@@ -54,7 +54,6 @@ DEFAULT_TOLERANCES = {
     "jacobi": 5e-4,
     "gauss_codazzi": 5e-4,
     "oracle_gap": 5e-4,
-    "cmc": 1e-6,
 }
 # largest algebra dimension; one oracle stencil's chart jets: ~26 MB at 16, ~0.9 GB at 32
 MAX_DIM_TOTAL = 16

@@ -2,7 +2,8 @@
 
 Both built-in models share one structure: the left-invariant frame at a
 point p is A(p) = I + L(p) with L linear in p and L(p)^2 = 0, so the
-inverse frame is exactly I - L(p) and all metric derivatives are exact.
+inverse frame is exactly I - L(p), and the coordinate Christoffels come
+exactly from the algebra's connection.
 
 * ``exp_model``: exponential coordinates for any 2-step algebra, with the
   truncated product p * q = p + q + [p, q]/2 and frame columns
@@ -30,9 +31,9 @@ class CoordinateModel:
     L(p); ``product_bilin[k, i, j]`` the coefficient of p_i q_j in the
     quadratic part of the product.
 
-    ``frame_correction``, ``frame_field``, ``frame_inverse``,
-    ``coordinate_metric``, ``metric_derivatives`` and ``christoffels`` take
-    one point p (d,) or a stack (N, d), and return a stack for a stack.
+    ``frame_correction``, ``frame_field``, ``frame_inverse`` and
+    ``christoffels`` take one point p (d,) or a stack (N, d), and return a
+    stack for a stack.
     """
 
     algebra: NilpotentAlgebra
@@ -86,31 +87,16 @@ class CoordinateModel:
             "kij,i->kj", self.product_bilin, np.asarray(p, dtype=float)
         )
 
-    def coordinate_metric(self, p) -> np.ndarray:
-        ainv = self.frame_inverse(p)
-        return np.swapaxes(ainv, -1, -2) @ ainv
-
-    def metric_derivatives(self, p) -> np.ndarray:
-        """dg[m, i, j] = partial_m g_ij, exact from the linear frame."""
-        ainv = self.frame_inverse(p)
-        ainv_t = np.swapaxes(ainv, -1, -2)
-        d = self.dim
-        dg = np.empty(ainv.shape[:-2] + (d, d, d))
-        for m in range(d):
-            lm = self.frame_lin[:, :, m]
-            dg[..., m, :, :] = -(lm.T @ ainv) - (ainv_t @ lm)
-        return dg
-
     def christoffels(self, p) -> np.ndarray:
-        """Gamma[k, i, j] of the coordinate metric, symmetric in (i, j)."""
-        g = self.coordinate_metric(p)
-        dg = self.metric_derivatives(p)
-        ginv = np.linalg.inv(g)
-        # Koszul formula: Gamma_{m,ij} = (d_i g_mj + d_j g_mi - d_m g_ij)/2
-        lower = 0.5 * (
-            np.einsum("...imj->...mij", dg) + np.einsum("...jmi->...mij", dg) - dg
-        )
-        return np.einsum("...km,...mij->...kij", ginv, lower)
+        """Gamma[k, i, j] of the coordinate metric, symmetric in (i, j).
+
+        nabla_{d_i} d_j from the algebra's connection: the coordinate field
+        d_j has frame coefficients Ainv[:, j], whose d_i is -L_i[:, j].
+        """
+        ainv = self.frame_inverse(p)
+        conn = np.einsum("...bi,bca->...aic", ainv, self.algebra.connection_tensor)
+        frame = conn @ ainv[..., None, :, :] - np.einsum("aji->aij", self.frame_lin)
+        return np.einsum("...ka,...aij->...kij", self.frame_field(p), frame)
 
 
 def exp_model(alg: NilpotentAlgebra) -> CoordinateModel:

@@ -4,9 +4,9 @@ A chart is a tuple of expressions u -> r(u) into model coordinates over a
 box domain.  From first and second chart jets everything extrinsic is
 computed exactly (no finite differences): tangents expressed in the
 left-invariant frame, the induced metric with its first derivatives, the
-coordinate second fundamental form, and hence the mean curvature H and
-|B|^2.  Finite differences appear only for derivatives of derived scalar
-fields such as u -> n H(u).
+second fundamental form from the connection, and hence the mean
+curvature H and |B|^2.  Finite differences appear only for derivatives
+of derived scalar fields such as u -> n H(u).
 
 The Gauss map is the unit normal pulled back to the algebra by the
 inverse frame: the one-dimensional orthogonal complement of the tangent
@@ -178,13 +178,17 @@ def induced_metric_with_gradient(chart: SurfaceChart, cj: ChartJet):
 
 
 def _second_fundamental(chart: SurfaceChart, cj: ChartJet):
-    """Coordinate second fundamental form against the chart normal, one point or a stack."""
-    gamma = chart.model.christoffels(cj.point)
-    jac = cj.jac[..., None, :, :]
-    # Gamma^k_ij J_ia J_jb as J^T Gamma^k J for every k
-    nabla = cj.hess + np.swapaxes(jac, -1, -2) @ gamma @ jac
-    w_alg = np.einsum("...kl,...lab->...kab", cj.ainv, nabla)
-    return np.einsum("...kab,...k->...ab", w_alg, cj.normal)
+    """h_ab = <d_b t_a + nabla_{t_b} t_a, normal> for the tangents t_a, one point or a stack.
+
+    d_b t_a = Ainv d_ab r - L(d_b r) d_a r, and nabla is the algebra's
+    connection; both are contracted with the normal first.
+    """
+    eta = cj.normal
+    lin = np.einsum("...k,kji->...ji", eta, chart.model.frame_lin)
+    conn = np.einsum("abk,...k->...ba", chart.model.algebra.connection_tensor, eta)
+    jac, t = cj.jac, cj.tangents
+    h = np.einsum("...j,...jab->...ab", np.einsum("...k,...kj->...j", eta, cj.ainv), cj.hess)
+    return h - np.swapaxes(jac, -1, -2) @ lin @ jac + np.swapaxes(t, -1, -2) @ conn @ t
 
 
 def mean_curvature(chart: SurfaceChart, u):
@@ -397,24 +401,6 @@ def shape_data(chart: SurfaceChart, cj: ChartJet, frames):
     if one:
         return ShapeData(b=b, h=float(hs), norm_b2=float(norms)), coeffs
     return [ShapeData(b=x, h=float(h), norm_b2=float(nb)) for x, h, nb in zip(b, hs, norms)], coeffs
-
-
-def frame_directional_derivative(
-    chart: SurfaceChart,
-    u,
-    scalar_field,
-    y_vec,
-    fd: FDParams = FDParams(),
-):
-    """Derivative of a scalar field on the chart along tangent frame vectors.
-
-    ``scalar_field`` maps an (N, n) array of points to N values.
-    ``y_vec`` is one algebra vector, giving a float, or a stack of k of
-    them, giving k derivatives from one call of the field.
-    """
-    directions = chart_coefficients(chart_jets(chart, u), y_vec)
-    out = directional_derivative(scalar_field, u, directions, fd, domain=chart.domain)
-    return out if out.ndim else float(out)
 
 
 def mean_curvature_derivatives(chart: SurfaceChart, u, coeffs, fd=FDParams()):

@@ -76,6 +76,18 @@ def quat7():
     return quaternionic_heisenberg()
 
 
+def coordinate_metric(model, p):
+    """g = Ainv^T Ainv of a coordinate model at p (d,) or a stack (N, d)."""
+    ainv = model.frame_inverse(p)
+    return np.swapaxes(ainv, -1, -2) @ ainv
+
+
+def metric_derivatives(model, p):
+    """dg[m, i, j] = d_m g_ij, exact: d_m Ainv is -frame_lin[:, :, m]."""
+    half = -np.einsum("kim,...kj->...mij", model.frame_lin, model.frame_inverse(p))
+    return half + np.swapaxes(half, -1, -2)
+
+
 def random_unit(rng, d):
     v = rng.normal(size=d)
     return v / np.linalg.norm(v)

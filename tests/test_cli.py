@@ -371,6 +371,12 @@ def test_tol_override_leaves_bad_tolerances_to_the_config_check(tmp_path):
     assert main(["sweep", "--tol", "1e-3", "--config", path]) == 2
 
 
+def test_cmc_is_an_unknown_tolerance(tmp_path, capsys):
+    path = write_config(tmp_path, dict(BASE_CONFIG, tolerances={"cmc": 1e-6}))
+    assert main(["sweep", "--config", path]) == 2
+    assert "unknown tolerance 'cmc'" in capsys.readouterr().err
+
+
 def test_point_near_the_fd_margin_is_accepted():
     config = load_config(dict(BASE_CONFIG, point=[0.9995, -0.9995]))
     assert config.point == [0.9995, -0.9995]

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from nilgauss import connection, exp_model, heisenberg, nil_polarized_model
-from conftest import basis, free_two_step_5d
+from conftest import coordinate_metric, free_two_step_5d, metric_derivatives
 
 
 @pytest.fixture(scope="module")
@@ -28,7 +28,7 @@ def test_frame_invertible_and_metric_spd(exp_h1, polar):
             p = rng.uniform(-2, 2, d)
             a = model.frame_field(p)
             np.testing.assert_allclose(a @ model.frame_inverse(p), np.eye(d), atol=1e-13)
-            g = model.coordinate_metric(p)
+            g = coordinate_metric(model, p)
             np.testing.assert_allclose(g, g.T, atol=1e-14)
             assert np.linalg.eigvalsh(g).min() > 0.0
 
@@ -58,7 +58,7 @@ def test_polarized_frame_and_metric(polar):
     np.testing.assert_allclose(a[:, 0], [1.0, 0.0, 0.0])
     # the frame depends on x only
     np.testing.assert_allclose(polar.frame_field([0.0, y, z]), np.eye(3))
-    g = polar.coordinate_metric([x, y, z])
+    g = coordinate_metric(polar, [x, y, z])
     expected = np.array([[1, 0, 0], [0, 1 + x * x, -x], [0, -x, 1]])
     np.testing.assert_allclose(g, expected, atol=1e-14)
     # independent route: invert the frame matrix with numpy
@@ -120,7 +120,7 @@ def test_frame_orthonormal_under_metric(polar):
     for _ in range(10):
         p = rng.uniform(-2, 2, 3)
         a = polar.frame_field(p)
-        g = polar.coordinate_metric(p)
+        g = coordinate_metric(polar, p)
         np.testing.assert_allclose(a.T @ g @ a, np.eye(3), atol=1e-10)
 
 
@@ -131,8 +131,8 @@ def test_christoffels_symmetric_and_compatible(exp_h1, polar):
         p = rng.uniform(-1, 1, d)
         gamma = model.christoffels(p)
         np.testing.assert_allclose(gamma, gamma.transpose(0, 2, 1), atol=1e-13)
-        g = model.coordinate_metric(p)
-        dg = model.metric_derivatives(p)
+        g = coordinate_metric(model, p)
+        dg = metric_derivatives(model, p)
         # metric compatibility: d_k g_ij = g_lj Gamma^l_ki + g_il Gamma^l_kj
         recon = np.einsum("lj,lki->kij", g, gamma) + np.einsum("il,lkj->kij", g, gamma)
         np.testing.assert_allclose(dg, recon, atol=1e-12)
@@ -140,12 +140,12 @@ def test_christoffels_symmetric_and_compatible(exp_h1, polar):
 
 def test_metric_derivatives_match_fd(polar):
     p = np.array([0.4, -0.3, 0.2])
-    dg = polar.metric_derivatives(p)
+    dg = metric_derivatives(polar, p)
     h = 1e-6
     for m in range(3):
         dp = np.zeros(3)
         dp[m] = h
-        fd = (polar.coordinate_metric(p + dp) - polar.coordinate_metric(p - dp)) / (2 * h)
+        fd = (coordinate_metric(polar, p + dp) - coordinate_metric(polar, p - dp)) / (2 * h)
         np.testing.assert_allclose(dg[m], fd, atol=1e-9)
 
 

@@ -8,7 +8,6 @@ from nilgauss import (
     expression_chart,
     exp_model,
     foliation_leaf_chart,
-    frame_directional_derivative,
     gauss_map,
     graph_chart,
     heisenberg,
@@ -20,15 +19,16 @@ from nilgauss import (
     shape_data,
     vertical_plane_chart,
 )
-from nilgauss.fd import BoundaryError
+from nilgauss.fd import BoundaryError, directional_derivative
 from nilgauss.surfaces import (
     IMMERSION_RANK_TOL,
+    _second_fundamental,
     chart_coefficients,
     chart_jets,
     induced_metric_with_gradient,
     stacked_chart_jets,
 )
-from conftest import abelian_3d, basis, random_unit
+from conftest import abelian_3d, basis, free_two_step_5d, quaternionic_heisenberg, random_unit
 
 
 K, L, Z = (basis(3, i) for i in range(3))
@@ -292,6 +292,28 @@ def test_leaf_shape_values():
         assert np.abs(shape.b - shape.b.T).max() < 1e-12
 
 
+@pytest.mark.parametrize(
+    "model",
+    [
+        nil_polarized_model(),
+        *(exp_model(heisenberg(m)) for m in (1, 2, 3)),
+        exp_model(free_two_step_5d()),
+        exp_model(quaternionic_heisenberg()),
+    ],
+    ids=["nil_polarized", "exp_h1", "exp_h2", "exp_h3", "exp_free5", "exp_quat7"],
+)
+def test_second_fundamental_matches_coordinate_route(model):
+    """h from the algebra connection equals <Ainv (hess + J^T Gamma J), normal>."""
+    rng = np.random.default_rng(17)
+    chart = random_graph_chart(model, rng)
+    cj = stacked_chart_jets(chart, rng.uniform(-0.7, 0.7, (256, chart.param_dim)))
+    jac = cj.jac[:, None]
+    nabla = cj.hess + np.swapaxes(jac, -1, -2) @ model.christoffels(cj.point) @ jac
+    expected = np.einsum("nkl,nlab,nk->nab", cj.ainv, nabla, cj.normal)
+    h = _second_fundamental(chart, cj)
+    assert np.abs(h - expected).max() <= 1e-13 * np.abs(expected).max()
+
+
 def test_vertical_plane_shape_values():
     chart = vertical_plane_chart()
     u = [0.3, -0.2]
@@ -428,7 +450,9 @@ def test_vertical_plane_induced_metric_identity():
 
 def test_directional_derivative_constant_field():
     chart = foliation_leaf_chart()
-    val = frame_directional_derivative(chart, [0.5, 0.0], lambda pts: np.full(len(pts), 4.2), K)
+    u = [0.5, 0.0]
+    field = lambda pts: np.full(len(pts), 4.2)
+    val = directional_derivative(field, u, chart_coefficients(chart_jets(chart, u), K), domain=chart.domain)
     assert val == pytest.approx(0.0, abs=1e-12)
 
 
@@ -447,9 +471,11 @@ def test_directional_derivative_linear_in_direction():
     frame = adapted_frame(heisenberg(1), gauss_map(chart, u))
     y1, y2 = frame.ys[0], frame.ys[1]
     field = lambda pts: np.sin(pts[:, 0]) * pts[:, 1] + 0.3 * pts[:, 0] ** 2
-    d1 = frame_directional_derivative(chart, u, field, y1)
-    d2 = frame_directional_derivative(chart, u, field, y2)
-    combo = frame_directional_derivative(chart, u, field, 0.7 * y1 + 1.3 * y2)
+    cj = chart_jets(chart, u)
+    d1, d2, combo = (
+        directional_derivative(field, u, chart_coefficients(cj, y), domain=chart.domain)
+        for y in (y1, y2, 0.7 * y1 + 1.3 * y2)
+    )
     assert combo == pytest.approx(0.7 * d1 + 1.3 * d2, abs=1e-9)
 
 
