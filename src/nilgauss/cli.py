@@ -341,7 +341,13 @@ def grid_points(chart: SurfaceChart, grid, fd: FDParams, point=None) -> np.ndarr
 
 
 def run(config: JobConfig) -> dict:
-    """Evaluate all requested methods and checks; deterministic output."""
+    """Evaluate all requested methods and checks; deterministic output.
+
+    A row's ``h`` and ``norm_b2`` are the point's values from the chart's exact
+    second fundamental form, the same on every method's row, ``numeric_oracle``
+    included: an oracle row takes only ``coeffs``, ``tangential_norm`` and
+    ``normal_coeff`` from the oracle.
+    """
     chart = config.chart
     fdp = config.fd
     tols = config.tolerances
@@ -361,8 +367,7 @@ def run(config: JobConfig) -> dict:
         for ev in evals
         for mth in config.methods
     ]
-    closed_methods = [m for m in config.methods if m != "numeric_oracle"]
-    preferred = closed_methods[0] if closed_methods else None
+    preferred = next((m for m in config.methods if m != "numeric_oracle"), None)
     defects = [ev.reports[preferred].tangential_norm for ev in evals] if preferred else []
     gaps = []
     if preferred and "numeric_oracle" in config.methods:
@@ -375,16 +380,13 @@ def run(config: JobConfig) -> dict:
     if "harmonicity" in config.checks:
         source = preferred or config.methods[0]
         worst = max((ev.reports[source].tangential_norm for ev in evals), default=0.0)
-        verdict = worst < tols["harmonicity"]
         checks["harmonicity"] = {
-            "pass": bool(verdict),
+            "pass": bool(worst < tols["harmonicity"]),
             "max_defect": worst,
             "tol": tols["harmonicity"],
         }
     if "prop3" in config.checks:
-        worst = 0.0
-        for ev in evals:
-            worst = max(worst, max(harmonicity_cmc_residuals(ev.shape, ev.frame)))
+        worst = max((max(harmonicity_cmc_residuals(ev.shape, ev.frame)) for ev in evals), default=0.0)
         checks["prop3"] = {
             "pass": bool(worst < tols["prop3"]),
             "max_residual": worst,
@@ -412,23 +414,14 @@ def run(config: JobConfig) -> dict:
             "tol": tols["jacobi"],
         }
     if "gauss_codazzi" in config.checks:
-        worst = 0.0
-        identity_worst = 0.0
-        evaluated = 0
-        for ev in evals:
-            res = gauss_codazzi_residuals(chart, ev, fdp)
-            if res.skipped:
-                continue
-            evaluated += 1
-            worst = max(worst, res.codazzi_residual, res.gauss_residual)
-            identity_worst = max(
-                identity_worst, abs(res.curvature_term - res.ab_product)
-            )
+        results = [res for res in gauss_codazzi_residuals(chart, evals, fdp) if not res.skipped]
+        worst = max((max(res.codazzi_residual, res.gauss_residual) for res in results), default=0.0)
+        identity = max((abs(res.curvature_term - res.ab_product) for res in results), default=0.0)
         checks["gauss_codazzi"] = {
-            "pass": bool(evaluated == 0 or worst < tols["gauss_codazzi"]),
+            "pass": bool(not results or worst < tols["gauss_codazzi"]),
             "max_residual": worst,
-            "identity_residual": identity_worst,
-            "points_evaluated": evaluated,
+            "identity_residual": identity,
+            "points_evaluated": len(results),
             "tol": tols["gauss_codazzi"],
         }
 

@@ -29,9 +29,9 @@ import numpy as np
 from .algebra import NilpotentAlgebra
 
 
-def _vectors(alg: NilpotentAlgebra, what: str, *vecs) -> list[np.ndarray]:
+def _vectors(alg: NilpotentAlgebra, what: str, *vecs, stacks=False) -> list[np.ndarray]:
     out = [np.asarray(v, dtype=float) for v in vecs]
-    if any(v.shape != (alg.dim_total,) for v in out):
+    if any((v.shape[-1:] if stacks else v.shape) != (alg.dim_total,) for v in out):
         raise ValueError(f"{what} arguments must have length dim_total")
     return out
 
@@ -43,9 +43,9 @@ def connection(alg: NilpotentAlgebra, a, b) -> np.ndarray:
 
 
 def curvature(alg: NilpotentAlgebra, x, y, w) -> np.ndarray:
-    """R(x, y) w, a contraction of the algebra's curvature tensor."""
-    x, y, w = _vectors(alg, "curvature", x, y, w)
-    return np.einsum("a,b,c,abck->k", x, y, w, alg.curvature_tensor)
+    """R(x, y) w; x, y, w may be broadcast stacks, each row bit-equal to its single call."""
+    x, y, w = _vectors(alg, "curvature", x, y, w, stacks=True)
+    return np.einsum("...a,...b,...c,abck->...k", x, y, w, alg.curvature_tensor)
 
 
 def curvature_oracle(alg: NilpotentAlgebra, x, y, w) -> np.ndarray:

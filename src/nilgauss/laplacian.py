@@ -204,8 +204,7 @@ def laplacian_heisenberg(
     c = float(np.linalg.norm(frame.z_n1))
 
     terms = _term_arrays(d)
-    for k in range(1, n + 1):
-        terms["dh"][k - 1] = -dh[k - 1]
+    terms["dh"][:n] = -dh
     last = 2 * m - 1  # zero-based row of the mixed frame vector
     for k in range(1, m):
         terms["bracket_j"][k - 1] = -2.0 * b[last, m + k - 1] * s
@@ -521,51 +520,59 @@ def _gc_field(chart: SurfaceChart, cj: ChartJet) -> np.ndarray:
     return np.concatenate([h.reshape(-1, 4), gamma.reshape(-1, 8)], axis=1)
 
 
-def gauss_codazzi_residuals(
-    chart: SurfaceChart,
-    ev: PointEval,
-    fd: FDParams = FDParams(),
-) -> GaussCodazziResult:
+def _dot(x, y) -> np.ndarray:
+    """Row-wise x[i] @ y[i] of two stacks, each row summed as the single product sums it."""
+    return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
+
+
+def gauss_codazzi_residuals(chart: SurfaceChart, evals, fd: FDParams = FDParams()):
     """Compatibility residuals of a surface in a 3-dimensional model, in chart coordinates.
 
-    h_ab and Gamma^c_ab are exact from chart jets; their derivatives come
-    from one FD call along u1 and u2.  Residual one is the worse of the
-    Codazzi lines T(d1, d2, d1) and T(d2, d1, d2), where
-    T_abc = nabla_a h_bc - nabla_b h_ac - <R(t_a, t_b) t_c, normal> and d1, d2
-    are the chart directions of Y_1, Y_2 of the ``evaluate_point`` record
-    ``ev``.  Residual two is the Gauss equation K = det h / det g + the
-    ambient sectional curvature.  Points where either part of the normal
-    vanishes are skipped (the adapted frame is not smooth there).
+    ``evals`` is one ``evaluate_point`` record, giving one result, or a list of
+    them, giving one result per record: one stacked chart evaluation gives h_ab
+    and Gamma^c_ab exactly, one FD call along u1 and u2 their derivatives.
+    Residual one is the worse of the Codazzi lines T(d1, d2, d1), T(d2, d1, d2),
+    T_abc = nabla_a h_bc - nabla_b h_ac - <R(t_a, t_b) t_c, normal>, with d1, d2
+    the chart directions of the record's Y_1, Y_2.  Residual two is the Gauss
+    equation K = det h / det g + the ambient sectional curvature.  Records where
+    either part of the normal vanishes are skipped (the adapted frame is not smooth there).
     """
+    if isinstance(evals, PointEval):
+        return gauss_codazzi_residuals(chart, [evals], fd)[0]
     alg = chart.model.algebra
     if alg.dim_total != 3:
         raise ValueError("gauss_codazzi_residuals requires a 3-dimensional model")
-    a = float(np.linalg.norm(ev.frame.x_n1))
-    bb = float(np.linalg.norm(ev.frame.z_n1))
-    if a < 1e-8 or bb < 1e-8:
-        return GaussCodazziResult(True, None, None, None, None)
+    norms = [(float(np.linalg.norm(ev.frame.x_n1)), float(np.linalg.norm(ev.frame.z_n1))) for ev in evals]
+    kept = [i for i, (a, bb) in enumerate(norms) if not (a < 1e-8 or bb < 1e-8)]
+    results = [GaussCodazziResult(True, None, None, None, None)] * len(evals)
+    if not kept:
+        return results
 
-    cj = stacked_chart_jets(chart, ev.u[None])
-    centre = _gc_field(chart, cj)[0]
+    u, ys = np.array([evals[i].u for i in kept]), np.array([evals[i].frame.ys for i in kept])
+    cj = stacked_chart_jets(chart, u)
+    centre = _gc_field(chart, cj)
     field = lambda pts: _gc_field(chart, stacked_chart_jets(chart, pts))
-    deriv = directional_derivative(field, ev.u, np.eye(2), fd, domain=chart.domain)
-    h, dh = centre[:4].reshape(2, 2), deriv[:, :4].reshape(2, 2, 2)  # dh[a, b, c] = d_a h_bc
-    gamma, dgamma = centre[4:].reshape(2, 2, 2), deriv[:, 4:].reshape(2, 2, 2, 2)
-    t = cj.tangents[0].T  # rows t_1, t_2
-    f1, f2, eta = ev.frame.ys
+    eyes = np.broadcast_to(np.eye(2), (len(u), 2, 2))
+    deriv = directional_derivative(field, u, eyes, fd, domain=chart.domain)
+    h, dh = centre[:, :4].reshape(-1, 2, 2), deriv[..., :4].reshape(-1, 2, 2, 2)  # dh[:, a] = d_a h
+    gamma, dgamma = centre[:, 4:].reshape(-1, 2, 2, 2), deriv[..., 4:].reshape(-1, 2, 2, 2, 2)
+    t = np.swapaxes(cj.tangents, -1, -2)  # rows t_1, t_2
+    f1, f2, eta = np.moveaxis(ys, 1, 0)
 
-    nabla_h = dh - np.einsum("eab,ec->abc", gamma, h) - np.einsum("eac,be->abc", gamma, h)
-    ambient = np.einsum("abck,ia,jb,lc,k->ijl", alg.curvature_tensor, t, t, t, eta)
-    tensor = nabla_h - nabla_h.transpose(1, 0, 2) - ambient
-    d1, d2 = chart_coefficients(cj[0], ev.frame.ys[:2])
-    codazzi = max(abs(np.einsum("abc,a,b,c->", tensor, x, y, x)) for x, y in ((d1, d2), (d2, d1)))
+    nabla_h = dh - np.einsum("neab,nec->nabc", gamma, h) - np.einsum("neac,nbe->nabc", gamma, h)
+    ambient = np.einsum("abck,nia,njb,nlc,nk->nijl", alg.curvature_tensor, t, t, t, eta)
+    tensor = nabla_h - nabla_h.transpose(0, 2, 1, 3) - ambient
+    dirs = chart_coefficients(cj, ys[:, :2])  # rows d1, d2
+    codazzi = np.abs(np.einsum("nabc,nla,nlb,nlc->nl", tensor, dirs, dirs[:, ::-1], dirs)).max(axis=1)
 
     # R^d_101 = d_0 Gamma^d_11 - d_1 Gamma^d_01 + Gamma^d_0e Gamma^e_11 - Gamma^d_1e Gamma^e_01
-    riem = dgamma[0, :, 1, 1] - dgamma[1, :, 0, 1]
-    riem += gamma[:, 0] @ gamma[:, 1, 1] - gamma[:, 1] @ gamma[:, 0, 1]
-    g = t @ t.T
-    sectional = curvature(alg, t[0], t[1], t[1]) @ t[0]
-    gauss_res = abs(g[0] @ riem - np.linalg.det(h) - sectional) / np.linalg.det(g)
+    riem = dgamma[:, 0, :, 1, 1] - dgamma[:, 1, :, 0, 1]
+    riem += (gamma[:, :, 0] @ gamma[:, :, 1, 1, None] - gamma[:, :, 1] @ gamma[:, :, 0, 1, None])[..., 0]
+    g = t @ cj.tangents
+    sectional = _dot(curvature(alg, t[:, 0], t[:, 1], t[:, 1]), t[:, 0])
+    gauss_res = np.abs(_dot(g[:, 0], riem) - np.linalg.det(h) - sectional) / np.linalg.det(g)
 
-    curvature_term = float(curvature(alg, f1, f2, f1) @ eta)
-    return GaussCodazziResult(False, float(codazzi), float(gauss_res), curvature_term, a * bb)
+    values = zip(codazzi.tolist(), gauss_res.tolist(), _dot(curvature(alg, f1, f2, f1), eta).tolist())
+    for i, (cod, gau, term) in zip(kept, values):
+        results[i] = GaussCodazziResult(False, cod, gau, term, norms[i][0] * norms[i][1])
+    return results

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from nilgauss import ImmersionError, cli
+from nilgauss import ImmersionError, cli, laplacian
 from nilgauss.cli import (
     ConfigError,
     EXAMPLE_JOBS,
@@ -15,6 +19,7 @@ from nilgauss.cli import (
 )
 from nilgauss.fd import BoundaryError
 
+ROOT = Path(__file__).resolve().parent.parent
 
 BASE_CONFIG = {
     "algebra": {"builtin": "heisenberg", "m": 1},
@@ -474,3 +479,76 @@ def test_oversized_or_non_integer_algebra_sizes_exit_2(
     path = write_config(tmp_path, dict(BASE_CONFIG, algebra=algebra))
     assert main([verb, "--config", path]) == 2
     assert f"config error: {problem}" in capsys.readouterr().err
+
+
+def test_gauss_codazzi_is_one_call_per_job(monkeypatch):
+    """One checker call per job: on the 27-point foliation example it makes one
+    centre chart evaluation of the 24 evaluated points and one FD call of 8 x 24
+    field rows."""
+    events = []
+    checker = laplacian.gauss_codazzi_residuals
+    jets, derivative = laplacian.stacked_chart_jets, laplacian.directional_derivative
+
+    def gc(*args, **kwargs):
+        events.append("gauss_codazzi")
+        return checker(*args, **kwargs)
+
+    def stacked(chart, points):
+        events.append(("jets", len(points)))
+        return jets(chart, points)
+
+    def fd(f, *args, **kwargs):
+        def field(pts):
+            events.append(("field", len(pts)))
+            return f(pts)
+
+        events.append("fd")
+        return derivative(field, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "gauss_codazzi_residuals", gc)
+    monkeypatch.setattr("nilgauss.laplacian.stacked_chart_jets", stacked)
+    monkeypatch.setattr("nilgauss.laplacian.directional_derivative", fd)
+    doc = run(load_config(EXAMPLE_JOBS["nil_foliation_example"][1]))
+    assert doc["summary"]["checks"]["gauss_codazzi"]["points_evaluated"] == 24
+    assert events[events.index("gauss_codazzi"):] == [
+        "gauss_codazzi", ("jets", 24), "fd", ("field", 192), ("jets", 192)
+    ]
+
+
+def test_h_and_norm_b2_repeat_on_every_method_row():
+    """h and |B|^2 come from the chart's exact second fundamental form, the
+    numeric_oracle row included."""
+    doc = run(load_config(EXAMPLE_JOBS["nil_foliation_example"][1]))
+    by_point = {}
+    for row in doc["rows"]:
+        by_point.setdefault(tuple(row["point"]), []).append(row)
+    assert len(by_point) == 27
+    for rows in by_point.values():
+        assert {row["method"] for row in rows} == {"general", "heisenberg", "numeric_oracle"}
+        assert len({(row["h"], row["norm_b2"]) for row in rows}) == 1
+
+
+def run_module(*argv):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run(
+        [sys.executable, "-m", "nilgauss", *argv],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+
+
+@pytest.mark.parametrize("name", EXAMPLE_JOBS)
+def test_module_runs_example_with_exit_0(name):
+    out = run_module("examples", name)
+    assert out.returncode == 0, out.stderr
+    checks = json.loads(out.stdout)["summary"]["checks"]
+    assert checks and all(res["pass"] for res in checks.values())
+
+
+def test_module_config_error_exits_2_without_traceback(tmp_path):
+    path = write_config(tmp_path, dict(BASE_CONFIG, tolerances={"cmc": 1e-6}))
+    out = run_module("sweep", "--config", path)
+    assert out.returncode == 2
+    assert out.stdout == ""
+    lines = out.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error:"), out.stderr
+    assert "Traceback" not in out.stderr

@@ -165,3 +165,22 @@ def test_ricci_identity_rejects_bad_frame(h1):
     K = basis(3, 0)
     with pytest.raises(ValueError, match="resolve the identity"):
         ricci_identity_check(h1, K, K, [K, 2.0 * K])
+
+
+@pytest.mark.parametrize("name", ["h1", "h2", "free5", "quat7"])
+def test_stacked_curvature_rows_equal_single_calls(name):
+    """Stacks broadcast over leading axes; every row is the single call bit for bit."""
+    alg = ALGEBRA_BUILDERS[name]()
+    d = alg.dim_total
+    rng = np.random.default_rng(7)
+    x, y = rng.uniform(-1, 1, (2, 6, 1, d))
+    w = rng.uniform(-1, 1, (4, d))
+    stacked = curvature(alg, x, y, w)
+    assert stacked.shape == (6, 4, d)
+    for i in range(6):
+        for j in range(4):
+            assert np.array_equal(stacked[i, j], curvature(alg, x[i, 0], y[i, 0], w[j]))
+    with pytest.raises(ValueError, match="length dim_total"):
+        curvature(alg, x[..., :-1], y, w)
+    with pytest.raises(ValueError, match="length dim_total"):
+        curvature_oracle(alg, x[:, 0], y[:, 0], x[:, 0])  # the reference takes single vectors

@@ -758,3 +758,84 @@ def test_gauss_codazzi_orientation_invariance(name):
         assert minus.skipped == plus.skipped
         assert minus.codazzi_residual == pytest.approx(plus.codazzi_residual, abs=1e-10)
         assert minus.gauss_residual == pytest.approx(plus.gauss_residual, abs=1e-10)
+
+
+def _nil_graph_central_point():
+    """The point of the nil_graph chart where its normal is central: f_u1 = 0 and
+    f_u2 = u1 for f = 0.3 u1 u2 + 0.2 sin u1 - 0.1 u2^2, so u2 = -3.5 u1."""
+    x = 0.2
+    for _ in range(8):
+        x -= (-1.05 * x + 0.2 * np.cos(x)) / (-1.05 - 0.2 * np.sin(x))
+    return [x, -3.5 * x]
+
+
+GC_GRIDS = {
+    # each grid holds skipped records: a central normal at u1 = 0 on the leaf,
+    # at the origin of exp_h1 and at one computed point of nil_graph
+    "leaf": (
+        foliation_leaf_chart,
+        [[x, y] for x in np.linspace(-1.5, 1.5, 5) for y in (-0.4, 0.0, 0.4)],
+    ),
+    "nil_graph": (
+        lambda: GC_CHARTS["nil_graph"](1),
+        [[x, y] for x in (-0.6, 0.1, 0.7) for y in (-0.5, 0.5)] + [_nil_graph_central_point()],
+    ),
+    "exp_h1": (
+        lambda: GC_CHARTS["exp_h1"](1),
+        [[x, y] for x in np.linspace(-0.8, 0.8, 5) for y in np.linspace(-0.8, 0.8, 3)],
+    ),
+}
+GC_FIELDS = ("codazzi_residual", "gauss_residual", "curvature_term", "ab_product")
+
+
+@pytest.mark.parametrize("name", GC_GRIDS)
+def test_gauss_codazzi_list_equals_per_record_calls(name):
+    build, points = GC_GRIDS[name]
+    chart = build()
+    evals = evaluate_points(chart, np.array(points))
+    stacked = gauss_codazzi_residuals(chart, evals)
+    single = [gauss_codazzi_residuals(chart, ev) for ev in evals]
+    assert len(stacked) == len(evals)
+    assert 0 < sum(res.skipped for res in single) < len(evals)
+    for one, row in zip(single, stacked):
+        assert row.skipped == one.skipped
+        for field in GC_FIELDS:
+            if one.skipped:
+                assert getattr(row, field) is None
+            else:
+                assert abs(getattr(row, field) - getattr(one, field)) <= 1e-15
+
+
+def test_gauss_codazzi_list_makes_one_fd_call(monkeypatch):
+    """k evaluated records: one directional_derivative call of 8 k field rows."""
+    chart = foliation_leaf_chart()
+    evals = evaluate_points(chart, np.array([[x, 0.2] for x in (-1.0, 0.0, 0.4, 1.3)]))
+    calls = []
+
+    def counted(f, *args, **kwargs):
+        rows = []
+        calls.append(rows)
+
+        def field(pts):
+            rows.append(len(pts))
+            return f(pts)
+
+        return directional_derivative(field, *args, **kwargs)
+
+    monkeypatch.setattr("nilgauss.laplacian.directional_derivative", counted)
+    results = gauss_codazzi_residuals(chart, evals)
+    assert [res.skipped for res in results] == [False, True, False, False]
+    assert calls == [[8 * 3]]
+
+
+def test_gauss_codazzi_all_skipped_evaluates_no_chart(monkeypatch):
+    chart = foliation_leaf_chart()
+    evals = evaluate_points(chart, np.array([[0.0, y] for y in (-0.5, 0.0, 0.5)]))
+
+    def no_evaluation(*args, **kwargs):
+        raise AssertionError("the chart was evaluated")
+
+    for name in ("stacked_chart_jets", "chart_jets", "_gc_field", "directional_derivative"):
+        monkeypatch.setattr(f"nilgauss.laplacian.{name}", no_evaluation)
+    assert [res.skipped for res in gauss_codazzi_residuals(chart, evals)] == [True] * 3
+    assert gauss_codazzi_residuals(chart, []) == []
