@@ -55,7 +55,8 @@ DEFAULT_TOLERANCES = {
     "gauss_codazzi": 5e-4,
     "oracle_gap": 5e-4,
 }
-# largest algebra dimension; one oracle stencil's chart jets: ~26 MB at 16, ~0.9 GB at 32
+# largest algebra dimension; one oracle stencil's first-order chart jets take ~5 MB at 16 and
+# ~0.1 GB at 32, and a FIELD_ROWS chunk of the dh field's second-order ones ~0.5 GB at 16
 MAX_DIM_TOTAL = 16
 # grid points and report points keep this many FD steps from the domain edge
 GRID_MARGIN_STEPS = 4.0
@@ -130,6 +131,12 @@ def _build_chart(spec, model, orientation, domain, seed, problems) -> SurfaceCha
     if not isinstance(spec, dict):
         problems.append("chart must be an object")
         return None
+    if domain is not None and not (
+        isinstance(domain, (list, tuple))
+        and all(isinstance(r, (list, tuple)) and len(r) == 2 and all(map(_is_number, r)) for r in domain)
+    ):
+        problems.append("domain must be a list of [lo, hi] pairs of finite numbers")
+        return None
     if model is None:
         return None
     try:
@@ -145,6 +152,11 @@ def _build_chart(spec, model, orientation, domain, seed, problems) -> SurfaceCha
         params = spec.get("params", {})
         if name in NIL_CHARTS and model.name != "nil_polarized":
             problems.append(f"chart {name!r} needs the nil_polarized model")
+            return None
+        rules = _NUMERIC_PARAMS.get(name, {})
+        bad = [key for key, (check, _) in rules.items() if key in params and not check(params[key])]
+        if bad:
+            problems.extend(f"chart param {key!r} must be {rules[key][1]}" for key in bad)
             return None
         if name == "nil_foliation_leaf":
             kwargs = {}
@@ -169,8 +181,8 @@ def _build_chart(spec, model, orientation, domain, seed, problems) -> SurfaceCha
                 return None
             return graph_chart(model, params["expr"], domain, orientation)
         if name == "random_graph":
-            rng = np.random.default_rng(seed + int(params.get("index", 0)))
-            return random_graph_chart(model, rng, terms=int(params.get("terms", 3)))
+            rng = np.random.default_rng(seed + params.get("index", 0))
+            return random_graph_chart(model, rng, terms=params.get("terms", 3))
         problems.append(f"unknown chart catalog entry {name!r}")
         return None
     except (AttributeError, KeyError, TypeError, ValueError, ParseError) as exc:
@@ -184,6 +196,13 @@ def _is_int(x) -> bool:
 
 def _is_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+
+
+# numeric chart params of the catalog entries that read them: check and wording
+_NUMERIC_PARAMS = {
+    "nil_foliation_leaf": {"z0": (_is_number, "a finite number")},
+    "random_graph": {"terms": (_is_int, "an integer"), "index": (_is_int, "an integer")},
+}
 
 
 def _name_list(doc, key, known, problems) -> list:
@@ -214,18 +233,15 @@ def _build_tolerances(spec, problems) -> dict[str, float]:
 
 def _build_fd(spec, problems) -> FDParams | None:
     levels = spec.get("levels", 2) if isinstance(spec, dict) else None
-    try:
-        step = float(spec.get("step", 1e-4))
-    except (AttributeError, TypeError, ValueError):
-        step = math.nan
+    step = spec.get("step", 1e-4) if isinstance(spec, dict) else None
     ok = True
-    if not (math.isfinite(step) and step > 0.0):
+    if not (_is_number(step) and step > 0.0):
         problems.append("fd step must be a finite number > 0")
         ok = False
     if not _is_int(levels) or levels < 1:
         problems.append("fd levels must be an integer >= 1")
         ok = False
-    return FDParams(step=step, levels=levels) if ok else None
+    return FDParams(step=float(step), levels=levels) if ok else None
 
 
 def _check_stencil_room(chart, fdp, point, problems) -> None:

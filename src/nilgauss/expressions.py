@@ -5,13 +5,15 @@ parameters ``u1 .. un``.  The grammar covers constants, parameters, the
 four arithmetic operations, integer powers and the functions sin, cos,
 exp, sqrt.  Precedence is power > unary minus > mul/div > add/sub.
 
-Every tree evaluates either on floats or on second-order jets (value,
-gradient, Hessian) over a batch of points: ``Expr.jets`` walks the tree
-once for a whole (N, n) array of points, and ``Expr.jet`` is its N = 1
-row.  Jet evaluation is exact forward-mode automatic differentiation
-(vector mode, with the stack of points as the vector), which is how all
-chart derivatives in this package are obtained; finite differences only
-ever touch derived fields.
+Every tree evaluates either on floats or on jets over a batch of points:
+second-order jets (value, gradient, Hessian) by default, or first-order
+jets (value, gradient) where no Hessian is read.  ``expression_jets``
+walks several trees once each for a whole (N, n) array of points, over
+one set of seeds; ``Expr.jets`` is its one-expression view and
+``Expr.jet`` the N = 1 row of that.  Jet evaluation is exact
+forward-mode automatic differentiation (vector mode, with the stack of
+points as the vector), which is how all chart derivatives in this
+package are obtained; finite differences only ever touch derived fields.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ class ParseError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# second-order jets
+# jets of order one and two
 
 
 class Jet:
@@ -41,57 +43,65 @@ class Jet:
 
     Leading axes are batch axes: ``val`` has a batch shape B, ``grad``
     B + (n,) and ``hess`` B + (n, n), with B = () for one point and (N,)
-    for a stack of points.  Every operation is the same float arithmetic
-    applied row by row, so a row of a stack equals the jet of its point
-    alone, bit for bit.  A plain float operand is a constant: its zero
-    derivatives are never materialised.  Jets are never modified in
-    place, so they may share arrays.
+    for a stack of points.  A first-order jet has ``hess`` None, and every
+    operation on it skips its Hessian term; values and gradients are the
+    same at either order, bit for bit.  Every operation is the same float
+    arithmetic applied row by row, so a row of a stack equals the jet of
+    its point alone, bit for bit.  A plain float operand is a constant:
+    its zero derivatives are never materialised.  Jets are never modified
+    in place, so they may share arrays.
     """
 
     __slots__ = ("val", "grad", "hess")
 
-    def __init__(self, val, grad: np.ndarray, hess: np.ndarray):
+    def __init__(self, val, grad: np.ndarray, hess: np.ndarray | None):
         self.val = val
         self.grad = grad
         self.hess = hess
 
     @classmethod
-    def seed(cls, value, index: int, n: int) -> "Jet":
+    def seed(cls, value, index: int, n: int, order: int = 2) -> "Jet":
         val = np.asarray(value, dtype=float)
         grad = np.zeros(val.shape + (n,))
         grad[..., index] = 1.0
-        return cls(val, grad, np.zeros(val.shape + (n, n)))
+        return cls(val, grad, np.zeros(val.shape + (n, n)) if order == 2 else None)
 
     @classmethod
-    def const(cls, value, n: int) -> "Jet":
+    def const(cls, value, n: int, order: int = 2) -> "Jet":
         val = np.asarray(value, dtype=float)
-        return cls(val, np.zeros(val.shape + (n,)), np.zeros(val.shape + (n, n)))
+        hess = np.zeros(val.shape + (n, n)) if order == 2 else None
+        return cls(val, np.zeros(val.shape + (n,)), hess)
 
     def __add__(self, other):
         if isinstance(other, Jet):
-            return Jet(self.val + other.val, self.grad + other.grad, self.hess + other.hess)
+            hess = None if self.hess is None else self.hess + other.hess
+            return Jet(self.val + other.val, self.grad + other.grad, hess)
         return Jet(self.val + other, self.grad, self.hess)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         if isinstance(other, Jet):
-            return Jet(self.val - other.val, self.grad - other.grad, self.hess - other.hess)
+            hess = None if self.hess is None else self.hess - other.hess
+            return Jet(self.val - other.val, self.grad - other.grad, hess)
         return Jet(self.val - other, self.grad, self.hess)
 
     def __rsub__(self, other):
-        return Jet(other - self.val, -self.grad, -self.hess)
+        return Jet(other - self.val, -self.grad, None if self.hess is None else -self.hess)
 
     def __neg__(self):
-        return Jet(-self.val, -self.grad, -self.hess)
+        return Jet(-self.val, -self.grad, None if self.hess is None else -self.hess)
 
     def __mul__(self, other):
         if not isinstance(other, Jet):
-            return Jet(self.val * other, other * self.grad, other * self.hess)
+            return Jet(self.val * other, other * self.grad, None if self.hess is None else other * self.hess)
+        grad = self.val[..., None] * other.grad + other.val[..., None] * self.grad
+        if self.hess is None:
+            return Jet(self.val * other.val, grad, None)
         cross = self.grad[..., :, None] * other.grad[..., None, :]
         return Jet(
             self.val * other.val,
-            self.val[..., None] * other.grad + other.val[..., None] * self.grad,
+            grad,
             self.val[..., None, None] * other.hess
             + other.val[..., None, None] * self.hess
             + cross
@@ -124,12 +134,17 @@ def _floats(fn, x) -> np.ndarray:
 
 
 def _chain(x: Jet, f0, f1, f2) -> Jet:
-    """Second-order chain rule for a unary function applied to a jet."""
+    """Chain rule for a unary function applied to a jet, with its value f0 and
+    first derivative f1 at x.val.  ``f2()`` gives the second derivative; it is
+    called only on a second-order jet, so a first-order walk raises only what
+    its values and gradients raise."""
     g = x.grad
+    if x.hess is None:
+        return Jet(f0, f1[..., None] * g, None)
     return Jet(
         f0,
         f1[..., None] * g,
-        f1[..., None, None] * x.hess + f2[..., None, None] * (g[..., :, None] * g[..., None, :]),
+        f1[..., None, None] * x.hess + f2()[..., None, None] * (g[..., :, None] * g[..., None, :]),
     )
 
 
@@ -145,13 +160,13 @@ def _reciprocal(x: Jet) -> Jet:
         x,
         _divide(1.0, x.val),
         _divide(-1.0, _floats(lambda v: v**2, x.val)),
-        _divide(2.0, _floats(lambda v: v**3, x.val)),
+        lambda: _divide(2.0, _floats(lambda v: v**3, x.val)),
     )
 
 
 def jet_pow(x: Jet, k: int) -> Jet:
     if k == 0:
-        return Jet.const(np.ones_like(x.val), x.grad.shape[-1])
+        return Jet.const(np.ones_like(x.val), x.grad.shape[-1], 1 if x.hess is None else 2)
     if k == 1:
         return x
     if k < 0 and (x.val == 0.0).any():
@@ -160,30 +175,30 @@ def jet_pow(x: Jet, k: int) -> Jet:
         x,
         _floats(lambda v: v**k, x.val),
         k * _floats(lambda v: v ** (k - 1), x.val),
-        k * (k - 1) * _floats(lambda v: v ** (k - 2), x.val),
+        lambda: k * (k - 1) * _floats(lambda v: v ** (k - 2), x.val),
     )
 
 
 def jet_sin(x: Jet) -> Jet:
     s = _floats(math.sin, x.val)
-    return _chain(x, s, _floats(math.cos, x.val), -s)
+    return _chain(x, s, _floats(math.cos, x.val), lambda: -s)
 
 
 def jet_cos(x: Jet) -> Jet:
     c = _floats(math.cos, x.val)
-    return _chain(x, c, -_floats(math.sin, x.val), -c)
+    return _chain(x, c, -_floats(math.sin, x.val), lambda: -c)
 
 
 def jet_exp(x: Jet) -> Jet:
     e = _floats(math.exp, x.val)
-    return _chain(x, e, e, e)
+    return _chain(x, e, e, lambda: e)
 
 
 def jet_sqrt(x: Jet) -> Jet:
     if (x.val <= 0.0).any():
         raise ValueError("sqrt argument must be positive for jet evaluation")
     r = np.sqrt(x.val)  # correctly rounded, like math.sqrt
-    return _chain(x, r, _divide(0.5, r), _divide(-0.25, x.val * r))
+    return _chain(x, r, _divide(0.5, r), lambda: _divide(-0.25, x.val * r))
 
 
 _FUNCTIONS = {
@@ -442,21 +457,10 @@ class Expr:
             )
         return float(_eval(self.root, vals))
 
-    def jets(self, points) -> Jet:
-        """Jets at every row of an (N, n) array, from one walk of the tree."""
-        points = np.array(points, dtype=float)  # a copy: seed values are its columns
-        if points.ndim != 2:
-            raise ValueError("points must be an (N, n) array")
-        n = points.shape[1]
-        if self.max_param > n:
-            raise ValueError(
-                f"expression uses u{self.max_param} but only {n} parameters given"
-            )
-        seeds = [Jet.seed(points[:, i], i, n) for i in range(self.max_param)]
-        out = _eval(self.root, seeds)
-        if not isinstance(out, Jet):
-            out = Jet.const(np.full(len(points), float(out)), n)
-        return out
+    def jets(self, points, order: int = 2) -> Jet:
+        """Jets of ``order`` 1 or 2 at every row of an (N, n) array: the
+        one-expression view of ``expression_jets``."""
+        return expression_jets([self], points, order)[0]
 
     def jet(self, u) -> Jet:
         """Jet at one point: the single row of ``jets``."""
@@ -467,6 +471,24 @@ class Expr:
         """Replace parameter u<k> by the tree of mapping[k]."""
         root = _substitute(self.root, {k: e.root for k, e in mapping.items()})
         return Expr(root, _to_source(root), _max_param(root))
+
+
+def expression_jets(exprs, points, order: int = 2) -> list[Jet]:
+    """Jets of ``order`` 1 or 2 of each expression at every row of an (N, n)
+    array: one walk of each tree, all over one set of seeds."""
+    points = np.array(points, dtype=float)  # a copy: seed values are its columns
+    if points.ndim != 2:
+        raise ValueError("points must be an (N, n) array")
+    n = points.shape[1]
+    used = max((expr.max_param for expr in exprs), default=0)
+    if used > n:
+        raise ValueError(f"expression uses u{used} but only {n} parameters given")
+    seeds = [Jet.seed(points[:, i], i, n, order) for i in range(used)]
+    outs = [_eval(expr.root, seeds) for expr in exprs]
+    return [
+        out if isinstance(out, Jet) else Jet.const(np.full(len(points), float(out)), n, order)
+        for out in outs
+    ]
 
 
 def parse_expression(text: str) -> Expr:

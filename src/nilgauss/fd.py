@@ -4,7 +4,9 @@ A field ``f`` maps an (N, n) array of parameter points to an array of N
 values, one row per point (each row a float or an array).  Both
 differentiators take one centre (n,) or a stack of M centres (M, n).
 Richardson extrapolation is folded into fixed weights on differenced
-values, so a constant field gives exactly zero.  The stencils, every
+values, so a constant field gives exactly zero.  The Hessian stencil
+takes +-h e_a and +-h (e_a + e_b), n (n + 1) points per level, and reads
+each mixed partial from the seven-point formula.  The stencils, every
 level included, are built, evaluated and reduced one chunk of centres at
 a time: a field call gets at most ``FIELD_ROWS`` rows, or one whole
 centre's stencil if that is larger.
@@ -18,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Rows per field call: a chart field holds second-order jets for every row,
-# which for all stencils of a large grid in high dimension take gigabytes.
+# Rows per field call: a chart field holds jets for every row, which for
+# all stencils of a large grid in high dimension take gigabytes.
 # Chunks hold whole centres, so one centre's stencil may exceed it.
 FIELD_ROWS = 8192
 
@@ -124,13 +126,15 @@ def _hessian_table(n: int, fd: FDParams):
     """Stencil offsets (S, n) with the Richardson-folded weights of the gradient
     (n, S) and of the Hessian (n * n, S).
 
-    Offset 0 is the centre; per level follow +-h e_a, then h (+-e_a +- e_b)
-    for a < b.  The weights apply to values differenced against the centre,
-    so the centre itself has weight zero.
+    Offset 0 is the centre; per level follow +-h e_a, then +-h (e_a + e_b)
+    for a < b, n (n + 1) offsets in all.  The weights apply to values D
+    differenced against the centre, so the centre itself has weight zero:
+    f_aa = (D_{+a} + D_{-a}) / h^2 and, by the seven-point formula,
+    f_ab = (D_{+ab} + D_{-ab} - D_{+a} - D_{-a} - D_{+b} - D_{-b}) / (2 h^2).
     """
     ia, ib = np.triu_indices(n, 1)
     pairs = len(ia)
-    per_level = 2 * n + 4 * pairs
+    per_level = 2 * n + 2 * pairs
     size = 1 + fd.levels * per_level
     offsets = np.zeros((size, n))
     grads, hesss = [], []
@@ -140,9 +144,7 @@ def _hessian_table(n: int, fd: FDParams):
         steps = np.eye(n) * h
         first = 1 + lvl * per_level
         offsets[first:first + per_level] = np.concatenate([
-            steps, -steps,
-            steps[ia] + steps[ib], steps[ia] - steps[ib],
-            -steps[ia] + steps[ib], -steps[ia] - steps[ib],
+            steps, -steps, steps[ia] + steps[ib], -steps[ia] - steps[ib],
         ])
         grad = np.zeros((n, size))
         grad[diag, first + diag] = 0.5 / h
@@ -150,9 +152,12 @@ def _hessian_table(n: int, fd: FDParams):
         hess = np.zeros((n, n, size))
         hess[diag, diag, first + diag] = 1.0 / h**2
         hess[diag, diag, first + n + diag] = 1.0 / h**2
-        for block, sign in enumerate((1.0, -1.0, -1.0, 1.0)):  # ++, +-, -+, --
-            col = first + 2 * n + block * pairs + rows
-            hess[ia, ib, col] = hess[ib, ia, col] = sign * 0.25 / h**2
+        pair = first + 2 * n + rows  # +(e_a + e_b); -(e_a + e_b) follows after all pairs
+        for col, weight in (
+            (pair, 0.5), (pair + pairs, 0.5),
+            (first + ia, -0.5), (first + n + ia, -0.5), (first + ib, -0.5), (first + n + ib, -0.5),
+        ):
+            hess[ia, ib, col] = hess[ib, ia, col] = weight / h**2
         grads.append(grad)
         hesss.append(hess.reshape(n * n, size))
     tables = offsets, _richardson(grads), _richardson(hesss)

@@ -254,8 +254,8 @@ def oracle_laplacians(chart: SurfaceChart, cj: ChartJet, points, fd=FDParams()) 
 
     ``cj`` holds the stacked chart jets at the points, which give the
     metric coefficients exactly, one stacked inverse for all rows; the
-    Gauss map is differenced on its own stencils, those of all points in
-    one ``gradient_hessian`` call.
+    Gauss map, which reads first-order chart jets only, is differenced on
+    its own stencils, those of all points in one ``gradient_hessian`` call.
     """
     field = lambda pts: gauss_map(chart, pts)
     grad, hess = gradient_hessian(field, points, fd, domain=chart.domain)

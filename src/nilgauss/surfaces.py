@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import NilpotentAlgebra
-from .expressions import Expr, parse_expression
+from .expressions import Expr, expression_jets, parse_expression
 from .fd import FDParams, directional_derivative
 from .models import CoordinateModel, nil_polarized_model
 
@@ -91,26 +91,31 @@ class ChartJet:
     """Chart data at one parameter point: value, jets, algebra tangents, normal.
 
     ``stacked_chart_jets`` fills the same fields for a stack of N points,
-    each with a leading axis of length N.
+    each with a leading axis of length N.  ``q`` and ``r`` are the reduced
+    QR factors of the tangents.  A first-order evaluation has ``hess`` None.
     """
 
     point: np.ndarray   # (d,)
     jac: np.ndarray     # (d, n)
-    hess: np.ndarray    # (d, n, n)
+    hess: np.ndarray | None  # (d, n, n)
     ainv: np.ndarray    # inverse frame at point, (d, d)
     tangents: np.ndarray  # tangents in the algebra basis, (d, n)
     normal: np.ndarray  # oriented unit normal in the algebra basis, (d,)
+    q: np.ndarray       # tangents = q @ r, q (d, n) with orthonormal columns
+    r: np.ndarray       # upper triangular, (n, n)
 
     def __getitem__(self, i) -> "ChartJet":
         """Row i of a stacked ChartJet."""
-        return ChartJet(**{key: val[i] for key, val in vars(self).items()})
+        return ChartJet(**{key: None if val is None else val[i] for key, val in vars(self).items()})
 
 
-def stacked_chart_jets(chart: SurfaceChart, points) -> ChartJet:
-    """Chart jets at every row of an (N, n) array, one tree walk per component.
+def stacked_chart_jets(chart: SurfaceChart, points, order: int = 2) -> ChartJet:
+    """Chart jets of ``order`` 1 or 2 at every row of an (N, n) array, one
+    tree walk per component, all components over one set of seeds.
 
     The normal is the last column of a complete QR of the algebra tangents
-    T, signed by the orientation through det(T | normal).  That determinant
+    T, signed by the orientation through det(T | normal); the first n
+    columns and rows of the factors are T's reduced QR.  That determinant
     also certifies the immersion check on most rows; the rest get the
     singular values of T (the frame is unipotent, so T has the Jacobian's
     rank).  Raises ImmersionError naming the first point where T is nearly
@@ -124,15 +129,16 @@ def stacked_chart_jets(chart: SurfaceChart, points) -> ChartJet:
     count = len(points)
     val = np.empty((count, d))
     jac = np.empty((count, d, n))
-    hess = np.empty((count, d, n, n))
-    for k, comp in enumerate(chart.components):
-        jet = comp.jets(points)
+    hess = np.empty((count, d, n, n)) if order == 2 else None
+    for k, jet in enumerate(expression_jets(chart.components, points, order)):
         val[:, k] = jet.val
         jac[:, k] = jet.grad
-        hess[:, k] = jet.hess
+        if hess is not None:
+            hess[:, k] = jet.hess
     ainv = chart.model.frame_inverse(val)
     tangents = ainv @ jac
-    normal = np.linalg.qr(tangents, mode="complete").Q[..., -1]
+    qfull, rfull = np.linalg.qr(tangents, mode="complete")
+    normal = qfull[..., -1]
     det = np.linalg.det(np.concatenate([tangents, normal[..., None]], axis=-1))
     # |det| is the product of T's n singular values, each at most |T|_F, so
     # smin >= |det| / |T|_F^(n-1); rows not certified by a margin of 2 get an SVD
@@ -148,7 +154,10 @@ def stacked_chart_jets(chart: SurfaceChart, points) -> ChartJet:
                 f"(smallest tangent singular value {smin[i]:.3e})"
             )
     normal = np.where((det * chart.orientation < 0.0)[:, None], -normal, normal)
-    return ChartJet(point=val, jac=jac, hess=hess, ainv=ainv, tangents=tangents, normal=normal)
+    return ChartJet(
+        point=val, jac=jac, hess=hess, ainv=ainv, tangents=tangents, normal=normal,
+        q=qfull[..., :n], r=rfull[..., :n, :],
+    )
 
 
 def chart_jets(chart: SurfaceChart, u) -> ChartJet:
@@ -157,9 +166,10 @@ def chart_jets(chart: SurfaceChart, u) -> ChartJet:
 
 
 def gauss_map(chart: SurfaceChart, u) -> np.ndarray:
-    """Unit normal at r(u) in the algebra basis: (n,) -> (d,), or (N, n) -> (N, d)."""
+    """Unit normal at r(u) in the algebra basis: (n,) -> (d,), or (N, n) -> (N, d),
+    from a first-order chart evaluation."""
     u = np.asarray(u, dtype=float)
-    normal = stacked_chart_jets(chart, np.atleast_2d(u)).normal
+    normal = stacked_chart_jets(chart, np.atleast_2d(u), order=1).normal
     return normal if u.ndim == 2 else normal[0]
 
 
@@ -372,10 +382,10 @@ def chart_coefficients(cj: ChartJet, vecs) -> np.ndarray:
 
     ``cj`` is one ChartJet row or a stack; ``vecs`` is one (d,) vector or
     vectors (..., k, d) broadcast against the stack, giving (..., k, n).
-    One QR of the tangents and one triangular solve cover every vector.
+    One solve with the tangents' QR factors, which the ChartJet carries,
+    covers every vector.
     """
-    t, y = cj.tangents, np.asarray(vecs, dtype=float)
-    qm, rm = np.linalg.qr(t)
+    t, y, qm, rm = cj.tangents, np.asarray(vecs, dtype=float), cj.q, cj.r
     sol = np.swapaxes(np.linalg.solve(rm, np.swapaxes(np.atleast_2d(y) @ qm, -1, -2)), -1, -2)
     if (np.linalg.norm(sol @ np.swapaxes(t, -1, -2) - y, axis=-1) > 1e-6).any():
         raise ValueError("vector is not tangent to the chart at this point")

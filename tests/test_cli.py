@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -360,6 +361,45 @@ def test_bad_field_types_exit_2(tmp_path, change):
     doc = dict(BASE_CONFIG, **change)
     path = write_config(tmp_path, doc)
     assert main(["sweep", "--config", path]) == 2
+
+
+LEAF_CONFIG = dict(
+    BASE_CONFIG,
+    chart={"catalog": "nil_foliation_leaf", "params": {"z0": 0.5}},
+    domain=[[-2.0, 2.0], [-0.5, 0.5]],
+)
+RANDOM_GRAPH_CONFIG = dict(
+    BASE_CONFIG, model="exp", chart={"catalog": "random_graph", "params": {"terms": 3}}
+)
+
+
+@pytest.mark.parametrize(
+    "doc, problem",
+    [
+        (dict(BASE_CONFIG, fd={"step": "0.001"}), "fd step must be a finite number > 0"),
+        (dict(BASE_CONFIG, fd={"step": True}), "fd step must be a finite number > 0"),
+        (dict(BASE_CONFIG, domain=[["-1", 1], [-0.5, 0.5]]), "domain must be a list of [lo, hi] pairs"),
+        (dict(BASE_CONFIG, domain=[[-math.inf, 1], [-0.5, 0.5]]), "domain must be a list of [lo, hi] pairs"),
+        (dict(BASE_CONFIG, domain=[[-1, 1], [False, 0.5]]), "domain must be a list of [lo, hi] pairs"),
+        (dict(BASE_CONFIG, domain=[[-1, 1, 2], [-0.5, 0.5]]), "domain must be a list of [lo, hi] pairs"),
+        (dict(LEAF_CONFIG, chart={"catalog": "nil_foliation_leaf", "params": {"z0": "0.5"}}),
+         "chart param 'z0' must be a finite number"),
+        (dict(LEAF_CONFIG, chart={"catalog": "nil_foliation_leaf", "params": {"z0": True}}),
+         "chart param 'z0' must be a finite number"),
+        (dict(RANDOM_GRAPH_CONFIG, chart={"catalog": "random_graph", "params": {"terms": "3"}}),
+         "chart param 'terms' must be an integer"),
+        (dict(RANDOM_GRAPH_CONFIG, chart={"catalog": "random_graph", "params": {"terms": 3.7}}),
+         "chart param 'terms' must be an integer"),
+        (dict(RANDOM_GRAPH_CONFIG, chart={"catalog": "random_graph", "params": {"index": "1"}}),
+         "chart param 'index' must be an integer"),
+    ],
+)
+def test_config_numbers_must_be_json_numbers(tmp_path, capsys, doc, problem):
+    """Strings, booleans and infinities are not read as numbers: each bad value
+    exits 2 with one config error line."""
+    assert main(["sweep", "--config", write_config(tmp_path, doc)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"config error: {problem}"), lines
 
 
 @pytest.mark.parametrize(

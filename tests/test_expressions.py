@@ -221,3 +221,34 @@ def test_batch_rows_equal_single_point_jets(source, points):
         np.testing.assert_array_equal(batch.val[i], single.val)
         np.testing.assert_array_equal(batch.grad[i], single.grad)
         np.testing.assert_array_equal(batch.hess[i], single.hess)
+
+
+JET_ERRORS = (ValueError, ZeroDivisionError, OverflowError)
+
+
+@given(
+    source=st.recursive(_LEAVES, _grow, max_leaves=8),
+    points=st.lists(
+        st.tuples(*[st.floats(-1.5, 1.5, allow_nan=False)] * 3), min_size=1, max_size=6
+    ),
+)
+@settings(max_examples=300, deadline=None)
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_first_order_jets_equal_second_order_values_and_gradients(source, points):
+    """Order 1 skips every Hessian term and nothing else: where it raises, order 2
+    raises too; where order 2 succeeds, values and gradients agree bit for bit."""
+    expr = parse_expression(source)
+    pts = np.array(points)
+    try:
+        first = expr.jets(pts, order=1)
+    except JET_ERRORS:
+        with pytest.raises(JET_ERRORS):
+            expr.jets(pts)
+        return
+    assert first.hess is None
+    try:
+        second = expr.jets(pts)
+    except JET_ERRORS:
+        return  # only a second derivative failed
+    np.testing.assert_array_equal(first.val, second.val)
+    np.testing.assert_array_equal(first.grad, second.grad)

@@ -198,7 +198,7 @@ def test_chunks_of_whole_centres_equal_single_centre_calls(monkeypatch, levels, 
     sizes = []
     field = lambda pts: sizes.append(len(pts)) or polynomial(pts)
     grad, hess = gradient_hessian(field, centres, fd)
-    stencil = 1 + levels * 2 * 3 * 3  # centre, then 2n + 4 n(n-1)/2 per level
+    stencil = 1 + levels * 3 * 4  # centre, then 2n + 2 n(n-1)/2 = n(n+1) per level
     per = max(1, rows // stencil)
     assert sizes == [stencil * len(centres[i:i + per]) for i in range(0, 5, per)]
     sizes.clear()
@@ -209,3 +209,44 @@ def test_chunks_of_whole_centres_equal_single_centre_calls(monkeypatch, levels, 
         np.testing.assert_array_equal(grad[i], g)
         np.testing.assert_array_equal(hess[i], h)
         np.testing.assert_array_equal(deriv[i], d)
+
+
+def random_polynomial(rng, n, degree, count=12):
+    """Monomials c * prod u_i^e_i of total degree 2 .. degree, mostly mixed,
+    with their exact Hessian at a point."""
+    terms = [
+        (rng.uniform(-1.0, 1.0), rng.multinomial(deg, np.full(n, 1.0 / n)))
+        for deg in np.linspace(2, degree, count).round().astype(int)
+    ]
+
+    def field(pts):
+        return sum(c * np.prod(pts**e, axis=1) for c, e in terms)
+
+    def hessian(u):
+        out = np.zeros((n, n))
+        for c, e in terms:
+            for a in range(n):
+                for b in range(n):
+                    f = e.astype(float)
+                    coef = c * f[a]
+                    f[a] -= 1
+                    coef *= f[b]
+                    f[b] -= 1
+                    if coef:
+                        out[a, b] += coef * np.prod(u**f)
+        return out
+
+    return field, hessian
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+@pytest.mark.parametrize("levels", [1, 2])
+def test_hessian_exact_on_polynomials_of_degree_2_levels_plus_1(n, levels):
+    """The seven-point mixed formula differences +-(e_a + e_b) in even powers of
+    h, like the axes, so L levels leave no truncation error up to degree 2L + 1."""
+    rng = np.random.default_rng(20 + 3 * n + levels)
+    field, hessian = random_polynomial(rng, n, 2 * levels + 1)
+    centres = rng.uniform(-0.5, 0.5, (4, n))
+    _, hess = gradient_hessian(field, centres, FDParams(step=1e-2, levels=levels))
+    for u, h in zip(centres, hess):
+        np.testing.assert_allclose(h, hessian(u), rtol=0.0, atol=1e-9)

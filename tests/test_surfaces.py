@@ -103,7 +103,7 @@ def test_stacked_chart_layers_equal_single_points_bit_for_bit(algebra):
     hs = mean_curvature(chart, pts)
     for i, u in enumerate(pts):
         single = chart_jets(chart, u)
-        for name in ("point", "jac", "hess", "ainv", "tangents", "normal"):
+        for name in ("point", "jac", "hess", "ainv", "tangents", "normal", "q", "r"):
             np.testing.assert_array_equal(getattr(cj, name)[i], getattr(single, name))
         np.testing.assert_array_equal(normals[i], gauss_map(chart, u))
         assert hs[i] == mean_curvature(chart, u)
@@ -137,6 +137,75 @@ def test_svd_only_on_uncertified_rows(monkeypatch):
     with pytest.raises(ImmersionError, match=r"u=\[0\.2, 0\.0\] \(smallest tangent singular value 5\.0"):
         stacked_chart_jets(singular, [[0.1, 0.5], [0.2, 0.0], [-0.3, -0.4]])
     assert len(calls) == 2 and calls[1][0].shape == (1, 3, 2)
+
+
+def lean_field_charts():
+    """Charts whose components use different parameters, constants included."""
+    rng = np.random.default_rng(8)
+    charts = [random_graph_chart(exp_model(heisenberg(m)), rng, terms=4) for m in (1, 2, 3)]
+    charts += [random_graph_chart(exp_model(free_two_step_5d()), rng, terms=4)]
+    return charts + [
+        cylinder_chart("cos(u1)", "2*sin(u1)", (-0.6, 0.6), (-1, 1)),
+        foliation_leaf_chart(0.3),
+        vertical_plane_chart(),
+    ]
+
+
+@pytest.mark.parametrize("chart", lean_field_charts())
+@pytest.mark.parametrize("order", [1, 2])
+def test_shared_seeds_equal_per_component_jets(chart, order):
+    """One seed set for every component gives each component's own jets, bit for bit."""
+    pts = np.random.default_rng(9).uniform(-0.5, 0.5, (6, chart.param_dim))
+    cj = stacked_chart_jets(chart, pts, order)
+    for k, comp in enumerate(chart.components):
+        jet = comp.jets(pts, order)
+        np.testing.assert_array_equal(cj.point[:, k], jet.val)
+        np.testing.assert_array_equal(cj.jac[:, k], jet.grad)
+        if order == 2:
+            np.testing.assert_array_equal(cj.hess[:, k], jet.hess)
+        else:
+            assert cj.hess is None and jet.hess is None
+
+
+@pytest.mark.parametrize("chart", lean_field_charts())
+def test_first_order_chart_jets_match_second_order(chart):
+    """The oracle's first-order Gauss map: the normals of the second-order
+    evaluation, and its rows index like any stack with hess None."""
+    pts = np.random.default_rng(10).uniform(-0.5, 0.5, (6, chart.param_dim))
+    full, lean = stacked_chart_jets(chart, pts), stacked_chart_jets(chart, pts, order=1)
+    np.testing.assert_array_equal(gauss_map(chart, pts), full.normal)
+    names = ("point", "jac", "ainv", "tangents", "normal", "q", "r")
+    for name in names:
+        np.testing.assert_array_equal(getattr(lean, name), getattr(full, name))
+    for i in range(len(pts)):
+        row = lean[i]
+        assert row.hess is None
+        for name in names:
+            np.testing.assert_array_equal(getattr(row, name), getattr(full, name)[i])
+
+
+def test_first_order_gauss_map_raises_the_same_immersion_error():
+    degenerate = expression_chart(nil_polarized_model(), ["u1", "u2^3 + 5e-9*u2", "0"], [(-1, 1), (-1, 1)])
+    pts = [[0.1, 0.5], [0.2, 0.0], [-0.3, -0.4]]
+    with pytest.raises(ImmersionError) as full:
+        stacked_chart_jets(degenerate, pts)
+    with pytest.raises(ImmersionError) as lean:
+        gauss_map(degenerate, pts)
+    assert str(lean.value) == str(full.value)
+
+
+def test_chart_coefficients_solve_with_the_chart_jet_factors(monkeypatch):
+    """The complete QR of stacked_chart_jets gives the reduced factors: no second QR."""
+    cj, vecs, exact = random_tangent_vectors(2, 3)
+    np.testing.assert_allclose(cj.q @ cj.r, cj.tangents, rtol=0.0, atol=1e-14)
+    np.testing.assert_allclose(np.swapaxes(cj.q, 1, 2) @ cj.q, np.broadcast_to(np.eye(4), (len(vecs), 4, 4)), atol=1e-14)
+    assert (np.tril(cj.r, -1) == 0.0).all()
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("chart_coefficients took its own QR")
+
+    monkeypatch.setattr(np.linalg, "qr", forbidden)
+    np.testing.assert_allclose(chart_coefficients(cj, vecs), exact, rtol=0.0, atol=1e-12)
 
 
 def tangent_smin(chart, points):
