@@ -23,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import NilpotentAlgebra, algebra_from_json, heisenberg, validate
-from .expressions import ParseError
 from .fd import FDParams
 from .laplacian import (
     central_h_variation,
@@ -33,18 +32,9 @@ from .laplacian import (
     jacobi_residuals,
 )
 from .models import CoordinateModel, exp_model, nil_polarized_model
-from .surfaces import (
-    SurfaceChart,
-    cylinder_chart,
-    expression_chart,
-    foliation_leaf_chart,
-    graph_chart,
-    random_graph_chart,
-    vertical_plane_chart,
-)
+from .surfaces import ConfigError, SurfaceChart, catalog_chart, expression_chart, is_int, is_number
 
 METHOD_NAMES = ("general", "h_type", "heisenberg", "numeric_oracle")
-NIL_CHARTS = ("nil_foliation_leaf", "nil_vertical_plane", "nil_cylinder")
 CHECK_NAMES = ("harmonicity", "prop3", "corollary1", "jacobi", "gauss_codazzi")
 
 DEFAULT_TOLERANCES = {
@@ -58,27 +48,22 @@ DEFAULT_TOLERANCES = {
 # largest algebra dimension; one oracle stencil's first-order chart jets take ~5 MB at 16 and
 # ~0.1 GB at 32, and a FIELD_ROWS chunk of the dh field's second-order ones ~0.5 GB at 16
 MAX_DIM_TOTAL = 16
+# most grid points per job; the centre stack's second-order chart jets take
+# points * d * (1 + n + n^2) * 8 bytes, ~0.5 GB at this bound and d = MAX_DIM_TOTAL
+MAX_GRID_POINTS = 2**14
 # grid points and report points keep this many FD steps from the domain edge
 GRID_MARGIN_STEPS = 4.0
-
-
-class ConfigError(ValueError):
-    def __init__(self, problems):
-        self.problems = list(problems)
-        super().__init__("; ".join(self.problems))
 
 
 @dataclass
 class JobConfig:
     algebra: NilpotentAlgebra
-    model: CoordinateModel
     chart: SurfaceChart
     grid: list[int]
     methods: list[str]
     checks: list[str]
     tolerances: dict[str, float]
     fd: FDParams
-    seed: int
     point: list[float] | None
     jacobi_direction: list[float] | None
     raw: dict
@@ -94,7 +79,7 @@ def _build_algebra(spec, problems) -> NilpotentAlgebra | None:
         problems.append(f"unknown builtin algebra {spec['builtin']!r}")
         return None
     sizes = ("m",) if builtin else ("dim_total", "dim_center")
-    bad = [f"algebra {key} must be an integer" for key in sizes if not _is_int(spec.get(key, 1))]
+    bad = [f"algebra {key} must be an integer" for key in sizes if not is_int(spec.get(key, 1))]
     if bad:
         problems.extend(bad)
         return None
@@ -125,84 +110,36 @@ def _build_model(name, alg, problems) -> CoordinateModel | None:
 
 
 def _build_chart(spec, model, orientation, domain, seed, problems) -> SurfaceChart | None:
-    if spec is None:
-        problems.append("missing chart specification")
-        return None
     if not isinstance(spec, dict):
-        problems.append("chart must be an object")
+        problems.append("missing chart specification" if spec is None else "chart must be an object")
         return None
+    found = len(problems)
+    kind = "components" if "components" in spec else "catalog"
+    extra = [key for key in spec if key not in ((kind,) if kind == "components" else (kind, "params"))]
+    if extra:
+        problems.append(f"a chart with {kind!r} takes no " + ", ".join(map(repr, extra)))
+    if not isinstance(spec.get("params", {}), dict):
+        problems.append("chart params must be an object")
     if domain is not None and not (
         isinstance(domain, (list, tuple))
-        and all(isinstance(r, (list, tuple)) and len(r) == 2 and all(map(_is_number, r)) for r in domain)
+        and all(isinstance(r, (list, tuple)) and len(r) == 2 and all(map(is_number, r)) for r in domain)
     ):
         problems.append("domain must be a list of [lo, hi] pairs of finite numbers")
-        return None
-    if model is None:
+    elif domain is not None and model is not None and len(domain) != model.dim - 1:
+        problems.append(f"domain needs {model.dim - 1} axis ranges")
+    elif kind == "components" and domain is None:
+        problems.append("expression charts need a domain")
+    if len(problems) > found or model is None:
         return None
     try:
-        if domain is not None and len(domain) != model.dim - 1:
-            problems.append(f"domain needs {model.dim - 1} axis ranges")
-            return None
-        if "components" in spec:
-            if domain is None:
-                problems.append("expression charts need a domain")
-                return None
+        if kind == "components":
             return expression_chart(model, spec["components"], domain, orientation)
-        name = spec.get("catalog")
-        params = spec.get("params", {})
-        if name in NIL_CHARTS and model.name != "nil_polarized":
-            problems.append(f"chart {name!r} needs the nil_polarized model")
-            return None
-        rules = _NUMERIC_PARAMS.get(name, {})
-        bad = [key for key, (check, _) in rules.items() if key in params and not check(params[key])]
-        if bad:
-            problems.extend(f"chart param {key!r} must be {rules[key][1]}" for key in bad)
-            return None
-        if name == "nil_foliation_leaf":
-            kwargs = {}
-            if "z0" in params:
-                kwargs["z_level"] = float(params["z0"])
-            if domain is not None:
-                kwargs["x_range"], kwargs["y_range"] = domain
-            return foliation_leaf_chart(**kwargs)
-        if name == "nil_vertical_plane":
-            if domain is not None:
-                return vertical_plane_chart(*domain)
-            return vertical_plane_chart()
-        if name == "nil_cylinder":
-            kwargs = {"f1": params["f1"], "f2": params["f2"]}
-            if domain is not None:
-                kwargs["s_range"], kwargs["t_range"] = domain
-            kwargs["orientation"] = orientation
-            return cylinder_chart(**kwargs)
-        if name == "graph":
-            if domain is None:
-                problems.append("graph charts need a domain")
-                return None
-            return graph_chart(model, params["expr"], domain, orientation)
-        if name == "random_graph":
-            rng = np.random.default_rng(seed + params.get("index", 0))
-            return random_graph_chart(model, rng, terms=params.get("terms", 3))
-        problems.append(f"unknown chart catalog entry {name!r}")
-        return None
-    except (AttributeError, KeyError, TypeError, ValueError, ParseError) as exc:
+        return catalog_chart(spec.get("catalog"), model, spec.get("params", {}), domain, orientation, seed)
+    except ConfigError as exc:
+        problems.extend(exc.problems)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         problems.append(f"bad chart specification: {exc}")
-        return None
-
-
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
-def _is_number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
-
-
-# numeric chart params of the catalog entries that read them: check and wording
-_NUMERIC_PARAMS = {
-    "nil_foliation_leaf": {"z0": (_is_number, "a finite number")},
-    "random_graph": {"terms": (_is_int, "an integer"), "index": (_is_int, "an integer")},
-}
+    return None
 
 
 def _name_list(doc, key, known, problems) -> list:
@@ -224,7 +161,7 @@ def _build_tolerances(spec, problems) -> dict[str, float]:
     for key, val in spec.items():
         if key not in DEFAULT_TOLERANCES:
             problems.append(f"unknown tolerance {key!r}")
-        elif not (_is_number(val) and val > 0):
+        elif not (is_number(val) and val > 0):
             problems.append(f"tolerance {key!r} must be a finite number > 0")
         else:
             tolerances[key] = float(val)
@@ -235,10 +172,10 @@ def _build_fd(spec, problems) -> FDParams | None:
     levels = spec.get("levels", 2) if isinstance(spec, dict) else None
     step = spec.get("step", 1e-4) if isinstance(spec, dict) else None
     ok = True
-    if not (_is_number(step) and step > 0.0):
+    if not (is_number(step) and step > 0.0):
         problems.append("fd step must be a finite number > 0")
         ok = False
-    if not _is_int(levels) or levels < 1:
+    if not is_int(levels) or levels < 1:
         problems.append("fd levels must be an integer >= 1")
         ok = False
     return FDParams(step=float(step), levels=levels) if ok else None
@@ -265,39 +202,39 @@ def load_config(doc: dict) -> JobConfig:
     alg = _build_algebra(doc.get("algebra"), problems)
     model = _build_model(doc.get("model", "exp"), alg, problems)
     orientation = doc.get("orientation", 1)
-    if not _is_int(orientation) or orientation not in (1, -1):
+    if not is_int(orientation) or orientation not in (1, -1):
         problems.append("orientation must be the integer 1 or -1")
         orientation = 1
     seed = doc.get("seed", 0)
-    if not _is_int(seed):
+    if not is_int(seed):
         problems.append("seed must be an integer")
         seed = 0
+    grid = doc.get("grid", [])
+    if not isinstance(grid, list) or not all(is_int(g) for g in grid):
+        problems.append("grid must be a list of integers")
+        grid = []
+    elif any(g < 2 for g in grid):
+        problems.append("grid resolution must be at least 2 per axis")
+    elif math.prod(grid) > MAX_GRID_POINTS:
+        problems.append(f"grid has {math.prod(grid)} points, above the limit of {MAX_GRID_POINTS}")
     domain = doc.get("domain")
     chart = _build_chart(doc.get("chart"), model, orientation, domain, seed, problems)
+    if chart is not None:
+        grid = grid or [3] * chart.param_dim
+        if len(grid) != chart.param_dim:
+            problems.append(f"grid needs {chart.param_dim} axis resolutions")
 
     methods = _name_list(doc, "methods", METHOD_NAMES, problems)
     if not methods:
         problems.append("no methods requested")
     checks = _name_list(doc, "checks", CHECK_NAMES, problems)
 
-    grid = doc.get("grid", [])
-    if not isinstance(grid, list) or not all(_is_int(g) for g in grid):
-        problems.append("grid must be a list of integers")
-        grid = []
-    if chart is not None:
-        if not grid:
-            grid = [3] * chart.param_dim
-        if len(grid) != chart.param_dim:
-            problems.append(f"grid needs {chart.param_dim} axis resolutions")
-        elif any(g < 2 for g in grid):
-            problems.append("grid resolution must be at least 2 per axis")
-
     tolerances = _build_tolerances(doc.get("tolerances", {}), problems)
     fdp = _build_fd(doc.get("fd", {}), problems)
 
     point = doc.get("point")
     if point is not None:
-        ok = isinstance(point, list) and all(_is_number(x) for x in point)
+        ok = isinstance(point, list) and all(is_number(x) for x in point)
         if not ok:
             problems.append("point must be a list of finite numbers")
         point = [float(x) for x in point] if ok else None
@@ -306,7 +243,7 @@ def load_config(doc: dict) -> JobConfig:
 
     direction = doc.get("jacobi_direction")
     if direction is not None:
-        ok = isinstance(direction, list) and all(_is_number(x) for x in direction)
+        ok = isinstance(direction, list) and all(is_number(x) for x in direction)
         ok = ok and any(direction) and (alg is None or len(direction) == alg.dim_total)
         if not ok:
             problems.append("jacobi_direction must be dim_total finite numbers, not all zero")
@@ -329,14 +266,12 @@ def load_config(doc: dict) -> JobConfig:
         raise ConfigError(problems)
     return JobConfig(
         algebra=alg,
-        model=model,
         chart=chart,
         grid=grid,
         methods=methods,
         checks=checks,
         tolerances=tolerances,
         fd=fdp,
-        seed=seed,
         point=point,
         jacobi_direction=direction,
         raw=doc,

@@ -1,12 +1,14 @@
 """Parametric hypersurfaces in a coordinate model.
 
 A chart is a tuple of expressions u -> r(u) into model coordinates over a
-box domain.  From first and second chart jets everything extrinsic is
-computed exactly (no finite differences): tangents expressed in the
-left-invariant frame, the induced metric with its first derivatives, the
-second fundamental form from the connection, and hence the mean
-curvature H and |B|^2.  Finite differences appear only for derivatives
-of derived scalar fields such as u -> n H(u).
+box domain.  Every named chart (``CATALOG``: the polarized model's leaves,
+vertical plane and cylinders, graphs) is built by ``catalog_chart``, which
+checks a request against its entry.  From first and second chart jets
+everything extrinsic is computed exactly (no finite differences):
+tangents expressed in the left-invariant frame, the induced metric with
+its first derivatives, the second fundamental form from the connection,
+and hence the mean curvature H and |B|^2.  Finite differences appear
+only for derivatives of derived scalar fields such as u -> n H(u).
 
 The Gauss map is the unit normal pulled back to the algebra by the
 inverse frame: the one-dimensional orthogonal complement of the tangent
@@ -25,12 +27,15 @@ specialized Laplacian formula is stated in.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .algebra import NilpotentAlgebra
-from .expressions import Expr, expression_jets, parse_expression
+from .expressions import MAX_DEPTH, Expr, expression_jets, parse_expression
 from .fd import FDParams, directional_derivative
 from .models import CoordinateModel, nil_polarized_model
 
@@ -429,111 +434,170 @@ def mean_curvature_derivatives(chart: SurfaceChart, u, coeffs, fd=FDParams()):
 # chart catalog
 
 
-def expression_chart(
-    model: CoordinateModel,
-    components,
-    domain,
-    orientation: int = 1,
-) -> SurfaceChart:
-    exprs = tuple(
-        comp if isinstance(comp, Expr) else parse_expression(comp) for comp in components
-    )
+def expression_chart(model: CoordinateModel, components, domain, orientation: int = 1) -> SurfaceChart:
+    exprs = tuple(comp if isinstance(comp, Expr) else parse_expression(comp) for comp in components)
     return SurfaceChart(model=model, components=exprs, orientation=orientation, domain=tuple(domain))
 
 
-def graph_chart(
-    model: CoordinateModel,
-    expr,
-    domain,
-    orientation: int = 1,
-) -> SurfaceChart:
+class ConfigError(ValueError):
+    """Problems with a job or chart configuration, every one found."""
+
+    def __init__(self, problems):
+        self.problems = list(problems)
+        super().__init__("; ".join(self.problems))
+
+
+def is_int(x) -> bool:
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
+def is_number(x) -> bool:
+    return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
+
+
+# param kind -> (accepts a value, wording); an expression may also be an Expr
+PARAM_KINDS = {
+    "number": (is_number, "a finite number"),
+    "integer": (is_int, "an integer"),
+    "expression": (lambda x: isinstance(x, (str, Expr)), "an expression string"),
+}
+
+
+@dataclass(frozen=True)
+class CatalogParam:
+    kind: str  # a key of PARAM_KINDS
+    required: bool = False
+    default: object = None  # the value of an optional param that is left out
+    span: range | None = None  # the values an integer param may take
+
+
+@dataclass(frozen=True)
+class CatalogEntry:
+    components: Callable  # (model, params, domain, rng) -> component expressions
+    params: dict  # name -> CatalogParam
+    nil_polarized: bool  # built on the nil_polarized model only
+    domain: tuple | None  # default axis ranges, the last repeated over further axes; None: required
+    sign: int = 1  # the chart's orientation is this times the requested one
+
+
+def _cylinder_components(model, params, domain, rng):
+    """(f1(u1), f2(u1), u2); the profile derivative must not vanish on the u1-range."""
+    e1, e2 = (f if isinstance(f, Expr) else parse_expression(f) for f in (params["f1"], params["f2"]))
+    for e in (e1, e2):
+        if e.max_param > 1:
+            raise ValueError("profile expressions may only use u1")
+    for sval in np.linspace(domain[0][0], domain[0][1], 17):
+        if sum(e.jet([sval, 0.0]).grad[0] ** 2 for e in (e1, e2)) <= 1e-16:
+            raise ValueError(f"degenerate profile derivative at s={sval}")
+    return [e1, e2, "u2"]
+
+
+def _graph_components(model, params, domain, rng):
+    return [f"u{i}" for i in range(1, model.dim)] + [params["expr"]]
+
+
+RANDOM_TERMS = ("{c}*u{a}", "{c}*u{a}*u{b}", "{c}*sin(u{a})", "{c}*cos(u{a})")
+# A sum of k terms has k - 1 levels of '+' above its first term, and a term is at
+# most 4 levels deep (-c*u1*u2 is *, *, neg, c), so up to MAX_DEPTH - 3 terms parse.
+RANDOM_MAX_TERMS = MAX_DEPTH - 3
+
+
+def _random_graph_components(model, params, domain, rng):
+    """A graph of a seeded random sum of RANDOM_TERMS; an integer ``rng`` is a
+    seed, to which the ``index`` param is added."""
+    if not isinstance(rng, np.random.Generator):
+        rng = np.random.default_rng(rng + params["index"])
+    elif params["index"]:
+        raise ValueError("chart param 'index' offsets an integer seed, not a Generator")
+    parts = []
+    for _ in range(params["terms"]):
+        kind = int(rng.integers(0, 4))
+        a = int(rng.integers(1, model.dim))
+        b = int(rng.integers(1, model.dim))
+        coeff = float(np.round(rng.uniform(-RANDOM_COEFF_SCALE, RANDOM_COEFF_SCALE), 6))
+        parts.append(RANDOM_TERMS[kind].format(c=coeff, a=a, b=b))
+    return _graph_components(model, {"expr": " + ".join(parts)}, domain, rng)
+
+
+EXPRESSION = CatalogParam("expression", required=True)
+CATALOG = {
+    "nil_foliation_leaf": CatalogEntry(
+        lambda model, params, domain, rng: ["u1", "u2", repr(float(params["z0"]))],
+        {"z0": CatalogParam("number", default=0.0)}, nil_polarized=True, domain=((-2.5, 2.5), (-1.0, 1.0)),
+    ),
+    "nil_vertical_plane": CatalogEntry(
+        lambda model, params, domain, rng: ["u1", "0", "u2"],
+        {}, nil_polarized=True, domain=((-1.0, 1.0),), sign=-1,
+    ),
+    "nil_cylinder": CatalogEntry(
+        _cylinder_components, {"f1": EXPRESSION, "f2": EXPRESSION}, nil_polarized=True, domain=((-1.0, 1.0),),
+    ),
+    "graph": CatalogEntry(_graph_components, {"expr": EXPRESSION}, nil_polarized=False, domain=None),
+    "random_graph": CatalogEntry(
+        _random_graph_components,
+        {
+            "terms": CatalogParam("integer", default=3, span=range(1, RANDOM_MAX_TERMS + 1)),
+            "index": CatalogParam("integer", default=0),
+        },
+        nil_polarized=False, domain=((-RANDOM_DOMAIN_HALF, RANDOM_DOMAIN_HALF),),
+    ),
+}
+
+
+def catalog_chart(name, model, params, domain=None, orientation=1, rng=0) -> SurfaceChart:
+    """Catalog entry ``name`` over ``domain`` (default: the entry's), oriented by
+    ``orientation`` times the entry's sign; ``rng`` is a Generator or an integer seed.
+    The request is checked against the entry before any expression is parsed, and
+    ConfigError lists every problem."""
+    entry = CATALOG.get(name)
+    if entry is None:
+        raise ConfigError([f"unknown chart catalog entry {name!r}"])
+    problems = [f"chart {name!r} has no param {key!r}" for key in params if key not in entry.params]
+    for key, spec in entry.params.items():
+        accepts, wording = PARAM_KINDS[spec.kind]
+        if key not in params:
+            problems += [f"chart {name!r} needs param {key!r}"] if spec.required else []
+        elif not (accepts(params[key]) and (spec.span is None or params[key] in spec.span)):
+            span = "" if spec.span is None else f" from {spec.span[0]} to {spec.span[-1]}"
+            problems.append(f"chart param {key!r} must be {wording}{span}")
+    if entry.nil_polarized and model.name != "nil_polarized":
+        problems.append(f"chart {name!r} needs the nil_polarized model")
+    if domain is None and entry.domain is None:
+        problems.append(f"chart {name!r} needs a domain")
+    if problems:
+        raise ConfigError(problems)
+    if domain is None:
+        domain = entry.domain + entry.domain[-1:] * (model.dim - 1 - len(entry.domain))
+    values = {key: params.get(key, spec.default) for key, spec in entry.params.items()}
+    comps = entry.components(model, values, domain, rng)
+    return expression_chart(model, comps, domain, entry.sign * orientation)
+
+
+def graph_chart(model: CoordinateModel, expr, domain, orientation: int = 1) -> SurfaceChart:
     """Hypersurface with the last coordinate a function of the others."""
-    n = model.dim - 1
-    comps = [f"u{i}" for i in range(1, n + 1)]
-    comps.append(expr if isinstance(expr, str) else expr.source)
-    return expression_chart(model, comps, domain, orientation)
+    return catalog_chart("graph", model, {"expr": expr}, domain, orientation)
 
 
-def foliation_leaf_chart(
-    z_level: float = 0.0,
-    x_range=(-2.5, 2.5),
-    y_range=(-1.0, 1.0),
-) -> SurfaceChart:
+def foliation_leaf_chart(z_level: float = 0.0, x_range=(-2.5, 2.5), y_range=(-1.0, 1.0)) -> SurfaceChart:
     """Horizontal leaf {z = const} of the polarized 3-dimensional model.
 
     Its normal direction is (u1 * Y + Z)/sqrt(1 + u1^2) in the
     left-invariant frame, a minimal surface with non-constant |B|^2.
     """
-    return expression_chart(
-        nil_polarized_model(),
-        ["u1", "u2", repr(float(z_level))],
-        [x_range, y_range],
-        orientation=1,
-    )
+    return catalog_chart("nil_foliation_leaf", nil_polarized_model(), {"z0": z_level}, (x_range, y_range))
 
 
 def vertical_plane_chart(s_range=(-1.0, 1.0), t_range=(-1.0, 1.0)) -> SurfaceChart:
     """The plane r(s, t) = (s, 0, t) in the polarized model; Gauss map = Y."""
-    return expression_chart(
-        nil_polarized_model(),
-        ["u1", "0", "u2"],
-        [s_range, t_range],
-        orientation=-1,
-    )
+    return catalog_chart("nil_vertical_plane", nil_polarized_model(), {}, (s_range, t_range))
 
 
-def cylinder_chart(
-    f1,
-    f2,
-    s_range=(-1.0, 1.0),
-    t_range=(-1.0, 1.0),
-    orientation: int = 1,
-) -> SurfaceChart:
-    """Surface r(s, t) = (f1(s), f2(s), t) in the polarized model.
-
-    Invariant under central translations; the profile derivative must not
-    vanish on the s-range.
-    """
-    e1 = f1 if isinstance(f1, Expr) else parse_expression(f1)
-    e2 = f2 if isinstance(f2, Expr) else parse_expression(f2)
-    for e in (e1, e2):
-        if e.max_param > 1:
-            raise ValueError("profile expressions may only use u1")
-    lo, hi = float(s_range[0]), float(s_range[1])
-    for sval in np.linspace(lo, hi, 17):
-        j1 = e1.jet([sval, 0.0]).grad[0]
-        j2 = e2.jet([sval, 0.0]).grad[0]
-        if j1 * j1 + j2 * j2 <= 1e-16:
-            raise ValueError(f"degenerate profile derivative at s={sval}")
-    return expression_chart(
-        nil_polarized_model(),
-        [e1, e2, parse_expression("u2")],
-        [(lo, hi), t_range],
-        orientation=orientation,
-    )
+def cylinder_chart(f1, f2, s_range=(-1.0, 1.0), t_range=(-1.0, 1.0), orientation=1) -> SurfaceChart:
+    """Surface r(s, t) = (f1(s), f2(s), t) in the polarized model, invariant under central translations."""
+    params = {"f1": f1, "f2": f2}
+    return catalog_chart("nil_cylinder", nil_polarized_model(), params, (s_range, t_range), orientation)
 
 
-def random_graph_chart(
-    model: CoordinateModel,
-    rng: np.random.Generator,
-    terms: int = 3,
-) -> SurfaceChart:
+def random_graph_chart(model: CoordinateModel, rng: np.random.Generator, terms: int = 3) -> SurfaceChart:
     """Seeded random graph chart with bounded polynomial/trig height."""
-    n = model.dim - 1
-    parts = []
-    for _ in range(max(1, terms)):
-        kind = int(rng.integers(0, 4))
-        a = int(rng.integers(1, n + 1))
-        b = int(rng.integers(1, n + 1))
-        coeff = float(np.round(rng.uniform(-RANDOM_COEFF_SCALE, RANDOM_COEFF_SCALE), 6))
-        if kind == 0:
-            parts.append(f"{coeff}*u{a}")
-        elif kind == 1:
-            parts.append(f"{coeff}*u{a}*u{b}")
-        elif kind == 2:
-            parts.append(f"{coeff}*sin(u{a})")
-        else:
-            parts.append(f"{coeff}*cos(u{a})")
-    height = " + ".join(parts)
-    domain = [(-RANDOM_DOMAIN_HALF, RANDOM_DOMAIN_HALF)] * n
-    return graph_chart(model, height, domain)
+    return catalog_chart("random_graph", model, {"terms": terms}, rng=rng)

@@ -592,3 +592,23 @@ def test_module_config_error_exits_2_without_traceback(tmp_path):
     lines = out.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("config error:"), out.stderr
     assert "Traceback" not in out.stderr
+
+
+def test_grid_over_the_point_bound_exits_2_before_any_allocation(tmp_path, capsys, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("grid points were allocated")
+
+    monkeypatch.setattr(cli, "grid_points", forbidden)
+    path = write_config(tmp_path, dict(BASE_CONFIG, grid=[100000, 100000]))
+    assert main(["sweep", "--config", path]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    problem = f"grid has 10000000000 points, above the limit of {cli.MAX_GRID_POINTS}"
+    assert lines == [f"config error: {problem}"]
+
+
+def test_grid_at_the_point_bound_is_accepted():
+    side = math.isqrt(cli.MAX_GRID_POINTS)
+    assert side * side == cli.MAX_GRID_POINTS
+    assert load_config(dict(BASE_CONFIG, grid=[side, side])).grid == [side, side]
+    with pytest.raises(ConfigError, match="above the limit"):
+        load_config(dict(BASE_CONFIG, grid=[side, side + 1]))

@@ -1,5 +1,6 @@
 """The runnable experiments under scripts/ run to completion on tiny inputs."""
 
+import json
 import os
 import subprocess
 import sys
@@ -37,3 +38,15 @@ def test_readme_library_example_runs():
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip()
+
+
+def test_reference_reports_writes_one_report_per_reference_job(tmp_path):
+    """3 examples plus 25 pool jobs at each of seeds 0, 1 and 2."""
+    out = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "reference_reports.py"), str(tmp_path)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    reports = sorted(tmp_path.glob("*.json"))
+    assert len(reports) == 78
+    assert all(json.loads(path.read_text())["rows"] for path in reports)
