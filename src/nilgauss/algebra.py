@@ -24,6 +24,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .schema import ConfigError, Field, Table, between, check
+
 # J(z)^2 = -|z|^2 Id must hold to this tolerance for a Heisenberg-type algebra
 H_TYPE_TOL = 1e-9
 
@@ -240,28 +242,42 @@ def is_heisenberg_type(alg: NilpotentAlgebra) -> bool:
     return worst <= H_TYPE_TOL
 
 
+BRACKET = Table(
+    {**{key: Field("integer", True, span=between(1)) for key in "ijk"}, "c": Field("number", True)},
+    name="bracket {}", unknown="a bracket takes no {}", missing="a bracket needs {!r}",
+)
+# an algebra given by its structure constants
+ALGEBRA = Table(
+    {"dim_total": Field("integer", True, span=between(2)),
+     "dim_center": Field("integer", True, span=between(1)),
+     "brackets": Field("list", default=[], items=Field("object", items=BRACKET))},
+    name="algebra {}", unknown="an inline algebra takes no {}", missing="malformed algebra document: no {!r}",
+)
+
+
 def algebra_from_json(data: dict) -> NilpotentAlgebra:
     """Build an algebra from the JSON description.
 
     Expected document: ``{"dim_total": d, "dim_center": l,
     "brackets": [{"i": .., "j": .., "k": .., "c": ..}, ...]}`` with
     one-based indices and only i < j entries; the antisymmetric mirror
-    is filled in automatically.
+    is filled in automatically.  A document that ``ALGEBRA`` does not
+    describe raises ConfigError, a ValueError, naming every problem.
     """
-    try:
-        d = int(data["dim_total"])
-        l = int(data["dim_center"])
-        entries = data.get("brackets", [])
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed algebra document: {exc}") from exc
+    problems = check(data, Field("object", items=ALGEBRA), "algebra")
+    if problems:
+        raise ConfigError(problems)
+    d = data["dim_total"]
     c = np.zeros((d, d, d))
-    for ent in entries:
-        i, j, k = int(ent["i"]), int(ent["j"]), int(ent["k"])
-        val = float(ent["c"])
-        if not (1 <= i <= d and 1 <= j <= d and 1 <= k <= d):
-            raise ValueError(f"bracket entry index out of range: {ent}")
-        if i >= j:
-            raise ValueError(f"bracket entries must have i < j, got i={i}, j={j}")
-        c[i - 1, j - 1, k - 1] += val
-        c[j - 1, i - 1, k - 1] -= val
-    return NilpotentAlgebra(dim_total=d, dim_center=l, bracket_tensor=c)
+    with np.errstate(over="ignore"):  # a sum beyond float range is rejected below
+        for ent in data.get("brackets", []):
+            i, j, k = ent["i"], ent["j"], ent["k"]
+            if max(i, j, k) > d:
+                raise ValueError(f"bracket entry index out of range: {ent}")
+            if i >= j:
+                raise ValueError(f"bracket entries must have i < j, got i={i}, j={j}")
+            c[i - 1, j - 1, k - 1] += ent["c"]
+            c[j - 1, i - 1, k - 1] -= ent["c"]
+    if not np.isfinite(c).all():
+        raise ValueError("bracket entries with the same i, j, k sum beyond float range")
+    return NilpotentAlgebra(dim_total=d, dim_center=data["dim_center"], bracket_tensor=c)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import NilpotentAlgebra, algebra_from_json, heisenberg, validate
+from .algebra import ALGEBRA, NilpotentAlgebra, algebra_from_json, heisenberg, validate
 from .fd import FDParams
 from .laplacian import (
     central_h_variation,
@@ -31,28 +31,74 @@ from .laplacian import (
     harmonicity_cmc_residuals,
     jacobi_residuals,
 )
-from .models import CoordinateModel, exp_model, nil_polarized_model
-from .surfaces import ConfigError, SurfaceChart, catalog_chart, expression_chart, is_int, is_number
+from .models import exp_model, nil_polarized_model
+from .schema import POSITIVE, ConfigError, Field, Table, between, check, fill, one_of
+from .surfaces import SurfaceChart, catalog_chart, expression_chart
 
 METHOD_NAMES = ("general", "h_type", "heisenberg", "numeric_oracle")
 CHECK_NAMES = ("harmonicity", "prop3", "corollary1", "jacobi", "gauss_codazzi")
 
-DEFAULT_TOLERANCES = {
-    "harmonicity": 1e-3,
-    "prop3": 1e-6,
-    "corollary1": 5e-4,
-    "jacobi": 5e-4,
-    "gauss_codazzi": 5e-4,
-    "oracle_gap": 5e-4,
-}
 # largest algebra dimension; one oracle stencil's first-order chart jets take ~5 MB at 16 and
 # ~0.1 GB at 32, and a FIELD_ROWS chunk of the dh field's second-order ones ~0.5 GB at 16
 MAX_DIM_TOTAL = 16
 # most grid points per job; the centre stack's second-order chart jets take
 # points * d * (1 + n + n^2) * 8 bytes, ~0.5 GB at this bound and d = MAX_DIM_TOTAL
 MAX_GRID_POINTS = 2**14
+# most Richardson levels; one centre's oracle stencil has 1 + levels * n (n + 1) rows, and at
+# n = MAX_DIM_TOTAL - 1 = 15 up to 34 levels keep it within one fd.FIELD_ROWS (8192) field call
+MAX_FD_LEVELS = 34
 # grid points and report points keep this many FD steps from the domain edge
 GRID_MARGIN_STEPS = 4.0
+
+# a job document, every key it may hold at every level; algebra.ALGEBRA is an inline algebra
+NUMBER = Field("number")
+NUMBERS = Field("list", items=NUMBER, must="a list of finite numbers")
+FD = Table(
+    {"step": Field("number", default=FDParams.step, span=POSITIVE),
+     "levels": Field("integer", default=FDParams.levels, span=between(1, MAX_FD_LEVELS))},
+    name="fd {}", unknown="unknown fd key {}",
+)
+TOLERANCES = Table(
+    {key: Field("number", default=tol, span=POSITIVE) for key, tol in {
+        "harmonicity": 1e-3, "prop3": 1e-6, "corollary1": 5e-4,
+        "jacobi": 5e-4, "gauss_codazzi": 5e-4, "oracle_gap": 5e-4,
+    }.items()},
+    name="tolerance {!r}", unknown="unknown tolerance {}",
+)
+BUILTIN_ALGEBRA = Table(
+    {"builtin": Field("string", True, span=one_of(("heisenberg",))),
+     "m": Field("integer", default=1, span=between(1))},
+    name="algebra {}", unknown="an algebra with 'builtin' takes no {}", tag="builtin",
+)
+COMPONENT_CHART = Table(
+    {"components": Field("list", True, items=Field("expression"), must="a list of expression strings")},
+    name="chart {}", unknown="a chart with 'components' takes no {}", tag="components",
+)
+CATALOG_CHART = Table(
+    {"catalog": Field("string", True), "params": Field("object", default={})},
+    name="chart {}", unknown="a chart with 'catalog' takes no {}", missing="chart needs {!r}",
+)
+DOCUMENT = Table(
+    {
+        "algebra": Field("object", True, items=(BUILTIN_ALGEBRA, ALGEBRA)),
+        "model": Field("string", default="exp", span=one_of(("exp", "nil_polarized"))),
+        "chart": Field("object", True, items=(COMPONENT_CHART, CATALOG_CHART)),
+        "domain": Field("list", items=Field("list", items=NUMBER, span=(lambda r: len(r) == 2, " of length 2")),
+                        must="a list of [lo, hi] pairs of finite numbers"),
+        "grid": Field("list", default=[], items=Field("integer", span=between(2)),
+                      must="a list of integers of at least 2"),
+        "methods": Field("list", default=[], items=Field("string", span=one_of(METHOD_NAMES))),
+        "checks": Field("list", default=[], items=Field("string", span=one_of(CHECK_NAMES))),
+        "tolerances": Field("object", default={}, items=TOLERANCES),
+        "fd": Field("object", default={}, items=FD),
+        "point": NUMBERS,
+        "jacobi_direction": NUMBERS,
+        "orientation": Field("integer", default=1, span=(lambda x: x in (1, -1), " 1 or -1")),
+        "seed": Field("integer", default=0),
+    },
+    unknown="unknown config key {}", missing="missing {} specification",
+)
+CONFIG = Field("object", items=DOCUMENT, must="a JSON object")
 
 
 @dataclass
@@ -70,184 +116,82 @@ class JobConfig:
 
 
 def _build_algebra(spec, problems) -> NilpotentAlgebra | None:
-    if not isinstance(spec, dict):
-        missing = spec is None
-        problems.append("missing algebra specification" if missing else "algebra must be an object")
-        return None
+    """The algebra of a checked algebra document, if it has at most MAX_DIM_TOTAL dimensions."""
     builtin = "builtin" in spec
-    if builtin and spec["builtin"] != "heisenberg":
-        problems.append(f"unknown builtin algebra {spec['builtin']!r}")
-        return None
-    sizes = ("m",) if builtin else ("dim_total", "dim_center")
-    bad = [f"algebra {key} must be an integer" for key in sizes if not is_int(spec.get(key, 1))]
-    if bad:
-        problems.extend(bad)
-        return None
-    dim = 2 * spec.get("m", 1) + 1 if builtin else spec.get("dim_total", 1)
+    dim = 2 * spec.get("m", 1) + 1 if builtin else spec["dim_total"]
     if dim > MAX_DIM_TOTAL:
         problems.append(f"algebra dimension {dim} exceeds the limit of {MAX_DIM_TOTAL}")
         return None
     try:
         return heisenberg(spec.get("m", 1)) if builtin else algebra_from_json(spec)
-    except ValueError as exc:
-        problems.append(f"bad heisenberg parameter: {exc}" if builtin else str(exc))
+    except ValueError as exc:  # an index out of range, i >= j, or dim_center >= dim_total
+        problems.append(str(exc))
         return None
 
 
-def _build_model(name, alg, problems) -> CoordinateModel | None:
-    if name == "exp":
-        return exp_model(alg) if alg is not None else None
-    if name == "nil_polarized":
+def _build_chart(fields, alg, problems) -> SurfaceChart | None:
+    """The chart on the model of a checked document, over its algebra ``alg``."""
+    spec, domain, orientation = fields["chart"], fields["domain"], fields["orientation"]
+    if fields["model"] == "exp":
+        model = exp_model(alg) if alg is not None else None
+    else:
         model = nil_polarized_model()
-        if alg is not None and (
-            alg.dim_total != 3 or np.abs(alg.bracket_tensor - model.algebra.bracket_tensor).max() > 0
-        ):
+        if alg is not None and not np.array_equal(alg.bracket_tensor, model.algebra.bracket_tensor):
             problems.append("nil_polarized model requires the 3-dimensional Heisenberg algebra")
             return None
-        return model
-    problems.append(f"unknown model {name!r} (expected 'exp' or 'nil_polarized')")
-    return None
-
-
-def _build_chart(spec, model, orientation, domain, seed, problems) -> SurfaceChart | None:
-    if not isinstance(spec, dict):
-        problems.append("missing chart specification" if spec is None else "chart must be an object")
+    if model is None:
         return None
-    found = len(problems)
-    kind = "components" if "components" in spec else "catalog"
-    extra = [key for key in spec if key not in ((kind,) if kind == "components" else (kind, "params"))]
-    if extra:
-        problems.append(f"a chart with {kind!r} takes no " + ", ".join(map(repr, extra)))
-    if not isinstance(spec.get("params", {}), dict):
-        problems.append("chart params must be an object")
-    if domain is not None and not (
-        isinstance(domain, (list, tuple))
-        and all(isinstance(r, (list, tuple)) and len(r) == 2 and all(map(is_number, r)) for r in domain)
-    ):
-        problems.append("domain must be a list of [lo, hi] pairs of finite numbers")
-    elif domain is not None and model is not None and len(domain) != model.dim - 1:
+    if domain is not None and len(domain) != model.dim - 1:
         problems.append(f"domain needs {model.dim - 1} axis ranges")
-    elif kind == "components" and domain is None:
+        return None
+    if "components" in spec and domain is None:
         problems.append("expression charts need a domain")
-    if len(problems) > found or model is None:
         return None
     try:
-        if kind == "components":
+        if "components" in spec:
             return expression_chart(model, spec["components"], domain, orientation)
-        return catalog_chart(spec.get("catalog"), model, spec.get("params", {}), domain, orientation, seed)
+        params = spec.get("params", {})
+        return catalog_chart(spec["catalog"], model, params, domain, orientation, fields["seed"])
     except ConfigError as exc:
         problems.extend(exc.problems)
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except ValueError as exc:
         problems.append(f"bad chart specification: {exc}")
     return None
 
 
-def _name_list(doc, key, known, problems) -> list:
-    names = doc.get(key, [])
-    if not isinstance(names, list):
-        problems.append(f"{key} must be a list")
-        return []
-    for name in names:
-        if name not in known:
-            problems.append(f"unknown {key[:-1]} {name!r}")
-    return names
-
-
-def _build_tolerances(spec, problems) -> dict[str, float]:
-    tolerances = dict(DEFAULT_TOLERANCES)
-    if not isinstance(spec, dict):
-        problems.append("tolerances must be an object")
-        return tolerances
-    for key, val in spec.items():
-        if key not in DEFAULT_TOLERANCES:
-            problems.append(f"unknown tolerance {key!r}")
-        elif not (is_number(val) and val > 0):
-            problems.append(f"tolerance {key!r} must be a finite number > 0")
-        else:
-            tolerances[key] = float(val)
-    return tolerances
-
-
-def _build_fd(spec, problems) -> FDParams | None:
-    levels = spec.get("levels", 2) if isinstance(spec, dict) else None
-    step = spec.get("step", 1e-4) if isinstance(spec, dict) else None
-    ok = True
-    if not (is_number(step) and step > 0.0):
-        problems.append("fd step must be a finite number > 0")
-        ok = False
-    if not is_int(levels) or levels < 1:
-        problems.append("fd levels must be an integer >= 1")
-        ok = False
-    return FDParams(step=float(step), levels=levels) if ok else None
-
-
-def _check_stencil_room(chart, fdp, point, problems) -> None:
-    """Grid and point must keep the 4*step FD margin inside the domain."""
-    margin = GRID_MARGIN_STEPS * fdp.step
-    if any(hi - lo <= 2.0 * margin for lo, hi in chart.domain):
-        problems.append(f"fd step {fdp.step} too large: 8*step must be below every domain width")
-    elif point is not None:
-        if len(point) != chart.param_dim:
-            problems.append(f"point needs {chart.param_dim} coordinates")
-        elif not all(lo + margin <= x <= hi - margin for x, (lo, hi) in zip(point, chart.domain)):
-            problems.append(f"point must lie at least 4*step = {margin} inside the domain")
-
-
 def load_config(doc: dict) -> JobConfig:
-    """Validate a config document, collecting every problem before failing."""
-    problems: list[str] = []
-    if not isinstance(doc, dict):
-        raise ConfigError(["config must be a JSON object"])
-
-    alg = _build_algebra(doc.get("algebra"), problems)
-    model = _build_model(doc.get("model", "exp"), alg, problems)
-    orientation = doc.get("orientation", 1)
-    if not is_int(orientation) or orientation not in (1, -1):
-        problems.append("orientation must be the integer 1 or -1")
-        orientation = 1
-    seed = doc.get("seed", 0)
-    if not is_int(seed):
-        problems.append("seed must be an integer")
-        seed = 0
-    grid = doc.get("grid", [])
-    if not isinstance(grid, list) or not all(is_int(g) for g in grid):
-        problems.append("grid must be a list of integers")
-        grid = []
-    elif any(g < 2 for g in grid):
-        problems.append("grid resolution must be at least 2 per axis")
-    elif math.prod(grid) > MAX_GRID_POINTS:
+    """Check a config document against DOCUMENT before anything is built, then
+    build the job, collecting every problem of the rules between fields."""
+    problems = check(doc, CONFIG, "config")
+    if problems:
+        raise ConfigError(problems)
+    fields = fill(doc, DOCUMENT)
+    alg = _build_algebra(fields["algebra"], problems)
+    if alg is not None and not (report := validate(alg)).ok:
+        problems.append("algebra axioms violated: " + ", ".join(report.names()))
+        alg = None
+    chart = _build_chart(fields, alg, problems)
+    grid, methods, checks, point = fields["grid"], fields["methods"], fields["checks"], fields["point"]
+    fdp = FDParams(**fill(fields["fd"], FD))
+    if math.prod(grid) > MAX_GRID_POINTS:
         problems.append(f"grid has {math.prod(grid)} points, above the limit of {MAX_GRID_POINTS}")
-    domain = doc.get("domain")
-    chart = _build_chart(doc.get("chart"), model, orientation, domain, seed, problems)
     if chart is not None:
         grid = grid or [3] * chart.param_dim
         if len(grid) != chart.param_dim:
             problems.append(f"grid needs {chart.param_dim} axis resolutions")
-
-    methods = _name_list(doc, "methods", METHOD_NAMES, problems)
+        margin = GRID_MARGIN_STEPS * fdp.step  # grid and point keep it inside the domain
+        if any(hi - lo <= 2.0 * margin for lo, hi in chart.domain):
+            problems.append(f"fd step {fdp.step} too large: 8*step must be below every domain width")
+        elif point is not None and len(point) != chart.param_dim:
+            problems.append(f"point needs {chart.param_dim} coordinates")
+        elif point is not None and not all(lo + margin <= x <= hi - margin
+                                           for x, (lo, hi) in zip(point, chart.domain)):
+            problems.append(f"point must lie at least 4*step = {margin} inside the domain")
     if not methods:
         problems.append("no methods requested")
-    checks = _name_list(doc, "checks", CHECK_NAMES, problems)
-
-    tolerances = _build_tolerances(doc.get("tolerances", {}), problems)
-    fdp = _build_fd(doc.get("fd", {}), problems)
-
-    point = doc.get("point")
-    if point is not None:
-        ok = isinstance(point, list) and all(is_number(x) for x in point)
-        if not ok:
-            problems.append("point must be a list of finite numbers")
-        point = [float(x) for x in point] if ok else None
-    if chart is not None and fdp is not None:
-        _check_stencil_room(chart, fdp, point, problems)
-
-    direction = doc.get("jacobi_direction")
-    if direction is not None:
-        ok = isinstance(direction, list) and all(is_number(x) for x in direction)
-        ok = ok and any(direction) and (alg is None or len(direction) == alg.dim_total)
-        if not ok:
-            problems.append("jacobi_direction must be dim_total finite numbers, not all zero")
-        direction = [float(x) for x in direction] if ok else None
+    direction = fields["jacobi_direction"]
+    if direction is not None and not (any(direction) and (alg is None or len(direction) == alg.dim_total)):
+        problems.append("jacobi_direction must be dim_total numbers, not all zero")
 
     if alg is not None and chart is not None:
         if "heisenberg" in methods and not alg.is_heisenberg:
@@ -258,24 +202,11 @@ def load_config(doc: dict) -> JobConfig:
             problems.append("check 'prop3' requires a Heisenberg algebra")
         if "gauss_codazzi" in checks and alg.dim_total != 3:
             problems.append("check 'gauss_codazzi' requires a 3-dimensional model")
-        report = validate(alg)
-        if not report.ok:
-            problems.append("algebra axioms violated: " + ", ".join(report.names()))
 
     if problems:
         raise ConfigError(problems)
-    return JobConfig(
-        algebra=alg,
-        chart=chart,
-        grid=grid,
-        methods=methods,
-        checks=checks,
-        tolerances=tolerances,
-        fd=fdp,
-        point=point,
-        jacobi_direction=direction,
-        raw=doc,
-    )
+    tolerances = {key: float(tol) for key, tol in fill(fields["tolerances"], TOLERANCES).items()}
+    return JobConfig(alg, chart, grid, methods, checks, tolerances, fdp, point, direction, doc)
 
 
 def grid_points(chart: SurfaceChart, grid, fd: FDParams, point=None) -> np.ndarray:
@@ -488,11 +419,6 @@ def _emit(doc: dict, args) -> None:
         print(f"check {name}: {status}", file=sys.stderr)
 
 
-def _exit_code(doc: dict) -> int:
-    checks = doc["summary"]["checks"]
-    return 1 if any(not res["pass"] for res in checks.values()) else 0
-
-
 def _load_config_file(path: str) -> dict:
     with open(path) as fh:
         return json.load(fh)
@@ -503,10 +429,7 @@ def _apply_overrides(doc, args) -> dict:
         raise ConfigError(["config must be a JSON object"])
     doc = dict(doc)
     if args.tol is not None and isinstance(doc.get("tolerances", {}), dict):
-        tols = dict(doc.get("tolerances", {}))
-        for key in CHECK_NAMES + ("oracle_gap",):
-            tols[key] = args.tol
-        doc["tolerances"] = tols
+        doc["tolerances"] = {**doc.get("tolerances", {}), **dict.fromkeys(TOLERANCES.fields, args.tol)}
     if args.seed is not None:
         doc["seed"] = args.seed
     return doc
@@ -544,22 +467,16 @@ def main(argv=None) -> int:
         raw = EXAMPLE_JOBS[args.name][1] if args.verb == "examples" else _load_config_file(args.config)
         doc = _apply_overrides(raw, args)
         if args.verb == "validate":
-            problems: list[str] = []
-            alg = _build_algebra(doc.get("algebra"), problems)
-            if problems or alg is None:
+            problems = check(doc, CONFIG, "config")
+            alg = None if problems else _build_algebra(doc["algebra"], problems)
+            if alg is None:
                 raise ConfigError(problems)
             report = validate(alg)
-            out = {
-                "valid": report.ok,
-                "violations": [
-                    {"name": v.name, "magnitude": v.magnitude} for v in report.violations
-                ],
-            }
-            sys.stdout.write(document_to_json(out))
-            if not report.ok:
-                return 1
-            load_config(doc)  # axioms hold; now surface any config problems
-            return 0
+            violations = [{"name": v.name, "magnitude": v.magnitude} for v in report.violations]
+            sys.stdout.write(document_to_json({"valid": report.ok, "violations": violations}))
+            if report.ok:
+                load_config(doc)  # axioms hold; now surface any config problems
+            return 0 if report.ok else 1
         if args.verb == "report" and args.point:
             try:
                 doc["point"] = [float(x) for x in args.point.split(",")]
@@ -585,14 +502,14 @@ def main(argv=None) -> int:
                 "tol": tol,
             }
         _emit(result, args)
-        return _exit_code(result)
+        return 1 if any(not res["pass"] for res in result["summary"]["checks"].values()) else 0
     except ConfigError as exc:
         for problem in exc.problems:
             print(f"config error: {problem}", file=sys.stderr)
         return 2
-    except (OSError, ValueError, ArithmeticError) as exc:
-        # besides parse errors and unreadable or unwritable files: a chart that
-        # cannot be evaluated on its grid (not immersed, a jet outside its domain, overflow)
+    except (OSError, ValueError, ArithmeticError, RecursionError) as exc:
+        # besides parse errors, a config nested too deeply to parse, and unreadable or unwritable
+        # files: a chart that cannot be evaluated on its grid (not immersed, a jet outside its domain, overflow)
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 

@@ -27,8 +27,6 @@ specialized Laplacian formula is stated in.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -38,6 +36,7 @@ from .algebra import NilpotentAlgebra
 from .expressions import MAX_DEPTH, Expr, expression_jets, parse_expression
 from .fd import FDParams, directional_derivative
 from .models import CoordinateModel, nil_polarized_model
+from .schema import ConfigError, Field, Table, between, check, fill
 
 IMMERSION_RANK_TOL = 1e-8
 # normal parts with a norm at or below this are treated as zero by adapted_frame
@@ -439,42 +438,10 @@ def expression_chart(model: CoordinateModel, components, domain, orientation: in
     return SurfaceChart(model=model, components=exprs, orientation=orientation, domain=tuple(domain))
 
 
-class ConfigError(ValueError):
-    """Problems with a job or chart configuration, every one found."""
-
-    def __init__(self, problems):
-        self.problems = list(problems)
-        super().__init__("; ".join(self.problems))
-
-
-def is_int(x) -> bool:
-    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
-
-
-def is_number(x) -> bool:
-    return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
-
-
-# param kind -> (accepts a value, wording); an expression may also be an Expr
-PARAM_KINDS = {
-    "number": (is_number, "a finite number"),
-    "integer": (is_int, "an integer"),
-    "expression": (lambda x: isinstance(x, (str, Expr)), "an expression string"),
-}
-
-
-@dataclass(frozen=True)
-class CatalogParam:
-    kind: str  # a key of PARAM_KINDS
-    required: bool = False
-    default: object = None  # the value of an optional param that is left out
-    span: range | None = None  # the values an integer param may take
-
-
 @dataclass(frozen=True)
 class CatalogEntry:
     components: Callable  # (model, params, domain, rng) -> component expressions
-    params: dict  # name -> CatalogParam
+    params: dict  # name -> Field
     nil_polarized: bool  # built on the nil_polarized model only
     domain: tuple | None  # default axis ranges, the last repeated over further axes; None: required
     sign: int = 1  # the chart's orientation is this times the requested one
@@ -519,11 +486,11 @@ def _random_graph_components(model, params, domain, rng):
     return _graph_components(model, {"expr": " + ".join(parts)}, domain, rng)
 
 
-EXPRESSION = CatalogParam("expression", required=True)
+EXPRESSION = Field("expression", required=True)
 CATALOG = {
     "nil_foliation_leaf": CatalogEntry(
         lambda model, params, domain, rng: ["u1", "u2", repr(float(params["z0"]))],
-        {"z0": CatalogParam("number", default=0.0)}, nil_polarized=True, domain=((-2.5, 2.5), (-1.0, 1.0)),
+        {"z0": Field("number", default=0.0)}, nil_polarized=True, domain=((-2.5, 2.5), (-1.0, 1.0)),
     ),
     "nil_vertical_plane": CatalogEntry(
         lambda model, params, domain, rng: ["u1", "0", "u2"],
@@ -536,8 +503,8 @@ CATALOG = {
     "random_graph": CatalogEntry(
         _random_graph_components,
         {
-            "terms": CatalogParam("integer", default=3, span=range(1, RANDOM_MAX_TERMS + 1)),
-            "index": CatalogParam("integer", default=0),
+            "terms": Field("integer", default=3, span=between(1, RANDOM_MAX_TERMS)),
+            "index": Field("integer", default=0),
         },
         nil_polarized=False, domain=((-RANDOM_DOMAIN_HALF, RANDOM_DOMAIN_HALF),),
     ),
@@ -552,14 +519,9 @@ def catalog_chart(name, model, params, domain=None, orientation=1, rng=0) -> Sur
     entry = CATALOG.get(name)
     if entry is None:
         raise ConfigError([f"unknown chart catalog entry {name!r}"])
-    problems = [f"chart {name!r} has no param {key!r}" for key in params if key not in entry.params]
-    for key, spec in entry.params.items():
-        accepts, wording = PARAM_KINDS[spec.kind]
-        if key not in params:
-            problems += [f"chart {name!r} needs param {key!r}"] if spec.required else []
-        elif not (accepts(params[key]) and (spec.span is None or params[key] in spec.span)):
-            span = "" if spec.span is None else f" from {spec.span[0]} to {spec.span[-1]}"
-            problems.append(f"chart param {key!r} must be {wording}{span}")
+    table = Table(entry.params, name="chart param {!r}", unknown=f"chart {name!r} has no param {{}}",
+                  missing=f"chart {name!r} needs param {{!r}}")
+    problems = check(params, Field("object", items=table), "chart params")
     if entry.nil_polarized and model.name != "nil_polarized":
         problems.append(f"chart {name!r} needs the nil_polarized model")
     if domain is None and entry.domain is None:
@@ -568,8 +530,7 @@ def catalog_chart(name, model, params, domain=None, orientation=1, rng=0) -> Sur
         raise ConfigError(problems)
     if domain is None:
         domain = entry.domain + entry.domain[-1:] * (model.dim - 1 - len(entry.domain))
-    values = {key: params.get(key, spec.default) for key, spec in entry.params.items()}
-    comps = entry.components(model, values, domain, rng)
+    comps = entry.components(model, fill(params, table), domain, rng)
     return expression_chart(model, comps, domain, entry.sign * orientation)
 
 

@@ -18,7 +18,7 @@ from nilgauss.cli import (
     main,
     run,
 )
-from nilgauss.fd import BoundaryError
+from nilgauss.fd import FIELD_ROWS, BoundaryError
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -220,6 +220,21 @@ def test_main_validate_reports_violations(tmp_path, capsys):
     assert any(v["name"] == "non-abelian" for v in out["violations"])
 
 
+def test_bracket_into_v_is_a_violation_for_validate_and_a_config_error_for_sweep(tmp_path, capsys):
+    """The axioms are checked before the exp model is built from the algebra."""
+    doc = dict(BASE_CONFIG, model="exp", chart={"catalog": "graph", "params": {"expr": "0"}},
+               algebra=dict(H1_INLINE, brackets=[{"i": 1, "j": 2, "k": 1, "c": 1.0}]))
+    path = write_config(tmp_path, doc)
+    assert main(["validate", "--config", path]) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert not out["valid"]
+    assert any(v["name"] == "bracket lands in center" for v in out["violations"])
+    assert main(["sweep", "--config", path]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert lines and all(line.startswith("config error: ") for line in lines), lines
+    assert "config error: algebra axioms violated: bracket lands in center" in lines[0]
+
+
 def test_main_config_error_exit_2(tmp_path):
     doc = dict(BASE_CONFIG)
     doc["methods"] = []
@@ -231,6 +246,13 @@ def test_main_bad_json_exit_2(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
     assert main(["sweep", "--config", str(path)]) == 2
+
+
+def test_config_nested_too_deeply_to_parse_exits_2(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    assert main(["sweep", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: RecursionError: ")
 
 
 def test_main_check_failure_exit_1(tmp_path):
@@ -363,6 +385,7 @@ def test_bad_field_types_exit_2(tmp_path, change):
     assert main(["sweep", "--config", path]) == 2
 
 
+H1_INLINE = {"dim_total": 3, "dim_center": 1, "brackets": [{"i": 1, "j": 2, "k": 3, "c": 1.0}]}
 LEAF_CONFIG = dict(
     BASE_CONFIG,
     chart={"catalog": "nil_foliation_leaf", "params": {"z0": 0.5}},
@@ -392,6 +415,12 @@ RANDOM_GRAPH_CONFIG = dict(
          "chart param 'terms' must be an integer"),
         (dict(RANDOM_GRAPH_CONFIG, chart={"catalog": "random_graph", "params": {"index": "1"}}),
          "chart param 'index' must be an integer"),
+        (dict(BASE_CONFIG, domain=[[-(10**400), 1], [-0.5, 0.5]]), "domain must be a list of [lo, hi] pairs"),
+        (dict(BASE_CONFIG, fd={"step": 10**400}), "fd step must be a finite number > 0"),
+        (dict(BASE_CONFIG, tolerances={"jacobi": 10**400}), "tolerance 'jacobi' must be a finite number > 0"),
+        (dict(BASE_CONFIG, point=[10**400, 0.0]), "point must be a list of finite numbers"),
+        (dict(BASE_CONFIG, algebra=dict(H1_INLINE, brackets=[{"i": 1, "j": 2, "k": 3, "c": 10**400}])),
+         "bracket c must be a finite number"),
     ],
 )
 def test_config_numbers_must_be_json_numbers(tmp_path, capsys, doc, problem):
@@ -604,6 +633,26 @@ def test_grid_over_the_point_bound_exits_2_before_any_allocation(tmp_path, capsy
     lines = capsys.readouterr().err.splitlines()
     problem = f"grid has 10000000000 points, above the limit of {cli.MAX_GRID_POINTS}"
     assert lines == [f"config error: {problem}"]
+
+
+@pytest.mark.parametrize("levels", [cli.MAX_FD_LEVELS + 1, 1000000])
+def test_fd_levels_over_their_bound_exit_2_before_any_evaluation(tmp_path, capsys, monkeypatch, levels):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the job was evaluated")
+
+    monkeypatch.setattr(cli, "evaluate_points", forbidden)
+    path = write_config(tmp_path, dict(BASE_CONFIG, fd={"levels": levels}))
+    assert main(["sweep", "--config", path]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == [f"config error: fd levels must be an integer from 1 to {cli.MAX_FD_LEVELS}"]
+
+
+def test_fd_levels_bound_keeps_one_stencil_within_one_field_call():
+    """At the largest algebra, one centre's oracle stencil of 1 + levels * n (n + 1)
+    rows fits in FIELD_ROWS at the bound, and one more level would not."""
+    n = cli.MAX_DIM_TOTAL - 1
+    assert 1 + cli.MAX_FD_LEVELS * n * (n + 1) <= FIELD_ROWS < 1 + (cli.MAX_FD_LEVELS + 1) * n * (n + 1)
+    assert load_config(dict(BASE_CONFIG, fd={"levels": cli.MAX_FD_LEVELS})).fd.levels == cli.MAX_FD_LEVELS
 
 
 def test_grid_at_the_point_bound_is_accepted():
