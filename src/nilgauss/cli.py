@@ -39,7 +39,7 @@ METHOD_NAMES = ("general", "h_type", "heisenberg", "numeric_oracle")
 CHECK_NAMES = ("harmonicity", "prop3", "corollary1", "jacobi", "gauss_codazzi")
 
 # largest algebra dimension; one oracle stencil's first-order chart jets take ~5 MB at 16 and
-# ~0.1 GB at 32, and a FIELD_ROWS chunk of the dh field's second-order ones ~0.5 GB at 16
+# ~0.1 GB at 32, and a FIELD_ROWS / 2 chunk of dh's complex-step second-order ones ~0.5 GB at 16
 MAX_DIM_TOTAL = 16
 # most grid points per job; the centre stack's second-order chart jets take
 # points * d * (1 + n + n^2) * 8 bytes, ~0.5 GB at this bound and d = MAX_DIM_TOTAL
@@ -296,7 +296,7 @@ def run(config: JobConfig) -> dict:
             "tol": tols["jacobi"],
         }
     if "gauss_codazzi" in config.checks:
-        results = [res for res in gauss_codazzi_residuals(chart, evals, fdp) if not res.skipped]
+        results = [res for res in gauss_codazzi_residuals(chart, evals) if not res.skipped]
         worst = max((max(res.codazzi_residual, res.gauss_residual) for res in results), default=0.0)
         identity = max((abs(res.curvature_term - res.ab_product) for res in results), default=0.0)
         checks["gauss_codazzi"] = {

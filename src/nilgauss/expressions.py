@@ -13,11 +13,14 @@ one set of seeds; ``Expr.jets`` is its one-expression view and
 ``Expr.jet`` the N = 1 row of that.  Jet evaluation is exact
 forward-mode automatic differentiation (vector mode, with the stack of
 points as the vector), which is how all chart derivatives in this
-package are obtained; finite differences only ever touch derived fields.
+package are obtained.  On complex points, as the complex step takes
+them, jets keep a complex dtype and map ``cmath``, and the zero and
+``sqrt`` checks read real parts.  Finite differences appear only in the oracle.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import re
 from dataclasses import dataclass, field
@@ -61,14 +64,14 @@ class Jet:
 
     @classmethod
     def seed(cls, value, index: int, n: int, order: int = 2) -> "Jet":
-        val = np.asarray(value, dtype=float)
+        val = np.asarray(value, dtype=np.result_type(value, 1.0))
         grad = np.zeros(val.shape + (n,))
         grad[..., index] = 1.0
         return cls(val, grad, np.zeros(val.shape + (n, n)) if order == 2 else None)
 
     @classmethod
     def const(cls, value, n: int, order: int = 2) -> "Jet":
-        val = np.asarray(value, dtype=float)
+        val = np.asarray(value, dtype=np.result_type(value, 1.0))
         hess = np.zeros(val.shape + (n, n)) if order == 2 else None
         return cls(val, np.zeros(val.shape + (n,)), hess)
 
@@ -123,13 +126,15 @@ class Jet:
 
 
 def _floats(fn, x) -> np.ndarray:
-    """fn applied to every entry of x as a Python float.
+    """fn, or on a complex x its ``cmath`` namesake, applied to every entry of x as a Python scalar.
 
     numpy's exp and integer powers differ from the float ones in the last
     bit, and return inf or nan where the float ones raise; mapping the
     float function keeps both its values and its exceptions.
     """
     x = np.asarray(x)
+    if np.iscomplexobj(x):
+        fn = getattr(cmath, fn.__name__, fn)  # power lambdas take complex values as they are
     return np.array([fn(v) for v in x.ravel().tolist()]).reshape(x.shape)
 
 
@@ -149,8 +154,8 @@ def _chain(x: Jet, f0, f1, f2) -> Jet:
 
 
 def _divide(num: float, den: np.ndarray) -> np.ndarray:
-    """num / den, raising ZeroDivisionError where float division would."""
-    if (den == 0.0).any():
+    """num / den, raising ZeroDivisionError where float division of the real parts would."""
+    if (np.real(den) == 0.0).any():
         raise ZeroDivisionError("float division by zero")
     return num / den
 
@@ -169,7 +174,7 @@ def jet_pow(x: Jet, k: int) -> Jet:
         return Jet.const(np.ones_like(x.val), x.grad.shape[-1], 1 if x.hess is None else 2)
     if k == 1:
         return x
-    if k < 0 and (x.val == 0.0).any():
+    if k < 0 and (np.real(x.val) == 0.0).any():
         raise ZeroDivisionError("negative power of zero")
     return _chain(
         x,
@@ -195,9 +200,9 @@ def jet_exp(x: Jet) -> Jet:
 
 
 def jet_sqrt(x: Jet) -> Jet:
-    if (x.val <= 0.0).any():
+    if (np.real(x.val) <= 0.0).any():
         raise ValueError("sqrt argument must be positive for jet evaluation")
-    r = np.sqrt(x.val)  # correctly rounded, like math.sqrt
+    r = np.sqrt(x.val)  # correctly rounded, like math.sqrt; the principal root on complex entries
     return _chain(x, r, _divide(0.5, r), lambda: _divide(-0.25, x.val * r))
 
 
@@ -475,8 +480,8 @@ class Expr:
 
 def expression_jets(exprs, points, order: int = 2) -> list[Jet]:
     """Jets of ``order`` 1 or 2 of each expression at every row of an (N, n)
-    array: one walk of each tree, all over one set of seeds."""
-    points = np.array(points, dtype=float)  # a copy: seed values are its columns
+    array, real or complex: one walk of each tree, all over one set of seeds."""
+    points = np.asarray(points) * 1.0  # a float or complex copy: seed values are its columns
     if points.ndim != 2:
         raise ValueError("points must be an (N, n) array")
     n = points.shape[1]

@@ -1,4 +1,5 @@
-"""Richardson-extrapolated central differences on box domains.
+"""Richardson-extrapolated central differences on box domains, for the oracle's
+``gradient_hessian`` of the Gauss map only: every other derivative is exact.
 
 A field ``f`` maps an (N, n) array of parameter points to an array of N
 values, one row per point (each row a float or an array).  Both

@@ -24,7 +24,8 @@ Gauss map in the fixed algebra basis,
 
 with metric coefficients exact (from chart jets) and only the derivatives
 of the Gauss map taken by Richardson finite differences.  Closed forms
-and oracle share no code path beyond chart evaluation.
+and oracle share no code path beyond chart evaluation.  Nothing else is
+differenced: Y_k(n H) and Gauss-Codazzi take the exact complex step.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import numpy as np
 
 from .algebra import NilpotentAlgebra
 from .curvature import curvature, ricci
-from .fd import FDParams, directional_derivative, gradient_hessian
+from .fd import FIELD_ROWS, FDParams, gradient_hessian
 from .surfaces import (
     AdaptedFrame,
     ChartJet,
@@ -45,6 +46,8 @@ from .surfaces import (
     adapted_frame,
     chart_coefficients,
     chart_jets,
+    complex_derivative,
+    complex_step_jets,
     gauss_map,
     induced_metric_with_gradient,
     mean_curvature_derivatives,
@@ -291,7 +294,8 @@ CLOSED_FORMS = {
 @dataclass(frozen=True, eq=False)
 class PointEval:
     """Frame, shape, Y_k(n H) and one Laplacian report per method at a chart point,
-    with the oracle's Delta G in the algebra basis as ``delta`` (None without it)."""
+    with the oracle's Delta G in the algebra basis as ``delta`` (None without it), the
+    point's ChartJet row as ``jet`` and, in 3 dimensions, its n complex-step rows as ``steps``."""
 
     u: np.ndarray
     frame: AdaptedFrame
@@ -299,6 +303,8 @@ class PointEval:
     dh: np.ndarray
     reports: dict[str, LaplacianReport]
     delta: np.ndarray | None
+    jet: ChartJet
+    steps: ChartJet | None
 
 
 def evaluate_points(
@@ -310,30 +316,38 @@ def evaluate_points(
 ) -> list[PointEval]:
     """Frame, shape and a report per method at every row of an (N, n) array.
 
-    The one pipeline: one stacked chart evaluation at the N points, one
-    FD call for the Y_k(n H) stencils of all of them and one for the
-    oracle's.  ``general`` is always evaluated, because the checkers read
-    it.  The oracle shares only the chart jets at the points with the
-    closed forms, and gets the frame only to re-express Delta G.
+    The one pipeline: one stacked chart evaluation at the N points, one at
+    their N n ``complex_step_jets`` rows (FIELD_ROWS / 2 at a time, the bytes
+    of an FD field call), which give Y_k(n H) exactly, and the oracle's FD
+    call, moved by ``fd``.  ``general`` is always evaluated, because the
+    checkers read it.  The oracle shares only the chart jets at the points
+    with the closed forms, and gets the frame only to re-express Delta G.
     """
     alg = chart.model.algebra
     points = np.asarray(points, dtype=float)
+    n = chart.param_dim
     cj = stacked_chart_jets(chart, points)
     frames = [adapted_frame(alg, nrm, completion_start=completion_start) for nrm in cj.normal]
     shapes, coeffs = shape_data(chart, cj, frames)
-    dhs = mean_curvature_derivatives(chart, points, coeffs, fd)
+    dhs, steps, per = [], [], max(1, FIELD_ROWS // (2 * n))
+    for k in range(0, len(points), per):
+        rows = complex_step_jets(chart, points[k:k + per], cj.normal[k:k + per])
+        dhs.extend(mean_curvature_derivatives(chart, rows, coeffs[k:k + per]))
+        # kept for Gauss-Codazzi, which runs in 3 dimensions only; elsewhere n times the jets for nothing
+        steps.extend(rows[j:j + n] if n == 2 else None for j in range(0, len(rows.point), n))
     deltas = [None] * len(points)
     if "numeric_oracle" in methods:
         deltas = oracle_laplacians(chart, cj, points, fd)
     evals = []
-    for u, frame, shape, dh, delta in zip(points, frames, shapes, dhs, deltas):
+    for i, (u, frame, shape, dh, delta) in enumerate(zip(points, frames, shapes, dhs, deltas)):
         reports = {"general": laplacian_general(alg, frame, shape, dh)}
         for mth in methods:
             if mth == "numeric_oracle":
                 reports[mth] = LaplacianReport.from_terms({"numeric": frame.ys @ delta}, mth)
             elif mth not in reports:
                 reports[mth] = CLOSED_FORMS[mth](alg, frame, shape, dh)
-        evals.append(PointEval(u=u, frame=frame, shape=shape, dh=dh, reports=reports, delta=delta))
+        evals.append(PointEval(u=u, frame=frame, shape=shape, dh=dh, reports=reports, delta=delta,
+                               jet=cj[i], steps=steps[i]))
     return evals
 
 
@@ -431,15 +445,16 @@ def jacobi_residuals(
     ``evals`` are ``evaluate_point`` records; the chart is expected to be
     CMC with harmonic Gauss map, both checked within tol and reported.  A
     strictly positive w over the grid is the stability certificate.
-    Delta w is read from each record's oracle ``delta``; the records
-    without one get it from one ``oracle_laplacians`` call with ``fd``.
+    Delta w is read from each record's oracle ``delta``; the records without
+    one get it from one ``oracle_laplacians`` call with ``fd`` on their ``jet``.
     """
     alg = chart.model.algebra
     v = np.asarray(direction, dtype=float)
     v = v / np.linalg.norm(v)
-    missing = np.array([ev.u for ev in evals if ev.delta is None])
-    if len(missing):
-        computed = iter(oracle_laplacians(chart, stacked_chart_jets(chart, missing), missing, fd))
+    missing = [ev for ev in evals if ev.delta is None]
+    if missing:
+        cj, points = ChartJet.join([ev.jet for ev in missing]), np.array([ev.u for ev in missing])
+        computed = iter(oracle_laplacians(chart, cj, points, fd))
     max_res = 0.0
     min_w = np.inf
     hs = []
@@ -525,12 +540,12 @@ def _dot(x, y) -> np.ndarray:
     return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
 
 
-def gauss_codazzi_residuals(chart: SurfaceChart, evals, fd: FDParams = FDParams()):
+def gauss_codazzi_residuals(chart: SurfaceChart, evals):
     """Compatibility residuals of a surface in a 3-dimensional model, in chart coordinates.
 
     ``evals`` is one ``evaluate_point`` record, giving one result, or a list of
-    them, giving one result per record: one stacked chart evaluation gives h_ab
-    and Gamma^c_ab exactly, one FD call along u1 and u2 their derivatives.
+    them, giving one result per record, and evaluates no chart: the records' ``steps`` rows give
+    h_ab and Gamma^c_ab (real parts) and their derivatives along u1 and u2, all exact.
     Residual one is the worse of the Codazzi lines T(d1, d2, d1), T(d2, d1, d2),
     T_abc = nabla_a h_bc - nabla_b h_ac - <R(t_a, t_b) t_c, normal>, with d1, d2
     the chart directions of the record's Y_1, Y_2.  Residual two is the Gauss
@@ -538,7 +553,7 @@ def gauss_codazzi_residuals(chart: SurfaceChart, evals, fd: FDParams = FDParams(
     either part of the normal vanishes are skipped (the adapted frame is not smooth there).
     """
     if isinstance(evals, PointEval):
-        return gauss_codazzi_residuals(chart, [evals], fd)[0]
+        return gauss_codazzi_residuals(chart, [evals])[0]
     alg = chart.model.algebra
     if alg.dim_total != 3:
         raise ValueError("gauss_codazzi_residuals requires a 3-dimensional model")
@@ -548,12 +563,10 @@ def gauss_codazzi_residuals(chart: SurfaceChart, evals, fd: FDParams = FDParams(
     if not kept:
         return results
 
-    u, ys = np.array([evals[i].u for i in kept]), np.array([evals[i].frame.ys for i in kept])
-    cj = stacked_chart_jets(chart, u)
-    centre = _gc_field(chart, cj)
-    field = lambda pts: _gc_field(chart, stacked_chart_jets(chart, pts))
-    eyes = np.broadcast_to(np.eye(2), (len(u), 2, 2))
-    deriv = directional_derivative(field, u, eyes, fd, domain=chart.domain)
+    ys = np.array([evals[i].frame.ys for i in kept])
+    cj = ChartJet.join([evals[i].jet for i in kept])
+    field = _gc_field(chart, ChartJet.join([evals[i].steps for i in kept], np.concatenate))
+    centre, deriv = field[::2].real, complex_derivative(field, 2)  # f(u) = Re f(u + i h e_1) + O(h^2)
     h, dh = centre[:, :4].reshape(-1, 2, 2), deriv[..., :4].reshape(-1, 2, 2, 2)  # dh[:, a] = d_a h
     gamma, dgamma = centre[:, 4:].reshape(-1, 2, 2, 2), deriv[..., 4:].reshape(-1, 2, 2, 2, 2)
     t = np.swapaxes(cj.tangents, -1, -2)  # rows t_1, t_2

@@ -66,7 +66,7 @@ class CoordinateModel:
 
     def frame_correction(self, p) -> np.ndarray:
         """L(p); column a holds the coordinate correction of field e_a."""
-        return np.einsum("kji,...i->...kj", self.frame_lin, np.asarray(p, dtype=float))
+        return np.einsum("kji,...i->...kj", self.frame_lin, np.asarray(p))
 
     def frame_field(self, p) -> np.ndarray:
         return np.eye(self.dim) + self.frame_correction(p)

@@ -7,8 +7,9 @@ checks a request against its entry.  From first and second chart jets
 everything extrinsic is computed exactly (no finite differences):
 tangents expressed in the left-invariant frame, the induced metric with
 its first derivatives, the second fundamental form from the connection,
-and hence the mean curvature H and |B|^2.  Finite differences appear
-only for derivatives of derived scalar fields such as u -> n H(u).
+and hence the mean curvature H and |B|^2.  Derived fields such as
+u -> n H(u) are differentiated exactly too, by the complex step
+(``complex_step_jets``); finite differences appear only in the oracle.
 
 The Gauss map is the unit normal pulled back to the algebra by the
 inverse frame: the one-dimensional orthogonal complement of the tangent
@@ -34,11 +35,12 @@ import numpy as np
 
 from .algebra import NilpotentAlgebra
 from .expressions import MAX_DEPTH, Expr, expression_jets, parse_expression
-from .fd import FDParams, directional_derivative
 from .models import CoordinateModel, nil_polarized_model
 from .schema import ConfigError, Field, Table, between, check, fill
 
 IMMERSION_RANK_TOL = 1e-8
+# d_a f(u) = Im f(u + i h e_a) / h + O(h^2), f real-analytic: with no difference taken, exact
+COMPLEX_STEP = 1e-20
 # normal parts with a norm at or below this are treated as zero by adapted_frame
 NORMAL_SPLIT_TOL = 1e-10
 # random_graph_chart: coefficient range and half-width of the box domain
@@ -94,9 +96,9 @@ class SurfaceChart:
 class ChartJet:
     """Chart data at one parameter point: value, jets, algebra tangents, normal.
 
-    ``stacked_chart_jets`` fills the same fields for a stack of N points,
-    each with a leading axis of length N.  ``q`` and ``r`` are the reduced
-    QR factors of the tangents.  A first-order evaluation has ``hess`` None.
+    ``stacked_chart_jets`` fills the same fields for a stack of N points, each with a
+    leading axis of length N.  ``q`` and ``r`` are the reduced QR factors of the tangents,
+    None on ``complex_step_jets`` rows.  A first-order evaluation has ``hess`` None.
     """
 
     point: np.ndarray   # (d,)
@@ -105,12 +107,33 @@ class ChartJet:
     ainv: np.ndarray    # inverse frame at point, (d, d)
     tangents: np.ndarray  # tangents in the algebra basis, (d, n)
     normal: np.ndarray  # oriented unit normal in the algebra basis, (d,)
-    q: np.ndarray       # tangents = q @ r, q (d, n) with orthonormal columns
-    r: np.ndarray       # upper triangular, (n, n)
+    q: np.ndarray | None  # tangents = q @ r, q (d, n) with orthonormal columns
+    r: np.ndarray | None  # upper triangular, (n, n)
 
     def __getitem__(self, i) -> "ChartJet":
-        """Row i of a stacked ChartJet."""
+        """Row i, or the rows of slice i, of a stacked ChartJet."""
         return ChartJet(**{key: None if val is None else val[i] for key, val in vars(self).items()})
+
+    @staticmethod
+    def join(rows, how=np.array) -> "ChartJet":
+        """ChartJet rows as one stack, or stacks as one with ``how`` = np.concatenate."""
+        return ChartJet(**{key: None if val is None else how([vars(row)[key] for row in rows])
+                           for key, val in vars(rows[0]).items()})
+
+
+def _chart_values(chart: SurfaceChart, points, order: int):
+    """Value, Jacobian, Hessian (None at order 1), inverse frame and tangents at (N, n) rows."""
+    count, n, d = len(points), chart.param_dim, chart.model.dim
+    val = np.empty((count, d), points.dtype)
+    jac = np.empty((count, d, n), points.dtype)
+    hess = np.empty((count, d, n, n), points.dtype) if order == 2 else None
+    for k, jet in enumerate(expression_jets(chart.components, points, order)):
+        val[:, k] = jet.val
+        jac[:, k] = jet.grad
+        if hess is not None:
+            hess[:, k] = jet.hess
+    ainv = chart.model.frame_inverse(val)
+    return val, jac, hess, ainv, ainv @ jac
 
 
 def stacked_chart_jets(chart: SurfaceChart, points, order: int = 2) -> ChartJet:
@@ -127,20 +150,9 @@ def stacked_chart_jets(chart: SurfaceChart, points, order: int = 2) -> ChartJet:
     """
     points = np.asarray(points, dtype=float)
     n = chart.param_dim
-    d = chart.model.dim
     if points.ndim != 2 or points.shape[1] != n:
         raise ValueError(f"parameter points must be rows of length {n}")
-    count = len(points)
-    val = np.empty((count, d))
-    jac = np.empty((count, d, n))
-    hess = np.empty((count, d, n, n)) if order == 2 else None
-    for k, jet in enumerate(expression_jets(chart.components, points, order)):
-        val[:, k] = jet.val
-        jac[:, k] = jet.grad
-        if hess is not None:
-            hess[:, k] = jet.hess
-    ainv = chart.model.frame_inverse(val)
-    tangents = ainv @ jac
+    val, jac, hess, ainv, tangents = _chart_values(chart, points, order)
     qfull, rfull = np.linalg.qr(tangents, mode="complete")
     normal = qfull[..., -1]
     det = np.linalg.det(np.concatenate([tangents, normal[..., None]], axis=-1))
@@ -162,6 +174,30 @@ def stacked_chart_jets(chart: SurfaceChart, points, order: int = 2) -> ChartJet:
         point=val, jac=jac, hess=hess, ainv=ainv, tangents=tangents, normal=normal,
         q=qfull[..., :n], r=rfull[..., :n, :],
     )
+
+
+def complex_step_jets(chart: SurfaceChart, points, normals) -> ChartJet:
+    """Second-order chart jets at u + i COMPLEX_STEP e_a, a = 1..n, for every row u
+    of an (N, n) array: N n rows, each point's n together.
+
+    A row's normal is normalise(eta0 - T g^-1 T^T eta0), eta0 the point's real
+    oriented normal (``normals``, (N, d)), T the row's tangents, g = T^T T, with no
+    conjugation: analytic in u, the oriented normal at real u, and no QR, det or
+    SVD of a complex entry.  The rows share their point's immersion check.
+    """
+    n = chart.param_dim
+    rows = (np.asarray(points, dtype=float)[:, None] + 1j * COMPLEX_STEP * np.eye(n)).reshape(-1, n)
+    val, jac, hess, ainv, tangents = _chart_values(chart, rows, 2)
+    eta = np.repeat(normals, n, axis=0)[..., None]
+    tt = np.swapaxes(tangents, -1, -2)
+    normal = (eta - tangents @ np.linalg.solve(tt @ tangents, tt @ eta))[..., 0]
+    normal /= np.sqrt((normal * normal).sum(axis=-1))[:, None]
+    return ChartJet(point=val, jac=jac, hess=hess, ainv=ainv, tangents=tangents, normal=normal, q=None, r=None)
+
+
+def complex_derivative(values, n: int) -> np.ndarray:
+    """d_a of a quantity from its values at ``complex_step_jets`` rows: (N n,) + S -> (N, n) + S."""
+    return (values.imag / COMPLEX_STEP).reshape((-1, n) + values.shape[1:])
 
 
 def chart_jets(chart: SurfaceChart, u) -> ChartJet:
@@ -205,14 +241,17 @@ def _second_fundamental(chart: SurfaceChart, cj: ChartJet):
     return h - np.swapaxes(jac, -1, -2) @ lin @ jac + np.swapaxes(t, -1, -2) @ conn @ t
 
 
+def _n_mean_curvature(chart: SurfaceChart, cj: ChartJet):
+    """n H = tr(g^-1 h) at a ChartJet row or stack."""
+    g = np.swapaxes(cj.tangents, -1, -2) @ cj.tangents
+    return np.trace(np.linalg.solve(g, _second_fundamental(chart, cj)), axis1=-2, axis2=-1)
+
+
 def mean_curvature(chart: SurfaceChart, u):
     """Frame-independent mean curvature H = tr(g^-1 h) / n: a float at one
     point (n,), or (N,) at the rows of (N, n)."""
     u = np.asarray(u, dtype=float)
-    cj = stacked_chart_jets(chart, np.atleast_2d(u))
-    g = np.swapaxes(cj.tangents, -1, -2) @ cj.tangents
-    h = _second_fundamental(chart, cj)
-    hs = np.trace(np.linalg.solve(g, h), axis1=-2, axis2=-1) / chart.param_dim
+    hs = _n_mean_curvature(chart, stacked_chart_jets(chart, np.atleast_2d(u))) / chart.param_dim
     return hs if u.ndim == 2 else float(hs[0])
 
 
@@ -403,7 +442,7 @@ def shape_data(chart: SurfaceChart, cj: ChartJet, frames):
     The form is tensorial, so the chart directions of Y_1 .. Y_n, from one
     ``chart_coefficients`` call, contract its coordinate form to the frame
     value.  Also returns those directions, (n, n) or (N, n, n), along which
-    Y_k(n H) is differenced.
+    Y_k(n H) is taken.
     """
     one = cj.point.ndim == 1
     ys = frames.ys if one else np.array([frame.ys for frame in frames])
@@ -417,16 +456,18 @@ def shape_data(chart: SurfaceChart, cj: ChartJet, frames):
     return [ShapeData(b=x, h=float(h), norm_b2=float(nb)) for x, h, nb in zip(b, hs, norms)], coeffs
 
 
-def mean_curvature_derivatives(chart: SurfaceChart, u, coeffs, fd=FDParams()):
-    """Y_k(n H) at one point u, or at every row of an (N, n) array, by Richardson FD.
+def mean_curvature_derivatives(chart: SurfaceChart, u, coeffs):
+    """Y_k(n H) at one point u, or at every row of an (N, n) array, exact by the complex step.
 
-    ``coeffs`` (n, n), or (N, n, n), are the chart directions of the frame
-    vectors Y_1 .. Y_n, as ``shape_data`` returns them; the stencils of all
-    rows go to one FD call.
+    ``coeffs`` (n, n), or (N, n, n), are the chart directions of Y_1 .. Y_n, as
+    ``shape_data`` returns them: Y_k(n H) = coeffs[k] @ grad(n H).  ``u`` may instead
+    be the points' ``complex_step_jets`` rows, which are then not evaluated again.
     """
-    n = chart.param_dim
-    field = lambda pts: n * mean_curvature(chart, pts)
-    return directional_derivative(field, u, coeffs, fd, domain=chart.domain)
+    if not isinstance(u, ChartJet):
+        points = np.atleast_2d(np.asarray(u, dtype=float))
+        u = complex_step_jets(chart, points, gauss_map(chart, points))
+    grad = complex_derivative(_n_mean_curvature(chart, u), chart.param_dim)
+    return (coeffs @ grad.reshape(np.shape(coeffs)[:-1] + (1,)))[..., 0]
 
 
 # ---------------------------------------------------------------------------

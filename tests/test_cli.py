@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nilgauss import ImmersionError, cli, laplacian
+from nilgauss import ImmersionError, cli, fd, laplacian, surfaces
 from nilgauss.cli import (
     ConfigError,
     EXAMPLE_JOBS,
@@ -551,37 +551,31 @@ def test_oversized_or_non_integer_algebra_sizes_exit_2(
 
 
 def test_gauss_codazzi_is_one_call_per_job(monkeypatch):
-    """One checker call per job: on the 27-point foliation example it makes one
-    centre chart evaluation of the 24 evaluated points and one FD call of 8 x 24
-    field rows."""
+    """One checker call per job, which evaluates no chart and takes no FD stencil: on
+    the 27-point foliation example the job's chart evaluations are the 27 centres,
+    their 2 x 27 complex-step rows and the oracle's one stencil field call of
+    27 x 13 rows, all before the checker."""
     events = []
-    checker = laplacian.gauss_codazzi_residuals
-    jets, derivative = laplacian.stacked_chart_jets, laplacian.directional_derivative
+    checker, values, stencils = laplacian.gauss_codazzi_residuals, surfaces.expression_jets, fd._stencil_values
 
     def gc(*args, **kwargs):
         events.append("gauss_codazzi")
         return checker(*args, **kwargs)
 
-    def stacked(chart, points):
-        events.append(("jets", len(points)))
-        return jets(chart, points)
+    def jets(exprs, points, order=2):
+        events.append(("jets", len(points), np.iscomplexobj(points)))
+        return values(exprs, points, order)
 
-    def fd(f, *args, **kwargs):
-        def field(pts):
-            events.append(("field", len(pts)))
-            return f(pts)
-
+    def stencil_values(*args):
         events.append("fd")
-        return derivative(field, *args, **kwargs)
+        yield from stencils(*args)
 
     monkeypatch.setattr(cli, "gauss_codazzi_residuals", gc)
-    monkeypatch.setattr("nilgauss.laplacian.stacked_chart_jets", stacked)
-    monkeypatch.setattr("nilgauss.laplacian.directional_derivative", fd)
+    monkeypatch.setattr(surfaces, "expression_jets", jets)
+    monkeypatch.setattr(fd, "_stencil_values", stencil_values)
     doc = run(load_config(EXAMPLE_JOBS["nil_foliation_example"][1]))
     assert doc["summary"]["checks"]["gauss_codazzi"]["points_evaluated"] == 24
-    assert events[events.index("gauss_codazzi"):] == [
-        "gauss_codazzi", ("jets", 24), "fd", ("field", 192), ("jets", 192)
-    ]
+    assert events == [("jets", 27, False), ("jets", 54, True), "fd", ("jets", 27 * 13, False), "gauss_codazzi"]
 
 
 def test_h_and_norm_b2_repeat_on_every_method_row():

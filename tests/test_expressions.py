@@ -252,3 +252,42 @@ def test_first_order_jets_equal_second_order_values_and_gradients(source, points
         return  # only a second derivative failed
     np.testing.assert_array_equal(first.val, second.val)
     np.testing.assert_array_equal(first.grad, second.grad)
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "sin(u1)*cos(u2) + u1^3",
+        "exp(u1/4) - sqrt(u2 + 2)",
+        "(u1^2 - 1)^2 / (2*(1 + u1^2)^2)",
+        "u1^-2 * u2 + cos(u1 - u2)",
+    ],
+)
+def test_complex_step_jets_carry_the_derivative_in_the_imaginary_part(source):
+    """At u + i h e_a each jet entry has the real entry's value as its real part and
+    its derivative along e_a, times h, as its imaginary part."""
+    expr = parse_expression(source)
+    pts = np.array([[0.4, 0.9], [1.2, -0.7]])
+    jet = expr.jets(pts)
+    for a in range(2):
+        step = expr.jets(pts + 1j * 1e-20 * np.eye(2)[a])
+        np.testing.assert_allclose(step.val.real, jet.val, rtol=1e-15)
+        np.testing.assert_allclose(step.val.imag / 1e-20, jet.grad[:, a], rtol=1e-13)
+        np.testing.assert_allclose(step.grad.real, jet.grad, rtol=1e-15)
+        np.testing.assert_allclose(step.grad.imag / 1e-20, jet.hess[:, :, a], rtol=1e-13, atol=1e-15)
+
+
+@pytest.mark.parametrize(
+    "source, bad, error",
+    [
+        ("sqrt(u1)", -1.0 + 1e-20j, ValueError),
+        ("sqrt(u1)", 0.0 + 1e-20j, ValueError),
+        ("1 / u1", 0.0 + 1e-20j, ZeroDivisionError),
+        ("u1^-2", 0.0 + 1e-20j, ZeroDivisionError),
+    ],
+)
+def test_complex_jets_check_real_parts(source, bad, error):
+    """The domain checks read the real part, so a complex step raises where its
+    real point does."""
+    with pytest.raises(error):
+        parse_expression(source).jets(np.array([[bad]]))

@@ -32,8 +32,9 @@ from nilgauss import (
     shape_data,
     vertical_plane_chart,
 )
-from nilgauss.fd import directional_derivative
-from nilgauss.laplacian import oracle_laplacians
+from nilgauss.expressions import expression_jets
+from nilgauss.fd import FDParams, directional_derivative
+from nilgauss.laplacian import _gc_field, oracle_laplacians
 from nilgauss.surfaces import (
     ShapeData,
     chart_coefficients,
@@ -496,6 +497,31 @@ def test_jacobi_makes_one_oracle_call_for_records_without_one(monkeypatch):
     assert calls == [len(pts) * 13]  # centre and 2 levels of 6 neighbours per point
 
 
+def test_jacobi_without_oracle_reevaluates_no_centre(monkeypatch):
+    """Records without an oracle Delta G: one gauss_map call, whose stencil of
+    first-order chart rows is the only chart evaluation; the metric coefficients
+    come from the records' ChartJet rows."""
+    chart = cylinder_chart("cos(u1)", "sin(u1)", (-0.6, 0.6), (-1, 1))
+    pts = np.array([[s, t] for s in (-0.45, 0.0, 0.45) for t in (-0.5, 0.5)])
+    bare = evaluate_points(chart, pts)
+    reference = jacobi_residuals(chart, evaluate_points(chart, pts, ["numeric_oracle"]), [0.3, 0.9, 0.1])
+    maps, rows = [], []
+
+    def counted_map(chart_, p):
+        maps.append(len(p))
+        return gauss_map(chart_, p)
+
+    def counted_jets(exprs, p, order=2):
+        rows.append((len(p), order))
+        return expression_jets(exprs, p, order)
+
+    monkeypatch.setattr("nilgauss.laplacian.gauss_map", counted_map)
+    monkeypatch.setattr("nilgauss.surfaces.expression_jets", counted_jets)
+    assert jacobi_residuals(chart, bare, [0.3, 0.9, 0.1]) == reference
+    assert maps == [len(pts) * 13]
+    assert rows == [(len(pts) * 13, 1)]
+
+
 # ---------------------------------------------------------------------------
 # one batched evaluation against its one-point view
 
@@ -548,21 +574,89 @@ def test_evaluate_points_rows_equal_evaluate_point(name, count, seed, completion
 
 
 def test_evaluate_points_one_field_call_per_stage(monkeypatch):
-    """Centres, Y_k(n H) stencils and oracle stencils: one chart evaluation each."""
+    """Centres, Y_k(n H) rows and oracle stencils: one chart evaluation each."""
     chart = random_graph_chart(exp_model(heisenberg(2)), np.random.default_rng(2), terms=4)
     pts = np.random.default_rng(3).uniform(-0.4, 0.4, (6, 4))
     sizes = []
 
-    def counted(chart_, p, order=2):
+    def counted(exprs, p, order=2):
         sizes.append(len(p))
-        return stacked_chart_jets(chart_, p, order)
+        return expression_jets(exprs, p, order)
 
-    monkeypatch.setattr("nilgauss.surfaces.stacked_chart_jets", counted)
-    monkeypatch.setattr("nilgauss.laplacian.stacked_chart_jets", counted)
+    monkeypatch.setattr("nilgauss.surfaces.expression_jets", counted)
     evaluate_points(chart, pts, ["general", "numeric_oracle"])
-    # levels * 2 rows per direction, n directions per point; the oracle
+    # one complex-step row per direction, n directions per point; the oracle
     # stencil holds the centre and levels * (2n + 2 n(n-1)/2) rows
-    assert sizes == [6, 6 * 4 * 2 * 2, 6 * (1 + 2 * (8 + 12))]
+    assert sizes == [6, 6 * 4, 6 * (1 + 2 * (8 + 12))]
+
+
+def test_complex_step_rows_go_in_chunks_and_stay_only_in_3d(monkeypatch):
+    """At most FIELD_ROWS / 2 complex-step rows per chart evaluation, whole points
+    each, with the records unchanged bit for bit; a record outside a 3-dimensional
+    model keeps no complex-step rows."""
+    chart = random_graph_chart(exp_model(heisenberg(2)), np.random.default_rng(4), terms=4)
+    pts = np.random.default_rng(5).uniform(-0.4, 0.4, (5, 4))
+    whole = evaluate_points(chart, pts, ["general", "h_type"])
+    sizes = []
+
+    def counted(exprs, p, order=2):
+        sizes.append(len(p))
+        return expression_jets(exprs, p, order)
+
+    monkeypatch.setattr("nilgauss.surfaces.expression_jets", counted)
+    monkeypatch.setattr("nilgauss.laplacian.FIELD_ROWS", 16)  # two points of 4 rows
+    chunked = evaluate_points(chart, pts, ["general", "h_type"])
+    assert sizes == [5, 8, 8, 4]
+    for a, b in zip(whole, chunked):
+        assert_same_record(a, b)
+        assert a.steps is None and b.steps is None
+
+
+def test_fd_moves_no_closed_form_row_gauss_codazzi_or_corollary1():
+    """fd reaches the oracle only: closed-form reports, Y_k(n H), Gauss-Codazzi
+    results and corollary1 are bit for bit the same under any FDParams."""
+    h2_chart = random_graph_chart(exp_model(heisenberg(2)), np.random.default_rng(5), terms=4)
+    h2_pts = np.random.default_rng(6).uniform(-0.4, 0.4, (4, 4))
+    cylinder = cylinder_chart("cos(u1)", "sin(u1)", (-0.6, 0.6), (-1, 1))
+    leaf = foliation_leaf_chart()
+    grid = np.array([[x, y] for x in (-0.5, 0.3) for y in (-0.2, 0.4)])
+    outcomes = []
+    for fd in (FDParams(), FDParams(step=1e-3, levels=1)):
+        evals = evaluate_points(h2_chart, h2_pts, ["general", "h_type", "heisenberg"], fd)
+        rows = [(ev.dh, [rep.coeffs for rep in ev.reports.values()]) for ev in evals]
+        gc = gauss_codazzi_residuals(leaf, evaluate_points(leaf, grid, fd=fd))
+        corollary1 = central_h_variation(cylinder, evaluate_points(cylinder, grid, fd=fd))
+        outcomes.append((rows, gc, corollary1))
+    (rows, gc, corollary1), (rows_b, gc_b, corollary1_b) = outcomes
+    for (dh, coeffs), (dh_b, coeffs_b) in zip(rows, rows_b):
+        np.testing.assert_array_equal(dh, dh_b)
+        for a, b in zip(coeffs, coeffs_b):
+            np.testing.assert_array_equal(a, b)
+    assert gc == gc_b and not gc[0].skipped
+    assert corollary1 == corollary1_b and not corollary1.skipped
+
+
+def test_complex_step_size_moves_nothing(monkeypatch):
+    """Y_k(n H) and the Gauss-Codazzi results agree to rounding at h = 1e-20 and
+    1e-30: the complex step takes no difference, so no step trades truncation
+    against cancellation."""
+    h2_chart = random_graph_chart(exp_model(heisenberg(2)), np.random.default_rng(7), terms=4)
+    h2_pts = np.random.default_rng(8).uniform(-0.4, 0.4, (4, 4))
+    leaf = GC_CHARTS["exp_h1"](1)
+    gc_pts = np.array(GC_POINTS)
+    outcomes = []
+    for h in (1e-20, 1e-30):
+        monkeypatch.setattr("nilgauss.surfaces.COMPLEX_STEP", h)
+        dh = np.array([ev.dh for ev in evaluate_points(h2_chart, h2_pts)])
+        gc = gauss_codazzi_residuals(leaf, evaluate_points(leaf, gc_pts))
+        outcomes.append((dh, gc))
+    (dh, gc), (dh_b, gc_b) = outcomes
+    assert np.abs(dh).max() > 0.1
+    np.testing.assert_allclose(dh_b, dh, rtol=1e-14, atol=1e-15)
+    for one, other in zip(gc, gc_b):
+        assert not one.skipped
+        for field in ("codazzi_residual", "gauss_residual"):
+            assert abs(getattr(one, field) - getattr(other, field)) <= 1e-15
 
 
 def test_evaluate_points_one_chart_direction_solve(monkeypatch):
@@ -698,30 +792,26 @@ def test_gauss_codazzi_requires_3d():
         gauss_codazzi_residuals(chart, ev)
 
 
-def test_gauss_codazzi_one_fd_call_and_no_frames(monkeypatch):
-    """One directional_derivative call with one field evaluation per evaluated
-    point; no adapted frame and no gauss_map call."""
+def forbid_chart_evaluation(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a chart, frame or Gauss map was evaluated, or an FD stencil taken")
+
+    for name in ("expression_jets", "adapted_frame", "gauss_map"):
+        monkeypatch.setattr(f"nilgauss.surfaces.{name}", forbidden)
+    for name in ("adapted_frame", "gauss_map", "gradient_hessian"):
+        monkeypatch.setattr(f"nilgauss.laplacian.{name}", forbidden)
+    monkeypatch.setattr("nilgauss.fd._stencil_values", forbidden)
+
+
+def test_gauss_codazzi_evaluates_no_chart_and_no_frames(monkeypatch):
+    """One record at a time: h, Gamma and their derivatives come from the record's
+    ChartJet and complex-step rows; no chart, adapted frame or gauss_map call."""
     chart = foliation_leaf_chart()
     evals = [evaluate_point(chart, [x, 0.0]) for x in (0.0, 0.5, 1.2)]  # x = 0 is skipped
-    field_rows = []
-
-    def counted(f, *args, **kwargs):
-        def field(pts):
-            field_rows.append(len(pts))
-            return f(pts)
-
-        return directional_derivative(field, *args, **kwargs)
-
-    def forbidden(*args, **kwargs):
-        raise AssertionError("a frame or Gauss map was built")
-
-    monkeypatch.setattr("nilgauss.laplacian.directional_derivative", counted)
-    for name in ("adapted_frame", "gauss_map"):
-        monkeypatch.setattr(f"nilgauss.laplacian.{name}", forbidden)
-        monkeypatch.setattr(f"nilgauss.surfaces.{name}", forbidden)
+    forbid_chart_evaluation(monkeypatch)
     results = [gauss_codazzi_residuals(chart, ev) for ev in evals]
     assert [res.skipped for res in results] == [True, False, False]
-    assert field_rows == [8, 8]  # 2 directions, 2 levels, 2 sides
+    assert max(max(res.codazzi_residual, res.gauss_residual) for res in results[1:]) < 1e-13
 
 
 GC_CHARTS = {
@@ -806,26 +896,22 @@ def test_gauss_codazzi_list_equals_per_record_calls(name):
                 assert abs(getattr(row, field) - getattr(one, field)) <= 1e-15
 
 
-def test_gauss_codazzi_list_makes_one_fd_call(monkeypatch):
-    """k evaluated records: one directional_derivative call of 8 k field rows."""
+def test_gauss_codazzi_list_evaluates_no_chart(monkeypatch):
+    """k evaluated records: one _gc_field call, on their 2 k complex-step rows, which
+    gives h and Gamma (real parts) and their derivatives, and no chart evaluation."""
     chart = foliation_leaf_chart()
     evals = evaluate_points(chart, np.array([[x, 0.2] for x in (-1.0, 0.0, 0.4, 1.3)]))
-    calls = []
+    rows = []
 
-    def counted(f, *args, **kwargs):
-        rows = []
-        calls.append(rows)
+    def counted(chart_, cj):
+        rows.append((len(cj.point), np.iscomplexobj(cj.point)))
+        return _gc_field(chart_, cj)
 
-        def field(pts):
-            rows.append(len(pts))
-            return f(pts)
-
-        return directional_derivative(field, *args, **kwargs)
-
-    monkeypatch.setattr("nilgauss.laplacian.directional_derivative", counted)
+    forbid_chart_evaluation(monkeypatch)
+    monkeypatch.setattr("nilgauss.laplacian._gc_field", counted)
     results = gauss_codazzi_residuals(chart, evals)
     assert [res.skipped for res in results] == [False, True, False, False]
-    assert calls == [[8 * 3]]
+    assert rows == [(2 * 3, True)]
 
 
 def test_gauss_codazzi_all_skipped_evaluates_no_chart(monkeypatch):
@@ -835,7 +921,7 @@ def test_gauss_codazzi_all_skipped_evaluates_no_chart(monkeypatch):
     def no_evaluation(*args, **kwargs):
         raise AssertionError("the chart was evaluated")
 
-    for name in ("stacked_chart_jets", "chart_jets", "_gc_field", "directional_derivative"):
+    for name in ("stacked_chart_jets", "chart_jets", "_gc_field", "complex_derivative"):
         monkeypatch.setattr(f"nilgauss.laplacian.{name}", no_evaluation)
     assert [res.skipped for res in gauss_codazzi_residuals(chart, evals)] == [True] * 3
     assert gauss_codazzi_residuals(chart, []) == []

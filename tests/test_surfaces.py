@@ -20,14 +20,18 @@ from nilgauss import (
     vertical_plane_chart,
 )
 from nilgauss.fd import BoundaryError, directional_derivative
+from nilgauss.laplacian import oracle_laplacians
 from nilgauss.surfaces import (
     IMMERSION_RANK_TOL,
     _second_fundamental,
     chart_coefficients,
     chart_jets,
+    complex_derivative,
+    complex_step_jets,
     induced_metric_with_gradient,
     stacked_chart_jets,
 )
+from nilgauss.fd import FDParams
 from conftest import abelian_3d, basis, free_two_step_5d, quaternionic_heisenberg, random_unit
 
 
@@ -549,12 +553,50 @@ def test_directional_derivative_linear_in_direction():
 
 
 def test_boundary_stencil_error():
+    """The oracle's stencil may not leave the domain; Y_k(n H), by the complex
+    step, needs no room."""
     chart = foliation_leaf_chart(x_range=(-1.0, 1.0))
     u = [1.0 - 1e-6, 0.0]
     frame = adapted_frame(heisenberg(1), gauss_map(chart, u))
+    coeffs = shape_data(chart, chart_jets(chart, u), frame)[1]
+    assert np.isfinite(mean_curvature_derivatives(chart, u, coeffs)).all()
     with pytest.raises(BoundaryError):
-        coeffs = shape_data(chart, chart_jets(chart, u), frame)[1]
-        mean_curvature_derivatives(chart, u, coeffs)
+        oracle_laplacians(chart, stacked_chart_jets(chart, [u]), np.array([u]))
+
+
+# a chart with every operation of the grammar: sin, cos, exp, sqrt, /, ^k and ^-k
+ALL_OPS_GRAPH = (
+    "0.2*sin(u1)*u2 + 0.1*cos(u2 - u3) + 0.05*exp(u4) + 0.1*sqrt(2 + u1^2)"
+    " + 0.1*u3/(2 + u4) + 0.05*u2^3 - 0.02*(1.5 + u1)^-2"
+)
+REFERENCE_FD = FDParams(step=2e-3, levels=4)
+
+
+def test_mean_curvature_derivatives_match_a_high_order_fd_reference():
+    """Y_k(n H) by the complex step, against Richardson FD of n H along the same
+    chart directions at step 2e-3 with 4 levels."""
+    chart = graph_chart(exp_model(heisenberg(2)), ALL_OPS_GRAPH, [(-0.6, 0.6)] * 4)
+    pts = np.random.default_rng(17).uniform(-0.4, 0.4, (5, 4))
+    cj = stacked_chart_jets(chart, pts)
+    coeffs = shape_data(chart, cj, [adapted_frame(heisenberg(2), nrm) for nrm in cj.normal])[1]
+    dh = mean_curvature_derivatives(chart, pts, coeffs)
+    reference = directional_derivative(lambda p: 4 * mean_curvature(chart, p), pts, coeffs, REFERENCE_FD)
+    assert np.abs(dh).max() > 0.1
+    assert np.abs(dh - reference).max() < 1e-11
+
+
+@pytest.mark.parametrize("orientation", [1, -1])
+def test_complex_step_normal_is_the_oriented_normal_and_its_derivative(orientation):
+    """The real part of a complex-step row's normal is the point's oriented normal,
+    and its imaginary part gives the Gauss map's derivative along the step."""
+    chart = graph_chart(exp_model(heisenberg(2)), ALL_OPS_GRAPH, [(-0.6, 0.6)] * 4, orientation)
+    pts = np.random.default_rng(18).uniform(-0.4, 0.4, (3, 4))
+    normals = gauss_map(chart, pts)
+    steps = complex_step_jets(chart, pts, normals)
+    np.testing.assert_allclose(steps.normal.real, np.repeat(normals, 4, axis=0), atol=1e-15)
+    reference = directional_derivative(lambda p: gauss_map(chart, p), pts, np.broadcast_to(np.eye(4), (3, 4, 4)),
+                                       REFERENCE_FD)
+    np.testing.assert_allclose(complex_derivative(steps.normal, 4), reference, atol=1e-10)
 
 
 def test_mean_curvature_frame_free_matches_trace():
