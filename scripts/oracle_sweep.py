@@ -35,12 +35,12 @@ def main() -> int:
         for _ in range(args.charts):
             chart = random_graph_chart(model, rng)
             points = rng.uniform(-0.45, 0.45, size=(args.points, alg.n))
-            for ev in evaluate_points(chart, points, ["general", "numeric_oracle"]):
-                rep, num = ev.reports["general"], ev.reports["numeric_oracle"]
-                gap = np.abs(rep.coeffs - num.coeffs)
-                allowed = np.maximum(5e-4, 5e-4 * np.abs(rep.coeffs))
-                worst_abs = max(worst_abs, gap.max())
-                worst_rel = max(worst_rel, (gap / allowed).max())
+            reports = evaluate_points(chart, points, ["general", "numeric_oracle"]).reports
+            rep, num = reports["general"], reports["numeric_oracle"]
+            gap = np.abs(rep.coeffs - num.coeffs)
+            allowed = np.maximum(5e-4, 5e-4 * np.abs(rep.coeffs))
+            worst_abs = max(worst_abs, gap.max())
+            worst_rel = max(worst_rel, (gap / allowed).max())
         dt = time.perf_counter() - t0
         overall = max(overall, worst_rel)
         print(f"heisenberg({m}): {args.charts} charts x {args.points} points  "

@@ -31,11 +31,11 @@ from .curvature import (
 from .expressions import Expr, Jet, ParseError, parse_expression
 from .fd import BoundaryError, FDParams
 from .laplacian import (
+    Evaluation,
     GaussCodazziResult,
     HarmonicityVerdict,
     JacobiReport,
     LaplacianReport,
-    PointEval,
     central_h_variation,
     closed_form_report,
     evaluate_point,

@@ -235,47 +235,46 @@ def run(config: JobConfig) -> dict:
     tols = config.tolerances
     points = grid_points(chart, config.grid, fdp, config.point)
 
-    evals = evaluate_points(chart, points, config.methods, fdp)
+    ev = evaluate_points(chart, points, config.methods, fdp)
+    columns = {mth: list(zip(rep.coeffs.tolist(), rep.tangential_norm.tolist(), rep.normal_coeff.tolist()))
+               for mth, rep in ev.reports.items() if mth in config.methods}
     rows = [
         {
-            "point": [float(x) for x in ev.u],
+            "point": u,
             "method": mth,
-            "coeffs": [float(c) for c in ev.reports[mth].coeffs],
-            "tangential_norm": ev.reports[mth].tangential_norm,
-            "normal_coeff": ev.reports[mth].normal_coeff,
-            "h": ev.shape.h,
-            "norm_b2": ev.shape.norm_b2,
+            "coeffs": columns[mth][i][0],
+            "tangential_norm": columns[mth][i][1],
+            "normal_coeff": columns[mth][i][2],
+            "h": h,
+            "norm_b2": norm_b2,
         }
-        for ev in evals
+        for i, (u, h, norm_b2) in enumerate(zip(points.tolist(), ev.shape.h.tolist(), ev.shape.norm_b2.tolist()))
         for mth in config.methods
     ]
     preferred = next((m for m in config.methods if m != "numeric_oracle"), None)
-    defects = [ev.reports[preferred].tangential_norm for ev in evals] if preferred else []
-    gaps = []
+    max_defect = float(ev.reports[preferred].tangential_norm.max()) if preferred else None
+    max_gap = None
     if preferred and "numeric_oracle" in config.methods:
-        gaps = [
-            float(np.abs(ev.reports[preferred].coeffs - ev.reports["numeric_oracle"].coeffs).max())
-            for ev in evals
-        ]
+        max_gap = float(np.abs(ev.reports[preferred].coeffs - ev.reports["numeric_oracle"].coeffs).max())
 
     checks: dict[str, dict] = {}
     if "harmonicity" in config.checks:
         source = preferred or config.methods[0]
-        worst = max((ev.reports[source].tangential_norm for ev in evals), default=0.0)
+        worst = float(ev.reports[source].tangential_norm.max())
         checks["harmonicity"] = {
             "pass": bool(worst < tols["harmonicity"]),
             "max_defect": worst,
             "tol": tols["harmonicity"],
         }
     if "prop3" in config.checks:
-        worst = max((max(harmonicity_cmc_residuals(ev.shape, ev.frame)) for ev in evals), default=0.0)
+        worst = float(np.max(harmonicity_cmc_residuals(ev.shape, ev.frame)))
         checks["prop3"] = {
             "pass": bool(worst < tols["prop3"]),
             "max_residual": worst,
             "tol": tols["prop3"],
         }
     if "corollary1" in config.checks:
-        rep = central_h_variation(chart, evals, tol=tols["harmonicity"])
+        rep = central_h_variation(chart, ev, tol=tols["harmonicity"])
         checks["corollary1"] = {
             "pass": bool(rep.skipped or rep.max_variation < tols["corollary1"]),
             "skipped": rep.skipped,
@@ -285,9 +284,9 @@ def run(config: JobConfig) -> dict:
     if "jacobi" in config.checks:
         direction = config.jacobi_direction
         if direction is None:
-            mean_g = np.mean([ev.frame.normal for ev in evals], axis=0)
+            mean_g = ev.frame.normal.mean(axis=0)
             direction = mean_g / np.linalg.norm(mean_g)
-        rep = jacobi_residuals(chart, evals, direction, fdp, tol=tols["harmonicity"])
+        rep = jacobi_residuals(chart, ev, direction, fdp, tol=tols["harmonicity"])
         checks["jacobi"] = {
             "pass": bool(rep.max_residual < tols["jacobi"]),
             "max_residual": rep.max_residual,
@@ -296,7 +295,7 @@ def run(config: JobConfig) -> dict:
             "tol": tols["jacobi"],
         }
     if "gauss_codazzi" in config.checks:
-        results = [res for res in gauss_codazzi_residuals(chart, evals) if not res.skipped]
+        results = [res for res in gauss_codazzi_residuals(chart, ev) if not res.skipped]
         worst = max((max(res.codazzi_residual, res.gauss_residual) for res in results), default=0.0)
         identity = max((abs(res.curvature_term - res.ab_product) for res in results), default=0.0)
         checks["gauss_codazzi"] = {
@@ -309,8 +308,8 @@ def run(config: JobConfig) -> dict:
 
     summary = {
         "points": len(points),
-        "max_defect": max(defects) if defects else None,
-        "max_oracle_gap": max(gaps) if gaps else None,
+        "max_defect": max_defect,
+        "max_oracle_gap": max_gap,
         "checks": checks,
     }
     return {"config_echo": config.raw, "rows": rows, "summary": summary}

@@ -30,17 +30,19 @@ differenced: Y_k(n H) and Gauss-Codazzi take the exact complex step.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import NilpotentAlgebra
-from .curvature import curvature, ricci
+from .algebra import NilpotentAlgebra, _read_only
+from .curvature import curvature
 from .fd import FIELD_ROWS, FDParams, gradient_hessian
 from .surfaces import (
     AdaptedFrame,
     ChartJet,
     ShapeData,
+    Stack,
     SurfaceChart,
     _second_fundamental,
     adapted_frame,
@@ -59,8 +61,9 @@ TERM_KEYS = ("dh", "bracket_j", "curvature", "norm_b2_ric")
 
 
 @dataclass(frozen=True, eq=False)
-class LaplacianReport:
-    """Coefficients of Delta G in the adapted frame, with a term breakdown."""
+class LaplacianReport(Stack):
+    """Coefficients of Delta G in the adapted frame, with a term breakdown: (d,) at
+    one point, or (N, d) over a stack with ``tangential_norm`` and ``normal_coeff`` (N,)."""
 
     coeffs: np.ndarray
     terms: dict[str, np.ndarray]
@@ -70,85 +73,124 @@ class LaplacianReport:
 
     @classmethod
     def from_terms(cls, terms: dict[str, np.ndarray], method: str) -> "LaplacianReport":
-        coeffs = np.sum([np.asarray(v, dtype=float) for v in terms.values()], axis=0)
-        return cls(
-            coeffs=coeffs,
-            terms={k: np.asarray(v, dtype=float) for k, v in terms.items()},
-            tangential_norm=float(np.linalg.norm(coeffs[:-1])),
-            normal_coeff=float(coeffs[-1]),
-            method=method,
-        )
+        coeffs = functools.reduce(np.add, terms.values())
+        return cls(coeffs, terms, np.sqrt((coeffs[..., :-1] ** 2).sum(axis=-1)), coeffs[..., -1], method)
 
 
-def _term_arrays(d: int) -> dict[str, np.ndarray]:
-    return {key: np.zeros(d) for key in TERM_KEYS}
+# Row-wise products over a stack, by matmul: each row then sums in the same order in a
+# stack as alone, which einsum does not promise.
+def _dot(x, y) -> np.ndarray:
+    """x[i] @ y[i] of two stacks of vectors, (N, d) -> (N,); either may be one vector."""
+    return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
+
+
+def _apply(rows, vecs) -> np.ndarray:
+    """rows[i] @ vecs[i]: (N, k, d) and (N, d) -> (N, k)."""
+    return (rows @ vecs[..., None])[..., 0]
+
+
+def _pointwise(form):
+    """A closed form over stacks that also takes one point's frame, shape and dh, without
+    the point axis, through the same code as a stack of one."""
+
+    @functools.wraps(form)
+    def one_or_stack(alg, frame, shape, dh):
+        dh = np.asarray(dh, dtype=float)
+        if frame.ys.ndim == 2:
+            return form(alg, frame[None], shape[None], dh[None])[0]
+        return form(alg, frame, shape, dh)
+
+    return one_or_stack
+
+
+def _terms(frame: AdaptedFrame, dh) -> dict[str, np.ndarray]:
+    """The term arrays (N, d), zero but for the -Y_k(n H) slots."""
+    terms = dict(zip(TERM_KEYS, np.zeros((len(TERM_KEYS),) + frame.ys.shape[:2])))
+    terms["dh"][:, :-1] = -dh
+    return terms
 
 
 def _horizontal_rows(frame: AdaptedFrame) -> np.ndarray:
-    """X_1 .. X_q as rows."""
-    return np.array([frame.x(i) for i in range(1, frame.q + 1)])
+    """X_1 .. X_q as rows, (N, q, d)."""
+    return np.concatenate([frame.ys[:, :frame.q - 1], frame.x_q[:, None]], axis=1)
 
 
-def _b_form(alg: NilpotentAlgebra, frame: AdaptedFrame, b: np.ndarray) -> np.ndarray:
-    """The linear form in t of the b sums, as a vector:
+@functools.lru_cache(maxsize=16)
+def _layouts(alg: NilpotentAlgebra):
+    """The bracket and curvature tensors c[a, b, k], R[a, b, c, k] laid out as the matrices
+    the closed forms multiply row stacks by, once per algebra: ad, with [X, x] = X @ (x @ ad)
+    reshaped (d, d); rows (b, k) to a and rows (a, k) to b of c; rows (b, c) to (a, k) of R."""
+    d = alg.dim_total
+    c, r = alg.bracket_tensor, alg.curvature_tensor
+    return tuple(_read_only(arr) for arr in (
+        c.transpose(1, 0, 2).reshape(d, d * d), c.reshape(d, d * d).T,
+        c.transpose(0, 2, 1).reshape(d * d, d), r.transpose(1, 2, 0, 3).reshape(d * d, d * d),
+    ))
 
-        t -> sum_i 2 b_iq <J(z_q) X_i, t> - sum_{i, j > q} 2 b_ij <J(Z_j) X_i, t>.
+
+def _j_forms(alg: NilpotentAlgebra, frame: AdaptedFrame, b, h) -> tuple[np.ndarray, np.ndarray]:
+    """The linear forms in t of the b sums and of the mean-curvature term, (N, d) each:
+
+        t -> sum_i 2 b_iq <J(z_q) X_i, t> - sum_{i, j > q} 2 b_ij <J(Z_j) X_i, t>,
+        t -> n H <J(z_n1) x_n1, t>.
     """
-    q, n = frame.q, frame.dim - 1
-    zs = np.vstack([frame.z_q, frame.ys[q:n]])  # z_q, Z_{q+1} .. Z_n
-    weights = 2.0 * b[:q, q - 1:n] * np.r_[1.0, -np.ones(n - q)]
-    # <J(Z) X, t> = <[X, t], Z>
-    return np.einsum("ij,abk,ia,jk->b", weights, alg.bracket_tensor, _horizontal_rows(frame), zs)
+    d, n, q = alg.dim_total, alg.n, frame.q
+    zs = np.concatenate([frame.z_q[:, None], frame.ys[:, q:n]], axis=1)  # z_q, Z_{q+1} .. Z_n
+    weights = 2.0 * b[:, :q, q - 1:n]
+    weights[..., 1:] *= -1.0
+    pairs = np.stack([  # <J(Z) X, t> = <[X, t], Z>: sums of outer products X (x) Z
+        np.swapaxes(_horizontal_rows(frame), -1, -2) @ weights @ zs,
+        (n * h)[:, None, None] * (frame.x_n1[:, :, None] @ frame.z_n1[:, None]),
+    ], axis=1)
+    forms = pairs.reshape(-1, 2, d * d) @ _layouts(alg)[2]
+    return forms[:, 0], forms[:, 1]
 
 
-def laplacian_general(
-    alg: NilpotentAlgebra,
-    frame: AdaptedFrame,
-    shape: ShapeData,
-    dh,
-) -> LaplacianReport:
-    """Closed-form Delta G for any 2-step algebra, in the adapted frame.
+def _ricci_normal(alg: NilpotentAlgebra, normal) -> np.ndarray:
+    """Ric(normal, normal) at each row of an (N, d) stack."""
+    return _dot(_apply(alg.ricci_matrix, normal), normal)
+
+
+@_pointwise
+def laplacian_general(alg: NilpotentAlgebra, frame: AdaptedFrame, shape: ShapeData, dh) -> LaplacianReport:
+    """Closed-form Delta G for any 2-step algebra, in the adapted frame, at one point
+    or over a stack.
 
     ``dh`` holds the n derivatives Y_k(n H).
     """
-    d = alg.dim_total
-    n = alg.n
-    q = frame.q
-    dh = np.asarray(dh, dtype=float)
-    if dh.shape != (n,):
+    d, n, q = alg.dim_total, alg.n, frame.q
+    if dh.shape[1:] != (n,):
         raise ValueError(f"dh must hold {n} frame derivatives of nH")
-    if frame.ys.shape != (d, d):
+    if frame.ys.shape[1:] != (d, d):
         raise ValueError("frame dimension does not match the algebra")
     x_n1, z_n1 = frame.x_n1, frame.z_n1
-    c = alg.bracket_tensor
+    ad, bracket_rows, _, curvature_rows = _layouts(alg)
     xs = _horizontal_rows(frame)
 
     # Each slot evaluates linear forms at its target t = X_k (k <= q) or x_n1:
     # sum_{j<q} <J([t, X_j]) X_j, x_n1> = sum_{j<q} <[t, X_j], [X_j, x_n1]>,
     # the b sums, n H <J(z_n1) x_n1, t> (k <= q only) and 4 <R(t, z_n1) z_n1, x_n1>.
-    pair_brackets = np.einsum("abk,ja,b->jk", c, xs[:-1], x_n1)
-    bracket_form = np.einsum("abk,jb,jk->a", c, xs[:-1], pair_brackets)
-    bracket_form += _b_form(alg, frame, shape.b)
-    mean_form = n * shape.h * (alg.j_matrix(z_n1) @ x_n1)
-    curvature_form = 4.0 * np.einsum("abck,b,c,k->a", alg.curvature_tensor, z_n1, z_n1, x_n1)
+    pair_brackets = xs[:, :-1] @ (x_n1[:, None] @ ad).reshape(-1, d, d)  # rows [X_j, x_n1]
+    outer = (np.swapaxes(xs[:, :-1], -1, -2) @ pair_brackets).reshape(-1, 1, d * d)
+    bracket_form = (outer @ bracket_rows)[:, 0]
+    b_form, mean_form = _j_forms(alg, frame, shape.b, shape.h)
+    bracket_form += b_form
+    zz = (z_n1[:, :, None] @ z_n1[:, None]).reshape(-1, 1, d * d)
+    curv_map = (zz @ curvature_rows).reshape(-1, d, d)
+    curvature_form = 4.0 * _apply(curv_map, x_n1)
 
-    terms = _term_arrays(d)
-    terms["dh"][:n] = -dh
-    terms["bracket_j"][:q] = xs @ (bracket_form + mean_form)
-    terms["bracket_j"][n] = bracket_form @ x_n1
-    terms["curvature"][:q] = xs @ curvature_form
-    terms["curvature"][n] = curvature_form @ x_n1
-    terms["norm_b2_ric"][n] = -shape.norm_b2 - ricci(alg, frame.normal, frame.normal)
+    terms = _terms(frame, dh)
+    terms["bracket_j"][:, :q] = _apply(xs, bracket_form + mean_form)
+    terms["bracket_j"][:, n] = _dot(bracket_form, x_n1)
+    terms["curvature"][:, :q] = _apply(xs, curvature_form)
+    terms["curvature"][:, n] = _dot(curvature_form, x_n1)
+    terms["norm_b2_ric"][:, n] = -shape.norm_b2 - _ricci_normal(alg, frame.normal)
     return LaplacianReport.from_terms(terms, "general")
 
 
-def laplacian_h_type(
-    alg: NilpotentAlgebra,
-    frame: AdaptedFrame,
-    shape: ShapeData,
-    dh,
-) -> LaplacianReport:
-    """Specialized Delta G for Heisenberg-type algebras.
+@_pointwise
+def laplacian_h_type(alg: NilpotentAlgebra, frame: AdaptedFrame, shape: ShapeData, dh) -> LaplacianReport:
+    """Specialized Delta G for Heisenberg-type algebras, at one point or over a stack.
 
     The bracket and curvature sums collapse into closed factors built
     from the norms of the normal's two parts; the result must agree with
@@ -156,33 +198,22 @@ def laplacian_h_type(
     """
     if not alg.is_h_type:
         raise ValueError("laplacian_h_type requires a Heisenberg-type algebra")
-    d = alg.dim_total
-    n = alg.n
-    q = frame.q
-    dh = np.asarray(dh, dtype=float)
-    a_x = float(np.linalg.norm(frame.x_n1))
-    a_z = float(np.linalg.norm(frame.z_n1))
-    b_form = _b_form(alg, frame, shape.b)
-    mean_form = n * shape.h * (alg.j_matrix(frame.z_n1) @ frame.x_n1)
+    n, q = alg.n, frame.q
+    a_x, a_z = frame.s, frame.c
+    b_form, mean_form = _j_forms(alg, frame, shape.b, shape.h)
 
-    terms = _term_arrays(d)
-    terms["dh"][:n] = -dh
-    terms["bracket_j"][:q] = _horizontal_rows(frame) @ (b_form + mean_form)
-    terms["bracket_j"][n] = b_form @ frame.x_n1
-    terms["curvature"][q - 1] = a_z * a_x * (q - n - 1 + a_z**2)
-    terms["norm_b2_ric"][n] = (
-        -shape.norm_b2 - (q / 4.0) * a_z**2 + a_x**2 * (0.5 * (q - n - 1) + a_z**2)
-    )
+    terms = _terms(frame, dh)
+    terms["bracket_j"][:, :q] = _apply(_horizontal_rows(frame), b_form + mean_form)
+    terms["bracket_j"][:, n] = _dot(b_form, frame.x_n1)
+    terms["curvature"][:, q - 1] = a_z * a_x * (q - n - 1 + a_z**2)
+    terms["norm_b2_ric"][:, n] = -shape.norm_b2 - (q / 4.0) * a_z**2 + a_x**2 * (0.5 * (q - n - 1) + a_z**2)
     return LaplacianReport.from_terms(terms, "h_type")
 
 
-def laplacian_heisenberg(
-    alg: NilpotentAlgebra,
-    frame: AdaptedFrame,
-    shape: ShapeData,
-    dh,
-) -> LaplacianReport:
-    """Delta G over a Heisenberg group in the symplectically adapted basis.
+@_pointwise
+def laplacian_heisenberg(alg: NilpotentAlgebra, frame: AdaptedFrame, shape: ShapeData, dh) -> LaplacianReport:
+    """Delta G over a Heisenberg group in the symplectically adapted basis, at one
+    point or over a stack.
 
     Writing s and c for the norms of the horizontal and central parts of
     the normal and m for half the horizontal dimension, the coefficients
@@ -196,29 +227,21 @@ def laplacian_heisenberg(
         raise ValueError("laplacian_heisenberg requires a Heisenberg algebra")
     if not frame.special_heisenberg:
         raise ValueError("frame was not built in the symplectically adapted basis")
-    d = alg.dim_total
-    n = alg.n
-    q = frame.q
-    m = q // 2
-    dh = np.asarray(dh, dtype=float)
-    b = shape.b
-    nH = n * shape.h
-    s = float(np.linalg.norm(frame.x_n1))
-    c = float(np.linalg.norm(frame.z_n1))
-
-    terms = _term_arrays(d)
-    terms["dh"][:n] = -dh
+    n, m = alg.n, frame.q // 2
     last = 2 * m - 1  # zero-based row of the mixed frame vector
-    for k in range(1, m):
-        terms["bracket_j"][k - 1] = -2.0 * b[last, m + k - 1] * s
-        terms["bracket_j"][m + k - 1] = 2.0 * b[last, k - 1] * s
-    terms["bracket_j"][m - 1] = -nH * s * c - 2.0 * b[last, last] * s * c
-    terms["bracket_j"][2 * m - 1] = 2.0 * b[last, m - 1] * s * c
-    terms["curvature"][2 * m - 1] = -(s**3) * c
-    terms["bracket_j"][n] = 2.0 * b[last, m - 1] * s**2
-    terms["norm_b2_ric"][n] = (
-        -shape.norm_b2 - (m / 2.0) * c**2 + 0.5 * s**2 - s**4
-    )
+    row = shape.b[:, last]
+    nH = n * shape.h
+    s, c = frame.s, frame.c
+
+    terms = _terms(frame, dh)
+    bj = terms["bracket_j"]
+    bj[:, :m - 1] = -2.0 * row[:, m:last] * s[:, None]  # slots k = 1 .. m-1
+    bj[:, m:last] = 2.0 * row[:, :m - 1] * s[:, None]  # slots m + k
+    bj[:, m - 1] = -nH * s * c - 2.0 * row[:, last] * s * c
+    bj[:, last] = 2.0 * row[:, m - 1] * s * c
+    terms["curvature"][:, last] = -(s**3) * c
+    bj[:, n] = 2.0 * row[:, m - 1] * s**2
+    terms["norm_b2_ric"][:, n] = -shape.norm_b2 - (m / 2.0) * c**2 + 0.5 * s**2 - s**4
     return LaplacianReport.from_terms(terms, "heisenberg")
 
 
@@ -240,9 +263,7 @@ def laplace_beltrami_coefficients(chart: SurfaceChart, cj: ChartJet):
     return ginv, term1 + term2
 
 
-def laplace_beltrami_scalar(
-    chart: SurfaceChart, u, field, fd: FDParams = FDParams()
-) -> float:
+def laplace_beltrami_scalar(chart: SurfaceChart, u, field, fd: FDParams = FDParams()) -> float:
     """Laplace-Beltrami operator of a scalar field on the chart.
 
     ``field`` maps an (N, n) array of points to N values.
@@ -268,34 +289,37 @@ def oracle_laplacians(chart: SurfaceChart, cj: ChartJet, points, fd=FDParams()) 
     return (second + grad @ cvec[..., None])[..., 0]
 
 
-def laplacian_numeric(
-    chart: SurfaceChart,
-    u,
-    fd: FDParams = FDParams(),
-    frame: AdaptedFrame | None = None,
-) -> LaplacianReport:
+def _oracle_report(frame: AdaptedFrame, delta) -> LaplacianReport:
+    """The oracle's Delta G (N, d) re-expressed in the stack's adapted frames."""
+    return LaplacianReport.from_terms({"numeric": _apply(frame.ys, delta)}, "numeric_oracle")
+
+
+def laplacian_numeric(chart: SurfaceChart, u, fd: FDParams = FDParams(), frame: AdaptedFrame | None = None):
     """Numeric Delta G, re-expressed in the adapted frame at u: the
     one-point view of ``oracle_laplacians``."""
-    u = np.asarray(u, dtype=float)
-    cj = stacked_chart_jets(chart, u[None])
-    if frame is None:
-        frame = adapted_frame(chart.model.algebra, cj.normal[0])
-    delta = oracle_laplacians(chart, cj, u[None], fd)[0]
-    return LaplacianReport.from_terms({"numeric": frame.ys @ delta}, "numeric_oracle")
+    u = np.asarray(u, dtype=float)[None]
+    cj = stacked_chart_jets(chart, u)
+    frame = adapted_frame(chart.model.algebra, cj.normal) if frame is None else frame[None]
+    return _oracle_report(frame, oracle_laplacians(chart, cj, u, fd))[0]
 
 
-CLOSED_FORMS = {
-    "general": laplacian_general,
-    "h_type": laplacian_h_type,
-    "heisenberg": laplacian_heisenberg,
-}
+CLOSED_FORMS = {"general": laplacian_general, "h_type": laplacian_h_type, "heisenberg": laplacian_heisenberg}
 
 
 @dataclass(frozen=True, eq=False)
-class PointEval:
-    """Frame, shape, Y_k(n H) and one Laplacian report per method at a chart point,
-    with the oracle's Delta G in the algebra basis as ``delta`` (None without it), the
-    point's ChartJet row as ``jet`` and, in 3 dimensions, its n complex-step rows as ``steps``."""
+class Evaluation(Stack):
+    """One job's evaluation at its N points, as arrays with a leading point axis.
+
+    ``u`` (N, n); ``frame``: ``ys`` (N, d, d), the normal parts ``x_q``, ``z_q``,
+    ``x_n1``, ``z_n1`` (N, d) and their norms ``s``, ``c`` (N,); ``shape``: ``b``
+    (N, n, n), ``h`` and ``norm_b2`` (N,);
+    ``dh`` (N, n), the derivatives Y_k(n H); ``reports``, one per method: ``coeffs``
+    (N, d), ``tangential_norm`` and ``normal_coeff`` (N,); ``delta`` (N, d), the
+    oracle's Delta G in the algebra basis, None without it; ``jet``, the centre
+    ChartJet stack; ``steps``, in a 3-dimensional model, the complex-step rows with
+    leading axes (N, n), None elsewhere.  ``ev[i]`` is point i's row view: the same
+    fields without the point axis.
+    """
 
     u: np.ndarray
     frame: AdaptedFrame
@@ -306,70 +330,64 @@ class PointEval:
     jet: ChartJet
     steps: ChartJet | None
 
+    def __len__(self) -> int:
+        return len(self.u)
 
-def evaluate_points(
-    chart: SurfaceChart,
-    points,
-    methods=("general",),
-    fd: FDParams = FDParams(),
-    completion_start: int = 0,
-) -> list[PointEval]:
-    """Frame, shape and a report per method at every row of an (N, n) array.
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+
+def _stack(ev: Evaluation) -> Evaluation:
+    """A record as a stack: a row view becomes a stack of one."""
+    return ev[None] if ev.u.ndim == 1 else ev
+
+
+def evaluate_points(chart: SurfaceChart, points, methods=("general",), fd: FDParams = FDParams(),
+                    completion_start: int = 0) -> Evaluation:
+    """Frames, shapes and a report per method at every row of an (N, n) array, as one record.
 
     The one pipeline: one stacked chart evaluation at the N points, one at
     their N n ``complex_step_jets`` rows (FIELD_ROWS / 2 at a time, the bytes
     of an FD field call), which give Y_k(n H) exactly, and the oracle's FD
-    call, moved by ``fd``.  ``general`` is always evaluated, because the
-    checkers read it.  The oracle shares only the chart jets at the points
-    with the closed forms, and gets the frame only to re-express Delta G.
+    call, moved by ``fd``; frames and closed forms run over the whole stack.
+    ``general`` is always evaluated, because the checkers read it.  The oracle
+    shares only the chart jets at the points with the closed forms, and gets
+    the frames only to re-express Delta G.  Each row equals its one-point
+    evaluation bit for bit.
     """
     alg = chart.model.algebra
     points = np.asarray(points, dtype=float)
     n = chart.param_dim
     cj = stacked_chart_jets(chart, points)
-    frames = [adapted_frame(alg, nrm, completion_start=completion_start) for nrm in cj.normal]
-    shapes, coeffs = shape_data(chart, cj, frames)
+    frame = adapted_frame(alg, cj.normal, completion_start)
+    shape, coeffs = shape_data(chart, cj, frame)
     dhs, steps, per = [], [], max(1, FIELD_ROWS // (2 * n))
     for k in range(0, len(points), per):
         rows = complex_step_jets(chart, points[k:k + per], cj.normal[k:k + per])
-        dhs.extend(mean_curvature_derivatives(chart, rows, coeffs[k:k + per]))
-        # kept for Gauss-Codazzi, which runs in 3 dimensions only; elsewhere n times the jets for nothing
-        steps.extend(rows[j:j + n] if n == 2 else None for j in range(0, len(rows.point), n))
-    deltas = [None] * len(points)
-    if "numeric_oracle" in methods:
-        deltas = oracle_laplacians(chart, cj, points, fd)
-    evals = []
-    for i, (u, frame, shape, dh, delta) in enumerate(zip(points, frames, shapes, dhs, deltas)):
-        reports = {"general": laplacian_general(alg, frame, shape, dh)}
-        for mth in methods:
-            if mth == "numeric_oracle":
-                reports[mth] = LaplacianReport.from_terms({"numeric": frame.ys @ delta}, mth)
-            elif mth not in reports:
-                reports[mth] = CLOSED_FORMS[mth](alg, frame, shape, dh)
-        evals.append(PointEval(u=u, frame=frame, shape=shape, dh=dh, reports=reports, delta=delta,
-                               jet=cj[i], steps=steps[i]))
-    return evals
+        dhs.append(mean_curvature_derivatives(chart, rows, coeffs[k:k + per]))
+        if n == 2:  # kept for Gauss-Codazzi, which runs in 3 dimensions only; elsewhere n times the jets for nothing
+            steps.append(rows)
+    dh = np.concatenate(dhs)
+    steps = ChartJet.join(steps).map(lambda arr: arr.reshape((-1, n) + arr.shape[1:])) if steps else None
+    reports, delta = {"general": laplacian_general(alg, frame, shape, dh)}, None
+    for mth in methods:
+        if mth == "numeric_oracle":
+            delta = oracle_laplacians(chart, cj, points, fd)
+            reports[mth] = _oracle_report(frame, delta)
+        elif mth not in reports:
+            reports[mth] = CLOSED_FORMS[mth](alg, frame, shape, dh)
+    return Evaluation(u=points, frame=frame, shape=shape, dh=dh, reports=reports, delta=delta, jet=cj, steps=steps)
 
 
-def evaluate_point(
-    chart: SurfaceChart,
-    u,
-    methods=("general",),
-    fd: FDParams = FDParams(),
-    completion_start: int = 0,
-) -> PointEval:
-    """Frame, shape and a report per method at u: the one-point view of
-    ``evaluate_points``."""
+def evaluate_point(chart: SurfaceChart, u, methods=("general",), fd: FDParams = FDParams(),
+                   completion_start: int = 0) -> Evaluation:
+    """Frame, shape and a report per method at u: the row view of ``evaluate_points``
+    at one point."""
     return evaluate_points(chart, np.asarray(u, dtype=float)[None], methods, fd, completion_start)[0]
 
 
-def closed_form_report(
-    chart: SurfaceChart,
-    u,
-    method: str = "general",
-    fd: FDParams = FDParams(),
-    completion_start: int = 0,
-):
+def closed_form_report(chart: SurfaceChart, u, method: str = "general", fd: FDParams = FDParams(),
+                       completion_start: int = 0):
     """Frame, shape and Laplacian report at one chart point."""
     ev = evaluate_point(chart, u, [method], fd, completion_start)
     return ev.reports[method], ev.frame, ev.shape
@@ -387,20 +405,20 @@ class HarmonicityVerdict:
 
 
 def harmonicity(report: LaplacianReport, tol: float = 1e-3) -> HarmonicityVerdict:
-    """Harmonic iff the tangential part of Delta G vanishes within tol.
+    """Harmonic iff the tangential part of Delta G vanishes within tol: at one point,
+    or (N,) arrays for a report over a stack.
 
     The criterion "Delta G parallel to G" is independent of sign
     conventions for the Laplacian; the normal coefficient is reported as
     the energy-type scalar.
     """
     defect = report.tangential_norm
-    return HarmonicityVerdict(
-        defect=defect, harmonic=bool(defect < tol), energy_coeff=report.normal_coeff
-    )
+    return HarmonicityVerdict(defect=defect, harmonic=defect < tol, energy_coeff=report.normal_coeff)
 
 
 def harmonicity_cmc_residuals(shape: ShapeData, frame: AdaptedFrame):
-    """Three residuals coupling CMC and harmonicity over a Heisenberg group.
+    """Three residuals coupling CMC and harmonicity over a Heisenberg group: floats
+    at one point, (N,) arrays over a stack.
 
     In the symplectically adapted basis the harmonicity of the Gauss map
     of a CMC hypersurface is equivalent to: the off-pair entries of the
@@ -409,17 +427,17 @@ def harmonicity_cmc_residuals(shape: ShapeData, frame: AdaptedFrame):
     """
     if not frame.special_heisenberg:
         raise ValueError("residuals require the symplectically adapted basis")
-    q = frame.q
-    m = q // 2
-    b = shape.b
-    s = float(np.linalg.norm(frame.x_n1))
-    c = float(np.linalg.norm(frame.z_n1))
+    if frame.ys.ndim == 2:
+        return tuple(float(r[0]) for r in harmonicity_cmc_residuals(shape[None], frame[None]))
+    m = frame.q // 2
     last = 2 * m - 1
-    off_idx = [k - 1 for k in range(1, m)] + [k - 1 for k in range(m + 1, 2 * m)]
-    r1 = float(np.abs(b[last, off_idx]).max()) if off_idx else 0.0
-    r2 = abs(c * (s**2 - 2.0 * b[last, m - 1]))
-    diag = float(np.trace(b)) - b[last, last]
-    r3 = abs(c * (diag + 3.0 * b[last, last]))
+    row = shape.b[:, last]
+    s, c = frame.s, frame.c
+    off = np.abs(np.concatenate([row[:, :m - 1], row[:, m:last]], axis=1))  # the pairs k, m + k
+    r1 = off.max(axis=1, initial=0.0)
+    r2 = np.abs(c * (s**2 - 2.0 * row[:, m - 1]))
+    diag = np.trace(shape.b, axis1=1, axis2=2) - row[:, last]
+    r3 = np.abs(c * (diag + 3.0 * row[:, last]))
     return r1, r2, r3
 
 
@@ -435,46 +453,34 @@ class JacobiReport:
 
 def jacobi_residuals(
     chart: SurfaceChart,
-    evals,
+    evals: Evaluation,
     direction,
     fd: FDParams = FDParams(),
     tol: float = 1e-3,
 ) -> JacobiReport:
     """Residual of (Delta + |B|^2 + Ric(normal, normal)) w, w = <G, v>.
 
-    ``evals`` are ``evaluate_point`` records; the chart is expected to be
-    CMC with harmonic Gauss map, both checked within tol and reported.  A
-    strictly positive w over the grid is the stability certificate.
-    Delta w is read from each record's oracle ``delta``; the records without
-    one get it from one ``oracle_laplacians`` call with ``fd`` on their ``jet``.
+    ``evals`` is an ``evaluate_points`` record, or a row view; the chart is
+    expected to be CMC with harmonic Gauss map, both checked within tol and
+    reported.  A strictly positive w over the stack is the stability
+    certificate.  Delta w is read from the record's oracle ``delta``; a record
+    without one gets it from one ``oracle_laplacians`` call with ``fd`` on its ``jet``.
     """
-    alg = chart.model.algebra
+    ev = _stack(evals)
     v = np.asarray(direction, dtype=float)
     v = v / np.linalg.norm(v)
-    missing = [ev for ev in evals if ev.delta is None]
-    if missing:
-        cj, points = ChartJet.join([ev.jet for ev in missing]), np.array([ev.u for ev in missing])
-        computed = iter(oracle_laplacians(chart, cj, points, fd))
-    max_res = 0.0
-    min_w = np.inf
-    hs = []
-    max_defect = 0.0
-    for ev in evals:
-        normal, shape = ev.frame.normal, ev.shape
-        hs.append(shape.h)
-        max_defect = max(max_defect, ev.reports["general"].tangential_norm)
-        w = float(normal @ v)
-        delta = next(computed) if ev.delta is None else ev.delta
-        lw = float(delta @ v)  # v is constant: Delta <G, v> = <Delta G, v>
-        pot = shape.norm_b2 + ricci(alg, normal, normal)
-        max_res = max(max_res, abs(lw + pot * w))
-        min_w = min(min_w, w)
-    spread = float(max(hs) - min(hs)) if hs else 0.0
+    delta = oracle_laplacians(chart, ev.jet, ev.u, fd) if ev.delta is None else ev.delta
+    normal, h = ev.frame.normal, ev.shape.h
+    w = _dot(normal, v)
+    lw = _dot(delta, v)  # v is constant: Delta <G, v> = <Delta G, v>
+    pot = ev.shape.norm_b2 + _ricci_normal(chart.model.algebra, normal)
+    spread = float(h.max() - h.min())
+    max_defect = float(ev.reports["general"].tangential_norm.max())
     return JacobiReport(
-        max_residual=float(max_res),
-        min_w=float(min_w),
+        max_residual=float(np.abs(lw + pot * w).max()),
+        min_w=float(w.min()),
         h_spread=spread,
-        max_defect=float(max_defect),
+        max_defect=max_defect,
         cmc_ok=bool(spread <= tol),
         harmonic_ok=bool(max_defect <= tol),
     )
@@ -489,30 +495,27 @@ class CentralVariationReport:
 
 def central_h_variation(
     chart: SurfaceChart,
-    evals,
+    evals: Evaluation,
     tol: float = 1e-3,
 ) -> CentralVariationReport:
     """Largest rate of change of H along a central tangent direction.
 
     When the Gauss map is harmonic, Z(H) = 0 for every tangent frame
     vector Z lying in the center.  The check is gated on the ``general``
-    reports of the ``evaluate_point`` records: for a non-harmonic chart it
-    reports skipped.  Otherwise the value is the largest |Y_k(n H)| / n
-    over the central slots k of each record's ``dh``: Y_{q+1} .. Y_n, and
-    the mixed vector Y_q where its horizontal part vanishes.
+    reports of the ``evaluate_points`` record (or row view): for a
+    non-harmonic chart it reports skipped.  Otherwise the value is the
+    largest |Y_k(n H)| / n over the central slots k of ``dh``: Y_{q+1} .. Y_n,
+    and the mixed vector Y_q at the points where its horizontal part vanishes.
     """
+    ev = _stack(evals)
     alg = chart.model.algebra
     q, n = alg.dim_v, alg.n
-    max_defect = max((ev.reports["general"].tangential_norm for ev in evals), default=0.0)
+    max_defect = float(ev.reports["general"].tangential_norm.max(initial=0.0))
     if max_defect > tol:
         return CentralVariationReport(skipped=True, max_variation=None, max_defect=max_defect)
-    max_var = 0.0
-    for ev in evals:
-        idx = list(range(q, n))
-        if np.linalg.norm(ev.frame.x_q) < 1e-9:
-            idx.append(q - 1)  # mixed vector degenerates to a central one
-        for k in idx:
-            max_var = max(max_var, abs(ev.dh[k]) / n)
+    dh = np.abs(ev.dh)
+    mixed = np.where(ev.frame.c < 1e-9, dh[:, q - 1], 0.0)  # mixed vector degenerates to a central one
+    max_var = max(dh[:, q:n].max(initial=0.0), mixed.max(initial=0.0)) / n
     return CentralVariationReport(skipped=False, max_variation=float(max_var), max_defect=max_defect)
 
 
@@ -535,37 +538,31 @@ def _gc_field(chart: SurfaceChart, cj: ChartJet) -> np.ndarray:
     return np.concatenate([h.reshape(-1, 4), gamma.reshape(-1, 8)], axis=1)
 
 
-def _dot(x, y) -> np.ndarray:
-    """Row-wise x[i] @ y[i] of two stacks, each row summed as the single product sums it."""
-    return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
-
-
-def gauss_codazzi_residuals(chart: SurfaceChart, evals):
+def gauss_codazzi_residuals(chart: SurfaceChart, evals: Evaluation):
     """Compatibility residuals of a surface in a 3-dimensional model, in chart coordinates.
 
-    ``evals`` is one ``evaluate_point`` record, giving one result, or a list of
-    them, giving one result per record, and evaluates no chart: the records' ``steps`` rows give
+    ``evals`` is an ``evaluate_points`` record, giving one result per point, or a row
+    view, giving one result, and evaluates no chart: the record's ``steps`` rows give
     h_ab and Gamma^c_ab (real parts) and their derivatives along u1 and u2, all exact.
     Residual one is the worse of the Codazzi lines T(d1, d2, d1), T(d2, d1, d2),
     T_abc = nabla_a h_bc - nabla_b h_ac - <R(t_a, t_b) t_c, normal>, with d1, d2
-    the chart directions of the record's Y_1, Y_2.  Residual two is the Gauss
-    equation K = det h / det g + the ambient sectional curvature.  Records where
+    the chart directions of the point's Y_1, Y_2.  Residual two is the Gauss
+    equation K = det h / det g + the ambient sectional curvature.  Points where
     either part of the normal vanishes are skipped (the adapted frame is not smooth there).
     """
-    if isinstance(evals, PointEval):
-        return gauss_codazzi_residuals(chart, [evals])[0]
     alg = chart.model.algebra
     if alg.dim_total != 3:
         raise ValueError("gauss_codazzi_residuals requires a 3-dimensional model")
-    norms = [(float(np.linalg.norm(ev.frame.x_n1)), float(np.linalg.norm(ev.frame.z_n1))) for ev in evals]
-    kept = [i for i, (a, bb) in enumerate(norms) if not (a < 1e-8 or bb < 1e-8)]
+    if evals.u.ndim == 1:
+        return gauss_codazzi_residuals(chart, evals[None])[0]
+    s, c = evals.frame.s, evals.frame.c
+    kept = np.flatnonzero((s >= 1e-8) & (c >= 1e-8))
     results = [GaussCodazziResult(True, None, None, None, None)] * len(evals)
-    if not kept:
+    if not len(kept):
         return results
 
-    ys = np.array([evals[i].frame.ys for i in kept])
-    cj = ChartJet.join([evals[i].jet for i in kept])
-    field = _gc_field(chart, ChartJet.join([evals[i].steps for i in kept], np.concatenate))
+    ys, cj = evals.frame.ys[kept], evals.jet[kept]
+    field = _gc_field(chart, evals.steps[kept].map(lambda arr: arr.reshape((-1,) + arr.shape[2:])))
     centre, deriv = field[::2].real, complex_derivative(field, 2)  # f(u) = Re f(u + i h e_1) + O(h^2)
     h, dh = centre[:, :4].reshape(-1, 2, 2), deriv[..., :4].reshape(-1, 2, 2, 2)  # dh[:, a] = d_a h
     gamma, dgamma = centre[:, 4:].reshape(-1, 2, 2, 2), deriv[..., 4:].reshape(-1, 2, 2, 2, 2)
@@ -585,7 +582,8 @@ def gauss_codazzi_residuals(chart: SurfaceChart, evals):
     sectional = _dot(curvature(alg, t[:, 0], t[:, 1], t[:, 1]), t[:, 0])
     gauss_res = np.abs(_dot(g[:, 0], riem) - np.linalg.det(h) - sectional) / np.linalg.det(g)
 
-    values = zip(codazzi.tolist(), gauss_res.tolist(), _dot(curvature(alg, f1, f2, f1), eta).tolist())
-    for i, (cod, gau, term) in zip(kept, values):
-        results[i] = GaussCodazziResult(False, cod, gau, term, norms[i][0] * norms[i][1])
+    values = zip(codazzi.tolist(), gauss_res.tolist(), _dot(curvature(alg, f1, f2, f1), eta).tolist(),
+                 (s * c)[kept].tolist())
+    for i, (cod, gau, term, ab) in zip(kept, values):
+        results[i] = GaussCodazziResult(False, cod, gau, term, ab)
     return results

@@ -92,8 +92,32 @@ class SurfaceChart:
         return np.array([c(vals) for c in self.components])
 
 
+class Stack:
+    """A dataclass of arrays with a shared leading point axis (ChartJet, AdaptedFrame, ...).
+
+    ``x[i]`` takes row i, or the rows of slice or index array i, of every array field,
+    nested stacks and dicts of them included, and ``x[None]`` makes one point's value
+    a stack of one; other fields (counts, flags, names) are kept.
+    """
+
+    def map(self, fn):
+        """The same record with ``fn`` applied to every array."""
+        return type(self)(**{key: _map(val, fn) for key, val in vars(self).items()})
+
+    def __getitem__(self, i):
+        return self.map(lambda arr: arr[i])
+
+
+def _map(val, fn):
+    if isinstance(val, Stack):
+        return val.map(fn)
+    if isinstance(val, dict):
+        return {key: _map(v, fn) for key, v in val.items()}
+    return fn(np.asarray(val)) if isinstance(val, (np.ndarray, np.floating, float)) else val
+
+
 @dataclass(eq=False)
-class ChartJet:
+class ChartJet(Stack):
     """Chart data at one parameter point: value, jets, algebra tangents, normal.
 
     ``stacked_chart_jets`` fills the same fields for a stack of N points, each with a
@@ -110,15 +134,11 @@ class ChartJet:
     q: np.ndarray | None  # tangents = q @ r, q (d, n) with orthonormal columns
     r: np.ndarray | None  # upper triangular, (n, n)
 
-    def __getitem__(self, i) -> "ChartJet":
-        """Row i, or the rows of slice i, of a stacked ChartJet."""
-        return ChartJet(**{key: None if val is None else val[i] for key, val in vars(self).items()})
-
     @staticmethod
-    def join(rows, how=np.array) -> "ChartJet":
-        """ChartJet rows as one stack, or stacks as one with ``how`` = np.concatenate."""
-        return ChartJet(**{key: None if val is None else how([vars(row)[key] for row in rows])
-                           for key, val in vars(rows[0]).items()})
+    def join(stacks) -> "ChartJet":
+        """Stacks as one."""
+        return ChartJet(**{key: None if val is None else np.concatenate([vars(row)[key] for row in stacks])
+                           for key, val in vars(stacks[0]).items()})
 
 
 def _chart_values(chart: SurfaceChart, points, order: int):
@@ -260,151 +280,130 @@ def mean_curvature(chart: SurfaceChart, u):
 
 
 @dataclass(frozen=True, eq=False)
-class AdaptedFrame:
-    """Pointwise orthonormal frame adapted to the normal's V/Z split.
+class AdaptedFrame(Stack):
+    """Pointwise orthonormal frame adapted to the normal's V/Z split, at one point or a stack.
 
     ``ys`` holds rows Y_1 .. Y_{n+1}; rows 1..q-1 are horizontal, row q is
     the mixed vector x_q - z_q, rows q+1..n are central, the last row is
-    the unit normal x_n1 + z_n1.  lam and mu are the proportionality
-    factors x_n1 = lam * x_q and z_n1 = mu * z_q (zero when undefined).
+    the unit normal x_n1 + z_n1.  s and c are the norms of the normal's
+    horizontal and central parts, 0 when at most NORMAL_SPLIT_TOL; lam and mu
+    are the factors x_n1 = lam * x_q and z_n1 = mu * z_q (zero when undefined).
     """
 
     q: int
-    ys: np.ndarray
-    x_q: np.ndarray
+    ys: np.ndarray  # (d, d), or (N, d, d)
+    x_q: np.ndarray  # (d,), or (N, d), as the next three
     z_q: np.ndarray
     x_n1: np.ndarray
     z_n1: np.ndarray
-    lam: float
-    mu: float
+    s: float  # or (N,), as c
+    c: float
     special_heisenberg: bool = False
 
     @property
     def dim(self) -> int:
-        return self.ys.shape[0]
+        return self.ys.shape[-1]
 
     @property
     def normal(self) -> np.ndarray:
-        return self.ys[-1]
+        return self.ys[..., -1, :]
+
+    @property
+    def lam(self):
+        return np.divide(self.s, self.c, out=np.zeros_like(self.s), where=self.c > 0)[()]
+
+    @property
+    def mu(self):
+        return np.divide(self.c, self.s, out=np.zeros_like(self.c), where=self.s > 0)[()]
 
     def x(self, k: int) -> np.ndarray:
         """Horizontal component vector X_k, 1 <= k <= q (one-based)."""
         if not 1 <= k <= self.q:
             raise IndexError("horizontal index out of range")
-        return self.x_q if k == self.q else self.ys[k - 1]
+        return self.x_q if k == self.q else self.ys[..., k - 1, :]
 
     def gram_residual(self) -> float:
-        gram = self.ys @ self.ys.T
+        gram = self.ys @ np.swapaxes(self.ys, -1, -2)
         return float(np.abs(gram - np.eye(self.dim)).max())
 
 
-def _completion_candidates(indices, start: int):
-    k = start % len(indices)
-    return list(indices[k:]) + list(indices[:k])
+def _gs_complete(block: range, start: int, fixed, count: int) -> list[np.ndarray]:
+    """``count`` more orthonormal rows, each (N, 1, d), for the orthonormal rows of the
+    stacks ``fixed`` (N, k_i, d): each the first basis vector of ``block``, in the order
+    rotated by ``start``, whose rejection from the rows so far has a norm above 1e-8,
+    all stack rows at once.
 
-
-def _gs_pick(dim: int, indices, fixed, start: int) -> np.ndarray:
-    """First basis candidate with a nonzero rejection from ``fixed``.
-
-    ``fixed`` must be orthonormal; the rejection is applied twice so that
-    a candidate close to the fixed span still comes out orthogonal to
-    working precision.
+    The rejection P = I - sum f^T f is applied twice, e P P, so that a candidate
+    close to the fixed span still comes out orthogonal to working precision.
     """
-    for idx in _completion_candidates(indices, start):
-        v = np.zeros(dim)
-        v[idx] = 1.0
-        for _ in range(2):
-            for f in fixed:
-                v -= (v @ f) * f
-        norm = np.linalg.norm(v)
-        if norm > 1e-8:
-            return v / norm
-    raise ValueError("Gram-Schmidt completion ran out of candidates")
+    if not count:
+        return []
+    span = np.concatenate(fixed, axis=1)
+    proj = np.eye(span.shape[-1]) - np.swapaxes(span, -1, -2) @ span
+    order, rows, picks = [block[(k + start) % len(block)] for k in range(len(block))], np.arange(len(span)), []
+    for k in range(count):
+        v = proj[:, order] @ proj
+        sq = np.add.reduce(v * v, axis=-1)
+        first = (sq > 1e-16).argmax(axis=1)
+        sq = sq[rows, first]
+        if np.count_nonzero(sq <= 1e-16):
+            raise ValueError("Gram-Schmidt completion ran out of candidates")
+        picks.append((v[rows, first] / np.sqrt(sq)[:, None])[:, None])
+        if k + 1 < count:
+            proj -= np.swapaxes(picks[-1], -1, -2) @ picks[-1]
+    return picks
 
 
-def _gs_complete(dim: int, indices, fixed, count: int, start: int) -> list[np.ndarray]:
-    out: list[np.ndarray] = []
-    fixed = list(fixed)
-    for _ in range(count):
-        v = _gs_pick(dim, indices, fixed, start)
-        out.append(v)
-        fixed.append(v)
-    return out
-
-
-def adapted_frame(
-    alg: NilpotentAlgebra,
-    normal,
-    completion_start: int = 0,
-) -> AdaptedFrame:
-    """Build the adapted orthonormal frame for a unit normal direction.
+def adapted_frame(alg: NilpotentAlgebra, normal, completion_start: int = 0) -> AdaptedFrame:
+    """Build the adapted orthonormal frame for a unit normal direction (d,), or the
+    frames of a stack of them (N, d), each row as it would be alone.
 
     ``completion_start`` rotates the Gram-Schmidt candidate order for the
     free frame directions; aggregate outputs of the Laplacian must not
-    depend on it.
+    depend on it.  A part of the normal of norm at most NORMAL_SPLIT_TOL
+    counts as zero, and its direction is the first candidate of its block.
     """
     d = alg.dim_total
     q = alg.dim_v
     nrm = np.asarray(normal, dtype=float)
-    if nrm.shape != (d,):
+    if nrm.ndim not in (1, 2) or nrm.shape[-1] != d:
         raise ValueError("normal must have length dim_total")
-    if abs(np.linalg.norm(nrm) - 1.0) > 1e-8:
+    if nrm.ndim == 1:
+        return adapted_frame(alg, nrm[None], completion_start)[0]
+    xn = nrm.copy()
+    xn[:, q:] = 0.0
+    zn = nrm - xn
+    sc = np.sqrt(np.add.reduceat(nrm * nrm, [0, q], axis=1))  # the norms s, c of the two parts
+    if np.count_nonzero(np.abs(np.hypot(sc[:, 0], sc[:, 1]) - 1.0) > 1e-8):
         raise ValueError("normal must be a unit vector")
-
-    xn = alg.v_part(nrm)
-    zn = alg.z_part(nrm)
-    s = float(np.linalg.norm(xn))
-    c = float(np.linalg.norm(zn))
-    v_indices = range(q)
-    z_indices = range(q, d)
-
-    if s > NORMAL_SPLIT_TOL:
-        u_dir = xn / s
-    else:
-        s = 0.0
-        u_dir = _gs_pick(d, v_indices, [], completion_start)
-    if c > NORMAL_SPLIT_TOL:
-        z_dir = zn / c
-    else:
-        c = 0.0
-        z_dir = _gs_pick(d, z_indices, [], completion_start)
-
-    x_q = c * u_dir
-    z_q = s * z_dir
-    x_n1 = s * u_dir
-    z_n1 = c * z_dir
-    lam = s / c if c > NORMAL_SPLIT_TOL else 0.0
-    mu = c / s if s > NORMAL_SPLIT_TOL else 0.0
-    y_q = x_q - z_q
+    s, c = sc.T
+    u_dir = xn / np.maximum(s, NORMAL_SPLIT_TOL)[:, None]
+    z_dir = zn / np.maximum(c, NORMAL_SPLIT_TOL)[:, None]
+    v_block, z_block = range(q), range(q, d)
+    zero = sc <= NORMAL_SPLIT_TOL
+    if np.count_nonzero(zero):  # a part that counts as zero: norm 0, direction the first candidate
+        sc[zero] = 0.0
+        for unit, block, rows in ((u_dir, v_block, zero[:, 0]), (z_dir, z_block, zero[:, 1])):
+            unit[rows] = np.eye(d)[block[completion_start % len(block)]]
+    x_q, z_q = c[:, None] * u_dir, s[:, None] * z_dir
+    x_n1, z_n1 = s[:, None] * u_dir, c[:, None] * z_dir
+    y_q = (x_q - z_q)[:, None]
 
     if alg.is_heisenberg:
-        m = q // 2
-        jz = alg.j_matrix(z_dir)
-        x_m = -(jz @ u_dir)
-        firsts: list[np.ndarray] = []
-        fixed = [u_dir, x_m]
-        for _ in range(m - 1):
-            cand = _gs_pick(d, v_indices, fixed, completion_start)
-            firsts.append(cand)
-            fixed.extend([cand, jz @ cand])
-        seconds = [jz @ v for v in firsts]
-        rows = firsts + [x_m] + seconds + [y_q, nrm]
+        # J(z_dir) as a map of rows: row v to the row of J(z_dir) v
+        jz_rows = np.swapaxes((z_dir[:, None] @ alg.j_tensor.reshape(d, d * d)).reshape(-1, d, d), -1, -2)
+        x_m = -(u_dir[:, None] @ jz_rows)
+        fixed, firsts, seconds = [u_dir[:, None], x_m], [], []
+        for _ in range(q // 2 - 1):
+            firsts += _gs_complete(v_block, completion_start, fixed, 1)
+            seconds.append(firsts[-1] @ jz_rows)
+            fixed += [firsts[-1], seconds[-1]]
+        rows = firsts + [x_m] + seconds + [y_q]
     else:
-        v_comp = _gs_complete(d, v_indices, [u_dir], q - 1, completion_start)
-        z_comp = _gs_complete(d, z_indices, [z_dir], d - 1 - q, completion_start)
-        rows = v_comp + [y_q] + z_comp + [nrm]
-
-    return AdaptedFrame(
-        q=q,
-        ys=np.array(rows),
-        x_q=x_q,
-        z_q=z_q,
-        x_n1=x_n1,
-        z_n1=z_n1,
-        lam=lam,
-        mu=mu,
-        special_heisenberg=alg.is_heisenberg,
-    )
+        rows = _gs_complete(v_block, completion_start, [u_dir[:, None]], q - 1) + [y_q]
+        rows += _gs_complete(z_block, completion_start, [z_dir[:, None]], d - 1 - q)
+    ys = np.concatenate(rows + [nrm[:, None]], axis=1)
+    return AdaptedFrame(q, ys, x_q, z_q, x_n1, z_n1, s, c, special_heisenberg=alg.is_heisenberg)
 
 
 # ---------------------------------------------------------------------------
@@ -412,8 +411,9 @@ def adapted_frame(
 
 
 @dataclass(frozen=True, eq=False)
-class ShapeData:
-    """Second fundamental form b_ij in the adapted tangent frame."""
+class ShapeData(Stack):
+    """Second fundamental form b_ij in the adapted tangent frame, with H and |B|^2:
+    b (n, n), or (N, n, n) over a stack with h and norm_b2 (N,)."""
 
     b: np.ndarray
     h: float
@@ -435,25 +435,21 @@ def chart_coefficients(cj: ChartJet, vecs) -> np.ndarray:
     return sol[..., 0, :] if y.ndim == 1 else sol
 
 
-def shape_data(chart: SurfaceChart, cj: ChartJet, frames):
-    """b_ij = <nabla_{Y_i} Y_j, normal> at a ChartJet row with its frame, or a list
-    of them at a stack with one frame per row; each frame's normal must match.
+def shape_data(chart: SurfaceChart, cj: ChartJet, frame: AdaptedFrame):
+    """b_ij = <nabla_{Y_i} Y_j, normal> at a ChartJet row with its frame, or at a
+    stack with the stack's frames; the frame's normal must match the chart's.
 
     The form is tensorial, so the chart directions of Y_1 .. Y_n, from one
     ``chart_coefficients`` call, contract its coordinate form to the frame
     value.  Also returns those directions, (n, n) or (N, n, n), along which
     Y_k(n H) is taken.
     """
-    one = cj.point.ndim == 1
-    ys = frames.ys if one else np.array([frame.ys for frame in frames])
+    ys = frame.ys
     if (np.linalg.norm(ys[..., -1, :] - cj.normal, axis=-1) > 1e-8).any():
         raise ValueError("adapted frame normal does not match the chart normal")
     coeffs = chart_coefficients(cj, ys[..., :-1, :])
     b = coeffs @ _second_fundamental(chart, cj) @ np.swapaxes(coeffs, -1, -2)
-    hs, norms = np.trace(b, axis1=-2, axis2=-1) / b.shape[-1], (b * b).sum(axis=(-2, -1))
-    if one:
-        return ShapeData(b=b, h=float(hs), norm_b2=float(norms)), coeffs
-    return [ShapeData(b=x, h=float(h), norm_b2=float(nb)) for x, h, nb in zip(b, hs, norms)], coeffs
+    return ShapeData(b=b, h=np.trace(b, axis1=-2, axis2=-1) / b.shape[-1], norm_b2=(b * b).sum(axis=(-2, -1))), coeffs
 
 
 def mean_curvature_derivatives(chart: SurfaceChart, u, coeffs):
@@ -494,9 +490,11 @@ def _cylinder_components(model, params, domain, rng):
     for e in (e1, e2):
         if e.max_param > 1:
             raise ValueError("profile expressions may only use u1")
-    for sval in np.linspace(domain[0][0], domain[0][1], 17):
-        if sum(e.jet([sval, 0.0]).grad[0] ** 2 for e in (e1, e2)) <= 1e-16:
-            raise ValueError(f"degenerate profile derivative at s={sval}")
+    samples = np.linspace(domain[0][0], domain[0][1], 17)[:, None]
+    d1, d2 = (jet.grad[:, 0] for jet in expression_jets([e1, e2], samples, order=1))
+    degenerate = d1**2 + d2**2 <= 1e-16
+    if degenerate.any():
+        raise ValueError(f"degenerate profile derivative at s={samples[degenerate.argmax(), 0]}")
     return [e1, e2, "u2"]
 
 

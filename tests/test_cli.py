@@ -655,3 +655,33 @@ def test_grid_at_the_point_bound_is_accepted():
     assert load_config(dict(BASE_CONFIG, grid=[side, side])).grid == [side, side]
     with pytest.raises(ConfigError, match="above the limit"):
         load_config(dict(BASE_CONFIG, grid=[side, side + 1]))
+
+
+GRID_JOBS = {
+    # every method and check the model allows; the leaf has a central normal at u1 = 0
+    "leaf": {**EXAMPLE_JOBS["nil_foliation_example"][1], "grid": [5, 3],
+             "methods": ["general", "h_type", "heisenberg", "numeric_oracle"],
+             "checks": ["harmonicity", "prop3", "corollary1", "jacobi", "gauss_codazzi"]},
+    "h2_graph": {"algebra": {"builtin": "heisenberg", "m": 2}, "chart": {"catalog": "random_graph"},
+                 "grid": [2, 2, 2, 2], "methods": ["general", "h_type", "heisenberg", "numeric_oracle"],
+                 "checks": ["harmonicity", "prop3", "corollary1", "jacobi"], "seed": 3},
+}
+
+
+@pytest.mark.parametrize("name", GRID_JOBS)
+def test_grid_job_rows_equal_their_points_run_one_by_one(name):
+    """Each row of a grid job against the same point run as a ``point`` job: closed-form
+    coeffs within 1e-12, oracle coeffs byte-identical."""
+    doc = GRID_JOBS[name]
+    grid = run(load_config(doc))
+    methods = doc["methods"]
+    assert len(grid["rows"]) == grid["summary"]["points"] * len(methods)
+    for k in range(0, len(grid["rows"]), len(methods)):
+        rows = grid["rows"][k:k + len(methods)]
+        alone = run(load_config({**doc, "point": rows[0]["point"]}))["rows"]
+        assert [(row["point"], row["method"]) for row in alone] == [(row["point"], row["method"]) for row in rows]
+        for row, one in zip(rows, alone):
+            if row["method"] == "numeric_oracle":
+                assert json.dumps(row["coeffs"]) == json.dumps(one["coeffs"])
+            else:
+                np.testing.assert_allclose(row["coeffs"], one["coeffs"], rtol=0, atol=1e-12)

@@ -404,7 +404,7 @@ def test_coupling_requires_special_frame(free5):
 def test_jacobi_vertical_plane():
     chart = vertical_plane_chart()
     pts = [np.array([s, t]) for s in (-0.4, 0.0, 0.4) for t in (-0.4, 0.4)]
-    rep = jacobi_residuals(chart, [evaluate_point(chart, u) for u in pts], [0.0, 1.0, 0.0])
+    rep = jacobi_residuals(chart, evaluate_points(chart, np.array(pts)), [0.0, 1.0, 0.0])
     assert rep.max_residual < 1e-12
     assert rep.min_w == pytest.approx(1.0)
     assert rep.cmc_ok and rep.harmonic_ok
@@ -416,7 +416,7 @@ def test_jacobi_vertical_plane():
 def test_jacobi_direction_orthogonal_gives_zero():
     chart = vertical_plane_chart()
     pts = [np.array([0.0, 0.0]), np.array([0.3, -0.2])]
-    evals = [evaluate_point(chart, u) for u in pts]
+    evals = evaluate_points(chart, np.array(pts))
     rep = jacobi_residuals(chart, evals, [0.0, 0.0, 1.0])  # v orthogonal to G = L
     assert rep.max_residual < 1e-12
     assert abs(rep.min_w) < 1e-12
@@ -427,7 +427,7 @@ def test_jacobi_circular_arc_cylinder():
     pts = [np.array([s, t]) for s in (-0.45, 0.0, 0.45) for t in (-0.5, 0.5)]
     mean_g = np.mean([gauss_map(chart, u) for u in pts], axis=0)
     rep = jacobi_residuals(
-        chart, [evaluate_point(chart, u) for u in pts], mean_g / np.linalg.norm(mean_g)
+        chart, evaluate_points(chart, np.array(pts)), mean_g / np.linalg.norm(mean_g)
     )
     assert rep.max_residual < 5e-4
     assert rep.min_w > 0.0  # image in an open hemisphere: stability certificate
@@ -573,6 +573,78 @@ def test_evaluate_points_rows_equal_evaluate_point(name, count, seed, completion
         assert_same_record(ev, evaluate_point(chart, u, methods, completion_start=completion_start))
 
 
+def _degenerate_stacks():
+    """(name, chart, points) whose stack mixes generic rows with rows of a central
+    normal (s = 0: a graph through the origin, the leaf at u1 = 0) or of a horizontal
+    one (c = 0: x_1 a function of the central parameters, at their zero)."""
+    leaf = foliation_leaf_chart()
+    yield "h1_polarized_central", leaf, [[0.0, 0.1], [0.5, -0.2], [0.0, -0.3], [-1.1, 0.4]]
+    yield "h1_polarized_horizontal", expression_chart(
+        nil_polarized_model(), ["0.3*u2^2", "u1", "u2"], [(-1, 1)] * 2), [[0.2, 0.0], [0.1, 0.3], [-0.4, 0.0]]
+    for name in ("h2", "h3", "quat7", "free5"):
+        alg = FRAME_ALGEBRAS[name]
+        model, n, q = exp_model(alg), alg.n, alg.dim_v
+        central = " + ".join(f"0.3*u{k}^2" for k in range(q, n + 1))  # x_1 = f(central parameters)
+        rng = np.random.default_rng(len(name))
+        pts = rng.uniform(-0.4, 0.4, (5, n))
+        pts[[1, 3]] = 0.0
+        yield f"{name}_central", graph_chart(model, "0.2*u1*u2 - 0.1*u1^2", [(-1, 1)] * n), pts
+        pts = rng.uniform(-0.4, 0.4, (5, n))
+        pts[[0, 2], q - 1:] = 0.0
+        yield f"{name}_horizontal", expression_chart(
+            model, [central] + [f"u{k}" for k in range(1, n + 1)], [(-1, 1)] * n), pts
+
+
+FRAME_ALGEBRAS = {**ALGEBRAS, "h3": heisenberg(3)}
+DEGENERATE_STACKS = {name: (chart, np.array(pts, dtype=float)) for name, chart, pts in _degenerate_stacks()}
+
+
+@pytest.mark.parametrize("name", DEGENERATE_STACKS)
+def test_stacked_frames_with_degenerate_rows(name):
+    """A stack mixing generic rows with rows whose normal has s = 0 or c = 0: every
+    row equals its one-point evaluation bit for bit, every frame is orthonormal to
+    1e-12, and the frame-free outputs do not depend on completion_start."""
+    chart, pts = DEGENERATE_STACKS[name]
+    alg = chart.model.algebra
+    methods = ["general", "numeric_oracle"]
+    methods += ["h_type"] if alg.is_h_type else []
+    methods += ["heisenberg"] if alg.is_heisenberg else []
+    outputs = []
+    for start in range(3):
+        evals = evaluate_points(chart, pts, methods, completion_start=start)
+        zero = evals.frame.s if name.endswith("central") else evals.frame.c
+        assert 0 < np.count_nonzero(zero == 0.0) < len(pts)
+        ys = evals.frame.ys
+        assert np.abs(ys @ np.swapaxes(ys, 1, 2) - np.eye(alg.dim_total)).max() < 1e-12
+        for u, ev in zip(pts, evals):
+            assert_same_record(ev, evaluate_point(chart, u, methods, completion_start=start))
+        outputs.append([evals.shape.h, evals.shape.norm_b2] + [
+            x for rep in evals.reports.values() for x in (rep.tangential_norm, rep.normal_coeff)])
+    for other in outputs[1:]:
+        for a, b in zip(outputs[0], other):
+            np.testing.assert_allclose(b, a, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("name", ["h1", "h2", "h3", "quat7", "free5"])
+def test_stacked_adapted_frame_rows_equal_single_frames(name):
+    """Normals with s = 0, c = 0 and neither in one stack: each frame row is the
+    frame of its normal alone, bit for bit, under every completion_start."""
+    alg = FRAME_ALGEBRAS[name]
+    d, q = alg.dim_total, alg.dim_v
+    rng = np.random.default_rng(q)
+    normals = np.array([random_unit(rng, d), np.eye(d)[-1], np.eye(d)[0], random_unit(rng, d),
+                        -np.eye(d)[q], random_unit(rng, d)])
+    for start in range(3):
+        stacked = adapted_frame(alg, normals, start)
+        np.testing.assert_array_equal(stacked.s == 0.0, [False, True, False, False, True, False])
+        np.testing.assert_array_equal(stacked.c == 0.0, [False, False, True, False, False, False])
+        for i, nrm in enumerate(normals):
+            single = adapted_frame(alg, nrm, start)
+            for field in ("ys", "x_q", "z_q", "x_n1", "z_n1", "s", "c"):
+                np.testing.assert_array_equal(getattr(stacked, field)[i], getattr(single, field))
+            assert single.gram_residual() < 1e-12
+
+
 def test_evaluate_points_one_field_call_per_stage(monkeypatch):
     """Centres, Y_k(n H) rows and oracle stencils: one chart evaluation each."""
     chart = random_graph_chart(exp_model(heisenberg(2)), np.random.default_rng(2), terms=4)
@@ -689,14 +761,14 @@ def test_evaluate_points_one_chart_direction_solve(monkeypatch):
 def test_central_variation_cylinder():
     chart = cylinder_chart("cos(u1)", "sin(u1)", (-0.6, 0.6), (-1, 1))
     pts = [np.array([s, 0.0]) for s in (-0.3, 0.0, 0.3)]
-    rep = central_h_variation(chart, [evaluate_point(chart, u) for u in pts])
+    rep = central_h_variation(chart, evaluate_points(chart, np.array(pts)))
     assert not rep.skipped
     assert rep.max_variation < 1e-8
 
 
 def test_central_variation_skipped_for_non_harmonic():
     chart = foliation_leaf_chart()
-    rep = central_h_variation(chart, [evaluate_point(chart, np.array([0.7, 0.0]))])
+    rep = central_h_variation(chart, evaluate_point(chart, np.array([0.7, 0.0])))
     assert rep.skipped
     assert rep.max_variation is None
 
@@ -707,14 +779,14 @@ def test_central_variation_harmonic_h2_chart(h2):
         model, ["0", "u1", "u2", "u3", "u4"], [(-0.8, 0.8)] * 4
     )
     pts = [np.array([0.1, -0.2, 0.3, 0.0]), np.array([-0.2, 0.1, 0.0, 0.2])]
-    rep = central_h_variation(chart, [evaluate_point(chart, u) for u in pts])
+    rep = central_h_variation(chart, evaluate_points(chart, np.array(pts)))
     assert not rep.skipped
     assert rep.max_variation < 5e-4
 
 
 def test_central_variation_makes_no_chart_evaluation(monkeypatch):
     chart = cylinder_chart("cos(u1)", "sin(u1)", (-0.6, 0.6), (-1, 1))
-    evals = [evaluate_point(chart, np.array([s, 0.2])) for s in (-0.3, 0.3)]
+    evals = evaluate_points(chart, np.array([[s, 0.2] for s in (-0.3, 0.3)]))
 
     def no_evaluation(*args, **kwargs):
         raise AssertionError("the chart was evaluated")
@@ -729,7 +801,7 @@ def test_central_variation_reads_central_frame_derivatives(free5):
     """With the gate open, the value is max |Z(H)| over central frame vectors Z."""
     chart = graph_chart(exp_model(free5), "0.3*u1*u2 + 0.2*sin(u3) + 0.1*u4*u1", [(-0.8, 0.8)] * 4)
     pts = [np.array([0.1, -0.2, 0.3, 0.0]), np.array([-0.2, 0.1, 0.0, 0.2])]
-    evals = [evaluate_point(chart, u) for u in pts]
+    evals = evaluate_points(chart, np.array(pts))
     rep = central_h_variation(chart, evals, tol=np.inf)
     h_field = lambda p: mean_curvature(chart, p)
     expected = 0.0
@@ -924,4 +996,4 @@ def test_gauss_codazzi_all_skipped_evaluates_no_chart(monkeypatch):
     for name in ("stacked_chart_jets", "chart_jets", "_gc_field", "complex_derivative"):
         monkeypatch.setattr(f"nilgauss.laplacian.{name}", no_evaluation)
     assert [res.skipped for res in gauss_codazzi_residuals(chart, evals)] == [True] * 3
-    assert gauss_codazzi_residuals(chart, []) == []
+    assert gauss_codazzi_residuals(chart, evals[:0]) == []

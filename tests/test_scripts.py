@@ -50,3 +50,63 @@ def test_reference_reports_writes_one_report_per_reference_job(tmp_path):
     reports = sorted(tmp_path.glob("*.json"))
     assert len(reports) == 78
     assert all(json.loads(path.read_text())["rows"] for path in reports)
+
+
+def compare_reports(old, new, *tol):
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "compare_reports.py"), str(old), str(new), *tol],
+        capture_output=True, text=True, timeout=120,
+    )
+
+
+@pytest.fixture(scope="module")
+def example_reports():
+    """Report bytes of the three built-in examples, by file name."""
+    from nilgauss import cli
+
+    return {f"{name}.json": cli.document_to_json(cli.run(cli.load_config(doc)))
+            for name, (_, doc) in cli.EXAMPLE_JOBS.items()}
+
+
+def write_reports(directory, reports, change=None):
+    directory.mkdir()
+    for name, text in reports.items():
+        doc = json.loads(text)
+        if change and name == "nil_cylinder_circle.json":
+            change(doc)
+            text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        (directory / name).write_text(text)
+
+
+def test_compare_reports_identical_directories_exit_0(tmp_path, example_reports):
+    write_reports(tmp_path / "old", example_reports)
+    write_reports(tmp_path / "new", example_reports)
+    out = compare_reports(tmp_path / "old", tmp_path / "new", "--tol", "0")
+    assert out.returncode == 0, out.stdout
+    assert "byte-identical reports: 3 of 3" in out.stdout
+
+
+def test_compare_reports_move_above_tol_exits_1(tmp_path, example_reports):
+    def perturb(doc):
+        doc["rows"][4]["coeffs"][1] += 1e-9
+
+    write_reports(tmp_path / "old", example_reports)
+    write_reports(tmp_path / "new", example_reports, perturb)
+    out = compare_reports(tmp_path / "old", tmp_path / "new", "--tol", "1e-10")
+    assert out.returncode == 1
+    assert "byte-identical reports: 2 of 3" in out.stdout
+    method = json.loads(example_reports["nil_cylinder_circle.json"])["rows"][4]["method"]
+    line = next(line for line in out.stdout.splitlines() if line.startswith(f"rows[{method}].coeffs "))
+    assert 0.9e-9 < float(line.split()[1]) < 1.1e-9 and line.split()[2] == "nil_cylinder_circle.json"
+    assert compare_reports(tmp_path / "old", tmp_path / "new", "--tol", "1e-8").returncode == 0
+
+
+def test_compare_reports_flipped_verdict_exits_1(tmp_path, example_reports):
+    def flip(doc):
+        doc["summary"]["checks"]["jacobi"]["pass"] = not doc["summary"]["checks"]["jacobi"]["pass"]
+
+    write_reports(tmp_path / "old", example_reports)
+    write_reports(tmp_path / "new", example_reports, flip)
+    out = compare_reports(tmp_path / "old", tmp_path / "new")
+    assert out.returncode == 1
+    assert "summary.checks.jacobi.pass: verdict" in out.stdout

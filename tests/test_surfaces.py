@@ -578,7 +578,7 @@ def test_mean_curvature_derivatives_match_a_high_order_fd_reference():
     chart = graph_chart(exp_model(heisenberg(2)), ALL_OPS_GRAPH, [(-0.6, 0.6)] * 4)
     pts = np.random.default_rng(17).uniform(-0.4, 0.4, (5, 4))
     cj = stacked_chart_jets(chart, pts)
-    coeffs = shape_data(chart, cj, [adapted_frame(heisenberg(2), nrm) for nrm in cj.normal])[1]
+    coeffs = shape_data(chart, cj, adapted_frame(heisenberg(2), cj.normal))[1]
     dh = mean_curvature_derivatives(chart, pts, coeffs)
     reference = directional_derivative(lambda p: 4 * mean_curvature(chart, p), pts, coeffs, REFERENCE_FD)
     assert np.abs(dh).max() > 0.1
@@ -617,6 +617,20 @@ def test_mean_curvature_frame_free_matches_trace():
 def test_cylinder_requires_nondegenerate_profile():
     with pytest.raises(ValueError, match="degenerate profile"):
         cylinder_chart("1.0", "2.0")
+
+
+@pytest.mark.parametrize(
+    "profile, first",
+    [
+        ("(u1 - 0.25)^3", "0.25"),  # f' vanishes at the 11th of the 17 samples only
+        ("(u1 - 0.25)^2*(u1 + 0.5)^2", "-0.5"),  # at -0.5, -0.125 and 0.25: the first is named
+    ],
+)
+def test_cylinder_degenerate_profile_names_the_first_degenerate_sample(profile, first):
+    """The profile check runs over 17 samples of the u1-range, linspace(-1, 1, 17) here."""
+    with pytest.raises(ValueError, match=rf"^degenerate profile derivative at s={first}$"):
+        cylinder_chart(profile, f"0.5*{profile}", (-1.0, 1.0), (-1.0, 1.0))
+    cylinder_chart(profile, f"0.5*{profile}", (-1.0, 0.2), (-1.0, 1.0))  # 0.25 outside the range
 
 
 def test_cylinder_chart_points():
