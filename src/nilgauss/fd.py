@@ -65,17 +65,19 @@ def check_stencil(u, radius, domain) -> None:
         )
 
 
-def _stencil_values(f, centres, size, offsets):
+def _stencil_values(f, centres, size, offsets, per_centre=()):
     """Field values at the stencils of ``centres``, (c, S) + row shape, for one
     chunk of c centres at a time: at most ``FIELD_ROWS`` rows per field call,
     but never less than one whole centre.  ``offsets(chunk)`` gives the S
-    offsets of the centres in the slice ``chunk``, (S, n) or (c, S, n)."""
+    offsets of the centres in the slice ``chunk``, (S, n) or (c, S, n).  Each
+    array of ``per_centre`` holds one row per centre; a field call gets, after
+    its points, the rows of its centres, each repeated for its S points."""
     n = centres.shape[1]
     per = max(1, FIELD_ROWS // size)
     for first in range(0, len(centres), per):
         chunk = slice(first, first + per)
         points = (centres[chunk, None] + offsets(chunk)).reshape(-1, n)
-        values = np.asarray(f(points), dtype=float)
+        values = np.asarray(f(points, *(np.repeat(arr[chunk], size, axis=0) for arr in per_centre)), dtype=float)
         if values.shape[:1] != (len(points),):
             raise ValueError(
                 f"field returned shape {values.shape} for {len(points)} points; "
@@ -167,13 +169,15 @@ def _hessian_table(n: int, fd: FDParams):
     return tables
 
 
-def gradient_hessian(f, u, fd: FDParams = FDParams(), domain=None):
+def gradient_hessian(f, u, fd: FDParams = FDParams(), domain=None, per_centre=()):
     """Gradient and Hessian of a float- or vector-valued map of u.
 
     ``u`` is one centre (n,) or a stack (M, n).  Returns arrays of shape
     ``u.shape[:-1] + out_shape + (n,)`` and ``u.shape[:-1] + out_shape +
     (n, n)``.  Every centre shares one stencil table (``_hessian_table``):
     the values, differenced against the centre's, meet two weight matrices.
+    ``per_centre`` arrays (M, ...) of a stack reach the field as in
+    ``_stencil_values``: ``f(points, *rows)``, each row its point's centre's.
     """
     u = np.asarray(u, dtype=float)
     n = u.shape[-1]
@@ -181,7 +185,7 @@ def gradient_hessian(f, u, fd: FDParams = FDParams(), domain=None):
     check_stencil(centres, fd.step, domain)
     offsets, wgrad, whess = _hessian_table(n, fd)
     grads, hesss = [], []
-    for values in _stencil_values(f, centres, len(offsets), lambda chunk: offsets):
+    for values in _stencil_values(f, centres, len(offsets), lambda chunk: offsets, per_centre):
         diff = values - values[:, :1]
         rows = diff.shape[2:]
         flat = diff.reshape(diff.shape[:2] + (-1,))  # (c, S, R)

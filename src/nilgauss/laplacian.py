@@ -52,7 +52,7 @@ from .surfaces import (
     complex_step_jets,
     gauss_map,
     induced_metric_with_gradient,
-    mean_curvature_derivatives,
+    mean_curvature_gradient,
     shape_data,
     stacked_chart_jets,
 )
@@ -280,9 +280,12 @@ def oracle_laplacians(chart: SurfaceChart, cj: ChartJet, points, fd=FDParams()) 
     metric coefficients exactly, one stacked inverse for all rows; the
     Gauss map, which reads first-order chart jets only, is differenced on
     its own stencils, those of all points in one ``gradient_hessian`` call.
+    Each stencil row gets its centre's normal, tangents and ``smin`` bound,
+    which orient its normal and certify its immersion (``gauss_map``'s ``near``).
     """
-    field = lambda pts: gauss_map(chart, pts)
-    grad, hess = gradient_hessian(field, points, fd, domain=chart.domain)
+    field = lambda pts, *near: gauss_map(chart, pts, near=near)
+    grad, hess = gradient_hessian(field, points, fd, domain=chart.domain,
+                                  per_centre=(cj.normal, cj.tangents, cj.smin))
     ginv, cvec = laplace_beltrami_coefficients(chart, cj)
     count, d, n = grad.shape
     second = hess.reshape(count, d, n * n) @ ginv.reshape(count, n * n, 1)
@@ -346,28 +349,31 @@ def evaluate_points(chart: SurfaceChart, points, methods=("general",), fd: FDPar
                     completion_start: int = 0) -> Evaluation:
     """Frames, shapes and a report per method at every row of an (N, n) array, as one record.
 
-    The one pipeline: one stacked chart evaluation at the N points, one at
-    their N n ``complex_step_jets`` rows (FIELD_ROWS / 2 at a time, the bytes
-    of an FD field call), which give Y_k(n H) exactly, and the oracle's FD
-    call, moved by ``fd``; frames and closed forms run over the whole stack.
-    ``general`` is always evaluated, because the checkers read it.  The oracle
-    shares only the chart jets at the points with the closed forms, and gets
-    the frames only to re-express Delta G.  Each row equals its one-point
+    The one pipeline: one second-order chart walk at the points' N n
+    ``complex_step_jets`` rows (FIELD_ROWS / 2 at a time, the bytes of an FD
+    field call), whose real parts give the ChartJet stack at the points and
+    whose imaginary parts give grad(n H), so Y_k(n H) = coeffs @ grad(n H)
+    exactly; then the oracle's FD call, moved by ``fd``, with one first-order
+    walk per chunk of its stencil.  Frames and closed forms run over the whole
+    stack.  ``general`` is always evaluated, because the checkers read it.  The
+    oracle shares only the chart jets at the points with the closed forms, and
+    gets the frames only to re-express Delta G.  Each row equals its one-point
     evaluation bit for bit.
     """
     alg = chart.model.algebra
     points = np.asarray(points, dtype=float)
     n = chart.param_dim
-    cj = stacked_chart_jets(chart, points)
-    frame = adapted_frame(alg, cj.normal, completion_start)
-    shape, coeffs = shape_data(chart, cj, frame)
-    dhs, steps, per = [], [], max(1, FIELD_ROWS // (2 * n))
+    centres, grads, steps, per = [], [], [], max(1, FIELD_ROWS // (2 * n))
     for k in range(0, len(points), per):
-        rows = complex_step_jets(chart, points[k:k + per], cj.normal[k:k + per])
-        dhs.append(mean_curvature_derivatives(chart, rows, coeffs[k:k + per]))
+        cj, rows = complex_step_jets(chart, points[k:k + per])
+        centres.append(cj)
+        grads.append(mean_curvature_gradient(chart, rows))
         if n == 2:  # kept for Gauss-Codazzi, which runs in 3 dimensions only; elsewhere n times the jets for nothing
             steps.append(rows)
-    dh = np.concatenate(dhs)
+    cj = ChartJet.join(centres)
+    frame = adapted_frame(alg, cj.normal, completion_start)
+    shape, coeffs = shape_data(chart, cj, frame)
+    dh = (coeffs @ np.concatenate(grads)[..., None])[..., 0]
     steps = ChartJet.join(steps).map(lambda arr: arr.reshape((-1, n) + arr.shape[1:])) if steps else None
     reports, delta = {"general": laplacian_general(alg, frame, shape, dh)}, None
     for mth in methods:

@@ -14,7 +14,8 @@ u -> n H(u) are differentiated exactly too, by the complex step
 The Gauss map is the unit normal pulled back to the algebra by the
 inverse frame: the one-dimensional orthogonal complement of the tangent
 columns, sign-fixed by the chart orientation through the determinant of
-(tangents | normal).
+(tangents | normal); near a centre whose oriented normal is known, as on
+the oracle's stencils, by one solve against that normal instead.
 
 ``adapted_frame`` builds the pointwise orthonormal frame used by the
 closed-form Laplacian: the normal splits into a horizontal part of norm s
@@ -121,8 +122,9 @@ class ChartJet(Stack):
     """Chart data at one parameter point: value, jets, algebra tangents, normal.
 
     ``stacked_chart_jets`` fills the same fields for a stack of N points, each with a
-    leading axis of length N.  ``q`` and ``r`` are the reduced QR factors of the tangents,
-    None on ``complex_step_jets`` rows.  A first-order evaluation has ``hess`` None.
+    leading axis of length N.  ``q`` and ``r`` are the reduced QR factors of the tangents
+    and ``smin`` a certified lower bound on their smallest singular value, all three None
+    on ``complex_step_jets`` rows.  A first-order evaluation has ``hess`` None.
     """
 
     point: np.ndarray   # (d,)
@@ -133,16 +135,20 @@ class ChartJet(Stack):
     normal: np.ndarray  # oriented unit normal in the algebra basis, (d,)
     q: np.ndarray | None  # tangents = q @ r, q (d, n) with orthonormal columns
     r: np.ndarray | None  # upper triangular, (n, n)
+    smin: np.ndarray | None  # float, a lower bound on the tangents' smallest singular value
 
     @staticmethod
     def join(stacks) -> "ChartJet":
-        """Stacks as one."""
+        """Stacks as one; one stack is itself."""
+        if len(stacks) == 1:
+            return stacks[0]
         return ChartJet(**{key: None if val is None else np.concatenate([vars(row)[key] for row in stacks])
                            for key, val in vars(stacks[0]).items()})
 
 
-def _chart_values(chart: SurfaceChart, points, order: int):
-    """Value, Jacobian, Hessian (None at order 1), inverse frame and tangents at (N, n) rows."""
+def _chart_walk(chart: SurfaceChart, points, order: int):
+    """Value, Jacobian and Hessian (None at order 1) at (N, n) rows: one tree walk
+    per component, all components over one set of seeds."""
     count, n, d = len(points), chart.param_dim, chart.model.dim
     val = np.empty((count, d), points.dtype)
     jac = np.empty((count, d, n), points.dtype)
@@ -152,13 +158,17 @@ def _chart_values(chart: SurfaceChart, points, order: int):
         jac[:, k] = jet.grad
         if hess is not None:
             hess[:, k] = jet.hess
+    return val, jac, hess
+
+
+def _tangents(chart: SurfaceChart, val, jac):
+    """Inverse frame at the values and the algebra tangents Ainv J."""
     ainv = chart.model.frame_inverse(val)
-    return val, jac, hess, ainv, ainv @ jac
+    return ainv, ainv @ jac
 
 
-def stacked_chart_jets(chart: SurfaceChart, points, order: int = 2) -> ChartJet:
-    """Chart jets of ``order`` 1 or 2 at every row of an (N, n) array, one
-    tree walk per component, all components over one set of seeds.
+def _oriented_jets(chart: SurfaceChart, points, val, jac, hess) -> ChartJet:
+    """The ChartJet stack of real (N, n) rows from their walk's value, Jacobian and Hessian.
 
     The normal is the last column of a complete QR of the algebra tangents
     T, signed by the orientation through det(T | normal); the first n
@@ -168,51 +178,74 @@ def stacked_chart_jets(chart: SurfaceChart, points, order: int = 2) -> ChartJet:
     rank).  Raises ImmersionError naming the first point where T is nearly
     rank deficient.
     """
-    points = np.asarray(points, dtype=float)
     n = chart.param_dim
-    if points.ndim != 2 or points.shape[1] != n:
-        raise ValueError(f"parameter points must be rows of length {n}")
-    val, jac, hess, ainv, tangents = _chart_values(chart, points, order)
+    ainv, tangents = _tangents(chart, val, jac)
     qfull, rfull = np.linalg.qr(tangents, mode="complete")
     normal = qfull[..., -1]
     det = np.linalg.det(np.concatenate([tangents, normal[..., None]], axis=-1))
     # |det| is the product of T's n singular values, each at most |T|_F, so
     # smin >= |det| / |T|_F^(n-1); rows not certified by a margin of 2 get an SVD
-    frob = np.sqrt((tangents * tangents).sum(axis=(-2, -1)))
-    unsure = np.flatnonzero(~(np.abs(det) > 2.0 * IMMERSION_RANK_TOL * frob ** (n - 1)))
+    scale = np.sqrt((tangents * tangents).sum(axis=(-2, -1))) ** (n - 1)
+    certified = np.abs(det) > 2.0 * IMMERSION_RANK_TOL * scale
+    smin = np.divide(np.abs(det), scale, out=np.zeros_like(det), where=certified)
+    unsure = np.flatnonzero(~certified)
     if len(unsure):
-        smin = np.linalg.svd(tangents[unsure], compute_uv=False)[:, -1]
-        bad = smin <= IMMERSION_RANK_TOL
+        smin[unsure] = np.linalg.svd(tangents[unsure], compute_uv=False)[:, -1]
+        bad = smin[unsure] <= IMMERSION_RANK_TOL
         if bad.any():
-            i = int(np.argmax(bad))
+            i = unsure[np.argmax(bad)]
             raise ImmersionError(
-                f"chart Jacobian nearly rank deficient at u={points[unsure[i]].tolist()} "
+                f"chart Jacobian nearly rank deficient at u={points[i].tolist()} "
                 f"(smallest tangent singular value {smin[i]:.3e})"
             )
     normal = np.where((det * chart.orientation < 0.0)[:, None], -normal, normal)
     return ChartJet(
         point=val, jac=jac, hess=hess, ainv=ainv, tangents=tangents, normal=normal,
-        q=qfull[..., :n], r=rfull[..., :n, :],
+        q=qfull[..., :n], r=rfull[..., :n, :], smin=smin,
     )
 
 
-def complex_step_jets(chart: SurfaceChart, points, normals) -> ChartJet:
-    """Second-order chart jets at u + i COMPLEX_STEP e_a, a = 1..n, for every row u
-    of an (N, n) array: N n rows, each point's n together.
+def stacked_chart_jets(chart: SurfaceChart, points, order: int = 2) -> ChartJet:
+    """Chart jets of ``order`` 1 or 2 at every row of an (N, n) array, one
+    tree walk per component, all components over one set of seeds, with
+    each row's oriented normal and immersion check (``_oriented_jets``).
+    """
+    points = np.asarray(points, dtype=float)
+    n = chart.param_dim
+    if points.ndim != 2 or points.shape[1] != n:
+        raise ValueError(f"parameter points must be rows of length {n}")
+    return _oriented_jets(chart, points, *_chart_walk(chart, points, order))
 
-    A row's normal is normalise(eta0 - T g^-1 T^T eta0), eta0 the point's real
-    oriented normal (``normals``, (N, d)), T the row's tangents, g = T^T T, with no
-    conjugation: analytic in u, the oriented normal at real u, and no QR, det or
-    SVD of a complex entry.  The rows share their point's immersion check.
+
+def complex_step_jets(chart: SurfaceChart, points) -> tuple[ChartJet, ChartJet]:
+    """The ChartJet stack at the rows u of an (N, n) array and second-order chart
+    jets at u + i COMPLEX_STEP e_a, a = 1..n (N n rows, each point's n together),
+    from one walk, at the complex rows only.
+
+    f(u + i h e_1) = f(u) - h^2 f_11(u) / 2 + i h f_1(u) + O(h^3), so the real
+    parts of each point's first row are the point's value, Jacobian and Hessian:
+    bit for bit but where h^2 f_11 ~ 1e-40 reaches half an ulp of f, and within
+    a few ulp for integer powers k >= 3, which the complex walk takes by complex
+    multiplication.  ``_oriented_jets`` finishes them, its immersion check included.
+
+    A complex row's normal is normalise(eta0 - T g^-1 T^T eta0), eta0 its point's
+    oriented normal, T the row's tangents, g = T^T T, with no conjugation:
+    analytic in u, the oriented normal at real u, and no QR, det or SVD of a
+    complex entry.  The rows share their point's immersion check.
     """
     n = chart.param_dim
-    rows = (np.asarray(points, dtype=float)[:, None] + 1j * COMPLEX_STEP * np.eye(n)).reshape(-1, n)
-    val, jac, hess, ainv, tangents = _chart_values(chart, rows, 2)
-    eta = np.repeat(normals, n, axis=0)[..., None]
+    points = np.asarray(points, dtype=float)
+    rows = (points[:, None] + 1j * COMPLEX_STEP * np.eye(n)).reshape(-1, n)
+    val, jac, hess = _chart_walk(chart, rows, 2)
+    # copies: a view would keep every complex row alive with the centres
+    centres = _oriented_jets(chart, points, *(np.ascontiguousarray(arr[::n].real) for arr in (val, jac, hess)))
+    ainv, tangents = _tangents(chart, val, jac)
+    eta = np.repeat(centres.normal, n, axis=0)[..., None]
     tt = np.swapaxes(tangents, -1, -2)
     normal = (eta - tangents @ np.linalg.solve(tt @ tangents, tt @ eta))[..., 0]
     normal /= np.sqrt((normal * normal).sum(axis=-1))[:, None]
-    return ChartJet(point=val, jac=jac, hess=hess, ainv=ainv, tangents=tangents, normal=normal, q=None, r=None)
+    return centres, ChartJet(point=val, jac=jac, hess=hess, ainv=ainv, tangents=tangents, normal=normal,
+                             q=None, r=None, smin=None)
 
 
 def complex_derivative(values, n: int) -> np.ndarray:
@@ -225,12 +258,38 @@ def chart_jets(chart: SurfaceChart, u) -> ChartJet:
     return stacked_chart_jets(chart, np.asarray(u, dtype=float)[None])[0]
 
 
-def gauss_map(chart: SurfaceChart, u) -> np.ndarray:
+def gauss_map(chart: SurfaceChart, u, near=None) -> np.ndarray:
     """Unit normal at r(u) in the algebra basis: (n,) -> (d,), or (N, n) -> (N, d),
-    from a first-order chart evaluation."""
+    from a first-order chart evaluation.
+
+    ``near``, for (N, n) rows only, is (normals eta0 (N, d), tangents T_c (N, d, n),
+    ``smin`` bounds (N,)) of a ChartJet stack at nearby centres, one per row.  A row
+    whose tangents T have |T - T_c|_F below its centre's bound minus 2
+    IMMERSION_RANK_TOL keeps, by Weyl's inequality, every singular value above
+    2 IMMERSION_RANK_TOL on the way from T_c, so eta0 never enters its tangent
+    space and eta0's side is its oriented side: its normal is y / |y| from one
+    solve [T | eta0]^T y = e_d, with no QR or det.  Every other row takes the
+    route of ``stacked_chart_jets``, and its ImmersionError.
+    """
     u = np.asarray(u, dtype=float)
-    normal = stacked_chart_jets(chart, np.atleast_2d(u), order=1).normal
-    return normal if u.ndim == 2 else normal[0]
+    if near is None:
+        normal = stacked_chart_jets(chart, np.atleast_2d(u), order=1).normal
+        return normal if u.ndim == 2 else normal[0]
+    eta, centre_t, bound = near
+    val, jac, _ = _chart_walk(chart, u, 1)
+    tangents = _tangents(chart, val, jac)[1]
+    drift = np.sqrt(((tangents - centre_t) ** 2).sum(axis=(-2, -1)))
+    sure = drift < bound - 2.0 * IMMERSION_RANK_TOL
+    normal = np.empty_like(eta)
+    if not sure.all():
+        rest = ~sure
+        normal[rest] = _oriented_jets(chart, u[rest], val[rest], jac[rest], None).normal
+        tangents, eta = tangents[sure], eta[sure]
+    # y is orthogonal to T, and eta0 . y = 1 puts it on eta0's side
+    lhs = np.swapaxes(np.concatenate([tangents, eta[..., None]], axis=-1), -1, -2)
+    y = np.linalg.solve(lhs, np.eye(eta.shape[-1])[:, -1:])[..., 0]
+    normal[sure] = y / np.sqrt((y * y).sum(axis=-1))[:, None]
+    return normal
 
 
 def induced_metric_with_gradient(chart: SurfaceChart, cj: ChartJet):
@@ -452,17 +511,18 @@ def shape_data(chart: SurfaceChart, cj: ChartJet, frame: AdaptedFrame):
     return ShapeData(b=b, h=np.trace(b, axis1=-2, axis2=-1) / b.shape[-1], norm_b2=(b * b).sum(axis=(-2, -1))), coeffs
 
 
+def mean_curvature_gradient(chart: SurfaceChart, rows: ChartJet) -> np.ndarray:
+    """grad(n H), (N, n), exact from the points' ``complex_step_jets`` rows."""
+    return complex_derivative(_n_mean_curvature(chart, rows), chart.param_dim)
+
+
 def mean_curvature_derivatives(chart: SurfaceChart, u, coeffs):
     """Y_k(n H) at one point u, or at every row of an (N, n) array, exact by the complex step.
 
     ``coeffs`` (n, n), or (N, n, n), are the chart directions of Y_1 .. Y_n, as
-    ``shape_data`` returns them: Y_k(n H) = coeffs[k] @ grad(n H).  ``u`` may instead
-    be the points' ``complex_step_jets`` rows, which are then not evaluated again.
+    ``shape_data`` returns them: Y_k(n H) = coeffs[k] @ grad(n H).
     """
-    if not isinstance(u, ChartJet):
-        points = np.atleast_2d(np.asarray(u, dtype=float))
-        u = complex_step_jets(chart, points, gauss_map(chart, points))
-    grad = complex_derivative(_n_mean_curvature(chart, u), chart.param_dim)
+    grad = mean_curvature_gradient(chart, complex_step_jets(chart, np.atleast_2d(np.asarray(u, dtype=float)))[1])
     return (coeffs @ grad.reshape(np.shape(coeffs)[:-1] + (1,)))[..., 0]
 
 

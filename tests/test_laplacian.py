@@ -485,9 +485,9 @@ def test_jacobi_makes_one_oracle_call_for_records_without_one(monkeypatch):
     with_oracle = evaluate_points(chart, pts, ["numeric_oracle"])
     calls = []
 
-    def counted(chart_, p):
+    def counted(chart_, p, **near):
         calls.append(len(p))
-        return gauss_map(chart_, p)
+        return gauss_map(chart_, p, **near)
 
     monkeypatch.setattr("nilgauss.laplacian.gauss_map", counted)
     v = [0.3, 0.9, 0.1]
@@ -507,9 +507,9 @@ def test_jacobi_without_oracle_reevaluates_no_centre(monkeypatch):
     reference = jacobi_residuals(chart, evaluate_points(chart, pts, ["numeric_oracle"]), [0.3, 0.9, 0.1])
     maps, rows = [], []
 
-    def counted_map(chart_, p):
+    def counted_map(chart_, p, **near):
         maps.append(len(p))
-        return gauss_map(chart_, p)
+        return gauss_map(chart_, p, **near)
 
     def counted_jets(exprs, p, order=2):
         rows.append((len(p), order))
@@ -646,7 +646,8 @@ def test_stacked_adapted_frame_rows_equal_single_frames(name):
 
 
 def test_evaluate_points_one_field_call_per_stage(monkeypatch):
-    """Centres, Y_k(n H) rows and oracle stencils: one chart evaluation each."""
+    """Complex-step rows, whose real parts give the centres, and oracle stencils:
+    one chart evaluation each."""
     chart = random_graph_chart(exp_model(heisenberg(2)), np.random.default_rng(2), terms=4)
     pts = np.random.default_rng(3).uniform(-0.4, 0.4, (6, 4))
     sizes = []
@@ -659,7 +660,7 @@ def test_evaluate_points_one_field_call_per_stage(monkeypatch):
     evaluate_points(chart, pts, ["general", "numeric_oracle"])
     # one complex-step row per direction, n directions per point; the oracle
     # stencil holds the centre and levels * (2n + 2 n(n-1)/2) rows
-    assert sizes == [6, 6 * 4, 6 * (1 + 2 * (8 + 12))]
+    assert sizes == [6 * 4, 6 * (1 + 2 * (8 + 12))]
 
 
 def test_complex_step_rows_go_in_chunks_and_stay_only_in_3d(monkeypatch):
@@ -678,10 +679,58 @@ def test_complex_step_rows_go_in_chunks_and_stay_only_in_3d(monkeypatch):
     monkeypatch.setattr("nilgauss.surfaces.expression_jets", counted)
     monkeypatch.setattr("nilgauss.laplacian.FIELD_ROWS", 16)  # two points of 4 rows
     chunked = evaluate_points(chart, pts, ["general", "h_type"])
-    assert sizes == [5, 8, 8, 4]
+    assert sizes == [8, 8, 4]
     for a, b in zip(whole, chunked):
         assert_same_record(a, b)
         assert a.steps is None and b.steps is None
+
+
+def record_arrays(ev):
+    """Every array of an Evaluation, nested records and dicts included, in field order."""
+    arrays = []
+    ev.map(lambda arr: arrays.append(arr) or arr)
+    return arrays
+
+
+@pytest.mark.parametrize("three_dim", [True, False], ids=["leaf", "h2"])
+def test_chunked_evaluation_equals_the_whole_one(monkeypatch, three_dim):
+    """Centres, complex-step rows, frames, reports and the oracle's Delta G: every array
+    of the record is the same bit for bit whatever the chunk of complex-step rows."""
+    if three_dim:
+        chart, pts = foliation_leaf_chart(), np.array([[x, y] for x in (-0.5, 0.3, 1.1) for y in (-0.2, 0.4)])
+        methods = ["general", "heisenberg", "numeric_oracle"]
+    else:
+        chart = random_graph_chart(exp_model(heisenberg(2)), np.random.default_rng(26), terms=4)
+        pts, methods = np.random.default_rng(27).uniform(-0.4, 0.4, (5, 4)), ["general", "h_type", "numeric_oracle"]
+    whole = evaluate_points(chart, pts, methods)
+    monkeypatch.setattr("nilgauss.laplacian.FIELD_ROWS", 2 * chart.param_dim)  # one point per chunk
+    chunked = evaluate_points(chart, pts, methods)
+    assert (whole.steps is None) != three_dim
+    arrays, chunked_arrays = record_arrays(whole), record_arrays(chunked)
+    assert len(arrays) == len(chunked_arrays) > 20
+    for a, b in zip(arrays, chunked_arrays):
+        np.testing.assert_array_equal(a, b)
+
+
+def test_qr_and_det_once_per_chunk_of_centres_never_on_stencil_rows(monkeypatch):
+    """A job with the oracle: the complete QR and its det run on the centres, one
+    call per chunk of complex-step rows, and on none of the oracle's stencil rows."""
+    chart = random_graph_chart(exp_model(heisenberg(2)), np.random.default_rng(28), terms=4)
+    pts = np.random.default_rng(29).uniform(-0.4, 0.4, (5, 4))
+    calls = []
+
+    def counted(name, fn):
+        def call(a, *args, **kwargs):
+            calls.append((name, len(a)))
+            return fn(a, *args, **kwargs)
+        return call
+
+    monkeypatch.setattr("nilgauss.laplacian.FIELD_ROWS", 16)  # two points of 4 rows
+    monkeypatch.setattr("nilgauss.fd.FIELD_ROWS", 100)  # two centres of 41 stencil rows
+    for name in ("qr", "det"):
+        monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+    evaluate_points(chart, pts, ["general", "h_type", "heisenberg", "numeric_oracle"])
+    assert calls == [(name, size) for size in (2, 2, 1) for name in ("qr", "det")]
 
 
 def test_fd_moves_no_closed_form_row_gauss_codazzi_or_corollary1():

@@ -22,8 +22,10 @@ from nilgauss import (
 from nilgauss.fd import BoundaryError, directional_derivative
 from nilgauss.laplacian import oracle_laplacians
 from nilgauss.surfaces import (
+    CATALOG,
     IMMERSION_RANK_TOL,
     _second_fundamental,
+    catalog_chart,
     chart_coefficients,
     chart_jets,
     complex_derivative,
@@ -31,7 +33,7 @@ from nilgauss.surfaces import (
     induced_metric_with_gradient,
     stacked_chart_jets,
 )
-from nilgauss.fd import FDParams
+from nilgauss.fd import FDParams, _hessian_table
 from conftest import abelian_3d, basis, free_two_step_5d, quaternionic_heisenberg, random_unit
 
 
@@ -196,6 +198,132 @@ def test_first_order_gauss_map_raises_the_same_immersion_error():
     with pytest.raises(ImmersionError) as lean:
         gauss_map(degenerate, pts)
     assert str(lean.value) == str(full.value)
+
+
+# ---------------------------------------------------------------------------
+# the oracle's stencil normals: one solve against the centre's normal
+
+STENCIL_MODELS = {
+    "nil_polarized": nil_polarized_model(),
+    "h2": exp_model(heisenberg(2)),
+    "quat7": exp_model(quaternionic_heisenberg()),
+    "free5": exp_model(free_two_step_5d()),
+}
+
+
+def stencil_stack(chart, seed, count=4, per=6, spread=1e-3):
+    """Rows within ``spread`` of random centres, ``per`` each, and the ``near`` argument
+    that gives every row its centre's normal, tangents and smin bound."""
+    rng = np.random.default_rng(seed)
+    n = chart.param_dim
+    centres = rng.uniform(-0.4, 0.4, (count, n))
+    rows = (centres[:, None] + rng.uniform(-spread, spread, (count, per, n))).reshape(-1, n)
+    cj = stacked_chart_jets(chart, centres)
+    return rows, tuple(np.repeat(arr, per, axis=0) for arr in (cj.normal, cj.tangents, cj.smin))
+
+
+@pytest.mark.parametrize("orientation", [1, -1])
+@pytest.mark.parametrize("name", sorted(STENCIL_MODELS))
+def test_one_solve_stencil_normals_match_the_qr_normals(monkeypatch, name, orientation):
+    """Rows near their centres take one solve, with no QR or det: the complete-QR
+    normal to 1e-14, on the orientation's side of det[T | N]."""
+    chart = catalog_chart("random_graph", STENCIL_MODELS[name], {"terms": 4}, orientation=orientation, rng=19)
+    rows, near = stencil_stack(chart, 20)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a stencil row near its centre took a QR or det")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(np.linalg, "qr", forbidden)
+        patched.setattr(np.linalg, "det", forbidden)
+        normals = gauss_map(chart, rows, near=near)
+    np.testing.assert_allclose(normals, gauss_map(chart, rows), rtol=0.0, atol=1e-14)
+    tangents = stacked_chart_jets(chart, rows, order=1).tangents
+    dets = np.linalg.det(np.concatenate([tangents, normals[..., None]], axis=-1))
+    assert (dets * chart.orientation > 0.0).all()
+
+
+@pytest.mark.parametrize("name", sorted(STENCIL_MODELS))
+def test_a_row_past_the_drift_bound_takes_the_qr_route(monkeypatch, name):
+    """A row whose tangents drift from its centre's by its bound minus 2
+    IMMERSION_RANK_TOL or more gets the complete-QR normal, and only that row."""
+    chart = random_graph_chart(STENCIL_MODELS[name], np.random.default_rng(21), terms=4)
+    rows, (eta, centre_t, bound) = stencil_stack(chart, 22)
+    drift = np.linalg.norm(stacked_chart_jets(chart, rows, order=1).tangents - centre_t, axis=(1, 2))
+    pushed = bound.copy()
+    pushed[5] = drift[5]
+    calls = []
+    qr = np.linalg.qr
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return qr(a, *args, **kwargs)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(np.linalg, "qr", counted)
+        normals = gauss_map(chart, rows, near=(eta, centre_t, pushed))
+    assert calls == [(1,) + centre_t.shape[1:]]
+    np.testing.assert_array_equal(normals[5], gauss_map(chart, rows[5]))
+    np.testing.assert_allclose(normals, gauss_map(chart, rows), rtol=0.0, atol=1e-14)
+
+
+def test_a_rank_deficient_stencil_row_raises_the_gauss_map_error():
+    """Every centre passes the immersion check, but the stencil of (0.2, 1e-4) reaches
+    u2 = 0, where the smallest tangent singular value is ~5e-9: the oracle raises the
+    ImmersionError that gauss_map raises on the stencil rows."""
+    chart = expression_chart(nil_polarized_model(), ["u1", "u2^3 + 5e-9*u2", "0"], [(-1, 1), (-1, 1)])
+    centres = np.array([[0.3, 0.5], [0.2, 1e-4], [-0.3, -0.4]])
+    cj = stacked_chart_jets(chart, centres)
+    stencils = (centres[:, None] + _hessian_table(2, FDParams())[0]).reshape(-1, 2)
+    with pytest.raises(ImmersionError) as lean:
+        gauss_map(chart, stencils)
+    with pytest.raises(ImmersionError) as oracle:
+        oracle_laplacians(chart, cj, centres)
+    assert str(oracle.value) == str(lean.value)
+    assert "u=[0.2, 0.0]" in str(lean.value)
+
+
+# ---------------------------------------------------------------------------
+# centres read off the complex-step rows
+
+CATALOG_REQUESTS = {
+    "nil_foliation_leaf": (nil_polarized_model(), {"z0": 0.3}, None),
+    "nil_vertical_plane": (nil_polarized_model(), {}, None),
+    "nil_cylinder": (nil_polarized_model(), {"f1": "cos(u1)", "f2": "2*sin(u1) + u1"}, None),
+    "graph": (
+        exp_model(heisenberg(2)),
+        {"expr": "0.2*sin(u1)*u2 + 0.1*cos(u2 - u3) + 0.05*exp(u4) + 0.1*sqrt(2 + u1^2) - 0.3*u3*u3"},
+        [(-0.6, 0.6)] * 4,
+    ),
+    "random_graph": (exp_model(quaternionic_heisenberg()), {"terms": 12}, None),
+}
+CHART_JET_FIELDS = ("point", "jac", "hess", "ainv", "tangents", "normal", "q", "r", "smin")
+
+
+@pytest.mark.parametrize("name", CATALOG)
+def test_complex_step_centres_equal_stacked_chart_jets(name):
+    """The real parts of each point's first complex-step row, finished like
+    stacked_chart_jets, are its ChartJet bit for bit in every field."""
+    model, params, domain = CATALOG_REQUESTS[name]
+    chart = catalog_chart(name, model, params, domain, rng=23)
+    pts = np.random.default_rng(24).uniform(-0.5, 0.5, (9, chart.param_dim))
+    centres, reference = complex_step_jets(chart, pts)[0], stacked_chart_jets(chart, pts)
+    for field in CHART_JET_FIELDS:
+        np.testing.assert_array_equal(getattr(centres, field), getattr(reference, field))
+
+
+def test_complex_step_centres_of_powers_and_quotients_agree_within_4_ulp():
+    """Integer powers k >= 3, the reciprocal's v^3 included, take complex
+    multiplication on the complex rows and float pow on real ones: the centres then
+    agree with stacked_chart_jets within 4 ulp of each field's largest entry."""
+    chart = graph_chart(exp_model(heisenberg(1)), "u1^3 + u2/(2 + u1) - 0.02*(1.5 + u2)^-2", [(-1, 1), (-1, 1)])
+    pts = np.random.default_rng(25).uniform(-0.8, 0.8, (64, 2))
+    centres, reference = complex_step_jets(chart, pts)[0], stacked_chart_jets(chart, pts)
+    assert not np.array_equal(centres.point, reference.point)
+    for field in CHART_JET_FIELDS:
+        expected = getattr(reference, field)
+        np.testing.assert_allclose(getattr(centres, field), expected, rtol=0.0,
+                                   atol=4 * np.spacing(np.abs(expected).max()))
 
 
 def test_chart_coefficients_solve_with_the_chart_jet_factors(monkeypatch):
@@ -592,7 +720,7 @@ def test_complex_step_normal_is_the_oriented_normal_and_its_derivative(orientati
     chart = graph_chart(exp_model(heisenberg(2)), ALL_OPS_GRAPH, [(-0.6, 0.6)] * 4, orientation)
     pts = np.random.default_rng(18).uniform(-0.4, 0.4, (3, 4))
     normals = gauss_map(chart, pts)
-    steps = complex_step_jets(chart, pts, normals)
+    steps = complex_step_jets(chart, pts)[1]
     np.testing.assert_allclose(steps.normal.real, np.repeat(normals, 4, axis=0), atol=1e-15)
     reference = directional_derivative(lambda p: gauss_map(chart, p), pts, np.broadcast_to(np.eye(4), (3, 4, 4)),
                                        REFERENCE_FD)
