@@ -21,13 +21,7 @@ from .algebra import (
     is_heisenberg_type,
     validate,
 )
-from .curvature import (
-    connection,
-    curvature,
-    curvature_oracle,
-    ricci,
-    ricci_identity_check,
-)
+from .curvature import connection, curvature, ricci
 from .expressions import Expr, Jet, ParseError, parse_expression
 from .fd import BoundaryError, FDParams
 from .laplacian import (

@@ -11,7 +11,7 @@ All of the metric geometry is channelled through the skew maps
 
     J(z) : V -> V,    <J(z) x, y> = <[x, y], z>,
 
-which this module exposes alongside the bracket.  Algebras are immutable
+which this module exposes as ``j_matrix``.  Algebras are immutable
 and every operation is a pure function, so instances can be shared freely.
 The J maps of the basis, the connection, the curvature and the Ricci
 tensor are computed once per instance, as read-only cached arrays.
@@ -120,39 +120,12 @@ class NilpotentAlgebra:
         """Heisenberg algebra: H-type with a one-dimensional center."""
         return self.dim_center == 1 and self.is_h_type
 
-    def v_part(self, vec) -> np.ndarray:
-        out = np.array(vec, dtype=float)
-        out[self.dim_v:] = 0.0
-        return out
-
-    def z_part(self, vec) -> np.ndarray:
-        out = np.array(vec, dtype=float)
-        out[: self.dim_v] = 0.0
-        return out
-
-    def bracket(self, x, y) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        if x.shape != (self.dim_total,) or y.shape != (self.dim_total,):
-            raise ValueError("bracket arguments must have length dim_total")
-        return np.einsum("ijk,i,j->k", self.bracket_tensor, x, y)
-
     def j_matrix(self, z) -> np.ndarray:
         """Matrix of J(z) acting on full-length vectors (zero off V)."""
         z = np.asarray(z, dtype=float)
         if z.shape != (self.dim_total,):
             raise ValueError("central argument must have length dim_total")
         return np.einsum("k,kji->ji", z, self.j_tensor)
-
-    def j_apply(self, z, x, tol: float = 1e-10) -> np.ndarray:
-        """J(z) x for z in the center and x horizontal."""
-        z = np.asarray(z, dtype=float)
-        x = np.asarray(x, dtype=float)
-        if np.linalg.norm(self.v_part(z)) > tol:
-            raise ValueError("first argument of j_apply must lie in the center")
-        if np.linalg.norm(self.z_part(x)) > tol:
-            raise ValueError("second argument of j_apply must be horizontal")
-        return self.j_matrix(z) @ x
 
 
 def heisenberg(m: int) -> NilpotentAlgebra:

@@ -416,36 +416,6 @@ def _eval(node, vals):
     raise AssertionError(f"bad node {kind}")
 
 
-def _to_source(node) -> str:
-    kind = node[0]
-    if kind == "num":
-        return repr(node[1])
-    if kind == "u":
-        return f"u{node[1]}"
-    if kind == "neg":
-        return f"(-{_to_source(node[1])})"
-    if kind == "pow":
-        return f"({_to_source(node[1])})^{node[2]}" if node[2] >= 0 else f"({_to_source(node[1])})^-{-node[2]}"
-    if kind == "fn":
-        return f"{node[1]}({_to_source(node[2])})"
-    return f"({_to_source(node[1])} {kind} {_to_source(node[2])})"
-
-
-def _substitute(node, mapping):
-    kind = node[0]
-    if kind == "u":
-        return mapping.get(node[1], node)
-    if kind in ("num",):
-        return node
-    if kind == "neg":
-        return ("neg", _substitute(node[1], mapping))
-    if kind == "pow":
-        return ("pow", _substitute(node[1], mapping), node[2])
-    if kind == "fn":
-        return ("fn", node[1], _substitute(node[2], mapping))
-    return (kind, _substitute(node[1], mapping), _substitute(node[2], mapping))
-
-
 @dataclass(frozen=True)
 class Expr:
     """Parsed expression; callable on floats, jet()/jets() for derivatives."""
@@ -471,11 +441,6 @@ class Expr:
         """Jet at one point: the single row of ``jets``."""
         out = self.jets([[float(x) for x in u]])
         return Jet(float(out.val[0]), out.grad[0], out.hess[0])
-
-    def substitute(self, mapping: dict[int, "Expr"]) -> "Expr":
-        """Replace parameter u<k> by the tree of mapping[k]."""
-        root = _substitute(self.root, {k: e.root for k, e in mapping.items()})
-        return Expr(root, _to_source(root), _max_param(root))
 
 
 def expression_jets(exprs, points, order: int = 2) -> list[Jet]:

@@ -57,24 +57,18 @@ from .surfaces import (
     stacked_chart_jets,
 )
 
-TERM_KEYS = ("dh", "bracket_j", "curvature", "norm_b2_ric")
-
-
 @dataclass(frozen=True, eq=False)
 class LaplacianReport(Stack):
-    """Coefficients of Delta G in the adapted frame, with a term breakdown: (d,) at
-    one point, or (N, d) over a stack with ``tangential_norm`` and ``normal_coeff`` (N,)."""
+    """Coefficients of Delta G in the adapted frame: (d,) at one point, or (N, d) over
+    a stack with ``tangential_norm`` and ``normal_coeff`` (N,)."""
 
     coeffs: np.ndarray
-    terms: dict[str, np.ndarray]
     tangential_norm: float
     normal_coeff: float
-    method: str
 
     @classmethod
-    def from_terms(cls, terms: dict[str, np.ndarray], method: str) -> "LaplacianReport":
-        coeffs = functools.reduce(np.add, terms.values())
-        return cls(coeffs, terms, np.sqrt((coeffs[..., :-1] ** 2).sum(axis=-1)), coeffs[..., -1], method)
+    def from_coeffs(cls, coeffs: np.ndarray) -> "LaplacianReport":
+        return cls(coeffs, np.sqrt((coeffs[..., :-1] ** 2).sum(axis=-1)), coeffs[..., -1])
 
 
 # Row-wise products over a stack, by matmul: each row then sums in the same order in a
@@ -103,11 +97,13 @@ def _pointwise(form):
     return one_or_stack
 
 
-def _terms(frame: AdaptedFrame, dh) -> dict[str, np.ndarray]:
-    """The term arrays (N, d), zero but for the -Y_k(n H) slots."""
-    terms = dict(zip(TERM_KEYS, np.zeros((len(TERM_KEYS),) + frame.ys.shape[:2])))
-    terms["dh"][:, :-1] = -dh
-    return terms
+def _dh_coeffs(frame: AdaptedFrame, dh) -> np.ndarray:
+    """The coefficients (N, d) a closed form adds its terms to, in a fixed order
+    (bracket/J, curvature, then -|B|^2 - Ric): -Y_k(n H) in the tangent slots,
+    subtracted from zeros so that a zero dh gives 0.0, not -0.0, in a report."""
+    coeffs = np.zeros(frame.ys.shape[:2])
+    coeffs[:, :-1] -= dh
+    return coeffs
 
 
 def _horizontal_rows(frame: AdaptedFrame) -> np.ndarray:
@@ -179,13 +175,13 @@ def laplacian_general(alg: NilpotentAlgebra, frame: AdaptedFrame, shape: ShapeDa
     curv_map = (zz @ curvature_rows).reshape(-1, d, d)
     curvature_form = 4.0 * _apply(curv_map, x_n1)
 
-    terms = _terms(frame, dh)
-    terms["bracket_j"][:, :q] = _apply(xs, bracket_form + mean_form)
-    terms["bracket_j"][:, n] = _dot(bracket_form, x_n1)
-    terms["curvature"][:, :q] = _apply(xs, curvature_form)
-    terms["curvature"][:, n] = _dot(curvature_form, x_n1)
-    terms["norm_b2_ric"][:, n] = -shape.norm_b2 - _ricci_normal(alg, frame.normal)
-    return LaplacianReport.from_terms(terms, "general")
+    coeffs = _dh_coeffs(frame, dh)
+    coeffs[:, :q] += _apply(xs, bracket_form + mean_form)
+    coeffs[:, n] += _dot(bracket_form, x_n1)
+    coeffs[:, :q] += _apply(xs, curvature_form)
+    coeffs[:, n] += _dot(curvature_form, x_n1)
+    coeffs[:, n] += -shape.norm_b2 - _ricci_normal(alg, frame.normal)
+    return LaplacianReport.from_coeffs(coeffs)
 
 
 @_pointwise
@@ -202,12 +198,12 @@ def laplacian_h_type(alg: NilpotentAlgebra, frame: AdaptedFrame, shape: ShapeDat
     a_x, a_z = frame.s, frame.c
     b_form, mean_form = _j_forms(alg, frame, shape.b, shape.h)
 
-    terms = _terms(frame, dh)
-    terms["bracket_j"][:, :q] = _apply(_horizontal_rows(frame), b_form + mean_form)
-    terms["bracket_j"][:, n] = _dot(b_form, frame.x_n1)
-    terms["curvature"][:, q - 1] = a_z * a_x * (q - n - 1 + a_z**2)
-    terms["norm_b2_ric"][:, n] = -shape.norm_b2 - (q / 4.0) * a_z**2 + a_x**2 * (0.5 * (q - n - 1) + a_z**2)
-    return LaplacianReport.from_terms(terms, "h_type")
+    coeffs = _dh_coeffs(frame, dh)
+    coeffs[:, :q] += _apply(_horizontal_rows(frame), b_form + mean_form)
+    coeffs[:, n] += _dot(b_form, frame.x_n1)
+    coeffs[:, q - 1] += a_z * a_x * (q - n - 1 + a_z**2)
+    coeffs[:, n] += -shape.norm_b2 - (q / 4.0) * a_z**2 + a_x**2 * (0.5 * (q - n - 1) + a_z**2)
+    return LaplacianReport.from_coeffs(coeffs)
 
 
 @_pointwise
@@ -233,16 +229,15 @@ def laplacian_heisenberg(alg: NilpotentAlgebra, frame: AdaptedFrame, shape: Shap
     nH = n * shape.h
     s, c = frame.s, frame.c
 
-    terms = _terms(frame, dh)
-    bj = terms["bracket_j"]
-    bj[:, :m - 1] = -2.0 * row[:, m:last] * s[:, None]  # slots k = 1 .. m-1
-    bj[:, m:last] = 2.0 * row[:, :m - 1] * s[:, None]  # slots m + k
-    bj[:, m - 1] = -nH * s * c - 2.0 * row[:, last] * s * c
-    bj[:, last] = 2.0 * row[:, m - 1] * s * c
-    terms["curvature"][:, last] = -(s**3) * c
-    bj[:, n] = 2.0 * row[:, m - 1] * s**2
-    terms["norm_b2_ric"][:, n] = -shape.norm_b2 - (m / 2.0) * c**2 + 0.5 * s**2 - s**4
-    return LaplacianReport.from_terms(terms, "heisenberg")
+    coeffs = _dh_coeffs(frame, dh)
+    coeffs[:, :m - 1] += -2.0 * row[:, m:last] * s[:, None]  # slots k = 1 .. m-1
+    coeffs[:, m:last] += 2.0 * row[:, :m - 1] * s[:, None]  # slots m + k
+    coeffs[:, m - 1] += -nH * s * c - 2.0 * row[:, last] * s * c
+    coeffs[:, last] += 2.0 * row[:, m - 1] * s * c
+    coeffs[:, last] += -(s**3) * c  # curvature
+    coeffs[:, n] += 2.0 * row[:, m - 1] * s**2
+    coeffs[:, n] += -shape.norm_b2 - (m / 2.0) * c**2 + 0.5 * s**2 - s**4
+    return LaplacianReport.from_coeffs(coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +289,7 @@ def oracle_laplacians(chart: SurfaceChart, cj: ChartJet, points, fd=FDParams()) 
 
 def _oracle_report(frame: AdaptedFrame, delta) -> LaplacianReport:
     """The oracle's Delta G (N, d) re-expressed in the stack's adapted frames."""
-    return LaplacianReport.from_terms({"numeric": _apply(frame.ys, delta)}, "numeric_oracle")
+    return LaplacianReport.from_coeffs(_apply(frame.ys, delta))
 
 
 def laplacian_numeric(chart: SurfaceChart, u, fd: FDParams = FDParams(), frame: AdaptedFrame | None = None):

@@ -60,10 +60,6 @@ class CoordinateModel:
     def dim(self) -> int:
         return self.algebra.dim_total
 
-    @property
-    def origin(self) -> np.ndarray:
-        return np.zeros(self.dim)
-
     def frame_correction(self, p) -> np.ndarray:
         """L(p); column a holds the coordinate correction of field e_a."""
         return np.einsum("kji,...i->...kj", self.frame_lin, np.asarray(p))
@@ -73,19 +69,6 @@ class CoordinateModel:
 
     def frame_inverse(self, p) -> np.ndarray:
         return np.eye(self.dim) - self.frame_correction(p)
-
-    def multiply(self, p, q) -> np.ndarray:
-        p = np.asarray(p, dtype=float)
-        q = np.asarray(q, dtype=float)
-        if p.shape != (self.dim,) or q.shape != (self.dim,):
-            raise ValueError("points must have length dim_total")
-        return p + q + np.einsum("kij,i,j->k", self.product_bilin, p, q)
-
-    def left_translation_jacobian(self, p) -> np.ndarray:
-        """d(p * q)/dq, constant in q because the product is affine in q."""
-        return np.eye(self.dim) + np.einsum(
-            "kij,i->kj", self.product_bilin, np.asarray(p, dtype=float)
-        )
 
     def christoffels(self, p) -> np.ndarray:
         """Gamma[k, i, j] of the coordinate metric, symmetric in (i, j).

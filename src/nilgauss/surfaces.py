@@ -88,10 +88,6 @@ class SurfaceChart:
     def param_dim(self) -> int:
         return self.model.dim - 1
 
-    def point(self, u) -> np.ndarray:
-        vals = [float(x) for x in u]
-        return np.array([c(vals) for c in self.components])
-
 
 class Stack:
     """A dataclass of arrays with a shared leading point axis (ChartJet, AdaptedFrame, ...).
@@ -122,9 +118,9 @@ class ChartJet(Stack):
     """Chart data at one parameter point: value, jets, algebra tangents, normal.
 
     ``stacked_chart_jets`` fills the same fields for a stack of N points, each with a
-    leading axis of length N.  ``q`` and ``r`` are the reduced QR factors of the tangents
-    and ``smin`` a certified lower bound on their smallest singular value, all three None
-    on ``complex_step_jets`` rows.  A first-order evaluation has ``hess`` None.
+    leading axis of length N.  ``smin`` is a certified lower bound on the tangents'
+    smallest singular value, None on ``complex_step_jets`` rows.  A first-order
+    evaluation has ``hess`` None.
     """
 
     point: np.ndarray   # (d,)
@@ -133,8 +129,6 @@ class ChartJet(Stack):
     ainv: np.ndarray    # inverse frame at point, (d, d)
     tangents: np.ndarray  # tangents in the algebra basis, (d, n)
     normal: np.ndarray  # oriented unit normal in the algebra basis, (d,)
-    q: np.ndarray | None  # tangents = q @ r, q (d, n) with orthonormal columns
-    r: np.ndarray | None  # upper triangular, (n, n)
     smin: np.ndarray | None  # float, a lower bound on the tangents' smallest singular value
 
     @staticmethod
@@ -171,8 +165,7 @@ def _oriented_jets(chart: SurfaceChart, points, val, jac, hess) -> ChartJet:
     """The ChartJet stack of real (N, n) rows from their walk's value, Jacobian and Hessian.
 
     The normal is the last column of a complete QR of the algebra tangents
-    T, signed by the orientation through det(T | normal); the first n
-    columns and rows of the factors are T's reduced QR.  That determinant
+    T, signed by the orientation through det(T | normal).  That determinant
     also certifies the immersion check on most rows; the rest get the
     singular values of T (the frame is unipotent, so T has the Jacobian's
     rank).  Raises ImmersionError naming the first point where T is nearly
@@ -180,8 +173,7 @@ def _oriented_jets(chart: SurfaceChart, points, val, jac, hess) -> ChartJet:
     """
     n = chart.param_dim
     ainv, tangents = _tangents(chart, val, jac)
-    qfull, rfull = np.linalg.qr(tangents, mode="complete")
-    normal = qfull[..., -1]
+    normal = np.linalg.qr(tangents, mode="complete")[0][..., -1]
     det = np.linalg.det(np.concatenate([tangents, normal[..., None]], axis=-1))
     # |det| is the product of T's n singular values, each at most |T|_F, so
     # smin >= |det| / |T|_F^(n-1); rows not certified by a margin of 2 get an SVD
@@ -199,10 +191,7 @@ def _oriented_jets(chart: SurfaceChart, points, val, jac, hess) -> ChartJet:
                 f"(smallest tangent singular value {smin[i]:.3e})"
             )
     normal = np.where((det * chart.orientation < 0.0)[:, None], -normal, normal)
-    return ChartJet(
-        point=val, jac=jac, hess=hess, ainv=ainv, tangents=tangents, normal=normal,
-        q=qfull[..., :n], r=rfull[..., :n, :], smin=smin,
-    )
+    return ChartJet(point=val, jac=jac, hess=hess, ainv=ainv, tangents=tangents, normal=normal, smin=smin)
 
 
 def stacked_chart_jets(chart: SurfaceChart, points, order: int = 2) -> ChartJet:
@@ -244,8 +233,7 @@ def complex_step_jets(chart: SurfaceChart, points) -> tuple[ChartJet, ChartJet]:
     tt = np.swapaxes(tangents, -1, -2)
     normal = (eta - tangents @ np.linalg.solve(tt @ tangents, tt @ eta))[..., 0]
     normal /= np.sqrt((normal * normal).sum(axis=-1))[:, None]
-    return centres, ChartJet(point=val, jac=jac, hess=hess, ainv=ainv, tangents=tangents, normal=normal,
-                             q=None, r=None, smin=None)
+    return centres, ChartJet(point=val, jac=jac, hess=hess, ainv=ainv, tangents=tangents, normal=normal, smin=None)
 
 
 def complex_derivative(values, n: int) -> np.ndarray:
@@ -345,8 +333,7 @@ class AdaptedFrame(Stack):
     ``ys`` holds rows Y_1 .. Y_{n+1}; rows 1..q-1 are horizontal, row q is
     the mixed vector x_q - z_q, rows q+1..n are central, the last row is
     the unit normal x_n1 + z_n1.  s and c are the norms of the normal's
-    horizontal and central parts, 0 when at most NORMAL_SPLIT_TOL; lam and mu
-    are the factors x_n1 = lam * x_q and z_n1 = mu * z_q (zero when undefined).
+    horizontal and central parts, 0 when at most NORMAL_SPLIT_TOL.
     """
 
     q: int
@@ -360,30 +347,8 @@ class AdaptedFrame(Stack):
     special_heisenberg: bool = False
 
     @property
-    def dim(self) -> int:
-        return self.ys.shape[-1]
-
-    @property
     def normal(self) -> np.ndarray:
         return self.ys[..., -1, :]
-
-    @property
-    def lam(self):
-        return np.divide(self.s, self.c, out=np.zeros_like(self.s), where=self.c > 0)[()]
-
-    @property
-    def mu(self):
-        return np.divide(self.c, self.s, out=np.zeros_like(self.c), where=self.s > 0)[()]
-
-    def x(self, k: int) -> np.ndarray:
-        """Horizontal component vector X_k, 1 <= k <= q (one-based)."""
-        if not 1 <= k <= self.q:
-            raise IndexError("horizontal index out of range")
-        return self.x_q if k == self.q else self.ys[..., k - 1, :]
-
-    def gram_residual(self) -> float:
-        gram = self.ys @ np.swapaxes(self.ys, -1, -2)
-        return float(np.abs(gram - np.eye(self.dim)).max())
 
 
 def _gs_complete(block: range, start: int, fixed, count: int) -> list[np.ndarray]:
@@ -484,14 +449,16 @@ def chart_coefficients(cj: ChartJet, vecs) -> np.ndarray:
 
     ``cj`` is one ChartJet row or a stack; ``vecs`` is one (d,) vector or
     vectors (..., k, d) broadcast against the stack, giving (..., k, n).
-    One solve with the tangents' QR factors, which the ChartJet carries,
-    covers every vector.
+    One solve against the square [T | N], N the unit normal, covers every
+    vector: y = T c + a N, and since N is orthogonal to T the normal share
+    |a| is the distance |T c - y| of y from the tangent space.
     """
-    t, y, qm, rm = cj.tangents, np.asarray(vecs, dtype=float), cj.q, cj.r
-    sol = np.swapaxes(np.linalg.solve(rm, np.swapaxes(np.atleast_2d(y) @ qm, -1, -2)), -1, -2)
-    if (np.linalg.norm(sol @ np.swapaxes(t, -1, -2) - y, axis=-1) > 1e-6).any():
+    y = np.asarray(vecs, dtype=float)
+    square = np.concatenate([cj.tangents, cj.normal[..., None]], axis=-1)
+    sol = np.swapaxes(np.linalg.solve(square, np.swapaxes(np.atleast_2d(y), -1, -2)), -1, -2)
+    if (np.abs(sol[..., -1]) > 1e-6).any():
         raise ValueError("vector is not tangent to the chart at this point")
-    return sol[..., 0, :] if y.ndim == 1 else sol
+    return sol[..., 0, :-1] if y.ndim == 1 else sol[..., :-1]
 
 
 def shape_data(chart: SurfaceChart, cj: ChartJet, frame: AdaptedFrame):

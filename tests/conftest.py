@@ -1,7 +1,9 @@
+import functools
+
 import numpy as np
 import pytest
 
-from nilgauss import NilpotentAlgebra, heisenberg
+from nilgauss import NilpotentAlgebra, heisenberg, ricci
 
 
 def basis(d, k):
@@ -91,3 +93,114 @@ def metric_derivatives(model, p):
 def random_unit(rng, d):
     v = rng.normal(size=d)
     return v / np.linalg.norm(v)
+
+
+# Test references: single-vector helpers and case tables that no job runs.
+
+
+def v_part(alg, vec):
+    out = np.array(vec, dtype=float)
+    out[alg.dim_v:] = 0.0
+    return out
+
+
+def z_part(alg, vec):
+    out = np.array(vec, dtype=float)
+    out[: alg.dim_v] = 0.0
+    return out
+
+
+def bracket(alg, x, y):
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.shape != (alg.dim_total,) or y.shape != (alg.dim_total,):
+        raise ValueError("bracket arguments must have length dim_total")
+    return np.einsum("ijk,i,j->k", alg.bracket_tensor, x, y)
+
+
+def curvature_oracle(alg, x, y, w):
+    """R(x, y) w from the closed case table of Eberlein, extended trilinearly;
+    reads the bracket and J only, not the package's connection or curvature tensors."""
+    x, y, w = (np.asarray(v, dtype=float) for v in (x, y, w))
+    if any(v.shape != (alg.dim_total,) for v in (x, y, w)):
+        raise ValueError("curvature arguments must have length dim_total")
+    xx, zx = v_part(alg, x), z_part(alg, x)
+    xy, zy = v_part(alg, y), z_part(alg, y)
+    xw, zw = v_part(alg, w), z_part(alg, w)
+
+    jm, br = alg.j_matrix, functools.partial(bracket, alg)
+    out = np.zeros(alg.dim_total)
+    # all-horizontal slots
+    out += 0.5 * (jm(br(xx, xy)) @ xw)
+    out += -0.25 * (jm(br(xy, xw)) @ xx)
+    out += 0.25 * (jm(br(xx, xw)) @ xy)
+    # horizontal pair, central target
+    out += -0.25 * br(xx, jm(zw) @ xy) + 0.25 * br(xy, jm(zw) @ xx)
+    # mixed first slots, horizontal target: R(X, Z)Y = -[X, J(Z)Y]/4
+    out += -0.25 * br(xx, jm(zy) @ xw)
+    out += 0.25 * br(xy, jm(zx) @ xw)
+    # mixed first slots, central target: R(X, Z)Z* = -J(Z)J(Z*)X/4
+    out += -0.25 * (jm(zy) @ (jm(zw) @ xx))
+    out += 0.25 * (jm(zx) @ (jm(zw) @ xy))
+    # central pair acting on a horizontal vector
+    out += -0.25 * (jm(zy) @ (jm(zx) @ xw)) + 0.25 * (jm(zx) @ (jm(zy) @ xw))
+    return out
+
+
+def ricci_identity_check(alg, x, y, frame):
+    """Residual of sum_i <J([x, f_i]) f_i, y> = 2 Ric(x, y).
+
+    ``frame`` is a collection of horizontal vectors whose outer products
+    sum to the identity on V; an orthonormal basis of V qualifies, and so
+    does the horizontal part collection of an adapted surface frame.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    frame = np.atleast_2d(np.asarray(frame, dtype=float))
+    q = alg.dim_v
+    if np.abs(frame[:, q:]).max(initial=0.0) > 1e-8:
+        raise ValueError("frame vectors must be horizontal")
+    gram = frame[:, :q].T @ frame[:, :q]
+    if np.abs(gram - np.eye(q)).max() > 1e-8:
+        raise ValueError("frame must resolve the identity on V")
+    lhs = 0.0
+    for f in frame:
+        lhs += float((alg.j_matrix(bracket(alg, x, f)) @ f) @ y)
+    return abs(lhs - 2.0 * ricci(alg, x, y))
+
+
+def multiply(model, p, q):
+    """Group product p * q in the model's coordinates: p + q plus the quadratic part."""
+    p = np.asarray(p, dtype=float)
+    q = np.asarray(q, dtype=float)
+    if p.shape != (model.dim,) or q.shape != (model.dim,):
+        raise ValueError("points must have length dim_total")
+    return p + q + np.einsum("kij,i,j->k", model.product_bilin, p, q)
+
+
+def left_translation_jacobian(model, p):
+    """d(p * q)/dq, constant in q because the product is affine in q."""
+    return np.eye(model.dim) + np.einsum("kij,i->kj", model.product_bilin, np.asarray(p, dtype=float))
+
+
+def frame_x(frame, k):
+    """Horizontal component vector X_k of an adapted frame, 1 <= k <= q (one-based)."""
+    if not 1 <= k <= frame.q:
+        raise IndexError("horizontal index out of range")
+    return frame.x_q if k == frame.q else frame.ys[..., k - 1, :]
+
+
+def lam(frame):
+    """The factor x_n1 = lam x_q of an adapted frame, zero when undefined."""
+    return np.divide(frame.s, frame.c, out=np.zeros_like(frame.s), where=frame.c > 0)[()]
+
+
+def mu(frame):
+    """The factor z_n1 = mu z_q of an adapted frame, zero when undefined."""
+    return np.divide(frame.c, frame.s, out=np.zeros_like(frame.c), where=frame.s > 0)[()]
+
+
+def gram_residual(frame):
+    """Largest entry of ys ys^T - I: how far the frame's rows are from orthonormal."""
+    gram = frame.ys @ np.swapaxes(frame.ys, -1, -2)
+    return float(np.abs(gram - np.eye(frame.ys.shape[-1])).max())

@@ -133,24 +133,6 @@ def test_jet_division_and_power():
     assert jet.grad[1] == pytest.approx(-1.0)
 
 
-def test_substitute_affine():
-    expr = parse_expression("u1^2 + sin(u2)")
-    sub = expr.substitute(
-        {1: parse_expression("2*u1 + 0.5"), 2: parse_expression("u2 - 1")}
-    )
-    u = [0.3, 0.7]
-    expected = (2 * 0.3 + 0.5) ** 2 + math.sin(0.7 - 1)
-    assert sub(u) == pytest.approx(expected, abs=1e-14)
-
-
-def test_serializer_round_trip():
-    for source in ("(u1^2 - 1)^2 / (2*(1 + u1^2)^2)", "-sin(u1)*u2 + 3/u2", "u1^-3 + sqrt(u2)"):
-        expr = parse_expression(source)
-        rebuilt = parse_expression(expr.substitute({}).source)
-        for u in ([0.4, 0.9], [1.2, 2.5]):
-            assert rebuilt(u) == pytest.approx(expr(u), abs=1e-15)
-
-
 def test_jet_seed_and_const():
     jet = Jet.seed(2.0, 0, 3)
     assert jet.val == 2.0

@@ -41,15 +41,18 @@ def test_readme_library_example_runs():
 
 
 def test_reference_reports_writes_one_report_per_reference_job(tmp_path):
-    """3 examples plus 25 pool jobs at each of seeds 0, 1 and 2."""
-    out = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "reference_reports.py"), str(tmp_path)],
-        capture_output=True, text=True, timeout=120,
-    )
-    assert out.returncode == 0, out.stderr
-    reports = sorted(tmp_path.glob("*.json"))
-    assert len(reports) == 78
-    assert all(json.loads(path.read_text())["rows"] for path in reports)
+    """3 examples plus 25 pool jobs at each of seeds 0, 1 and 2; the bytes do not
+    depend on the process, so no set or hash order reaches a report."""
+    for seed in ("1", "2"):
+        out = subprocess.run(
+            [sys.executable, str(ROOT / "scripts" / "reference_reports.py"), str(tmp_path / seed)],
+            capture_output=True, text=True, timeout=120, env=dict(os.environ, PYTHONHASHSEED=seed),
+        )
+        assert out.returncode == 0, out.stderr
+    first, second = ({path.name: path.read_bytes() for path in (tmp_path / seed).glob("*.json")} for seed in "12")
+    assert len(first) == 78
+    assert all(json.loads(text)["rows"] for text in first.values())
+    assert first == second
 
 
 def compare_reports(old, new, *tol):
