@@ -14,11 +14,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
 import sys
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -286,7 +288,7 @@ def run(config: JobConfig) -> dict:
         if direction is None:
             mean_g = ev.frame.normal.mean(axis=0)
             direction = mean_g / np.linalg.norm(mean_g)
-        rep = jacobi_residuals(chart, ev, direction, fdp, tol=tols["harmonicity"])
+        rep = jacobi_residuals(chart, ev, direction, fdp)
         checks["jacobi"] = {
             "pass": bool(rep.max_residual < tols["jacobi"]),
             "max_residual": rep.max_residual,
@@ -316,7 +318,65 @@ def run(config: JobConfig) -> dict:
 
 
 def document_to_json(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    """The bytes of ``json.dumps(doc, sort_keys=True, indent=2)`` and a newline.
+
+    ``json`` serves ``indent`` only from its pure-Python encoder; ``_json_text``
+    writes the same text for what reports and ``validate`` output hold, and
+    leaves anything else to ``json.dumps``, its output or its exception.
+    """
+    try:
+        return _json_text(doc, "\n") + "\n"
+    except (TypeError, RecursionError):  # a type or key left to json, or a cycle or deep nesting
+        pass
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"  # outside the handler: no chained traceback
+
+
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # as json spells them
+
+
+@functools.lru_cache(maxsize=256)
+def _key_prefixes(keys: tuple) -> tuple:
+    """(key, its encoded '"key": ' prefix) of each key, in sorted order; TypeError
+    unless every key is a str."""
+    return tuple((key, encode_basestring_ascii(key) + ": ") for key in sorted(keys))
+
+
+def _json_text(obj, nl: str) -> str:
+    """``obj`` as ``json.dumps(..., sort_keys=True, indent=2)`` writes it on a line that
+    starts with ``nl``; TypeError on a type it leaves to ``json``."""
+    if isinstance(obj, float):  # subclasses such as np.float64 too, as json writes them
+        text = float.__repr__(obj)
+        return _NON_FINITE[text] if "n" in text else text
+    kind = type(obj)
+    if kind is str:
+        return encode_basestring_ascii(obj)
+    if kind is list or kind is tuple:
+        if not obj:
+            return "[]"
+        inner = nl + "  "
+        sep = "," + inner
+        if isinstance(obj[0], float):
+            try:
+                text = sep.join(map(float.__repr__, obj))
+            except TypeError:  # an item that is not a float
+                pass
+            else:
+                if "n" not in text:  # no nan or inf, which need json's spelling
+                    return "[" + inner + text + nl + "]"
+        return "[" + inner + sep.join([_json_text(item, inner) for item in obj]) + nl + "]"
+    if kind is dict:
+        if not obj:
+            return "{}"
+        inner = nl + "  "
+        items = [prefix + _json_text(obj[key], inner) for key, prefix in _key_prefixes(tuple(obj))]
+        return "{" + inner + ("," + inner).join(items) + nl + "}"
+    if obj is None:
+        return "null"
+    if kind is bool:
+        return "true" if obj else "false"
+    if kind is int:
+        return int.__repr__(obj)
+    raise TypeError(f"{kind.__name__} is left to json")
 
 
 def document_to_csv(doc: dict) -> str:

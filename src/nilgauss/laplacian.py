@@ -446,10 +446,6 @@ def harmonicity_cmc_residuals(shape: ShapeData, frame: AdaptedFrame):
 class JacobiReport:
     max_residual: float
     min_w: float
-    h_spread: float
-    max_defect: float
-    cmc_ok: bool
-    harmonic_ok: bool
 
 
 def jacobi_residuals(
@@ -457,41 +453,30 @@ def jacobi_residuals(
     evals: Evaluation,
     direction,
     fd: FDParams = FDParams(),
-    tol: float = 1e-3,
 ) -> JacobiReport:
     """Residual of (Delta + |B|^2 + Ric(normal, normal)) w, w = <G, v>.
 
     ``evals`` is an ``evaluate_points`` record, or a row view; the chart is
-    expected to be CMC with harmonic Gauss map, both checked within tol and
-    reported.  A strictly positive w over the stack is the stability
-    certificate.  Delta w is read from the record's oracle ``delta``; a record
-    without one gets it from one ``oracle_laplacians`` call with ``fd`` on its ``jet``.
+    expected to be CMC with harmonic Gauss map.  A strictly positive w over the
+    stack is the stability certificate.  Delta w is read from the record's
+    oracle ``delta``; a record without one gets it from one ``oracle_laplacians``
+    call with ``fd`` on its ``jet``.
     """
     ev = _stack(evals)
     v = np.asarray(direction, dtype=float)
     v = v / np.linalg.norm(v)
     delta = oracle_laplacians(chart, ev.jet, ev.u, fd) if ev.delta is None else ev.delta
-    normal, h = ev.frame.normal, ev.shape.h
+    normal = ev.frame.normal
     w = _dot(normal, v)
     lw = _dot(delta, v)  # v is constant: Delta <G, v> = <Delta G, v>
     pot = ev.shape.norm_b2 + _ricci_normal(chart.model.algebra, normal)
-    spread = float(h.max() - h.min())
-    max_defect = float(ev.reports["general"].tangential_norm.max())
-    return JacobiReport(
-        max_residual=float(np.abs(lw + pot * w).max()),
-        min_w=float(w.min()),
-        h_spread=spread,
-        max_defect=max_defect,
-        cmc_ok=bool(spread <= tol),
-        harmonic_ok=bool(max_defect <= tol),
-    )
+    return JacobiReport(max_residual=float(np.abs(lw + pot * w).max()), min_w=float(w.min()))
 
 
 @dataclass(frozen=True)
 class CentralVariationReport:
     skipped: bool
     max_variation: float | None
-    max_defect: float
 
 
 def central_h_variation(
@@ -511,13 +496,12 @@ def central_h_variation(
     ev = _stack(evals)
     alg = chart.model.algebra
     q, n = alg.dim_v, alg.n
-    max_defect = float(ev.reports["general"].tangential_norm.max(initial=0.0))
-    if max_defect > tol:
-        return CentralVariationReport(skipped=True, max_variation=None, max_defect=max_defect)
+    if ev.reports["general"].tangential_norm.max(initial=0.0) > tol:
+        return CentralVariationReport(skipped=True, max_variation=None)
     dh = np.abs(ev.dh)
     mixed = np.where(ev.frame.c < 1e-9, dh[:, q - 1], 0.0)  # mixed vector degenerates to a central one
     max_var = max(dh[:, q:n].max(initial=0.0), mixed.max(initial=0.0)) / n
-    return CentralVariationReport(skipped=False, max_variation=float(max_var), max_defect=max_defect)
+    return CentralVariationReport(skipped=False, max_variation=float(max_var))
 
 
 @dataclass(frozen=True)

@@ -39,7 +39,7 @@ def test_heisenberg_dims():
         heisenberg(0)
 
 
-def test_j_apply_matches_brute_force(h1, h2):
+def test_j_matrix_matches_brute_force(h1, h2):
     K, L, Z = (basis(3, i) for i in range(3))
     np.testing.assert_allclose(h1.j_matrix(Z) @ K, L)
     np.testing.assert_allclose(h1.j_matrix(Z) @ K, brute_force_j(h1, Z, K))

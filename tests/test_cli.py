@@ -1,3 +1,5 @@
+import collections
+import importlib.util
 import json
 import math
 import os
@@ -7,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nilgauss import ImmersionError, cli, fd, laplacian, surfaces
 from nilgauss.cli import (
@@ -685,3 +689,119 @@ def test_grid_job_rows_equal_their_points_run_one_by_one(name):
                 assert json.dumps(row["coeffs"]) == json.dumps(one["coeffs"])
             else:
                 np.testing.assert_allclose(row["coeffs"], one["coeffs"], rtol=0, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# report writer: the bytes of json.dumps(doc, sort_keys=True, indent=2) and a newline
+
+
+def json_bytes(doc):
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def assert_written_as_json_writes(doc):
+    """document_to_json gives json's bytes, or raises the exception type json raises."""
+    try:
+        expected = json_bytes(doc)
+    except Exception as exc:
+        with pytest.raises(type(exc)):
+            document_to_json(doc)
+    else:
+        assert document_to_json(doc) == expected
+
+
+JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-10**60, max_value=10**60)
+    | st.floats()
+    | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 1e16, -1e16, 5e-324, 1.7976931348623157e308])
+    | st.text()
+    | st.text(st.characters(min_codepoint=0, max_codepoint=0x10FFFF, exclude_categories=()))
+    | st.sampled_from(["\x00\x1f\x7f\"\\/", "  ", "\U0001F600 nested \ud83d", "é"])
+)
+JSON_DOCUMENTS = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=5)
+    | st.lists(inner, max_size=5).map(tuple)
+    | st.lists(st.floats(), max_size=5)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=5),
+    max_leaves=25,
+)
+
+
+@given(JSON_DOCUMENTS)
+@settings(max_examples=400, deadline=None)
+def test_document_to_json_writes_the_bytes_of_json_dumps(doc):
+    assert document_to_json(doc) == json_bytes(doc)
+
+
+class IntSubclass(int):
+    pass
+
+
+class StrSubclass(str):
+    pass
+
+
+class ListSubclass(list):
+    pass
+
+
+class FloatSubclass(float):
+    def __repr__(self):
+        return "not json's spelling"
+
+
+@pytest.mark.parametrize("doc", [
+    {"a": np.float64(0.1), "b": [np.float64(1.5), 2.0], "c": [2.0, np.float64(np.nan)], "d": [np.float64(-0.0)]},
+    {"a": [[], {}, [[]], {"b": {}}], "c": ()},
+    {"a": [1.0, 2], "b": [1.0, True], "c": [1.0, None], "d": [1.0, "x"], "e": [math.inf, 1.0]},
+    {"value": np.int64(3)},
+    {"rows": [{"x": 1.0}, {"x": np.int64(1)}]},
+    {"a": np.array([1.0])},
+    {1: "a", 2.5: [1.0]},
+    {None: 1, "b": 2},
+    {True: 1},
+    {"a": 1, 2: 3},
+    {(1, 2): 3},
+    {"a": {1: 2}},
+    [10**5000],
+    collections.OrderedDict([("b", 1.0), ("a", [2.0])]),
+    {"a": IntSubclass(7), "b": StrSubclass("x"), "c": ListSubclass([1.0])},
+    {StrSubclass("k"): 1.0, "a": 2.0},
+    {"a": FloatSubclass(0.25), "b": [FloatSubclass(math.nan)]},
+])
+def test_document_to_json_matches_json_outside_report_types(doc):
+    """numpy floats write as floats; numpy ints, non-str keys, huge ints and subclasses
+    give json's bytes or json's exception."""
+    assert_written_as_json_writes(doc)
+
+
+def nested(depth):
+    doc = 1.0
+    for k in range(depth):
+        doc = [doc] if k % 2 else {"a": doc}
+    return doc
+
+
+def test_document_to_json_cycles_and_deep_nesting_go_as_json_goes():
+    """json raises ValueError on a cycle; it nests deeper than a recursive writer can."""
+    doc = {"a": []}
+    doc["a"].append(doc)
+    assert_written_as_json_writes(doc)
+    for depth in (600, 5000):
+        assert_written_as_json_writes(nested(depth))
+
+
+def test_every_reference_report_writes_the_bytes_of_json_dumps():
+    spec = importlib.util.spec_from_file_location("reference_reports", ROOT / "scripts" / "reference_reports.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    count = 0
+    for name, doc in module.reference_jobs():
+        report = run(load_config(doc))
+        assert document_to_json(report) == json_bytes(report), name
+        count += 1
+    assert count == 78

@@ -135,7 +135,7 @@ def test_vertical_plane_all_methods_zero():
     assert np.abs(num.coeffs).max() < 1e-8
 
 
-def test_report_terms_sum_to_coeffs():
+def test_report_norms_are_read_off_coeffs():
     """The report's norms are read off its coefficients."""
     chart = foliation_leaf_chart()
     rep, _, _ = closed_form_report(chart, [0.9, 0.1])
@@ -412,10 +412,11 @@ def test_coupling_requires_special_frame(free5):
 def test_jacobi_vertical_plane():
     chart = vertical_plane_chart()
     pts = [np.array([s, t]) for s in (-0.4, 0.0, 0.4) for t in (-0.4, 0.4)]
-    rep = jacobi_residuals(chart, evaluate_points(chart, np.array(pts)), [0.0, 1.0, 0.0])
+    ev = evaluate_points(chart, np.array(pts))
+    rep = jacobi_residuals(chart, ev, [0.0, 1.0, 0.0])
     assert rep.max_residual < 1e-12
     assert rep.min_w == pytest.approx(1.0)
-    assert rep.cmc_ok and rep.harmonic_ok
+    assert np.ptp(ev.shape.h) <= 1e-3 and ev.reports["general"].tangential_norm.max() <= 1e-3
     # the potential itself: Ric(L, L) + |B|^2 = -1/2 + 1/2 = 0
     alg = heisenberg(1)
     assert ricci(alg, np.array([0, 1.0, 0]), np.array([0, 1.0, 0])) == pytest.approx(-0.5)
@@ -434,12 +435,11 @@ def test_jacobi_circular_arc_cylinder():
     chart = cylinder_chart("cos(u1)", "sin(u1)", (-0.6, 0.6), (-1, 1))
     pts = [np.array([s, t]) for s in (-0.45, 0.0, 0.45) for t in (-0.5, 0.5)]
     mean_g = np.mean([gauss_map(chart, u) for u in pts], axis=0)
-    rep = jacobi_residuals(
-        chart, evaluate_points(chart, np.array(pts)), mean_g / np.linalg.norm(mean_g)
-    )
+    ev = evaluate_points(chart, np.array(pts))
+    rep = jacobi_residuals(chart, ev, mean_g / np.linalg.norm(mean_g))
     assert rep.max_residual < 5e-4
     assert rep.min_w > 0.0  # image in an open hemisphere: stability certificate
-    assert rep.cmc_ok and rep.harmonic_ok
+    assert np.ptp(ev.shape.h) <= 1e-3 and ev.reports["general"].tangential_norm.max() <= 1e-3
 
 
 def test_pointwise_subharmonicity_identity():

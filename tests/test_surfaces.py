@@ -328,7 +328,7 @@ def test_complex_step_centres_of_powers_and_quotients_agree_within_4_ulp():
                                    atol=4 * np.spacing(np.abs(expected).max()))
 
 
-def test_chart_coefficients_solve_with_the_chart_jet_factors(monkeypatch):
+def test_chart_coefficients_take_one_solve_and_no_qr(monkeypatch):
     """One solve against the chart jet's tangents and normal: no QR of its own."""
     cj, vecs, exact = random_tangent_vectors(2, 3)
 
