@@ -20,7 +20,7 @@ tensor are computed once per instance, as read-only cached arrays.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -34,6 +34,12 @@ def _read_only(arr) -> np.ndarray:
     arr = np.ascontiguousarray(arr, dtype=float)
     arr.flags.writeable = False
     return arr
+
+
+@lru_cache(maxsize=None)
+def _identity(d: int) -> np.ndarray:
+    """The d x d identity, built once per size, read-only."""
+    return _read_only(np.eye(d))
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,6 +101,11 @@ class NilpotentAlgebra:
             nested - nested.transpose(1, 0, 2, 3)
             - np.einsum("abm,mck->abck", self.bracket_tensor, g)
         )
+
+    @cached_property
+    def curvature_rows(self) -> np.ndarray:
+        """The curvature tensor as a (d^2, d^2) matrix: rows (a, b), columns (c, k)."""
+        return self.curvature_tensor.reshape(self.dim_total**2, -1)
 
     @cached_property
     def ricci_matrix(self) -> np.ndarray:

@@ -216,12 +216,10 @@ def grid_points(chart: SurfaceChart, grid, fd: FDParams, point=None) -> np.ndarr
     if point is not None:
         return np.array([point], dtype=float)
     margin = GRID_MARGIN_STEPS * fd.step
-    axes = [
-        np.linspace(lo + margin, hi - margin, res)
-        for (lo, hi), res in zip(chart.domain, grid)
-    ]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=1)
+    points = np.empty((*grid, len(grid)))
+    for k, ((lo, hi), res) in enumerate(zip(chart.domain, grid)):  # axis k broadcast over the others
+        points[..., k] = np.linspace(lo + margin, hi - margin, res).reshape((-1,) + (1,) * (len(grid) - 1 - k))
+    return points.reshape(-1, len(grid))
 
 
 def run(config: JobConfig) -> dict:

@@ -29,7 +29,7 @@ from .algebra import NilpotentAlgebra
 
 
 def _vectors(alg: NilpotentAlgebra, what: str, *vecs, stacks=False) -> list[np.ndarray]:
-    out = [np.asarray(v, dtype=float) for v in vecs]
+    out = [np.ascontiguousarray(v, dtype=float) for v in vecs]  # matmul's kernel follows strides
     if any((v.shape[-1:] if stacks else v.shape) != (alg.dim_total,) for v in out):
         raise ValueError(f"{what} arguments must have length dim_total")
     return out
@@ -44,7 +44,9 @@ def connection(alg: NilpotentAlgebra, a, b) -> np.ndarray:
 def curvature(alg: NilpotentAlgebra, x, y, w) -> np.ndarray:
     """R(x, y) w; x, y, w may be broadcast stacks, each row bit-equal to its single call."""
     x, y, w = _vectors(alg, "curvature", x, y, w, stacks=True)
-    return np.einsum("...a,...b,...c,abck->...k", x, y, w, alg.curvature_tensor)
+    xy = x[..., :, None] * y[..., None, :]
+    rxy = (xy.reshape(xy.shape[:-2] + (1, -1)) @ alg.curvature_rows).reshape(xy.shape)  # rows c, columns k
+    return (w[..., None, :] @ rxy)[..., 0, :]
 
 
 def ricci(alg: NilpotentAlgebra, a, b) -> float:

@@ -191,7 +191,7 @@ def gradient_hessian(f, u, fd: FDParams = FDParams(), domain=None, per_centre=()
         flat = diff.reshape(diff.shape[:2] + (-1,))  # (c, S, R)
         grads.append(np.swapaxes(wgrad @ flat, 1, 2).reshape((-1,) + rows + (n,)))
         hesss.append(np.swapaxes(whess @ flat, 1, 2).reshape((-1,) + rows + (n, n)))
-    # concatenate makes them contiguous: einsum's summation order follows the memory layout
+    # concatenate makes them contiguous: matmul picks its kernel by the memory layout
     grad, hess = np.concatenate(grads), np.concatenate(hesss)
     lead = u.shape[:-1]
     return grad.reshape(lead + grad.shape[1:]), hess.reshape(lead + hess.shape[1:])

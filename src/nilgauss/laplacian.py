@@ -518,8 +518,8 @@ def _gc_field(chart: SurfaceChart, cj: ChartJet) -> np.ndarray:
     h = _second_fundamental(chart, cj)
     g, dg = induced_metric_with_gradient(chart, cj)
     # Gamma^c_ab = g^cd (d_a g_db + d_b g_da - d_d g_ab) / 2
-    lower = np.einsum("nadb->ndab", dg) + np.einsum("nbda->ndab", dg) - dg
-    gamma = 0.5 * np.einsum("ncd,ndab->ncab", np.linalg.inv(g), lower)
+    lower = dg.transpose(0, 2, 1, 3) + dg.transpose(0, 2, 3, 1) - dg
+    gamma = 0.5 * (np.linalg.inv(g) @ lower.reshape(-1, 2, 4))
     return np.concatenate([h.reshape(-1, 4), gamma.reshape(-1, 8)], axis=1)
 
 
@@ -554,11 +554,16 @@ def gauss_codazzi_residuals(chart: SurfaceChart, evals: Evaluation):
     t = np.swapaxes(cj.tangents, -1, -2)  # rows t_1, t_2
     f1, f2, eta = np.moveaxis(ys, 1, 0)
 
-    nabla_h = dh - np.einsum("neab,nec->nabc", gamma, h) - np.einsum("neac,nbe->nabc", gamma, h)
-    ambient = np.einsum("abck,nia,njb,nlc,nk->nijl", alg.curvature_tensor, t, t, t, eta)
+    # nabla_a h_bc = d_a h_bc - Gamma^e_ab h_ec - Gamma^e_ac h_be
+    flat = gamma.reshape(-1, 2, 4)  # rows e, columns (a, b)
+    nabla_h = (dh - (np.swapaxes(flat, 1, 2) @ h).reshape(-1, 2, 2, 2)
+               - np.swapaxes((h @ flat).reshape(-1, 2, 2, 2), 1, 2))
+    ambient = _dot(curvature(alg, t[:, :, None, None], t[:, None, :, None], t[:, None, None, :]),
+                   eta[:, None, None, None])  # <R(t_a, t_b) t_c, eta>
     tensor = nabla_h - nabla_h.transpose(0, 2, 1, 3) - ambient
     dirs = chart_coefficients(cj, ys[:, :2])  # rows d1, d2
-    codazzi = np.abs(np.einsum("nabc,nla,nlb,nlc->nl", tensor, dirs, dirs[:, ::-1], dirs)).max(axis=1)
+    lines = (dirs @ tensor.reshape(-1, 2, 4)).reshape(-1, 2, 2, 2)  # T(d_l, ., .)
+    codazzi = np.abs(_dot(dirs[:, ::-1], _apply(lines, dirs))).max(axis=1)
 
     # R^d_101 = d_0 Gamma^d_11 - d_1 Gamma^d_01 + Gamma^d_0e Gamma^e_11 - Gamma^d_1e Gamma^e_01
     riem = dgamma[:, 0, :, 1, 1] - dgamma[:, 1, :, 0, 1]

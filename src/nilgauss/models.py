@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import NilpotentAlgebra, heisenberg
+from .algebra import NilpotentAlgebra, _identity, _read_only, heisenberg
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,6 +55,13 @@ class CoordinateModel:
         pb.flags.writeable = False
         object.__setattr__(self, "frame_lin", fl)
         object.__setattr__(self, "product_bilin", pb)
+        # frame_lin and the connection g[a, b, k] laid out once as the blocks the stages
+        # multiply by: L(p) = _lin_rows @ p, and a normal eta times _normal_rows gives
+        # sum_k eta_k frame_lin[k] and the matrix (b, a) of <g_ab, eta>, side by side
+        g = self.algebra.connection_tensor.transpose(2, 1, 0)
+        object.__setattr__(self, "_lin_rows", fl.reshape(d * d, d))
+        object.__setattr__(self, "_normal_rows", _read_only(np.concatenate(
+            [fl.reshape(d, d * d), g.reshape(d, d * d)], axis=1)))
 
     @property
     def dim(self) -> int:
@@ -62,13 +69,14 @@ class CoordinateModel:
 
     def frame_correction(self, p) -> np.ndarray:
         """L(p); column a holds the coordinate correction of field e_a."""
-        return np.einsum("kji,...i->...kj", self.frame_lin, np.asarray(p))
+        p = np.asarray(p)
+        return (self._lin_rows @ p[..., None]).reshape(p.shape[:-1] + (self.dim, self.dim))
 
     def frame_field(self, p) -> np.ndarray:
-        return np.eye(self.dim) + self.frame_correction(p)
+        return _identity(self.dim) + self.frame_correction(p)
 
     def frame_inverse(self, p) -> np.ndarray:
-        return np.eye(self.dim) - self.frame_correction(p)
+        return _identity(self.dim) - self.frame_correction(p)
 
     def christoffels(self, p) -> np.ndarray:
         """Gamma[k, i, j] of the coordinate metric, symmetric in (i, j).

@@ -34,7 +34,7 @@ from typing import Callable
 
 import numpy as np
 
-from .algebra import NilpotentAlgebra
+from .algebra import NilpotentAlgebra, _identity
 from .expressions import MAX_DEPTH, Expr, expression_jets, parse_expression
 from .models import CoordinateModel, nil_polarized_model
 from .schema import ConfigError, Field, Table, between, check, fill
@@ -224,7 +224,7 @@ def complex_step_jets(chart: SurfaceChart, points) -> tuple[ChartJet, ChartJet]:
     """
     n = chart.param_dim
     points = np.asarray(points, dtype=float)
-    rows = (points[:, None] + 1j * COMPLEX_STEP * np.eye(n)).reshape(-1, n)
+    rows = (points[:, None] + 1j * COMPLEX_STEP * _identity(n)).reshape(-1, n)
     val, jac, hess = _chart_walk(chart, rows, 2)
     # copies: a view would keep every complex row alive with the centres
     centres = _oriented_jets(chart, points, *(np.ascontiguousarray(arr[::n].real) for arr in (val, jac, hess)))
@@ -275,23 +275,24 @@ def gauss_map(chart: SurfaceChart, u, near=None) -> np.ndarray:
         tangents, eta = tangents[sure], eta[sure]
     # y is orthogonal to T, and eta0 . y = 1 puts it on eta0's side
     lhs = np.swapaxes(np.concatenate([tangents, eta[..., None]], axis=-1), -1, -2)
-    y = np.linalg.solve(lhs, np.eye(eta.shape[-1])[:, -1:])[..., 0]
+    y = np.linalg.solve(lhs, _identity(eta.shape[-1])[:, -1:])[..., 0]
     normal[sure] = y / np.sqrt((y * y).sum(axis=-1))[:, None]
     return normal
 
 
 def induced_metric_with_gradient(chart: SurfaceChart, cj: ChartJet):
     """Induced metric g_ab and its exact gradient dg[c, a, b], one ChartJet row or a stack."""
-    fl = chart.model.frame_lin
-    # d_c tangent_a = -L(d_c r) d_a r + Ainv d^2_{ac} r
-    lc = np.einsum("kji,...ic->...kjc", fl, cj.jac)
-    dtan = -np.einsum("...kjc,...ja->...kac", lc, cj.jac) + np.einsum(
-        "...kj,...jac->...kac", cj.ainv, cj.hess
-    )
-    t = cj.tangents
-    g = np.swapaxes(t, -1, -2) @ t
-    dg = np.einsum("...kac,...kb->...cab", dtan, t) + np.einsum("...ka,...kbc->...cab", t, dtan)
-    return g, dg
+    # matmul picks its kernel by the operands' strides: on C-contiguous inputs each row
+    # of any stack sums in the order of the row alone
+    jac, hess, ainv, t = map(np.ascontiguousarray, (cj.jac, cj.hess, cj.ainv, cj.tangents))
+    lead, (d, n) = jac.shape[:-2], jac.shape[-2:]
+    # d_c tangent_a = Ainv d^2_{ac} r - L(d_c r) d_a r as dtan[k, a, c], with lc[k, j, c] = L(d_c r)[k, j]
+    lc = (chart.model._lin_rows @ jac).reshape(lead + (d, d, n))
+    dtan = ((ainv @ hess.reshape(lead + (d, n * n))).reshape(hess.shape)
+            - (lc.swapaxes(-1, -2) @ jac[..., None, :, :]).swapaxes(-1, -2))
+    # rows (a, c) of dtan^T t hold <d_c t_a, t_b>; dg adds its transpose <t_a, d_c t_b>
+    dt = (dtan.reshape(lead + (d, n * n)).swapaxes(-1, -2) @ t).reshape(lead + (n, n, n)).swapaxes(-3, -2)
+    return t.swapaxes(-1, -2) @ t, dt + dt.swapaxes(-1, -2)
 
 
 def _second_fundamental(chart: SurfaceChart, cj: ChartJet):
@@ -300,12 +301,14 @@ def _second_fundamental(chart: SurfaceChart, cj: ChartJet):
     d_b t_a = Ainv d_ab r - L(d_b r) d_a r, and nabla is the algebra's
     connection; both are contracted with the normal first.
     """
-    eta = cj.normal
-    lin = np.einsum("...k,kji->...ji", eta, chart.model.frame_lin)
-    conn = np.einsum("abk,...k->...ba", chart.model.algebra.connection_tensor, eta)
-    jac, t = cj.jac, cj.tangents
-    h = np.einsum("...j,...jab->...ab", np.einsum("...k,...kj->...j", eta, cj.ainv), cj.hess)
-    return h - np.swapaxes(jac, -1, -2) @ lin @ jac + np.swapaxes(t, -1, -2) @ conn @ t
+    # C-contiguous, as in induced_metric_with_gradient
+    eta, ainv, jac, hess, t = map(np.ascontiguousarray, (cj.normal, cj.ainv, cj.jac, cj.hess, cj.tangents))
+    lead, (d, n) = jac.shape[:-2], jac.shape[-2:]
+    row = eta[..., None, :]
+    # sum_k eta_k L_k and (b, a) -> <g_ab, eta>, from one product with the model's rows
+    blocks = (row @ chart.model._normal_rows).reshape(lead + (2, d, d))
+    h = (row @ ainv @ hess.reshape(lead + (d, n * n))).reshape(lead + (n, n))
+    return h - jac.swapaxes(-1, -2) @ blocks[..., 0, :, :] @ jac + t.swapaxes(-1, -2) @ blocks[..., 1, :, :] @ t
 
 
 def _n_mean_curvature(chart: SurfaceChart, cj: ChartJet):
@@ -363,7 +366,7 @@ def _gs_complete(block: range, start: int, fixed, count: int) -> list[np.ndarray
     if not count:
         return []
     span = np.concatenate(fixed, axis=1)
-    proj = np.eye(span.shape[-1]) - np.swapaxes(span, -1, -2) @ span
+    proj = _identity(span.shape[-1]) - np.swapaxes(span, -1, -2) @ span
     order, rows, picks = [block[(k + start) % len(block)] for k in range(len(block))], np.arange(len(span)), []
     for k in range(count):
         v = proj[:, order] @ proj
@@ -408,7 +411,7 @@ def adapted_frame(alg: NilpotentAlgebra, normal, completion_start: int = 0) -> A
     if np.count_nonzero(zero):  # a part that counts as zero: norm 0, direction the first candidate
         sc[zero] = 0.0
         for unit, block, rows in ((u_dir, v_block, zero[:, 0]), (z_dir, z_block, zero[:, 1])):
-            unit[rows] = np.eye(d)[block[completion_start % len(block)]]
+            unit[rows] = _identity(d)[block[completion_start % len(block)]]
     x_q, z_q = c[:, None] * u_dir, s[:, None] * z_dir
     x_n1, z_n1 = s[:, None] * u_dir, c[:, None] * z_dir
     y_q = (x_q - z_q)[:, None]

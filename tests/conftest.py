@@ -3,7 +3,7 @@ import functools
 import numpy as np
 import pytest
 
-from nilgauss import NilpotentAlgebra, heisenberg, ricci
+from nilgauss import NilpotentAlgebra, cli, heisenberg, ricci
 
 
 def basis(d, k):
@@ -181,6 +181,14 @@ def multiply(model, p, q):
 def left_translation_jacobian(model, p):
     """d(p * q)/dq, constant in q because the product is affine in q."""
     return np.eye(model.dim) + np.einsum("kij,i->kj", model.product_bilin, np.asarray(p, dtype=float))
+
+
+def meshgrid_points(chart, grid, fd):
+    """The evaluation grid as np.meshgrid builds it: rows of an (N, n) array in C order."""
+    margin = cli.GRID_MARGIN_STEPS * fd.step
+    axes = [np.linspace(lo + margin, hi - margin, res) for (lo, hi), res in zip(chart.domain, grid)]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=1)
 
 
 def frame_x(frame, k):

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from nilgauss.cli import (
     run,
 )
 from nilgauss.fd import FIELD_ROWS, BoundaryError
+from conftest import meshgrid_points
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -489,6 +491,53 @@ def test_immersion_error_names_the_first_bad_grid_point():
     config = load_config(dict(BASE_CONFIG, chart={"components": ["u1*u1", "u2", "0"]}))
     with pytest.raises(ImmersionError, match=r"u=\[0\.0, -0\.9996\]"):
         run(config)
+
+
+@st.composite
+def grid_requests(draw):
+    """A domain, an FD step and a grid of 2 to 15 axes with at most MAX_GRID_POINTS points."""
+    grid, budget = [], cli.MAX_GRID_POINTS
+    for _ in range(draw(st.integers(2, 15))):
+        grid.append(draw(st.integers(1, min(budget, 200))))
+        budget //= grid[-1]
+    lows = draw(st.lists(st.floats(-1e3, 1e3), min_size=len(grid), max_size=len(grid)))
+    widths = draw(st.lists(st.floats(1e-3, 1e3), min_size=len(grid), max_size=len(grid)))
+    chart = SimpleNamespace(domain=tuple((lo, lo + width) for lo, width in zip(lows, widths)))
+    return chart, grid, fd.FDParams(step=draw(st.floats(1e-8, 1e-1)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(grid_requests())
+def test_grid_points_are_the_meshgrid_points_bit_for_bit(request):
+    chart, grid, fdp = request
+    points = cli.grid_points(chart, grid, fdp)
+    expected = meshgrid_points(chart, grid, fdp)
+    assert points.shape == expected.shape == (math.prod(grid), len(grid))
+    assert points.tobytes() == expected.tobytes()
+
+
+def _load_workloads():
+    spec = importlib.util.spec_from_file_location("bench_workloads", ROOT / "bench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.WORKLOADS
+
+
+def test_job_path_calls_no_einsum_or_meshgrid(monkeypatch):
+    """The example jobs and every seed-0 job of the benchmark pools, run once to fill
+    the algebras' cached tensors (which einsum may build), run again with np.einsum
+    and np.meshgrid raising, and write the same report bytes."""
+    docs = [doc for _, doc in EXAMPLE_JOBS.values()]
+    docs += [doc for make_pool in _load_workloads().values() for doc, _ in make_pool(0)]
+    configs = [load_config(doc) for doc in docs]
+    first = [document_to_json(run(config)) for config in configs]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("called on the job path")
+
+    monkeypatch.setattr(np, "einsum", forbidden)
+    monkeypatch.setattr(np, "meshgrid", forbidden)
+    assert [document_to_json(run(config)) for config in configs] == first
 
 
 def test_chunked_field_calls_give_the_same_report_bytes(monkeypatch):

@@ -32,13 +32,17 @@ from nilgauss import (
     shape_data,
     vertical_plane_chart,
 )
+from nilgauss.curvature import curvature
 from nilgauss.expressions import expression_jets
 from nilgauss.fd import FDParams, directional_derivative
 from nilgauss.laplacian import _gc_field, oracle_laplacians
 from nilgauss.surfaces import (
     ShapeData,
+    _second_fundamental,
     chart_coefficients,
     chart_jets,
+    complex_step_jets,
+    induced_metric_with_gradient,
     mean_curvature,
     stacked_chart_jets,
 )
@@ -631,6 +635,63 @@ def test_stacked_frames_with_degenerate_rows(name):
     for other in outputs[1:]:
         for a, b in zip(outputs[0], other):
             np.testing.assert_allclose(b, a, rtol=0, atol=1e-12)
+
+
+def _matmul_stages(chart, cj):
+    """The stages that contract by matmul on the model's and algebra's cached layouts, at a
+    ChartJet stack or row, as name -> tuple of arrays; ``_gc_field`` takes a row as a stack of one."""
+    alg, row = chart.model.algebra, cj.point.ndim == 1
+    outputs = {
+        "frame_inverse": (chart.model.frame_inverse(cj.point),),
+        "induced_metric_with_gradient": induced_metric_with_gradient(chart, cj),
+        "_second_fundamental": (_second_fundamental(chart, cj),),
+        "curvature": (curvature(alg, cj.normal.real, cj.jac[..., 0].real, cj.point.real),),
+    }
+    if alg.dim_total == 3:
+        field = _gc_field(chart, cj[None] if row else cj)
+        outputs["_gc_field"] = (field[0] if row else field,)
+    return outputs
+
+
+def _strided(arr):
+    """The values of arr in a view with a step on every axis."""
+    big = arr
+    for axis in range(arr.ndim):
+        big = np.repeat(big, 2, axis=axis)
+    return big[(slice(None, None, 2),) * arr.ndim]
+
+
+def _transposed(arr):
+    """The values of arr in a transposed copy: Fortran order."""
+    return arr.T.copy().T
+
+
+MATMUL_CHARTS = {
+    "cylinder": cylinder_chart("cos(u1)", "2*sin(u1)"),
+    **{name: random_graph_chart(exp_model(alg), np.random.default_rng(11), terms=4)
+       for name, alg in ALGEBRAS.items()},
+}
+
+
+@pytest.mark.parametrize("layout", ["stepped", "transposed", "one"])
+@pytest.mark.parametrize("name", MATMUL_CHARTS)
+def test_matmul_stages_on_noncontiguous_stacks_equal_single_points(name, layout):
+    """matmul picks its kernel by the operands' strides: a stack taken by a slice with a
+    step, a stack from a transposed copy and a transposed stack of one give each row
+    the bits of its point alone, at real points and at complex-step rows."""
+    chart = MATMUL_CHARTS[name]
+    pts = np.random.default_rng(4).uniform(-0.4, 0.4, (5, chart.param_dim))
+    for cj in complex_step_jets(chart, pts):
+        singles = [_matmul_stages(chart, cj[i]) for i in range(len(cj.point))]
+        if layout == "one":
+            cases = [(cj[i:i + 1].map(_transposed), [i]) for i in range(len(cj.point))]
+        else:
+            cases = [(cj.map(_strided if layout == "stepped" else _transposed), range(len(cj.point)))]
+        for stack, rows in cases:
+            for stage, outputs in _matmul_stages(chart, stack).items():
+                for k, i in enumerate(rows):
+                    for got, want in zip(outputs, singles[i][stage]):
+                        assert got[k].tobytes() == want.tobytes(), (stage, i)
 
 
 @pytest.mark.parametrize("name", ["h1", "h2", "h3", "quat7", "free5"])
