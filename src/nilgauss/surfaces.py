@@ -29,6 +29,7 @@ specialized Laplacian formula is stated in.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -540,9 +541,14 @@ RANDOM_MAX_TERMS = MAX_DEPTH - 3
 
 def _random_graph_components(model, params, domain, rng):
     """A graph of a seeded random sum of RANDOM_TERMS; an integer ``rng`` is a
-    seed, to which the ``index`` param is added."""
-    if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(rng + params["index"])
+    seed, to which the ``index`` param is added, and draws from the stream of
+    ``np.random.default_rng(seed + index)``, reproduced by ``_pcg64`` without
+    importing ``numpy.random``."""
+    # imported here, so that jobs without a random chart compile no more source
+    from . import _pcg64
+
+    if isinstance(rng, numbers.Integral):
+        rng = _pcg64.PCG64Stream(rng + params["index"])
     elif params["index"]:
         raise ValueError("chart param 'index' offsets an integer seed, not a Generator")
     parts = []
@@ -550,7 +556,7 @@ def _random_graph_components(model, params, domain, rng):
         kind = int(rng.integers(0, 4))
         a = int(rng.integers(1, model.dim))
         b = int(rng.integers(1, model.dim))
-        coeff = float(np.round(rng.uniform(-RANDOM_COEFF_SCALE, RANDOM_COEFF_SCALE), 6))
+        coeff = _pcg64.round6(rng.uniform(-RANDOM_COEFF_SCALE, RANDOM_COEFF_SCALE))
         parts.append(RANDOM_TERMS[kind].format(c=coeff, a=a, b=b))
     return _graph_components(model, {"expr": " + ".join(parts)}, domain, rng)
 
@@ -628,6 +634,7 @@ def cylinder_chart(f1, f2, s_range=(-1.0, 1.0), t_range=(-1.0, 1.0), orientation
     return catalog_chart("nil_cylinder", nil_polarized_model(), params, (s_range, t_range), orientation)
 
 
-def random_graph_chart(model: CoordinateModel, rng: np.random.Generator, terms: int = 3) -> SurfaceChart:
-    """Seeded random graph chart with bounded polynomial/trig height."""
+def random_graph_chart(model: CoordinateModel, rng: np.random.Generator | int, terms: int = 3) -> SurfaceChart:
+    """Seeded random graph chart with bounded polynomial/trig height; ``rng`` is a
+    ``Generator`` or an integer seed."""
     return catalog_chart("random_graph", model, {"terms": terms}, rng=rng)

@@ -209,3 +209,18 @@ def test_random_graph_domain_moves_the_grid_points():
     del default["domain"]
     far = [row["point"] for row in run(load_config(default))["rows"]]
     assert max(abs(x) for point in far for x in point) > 0.75
+
+
+@pytest.mark.parametrize("seed, index", [(-1, 0), (2, -3)])
+def test_random_graph_negative_seed_plus_index_exits_2(tmp_path, capsys, seed, index):
+    doc = entry_doc("random_graph", seed=seed)
+    doc["chart"]["params"]["index"] = index
+    line = one_config_error(tmp_path, capsys, doc)
+    assert line == "config error: bad chart specification: expected non-negative integer"
+
+
+def test_random_graph_seed_past_64_bits_builds(tmp_path):
+    path, out = tmp_path / "job.json", tmp_path / "report.json"
+    path.write_text(json.dumps(entry_doc("random_graph", seed=10**40)))
+    assert main(["sweep", "--config", str(path), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["summary"]["points"] == 4

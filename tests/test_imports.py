@@ -1,8 +1,11 @@
-"""Every module-level import in the package modules is used, and every
-definition in the package is read by the package, exported or traced."""
+"""Every module-level import in the package modules is used, every definition
+in the package is read by the package, exported or traced, and no job imports
+``numpy.random``."""
 
 import ast
 import importlib.util
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -109,3 +112,34 @@ def test_every_definition_is_read_exported_or_traced():
     """src/ holds only what a job runs: a helper only tests call belongs in the tests."""
     sources = {path.name: path.read_text() for path in PACKAGE.glob("*.py")}
     assert unread_definitions(sources, traced_names()) == []
+
+
+def test_pcg64_imports_only_the_standard_library():
+    tree = ast.parse((PACKAGE / "_pcg64.py").read_text())
+    names = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names}
+    names |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert names and {name.split(".")[0] for name in names} <= sys.stdlib_module_names
+
+
+# every random_graph job of the reference set: the 36 jobs of the highdim_oracle pools at seeds 0-2
+RANDOM_CHART_JOBS = """
+import sys
+sys.path[:0] = [sys.argv[1], sys.argv[2]]
+from nilgauss import cli
+from reference_reports import reference_jobs
+docs = [doc for _, doc in reference_jobs() if doc["chart"].get("catalog") == "random_graph"]
+for doc in docs:
+    cli.document_to_json(cli.run(cli.load_config(doc)))
+print(len(docs), "numpy.random" in sys.modules)
+"""
+
+
+def test_random_chart_jobs_never_import_numpy_random():
+    """numpy 2 imports ``numpy.random`` lazily, at a cost of ~6 MiB and ~10 ms per process."""
+    out = subprocess.run(
+        [sys.executable, "-c", RANDOM_CHART_JOBS, str(PACKAGE.parent), str(ROOT / "scripts")],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    count, imported = out.stdout.split()
+    assert int(count) >= 36 and imported == "False"
