@@ -27,15 +27,12 @@ from .fd import BoundaryError, FDParams
 from .laplacian import (
     Evaluation,
     GaussCodazziResult,
-    HarmonicityVerdict,
     JacobiReport,
     LaplacianReport,
     central_h_variation,
     closed_form_report,
-    evaluate_point,
     evaluate_points,
     gauss_codazzi_residuals,
-    harmonicity,
     harmonicity_cmc_residuals,
     jacobi_residuals,
     laplace_beltrami_scalar,

@@ -182,15 +182,19 @@ def load_config(doc: dict) -> JobConfig:
         if len(grid) != chart.param_dim:
             problems.append(f"grid needs {chart.param_dim} axis resolutions")
         margin = GRID_MARGIN_STEPS * fdp.step  # grid and point keep it inside the domain
-        if any(hi - lo <= 2.0 * margin for lo, hi in chart.domain):
+        step_fits = all(hi - lo > 2.0 * margin for lo, hi in chart.domain)
+        if not step_fits:
             problems.append(f"fd step {fdp.step} too large: 8*step must be below every domain width")
-        elif point is not None and len(point) != chart.param_dim:
+        if point is not None and len(point) != chart.param_dim:
             problems.append(f"point needs {chart.param_dim} coordinates")
-        elif point is not None and not all(lo + margin <= x <= hi - margin
-                                           for x, (lo, hi) in zip(point, chart.domain)):
+        elif point is not None and step_fits and not all(lo + margin <= x <= hi - margin
+                                                         for x, (lo, hi) in zip(point, chart.domain)):
             problems.append(f"point must lie at least 4*step = {margin} inside the domain")
     if not methods:
         problems.append("no methods requested")
+    for key, names in (("method", methods), ("check", checks)):  # entries are known strings by now
+        problems += [f"{key} {name!r} is listed more than once"
+                     for name in dict.fromkeys(names) if names.count(name) > 1]
     direction = fields["jacobi_direction"]
     if direction is not None and not (any(direction) and (alg is None or len(direction) == alg.dim_total)):
         problems.append("jacobi_direction must be dim_total numbers, not all zero")

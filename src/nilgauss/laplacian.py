@@ -15,9 +15,9 @@ specializations (Heisenberg-type algebras, and Heisenberg groups in the
 symplectically adapted basis); they must agree with the general form to
 machine precision on their domains, which the test suite enforces.
 
-``laplacian_numeric`` is the independent oracle: it applies the
-Laplace-Beltrami operator of the induced metric componentwise to the
-Gauss map in the fixed algebra basis,
+``oracle_laplacians`` is the independent oracle, and ``laplacian_numeric``
+its one-point view: it applies the Laplace-Beltrami operator of the
+induced metric componentwise to the Gauss map in the fixed algebra basis,
 
     Delta f = g^{ab} d2f/du_a du_b + c^b df/du_b,
     c^b = (det g)^{-1/2} d_a ((det g)^{1/2} g^{ab}),
@@ -59,12 +59,12 @@ from .surfaces import (
 
 @dataclass(frozen=True, eq=False)
 class LaplacianReport(Stack):
-    """Coefficients of Delta G in the adapted frame: (d,) at one point, or (N, d) over
-    a stack with ``tangential_norm`` and ``normal_coeff`` (N,)."""
+    """Coefficients of Delta G in the adapted frames of a stack: (N, d), with
+    ``tangential_norm`` and ``normal_coeff`` (N,)."""
 
     coeffs: np.ndarray
-    tangential_norm: float
-    normal_coeff: float
+    tangential_norm: np.ndarray
+    normal_coeff: np.ndarray
 
     @classmethod
     def from_coeffs(cls, coeffs: np.ndarray) -> "LaplacianReport":
@@ -81,20 +81,6 @@ def _dot(x, y) -> np.ndarray:
 def _apply(rows, vecs) -> np.ndarray:
     """rows[i] @ vecs[i]: (N, k, d) and (N, d) -> (N, k)."""
     return (rows @ vecs[..., None])[..., 0]
-
-
-def _pointwise(form):
-    """A closed form over stacks that also takes one point's frame, shape and dh, without
-    the point axis, through the same code as a stack of one."""
-
-    @functools.wraps(form)
-    def one_or_stack(alg, frame, shape, dh):
-        dh = np.asarray(dh, dtype=float)
-        if frame.ys.ndim == 2:
-            return form(alg, frame[None], shape[None], dh[None])[0]
-        return form(alg, frame, shape, dh)
-
-    return one_or_stack
 
 
 def _dh_coeffs(frame: AdaptedFrame, dh) -> np.ndarray:
@@ -147,12 +133,10 @@ def _ricci_normal(alg: NilpotentAlgebra, normal) -> np.ndarray:
     return _dot(_apply(alg.ricci_matrix, normal), normal)
 
 
-@_pointwise
 def laplacian_general(alg: NilpotentAlgebra, frame: AdaptedFrame, shape: ShapeData, dh) -> LaplacianReport:
-    """Closed-form Delta G for any 2-step algebra, in the adapted frame, at one point
-    or over a stack.
+    """Closed-form Delta G for any 2-step algebra, in the adapted frames of a stack.
 
-    ``dh`` holds the n derivatives Y_k(n H).
+    ``dh`` (N, n) holds the derivatives Y_k(n H).
     """
     d, n, q = alg.dim_total, alg.n, frame.q
     if dh.shape[1:] != (n,):
@@ -184,9 +168,8 @@ def laplacian_general(alg: NilpotentAlgebra, frame: AdaptedFrame, shape: ShapeDa
     return LaplacianReport.from_coeffs(coeffs)
 
 
-@_pointwise
 def laplacian_h_type(alg: NilpotentAlgebra, frame: AdaptedFrame, shape: ShapeData, dh) -> LaplacianReport:
-    """Specialized Delta G for Heisenberg-type algebras, at one point or over a stack.
+    """Specialized Delta G for Heisenberg-type algebras, over a stack.
 
     The bracket and curvature sums collapse into closed factors built
     from the norms of the normal's two parts; the result must agree with
@@ -206,10 +189,8 @@ def laplacian_h_type(alg: NilpotentAlgebra, frame: AdaptedFrame, shape: ShapeDat
     return LaplacianReport.from_coeffs(coeffs)
 
 
-@_pointwise
 def laplacian_heisenberg(alg: NilpotentAlgebra, frame: AdaptedFrame, shape: ShapeData, dh) -> LaplacianReport:
-    """Delta G over a Heisenberg group in the symplectically adapted basis, at one
-    point or over a stack.
+    """Delta G over a Heisenberg group in the symplectically adapted basis, over a stack.
 
     Writing s and c for the norms of the horizontal and central parts of
     the normal and m for half the horizontal dimension, the coefficients
@@ -315,8 +296,8 @@ class Evaluation(Stack):
     (N, d), ``tangential_norm`` and ``normal_coeff`` (N,); ``delta`` (N, d), the
     oracle's Delta G in the algebra basis, None without it; ``jet``, the centre
     ChartJet stack; ``steps``, in a 3-dimensional model, the complex-step rows with
-    leading axes (N, n), None elsewhere.  ``ev[i]`` is point i's row view: the same
-    fields without the point axis.
+    leading axes (N, n), None elsewhere.  ``ev[kept]`` is the record at the points
+    ``kept``.
     """
 
     u: np.ndarray
@@ -331,14 +312,6 @@ class Evaluation(Stack):
     def __len__(self) -> int:
         return len(self.u)
 
-    def __iter__(self):
-        return (self[i] for i in range(len(self)))
-
-
-def _stack(ev: Evaluation) -> Evaluation:
-    """A record as a stack: a row view becomes a stack of one."""
-    return ev[None] if ev.u.ndim == 1 else ev
-
 
 def evaluate_points(chart: SurfaceChart, points, methods=("general",), fd: FDParams = FDParams(),
                     completion_start: int = 0) -> Evaluation:
@@ -352,8 +325,8 @@ def evaluate_points(chart: SurfaceChart, points, methods=("general",), fd: FDPar
     walk per chunk of its stencil.  Frames and closed forms run over the whole
     stack.  ``general`` is always evaluated, because the checkers read it.  The
     oracle shares only the chart jets at the points with the closed forms, and
-    gets the frames only to re-express Delta G.  Each row equals its one-point
-    evaluation bit for bit.
+    gets the frames only to re-express Delta G.  Each row equals the
+    evaluation of its point as a stack of one, bit for bit.
     """
     alg = chart.model.algebra
     points = np.asarray(points, dtype=float)
@@ -380,46 +353,19 @@ def evaluate_points(chart: SurfaceChart, points, methods=("general",), fd: FDPar
     return Evaluation(u=points, frame=frame, shape=shape, dh=dh, reports=reports, delta=delta, jet=cj, steps=steps)
 
 
-def evaluate_point(chart: SurfaceChart, u, methods=("general",), fd: FDParams = FDParams(),
-                   completion_start: int = 0) -> Evaluation:
-    """Frame, shape and a report per method at u: the row view of ``evaluate_points``
-    at one point."""
-    return evaluate_points(chart, np.asarray(u, dtype=float)[None], methods, fd, completion_start)[0]
-
-
 def closed_form_report(chart: SurfaceChart, u, method: str = "general", fd: FDParams = FDParams(),
                        completion_start: int = 0):
-    """Frame, shape and Laplacian report at one chart point."""
-    ev = evaluate_point(chart, u, [method], fd, completion_start)
+    """Frame, shape and Laplacian report at one chart point: row views of ``evaluate_points``."""
+    ev = evaluate_points(chart, np.asarray(u, dtype=float)[None], [method], fd, completion_start)[0]
     return ev.reports[method], ev.frame, ev.shape
 
 
 # ---------------------------------------------------------------------------
-# verdicts and checkers
-
-
-@dataclass(frozen=True)
-class HarmonicityVerdict:
-    defect: float
-    harmonic: bool
-    energy_coeff: float
-
-
-def harmonicity(report: LaplacianReport, tol: float = 1e-3) -> HarmonicityVerdict:
-    """Harmonic iff the tangential part of Delta G vanishes within tol: at one point,
-    or (N,) arrays for a report over a stack.
-
-    The criterion "Delta G parallel to G" is independent of sign
-    conventions for the Laplacian; the normal coefficient is reported as
-    the energy-type scalar.
-    """
-    defect = report.tangential_norm
-    return HarmonicityVerdict(defect=defect, harmonic=defect < tol, energy_coeff=report.normal_coeff)
+# checkers
 
 
 def harmonicity_cmc_residuals(shape: ShapeData, frame: AdaptedFrame):
-    """Three residuals coupling CMC and harmonicity over a Heisenberg group: floats
-    at one point, (N,) arrays over a stack.
+    """Three residuals coupling CMC and harmonicity over a Heisenberg group, (N,) each.
 
     In the symplectically adapted basis the harmonicity of the Gauss map
     of a CMC hypersurface is equivalent to: the off-pair entries of the
@@ -428,8 +374,6 @@ def harmonicity_cmc_residuals(shape: ShapeData, frame: AdaptedFrame):
     """
     if not frame.special_heisenberg:
         raise ValueError("residuals require the symplectically adapted basis")
-    if frame.ys.ndim == 2:
-        return tuple(float(r[0]) for r in harmonicity_cmc_residuals(shape[None], frame[None]))
     m = frame.q // 2
     last = 2 * m - 1
     row = shape.b[:, last]
@@ -450,19 +394,18 @@ class JacobiReport:
 
 def jacobi_residuals(
     chart: SurfaceChart,
-    evals: Evaluation,
+    ev: Evaluation,
     direction,
     fd: FDParams = FDParams(),
 ) -> JacobiReport:
     """Residual of (Delta + |B|^2 + Ric(normal, normal)) w, w = <G, v>.
 
-    ``evals`` is an ``evaluate_points`` record, or a row view; the chart is
-    expected to be CMC with harmonic Gauss map.  A strictly positive w over the
-    stack is the stability certificate.  Delta w is read from the record's
+    ``ev`` is an ``evaluate_points`` record; the chart is expected to be CMC with
+    harmonic Gauss map.  A strictly positive w over the stack is the stability
+    certificate.  Delta w is read from the record's
     oracle ``delta``; a record without one gets it from one ``oracle_laplacians``
     call with ``fd`` on its ``jet``.
     """
-    ev = _stack(evals)
     v = np.asarray(direction, dtype=float)
     v = v / np.linalg.norm(v)
     delta = oracle_laplacians(chart, ev.jet, ev.u, fd) if ev.delta is None else ev.delta
@@ -481,19 +424,18 @@ class CentralVariationReport:
 
 def central_h_variation(
     chart: SurfaceChart,
-    evals: Evaluation,
+    ev: Evaluation,
     tol: float = 1e-3,
 ) -> CentralVariationReport:
     """Largest rate of change of H along a central tangent direction.
 
     When the Gauss map is harmonic, Z(H) = 0 for every tangent frame
     vector Z lying in the center.  The check is gated on the ``general``
-    reports of the ``evaluate_points`` record (or row view): for a
-    non-harmonic chart it reports skipped.  Otherwise the value is the
+    reports of the ``evaluate_points`` record ``ev``: for a non-harmonic chart
+    it reports skipped.  Otherwise the value is the
     largest |Y_k(n H)| / n over the central slots k of ``dh``: Y_{q+1} .. Y_n,
     and the mixed vector Y_q at the points where its horizontal part vanishes.
     """
-    ev = _stack(evals)
     alg = chart.model.algebra
     q, n = alg.dim_v, alg.n
     if ev.reports["general"].tangential_norm.max(initial=0.0) > tol:
@@ -523,11 +465,11 @@ def _gc_field(chart: SurfaceChart, cj: ChartJet) -> np.ndarray:
     return np.concatenate([h.reshape(-1, 4), gamma.reshape(-1, 8)], axis=1)
 
 
-def gauss_codazzi_residuals(chart: SurfaceChart, evals: Evaluation):
+def gauss_codazzi_residuals(chart: SurfaceChart, ev: Evaluation):
     """Compatibility residuals of a surface in a 3-dimensional model, in chart coordinates.
 
-    ``evals`` is an ``evaluate_points`` record, giving one result per point, or a row
-    view, giving one result, and evaluates no chart: the record's ``steps`` rows give
+    ``ev`` is an ``evaluate_points`` record, giving one result per point, and
+    evaluates no chart: the record's ``steps`` rows give
     h_ab and Gamma^c_ab (real parts) and their derivatives along u1 and u2, all exact.
     Residual one is the worse of the Codazzi lines T(d1, d2, d1), T(d2, d1, d2),
     T_abc = nabla_a h_bc - nabla_b h_ac - <R(t_a, t_b) t_c, normal>, with d1, d2
@@ -538,16 +480,14 @@ def gauss_codazzi_residuals(chart: SurfaceChart, evals: Evaluation):
     alg = chart.model.algebra
     if alg.dim_total != 3:
         raise ValueError("gauss_codazzi_residuals requires a 3-dimensional model")
-    if evals.u.ndim == 1:
-        return gauss_codazzi_residuals(chart, evals[None])[0]
-    s, c = evals.frame.s, evals.frame.c
+    s, c = ev.frame.s, ev.frame.c
     kept = np.flatnonzero((s >= 1e-8) & (c >= 1e-8))
-    results = [GaussCodazziResult(True, None, None, None, None)] * len(evals)
+    results = [GaussCodazziResult(True, None, None, None, None)] * len(ev)
     if not len(kept):
         return results
 
-    ys, cj = evals.frame.ys[kept], evals.jet[kept]
-    field = _gc_field(chart, evals.steps[kept].map(lambda arr: arr.reshape((-1,) + arr.shape[2:])))
+    ys, cj = ev.frame.ys[kept], ev.jet[kept]
+    field = _gc_field(chart, ev.steps[kept].map(lambda arr: arr.reshape((-1,) + arr.shape[2:])))
     centre, deriv = field[::2].real, complex_derivative(field, 2)  # f(u) = Re f(u + i h e_1) + O(h^2)
     h, dh = centre[:, :4].reshape(-1, 2, 2), deriv[..., :4].reshape(-1, 2, 2, 2)  # dh[:, a] = d_a h
     gamma, dgamma = centre[:, 4:].reshape(-1, 2, 2, 2), deriv[..., 4:].reshape(-1, 2, 2, 2, 2)

@@ -248,10 +248,10 @@ def chart_jets(chart: SurfaceChart, u) -> ChartJet:
 
 
 def gauss_map(chart: SurfaceChart, u, near=None) -> np.ndarray:
-    """Unit normal at r(u) in the algebra basis: (n,) -> (d,), or (N, n) -> (N, d),
+    """Unit normals at the rows r(u) of an (N, n) array in the algebra basis, (N, d),
     from a first-order chart evaluation.
 
-    ``near``, for (N, n) rows only, is (normals eta0 (N, d), tangents T_c (N, d, n),
+    ``near`` is (normals eta0 (N, d), tangents T_c (N, d, n),
     ``smin`` bounds (N,)) of a ChartJet stack at nearby centres, one per row.  A row
     whose tangents T have |T - T_c|_F below its centre's bound minus 2
     IMMERSION_RANK_TOL keeps, by Weyl's inequality, every singular value above
@@ -260,10 +260,9 @@ def gauss_map(chart: SurfaceChart, u, near=None) -> np.ndarray:
     solve [T | eta0]^T y = e_d, with no QR or det.  Every other row takes the
     route of ``stacked_chart_jets``, and its ImmersionError.
     """
-    u = np.asarray(u, dtype=float)
     if near is None:
-        normal = stacked_chart_jets(chart, np.atleast_2d(u), order=1).normal
-        return normal if u.ndim == 2 else normal[0]
+        return stacked_chart_jets(chart, u, order=1).normal
+    u = np.asarray(u, dtype=float)
     eta, centre_t, bound = near
     val, jac, _ = _chart_walk(chart, u, 1)
     tangents = _tangents(chart, val, jac)[1]
@@ -332,22 +331,23 @@ def mean_curvature(chart: SurfaceChart, u):
 
 @dataclass(frozen=True, eq=False)
 class AdaptedFrame(Stack):
-    """Pointwise orthonormal frame adapted to the normal's V/Z split, at one point or a stack.
+    """Pointwise orthonormal frames adapted to the normal's V/Z split, over a stack.
 
     ``ys`` holds rows Y_1 .. Y_{n+1}; rows 1..q-1 are horizontal, row q is
     the mixed vector x_q - z_q, rows q+1..n are central, the last row is
     the unit normal x_n1 + z_n1.  s and c are the norms of the normal's
-    horizontal and central parts, 0 when at most NORMAL_SPLIT_TOL.
+    horizontal and central parts, 0 when at most NORMAL_SPLIT_TOL.  A row
+    view ``frame[i]`` has the same fields without the point axis.
     """
 
     q: int
-    ys: np.ndarray  # (d, d), or (N, d, d)
-    x_q: np.ndarray  # (d,), or (N, d), as the next three
+    ys: np.ndarray  # (N, d, d)
+    x_q: np.ndarray  # (N, d), as the next three
     z_q: np.ndarray
     x_n1: np.ndarray
     z_n1: np.ndarray
-    s: float  # or (N,), as c
-    c: float
+    s: np.ndarray  # (N,), as c
+    c: np.ndarray
     special_heisenberg: bool = False
 
     @property
@@ -383,8 +383,8 @@ def _gs_complete(block: range, start: int, fixed, count: int) -> list[np.ndarray
 
 
 def adapted_frame(alg: NilpotentAlgebra, normal, completion_start: int = 0) -> AdaptedFrame:
-    """Build the adapted orthonormal frame for a unit normal direction (d,), or the
-    frames of a stack of them (N, d), each row as it would be alone.
+    """Build the adapted orthonormal frames of a stack of unit normals (N, d), each
+    row as it would be alone.
 
     ``completion_start`` rotates the Gram-Schmidt candidate order for the
     free frame directions; aggregate outputs of the Laplacian must not
@@ -394,10 +394,8 @@ def adapted_frame(alg: NilpotentAlgebra, normal, completion_start: int = 0) -> A
     d = alg.dim_total
     q = alg.dim_v
     nrm = np.asarray(normal, dtype=float)
-    if nrm.ndim not in (1, 2) or nrm.shape[-1] != d:
-        raise ValueError("normal must have length dim_total")
-    if nrm.ndim == 1:
-        return adapted_frame(alg, nrm[None], completion_start)[0]
+    if nrm.ndim != 2 or nrm.shape[-1] != d:
+        raise ValueError("normals must be rows of length dim_total")
     xn = nrm.copy()
     xn[:, q:] = 0.0
     zn = nrm - xn
@@ -440,29 +438,28 @@ def adapted_frame(alg: NilpotentAlgebra, normal, completion_start: int = 0) -> A
 
 @dataclass(frozen=True, eq=False)
 class ShapeData(Stack):
-    """Second fundamental form b_ij in the adapted tangent frame, with H and |B|^2:
-    b (n, n), or (N, n, n) over a stack with h and norm_b2 (N,)."""
+    """Second fundamental form b_ij in the adapted tangent frames of a stack, with H
+    and |B|^2: b (N, n, n), h and norm_b2 (N,)."""
 
     b: np.ndarray
-    h: float
-    norm_b2: float
+    h: np.ndarray
+    norm_b2: np.ndarray
 
 
 def chart_coefficients(cj: ChartJet, vecs) -> np.ndarray:
     """Chart directions c with T c = y of tangent algebra vectors y, T the tangent columns.
 
-    ``cj`` is one ChartJet row or a stack; ``vecs`` is one (d,) vector or
-    vectors (..., k, d) broadcast against the stack, giving (..., k, n).
+    ``cj`` is one ChartJet row or a stack; ``vecs`` are vectors (..., k, d)
+    broadcast against it, giving (..., k, n).
     One solve against the square [T | N], N the unit normal, covers every
     vector: y = T c + a N, and since N is orthogonal to T the normal share
     |a| is the distance |T c - y| of y from the tangent space.
     """
-    y = np.asarray(vecs, dtype=float)
     square = np.concatenate([cj.tangents, cj.normal[..., None]], axis=-1)
-    sol = np.swapaxes(np.linalg.solve(square, np.swapaxes(np.atleast_2d(y), -1, -2)), -1, -2)
+    sol = np.swapaxes(np.linalg.solve(square, np.swapaxes(np.asarray(vecs, dtype=float), -1, -2)), -1, -2)
     if (np.abs(sol[..., -1]) > 1e-6).any():
         raise ValueError("vector is not tangent to the chart at this point")
-    return sol[..., 0, :-1] if y.ndim == 1 else sol[..., :-1]
+    return sol[..., :-1]
 
 
 def shape_data(chart: SurfaceChart, cj: ChartJet, frame: AdaptedFrame):

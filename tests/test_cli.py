@@ -248,6 +248,27 @@ def test_main_config_error_exit_2(tmp_path):
     assert main(["sweep", "--config", path]) == 2
 
 
+@pytest.mark.parametrize("change, problem", [
+    ({"methods": ["general", "numeric_oracle", "numeric_oracle"]}, "method 'numeric_oracle' is listed more than once"),
+    ({"checks": ["harmonicity", "jacobi", "harmonicity"]}, "check 'harmonicity' is listed more than once"),
+])
+def test_repeated_method_or_check_exits_2_and_writes_no_report(tmp_path, capsys, change, problem):
+    path = write_config(tmp_path, dict(BASE_CONFIG, **change))
+    out = tmp_path / "report.json"
+    assert main(["sweep", "--config", path, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"config error: {problem}"]
+    assert not out.exists()
+
+
+def test_step_too_large_and_point_length_are_both_reported(tmp_path, capsys):
+    path = write_config(tmp_path, dict(BASE_CONFIG, fd={"step": 0.5}, point=[0.0, 0.0, 0.0]))
+    assert main(["sweep", "--config", path]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "config error: fd step 0.5 too large: 8*step must be below every domain width",
+        "config error: point needs 2 coordinates",
+    ]
+
+
 def test_main_bad_json_exit_2(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")

@@ -147,7 +147,7 @@ def test_ricci_identity_adapted_collection(h2):
     """The horizontal parts X_1..X_q, X_{n+1} of an adapted frame qualify."""
     rng = np.random.default_rng(23)
     for _ in range(10):
-        frame = adapted_frame(h2, random_unit(rng, 5))
+        frame = adapted_frame(h2, random_unit(rng, 5)[None])[0]
         rows = [frame_x(frame, k) for k in range(1, frame.q + 1)] + [frame.x_n1]
         x = v_part(h2, rng.uniform(-1, 1, 5))
         y = v_part(h2, rng.uniform(-1, 1, 5))

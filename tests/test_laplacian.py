@@ -8,7 +8,6 @@ from nilgauss import (
     central_h_variation,
     closed_form_report,
     cylinder_chart,
-    evaluate_point,
     evaluate_points,
     expression_chart,
     exp_model,
@@ -16,7 +15,6 @@ from nilgauss import (
     gauss_codazzi_residuals,
     gauss_map,
     graph_chart,
-    harmonicity,
     harmonicity_cmc_residuals,
     heisenberg,
     jacobi_residuals,
@@ -54,9 +52,10 @@ def leaf_target(x):
 
 
 def random_shape(rng, n):
+    """A random symmetric b as a ShapeData stack of one."""
     b = rng.uniform(-1, 1, (n, n))
     b = 0.5 * (b + b.T)
-    return ShapeData(b=b, h=float(np.trace(b)) / n, norm_b2=float((b * b).sum()))
+    return ShapeData(b=b[None], h=np.array([np.trace(b) / n]), norm_b2=np.array([(b * b).sum()]))
 
 
 # ---------------------------------------------------------------------------
@@ -93,8 +92,8 @@ def test_leaf_laplacian_closed_form(x):
     # same through the specialized Heisenberg form
     coeffs = shape_data(chart, chart_jets(chart, [x, 0.0]), frame)[1]
     dh = mean_curvature_derivatives(chart, [x, 0.0], coeffs)
-    hrep = laplacian_heisenberg(heisenberg(1), frame, shape, dh)
-    np.testing.assert_allclose(hrep.coeffs, rep.coeffs, atol=1e-12)
+    hrep = laplacian_heisenberg(heisenberg(1), frame[None], shape[None], dh[None])
+    np.testing.assert_allclose(hrep.coeffs[0], rep.coeffs, atol=1e-12)
 
 
 def test_leaf_laplacian_numeric_oracle():
@@ -110,7 +109,7 @@ def test_leaf_displayed_block_identities():
     alg = heisenberg(1)
     for x in (0.5, 1.0, 1.7):
         u = [x, 0.0]
-        frame = adapted_frame(alg, gauss_map(chart, u))
+        frame = adapted_frame(alg, gauss_map(chart, [u]))[0]
         shape = shape_data(chart, chart_jets(chart, u), frame)[0]
         s = np.linalg.norm(frame.x_n1)
         c = np.linalg.norm(frame.z_n1)
@@ -133,7 +132,7 @@ def test_vertical_plane_all_methods_zero():
     dh = mean_curvature_derivatives(chart, u, coeffs)
     for fn in (laplacian_h_type, laplacian_heisenberg):
         np.testing.assert_allclose(
-            fn(heisenberg(1), frame, shape, dh).coeffs, np.zeros(3), atol=1e-12
+            fn(heisenberg(1), frame[None], shape[None], dh[None]).coeffs, np.zeros((1, 3)), atol=1e-12
         )
     num = laplacian_numeric(chart, u, frame=frame)
     assert np.abs(num.coeffs).max() < 1e-8
@@ -156,9 +155,9 @@ def test_specializations_on_random_samples():
     for alg in (heisenberg(1), heisenberg(2)):
         d, n = alg.dim_total, alg.n
         for _ in range(15):
-            frame = adapted_frame(alg, random_unit(rng, d))
+            frame = adapted_frame(alg, random_unit(rng, d)[None])
             shape = random_shape(rng, n)
-            dh = rng.uniform(-1, 1, n)
+            dh = rng.uniform(-1, 1, (1, n))
             gen = laplacian_general(alg, frame, shape, dh)
             np.testing.assert_allclose(
                 laplacian_h_type(alg, frame, shape, dh).coeffs, gen.coeffs, atol=1e-10
@@ -170,9 +169,9 @@ def test_specializations_on_random_samples():
             )
     quat = quaternionic_heisenberg()
     for _ in range(20):
-        frame = adapted_frame(quat, random_unit(rng, 7))
+        frame = adapted_frame(quat, random_unit(rng, 7)[None])
         shape = random_shape(rng, quat.n)
-        dh = rng.uniform(-1, 1, quat.n)
+        dh = rng.uniform(-1, 1, (1, quat.n))
         gen = laplacian_general(quat, frame, shape, dh)
         np.testing.assert_allclose(
             laplacian_h_type(quat, frame, shape, dh).coeffs, gen.coeffs, atol=1e-10
@@ -182,36 +181,36 @@ def test_specializations_on_random_samples():
 def test_zero_dh_gives_no_negative_zero(quat7):
     """The central slots hold only -Y_k(n H): 0.0 when dh vanishes, never a -0.0 for the JSON."""
     rng = np.random.default_rng(8)
-    frame, shape = adapted_frame(quat7, random_unit(rng, 7)), random_shape(rng, quat7.n)
+    frame, shape = adapted_frame(quat7, random_unit(rng, 7)[None]), random_shape(rng, quat7.n)
     for form in (laplacian_general, laplacian_h_type):
-        central = form(quat7, frame, shape, np.zeros(quat7.n)).coeffs[quat7.dim_v:quat7.n]
+        central = form(quat7, frame, shape, np.zeros((1, quat7.n))).coeffs[0, quat7.dim_v:quat7.n]
         assert (central == 0.0).all() and not np.signbit(central).any()
 
 
 def test_h_type_central_normal_mixed_slot(h2):
     """Purely central normal: the mixed-slot coefficient is just -Y_q(nH)."""
     rng = np.random.default_rng(4)
-    frame = adapted_frame(h2, np.eye(5)[4])
+    frame = adapted_frame(h2, np.eye(5)[4:])
     shape = random_shape(rng, 4)
-    dh = rng.uniform(-1, 1, 4)
+    dh = rng.uniform(-1, 1, (1, 4))
     rep = laplacian_h_type(h2, frame, shape, dh)
-    assert rep.coeffs[frame.q - 1] == pytest.approx(-dh[frame.q - 1], abs=1e-12)
+    assert rep.coeffs[0, frame.q - 1] == pytest.approx(-dh[0, frame.q - 1], abs=1e-12)
 
 
 def test_h_type_rejects_other_algebras(free5):
     rng = np.random.default_rng(1)
-    frame = adapted_frame(free5, random_unit(rng, 5))
+    frame = adapted_frame(free5, random_unit(rng, 5)[None])
     shape = random_shape(rng, 4)
     with pytest.raises(ValueError, match="Heisenberg-type"):
-        laplacian_h_type(free5, frame, shape, np.zeros(4))
+        laplacian_h_type(free5, frame, shape, np.zeros((1, 4)))
 
 
 def test_heisenberg_form_rejects_generic_frame(h2):
     rng = np.random.default_rng(2)
-    frame = adapted_frame(h2, random_unit(rng, 5))
+    frame = adapted_frame(h2, random_unit(rng, 5)[None])
     object.__setattr__(frame, "special_heisenberg", False)
     with pytest.raises(ValueError, match="basis"):
-        laplacian_heisenberg(h2, frame, random_shape(rng, 4), np.zeros(4))
+        laplacian_heisenberg(h2, frame, random_shape(rng, 4), np.zeros((1, 4)))
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +258,8 @@ def test_oracle_equivalence_heisenberg_3():
         assert np.abs(rep.coeffs - num.coeffs).max() < 5e-4
         coeffs = shape_data(chart, chart_jets(chart, u), frame)[1]
         dh = mean_curvature_derivatives(chart, u, coeffs)
-        assert np.abs(laplacian_heisenberg(alg, frame, shape, dh).coeffs - rep.coeffs).max() < 1e-10
+        hrep = laplacian_heisenberg(alg, frame[None], shape[None], dh[None])
+        assert np.abs(hrep.coeffs[0] - rep.coeffs).max() < 1e-10
 
 
 def test_oracle_equivalence_quaternionic_h_type():
@@ -274,7 +274,8 @@ def test_oracle_equivalence_quaternionic_h_type():
         assert np.abs(rep.coeffs - num.coeffs).max() < 5e-4
         coeffs = shape_data(chart, chart_jets(chart, u), frame)[1]
         dh = mean_curvature_derivatives(chart, u, coeffs)
-        assert np.abs(laplacian_h_type(quat, frame, shape, dh).coeffs - rep.coeffs).max() < 1e-10
+        hrep = laplacian_h_type(quat, frame[None], shape[None], dh[None])
+        assert np.abs(hrep.coeffs[0] - rep.coeffs).max() < 1e-10
 
 
 def test_oracle_shares_nothing_with_the_closed_form(monkeypatch, h2):
@@ -320,24 +321,22 @@ def test_frame_completion_robustness(h2):
 def test_leaf_not_harmonic_at_0p7():
     chart = foliation_leaf_chart()
     rep, _, _ = closed_form_report(chart, [0.7, 0.0])
-    verdict = harmonicity(rep, tol=1e-3)
-    assert not verdict.harmonic
-    assert verdict.defect == pytest.approx(0.7 / 1.49**2, abs=1e-12)
-    assert verdict.energy_coeff == pytest.approx(-1.0 / 1.49**2, abs=1e-12)
+    assert not rep.tangential_norm < 1e-3
+    assert rep.tangential_norm == pytest.approx(0.7 / 1.49**2, abs=1e-12)
+    assert rep.normal_coeff == pytest.approx(-1.0 / 1.49**2, abs=1e-12)
 
 
 def test_cylinders_harmonic():
     for f1, f2 in [("u1", "0"), ("cos(u1)", "sin(u1)")]:
         chart = cylinder_chart(f1, f2, (-0.6, 0.6), (-1, 1))
         rep, _, _ = closed_form_report(chart, [0.2, 0.3])
-        assert harmonicity(rep, tol=1e-3).harmonic
+        assert rep.tangential_norm < 1e-3
 
 
 def test_zero_report_harmonic():
     chart = vertical_plane_chart()
     rep, _, _ = closed_form_report(chart, [0.0, 0.0])
-    verdict = harmonicity(rep)
-    assert verdict.harmonic and verdict.defect == 0.0
+    assert rep.tangential_norm < 1e-3 and rep.tangential_norm == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -346,35 +345,30 @@ def test_zero_report_harmonic():
 
 def test_coupling_residuals_vertical_plane():
     chart = vertical_plane_chart()
-    u = [0.1, 0.1]
-    frame = adapted_frame(heisenberg(1), gauss_map(chart, u))
-    shape = shape_data(chart, chart_jets(chart, u), frame)[0]
-    assert harmonicity_cmc_residuals(shape, frame) == (0.0, 0.0, 0.0)
+    cj = stacked_chart_jets(chart, [[0.1, 0.1]])
+    frame = adapted_frame(heisenberg(1), cj.normal)
+    shape = shape_data(chart, cj, frame)[0]
+    np.testing.assert_array_equal(harmonicity_cmc_residuals(shape, frame), np.zeros((3, 1)))
 
 
 def test_coupling_residual_leaf_value():
     """Second residual at the leaf is (1 + x^2)^(-3/2), nonzero off x = 0."""
     chart = foliation_leaf_chart()
-    alg = heisenberg(1)
-    for x in (0.7, 1.3):
-        u = [x, 0.0]
-        frame = adapted_frame(alg, gauss_map(chart, u))
-        shape = shape_data(chart, chart_jets(chart, u), frame)[0]
-        r1, r2, r3 = harmonicity_cmc_residuals(shape, frame)
-        assert r1 == 0.0  # empty index set for m = 1
-        assert r2 == pytest.approx((1 + x * x) ** -1.5, abs=1e-12)
-        rep, _, _ = closed_form_report(chart, u)
-        assert not harmonicity(rep).harmonic  # consistent with the residual
+    xs = np.array([0.7, 1.3])
+    ev = evaluate_points(chart, np.stack([xs, np.zeros(2)], axis=1))
+    r1, r2, r3 = harmonicity_cmc_residuals(ev.shape, ev.frame)
+    assert (r1 == 0.0).all()  # empty index set for m = 1
+    assert r2 == pytest.approx((1 + xs * xs) ** -1.5, abs=1e-12)
+    assert not (ev.reports["general"].tangential_norm < 1e-3).any()  # consistent with the residual
 
 
 def test_coupling_residuals_cylinder_family():
     for f1, f2 in [("u1", "0.5*u1"), ("cos(u1)", "sin(u1)"), ("2*cos(u1)", "2*sin(u1)")]:
         chart = cylinder_chart(f1, f2, (-0.6, 0.6), (-1, 1))
-        for s in (-0.4, 0.3):
-            u = [s, 0.2]
-            frame = adapted_frame(heisenberg(1), gauss_map(chart, u))
-            shape = shape_data(chart, chart_jets(chart, u), frame)[0]
-            assert max(harmonicity_cmc_residuals(shape, frame)) < 1e-6
+        cj = stacked_chart_jets(chart, [[s, 0.2] for s in (-0.4, 0.3)])
+        frame = adapted_frame(heisenberg(1), cj.normal)
+        shape = shape_data(chart, cj, frame)[0]
+        assert np.max(harmonicity_cmc_residuals(shape, frame)) < 1e-6
 
 
 def test_coupling_reverse_direction():
@@ -382,29 +376,28 @@ def test_coupling_reverse_direction():
     # cylinders satisfy the structure equations identically; constant-curvature
     # profiles make H constant, so the defect must vanish
     chart = cylinder_chart("1 + cos(u1)", "sin(u1)", (0.3, 1.4), (-1, 1))
-    for u in ([0.5, 0.0], [1.0, 0.4]):
-        rep, frame, shape = closed_form_report(chart, u)
-        assert max(harmonicity_cmc_residuals(shape, frame)) < 1e-6
-        assert rep.tangential_norm < 5e-4
+    ev = evaluate_points(chart, np.array([[0.5, 0.0], [1.0, 0.4]]))
+    assert np.max(harmonicity_cmc_residuals(ev.shape, ev.frame)) < 1e-6
+    assert (ev.reports["general"].tangential_norm < 5e-4).all()
 
 
-def test_evaluate_point_carries_general_and_matches_single_views():
+def test_evaluation_carries_general_and_matches_single_views():
     chart = cylinder_chart("cos(u1)", "sin(u1)", (-0.6, 0.6), (-1, 1))
     u = [0.2, 0.1]
-    ev = evaluate_point(chart, u, ["heisenberg", "numeric_oracle"])
+    ev = evaluate_points(chart, [u], ["heisenberg", "numeric_oracle"])
     assert list(ev.reports) == ["general", "heisenberg", "numeric_oracle"]
     for method in ("general", "heisenberg"):
         rep, frame, shape = closed_form_report(chart, u, method)
-        np.testing.assert_array_equal(rep.coeffs, ev.reports[method].coeffs)
-        np.testing.assert_array_equal(frame.ys, ev.frame.ys)
-        assert shape.h == ev.shape.h
-    oracle = laplacian_numeric(chart, u, frame=ev.frame)
-    np.testing.assert_array_equal(oracle.coeffs, ev.reports["numeric_oracle"].coeffs)
+        np.testing.assert_array_equal(rep.coeffs, ev.reports[method].coeffs[0])
+        np.testing.assert_array_equal(frame.ys, ev.frame.ys[0])
+        assert shape.h == ev.shape.h[0]
+    oracle = laplacian_numeric(chart, u, frame=ev.frame[0])
+    np.testing.assert_array_equal(oracle.coeffs, ev.reports["numeric_oracle"].coeffs[0])
 
 
 def test_coupling_requires_special_frame(free5):
     rng = np.random.default_rng(3)
-    frame = adapted_frame(free5, random_unit(rng, 5))
+    frame = adapted_frame(free5, random_unit(rng, 5)[None])
     with pytest.raises(ValueError, match="basis"):
         harmonicity_cmc_residuals(random_shape(rng, 4), frame)
 
@@ -438,7 +431,7 @@ def test_jacobi_direction_orthogonal_gives_zero():
 def test_jacobi_circular_arc_cylinder():
     chart = cylinder_chart("cos(u1)", "sin(u1)", (-0.6, 0.6), (-1, 1))
     pts = [np.array([s, t]) for s in (-0.45, 0.0, 0.45) for t in (-0.5, 0.5)]
-    mean_g = np.mean([gauss_map(chart, u) for u in pts], axis=0)
+    mean_g = gauss_map(chart, np.array(pts)).mean(axis=0)
     ev = evaluate_points(chart, np.array(pts))
     rep = jacobi_residuals(chart, ev, mean_g / np.linalg.norm(mean_g))
     assert rep.max_residual < 5e-4
@@ -453,9 +446,10 @@ def test_pointwise_subharmonicity_identity():
     rng = np.random.default_rng(8)
     v = random_unit(rng, 3)
     for u in ([0.2, 0.1], [-0.3, -0.4]):
-        w = float(gauss_map(chart, u) @ v)
+        normal = gauss_map(chart, [u])
+        w = float(normal[0] @ v)
         lw = laplace_beltrami_scalar(chart, u, lambda pts: gauss_map(chart, pts) @ v)
-        frame = adapted_frame(alg, gauss_map(chart, u))
+        frame = adapted_frame(alg, normal)[0]
         shape = shape_data(chart, chart_jets(chart, u), frame)[0]
         pot = shape.norm_b2 + ricci(alg, frame.normal, frame.normal)
         assert lw == pytest.approx(-pot * w, abs=5e-4)
@@ -478,13 +472,12 @@ def test_jacobi_reads_the_oracle_laplacian(f1, f2):
     chart = cylinder_chart(f1, f2, (-0.6, 0.6), (-1.0, 1.0))
     pts = np.array([[s, t] for s in (-0.45, 0.0, 0.45) for t in (-0.5, 0.5)])
     evals = evaluate_points(chart, pts)
-    v = np.mean([ev.frame.normal for ev in evals], axis=0)
+    v = evals.frame.normal.mean(axis=0)
     v /= np.linalg.norm(v)
     expected = 0.0
-    for ev in evals:
-        normal = ev.frame.normal
-        lw = laplace_beltrami_scalar(chart, ev.u, lambda p: gauss_map(chart, p) @ v)
-        pot = ev.shape.norm_b2 + ricci(alg, normal, normal)
+    for u, normal, norm_b2 in zip(evals.u, evals.frame.normal, evals.shape.norm_b2):
+        lw = laplace_beltrami_scalar(chart, u, lambda p: gauss_map(chart, p) @ v)
+        pot = norm_b2 + ricci(alg, normal, normal)
         expected = max(expected, abs(lw + pot * float(normal @ v)))
     rep = jacobi_residuals(chart, evals, v)
     assert rep.max_residual == pytest.approx(expected, abs=1e-6)
@@ -535,7 +528,7 @@ def test_jacobi_without_oracle_reevaluates_no_centre(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# one batched evaluation against its one-point view
+# one batched evaluation against stacks of one
 
 ALGEBRAS = {
     "h1": heisenberg(1),
@@ -546,12 +539,14 @@ ALGEBRAS = {
 
 
 def assert_same_record(a, b):
+    """Two Evaluation stacks hold the same points, frames, shapes, dh and reports, bit for bit."""
     np.testing.assert_array_equal(a.u, b.u)
     for name in ("ys", "x_q", "z_q", "x_n1", "z_n1"):
         np.testing.assert_array_equal(getattr(a.frame, name), getattr(b.frame, name))
-    assert (lam(a.frame), mu(a.frame)) == (lam(b.frame), mu(b.frame))
-    np.testing.assert_array_equal(a.shape.b, b.shape.b)
-    assert (a.shape.h, a.shape.norm_b2) == (b.shape.h, b.shape.norm_b2)
+    for factor in (lam, mu):
+        np.testing.assert_array_equal(factor(a.frame), factor(b.frame))
+    for name in ("b", "h", "norm_b2"):
+        np.testing.assert_array_equal(getattr(a.shape, name), getattr(b.shape, name))
     np.testing.assert_array_equal(a.dh, b.dh)
     assert (a.delta is None) == (b.delta is None)
     if a.delta is not None:
@@ -559,7 +554,7 @@ def assert_same_record(a, b):
     assert list(a.reports) == list(b.reports)
     for method, rep in a.reports.items():
         np.testing.assert_array_equal(rep.coeffs, b.reports[method].coeffs)
-        assert rep.tangential_norm == b.reports[method].tangential_norm
+        np.testing.assert_array_equal(rep.tangential_norm, b.reports[method].tangential_norm)
 
 
 @settings(max_examples=20, deadline=None)
@@ -570,7 +565,7 @@ def assert_same_record(a, b):
     completion_start=st.integers(0, 2),
     data=st.data(),
 )
-def test_evaluate_points_rows_equal_evaluate_point(name, count, seed, completion_start, data):
+def test_evaluate_points_rows_equal_stacks_of_one(name, count, seed, completion_start, data):
     alg = ALGEBRAS[name]
     valid = ["general", "numeric_oracle"]
     valid += ["h_type"] if alg.is_h_type else []
@@ -581,8 +576,9 @@ def test_evaluate_points_rows_equal_evaluate_point(name, count, seed, completion
     pts = rng.uniform(-0.45, 0.45, (count, chart.param_dim))
     evals = evaluate_points(chart, pts, methods, completion_start=completion_start)
     assert len(evals) == count
-    for u, ev in zip(pts, evals):
-        assert_same_record(ev, evaluate_point(chart, u, methods, completion_start=completion_start))
+    for i in range(count):
+        assert_same_record(evals[i:i + 1], evaluate_points(chart, pts[i:i + 1], methods,
+                                                           completion_start=completion_start))
 
 
 def _degenerate_stacks():
@@ -614,7 +610,7 @@ DEGENERATE_STACKS = {name: (chart, np.array(pts, dtype=float)) for name, chart, 
 @pytest.mark.parametrize("name", DEGENERATE_STACKS)
 def test_stacked_frames_with_degenerate_rows(name):
     """A stack mixing generic rows with rows whose normal has s = 0 or c = 0: every
-    row equals its one-point evaluation bit for bit, every frame is orthonormal to
+    row equals its evaluation as a stack of one bit for bit, every frame is orthonormal to
     1e-12, and the frame-free outputs do not depend on completion_start."""
     chart, pts = DEGENERATE_STACKS[name]
     alg = chart.model.algebra
@@ -628,8 +624,8 @@ def test_stacked_frames_with_degenerate_rows(name):
         assert 0 < np.count_nonzero(zero == 0.0) < len(pts)
         ys = evals.frame.ys
         assert np.abs(ys @ np.swapaxes(ys, 1, 2) - np.eye(alg.dim_total)).max() < 1e-12
-        for u, ev in zip(pts, evals):
-            assert_same_record(ev, evaluate_point(chart, u, methods, completion_start=start))
+        for i in range(len(pts)):
+            assert_same_record(evals[i:i + 1], evaluate_points(chart, pts[i:i + 1], methods, completion_start=start))
         outputs.append([evals.shape.h, evals.shape.norm_b2] + [
             x for rep in evals.reports.values() for x in (rep.tangential_norm, rep.normal_coeff)])
     for other in outputs[1:]:
@@ -697,7 +693,7 @@ def test_matmul_stages_on_noncontiguous_stacks_equal_single_points(name, layout)
 @pytest.mark.parametrize("name", ["h1", "h2", "h3", "quat7", "free5"])
 def test_stacked_adapted_frame_rows_equal_single_frames(name):
     """Normals with s = 0, c = 0 and neither in one stack: each frame row is the
-    frame of its normal alone, bit for bit, under every completion_start."""
+    frame of its normal alone as a stack of one, bit for bit, under every completion_start."""
     alg = FRAME_ALGEBRAS[name]
     d, q = alg.dim_total, alg.dim_v
     rng = np.random.default_rng(q)
@@ -707,10 +703,10 @@ def test_stacked_adapted_frame_rows_equal_single_frames(name):
         stacked = adapted_frame(alg, normals, start)
         np.testing.assert_array_equal(stacked.s == 0.0, [False, True, False, False, True, False])
         np.testing.assert_array_equal(stacked.c == 0.0, [False, False, True, False, False, False])
-        for i, nrm in enumerate(normals):
-            single = adapted_frame(alg, nrm, start)
+        for i in range(len(normals)):
+            single = adapted_frame(alg, normals[i:i + 1], start)
             for field in ("ys", "x_q", "z_q", "x_n1", "z_n1", "s", "c"):
-                np.testing.assert_array_equal(getattr(stacked, field)[i], getattr(single, field))
+                np.testing.assert_array_equal(getattr(stacked, field)[i], getattr(single, field)[0])
             assert gram_residual(single) < 1e-12
 
 
@@ -749,9 +745,8 @@ def test_complex_step_rows_go_in_chunks_and_stay_only_in_3d(monkeypatch):
     monkeypatch.setattr("nilgauss.laplacian.FIELD_ROWS", 16)  # two points of 4 rows
     chunked = evaluate_points(chart, pts, ["general", "h_type"])
     assert sizes == [8, 8, 4]
-    for a, b in zip(whole, chunked):
-        assert_same_record(a, b)
-        assert a.steps is None and b.steps is None
+    assert_same_record(whole, chunked)
+    assert whole.steps is None and chunked.steps is None
 
 
 def record_arrays(ev):
@@ -813,15 +808,14 @@ def test_fd_moves_no_closed_form_row_gauss_codazzi_or_corollary1():
     outcomes = []
     for fd in (FDParams(), FDParams(step=1e-3, levels=1)):
         evals = evaluate_points(h2_chart, h2_pts, ["general", "h_type", "heisenberg"], fd)
-        rows = [(ev.dh, [rep.coeffs for rep in ev.reports.values()]) for ev in evals]
+        rows = (evals.dh, [rep.coeffs for rep in evals.reports.values()])
         gc = gauss_codazzi_residuals(leaf, evaluate_points(leaf, grid, fd=fd))
         corollary1 = central_h_variation(cylinder, evaluate_points(cylinder, grid, fd=fd))
         outcomes.append((rows, gc, corollary1))
-    (rows, gc, corollary1), (rows_b, gc_b, corollary1_b) = outcomes
-    for (dh, coeffs), (dh_b, coeffs_b) in zip(rows, rows_b):
-        np.testing.assert_array_equal(dh, dh_b)
-        for a, b in zip(coeffs, coeffs_b):
-            np.testing.assert_array_equal(a, b)
+    ((dh, coeffs), gc, corollary1), ((dh_b, coeffs_b), gc_b, corollary1_b) = outcomes
+    np.testing.assert_array_equal(dh, dh_b)
+    for a, b in zip(coeffs, coeffs_b):
+        np.testing.assert_array_equal(a, b)
     assert gc == gc_b and not gc[0].skipped
     assert corollary1 == corollary1_b and not corollary1.skipped
 
@@ -837,7 +831,7 @@ def test_complex_step_size_moves_nothing(monkeypatch):
     outcomes = []
     for h in (1e-20, 1e-30):
         monkeypatch.setattr("nilgauss.surfaces.COMPLEX_STEP", h)
-        dh = np.array([ev.dh for ev in evaluate_points(h2_chart, h2_pts)])
+        dh = evaluate_points(h2_chart, h2_pts).dh
         gc = gauss_codazzi_residuals(leaf, evaluate_points(leaf, gc_pts))
         outcomes.append((dh, gc))
     (dh, gc), (dh_b, gc_b) = outcomes
@@ -886,7 +880,7 @@ def test_central_variation_cylinder():
 
 def test_central_variation_skipped_for_non_harmonic():
     chart = foliation_leaf_chart()
-    rep = central_h_variation(chart, evaluate_point(chart, np.array([0.7, 0.0])))
+    rep = central_h_variation(chart, evaluate_points(chart, np.array([[0.7, 0.0]])))
     assert rep.skipped
     assert rep.max_variation is None
 
@@ -923,13 +917,13 @@ def test_central_variation_reads_central_frame_derivatives(free5):
     rep = central_h_variation(chart, evals, tol=np.inf)
     h_field = lambda p: mean_curvature(chart, p)
     expected = 0.0
-    for ev in evals:
+    for u, ys in zip(evals.u, evals.frame.ys):
         # tangent frame vectors with no horizontal part
-        zs = [y for y in ev.frame.ys[:-1] if np.linalg.norm(y[: free5.dim_v]) < 1e-9]
+        zs = [y for y in ys[:-1] if np.linalg.norm(y[: free5.dim_v]) < 1e-9]
         assert zs
         for z in zs:
-            coeff = chart_coefficients(chart_jets(chart, ev.u), z)
-            deriv = directional_derivative(h_field, ev.u, coeff, domain=chart.domain)
+            coeff = chart_coefficients(chart_jets(chart, u), z[None])[0]
+            deriv = directional_derivative(h_field, u, coeff, domain=chart.domain)
             expected = max(expected, abs(deriv))
     assert expected > 1e-5
     assert rep.max_variation == pytest.approx(expected, rel=1e-9)
@@ -942,24 +936,23 @@ def test_central_variation_reads_central_frame_derivatives(free5):
 def test_gauss_codazzi_identity_exact():
     """<R(F1, F2) F1, normal> equals the product of the two normal norms."""
     chart = foliation_leaf_chart()
-    for x in (0.4, 0.9, 1.6):
-        res = gauss_codazzi_residuals(chart, evaluate_point(chart, [x, 0.0]))
+    for res in gauss_codazzi_residuals(chart, evaluate_points(chart, [[x, 0.0] for x in (0.4, 0.9, 1.6)])):
         assert not res.skipped
         assert res.curvature_term == pytest.approx(res.ab_product, abs=1e-10)
 
 
 def test_gauss_codazzi_leaf_residuals():
     chart = foliation_leaf_chart()
-    for x in np.linspace(0.35, 2.0, 10):
-        res = gauss_codazzi_residuals(chart, evaluate_point(chart, [x, 0.0]))
+    points = np.array([[x, 0.0] for x in np.linspace(0.35, 2.0, 10)])
+    for res in gauss_codazzi_residuals(chart, evaluate_points(chart, points)):
         assert res.codazzi_residual < 5e-4
         assert res.gauss_residual < 5e-4
 
 
 def test_gauss_codazzi_skips_degenerate_normal():
     leaf, plane = foliation_leaf_chart(), vertical_plane_chart()
-    assert gauss_codazzi_residuals(leaf, evaluate_point(leaf, [0.0, 0.0])).skipped
-    assert gauss_codazzi_residuals(plane, evaluate_point(plane, [0.1, 0.1])).skipped
+    assert gauss_codazzi_residuals(leaf, evaluate_points(leaf, [[0.0, 0.0]]))[0].skipped
+    assert gauss_codazzi_residuals(plane, evaluate_points(plane, [[0.1, 0.1]]))[0].skipped
 
 
 def test_gauss_codazzi_abelian_limit():
@@ -967,7 +960,7 @@ def test_gauss_codazzi_abelian_limit():
     chart = expression_chart(
         model, ["u1", "u2", "0.4*u1 + 0.7*u2"], [(-1, 1), (-1, 1)]
     )
-    res = gauss_codazzi_residuals(chart, evaluate_point(chart, [0.1, -0.2]))
+    (res,) = gauss_codazzi_residuals(chart, evaluate_points(chart, [[0.1, -0.2]]))
     assert not res.skipped
     assert res.codazzi_residual < 1e-8
     assert res.gauss_residual < 1e-8
@@ -977,7 +970,7 @@ def test_gauss_codazzi_abelian_limit():
 def test_gauss_codazzi_requires_3d():
     model = exp_model(heisenberg(2))
     chart = graph_chart(model, "0", [(-1, 1)] * 4)
-    ev = evaluate_point(chart, [0.0, 0.0, 0.0, 0.0])
+    ev = evaluate_points(chart, np.zeros((1, 4)))
     with pytest.raises(ValueError, match="3-dimensional"):
         gauss_codazzi_residuals(chart, ev)
 
@@ -997,9 +990,9 @@ def test_gauss_codazzi_evaluates_no_chart_and_no_frames(monkeypatch):
     """One record at a time: h, Gamma and their derivatives come from the record's
     ChartJet and complex-step rows; no chart, adapted frame or gauss_map call."""
     chart = foliation_leaf_chart()
-    evals = [evaluate_point(chart, [x, 0.0]) for x in (0.0, 0.5, 1.2)]  # x = 0 is skipped
+    evals = [evaluate_points(chart, [[x, 0.0]]) for x in (0.0, 0.5, 1.2)]  # x = 0 is skipped
     forbid_chart_evaluation(monkeypatch)
-    results = [gauss_codazzi_residuals(chart, ev) for ev in evals]
+    results = [gauss_codazzi_residuals(chart, ev)[0] for ev in evals]
     assert [res.skipped for res in results] == [True, False, False]
     assert max(max(res.codazzi_residual, res.gauss_residual) for res in results[1:]) < 1e-13
 
@@ -1021,8 +1014,7 @@ GC_POINTS = ([0.2, -0.3], [0.5, 0.4], [-0.4, 0.1])
 @pytest.mark.parametrize("name", GC_CHARTS)
 def test_gauss_codazzi_residuals_at_rounding_level(name):
     chart = GC_CHARTS[name](1)
-    for u in GC_POINTS:
-        res = gauss_codazzi_residuals(chart, evaluate_point(chart, u))
+    for res in gauss_codazzi_residuals(chart, evaluate_points(chart, GC_POINTS)):
         assert not res.skipped
         assert res.codazzi_residual < 1e-10
         assert res.gauss_residual < 1e-10
@@ -1030,11 +1022,11 @@ def test_gauss_codazzi_residuals_at_rounding_level(name):
 
 @pytest.mark.parametrize("name", GC_CHARTS)
 def test_gauss_codazzi_orientation_invariance(name):
-    for u in GC_POINTS:
-        plus, minus = (
-            gauss_codazzi_residuals(chart, evaluate_point(chart, u))
-            for chart in (GC_CHARTS[name](1), GC_CHARTS[name](-1))
-        )
+    results = (
+        gauss_codazzi_residuals(chart, evaluate_points(chart, GC_POINTS))
+        for chart in (GC_CHARTS[name](1), GC_CHARTS[name](-1))
+    )
+    for plus, minus in zip(*results):
         assert minus.skipped == plus.skipped
         assert minus.codazzi_residual == pytest.approx(plus.codazzi_residual, abs=1e-10)
         assert minus.gauss_residual == pytest.approx(plus.gauss_residual, abs=1e-10)
@@ -1074,7 +1066,7 @@ def test_gauss_codazzi_list_equals_per_record_calls(name):
     chart = build()
     evals = evaluate_points(chart, np.array(points))
     stacked = gauss_codazzi_residuals(chart, evals)
-    single = [gauss_codazzi_residuals(chart, ev) for ev in evals]
+    single = [gauss_codazzi_residuals(chart, evals[i:i + 1])[0] for i in range(len(evals))]
     assert len(stacked) == len(evals)
     assert 0 < sum(res.skipped for res in single) < len(evals)
     for one, row in zip(single, stacked):
@@ -1115,3 +1107,56 @@ def test_gauss_codazzi_all_skipped_evaluates_no_chart(monkeypatch):
         monkeypatch.setattr(f"nilgauss.laplacian.{name}", no_evaluation)
     assert [res.skipped for res in gauss_codazzi_residuals(chart, evals)] == [True] * 3
     assert gauss_codazzi_residuals(chart, evals[:0]) == []
+
+
+# ---------------------------------------------------------------------------
+# checkers over a job's stack against its stacks of one
+
+CHECKER_STACKS = {
+    "nil_graph": GC_GRIDS["nil_graph"],
+    "h2": (
+        lambda: random_graph_chart(exp_model(heisenberg(2)), np.random.default_rng(31), terms=4),
+        np.random.default_rng(32).uniform(-0.4, 0.4, (5, 4)),
+    ),
+    # a 2-dimensional center: corollary1 reads a central slot of dh at every point
+    "free5": (
+        lambda: graph_chart(exp_model(free_two_step_5d()), "0.3*u1*u2 + 0.2*sin(u3) + 0.1*u4*u1", [(-0.8, 0.8)] * 4),
+        np.random.default_rng(33).uniform(-0.4, 0.4, (5, 4)),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", CHECKER_STACKS)
+def test_checkers_over_a_stack_equal_their_rows(name):
+    """The residuals of prop3 (Heisenberg algebras) and Gauss-Codazzi (3 dimensions) are,
+    bit for bit, those of each point's stack of one; the Jacobi and corollary1 reports are
+    the max (min_w the min) over them."""
+    build, points = CHECKER_STACKS[name]
+    chart = build()
+    ev = evaluate_points(chart, np.array(points))
+    rows = [ev[i:i + 1] for i in range(len(ev))]
+
+    if chart.model.algebra.is_heisenberg:
+        stacked = harmonicity_cmc_residuals(ev.shape, ev.frame)
+        for i, row in enumerate(rows):
+            for res, one in zip(stacked, harmonicity_cmc_residuals(row.shape, row.frame)):
+                assert res[i].tobytes() == one[0].tobytes()
+
+    if chart.model.dim == 3:
+        singles = [gauss_codazzi_residuals(chart, row)[0] for row in rows]
+        assert 0 < sum(res.skipped for res in singles) < len(rows)
+        assert gauss_codazzi_residuals(chart, ev) == singles
+
+    v = ev.frame.normal.mean(axis=0)
+    jacobi = jacobi_residuals(chart, ev, v)
+    singles = [jacobi_residuals(chart, row, v) for row in rows]
+    assert jacobi.max_residual == max(rep.max_residual for rep in singles)
+    assert jacobi.min_w == min(rep.min_w for rep in singles)
+
+    for tol in (1e-3, np.inf):
+        central = central_h_variation(chart, ev, tol)
+        singles = [central_h_variation(chart, row, tol) for row in rows]
+        assert central.skipped == any(rep.skipped for rep in singles)
+        if not central.skipped:
+            assert central.max_variation == max(rep.max_variation for rep in singles)
+    assert name != "free5" or central.max_variation > 1e-5

@@ -53,13 +53,13 @@ def leaf_norm_b2(x):
 def test_vertical_plane_gauss_constant():
     chart = vertical_plane_chart()
     for u in ([0.0, 0.0], [0.5, -0.3], [-0.9, 0.8]):
-        np.testing.assert_allclose(gauss_map(chart, u), L, atol=1e-14)
+        np.testing.assert_allclose(gauss_map(chart, [u])[0], L, atol=1e-14)
 
 
 def test_foliation_leaf_gauss_formula():
     chart = foliation_leaf_chart()
     for x in (0.0, 0.5, 1.0, 2.0, -0.7):
-        g = gauss_map(chart, [x, 0.3])
+        g = gauss_map(chart, [[x, 0.3]])[0]
         expected = (x * L + Z) / np.sqrt(1 + x * x)
         np.testing.assert_allclose(g, expected, atol=1e-14)
 
@@ -70,7 +70,7 @@ def test_orientation_flip_negates_gauss():
     dom = [(-1, 1), (-1, 1)]
     plus = expression_chart(model, comps, dom, orientation=1)
     minus = expression_chart(model, comps, dom, orientation=-1)
-    u = [0.4, -0.2]
+    u = [[0.4, -0.2]]
     np.testing.assert_allclose(gauss_map(plus, u), -gauss_map(minus, u), atol=1e-15)
 
 
@@ -81,7 +81,7 @@ def test_gauss_map_unit_and_orthogonal_random():
         chart = random_graph_chart(model, rng)
         u = rng.uniform(-0.4, 0.4, 4)
         cj = chart_jets(chart, u)
-        g = gauss_map(chart, u)
+        g = gauss_map(chart, u[None])[0]
         assert abs(np.linalg.norm(g) - 1.0) < 1e-10
         assert np.abs(cj.tangents.T @ g).max() < 1e-9
 
@@ -90,7 +90,7 @@ def test_rank_deficient_chart_raises():
     model = nil_polarized_model()
     chart = expression_chart(model, ["u1", "u1", "0.0"], [(-1, 1), (-1, 1)])
     with pytest.raises(ImmersionError):
-        gauss_map(chart, [0.0, 0.0])
+        gauss_map(chart, [[0.0, 0.0]])
 
 
 def test_stacked_immersion_error_names_the_first_bad_point():
@@ -113,7 +113,7 @@ def test_stacked_chart_layers_equal_single_points_bit_for_bit(algebra):
         single = chart_jets(chart, u)
         for name in ("point", "jac", "hess", "ainv", "tangents", "normal"):
             np.testing.assert_array_equal(getattr(cj, name)[i], getattr(single, name))
-        np.testing.assert_array_equal(normals[i], gauss_map(chart, u))
+        np.testing.assert_array_equal(normals[i], gauss_map(chart, u[None])[0])
         assert hs[i] == mean_curvature(chart, u)
 
 
@@ -265,7 +265,7 @@ def test_a_row_past_the_drift_bound_takes_the_qr_route(monkeypatch, name):
         patched.setattr(np.linalg, "qr", counted)
         normals = gauss_map(chart, rows, near=(eta, centre_t, pushed))
     assert calls == [(1,) + centre_t.shape[1:]]
-    np.testing.assert_array_equal(normals[5], gauss_map(chart, rows[5]))
+    np.testing.assert_array_equal(normals[5], gauss_map(chart, rows[5:6])[0])
     np.testing.assert_allclose(normals, gauss_map(chart, rows), rtol=0.0, atol=1e-14)
 
 
@@ -383,7 +383,7 @@ def test_adapted_frame_leaf_values():
     alg = heisenberg(1)
     x = 0.8
     w = np.sqrt(1 + x * x)
-    frame = adapted_frame(alg, (x * L + Z) / w)
+    frame = adapted_frame(alg, ((x * L + Z) / w)[None])[0]
     np.testing.assert_allclose(frame.x_n1, x * L / w, atol=1e-14)
     assert np.linalg.norm(frame.x_n1) == pytest.approx(x / w)
     assert np.linalg.norm(frame.z_n1) == pytest.approx(1 / w)
@@ -399,7 +399,7 @@ def test_adapted_frame_leaf_values():
 
 def test_adapted_frame_purely_central():
     alg = heisenberg(1)
-    frame = adapted_frame(alg, Z)
+    frame = adapted_frame(alg, Z[None])[0]
     assert lam(frame) == 0.0
     assert np.linalg.norm(frame.z_q) == 0.0
     assert np.abs(frame.ys[frame.q - 1][alg.dim_v:]).max() == 0.0  # Y_q horizontal
@@ -408,7 +408,7 @@ def test_adapted_frame_purely_central():
 
 def test_adapted_frame_purely_horizontal():
     alg = heisenberg(1)
-    frame = adapted_frame(alg, K)
+    frame = adapted_frame(alg, K[None])[0]
     assert np.linalg.norm(frame.x_q) == 0.0
     assert np.linalg.norm(frame.z_q) == pytest.approx(1.0)
     np.testing.assert_allclose(frame.ys[frame.q - 1], -frame.z_q, atol=1e-14)
@@ -420,7 +420,7 @@ def test_adapted_frame_gram_and_alignment(h2, free5, quat7):
     for alg in (h2, free5, quat7):
         d = alg.dim_total
         for _ in range(25):
-            frame = adapted_frame(alg, random_unit(rng, d))
+            frame = adapted_frame(alg, random_unit(rng, d)[None])[0]
             assert gram_residual(frame) < 1e-10
             lhs = alg.j_matrix(frame.z_q) @ frame.x_q
             rhs = alg.j_matrix(frame.z_n1) @ frame.x_n1
@@ -452,7 +452,7 @@ def test_adapted_frame_heisenberg_pairing(h2):
     zu = basis(5, 4)
     for _ in range(20):
         g = random_unit(rng, 5)
-        frame = adapted_frame(h2, g)
+        frame = adapted_frame(h2, g[None])[0]
         assert frame.special_heisenberg
         z_dir = frame.z_n1 / np.linalg.norm(frame.z_n1) if np.linalg.norm(frame.z_n1) > 0 else zu
         jz = h2.j_matrix(z_dir)
@@ -474,7 +474,7 @@ def test_adapted_frame_heisenberg_pairing(h2):
 
 def test_adapted_frame_rejects_non_unit(h2):
     with pytest.raises(ValueError, match="unit"):
-        adapted_frame(h2, 2.0 * basis(5, 0))
+        adapted_frame(h2, 2.0 * basis(5, 0)[None])
 
 
 # ---------------------------------------------------------------------------
@@ -485,7 +485,7 @@ def test_leaf_shape_values():
     chart = foliation_leaf_chart()
     for x in (0.0, 0.5, 1.0, 2.0):
         u = [x, 0.1]
-        frame = adapted_frame(heisenberg(1), gauss_map(chart, u))
+        frame = adapted_frame(heisenberg(1), gauss_map(chart, [u]))[0]
         shape = shape_data(chart, chart_jets(chart, u), frame)[0]
         assert shape.h == pytest.approx(0.0, abs=1e-12)
         assert shape.norm_b2 == pytest.approx(leaf_norm_b2(x), abs=1e-12)
@@ -517,7 +517,7 @@ def test_second_fundamental_matches_coordinate_route(model):
 def test_vertical_plane_shape_values():
     chart = vertical_plane_chart()
     u = [0.3, -0.2]
-    frame = adapted_frame(heisenberg(1), gauss_map(chart, u))
+    frame = adapted_frame(heisenberg(1), gauss_map(chart, [u]))[0]
     shape = shape_data(chart, chart_jets(chart, u), frame)[0]
     assert shape.h == pytest.approx(0.0, abs=1e-13)
     assert shape.norm_b2 == pytest.approx(0.5, abs=1e-12)
@@ -533,7 +533,7 @@ def test_abelian_affine_plane_flat():
         model, ["u1", "u2", "0.3*u1 + 0.1*u2 - 0.2"], [(-1, 1), (-1, 1)]
     )
     u = [0.2, 0.4]
-    frame = adapted_frame(model.algebra, gauss_map(chart, u))
+    frame = adapted_frame(model.algebra, gauss_map(chart, [u]))[0]
     shape = shape_data(chart, chart_jets(chart, u), frame)[0]
     np.testing.assert_allclose(shape.b, np.zeros((2, 2)), atol=1e-12)
 
@@ -544,7 +544,7 @@ def test_shape_symmetry_on_random_charts(h2):
     for _ in range(10):
         chart = random_graph_chart(model, rng)
         u = rng.uniform(-0.4, 0.4, 4)
-        frame = adapted_frame(h2, gauss_map(chart, u))
+        frame = adapted_frame(h2, gauss_map(chart, u[None]))[0]
         shape = shape_data(chart, chart_jets(chart, u), frame)[0]
         assert np.abs(shape.b - shape.b.T).max() < 1e-8
         assert shape.h == pytest.approx(np.trace(shape.b) / 4, abs=1e-13)
@@ -553,7 +553,7 @@ def test_shape_symmetry_on_random_charts(h2):
 
 def test_shape_frame_mismatch_rejected():
     chart = foliation_leaf_chart()
-    frame = adapted_frame(heisenberg(1), gauss_map(chart, [0.5, 0.0]))
+    frame = adapted_frame(heisenberg(1), gauss_map(chart, [[0.5, 0.0]]))[0]
     with pytest.raises(ValueError, match="does not match"):
         shape_data(chart, chart_jets(chart, [1.0, 0.0]), frame)
 
@@ -576,11 +576,10 @@ def test_reparametrization_invariance():
     for _ in range(6):
         v = rng.uniform(-0.5, 0.5, 2)
         u = amat @ v + shift
-        np.testing.assert_allclose(
-            gauss_map(chart, u), gauss_map(chart2, v), atol=1e-8
-        )
-        f1 = adapted_frame(alg, gauss_map(chart, u))
-        f2 = adapted_frame(alg, gauss_map(chart2, v))
+        g1, g2 = gauss_map(chart, u[None]), gauss_map(chart2, v[None])
+        np.testing.assert_allclose(g1[0], g2[0], atol=1e-8)
+        f1 = adapted_frame(alg, g1)[0]
+        f2 = adapted_frame(alg, g2)[0]
         s1 = shape_data(chart, chart_jets(chart, u), f1)[0]
         s2 = shape_data(chart2, chart_jets(chart2, v), f2)[0]
         assert s1.h == pytest.approx(s2.h, abs=1e-8)
@@ -609,7 +608,7 @@ def test_chart_coefficients_stack_equals_rows(m):
     for i in range(len(vecs)):
         np.testing.assert_array_equal(stacked[i], chart_coefficients(cj[i], vecs[i]))
     np.testing.assert_allclose(chart_coefficients(cj, vecs[:, :1]), stacked[:, :1], atol=1e-14)
-    np.testing.assert_allclose(chart_coefficients(cj[0], vecs[0, 0]), stacked[0, 0], atol=1e-14)
+    np.testing.assert_allclose(chart_coefficients(cj[0], vecs[0, :1])[0], stacked[0, 0], atol=1e-14)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
@@ -629,7 +628,7 @@ def test_chart_coefficients_reject_the_normal():
     pts = rng.uniform(-0.5, 0.5, (4, 4))
     cj, normals = stacked_chart_jets(chart, pts), gauss_map(chart, pts)
     with pytest.raises(ValueError, match="not tangent"):
-        chart_coefficients(cj[0], normals[0])
+        chart_coefficients(cj[0], normals[:1])
     vecs = np.swapaxes(cj.tangents, 1, 2).copy()  # each row's tangent columns
     identity = np.broadcast_to(np.eye(4), (4, 4, 4))
     np.testing.assert_allclose(chart_coefficients(cj, vecs), identity, atol=1e-12)
@@ -652,14 +651,14 @@ def test_directional_derivative_constant_field():
     chart = foliation_leaf_chart()
     u = [0.5, 0.0]
     field = lambda pts: np.full(len(pts), 4.2)
-    val = directional_derivative(field, u, chart_coefficients(chart_jets(chart, u), K), domain=chart.domain)
+    val = directional_derivative(field, u, chart_coefficients(chart_jets(chart, u), K[None])[0], domain=chart.domain)
     assert val == pytest.approx(0.0, abs=1e-12)
 
 
 def test_leaf_mean_curvature_derivatives_vanish():
     chart = foliation_leaf_chart()
     u = [0.7, 0.0]
-    frame = adapted_frame(heisenberg(1), gauss_map(chart, u))
+    frame = adapted_frame(heisenberg(1), gauss_map(chart, [u]))[0]
     coeffs = shape_data(chart, chart_jets(chart, u), frame)[1]
     dh = mean_curvature_derivatives(chart, u, coeffs)
     assert np.abs(dh).max() < 1e-10
@@ -668,12 +667,12 @@ def test_leaf_mean_curvature_derivatives_vanish():
 def test_directional_derivative_linear_in_direction():
     chart = foliation_leaf_chart()
     u = [0.6, 0.2]
-    frame = adapted_frame(heisenberg(1), gauss_map(chart, u))
+    frame = adapted_frame(heisenberg(1), gauss_map(chart, [u]))[0]
     y1, y2 = frame.ys[0], frame.ys[1]
     field = lambda pts: np.sin(pts[:, 0]) * pts[:, 1] + 0.3 * pts[:, 0] ** 2
     cj = chart_jets(chart, u)
     d1, d2, combo = (
-        directional_derivative(field, u, chart_coefficients(cj, y), domain=chart.domain)
+        directional_derivative(field, u, chart_coefficients(cj, y[None])[0], domain=chart.domain)
         for y in (y1, y2, 0.7 * y1 + 1.3 * y2)
     )
     assert combo == pytest.approx(0.7 * d1 + 1.3 * d2, abs=1e-9)
@@ -684,7 +683,7 @@ def test_boundary_stencil_error():
     step, needs no room."""
     chart = foliation_leaf_chart(x_range=(-1.0, 1.0))
     u = [1.0 - 1e-6, 0.0]
-    frame = adapted_frame(heisenberg(1), gauss_map(chart, u))
+    frame = adapted_frame(heisenberg(1), gauss_map(chart, [u]))[0]
     coeffs = shape_data(chart, chart_jets(chart, u), frame)[1]
     assert np.isfinite(mean_curvature_derivatives(chart, u, coeffs)).all()
     with pytest.raises(BoundaryError):
@@ -732,7 +731,7 @@ def test_mean_curvature_frame_free_matches_trace():
     for _ in range(6):
         chart = random_graph_chart(model, rng)
         u = rng.uniform(-0.4, 0.4, 2)
-        frame = adapted_frame(model.algebra, gauss_map(chart, u))
+        frame = adapted_frame(model.algebra, gauss_map(chart, u[None]))[0]
         shape = shape_data(chart, chart_jets(chart, u), frame)[0]
         assert mean_curvature(chart, u) == pytest.approx(shape.h, abs=1e-11)
 
@@ -769,7 +768,7 @@ def test_cylinder_tangent_frame_contains_central_direction():
     chart = cylinder_chart("cos(u1)", "sin(u1)", (-0.8, 0.8), (-1, 1))
     alg = heisenberg(1)
     for s in (-0.5, 0.0, 0.5):
-        frame = adapted_frame(alg, gauss_map(chart, [s, 0.0]))
+        frame = adapted_frame(alg, gauss_map(chart, [[s, 0.0]]))[0]
         # normal purely horizontal, so the mixed vector degenerates to -Z_q
         assert np.linalg.norm(frame.x_q) < 1e-12
         assert np.abs(frame.ys[frame.q - 1][: alg.dim_v]).max() < 1e-12
