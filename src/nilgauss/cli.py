@@ -38,7 +38,21 @@ from .schema import POSITIVE, ConfigError, Field, Table, between, check, fill, o
 from .surfaces import SurfaceChart, catalog_chart, expression_chart
 
 METHOD_NAMES = ("general", "h_type", "heisenberg", "numeric_oracle")
-CHECK_NAMES = ("harmonicity", "prop3", "corollary1", "jacobi", "gauss_codazzi")
+# check -> (default tolerance, key of its value), in verdict order; a check passes when the value is below
+# its tolerance or None (corollary1 skipped); a job may list every check but oracle_gap, which compare adds
+CHECKS = {
+    "harmonicity": (1e-3, "max_defect"), "prop3": (1e-6, "max_residual"),
+    "corollary1": (5e-4, "max_variation"), "jacobi": (5e-4, "max_residual"),
+    "gauss_codazzi": (5e-4, "max_residual"), "oracle_gap": (5e-4, "max_oracle_gap"),
+}
+CHECK_NAMES = tuple(CHECKS)[:-1]
+# method or check -> (holds of the job's algebra, wording of the requirement)
+NEEDS = {
+    "heisenberg": (lambda alg: alg.is_heisenberg, "a Heisenberg algebra"),
+    "h_type": (lambda alg: alg.is_h_type, "a Heisenberg-type algebra"),
+    "prop3": (lambda alg: alg.is_heisenberg, "a Heisenberg algebra"),
+    "gauss_codazzi": (lambda alg: alg.dim_total == 3, "a 3-dimensional model"),
+}
 
 # largest algebra dimension; one oracle stencil's first-order chart jets take ~5 MB at 16 and
 # ~0.1 GB at 32, and a FIELD_ROWS / 2 chunk of dh's complex-step second-order ones ~0.5 GB at 16
@@ -61,10 +75,7 @@ FD = Table(
     name="fd {}", unknown="unknown fd key {}",
 )
 TOLERANCES = Table(
-    {key: Field("number", default=tol, span=POSITIVE) for key, tol in {
-        "harmonicity": 1e-3, "prop3": 1e-6, "corollary1": 5e-4,
-        "jacobi": 5e-4, "gauss_codazzi": 5e-4, "oracle_gap": 5e-4,
-    }.items()},
+    {key: Field("number", default=tol, span=POSITIVE) for key, (tol, _) in CHECKS.items()},
     name="tolerance {!r}", unknown="unknown tolerance {}",
 )
 BUILTIN_ALGEBRA = Table(
@@ -200,14 +211,8 @@ def load_config(doc: dict) -> JobConfig:
         problems.append("jacobi_direction must be dim_total numbers, not all zero")
 
     if alg is not None and chart is not None:
-        if "heisenberg" in methods and not alg.is_heisenberg:
-            problems.append("method 'heisenberg' requires a Heisenberg algebra")
-        if "h_type" in methods and not alg.is_h_type:
-            problems.append("method 'h_type' requires a Heisenberg-type algebra")
-        if "prop3" in checks and not alg.is_heisenberg:
-            problems.append("check 'prop3' requires a Heisenberg algebra")
-        if "gauss_codazzi" in checks and alg.dim_total != 3:
-            problems.append("check 'gauss_codazzi' requires a 3-dimensional model")
+        problems += [f"{'method' if name in METHOD_NAMES else 'check'} {name!r} requires {wording}"
+                     for name, (holds, wording) in NEEDS.items() if name in methods + checks and not holds(alg)]
 
     if problems:
         raise ConfigError(problems)
@@ -261,54 +266,37 @@ def run(config: JobConfig) -> dict:
     if preferred and "numeric_oracle" in config.methods:
         max_gap = float(np.abs(ev.reports[preferred].coeffs - ev.reports["numeric_oracle"].coeffs).max())
 
-    checks: dict[str, dict] = {}
+    values: dict[str, dict] = {}  # check -> what it reports, the value CHECKS names among it
     if "harmonicity" in config.checks:
-        source = preferred or config.methods[0]
-        worst = float(ev.reports[source].tangential_norm.max())
-        checks["harmonicity"] = {
-            "pass": bool(worst < tols["harmonicity"]),
-            "max_defect": worst,
-            "tol": tols["harmonicity"],
-        }
+        source = ev.reports[preferred or config.methods[0]]
+        values["harmonicity"] = {"max_defect": float(source.tangential_norm.max())}
     if "prop3" in config.checks:
-        worst = float(np.max(harmonicity_cmc_residuals(ev.shape, ev.frame)))
-        checks["prop3"] = {
-            "pass": bool(worst < tols["prop3"]),
-            "max_residual": worst,
-            "tol": tols["prop3"],
-        }
+        values["prop3"] = {"max_residual": float(np.max(harmonicity_cmc_residuals(ev.shape, ev.frame)))}
     if "corollary1" in config.checks:
         rep = central_h_variation(chart, ev, tol=tols["harmonicity"])
-        checks["corollary1"] = {
-            "pass": bool(rep.skipped or rep.max_variation < tols["corollary1"]),
-            "skipped": rep.skipped,
-            "max_variation": rep.max_variation,
-            "tol": tols["corollary1"],
-        }
+        values["corollary1"] = {"skipped": rep.skipped, "max_variation": rep.max_variation}
     if "jacobi" in config.checks:
         direction = config.jacobi_direction
         if direction is None:
             mean_g = ev.frame.normal.mean(axis=0)
             direction = mean_g / np.linalg.norm(mean_g)
         rep = jacobi_residuals(chart, ev, direction, fdp)
-        checks["jacobi"] = {
-            "pass": bool(rep.max_residual < tols["jacobi"]),
-            "max_residual": rep.max_residual,
-            "min_w": rep.min_w,
-            "direction": [float(x) for x in np.asarray(direction, dtype=float)],
-            "tol": tols["jacobi"],
-        }
+        values["jacobi"] = {"max_residual": rep.max_residual, "min_w": rep.min_w,
+                            "direction": [float(x) for x in np.asarray(direction, dtype=float)]}
     if "gauss_codazzi" in config.checks:
         results = [res for res in gauss_codazzi_residuals(chart, ev) if not res.skipped]
-        worst = max((max(res.codazzi_residual, res.gauss_residual) for res in results), default=0.0)
-        identity = max((abs(res.curvature_term - res.ab_product) for res in results), default=0.0)
-        checks["gauss_codazzi"] = {
-            "pass": bool(not results or worst < tols["gauss_codazzi"]),
-            "max_residual": worst,
-            "identity_residual": identity,
+        values["gauss_codazzi"] = {
+            "max_residual": max((max(res.codazzi_residual, res.gauss_residual) for res in results), default=0.0),
+            "identity_residual": max((abs(res.curvature_term - res.ab_product) for res in results), default=0.0),
             "points_evaluated": len(results),
-            "tol": tols["gauss_codazzi"],
         }
+    if "oracle_gap" in config.checks:
+        values["oracle_gap"] = {"max_oracle_gap": max_gap}
+    checks = {}
+    for name, (_, key) in CHECKS.items():
+        if name in values:
+            value, tol = values[name][key], tols[name]
+            checks[name] = {"pass": value is None or value < tol, **values[name], "tol": tol}
 
     summary = {
         "points": len(points),
@@ -533,10 +521,10 @@ def main(argv=None) -> int:
             if alg is None:
                 raise ConfigError(problems)
             report = validate(alg)
+            if report.ok:
+                load_config(doc)  # axioms hold; any other config problem exits 2 before a word is written
             violations = [{"name": v.name, "magnitude": v.magnitude} for v in report.violations]
             sys.stdout.write(document_to_json({"valid": report.ok, "violations": violations}))
-            if report.ok:
-                load_config(doc)  # axioms hold; now surface any config problems
             return 0 if report.ok else 1
         if args.verb == "report" and args.point:
             try:
@@ -551,17 +539,11 @@ def main(argv=None) -> int:
         config = load_config(doc)
         if args.verb == "report" and config.point is None:
             config.point = [0.5 * (lo + hi) for lo, hi in config.chart.domain]
-        if args.verb == "compare" and all(m == "numeric_oracle" for m in config.methods):
-            raise ConfigError(["compare needs at least one closed-form method"])
-        result = run(config)
         if args.verb == "compare":
-            gap = result["summary"]["max_oracle_gap"]
-            tol = config.tolerances["oracle_gap"]
-            result["summary"]["checks"]["oracle_gap"] = {
-                "pass": bool(gap is not None and gap < tol),
-                "max_oracle_gap": gap,
-                "tol": tol,
-            }
+            if all(m == "numeric_oracle" for m in config.methods):
+                raise ConfigError(["compare needs at least one closed-form method"])
+            config.checks = [*config.checks, "oracle_gap"]  # a new list: config_echo keeps the job's own
+        result = run(config)
         _emit(result, args)
         return 1 if any(not res["pass"] for res in result["summary"]["checks"].values()) else 0
     except ConfigError as exc:

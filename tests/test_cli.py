@@ -122,6 +122,30 @@ def test_heisenberg_method_needs_heisenberg_algebra():
     assert any("Heisenberg algebra" in p for p in err.value.problems)
 
 
+TWO_BRACKET_JOB = dict(
+    BASE_CONFIG, model="exp", chart={"catalog": "graph", "params": {"expr": "0.1*u1*u2"}},
+    domain=[[-1, 1]] * 4, grid=[2, 2, 2, 2], methods=["general"], checks=[],
+    algebra={"dim_total": 5, "dim_center": 2,
+             "brackets": [{"i": 1, "j": 2, "k": 4, "c": 1.0}, {"i": 1, "j": 3, "k": 5, "c": 1.0}]},
+)
+
+
+@pytest.mark.parametrize("change, line", [
+    ({"methods": ["heisenberg"]}, "method 'heisenberg' requires a Heisenberg algebra"),
+    ({"methods": ["h_type"]}, "method 'h_type' requires a Heisenberg-type algebra"),
+    ({"checks": ["prop3"]}, "check 'prop3' requires a Heisenberg algebra"),
+    ({"algebra": {"builtin": "heisenberg", "m": 2}, "checks": ["gauss_codazzi"]},
+     "check 'gauss_codazzi' requires a 3-dimensional model"),
+])
+def test_requirement_messages_are_exact(tmp_path, capsys, change, line):
+    """Each method or check that needs more of the algebra names what it requires:
+    the two-bracket 5-dimensional algebra is neither Heisenberg nor H-type, and
+    H(2) on exp is not a 3-dimensional model."""
+    path = write_config(tmp_path, dict(TWO_BRACKET_JOB, **change))
+    assert main(["sweep", "--config", path]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"config error: {line}"]
+
+
 def test_run_vertical_plane_passes():
     config = load_config(EXAMPLE_JOBS["nil_vertical_plane"][1])
     doc = run(config)
@@ -211,9 +235,38 @@ def test_main_compare_verb(tmp_path):
     assert result["summary"]["checks"]["oracle_gap"]["pass"]
 
 
+def test_compare_verdict_lines_follow_the_check_table_order(tmp_path, capsys):
+    """Verdicts come in the check table's order, whatever the job's order, and
+    compare's oracle_gap comes last; JSON sorts its keys, so only stderr shows it."""
+    doc = EXAMPLE_JOBS["nil_cylinder_circle"][1]
+    path = write_config(tmp_path, dict(doc, checks=doc["checks"][::-1]))
+    out = tmp_path / "cmp.json"
+    assert main(["compare", "--config", path, "--out", str(out)]) == 0
+    assert capsys.readouterr().err.splitlines() == [
+        f"check {name}: PASS" for name in ("harmonicity", "prop3", "corollary1", "jacobi", "oracle_gap")
+    ]
+    assert json.loads(out.read_text())["config_echo"]["checks"] == doc["checks"][::-1]
+
+
+@pytest.mark.parametrize("verb", ["sweep", "compare"])
+def test_a_job_cannot_list_the_oracle_gap_check(tmp_path, capsys, verb):
+    path = write_config(tmp_path, dict(BASE_CONFIG, checks=["oracle_gap"]))
+    assert main([verb, "--config", path]) == 2
+    assert capsys.readouterr().err.splitlines() == ["config error: unknown checks entry 'oracle_gap'"]
+
+
 def test_main_validate_verb(tmp_path):
     path = write_config(tmp_path, BASE_CONFIG)
     assert main(["validate", "--config", path]) == 0
+
+
+def test_validate_writes_nothing_on_a_config_error(tmp_path, capsys):
+    """The algebra holds its axioms but the job does not load: exit 2, no document."""
+    path = write_config(tmp_path, dict(BASE_CONFIG, methods=["general", "numeric_oracle", "numeric_oracle"]))
+    assert main(["validate", "--config", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["config error: method 'numeric_oracle' is listed more than once"]
 
 
 def test_main_validate_reports_violations(tmp_path, capsys):
