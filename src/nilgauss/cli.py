@@ -207,8 +207,12 @@ def load_config(doc: dict) -> JobConfig:
         problems += [f"{key} {name!r} is listed more than once"
                      for name in dict.fromkeys(names) if names.count(name) > 1]
     direction = fields["jacobi_direction"]
-    if direction is not None and not (any(direction) and (alg is None or len(direction) == alg.dim_total)):
-        problems.append("jacobi_direction must be dim_total numbers, not all zero")
+    if direction is not None:
+        v = np.asarray(direction, dtype=float)
+        with np.errstate(over="ignore"):  # jacobi_residuals divides by the root of this sum
+            sq = float(v @ v)
+        if not (math.isfinite(sq) and sq >= sys.float_info.min and (alg is None or len(v) == alg.dim_total)):
+            problems.append("jacobi_direction must be dim_total numbers whose squared length is a normal float")
 
     if alg is not None and chart is not None:
         problems += [f"{'method' if name in METHOD_NAMES else 'check'} {name!r} requires {wording}"

@@ -44,6 +44,7 @@ from .surfaces import (
     ShapeData,
     Stack,
     SurfaceChart,
+    _n_mean_curvature,
     _second_fundamental,
     adapted_frame,
     chart_coefficients,
@@ -52,7 +53,6 @@ from .surfaces import (
     complex_step_jets,
     gauss_map,
     induced_metric_with_gradient,
-    mean_curvature_gradient,
     shape_data,
     stacked_chart_jets,
 )
@@ -296,8 +296,9 @@ class Evaluation(Stack):
     (N, d), ``tangential_norm`` and ``normal_coeff`` (N,); ``delta`` (N, d), the
     oracle's Delta G in the algebra basis, None without it; ``jet``, the centre
     ChartJet stack; ``steps``, in a 3-dimensional model, the complex-step rows with
-    leading axes (N, n), None elsewhere.  ``ev[kept]`` is the record at the points
-    ``kept``.
+    leading axes (N, n), and ``steps_h`` (N, n, n, n), the second fundamental form
+    h_ab at those rows, both None elsewhere.  ``ev[kept]`` is the record at the
+    points ``kept``.
     """
 
     u: np.ndarray
@@ -308,6 +309,7 @@ class Evaluation(Stack):
     delta: np.ndarray | None
     jet: ChartJet
     steps: ChartJet | None
+    steps_h: np.ndarray | None
 
     def __len__(self) -> int:
         return len(self.u)
@@ -320,6 +322,7 @@ def evaluate_points(chart: SurfaceChart, points, methods=("general",), fd: FDPar
     The one pipeline: one second-order chart walk at the points' N n
     ``complex_step_jets`` rows (FIELD_ROWS / 2 at a time, the bytes of an FD
     field call), whose real parts give the ChartJet stack at the points and
+    whose h_ab, one ``_second_fundamental`` call per chunk, gives n H there,
     whose imaginary parts give grad(n H), so Y_k(n H) = coeffs @ grad(n H)
     exactly; then the oracle's FD call, moved by ``fd``, with one first-order
     walk per chunk of its stencil.  Frames and closed forms run over the whole
@@ -331,18 +334,21 @@ def evaluate_points(chart: SurfaceChart, points, methods=("general",), fd: FDPar
     alg = chart.model.algebra
     points = np.asarray(points, dtype=float)
     n = chart.param_dim
-    centres, grads, steps, per = [], [], [], max(1, FIELD_ROWS // (2 * n))
+    centres, grads, steps, forms, per = [], [], [], [], max(1, FIELD_ROWS // (2 * n))
     for k in range(0, len(points), per):
         cj, rows = complex_step_jets(chart, points[k:k + per])
+        h = _second_fundamental(chart, rows)
         centres.append(cj)
-        grads.append(mean_curvature_gradient(chart, rows))
+        grads.append(complex_derivative(_n_mean_curvature(rows, h), n))
         if n == 2:  # kept for Gauss-Codazzi, which runs in 3 dimensions only; elsewhere n times the jets for nothing
             steps.append(rows)
+            forms.append(h)
     cj = ChartJet.join(centres)
     frame = adapted_frame(alg, cj.normal, completion_start)
     shape, coeffs = shape_data(chart, cj, frame)
     dh = (coeffs @ np.concatenate(grads)[..., None])[..., 0]
     steps = ChartJet.join(steps).map(lambda arr: arr.reshape((-1, n) + arr.shape[1:])) if steps else None
+    steps_h = np.concatenate(forms).reshape(-1, n, n, n) if forms else None
     reports, delta = {"general": laplacian_general(alg, frame, shape, dh)}, None
     for mth in methods:
         if mth == "numeric_oracle":
@@ -350,7 +356,8 @@ def evaluate_points(chart: SurfaceChart, points, methods=("general",), fd: FDPar
             reports[mth] = _oracle_report(frame, delta)
         elif mth not in reports:
             reports[mth] = CLOSED_FORMS[mth](alg, frame, shape, dh)
-    return Evaluation(u=points, frame=frame, shape=shape, dh=dh, reports=reports, delta=delta, jet=cj, steps=steps)
+    return Evaluation(u=points, frame=frame, shape=shape, dh=dh, reports=reports, delta=delta, jet=cj, steps=steps,
+                      steps_h=steps_h)
 
 
 def closed_form_report(chart: SurfaceChart, u, method: str = "general", fd: FDParams = FDParams(),
@@ -456,26 +463,27 @@ class GaussCodazziResult:
 
 
 def _gc_field(chart: SurfaceChart, cj: ChartJet) -> np.ndarray:
-    """Rows of h_ab (4 entries), then the induced Christoffels Gamma^c_ab (8), at a ChartJet stack."""
-    h = _second_fundamental(chart, cj)
+    """The induced Christoffels Gamma^c_ab, (M, 2, 2, 2) indexed [c, a, b], at a ChartJet stack."""
     g, dg = induced_metric_with_gradient(chart, cj)
     # Gamma^c_ab = g^cd (d_a g_db + d_b g_da - d_d g_ab) / 2
     lower = dg.transpose(0, 2, 1, 3) + dg.transpose(0, 2, 3, 1) - dg
-    gamma = 0.5 * (np.linalg.inv(g) @ lower.reshape(-1, 2, 4))
-    return np.concatenate([h.reshape(-1, 4), gamma.reshape(-1, 8)], axis=1)
+    return (0.5 * (np.linalg.inv(g) @ lower.reshape(-1, 2, 4))).reshape(-1, 2, 2, 2)
 
 
 def gauss_codazzi_residuals(chart: SurfaceChart, ev: Evaluation):
     """Compatibility residuals of a surface in a 3-dimensional model, in chart coordinates.
 
     ``ev`` is an ``evaluate_points`` record, giving one result per point, and
-    evaluates no chart: the record's ``steps`` rows give
-    h_ab and Gamma^c_ab (real parts) and their derivatives along u1 and u2, all exact.
+    evaluates no chart: the record's ``steps_h`` gives h_ab (real parts) and its
+    derivatives along u1 and u2 (imaginary parts), and one ``_gc_field`` call on
+    its ``steps`` rows gives Gamma^c_ab and their derivatives, all exact.
     Residual one is the worse of the Codazzi lines T(d1, d2, d1), T(d2, d1, d2),
     T_abc = nabla_a h_bc - nabla_b h_ac - <R(t_a, t_b) t_c, normal>, with d1, d2
     the chart directions of the point's Y_1, Y_2.  Residual two is the Gauss
-    equation K = det h / det g + the ambient sectional curvature.  Points where
-    either part of the normal vanishes are skipped (the adapted frame is not smooth there).
+    equation K = det h / det g + the ambient sectional curvature, which comes
+    from the same ``curvature`` contraction as the Codazzi term.  Points where
+    either part of the normal vanishes are skipped (the adapted frame is not
+    smooth there); when none is, the record's arrays are read in place.
     """
     alg = chart.model.algebra
     if alg.dim_total != 3:
@@ -486,21 +494,22 @@ def gauss_codazzi_residuals(chart: SurfaceChart, ev: Evaluation):
     if not len(kept):
         return results
 
-    ys, cj = ev.frame.ys[kept], ev.jet[kept]
-    field = _gc_field(chart, ev.steps[kept].map(lambda arr: arr.reshape((-1,) + arr.shape[2:])))
-    centre, deriv = field[::2].real, complex_derivative(field, 2)  # f(u) = Re f(u + i h e_1) + O(h^2)
-    h, dh = centre[:, :4].reshape(-1, 2, 2), deriv[..., :4].reshape(-1, 2, 2, 2)  # dh[:, a] = d_a h
-    gamma, dgamma = centre[:, 4:].reshape(-1, 2, 2, 2), deriv[..., 4:].reshape(-1, 2, 2, 2, 2)
+    cj, ys, steps, forms = ev.jet, ev.frame.ys, ev.steps, ev.steps_h
+    if len(kept) < len(ev):
+        cj, ys, steps, forms = cj[kept], ys[kept], steps[kept], forms[kept]
+    field = _gc_field(chart, steps.map(lambda arr: arr.reshape((-1,) + arr.shape[2:])))
+    # f(u) = Re f(u + i h e_1) + O(h^2); dh[:, a] = d_a h
+    h, dh = forms[:, 0].real, complex_derivative(forms.reshape(-1, 2, 2), 2)
+    gamma, dgamma = field[::2].real, complex_derivative(field, 2)
     t = np.swapaxes(cj.tangents, -1, -2)  # rows t_1, t_2
-    f1, f2, eta = np.moveaxis(ys, 1, 0)
+    f1, f2, eta = ys[:, 0], ys[:, 1], ys[:, 2]
+    rt = curvature(alg, t[:, :, None, None], t[:, None, :, None], t[:, None, None, :])  # R(t_a, t_b) t_c
 
     # nabla_a h_bc = d_a h_bc - Gamma^e_ab h_ec - Gamma^e_ac h_be
     flat = gamma.reshape(-1, 2, 4)  # rows e, columns (a, b)
     nabla_h = (dh - (np.swapaxes(flat, 1, 2) @ h).reshape(-1, 2, 2, 2)
                - np.swapaxes((h @ flat).reshape(-1, 2, 2, 2), 1, 2))
-    ambient = _dot(curvature(alg, t[:, :, None, None], t[:, None, :, None], t[:, None, None, :]),
-                   eta[:, None, None, None])  # <R(t_a, t_b) t_c, eta>
-    tensor = nabla_h - nabla_h.transpose(0, 2, 1, 3) - ambient
+    tensor = nabla_h - nabla_h.transpose(0, 2, 1, 3) - _dot(rt, eta[:, None, None, None])
     dirs = chart_coefficients(cj, ys[:, :2])  # rows d1, d2
     lines = (dirs @ tensor.reshape(-1, 2, 4)).reshape(-1, 2, 2, 2)  # T(d_l, ., .)
     codazzi = np.abs(_dot(dirs[:, ::-1], _apply(lines, dirs))).max(axis=1)
@@ -509,7 +518,7 @@ def gauss_codazzi_residuals(chart: SurfaceChart, ev: Evaluation):
     riem = dgamma[:, 0, :, 1, 1] - dgamma[:, 1, :, 0, 1]
     riem += (gamma[:, :, 0] @ gamma[:, :, 1, 1, None] - gamma[:, :, 1] @ gamma[:, :, 0, 1, None])[..., 0]
     g = t @ cj.tangents
-    sectional = _dot(curvature(alg, t[:, 0], t[:, 1], t[:, 1]), t[:, 0])
+    sectional = _dot(rt[:, 0, 1, 1], t[:, 0])  # <R(t_1, t_2) t_2, t_1>
     gauss_res = np.abs(_dot(g[:, 0], riem) - np.linalg.det(h) - sectional) / np.linalg.det(g)
 
     values = zip(codazzi.tolist(), gauss_res.tolist(), _dot(curvature(alg, f1, f2, f1), eta).tolist(),

@@ -311,17 +311,18 @@ def _second_fundamental(chart: SurfaceChart, cj: ChartJet):
     return h - jac.swapaxes(-1, -2) @ blocks[..., 0, :, :] @ jac + t.swapaxes(-1, -2) @ blocks[..., 1, :, :] @ t
 
 
-def _n_mean_curvature(chart: SurfaceChart, cj: ChartJet):
-    """n H = tr(g^-1 h) at a ChartJet row or stack."""
+def _n_mean_curvature(cj: ChartJet, h):
+    """n H = tr(g^-1 h) at a ChartJet row or stack, given its ``_second_fundamental`` h."""
     g = np.swapaxes(cj.tangents, -1, -2) @ cj.tangents
-    return np.trace(np.linalg.solve(g, _second_fundamental(chart, cj)), axis1=-2, axis2=-1)
+    return np.trace(np.linalg.solve(g, h), axis1=-2, axis2=-1)
 
 
 def mean_curvature(chart: SurfaceChart, u):
     """Frame-independent mean curvature H = tr(g^-1 h) / n: a float at one
     point (n,), or (N,) at the rows of (N, n)."""
     u = np.asarray(u, dtype=float)
-    hs = _n_mean_curvature(chart, stacked_chart_jets(chart, np.atleast_2d(u))) / chart.param_dim
+    cj = stacked_chart_jets(chart, np.atleast_2d(u))
+    hs = _n_mean_curvature(cj, _second_fundamental(chart, cj)) / chart.param_dim
     return hs if u.ndim == 2 else float(hs[0])
 
 
@@ -481,7 +482,7 @@ def shape_data(chart: SurfaceChart, cj: ChartJet, frame: AdaptedFrame):
 
 def mean_curvature_gradient(chart: SurfaceChart, rows: ChartJet) -> np.ndarray:
     """grad(n H), (N, n), exact from the points' ``complex_step_jets`` rows."""
-    return complex_derivative(_n_mean_curvature(chart, rows), chart.param_dim)
+    return complex_derivative(_n_mean_curvature(rows, _second_fundamental(chart, rows)), chart.param_dim)
 
 
 def mean_curvature_derivatives(chart: SurfaceChart, u, coeffs):

@@ -451,6 +451,8 @@ def test_bad_fd_and_point_exit_2(tmp_path, change):
         {"checks": ["jacobi"], "jacobi_direction": [1, 0]},
         {"checks": ["jacobi"], "jacobi_direction": ["a", 0, 0]},
         {"checks": ["jacobi"], "jacobi_direction": 5},
+        {"checks": ["jacobi"], "jacobi_direction": [1e200, 1e200, 0]},  # the squared length overflows
+        {"checks": ["jacobi"], "jacobi_direction": [1e-170, 0, 0]},  # the squared length underflows
         {"chart": "nil_vertical_plane"},
         {"chart": [1]},
         {"checks": 5},
@@ -463,6 +465,18 @@ def test_bad_field_types_exit_2(tmp_path, change):
     doc = dict(BASE_CONFIG, **change)
     path = write_config(tmp_path, doc)
     assert main(["sweep", "--config", path]) == 2
+
+
+def test_large_jacobi_direction_gives_the_verdict_of_its_unit_direction():
+    """A direction whose squared length is a normal float is normalised as it is:
+    [1e150, 0, 1e150] gives the verdict and residuals of [1, 0, 1]."""
+    cylinder = dict(BASE_CONFIG, chart={"catalog": "nil_cylinder", "params": {"f1": "cos(u1)", "f2": "sin(u1)"}},
+                    domain=[[-1.0, 1.0], [-1.0, 1.0]], methods=["general"], checks=["jacobi"])
+    big, unit = (run(load_config(dict(cylinder, jacobi_direction=v)))["summary"]["checks"]["jacobi"]
+                 for v in ([1e150, 0, 1e150], [1, 0, 1]))
+    assert big["pass"] is unit["pass"] is True
+    for key in ("max_residual", "min_w"):
+        assert abs(big[key] - unit[key]) <= 1e-15
 
 
 H1_INLINE = {"dim_total": 3, "dim_center": 1, "brackets": [{"i": 1, "j": 2, "k": 3, "c": 1.0}]}

@@ -1080,7 +1080,7 @@ def test_gauss_codazzi_list_equals_per_record_calls(name):
 
 def test_gauss_codazzi_list_evaluates_no_chart(monkeypatch):
     """k evaluated records: one _gc_field call, on their 2 k complex-step rows, which
-    gives h and Gamma (real parts) and their derivatives, and no chart evaluation."""
+    gives Gamma (real parts) and its derivatives, and no chart evaluation."""
     chart = foliation_leaf_chart()
     evals = evaluate_points(chart, np.array([[x, 0.2] for x in (-1.0, 0.0, 0.4, 1.3)]))
     rows = []
@@ -1094,6 +1094,35 @@ def test_gauss_codazzi_list_evaluates_no_chart(monkeypatch):
     results = gauss_codazzi_residuals(chart, evals)
     assert [res.skipped for res in results] == [False, True, False, False]
     assert rows == [(2 * 3, True)]
+
+
+@pytest.mark.parametrize("name", GC_GRIDS)
+def test_gauss_codazzi_reads_the_records_second_fundamental_form(monkeypatch, name):
+    """Gauss-Codazzi takes h_ab and its derivatives from the record's ``steps_h``, which
+    is ``_second_fundamental`` of its ``steps`` rows bit for bit, makes no
+    ``_second_fundamental`` call, and contracts the curvature twice: once for the
+    Codazzi and Gauss terms, once for ``curvature_term``."""
+    build, points = GC_GRIDS[name]
+    chart = build()
+    ev = evaluate_points(chart, np.array(points))
+    assert ev.steps_h.shape == (len(ev), 2, 2, 2)
+    assert ev.steps_h.tobytes() == _second_fundamental(chart, ev.steps).tobytes()
+    expected = gauss_codazzi_residuals(chart, ev)
+    calls = []
+
+    def counted(*args):
+        calls.append(len(args[1]))
+        return curvature(*args)
+
+    def unavailable(*args, **kwargs):
+        raise AssertionError("Gauss-Codazzi recomputed the second fundamental form")
+
+    monkeypatch.setattr("nilgauss.surfaces._second_fundamental", unavailable)
+    monkeypatch.setattr("nilgauss.laplacian._second_fundamental", unavailable)
+    monkeypatch.setattr("nilgauss.laplacian.curvature", counted)
+    assert gauss_codazzi_residuals(chart, ev) == expected
+    kept = sum(not res.skipped for res in expected)
+    assert 0 < kept < len(ev) and calls == [kept, kept]
 
 
 def test_gauss_codazzi_all_skipped_evaluates_no_chart(monkeypatch):
