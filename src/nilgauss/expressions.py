@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 import re
 from dataclasses import dataclass, field
 
@@ -225,9 +226,9 @@ _TOKEN_RE = re.compile(
 
 _PARAM_RE = re.compile(r"^u([1-9][0-9]*)$")
 
-# Deepest accepted nesting and tree height.  The parser recurses about five
-# frames per nesting level and the tree walks one per level, so both stay
-# well inside Python's default recursion limit of 1000.
+# Deepest accepted nesting and tree height.  The parser recurses seven frames
+# per nesting level (about 710 at the bound) and ``_eval`` one per level, so
+# both stay inside Python's default recursion limit of 1000.
 MAX_DEPTH = 100
 
 
@@ -281,24 +282,22 @@ class _Parser:
         tok = self.peek()
         if tok.kind != "end":
             raise ParseError(f"unexpected token {tok.text!r}", tok.pos)
-        if _height(node) > MAX_DEPTH:
+        height, max_param = _walk(node)
+        if height > MAX_DEPTH:
             raise ParseError(f"expression tree deeper than {MAX_DEPTH} levels", 0)
-        return node
+        return node, max_param
 
     def expr(self):
-        node = self.term()
-        while self.peek().kind == "op" and self.peek().text in "+-":
-            op = self.advance().text
-            rhs = self.term()
-            node = ("+" if op == "+" else "-", node, rhs)
-        return node
+        return self.binary("+-", self.term)
 
     def term(self):
-        node = self.unary()
-        while self.peek().kind == "op" and self.peek().text in "*/":
-            op = self.advance().text
-            rhs = self.unary()
-            node = ("*" if op == "*" else "/", node, rhs)
+        return self.binary("*/", self.unary)
+
+    def binary(self, ops: str, operand):
+        """A left-associative chain operand (op operand)* over the operators in ``ops``."""
+        node = operand()
+        while self.peek().kind == "op" and self.peek().text in ops:
+            node = (self.advance().text, node, operand())
         return node
 
     def unary(self):
@@ -362,32 +361,23 @@ class _Parser:
         raise ParseError(f"unexpected token {tok.text!r}", tok.pos)
 
 
-def _height(root) -> int:
-    """Number of levels of a tree, without recursion."""
-    height, stack = 0, [(root, 1)]
+def _walk(root) -> tuple[int, int]:
+    """Number of levels and highest parameter index (0 for none) of a tree, without recursion."""
+    height, max_param, stack = 0, 0, [(root, 1)]
     while stack:
         node, level = stack.pop()
         height = max(height, level)
+        if node[0] == "u":
+            max_param = max(max_param, node[1])
         stack.extend((child, level + 1) for child in node[1:] if isinstance(child, tuple))
-    return height
+    return height, max_param
 
 
-def _max_param(node) -> int:
-    kind = node[0]
-    if kind == "u":
-        return node[1]
-    if kind == "num":
-        return 0
-    if kind in ("neg",):
-        return _max_param(node[1])
-    if kind == "fn":
-        return _max_param(node[2])
-    if kind == "pow":
-        return _max_param(node[1])
-    return max(_max_param(node[1]), _max_param(node[2]))
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 
 
 def _eval(node, vals):
+    """A tree's value on floats or on jets: each operator is the one its operands define."""
     kind = node[0]
     if kind == "num":
         return node[1]
@@ -395,25 +385,13 @@ def _eval(node, vals):
         return vals[node[1] - 1]
     if kind == "neg":
         return -_eval(node[1], vals)
-    if kind == "+":
-        return _eval(node[1], vals) + _eval(node[2], vals)
-    if kind == "-":
-        return _eval(node[1], vals) - _eval(node[2], vals)
-    if kind == "*":
-        return _eval(node[1], vals) * _eval(node[2], vals)
-    if kind == "/":
-        return _eval(node[1], vals) / _eval(node[2], vals)
     if kind == "pow":
-        base = _eval(node[1], vals)
-        k = node[2]
-        if isinstance(base, Jet):
-            return jet_pow(base, k)
-        return float(base) ** k
+        return _eval(node[1], vals) ** node[2]
     if kind == "fn":
         arg = _eval(node[2], vals)
         plain, jetted = _FUNCTIONS[node[1]]
         return jetted(arg) if isinstance(arg, Jet) else plain(arg)
-    raise AssertionError(f"bad node {kind}")
+    return _BINARY[kind](_eval(node[1], vals), _eval(node[2], vals))
 
 
 @dataclass(frozen=True)
@@ -462,5 +440,5 @@ def expression_jets(exprs, points, order: int = 2) -> list[Jet]:
 
 
 def parse_expression(text: str) -> Expr:
-    root = _Parser(text).parse()
-    return Expr(root, text, _max_param(root))
+    root, max_param = _Parser(text).parse()
+    return Expr(root, text, max_param)

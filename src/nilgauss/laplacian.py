@@ -47,7 +47,6 @@ from .surfaces import (
     _n_mean_curvature,
     _second_fundamental,
     adapted_frame,
-    chart_coefficients,
     chart_jets,
     complex_derivative,
     complex_step_jets,
@@ -291,9 +290,10 @@ class Evaluation(Stack):
 
     ``u`` (N, n); ``frame``: ``ys`` (N, d, d), the normal parts ``x_q``, ``z_q``,
     ``x_n1``, ``z_n1`` (N, d) and their norms ``s``, ``c`` (N,); ``shape``: ``b``
-    (N, n, n), ``h`` and ``norm_b2`` (N,);
-    ``dh`` (N, n), the derivatives Y_k(n H); ``reports``, one per method: ``coeffs``
-    (N, d), ``tangential_norm`` and ``normal_coeff`` (N,); ``delta`` (N, d), the
+    (N, n, n), ``h`` and ``norm_b2`` (N,); ``dirs`` (N, n, n), the chart
+    directions of Y_1 .. Y_n; ``dh`` (N, n), the derivatives Y_k(n H);
+    ``reports``, one per method: ``coeffs`` (N, d), ``tangential_norm`` and
+    ``normal_coeff`` (N,); ``delta`` (N, d), the
     oracle's Delta G in the algebra basis, None without it; ``jet``, the centre
     ChartJet stack; ``steps``, in a 3-dimensional model, the complex-step rows with
     leading axes (N, n), and ``steps_h`` (N, n, n, n), the second fundamental form
@@ -304,6 +304,7 @@ class Evaluation(Stack):
     u: np.ndarray
     frame: AdaptedFrame
     shape: ShapeData
+    dirs: np.ndarray
     dh: np.ndarray
     reports: dict[str, LaplacianReport]
     delta: np.ndarray | None
@@ -329,7 +330,9 @@ def evaluate_points(chart: SurfaceChart, points, methods=("general",), fd: FDPar
     stack.  ``general`` is always evaluated, because the checkers read it.  The
     oracle shares only the chart jets at the points with the closed forms, and
     gets the frames only to re-express Delta G.  Each row equals the
-    evaluation of its point as a stack of one, bit for bit.
+    evaluation of its point as a stack of one, bit for bit.  Raises
+    FloatingPointError naming the first point whose h, |B|^2, dh or report
+    of a method is not finite, as a chart whose jets overflow gives.
     """
     alg = chart.model.algebra
     points = np.asarray(points, dtype=float)
@@ -345,8 +348,8 @@ def evaluate_points(chart: SurfaceChart, points, methods=("general",), fd: FDPar
             forms.append(h)
     cj = ChartJet.join(centres)
     frame = adapted_frame(alg, cj.normal, completion_start)
-    shape, coeffs = shape_data(chart, cj, frame)
-    dh = (coeffs @ np.concatenate(grads)[..., None])[..., 0]
+    shape, dirs = shape_data(chart, cj, frame)
+    dh = (dirs @ np.concatenate(grads)[..., None])[..., 0]
     steps = ChartJet.join(steps).map(lambda arr: arr.reshape((-1, n) + arr.shape[1:])) if steps else None
     steps_h = np.concatenate(forms).reshape(-1, n, n, n) if forms else None
     reports, delta = {"general": laplacian_general(alg, frame, shape, dh)}, None
@@ -356,8 +359,13 @@ def evaluate_points(chart: SurfaceChart, points, methods=("general",), fd: FDPar
             reports[mth] = _oracle_report(frame, delta)
         elif mth not in reports:
             reports[mth] = CLOSED_FORMS[mth](alg, frame, shape, dh)
-    return Evaluation(u=points, frame=frame, shape=shape, dh=dh, reports=reports, delta=delta, jet=cj, steps=steps,
-                      steps_h=steps_h)
+    values = [shape.h[:, None], shape.norm_b2[:, None], dh]
+    values += [arr for rep in reports.values() for arr in (rep.coeffs, rep.tangential_norm[:, None])]
+    finite = np.isfinite(np.concatenate(values, axis=1))
+    if not finite.all():
+        raise FloatingPointError(f"non-finite evaluation at u={points[np.argmin(finite.all(axis=1))].tolist()}")
+    return Evaluation(u=points, frame=frame, shape=shape, dirs=dirs, dh=dh, reports=reports, delta=delta, jet=cj,
+                      steps=steps, steps_h=steps_h)
 
 
 def closed_form_report(chart: SurfaceChart, u, method: str = "general", fd: FDParams = FDParams(),
@@ -479,11 +487,12 @@ def gauss_codazzi_residuals(chart: SurfaceChart, ev: Evaluation):
     its ``steps`` rows gives Gamma^c_ab and their derivatives, all exact.
     Residual one is the worse of the Codazzi lines T(d1, d2, d1), T(d2, d1, d2),
     T_abc = nabla_a h_bc - nabla_b h_ac - <R(t_a, t_b) t_c, normal>, with d1, d2
-    the chart directions of the point's Y_1, Y_2.  Residual two is the Gauss
-    equation K = det h / det g + the ambient sectional curvature, which comes
-    from the same ``curvature`` contraction as the Codazzi term.  Points where
-    either part of the normal vanishes are skipped (the adapted frame is not
-    smooth there); when none is, the record's arrays are read in place.
+    the chart directions of the point's Y_1, Y_2, read from the record's
+    ``dirs``.  Residual two is the Gauss equation K = det h / det g + the
+    ambient sectional curvature, which comes from the same ``curvature``
+    contraction as the Codazzi term.  Points where either part of the normal
+    vanishes are skipped (the adapted frame is not smooth there); when none
+    is, the record's arrays are read in place.
     """
     alg = chart.model.algebra
     if alg.dim_total != 3:
@@ -494,9 +503,9 @@ def gauss_codazzi_residuals(chart: SurfaceChart, ev: Evaluation):
     if not len(kept):
         return results
 
-    cj, ys, steps, forms = ev.jet, ev.frame.ys, ev.steps, ev.steps_h
+    cj, ys, dirs, steps, forms = ev.jet, ev.frame.ys, ev.dirs, ev.steps, ev.steps_h
     if len(kept) < len(ev):
-        cj, ys, steps, forms = cj[kept], ys[kept], steps[kept], forms[kept]
+        cj, ys, dirs, steps, forms = cj[kept], ys[kept], dirs[kept], steps[kept], forms[kept]
     field = _gc_field(chart, steps.map(lambda arr: arr.reshape((-1,) + arr.shape[2:])))
     # f(u) = Re f(u + i h e_1) + O(h^2); dh[:, a] = d_a h
     h, dh = forms[:, 0].real, complex_derivative(forms.reshape(-1, 2, 2), 2)
@@ -510,7 +519,6 @@ def gauss_codazzi_residuals(chart: SurfaceChart, ev: Evaluation):
     nabla_h = (dh - (np.swapaxes(flat, 1, 2) @ h).reshape(-1, 2, 2, 2)
                - np.swapaxes((h @ flat).reshape(-1, 2, 2, 2), 1, 2))
     tensor = nabla_h - nabla_h.transpose(0, 2, 1, 3) - _dot(rt, eta[:, None, None, None])
-    dirs = chart_coefficients(cj, ys[:, :2])  # rows d1, d2
     lines = (dirs @ tensor.reshape(-1, 2, 4)).reshape(-1, 2, 2, 2)  # T(d_l, ., .)
     codazzi = np.abs(_dot(dirs[:, ::-1], _apply(lines, dirs))).max(axis=1)
 

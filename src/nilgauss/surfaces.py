@@ -480,18 +480,14 @@ def shape_data(chart: SurfaceChart, cj: ChartJet, frame: AdaptedFrame):
     return ShapeData(b=b, h=np.trace(b, axis1=-2, axis2=-1) / b.shape[-1], norm_b2=(b * b).sum(axis=(-2, -1))), coeffs
 
 
-def mean_curvature_gradient(chart: SurfaceChart, rows: ChartJet) -> np.ndarray:
-    """grad(n H), (N, n), exact from the points' ``complex_step_jets`` rows."""
-    return complex_derivative(_n_mean_curvature(rows, _second_fundamental(chart, rows)), chart.param_dim)
-
-
 def mean_curvature_derivatives(chart: SurfaceChart, u, coeffs):
     """Y_k(n H) at one point u, or at every row of an (N, n) array, exact by the complex step.
 
     ``coeffs`` (n, n), or (N, n, n), are the chart directions of Y_1 .. Y_n, as
     ``shape_data`` returns them: Y_k(n H) = coeffs[k] @ grad(n H).
     """
-    grad = mean_curvature_gradient(chart, complex_step_jets(chart, np.atleast_2d(np.asarray(u, dtype=float)))[1])
+    rows = complex_step_jets(chart, np.atleast_2d(np.asarray(u, dtype=float)))[1]
+    grad = complex_derivative(_n_mean_curvature(rows, _second_fundamental(chart, rows)), chart.param_dim)
     return (coeffs @ grad.reshape(np.shape(coeffs)[:-1] + (1,)))[..., 0]
 
 

@@ -566,6 +566,31 @@ def test_chart_failing_on_its_grid_exits_2(tmp_path, capsys, components, error):
     assert len(lines) == 1 and lines[0].startswith(f"error: {error}: ")
 
 
+OVERFLOW_GRAPH = {"components": ["u1", "u2", "1e200*u1*u1"]}
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        dict(BASE_CONFIG, model="exp", chart=OVERFLOW_GRAPH, grid=[2, 2], methods=["general"]),
+        dict(BASE_CONFIG, model="exp", chart=OVERFLOW_GRAPH, grid=[2, 2], methods=["general"], checks=[]),
+        dict(BASE_CONFIG, chart={"catalog": "graph", "params": {"expr": "1e160*u1^2"}}, grid=[2, 2],
+             methods=["general", "heisenberg", "numeric_oracle"], checks=["jacobi"]),
+    ],
+    ids=["harmonicity", "no_checks", "jacobi"],
+)
+def test_chart_whose_jets_overflow_exits_2(tmp_path, capsys, doc):
+    """A point whose evaluation is not finite fails the job before a word is written:
+    a report never carries NaN or Infinity."""
+    path = write_config(tmp_path, doc)
+    with np.errstate(over="ignore", invalid="ignore"):  # numpy's own overflow warnings are not under test
+        assert main(["sweep", "--config", path]) == 2
+    out, err = capsys.readouterr()
+    lines = err.splitlines()
+    assert out == ""
+    assert len(lines) == 1 and lines[0].startswith("error: FloatingPointError: non-finite evaluation at u=[")
+
+
 def test_boundary_error_during_run_exits_2(tmp_path, capsys, monkeypatch):
     def stencil_outside(*args, **kwargs):
         raise BoundaryError("point [0.9999, 0.0] too close to the domain boundary")

@@ -92,6 +92,25 @@ def test_depth_bound(build):
 
 
 @pytest.mark.parametrize(
+    "source, max_param",
+    [
+        ("2*(1 - 0.5)^3 + sin(1)", 0),
+        ("sin(u3)", 3),
+        ("u1 + (u4 - 1)^5", 4),
+        ("u1 * -u2", 2),
+        ("u1 + u3", 3),
+        ("u1 - u3", 3),
+        ("u1 * u3", 3),
+        ("u1 / u3", 3),
+    ],
+    ids=["constant", "fn", "pow", "neg", "add", "sub", "mul", "div"],
+)
+def test_max_param_reaches_every_node_kind(source, max_param):
+    """The highest parameter index is found in every kind of node, and an exponent is not one."""
+    assert parse_expression(source).max_param == max_param
+
+
+@pytest.mark.parametrize(
     "source",
     [
         "sin(u1)*cos(u2) + u1^3",

@@ -859,7 +859,6 @@ def test_evaluate_points_one_chart_direction_solve(monkeypatch):
 
     lstsq = np.linalg.lstsq
     monkeypatch.setattr("nilgauss.surfaces.chart_coefficients", counted)
-    monkeypatch.setattr("nilgauss.laplacian.chart_coefficients", counted)
     monkeypatch.setattr(np.linalg, "lstsq", counted_lstsq)
     evaluate_points(chart, pts, ["general", "h_type", "heisenberg", "numeric_oracle"])
     assert shapes == [(6, 4, 5)]
@@ -1123,6 +1122,26 @@ def test_gauss_codazzi_reads_the_records_second_fundamental_form(monkeypatch, na
     assert gauss_codazzi_residuals(chart, ev) == expected
     kept = sum(not res.skipped for res in expected)
     assert 0 < kept < len(ev) and calls == [kept, kept]
+
+
+@pytest.mark.parametrize("name", GC_GRIDS)
+def test_gauss_codazzi_job_solves_its_chart_directions_once(monkeypatch, name):
+    """A Gauss-Codazzi job solves for the chart directions of its frames once, in
+    ``shape_data``; the checker reads them from the record's ``dirs``."""
+    build, points = GC_GRIDS[name]
+    chart = build()
+    shapes = []
+
+    def counted(cj, vecs):
+        shapes.append(np.shape(vecs))
+        return chart_coefficients(cj, vecs)
+
+    # under both module names by which the pipeline could reach it
+    monkeypatch.setattr("nilgauss.surfaces.chart_coefficients", counted)
+    monkeypatch.setattr("nilgauss.laplacian.chart_coefficients", counted, raising=False)
+    results = gauss_codazzi_residuals(chart, evaluate_points(chart, np.array(points)))
+    assert any(not res.skipped for res in results)
+    assert shapes == [(len(points), 2, 3)]
 
 
 def test_gauss_codazzi_all_skipped_evaluates_no_chart(monkeypatch):
