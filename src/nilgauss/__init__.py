@@ -26,8 +26,6 @@ from .expressions import Expr, Jet, ParseError, parse_expression
 from .fd import BoundaryError, FDParams
 from .laplacian import (
     Evaluation,
-    GaussCodazziResult,
-    JacobiReport,
     LaplacianReport,
     central_h_variation,
     closed_form_report,

@@ -354,10 +354,12 @@ def evaluate_points(chart: SurfaceChart, points, methods=("general",), fd: FDPar
     steps_h = np.concatenate(forms).reshape(-1, n, n, n) if forms else None
     reports, delta = {"general": laplacian_general(alg, frame, shape, dh)}, None
     for mth in methods:
+        if mth in reports:
+            continue
         if mth == "numeric_oracle":
             delta = oracle_laplacians(chart, cj, points, fd)
             reports[mth] = _oracle_report(frame, delta)
-        elif mth not in reports:
+        else:
             reports[mth] = CLOSED_FORMS[mth](alg, frame, shape, dh)
     values = [shape.h[:, None], shape.norm_b2[:, None], dh]
     values += [arr for rep in reports.values() for arr in (rep.coeffs, rep.tangential_norm[:, None])]
@@ -401,73 +403,38 @@ def harmonicity_cmc_residuals(shape: ShapeData, frame: AdaptedFrame):
     return r1, r2, r3
 
 
-@dataclass(frozen=True)
-class JacobiReport:
-    max_residual: float
-    min_w: float
+def jacobi_residuals(chart: SurfaceChart, ev: Evaluation, direction) -> tuple[np.ndarray, np.ndarray]:
+    """|(Delta + |B|^2 + Ric(normal, normal)) w| and w = <G, v> at each point, (N,) each.
 
-
-def jacobi_residuals(
-    chart: SurfaceChart,
-    ev: Evaluation,
-    direction,
-    fd: FDParams = FDParams(),
-) -> JacobiReport:
-    """Residual of (Delta + |B|^2 + Ric(normal, normal)) w, w = <G, v>.
-
-    ``ev`` is an ``evaluate_points`` record; the chart is expected to be CMC with
-    harmonic Gauss map.  A strictly positive w over the stack is the stability
-    certificate.  Delta w is read from the record's
-    oracle ``delta``; a record without one gets it from one ``oracle_laplacians``
-    call with ``fd`` on its ``jet``.
+    ``ev`` is an ``evaluate_points`` record with the oracle's ``delta``, from
+    which Delta w is read; the chart is expected to be CMC with harmonic Gauss
+    map.  A strictly positive w over the stack is the stability certificate.
     """
+    if ev.delta is None:
+        raise ValueError("jacobi_residuals reads the oracle's delta: evaluate with 'numeric_oracle'")
     v = np.asarray(direction, dtype=float)
     v = v / np.linalg.norm(v)
-    delta = oracle_laplacians(chart, ev.jet, ev.u, fd) if ev.delta is None else ev.delta
     normal = ev.frame.normal
     w = _dot(normal, v)
-    lw = _dot(delta, v)  # v is constant: Delta <G, v> = <Delta G, v>
+    lw = _dot(ev.delta, v)  # v is constant: Delta <G, v> = <Delta G, v>
     pot = ev.shape.norm_b2 + _ricci_normal(chart.model.algebra, normal)
-    return JacobiReport(max_residual=float(np.abs(lw + pot * w).max()), min_w=float(w.min()))
+    return np.abs(lw + pot * w), w
 
 
-@dataclass(frozen=True)
-class CentralVariationReport:
-    skipped: bool
-    max_variation: float | None
+def central_h_variation(chart: SurfaceChart, ev: Evaluation) -> np.ndarray:
+    """Largest rate of change of H along a central tangent direction at each point, (N,).
 
-
-def central_h_variation(
-    chart: SurfaceChart,
-    ev: Evaluation,
-    tol: float = 1e-3,
-) -> CentralVariationReport:
-    """Largest rate of change of H along a central tangent direction.
-
-    When the Gauss map is harmonic, Z(H) = 0 for every tangent frame
-    vector Z lying in the center.  The check is gated on the ``general``
-    reports of the ``evaluate_points`` record ``ev``: for a non-harmonic chart
-    it reports skipped.  Otherwise the value is the
-    largest |Y_k(n H)| / n over the central slots k of ``dh``: Y_{q+1} .. Y_n,
-    and the mixed vector Y_q at the points where its horizontal part vanishes.
+    When the Gauss map is harmonic, Z(H) = 0 for every tangent frame vector Z
+    lying in the center, so the value means something only at a harmonic
+    chart.  It is the largest |Y_k(n H)| / n over the central slots k of the
+    record's ``dh``: Y_{q+1} .. Y_n, and the mixed vector Y_q at the points
+    where its horizontal part vanishes.
     """
     alg = chart.model.algebra
     q, n = alg.dim_v, alg.n
-    if ev.reports["general"].tangential_norm.max(initial=0.0) > tol:
-        return CentralVariationReport(skipped=True, max_variation=None)
     dh = np.abs(ev.dh)
     mixed = np.where(ev.frame.c < 1e-9, dh[:, q - 1], 0.0)  # mixed vector degenerates to a central one
-    max_var = max(dh[:, q:n].max(initial=0.0), mixed.max(initial=0.0)) / n
-    return CentralVariationReport(skipped=False, max_variation=float(max_var))
-
-
-@dataclass(frozen=True)
-class GaussCodazziResult:
-    skipped: bool
-    codazzi_residual: float | None
-    gauss_residual: float | None
-    curvature_term: float | None
-    ab_product: float | None
+    return np.maximum(dh[:, q:n].max(axis=1, initial=0.0), mixed) / n
 
 
 def _gc_field(chart: SurfaceChart, cj: ChartJet) -> np.ndarray:
@@ -481,27 +448,32 @@ def _gc_field(chart: SurfaceChart, cj: ChartJet) -> np.ndarray:
 def gauss_codazzi_residuals(chart: SurfaceChart, ev: Evaluation):
     """Compatibility residuals of a surface in a 3-dimensional model, in chart coordinates.
 
-    ``ev`` is an ``evaluate_points`` record, giving one result per point, and
-    evaluates no chart: the record's ``steps_h`` gives h_ab (real parts) and its
-    derivatives along u1 and u2 (imaginary parts), and one ``_gc_field`` call on
-    its ``steps`` rows gives Gamma^c_ab and their derivatives, all exact.
-    Residual one is the worse of the Codazzi lines T(d1, d2, d1), T(d2, d1, d2),
+    ``ev`` is an ``evaluate_points`` record; the result is five (N,) arrays,
+    ``(evaluated, codazzi, gauss, curvature_term, ab_product)``, with one row
+    per point.  No chart is evaluated: the record's ``steps_h`` gives h_ab (real
+    parts) and its derivatives along u1 and u2 (imaginary parts), and one
+    ``_gc_field`` call on its ``steps`` rows gives Gamma^c_ab and their
+    derivatives, all exact.  ``codazzi`` is the worse of the Codazzi lines
+    T(d1, d2, d1), T(d2, d1, d2),
     T_abc = nabla_a h_bc - nabla_b h_ac - <R(t_a, t_b) t_c, normal>, with d1, d2
     the chart directions of the point's Y_1, Y_2, read from the record's
-    ``dirs``.  Residual two is the Gauss equation K = det h / det g + the
-    ambient sectional curvature, which comes from the same ``curvature``
-    contraction as the Codazzi term.  Points where either part of the normal
-    vanishes are skipped (the adapted frame is not smooth there); when none
-    is, the record's arrays are read in place.
+    ``dirs``.  ``gauss`` is the Gauss equation K = det h / det g + the ambient
+    sectional curvature, which comes from the same ``curvature`` contraction as
+    the Codazzi term.  ``curvature_term`` <R(F1, F2) F1, normal> should equal
+    ``ab_product``, the product of the two normal norms.  Points where either
+    part of the normal vanishes are not evaluated (the adapted frame is not
+    smooth there) and read 0.0 in every residual; when every point is
+    evaluated, the record's arrays are read in place.
     """
     alg = chart.model.algebra
     if alg.dim_total != 3:
         raise ValueError("gauss_codazzi_residuals requires a 3-dimensional model")
     s, c = ev.frame.s, ev.frame.c
-    kept = np.flatnonzero((s >= 1e-8) & (c >= 1e-8))
-    results = [GaussCodazziResult(True, None, None, None, None)] * len(ev)
+    evaluated = (s >= 1e-8) & (c >= 1e-8)
+    kept = np.flatnonzero(evaluated)
+    values = np.zeros((4, len(ev)))  # codazzi, gauss, curvature_term, ab_product
     if not len(kept):
-        return results
+        return evaluated, *values
 
     cj, ys, dirs, steps, forms = ev.jet, ev.frame.ys, ev.dirs, ev.steps, ev.steps_h
     if len(kept) < len(ev):
@@ -529,8 +501,5 @@ def gauss_codazzi_residuals(chart: SurfaceChart, ev: Evaluation):
     sectional = _dot(rt[:, 0, 1, 1], t[:, 0])  # <R(t_1, t_2) t_2, t_1>
     gauss_res = np.abs(_dot(g[:, 0], riem) - np.linalg.det(h) - sectional) / np.linalg.det(g)
 
-    values = zip(codazzi.tolist(), gauss_res.tolist(), _dot(curvature(alg, f1, f2, f1), eta).tolist(),
-                 (s * c)[kept].tolist())
-    for i, (cod, gau, term, ab) in zip(kept, values):
-        results[i] = GaussCodazziResult(False, cod, gau, term, ab)
-    return results
+    values[:, kept] = codazzi, gauss_res, _dot(curvature(alg, f1, f2, f1), eta), (s * c)[kept]
+    return evaluated, *values

@@ -479,6 +479,43 @@ def test_large_jacobi_direction_gives_the_verdict_of_its_unit_direction():
         assert abs(big[key] - unit[key]) <= 1e-15
 
 
+def test_jacobi_job_gets_the_oracle_from_evaluate_points(monkeypatch):
+    """A jacobi job without numeric_oracle among its methods makes one oracle call, from
+    inside evaluate_points, and writes no numeric_oracle row; its config_echo is the job's."""
+    oracle, calls = laplacian.oracle_laplacians, []
+
+    def counted(*args, **kwargs):
+        calls.append(sys._getframe(1).f_code.co_name)
+        return oracle(*args, **kwargs)
+
+    monkeypatch.setattr(laplacian, "oracle_laplacians", counted)
+    doc = dict(BASE_CONFIG, chart={"catalog": "nil_cylinder", "params": {"f1": "cos(u1)", "f2": "sin(u1)"}},
+               methods=["general", "heisenberg"], checks=["jacobi"])
+    report = run(load_config(doc))
+    assert calls == ["evaluate_points"]
+    assert {row["method"] for row in report["rows"]} == {"general", "heisenberg"}
+    assert report["config_echo"] == doc and report["config_echo"]["methods"] == ["general", "heisenberg"]
+    assert report["summary"]["max_oracle_gap"] is None
+    assert report["summary"]["checks"]["jacobi"]["pass"] is True
+
+
+def test_jacobi_job_listing_the_oracle_computes_it_once(monkeypatch):
+    """A jacobi job that lists numeric_oracle gets it once: evaluate_points skips a
+    method it has already evaluated."""
+    oracle, calls = laplacian.oracle_laplacians, []
+
+    def counted(*args, **kwargs):
+        calls.append(sys._getframe(1).f_code.co_name)
+        return oracle(*args, **kwargs)
+
+    monkeypatch.setattr(laplacian, "oracle_laplacians", counted)
+    doc = dict(BASE_CONFIG, chart={"catalog": "nil_cylinder", "params": {"f1": "cos(u1)", "f2": "sin(u1)"}},
+               methods=["general", "numeric_oracle"], checks=["jacobi"])
+    report = run(load_config(doc))
+    assert calls == ["evaluate_points"]
+    assert {row["method"] for row in report["rows"]} == {"general", "numeric_oracle"}
+
+
 H1_INLINE = {"dim_total": 3, "dim_center": 1, "brackets": [{"i": 1, "j": 2, "k": 3, "c": 1.0}]}
 LEAF_CONFIG = dict(
     BASE_CONFIG,
@@ -583,8 +620,7 @@ def test_chart_whose_jets_overflow_exits_2(tmp_path, capsys, doc):
     """A point whose evaluation is not finite fails the job before a word is written:
     a report never carries NaN or Infinity."""
     path = write_config(tmp_path, doc)
-    with np.errstate(over="ignore", invalid="ignore"):  # numpy's own overflow warnings are not under test
-        assert main(["sweep", "--config", path]) == 2
+    assert main(["sweep", "--config", path]) == 2
     out, err = capsys.readouterr()
     lines = err.splitlines()
     assert out == ""

@@ -30,6 +30,7 @@ from nilgauss import (
     shape_data,
     vertical_plane_chart,
 )
+from nilgauss.cli import NEEDS, load_config, run
 from nilgauss.curvature import curvature
 from nilgauss.expressions import expression_jets
 from nilgauss.fd import FDParams, directional_derivative
@@ -49,6 +50,11 @@ from conftest import abelian_3d, free_two_step_5d, gram_residual, lam, mu, quate
 
 def leaf_target(x):
     return np.array([0.0, -x / (1 + x * x) ** 2, -1.0 / (1 + x * x) ** 2])
+
+
+def over_records(checker, records):
+    """A checker's arrays over each record, concatenated: one row per point of the records."""
+    return [np.concatenate(arrays) for arrays in zip(*map(checker, records))]
 
 
 def random_shape(rng, n):
@@ -409,10 +415,10 @@ def test_coupling_requires_special_frame(free5):
 def test_jacobi_vertical_plane():
     chart = vertical_plane_chart()
     pts = [np.array([s, t]) for s in (-0.4, 0.0, 0.4) for t in (-0.4, 0.4)]
-    ev = evaluate_points(chart, np.array(pts))
-    rep = jacobi_residuals(chart, ev, [0.0, 1.0, 0.0])
-    assert rep.max_residual < 1e-12
-    assert rep.min_w == pytest.approx(1.0)
+    ev = evaluate_points(chart, np.array(pts), ["numeric_oracle"])
+    residual, w = jacobi_residuals(chart, ev, [0.0, 1.0, 0.0])
+    assert residual.max() < 1e-12
+    assert w.min() == pytest.approx(1.0)
     assert np.ptp(ev.shape.h) <= 1e-3 and ev.reports["general"].tangential_norm.max() <= 1e-3
     # the potential itself: Ric(L, L) + |B|^2 = -1/2 + 1/2 = 0
     alg = heisenberg(1)
@@ -422,20 +428,20 @@ def test_jacobi_vertical_plane():
 def test_jacobi_direction_orthogonal_gives_zero():
     chart = vertical_plane_chart()
     pts = [np.array([0.0, 0.0]), np.array([0.3, -0.2])]
-    evals = evaluate_points(chart, np.array(pts))
-    rep = jacobi_residuals(chart, evals, [0.0, 0.0, 1.0])  # v orthogonal to G = L
-    assert rep.max_residual < 1e-12
-    assert abs(rep.min_w) < 1e-12
+    evals = evaluate_points(chart, np.array(pts), ["numeric_oracle"])
+    residual, w = jacobi_residuals(chart, evals, [0.0, 0.0, 1.0])  # v orthogonal to G = L
+    assert residual.max() < 1e-12
+    assert abs(w.min()) < 1e-12
 
 
 def test_jacobi_circular_arc_cylinder():
     chart = cylinder_chart("cos(u1)", "sin(u1)", (-0.6, 0.6), (-1, 1))
     pts = [np.array([s, t]) for s in (-0.45, 0.0, 0.45) for t in (-0.5, 0.5)]
     mean_g = gauss_map(chart, np.array(pts)).mean(axis=0)
-    ev = evaluate_points(chart, np.array(pts))
-    rep = jacobi_residuals(chart, ev, mean_g / np.linalg.norm(mean_g))
-    assert rep.max_residual < 5e-4
-    assert rep.min_w > 0.0  # image in an open hemisphere: stability certificate
+    ev = evaluate_points(chart, np.array(pts), ["numeric_oracle"])
+    residual, w = jacobi_residuals(chart, ev, mean_g / np.linalg.norm(mean_g))
+    assert residual.max() < 5e-4
+    assert w.min() > 0.0  # image in an open hemisphere: stability certificate
     assert np.ptp(ev.shape.h) <= 1e-3 and ev.reports["general"].tangential_norm.max() <= 1e-3
 
 
@@ -471,7 +477,7 @@ def test_jacobi_reads_the_oracle_laplacian(f1, f2):
     alg = heisenberg(1)
     chart = cylinder_chart(f1, f2, (-0.6, 0.6), (-1.0, 1.0))
     pts = np.array([[s, t] for s in (-0.45, 0.0, 0.45) for t in (-0.5, 0.5)])
-    evals = evaluate_points(chart, pts)
+    evals = evaluate_points(chart, pts, ["numeric_oracle"])
     v = evals.frame.normal.mean(axis=0)
     v /= np.linalg.norm(v)
     expected = 0.0
@@ -479,52 +485,18 @@ def test_jacobi_reads_the_oracle_laplacian(f1, f2):
         lw = laplace_beltrami_scalar(chart, u, lambda p: gauss_map(chart, p) @ v)
         pot = norm_b2 + ricci(alg, normal, normal)
         expected = max(expected, abs(lw + pot * float(normal @ v)))
-    rep = jacobi_residuals(chart, evals, v)
-    assert rep.max_residual == pytest.approx(expected, abs=1e-6)
+    residual, _ = jacobi_residuals(chart, evals, v)
+    assert residual.max() == pytest.approx(expected, abs=1e-6)
 
 
-def test_jacobi_makes_one_oracle_call_for_records_without_one(monkeypatch):
+def test_jacobi_needs_the_oracle_laplacian():
+    """Delta w comes from the record's oracle delta only: a record evaluated
+    without ``numeric_oracle`` is refused, not re-evaluated."""
     chart = cylinder_chart("cos(u1)", "sin(u1)", (-0.6, 0.6), (-1, 1))
-    pts = np.array([[s, t] for s in (-0.45, 0.0, 0.45) for t in (-0.5, 0.5)])
-    bare = evaluate_points(chart, pts)
-    with_oracle = evaluate_points(chart, pts, ["numeric_oracle"])
-    calls = []
-
-    def counted(chart_, p, **near):
-        calls.append(len(p))
-        return gauss_map(chart_, p, **near)
-
-    monkeypatch.setattr("nilgauss.laplacian.gauss_map", counted)
-    v = [0.3, 0.9, 0.1]
-    reference = jacobi_residuals(chart, with_oracle, v)
-    assert calls == []
-    assert jacobi_residuals(chart, bare, v) == reference
-    assert calls == [len(pts) * 13]  # centre and 2 levels of 6 neighbours per point
-
-
-def test_jacobi_without_oracle_reevaluates_no_centre(monkeypatch):
-    """Records without an oracle Delta G: one gauss_map call, whose stencil of
-    first-order chart rows is the only chart evaluation; the metric coefficients
-    come from the records' ChartJet rows."""
-    chart = cylinder_chart("cos(u1)", "sin(u1)", (-0.6, 0.6), (-1, 1))
-    pts = np.array([[s, t] for s in (-0.45, 0.0, 0.45) for t in (-0.5, 0.5)])
-    bare = evaluate_points(chart, pts)
-    reference = jacobi_residuals(chart, evaluate_points(chart, pts, ["numeric_oracle"]), [0.3, 0.9, 0.1])
-    maps, rows = [], []
-
-    def counted_map(chart_, p, **near):
-        maps.append(len(p))
-        return gauss_map(chart_, p, **near)
-
-    def counted_jets(exprs, p, order=2):
-        rows.append((len(p), order))
-        return expression_jets(exprs, p, order)
-
-    monkeypatch.setattr("nilgauss.laplacian.gauss_map", counted_map)
-    monkeypatch.setattr("nilgauss.surfaces.expression_jets", counted_jets)
-    assert jacobi_residuals(chart, bare, [0.3, 0.9, 0.1]) == reference
-    assert maps == [len(pts) * 13]
-    assert rows == [(len(pts) * 13, 1)]
+    bare = evaluate_points(chart, np.array([[0.0, 0.5]]))
+    assert bare.delta is None
+    with pytest.raises(ValueError, match="numeric_oracle"):
+        jacobi_residuals(chart, bare, [0.3, 0.9, 0.1])
 
 
 # ---------------------------------------------------------------------------
@@ -810,14 +782,19 @@ def test_fd_moves_no_closed_form_row_gauss_codazzi_or_corollary1():
         evals = evaluate_points(h2_chart, h2_pts, ["general", "h_type", "heisenberg"], fd)
         rows = (evals.dh, [rep.coeffs for rep in evals.reports.values()])
         gc = gauss_codazzi_residuals(leaf, evaluate_points(leaf, grid, fd=fd))
-        corollary1 = central_h_variation(cylinder, evaluate_points(cylinder, grid, fd=fd))
-        outcomes.append((rows, gc, corollary1))
-    ((dh, coeffs), gc, corollary1), ((dh_b, coeffs_b), gc_b, corollary1_b) = outcomes
+        cylinder_ev = evaluate_points(cylinder, grid, fd=fd)
+        corollary1 = central_h_variation(cylinder, cylinder_ev)
+        outcomes.append((rows, gc, corollary1, cylinder_ev.reports["general"].tangential_norm))
+    ((dh, coeffs), gc, corollary1, defect), ((dh_b, coeffs_b), gc_b, corollary1_b, defect_b) = outcomes
     np.testing.assert_array_equal(dh, dh_b)
     for a, b in zip(coeffs, coeffs_b):
         np.testing.assert_array_equal(a, b)
-    assert gc == gc_b and not gc[0].skipped
-    assert corollary1 == corollary1_b and not corollary1.skipped
+    for a, b in zip(gc, gc_b):
+        np.testing.assert_array_equal(a, b)
+    assert gc[0][0]  # the first point is evaluated
+    np.testing.assert_array_equal(corollary1, corollary1_b)
+    np.testing.assert_array_equal(defect, defect_b)  # the gate's input, the same under both
+    assert defect.max() <= 1e-3  # harmonic: a job's corollary1 gate is open
 
 
 def test_complex_step_size_moves_nothing(monkeypatch):
@@ -837,10 +814,9 @@ def test_complex_step_size_moves_nothing(monkeypatch):
     (dh, gc), (dh_b, gc_b) = outcomes
     assert np.abs(dh).max() > 0.1
     np.testing.assert_allclose(dh_b, dh, rtol=1e-14, atol=1e-15)
-    for one, other in zip(gc, gc_b):
-        assert not one.skipped
-        for field in ("codazzi_residual", "gauss_residual"):
-            assert abs(getattr(one, field) - getattr(other, field)) <= 1e-15
+    assert gc[0].all()
+    for one, other in zip(gc[1:3], gc_b[1:3]):  # the codazzi and gauss residuals
+        assert np.abs(one - other).max() <= 1e-15
 
 
 def test_evaluate_points_one_chart_direction_solve(monkeypatch):
@@ -869,19 +845,28 @@ def test_evaluate_points_one_chart_direction_solve(monkeypatch):
 # central mean-curvature variation
 
 
+def harmonic(ev):
+    """The job's corollary1 gate at its default harmonicity tolerance: open."""
+    return ev.reports["general"].tangential_norm.max() <= 1e-3
+
+
 def test_central_variation_cylinder():
     chart = cylinder_chart("cos(u1)", "sin(u1)", (-0.6, 0.6), (-1, 1))
     pts = [np.array([s, 0.0]) for s in (-0.3, 0.0, 0.3)]
-    rep = central_h_variation(chart, evaluate_points(chart, np.array(pts)))
-    assert not rep.skipped
-    assert rep.max_variation < 1e-8
+    ev = evaluate_points(chart, np.array(pts))
+    assert harmonic(ev)
+    assert central_h_variation(chart, ev).max() < 1e-8
 
 
 def test_central_variation_skipped_for_non_harmonic():
-    chart = foliation_leaf_chart()
-    rep = central_h_variation(chart, evaluate_points(chart, np.array([[0.7, 0.0]])))
-    assert rep.skipped
-    assert rep.max_variation is None
+    """The gate is the job's: corollary1 on a chart whose Gauss map is not harmonic
+    reports skipped, with no value."""
+    doc = {"algebra": {"builtin": "heisenberg", "m": 1}, "model": "nil_polarized",
+           "chart": {"catalog": "nil_foliation_leaf"}, "domain": [[-2.0, 2.0], [-0.5, 0.5]],
+           "point": [0.7, 0.0], "methods": ["general"], "checks": ["corollary1"]}
+    rep = run(load_config(doc))["summary"]["checks"]["corollary1"]
+    assert rep["skipped"]
+    assert rep["max_variation"] is None
 
 
 def test_central_variation_harmonic_h2_chart(h2):
@@ -890,9 +875,9 @@ def test_central_variation_harmonic_h2_chart(h2):
         model, ["0", "u1", "u2", "u3", "u4"], [(-0.8, 0.8)] * 4
     )
     pts = [np.array([0.1, -0.2, 0.3, 0.0]), np.array([-0.2, 0.1, 0.0, 0.2])]
-    rep = central_h_variation(chart, evaluate_points(chart, np.array(pts)))
-    assert not rep.skipped
-    assert rep.max_variation < 5e-4
+    ev = evaluate_points(chart, np.array(pts))
+    assert harmonic(ev)
+    assert central_h_variation(chart, ev).max() < 5e-4
 
 
 def test_central_variation_makes_no_chart_evaluation(monkeypatch):
@@ -903,9 +888,8 @@ def test_central_variation_makes_no_chart_evaluation(monkeypatch):
         raise AssertionError("the chart was evaluated")
 
     monkeypatch.setattr("nilgauss.surfaces.stacked_chart_jets", no_evaluation)
-    rep = central_h_variation(chart, evals)
-    assert not rep.skipped
-    assert rep.max_variation < 1e-8
+    assert harmonic(evals)
+    assert central_h_variation(chart, evals).max() < 1e-8
 
 
 def test_central_variation_reads_central_frame_derivatives(free5):
@@ -913,7 +897,7 @@ def test_central_variation_reads_central_frame_derivatives(free5):
     chart = graph_chart(exp_model(free5), "0.3*u1*u2 + 0.2*sin(u3) + 0.1*u4*u1", [(-0.8, 0.8)] * 4)
     pts = [np.array([0.1, -0.2, 0.3, 0.0]), np.array([-0.2, 0.1, 0.0, 0.2])]
     evals = evaluate_points(chart, np.array(pts))
-    rep = central_h_variation(chart, evals, tol=np.inf)
+    variation = central_h_variation(chart, evals)
     h_field = lambda p: mean_curvature(chart, p)
     expected = 0.0
     for u, ys in zip(evals.u, evals.frame.ys):
@@ -925,7 +909,7 @@ def test_central_variation_reads_central_frame_derivatives(free5):
             deriv = directional_derivative(h_field, u, coeff, domain=chart.domain)
             expected = max(expected, abs(deriv))
     assert expected > 1e-5
-    assert rep.max_variation == pytest.approx(expected, rel=1e-9)
+    assert variation.max() == pytest.approx(expected, rel=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -935,23 +919,24 @@ def test_central_variation_reads_central_frame_derivatives(free5):
 def test_gauss_codazzi_identity_exact():
     """<R(F1, F2) F1, normal> equals the product of the two normal norms."""
     chart = foliation_leaf_chart()
-    for res in gauss_codazzi_residuals(chart, evaluate_points(chart, [[x, 0.0] for x in (0.4, 0.9, 1.6)])):
-        assert not res.skipped
-        assert res.curvature_term == pytest.approx(res.ab_product, abs=1e-10)
+    ev = evaluate_points(chart, [[x, 0.0] for x in (0.4, 0.9, 1.6)])
+    evaluated, _, _, term, ab = gauss_codazzi_residuals(chart, ev)
+    assert evaluated.all()
+    assert term == pytest.approx(ab, abs=1e-10)
 
 
 def test_gauss_codazzi_leaf_residuals():
     chart = foliation_leaf_chart()
     points = np.array([[x, 0.0] for x in np.linspace(0.35, 2.0, 10)])
-    for res in gauss_codazzi_residuals(chart, evaluate_points(chart, points)):
-        assert res.codazzi_residual < 5e-4
-        assert res.gauss_residual < 5e-4
+    _, codazzi, gauss, _, _ = gauss_codazzi_residuals(chart, evaluate_points(chart, points))
+    assert codazzi.max() < 5e-4
+    assert gauss.max() < 5e-4
 
 
 def test_gauss_codazzi_skips_degenerate_normal():
     leaf, plane = foliation_leaf_chart(), vertical_plane_chart()
-    assert gauss_codazzi_residuals(leaf, evaluate_points(leaf, [[0.0, 0.0]]))[0].skipped
-    assert gauss_codazzi_residuals(plane, evaluate_points(plane, [[0.1, 0.1]]))[0].skipped
+    assert not gauss_codazzi_residuals(leaf, evaluate_points(leaf, [[0.0, 0.0]]))[0][0]
+    assert not gauss_codazzi_residuals(plane, evaluate_points(plane, [[0.1, 0.1]]))[0][0]
 
 
 def test_gauss_codazzi_abelian_limit():
@@ -959,11 +944,11 @@ def test_gauss_codazzi_abelian_limit():
     chart = expression_chart(
         model, ["u1", "u2", "0.4*u1 + 0.7*u2"], [(-1, 1), (-1, 1)]
     )
-    (res,) = gauss_codazzi_residuals(chart, evaluate_points(chart, [[0.1, -0.2]]))
-    assert not res.skipped
-    assert res.codazzi_residual < 1e-8
-    assert res.gauss_residual < 1e-8
-    assert res.curvature_term == pytest.approx(0.0, abs=1e-12)
+    evaluated, codazzi, gauss, term, _ = gauss_codazzi_residuals(chart, evaluate_points(chart, [[0.1, -0.2]]))
+    assert evaluated[0]
+    assert codazzi[0] < 1e-8
+    assert gauss[0] < 1e-8
+    assert term[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_gauss_codazzi_requires_3d():
@@ -991,9 +976,9 @@ def test_gauss_codazzi_evaluates_no_chart_and_no_frames(monkeypatch):
     chart = foliation_leaf_chart()
     evals = [evaluate_points(chart, [[x, 0.0]]) for x in (0.0, 0.5, 1.2)]  # x = 0 is skipped
     forbid_chart_evaluation(monkeypatch)
-    results = [gauss_codazzi_residuals(chart, ev)[0] for ev in evals]
-    assert [res.skipped for res in results] == [True, False, False]
-    assert max(max(res.codazzi_residual, res.gauss_residual) for res in results[1:]) < 1e-13
+    evaluated, codazzi, gauss, _, _ = over_records(lambda ev: gauss_codazzi_residuals(chart, ev), evals)
+    assert evaluated.tolist() == [False, True, True]
+    assert max(codazzi[1:].max(), gauss[1:].max()) < 1e-13
 
 
 GC_CHARTS = {
@@ -1013,22 +998,21 @@ GC_POINTS = ([0.2, -0.3], [0.5, 0.4], [-0.4, 0.1])
 @pytest.mark.parametrize("name", GC_CHARTS)
 def test_gauss_codazzi_residuals_at_rounding_level(name):
     chart = GC_CHARTS[name](1)
-    for res in gauss_codazzi_residuals(chart, evaluate_points(chart, GC_POINTS)):
-        assert not res.skipped
-        assert res.codazzi_residual < 1e-10
-        assert res.gauss_residual < 1e-10
+    evaluated, codazzi, gauss, _, _ = gauss_codazzi_residuals(chart, evaluate_points(chart, GC_POINTS))
+    assert evaluated.all()
+    assert codazzi.max() < 1e-10
+    assert gauss.max() < 1e-10
 
 
 @pytest.mark.parametrize("name", GC_CHARTS)
 def test_gauss_codazzi_orientation_invariance(name):
-    results = (
+    plus, minus = (
         gauss_codazzi_residuals(chart, evaluate_points(chart, GC_POINTS))
         for chart in (GC_CHARTS[name](1), GC_CHARTS[name](-1))
     )
-    for plus, minus in zip(*results):
-        assert minus.skipped == plus.skipped
-        assert minus.codazzi_residual == pytest.approx(plus.codazzi_residual, abs=1e-10)
-        assert minus.gauss_residual == pytest.approx(plus.gauss_residual, abs=1e-10)
+    np.testing.assert_array_equal(minus[0], plus[0])
+    assert minus[1] == pytest.approx(plus[1], abs=1e-10)  # codazzi
+    assert minus[2] == pytest.approx(plus[2], abs=1e-10)  # gauss
 
 
 def _nil_graph_central_point():
@@ -1056,25 +1040,20 @@ GC_GRIDS = {
         [[x, y] for x in np.linspace(-0.8, 0.8, 5) for y in np.linspace(-0.8, 0.8, 3)],
     ),
 }
-GC_FIELDS = ("codazzi_residual", "gauss_residual", "curvature_term", "ab_product")
-
-
 @pytest.mark.parametrize("name", GC_GRIDS)
 def test_gauss_codazzi_list_equals_per_record_calls(name):
     build, points = GC_GRIDS[name]
     chart = build()
     evals = evaluate_points(chart, np.array(points))
     stacked = gauss_codazzi_residuals(chart, evals)
-    single = [gauss_codazzi_residuals(chart, evals[i:i + 1])[0] for i in range(len(evals))]
-    assert len(stacked) == len(evals)
-    assert 0 < sum(res.skipped for res in single) < len(evals)
-    for one, row in zip(single, stacked):
-        assert row.skipped == one.skipped
-        for field in GC_FIELDS:
-            if one.skipped:
-                assert getattr(row, field) is None
-            else:
-                assert abs(getattr(row, field) - getattr(one, field)) <= 1e-15
+    single = over_records(lambda ev: gauss_codazzi_residuals(chart, ev), [evals[i:i + 1] for i in range(len(evals))])
+    evaluated = single[0]
+    assert len(stacked[0]) == len(evals)
+    assert 0 < (~evaluated).sum() < len(evals)
+    np.testing.assert_array_equal(stacked[0], evaluated)
+    for row, one in zip(stacked[1:], single[1:]):  # codazzi, gauss, curvature_term, ab_product
+        assert not row[~evaluated].any()
+        assert np.abs(row - one).max() <= 1e-15
 
 
 def test_gauss_codazzi_list_evaluates_no_chart(monkeypatch):
@@ -1090,8 +1069,8 @@ def test_gauss_codazzi_list_evaluates_no_chart(monkeypatch):
 
     forbid_chart_evaluation(monkeypatch)
     monkeypatch.setattr("nilgauss.laplacian._gc_field", counted)
-    results = gauss_codazzi_residuals(chart, evals)
-    assert [res.skipped for res in results] == [False, True, False, False]
+    evaluated = gauss_codazzi_residuals(chart, evals)[0]
+    assert evaluated.tolist() == [True, False, True, True]
     assert rows == [(2 * 3, True)]
 
 
@@ -1119,8 +1098,9 @@ def test_gauss_codazzi_reads_the_records_second_fundamental_form(monkeypatch, na
     monkeypatch.setattr("nilgauss.surfaces._second_fundamental", unavailable)
     monkeypatch.setattr("nilgauss.laplacian._second_fundamental", unavailable)
     monkeypatch.setattr("nilgauss.laplacian.curvature", counted)
-    assert gauss_codazzi_residuals(chart, ev) == expected
-    kept = sum(not res.skipped for res in expected)
+    for arr, want in zip(gauss_codazzi_residuals(chart, ev), expected):
+        assert arr.tobytes() == want.tobytes()
+    kept = expected[0].sum()
     assert 0 < kept < len(ev) and calls == [kept, kept]
 
 
@@ -1139,8 +1119,8 @@ def test_gauss_codazzi_job_solves_its_chart_directions_once(monkeypatch, name):
     # under both module names by which the pipeline could reach it
     monkeypatch.setattr("nilgauss.surfaces.chart_coefficients", counted)
     monkeypatch.setattr("nilgauss.laplacian.chart_coefficients", counted, raising=False)
-    results = gauss_codazzi_residuals(chart, evaluate_points(chart, np.array(points)))
-    assert any(not res.skipped for res in results)
+    evaluated = gauss_codazzi_residuals(chart, evaluate_points(chart, np.array(points)))[0]
+    assert evaluated.any()
     assert shapes == [(len(points), 2, 3)]
 
 
@@ -1153,8 +1133,8 @@ def test_gauss_codazzi_all_skipped_evaluates_no_chart(monkeypatch):
 
     for name in ("stacked_chart_jets", "chart_jets", "_gc_field", "complex_derivative"):
         monkeypatch.setattr(f"nilgauss.laplacian.{name}", no_evaluation)
-    assert [res.skipped for res in gauss_codazzi_residuals(chart, evals)] == [True] * 3
-    assert gauss_codazzi_residuals(chart, evals[:0]) == []
+    assert gauss_codazzi_residuals(chart, evals)[0].tolist() == [False] * 3
+    assert [arr.shape for arr in gauss_codazzi_residuals(chart, evals[:0])] == [(0,)] * 5
 
 
 # ---------------------------------------------------------------------------
@@ -1176,35 +1156,31 @@ CHECKER_STACKS = {
 
 @pytest.mark.parametrize("name", CHECKER_STACKS)
 def test_checkers_over_a_stack_equal_their_rows(name):
-    """The residuals of prop3 (Heisenberg algebras) and Gauss-Codazzi (3 dimensions) are,
-    bit for bit, those of each point's stack of one; the Jacobi and corollary1 reports are
-    the max (min_w the min) over them."""
+    """Every array of the five checks a job runs on the chart's algebra and model (a
+    Heisenberg algebra for prop3, 3 dimensions for Gauss-Codazzi) is, bit for bit, the
+    concatenation of its arrays over each point's stack of one."""
     build, points = CHECKER_STACKS[name]
     chart = build()
-    ev = evaluate_points(chart, np.array(points))
+    alg = chart.model.algebra
+    ev = evaluate_points(chart, np.array(points), ["numeric_oracle"])
     rows = [ev[i:i + 1] for i in range(len(ev))]
-
-    if chart.model.algebra.is_heisenberg:
-        stacked = harmonicity_cmc_residuals(ev.shape, ev.frame)
-        for i, row in enumerate(rows):
-            for res, one in zip(stacked, harmonicity_cmc_residuals(row.shape, row.frame)):
-                assert res[i].tobytes() == one[0].tobytes()
-
-    if chart.model.dim == 3:
-        singles = [gauss_codazzi_residuals(chart, row)[0] for row in rows]
-        assert 0 < sum(res.skipped for res in singles) < len(rows)
-        assert gauss_codazzi_residuals(chart, ev) == singles
-
     v = ev.frame.normal.mean(axis=0)
-    jacobi = jacobi_residuals(chart, ev, v)
-    singles = [jacobi_residuals(chart, row, v) for row in rows]
-    assert jacobi.max_residual == max(rep.max_residual for rep in singles)
-    assert jacobi.min_w == min(rep.min_w for rep in singles)
-
-    for tol in (1e-3, np.inf):
-        central = central_h_variation(chart, ev, tol)
-        singles = [central_h_variation(chart, row, tol) for row in rows]
-        assert central.skipped == any(rep.skipped for rep in singles)
-        if not central.skipped:
-            assert central.max_variation == max(rep.max_variation for rep in singles)
-    assert name != "free5" or central.max_variation > 1e-5
+    checkers = {
+        "harmonicity": lambda rec: (rec.reports["general"].tangential_norm,),
+        "prop3": lambda rec: harmonicity_cmc_residuals(rec.shape, rec.frame),
+        "corollary1": lambda rec: (central_h_variation(chart, rec),),
+        "jacobi": lambda rec: jacobi_residuals(chart, rec, v),
+        "gauss_codazzi": lambda rec: gauss_codazzi_residuals(chart, rec),
+    }
+    arrays = {}
+    for check, checker in checkers.items():
+        if check in NEEDS and not NEEDS[check][0](alg):
+            continue
+        arrays[check] = checker(ev)
+        for stacked, joined in zip(arrays[check], over_records(checker, rows), strict=True):
+            assert stacked.shape == (len(ev),)
+            assert stacked.tobytes() == joined.tobytes(), check
+    assert ("prop3" in arrays) == alg.is_heisenberg and ("gauss_codazzi" in arrays) == (alg.dim_total == 3)
+    if "gauss_codazzi" in arrays:
+        assert 0 < (~arrays["gauss_codazzi"][0]).sum() < len(rows)
+    assert name != "free5" or arrays["corollary1"][0].max() > 1e-5
