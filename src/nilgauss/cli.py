@@ -379,20 +379,12 @@ def _json_text(obj, nl: str) -> str:
 
 
 def document_to_csv(doc: dict) -> str:
-    """One row per grid point: coordinates, H, |B|^2, defect, normal coeffs."""
+    """One row per grid point: coordinates, H, |B|^2, defect, normal coeffs.
+
+    ``run`` writes each point's rows together, one per method in the job's order;
+    the defect is the first closed-form method's."""
     rows = doc["rows"]
-    by_point: dict[tuple, dict] = {}
-    methods: list[str] = []
-    for row in rows:
-        key = tuple(row["point"])
-        rec = by_point.setdefault(
-            key, {"h": row["h"], "norm_b2": row["norm_b2"], "normals": {}, "defect": None}
-        )
-        rec["normals"][row["method"]] = row["normal_coeff"]
-        if row["method"] != "numeric_oracle" and rec["defect"] is None:
-            rec["defect"] = row["tangential_norm"]
-        if row["method"] not in methods:
-            methods.append(row["method"])
+    methods = list(dict.fromkeys(row["method"] for row in rows))
     n = len(rows[0]["point"]) if rows else 0
     out = io.StringIO()
     writer = csv.writer(out)
@@ -401,12 +393,13 @@ def document_to_csv(doc: dict) -> str:
         + ["h", "norm_b2", "defect"]
         + [f"normal_{m}" for m in methods]
     )
-    for key in by_point:
-        rec = by_point[key]
+    for group in zip(*[iter(rows)] * len(methods)):  # one point's rows
+        first = group[0]
+        defect = next((row["tangential_norm"] for row in group if row["method"] != "numeric_oracle"), None)
         writer.writerow(
-            [repr(x) for x in key]
-            + [repr(rec["h"]), repr(rec["norm_b2"]), repr(rec["defect"])]
-            + [repr(rec["normals"].get(m)) for m in methods]
+            [repr(x) for x in first["point"]]
+            + [repr(first["h"]), repr(first["norm_b2"]), repr(defect)]
+            + [repr(row["normal_coeff"]) for row in group]
         )
     return out.getvalue()
 
@@ -465,13 +458,16 @@ EXAMPLE_JOBS: dict[str, tuple[str, dict]] = {
 # entry points
 
 
-def _emit(doc: dict, args) -> None:
-    text = document_to_csv(doc) if args.format == "csv" else document_to_json(doc)
-    if args.out:
-        with open(args.out, "w") as fh:
+def _write(text: str, out: str | None) -> None:
+    if out:
+        with open(out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit(doc: dict, args) -> None:
+    _write(document_to_csv(doc) if args.format == "csv" else document_to_json(doc), args.out)
     for name, result in doc["summary"]["checks"].items():
         status = "PASS" if result["pass"] else "FAIL"
         print(f"check {name}: {status}", file=sys.stderr)
@@ -506,7 +502,8 @@ def main(argv=None) -> int:
         else:
             p.add_argument("--config", required=True)
         p.add_argument("--out")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
+        if verb != "validate":  # validate writes one JSON document
+            p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--tol", type=float)
         p.add_argument("--seed", type=int)
         if verb == "report":
@@ -533,7 +530,7 @@ def main(argv=None) -> int:
             if report.ok:
                 load_config(doc)  # axioms hold; any other config problem exits 2 before a word is written
             violations = [{"name": v.name, "magnitude": v.magnitude} for v in report.violations]
-            sys.stdout.write(document_to_json({"valid": report.ok, "violations": violations}))
+            _write(document_to_json({"valid": report.ok, "violations": violations}), args.out)
             return 0 if report.ok else 1
         if args.verb == "report" and args.point:
             try:

@@ -30,8 +30,9 @@ specialized Laplacian formula is stated in.
 from __future__ import annotations
 
 import numbers
+import random
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Protocol
 
 import numpy as np
 
@@ -527,6 +528,10 @@ def _graph_components(model, params, domain, rng):
     return [f"u{i}" for i in range(1, model.dim)] + [params["expr"]]
 
 
+class _Draws(Protocol):
+    def random(self) -> float: ...
+
+
 RANDOM_TERMS = ("{c}*u{a}", "{c}*u{a}*u{b}", "{c}*sin(u{a})", "{c}*cos(u{a})")
 # A sum of k terms has k - 1 levels of '+' above its first term, and a term is at
 # most 4 levels deep (-c*u1*u2 is *, *, neg, c), so up to MAX_DEPTH - 3 terms parse.
@@ -534,23 +539,23 @@ RANDOM_MAX_TERMS = MAX_DEPTH - 3
 
 
 def _random_graph_components(model, params, domain, rng):
-    """A graph of a seeded random sum of RANDOM_TERMS; an integer ``rng`` is a
-    seed, to which the ``index`` param is added, and draws from the stream of
-    ``np.random.default_rng(seed + index)``, reproduced by ``_pcg64`` without
-    importing ``numpy.random``."""
-    # imported here, so that jobs without a random chart compile no more source
-    from . import _pcg64
-
+    """A graph of a seeded random sum of RANDOM_TERMS, each term four draws of
+    ``rng.random()``; an integer ``rng`` is a seed, to which the ``index`` param is
+    added, and draws from ``random.Random(seed + index)``, whose ``random()`` Python
+    keeps the same for a seed in every version."""
     if isinstance(rng, numbers.Integral):
-        rng = _pcg64.PCG64Stream(rng + params["index"])
+        seed = int(rng) + params["index"]  # a numpy integer too, which Random does not take
+        if seed < 0:
+            raise ValueError("expected non-negative integer")
+        rng = random.Random(seed)
     elif params["index"]:
-        raise ValueError("chart param 'index' offsets an integer seed, not a Generator")
+        raise ValueError("chart param 'index' offsets an integer seed, not a generator")
     parts = []
     for _ in range(params["terms"]):
-        kind = int(rng.integers(0, 4))
-        a = int(rng.integers(1, model.dim))
-        b = int(rng.integers(1, model.dim))
-        coeff = _pcg64.round6(rng.uniform(-RANDOM_COEFF_SCALE, RANDOM_COEFF_SCALE))
+        kind = int(4 * rng.random())
+        a = 1 + int((model.dim - 1) * rng.random())
+        b = 1 + int((model.dim - 1) * rng.random())
+        coeff = round(RANDOM_COEFF_SCALE * (2 * rng.random() - 1), 6)
         parts.append(RANDOM_TERMS[kind].format(c=coeff, a=a, b=b))
     return _graph_components(model, {"expr": " + ".join(parts)}, domain, rng)
 
@@ -582,9 +587,9 @@ CATALOG = {
 
 def catalog_chart(name, model, params, domain=None, orientation=1, rng=0) -> SurfaceChart:
     """Catalog entry ``name`` over ``domain`` (default: the entry's), oriented by
-    ``orientation`` times the entry's sign; ``rng`` is a Generator or an integer seed.
-    The request is checked against the entry before any expression is parsed, and
-    ConfigError lists every problem."""
+    ``orientation`` times the entry's sign; ``rng`` is an integer seed or any object
+    with ``.random()``.  The request is checked against the entry before any
+    expression is parsed, and ConfigError lists every problem."""
     entry = CATALOG.get(name)
     if entry is None:
         raise ConfigError([f"unknown chart catalog entry {name!r}"])
@@ -628,7 +633,7 @@ def cylinder_chart(f1, f2, s_range=(-1.0, 1.0), t_range=(-1.0, 1.0), orientation
     return catalog_chart("nil_cylinder", nil_polarized_model(), params, (s_range, t_range), orientation)
 
 
-def random_graph_chart(model: CoordinateModel, rng: np.random.Generator | int, terms: int = 3) -> SurfaceChart:
-    """Seeded random graph chart with bounded polynomial/trig height; ``rng`` is a
-    ``Generator`` or an integer seed."""
+def random_graph_chart(model: CoordinateModel, rng: int | _Draws, terms: int = 3) -> SurfaceChart:
+    """Seeded random graph chart with bounded polynomial/trig height; ``rng`` is an
+    integer seed, or any object with ``.random()``."""
     return catalog_chart("random_graph", model, {"terms": terms}, rng=rng)

@@ -5,6 +5,7 @@ from the entry's own table, so a new entry is covered without a new test.
 """
 
 import json
+import random
 import time
 
 import numpy as np
@@ -23,6 +24,7 @@ from nilgauss import (
 from nilgauss.cli import grid_points, load_config, main, run
 from nilgauss.expressions import MAX_DEPTH, ParseError, parse_expression
 from nilgauss.surfaces import CATALOG, RANDOM_MAX_TERMS, _random_graph_components
+from conftest import free_two_step_5d
 
 # a value of each param kind that gives an immersed chart for every entry
 SAMPLE = {"expression": "0.5*u1", "number": 0.25, "integer": 2}
@@ -152,7 +154,7 @@ H1 = exp_model(heisenberg(1))
             {"model": "exp", "domain": [[-1, 1], [-1, 1]], "orientation": -1},
         ),
         (
-            lambda: random_graph_chart(H1, np.random.default_rng(5 + 2), terms=4),
+            lambda: random_graph_chart(H1, random.Random(5 + 2), terms=4),
             {"catalog": "random_graph", "params": {"terms": 4, "index": 2}},
             {"model": "exp", "domain": None, "seed": 5},
         ),
@@ -224,3 +226,31 @@ def test_random_graph_seed_past_64_bits_builds(tmp_path):
     path.write_text(json.dumps(entry_doc("random_graph", seed=10**40)))
     assert main(["sweep", "--config", str(path), "--out", str(out)]) == 0
     assert json.loads(out.read_text())["summary"]["points"] == 4
+
+
+def test_random_graph_takes_a_numpy_integer_seed():
+    assert sources(random_graph_chart(H1, np.int64(7))) == sources(random_graph_chart(H1, 7))
+
+
+# (seed, index, model, terms) -> the graph's height expression; each term is four draws of
+# random.Random(seed + index).random() (kind, a, b, coefficient), the coefficient rounded by round(x, 6)
+PINNED = [
+    (0, 0, exp_model(heisenberg(1)), 3,
+     "-0.168758*cos(u2) + -0.137681*sin(u1) + 0.003281*u2*u2"),
+    (5, 2, exp_model(heisenberg(2)), 4,
+     "-0.299295*u1*u3 + 0.005205*sin(u2) + -0.286501*u2 + -0.193733*u4*u1"),
+    (21, 3, exp_model(heisenberg(3)), 4,
+     "0.348798*sin(u6) + 0.180416*u5 + 0.18616*u5 + -0.269084*u6*u6"),
+    (10**40, 1, exp_model(free_two_step_5d()), 6,
+     "0.217607*sin(u1) + -0.348564*u2 + 0.146762*u3 + -0.167607*u3*u1 + -0.272986*cos(u1)"
+     " + 0.050714*u3"),
+]
+
+
+@pytest.mark.parametrize("seed, index, model, terms, height", PINNED, ids=["h1", "h2", "h3", "free5"])
+def test_random_graph_components_are_pinned(seed, index, model, terms, height):
+    params = {"terms": terms, "index": index}
+    comps = _random_graph_components(model, params, None, seed)
+    assert comps == [f"u{i}" for i in range(1, model.dim)] + [height]
+    generator = random.Random(seed + index)
+    assert _random_graph_components(model, dict(params, index=0), None, generator) == comps

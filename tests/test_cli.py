@@ -260,6 +260,22 @@ def test_main_validate_verb(tmp_path):
     assert main(["validate", "--config", path]) == 0
 
 
+def test_validate_writes_its_document_to_out(tmp_path, capsys):
+    path, out = write_config(tmp_path, BASE_CONFIG), tmp_path / "valid.json"
+    assert main(["validate", "--config", path, "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert json.loads(out.read_text()) == {"valid": True, "violations": []}
+
+
+def test_validate_takes_no_format_flag(tmp_path, capsys):
+    path, out = write_config(tmp_path, BASE_CONFIG), tmp_path / "valid.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["validate", "--config", path, "--out", str(out), "--format", "csv"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --format csv" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_validate_writes_nothing_on_a_config_error(tmp_path, capsys):
     """The algebra holds its axioms but the job does not load: exit 2, no document."""
     path = write_config(tmp_path, dict(BASE_CONFIG, methods=["general", "numeric_oracle", "numeric_oracle"]))

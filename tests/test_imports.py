@@ -114,13 +114,6 @@ def test_every_definition_is_read_exported_or_traced():
     assert unread_definitions(sources, traced_names()) == []
 
 
-def test_pcg64_imports_only_the_standard_library():
-    tree = ast.parse((PACKAGE / "_pcg64.py").read_text())
-    names = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names}
-    names |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
-    assert names and {name.split(".")[0] for name in names} <= sys.stdlib_module_names
-
-
 # every random_graph job of the reference set: the 36 jobs of the highdim_oracle pools at seeds 0-2
 RANDOM_CHART_JOBS = """
 import sys
