@@ -12,6 +12,7 @@ import argparse
 import numpy as np
 
 from nilgauss import evaluate_points, foliation_leaf_chart
+from nilgauss.cli import CHECKS
 
 
 def main():
@@ -27,11 +28,12 @@ def main():
     ev = evaluate_points(chart, np.stack([xs, np.zeros_like(xs)], axis=1), ["general", "numeric_oracle"])
     general, num = ev.reports["general"], ev.reports["numeric_oracle"]
     gaps = np.abs(general.coeffs - num.coeffs).max(axis=1)
+    tol = CHECKS["harmonicity"][0]
     for row in zip(xs, ev.shape.h, ev.shape.norm_b2, general.tangential_norm,
                    general.normal_coeff, num.normal_coeff, gaps):
         x, h, norm_b2, defect, closed, oracle, gap = row
         # harmonic iff Delta G is parallel to G, whatever the Laplacian's sign convention
-        print(f"{x:6.3f} {h:10.2e} {norm_b2:10.6f} {defect:10.6f} {'yes' if defect < 1e-3 else 'no':>8} "
+        print(f"{x:6.3f} {h:10.2e} {norm_b2:10.6f} {defect:10.6f} {'yes' if defect < tol else 'no':>8} "
               f"{closed:15.8f} {oracle:15.8f} {gap:9.2e}")
 
 

@@ -25,7 +25,7 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from .algebra import ALGEBRA, NilpotentAlgebra, algebra_from_json, heisenberg, validate
-from .fd import FDParams
+from .fd import FIELD_ROWS, FDParams
 from .laplacian import (
     central_h_variation,
     evaluate_points,
@@ -60,9 +60,9 @@ MAX_DIM_TOTAL = 16
 # most grid points per job; the centre stack's second-order chart jets take
 # points * d * (1 + n + n^2) * 8 bytes, ~0.5 GB at this bound and d = MAX_DIM_TOTAL
 MAX_GRID_POINTS = 2**14
-# most Richardson levels; one centre's oracle stencil has 1 + levels * n (n + 1) rows, and at
-# n = MAX_DIM_TOTAL - 1 = 15 up to 34 levels keep it within one fd.FIELD_ROWS (8192) field call
-MAX_FD_LEVELS = 34
+# most Richardson levels (34): those that keep one centre's oracle stencil, 1 + levels * n (n + 1)
+# rows at n = MAX_DIM_TOTAL - 1, within one fd.FIELD_ROWS field call
+MAX_FD_LEVELS = (FIELD_ROWS - 1) // ((MAX_DIM_TOTAL - 1) * MAX_DIM_TOTAL)
 # grid points and report points keep this many FD steps from the domain edge
 GRID_MARGIN_STEPS = 4.0
 
@@ -195,12 +195,13 @@ def load_config(doc: dict) -> JobConfig:
         margin = GRID_MARGIN_STEPS * fdp.step  # grid and point keep it inside the domain
         step_fits = all(hi - lo > 2.0 * margin for lo, hi in chart.domain)
         if not step_fits:
-            problems.append(f"fd step {fdp.step} too large: 8*step must be below every domain width")
+            problems.append(f"fd step {fdp.step} too large: {2 * GRID_MARGIN_STEPS:g}*step must be below "
+                            "every domain width")
         if point is not None and len(point) != chart.param_dim:
             problems.append(f"point needs {chart.param_dim} coordinates")
         elif point is not None and step_fits and not all(lo + margin <= x <= hi - margin
                                                          for x, (lo, hi) in zip(point, chart.domain)):
-            problems.append(f"point must lie at least 4*step = {margin} inside the domain")
+            problems.append(f"point must lie at least {GRID_MARGIN_STEPS:g}*step = {margin} inside the domain")
     if not methods:
         problems.append("no methods requested")
     for key, names in (("method", methods), ("check", checks)):  # entries are known strings by now

@@ -32,7 +32,7 @@ from __future__ import annotations
 import numbers
 import random
 from dataclasses import dataclass
-from typing import Callable, Protocol
+from typing import Callable
 
 import numpy as np
 
@@ -503,14 +503,14 @@ def expression_chart(model: CoordinateModel, components, domain, orientation: in
 
 @dataclass(frozen=True)
 class CatalogEntry:
-    components: Callable  # (model, params, domain, rng) -> component expressions
+    components: Callable  # (model, params, domain, seed) -> component expressions
     params: dict  # name -> Field
     nil_polarized: bool  # built on the nil_polarized model only
     domain: tuple | None  # default axis ranges, the last repeated over further axes; None: required
     sign: int = 1  # the chart's orientation is this times the requested one
 
 
-def _cylinder_components(model, params, domain, rng):
+def _cylinder_components(model, params, domain, seed):
     """(f1(u1), f2(u1), u2); the profile derivative must not vanish on the u1-range."""
     e1, e2 = (f if isinstance(f, Expr) else parse_expression(f) for f in (params["f1"], params["f2"]))
     for e in (e1, e2):
@@ -524,12 +524,8 @@ def _cylinder_components(model, params, domain, rng):
     return [e1, e2, "u2"]
 
 
-def _graph_components(model, params, domain, rng):
+def _graph_components(model, params, domain, seed):
     return [f"u{i}" for i in range(1, model.dim)] + [params["expr"]]
-
-
-class _Draws(Protocol):
-    def random(self) -> float: ...
 
 
 RANDOM_TERMS = ("{c}*u{a}", "{c}*u{a}*u{b}", "{c}*sin(u{a})", "{c}*cos(u{a})")
@@ -538,18 +534,16 @@ RANDOM_TERMS = ("{c}*u{a}", "{c}*u{a}*u{b}", "{c}*sin(u{a})", "{c}*cos(u{a})")
 RANDOM_MAX_TERMS = MAX_DEPTH - 3
 
 
-def _random_graph_components(model, params, domain, rng):
-    """A graph of a seeded random sum of RANDOM_TERMS, each term four draws of
-    ``rng.random()``; an integer ``rng`` is a seed, to which the ``index`` param is
-    added, and draws from ``random.Random(seed + index)``, whose ``random()`` Python
-    keeps the same for a seed in every version."""
-    if isinstance(rng, numbers.Integral):
-        seed = int(rng) + params["index"]  # a numpy integer too, which Random does not take
-        if seed < 0:
-            raise ValueError("expected non-negative integer")
-        rng = random.Random(seed)
-    elif params["index"]:
-        raise ValueError("chart param 'index' offsets an integer seed, not a generator")
+def _random_graph_components(model, params, domain, seed):
+    """A graph of a random sum of RANDOM_TERMS, each term four draws of ``random()``
+    from ``random.Random(seed + index)``, whose sequence Python keeps the same for a
+    seed in every version; ``seed`` is an integer, a numpy one too."""
+    if not isinstance(seed, numbers.Integral):
+        raise ValueError(f"chart seed must be an integer, not {type(seed).__name__}")
+    seed = int(seed) + params["index"]  # Random takes no numpy integer
+    if seed < 0:
+        raise ValueError("expected non-negative integer")
+    rng = random.Random(seed)
     parts = []
     for _ in range(params["terms"]):
         kind = int(4 * rng.random())
@@ -557,17 +551,17 @@ def _random_graph_components(model, params, domain, rng):
         b = 1 + int((model.dim - 1) * rng.random())
         coeff = round(RANDOM_COEFF_SCALE * (2 * rng.random() - 1), 6)
         parts.append(RANDOM_TERMS[kind].format(c=coeff, a=a, b=b))
-    return _graph_components(model, {"expr": " + ".join(parts)}, domain, rng)
+    return _graph_components(model, {"expr": " + ".join(parts)}, domain, seed)
 
 
 EXPRESSION = Field("expression", required=True)
 CATALOG = {
     "nil_foliation_leaf": CatalogEntry(
-        lambda model, params, domain, rng: ["u1", "u2", repr(float(params["z0"]))],
+        lambda model, params, domain, seed: ["u1", "u2", repr(float(params["z0"]))],
         {"z0": Field("number", default=0.0)}, nil_polarized=True, domain=((-2.5, 2.5), (-1.0, 1.0)),
     ),
     "nil_vertical_plane": CatalogEntry(
-        lambda model, params, domain, rng: ["u1", "0", "u2"],
+        lambda model, params, domain, seed: ["u1", "0", "u2"],
         {}, nil_polarized=True, domain=((-1.0, 1.0),), sign=-1,
     ),
     "nil_cylinder": CatalogEntry(
@@ -585,11 +579,11 @@ CATALOG = {
 }
 
 
-def catalog_chart(name, model, params, domain=None, orientation=1, rng=0) -> SurfaceChart:
+def catalog_chart(name, model, params, domain=None, orientation=1, seed=0) -> SurfaceChart:
     """Catalog entry ``name`` over ``domain`` (default: the entry's), oriented by
-    ``orientation`` times the entry's sign; ``rng`` is an integer seed or any object
-    with ``.random()``.  The request is checked against the entry before any
-    expression is parsed, and ConfigError lists every problem."""
+    ``orientation`` times the entry's sign; ``seed`` is an integer.  The request is
+    checked against the entry before any expression is parsed, and ConfigError
+    lists every problem."""
     entry = CATALOG.get(name)
     if entry is None:
         raise ConfigError([f"unknown chart catalog entry {name!r}"])
@@ -604,7 +598,7 @@ def catalog_chart(name, model, params, domain=None, orientation=1, rng=0) -> Sur
         raise ConfigError(problems)
     if domain is None:
         domain = entry.domain + entry.domain[-1:] * (model.dim - 1 - len(entry.domain))
-    comps = entry.components(model, fill(params, table), domain, rng)
+    comps = entry.components(model, fill(params, table), domain, seed)
     return expression_chart(model, comps, domain, entry.sign * orientation)
 
 
@@ -633,7 +627,6 @@ def cylinder_chart(f1, f2, s_range=(-1.0, 1.0), t_range=(-1.0, 1.0), orientation
     return catalog_chart("nil_cylinder", nil_polarized_model(), params, (s_range, t_range), orientation)
 
 
-def random_graph_chart(model: CoordinateModel, rng: int | _Draws, terms: int = 3) -> SurfaceChart:
-    """Seeded random graph chart with bounded polynomial/trig height; ``rng`` is an
-    integer seed, or any object with ``.random()``."""
-    return catalog_chart("random_graph", model, {"terms": terms}, rng=rng)
+def random_graph_chart(model: CoordinateModel, seed: int, terms: int = 3) -> SurfaceChart:
+    """Random graph chart with bounded polynomial/trig height, drawn from an integer seed."""
+    return catalog_chart("random_graph", model, {"terms": terms}, seed=seed)

@@ -23,7 +23,7 @@ from nilgauss import (
 )
 from nilgauss.cli import grid_points, load_config, main, run
 from nilgauss.expressions import MAX_DEPTH, ParseError, parse_expression
-from nilgauss.surfaces import CATALOG, RANDOM_MAX_TERMS, _random_graph_components
+from nilgauss.surfaces import CATALOG, RANDOM_MAX_TERMS, _random_graph_components, catalog_chart
 from conftest import free_two_step_5d
 
 # a value of each param kind that gives an immersed chart for every entry
@@ -154,7 +154,7 @@ H1 = exp_model(heisenberg(1))
             {"model": "exp", "domain": [[-1, 1], [-1, 1]], "orientation": -1},
         ),
         (
-            lambda: random_graph_chart(H1, random.Random(5 + 2), terms=4),
+            lambda: random_graph_chart(H1, 5 + 2, terms=4),
             {"catalog": "random_graph", "params": {"terms": 4, "index": 2}},
             {"model": "exp", "domain": None, "seed": 5},
         ),
@@ -232,6 +232,14 @@ def test_random_graph_takes_a_numpy_integer_seed():
     assert sources(random_graph_chart(H1, np.int64(7))) == sources(random_graph_chart(H1, 7))
 
 
+@pytest.mark.parametrize("seed", [random.Random(7), np.random.default_rng(7), 7.0], ids=["random", "generator", "float"])
+def test_random_graph_refuses_a_seed_that_is_not_an_integer(seed):
+    with pytest.raises(ValueError, match="chart seed must be an integer"):
+        random_graph_chart(H1, seed)
+    with pytest.raises(ValueError, match="chart seed must be an integer"):
+        catalog_chart("random_graph", H1, {"index": 1}, seed=seed)
+
+
 # (seed, index, model, terms) -> the graph's height expression; each term is four draws of
 # random.Random(seed + index).random() (kind, a, b, coefficient), the coefficient rounded by round(x, 6)
 PINNED = [
@@ -252,5 +260,4 @@ def test_random_graph_components_are_pinned(seed, index, model, terms, height):
     params = {"terms": terms, "index": index}
     comps = _random_graph_components(model, params, None, seed)
     assert comps == [f"u{i}" for i in range(1, model.dim)] + [height]
-    generator = random.Random(seed + index)
-    assert _random_graph_components(model, dict(params, index=0), None, generator) == comps
+    assert _random_graph_components(model, dict(params, index=0), None, seed + index) == comps

@@ -598,6 +598,22 @@ def test_cmc_is_an_unknown_tolerance(tmp_path, capsys):
     assert "unknown tolerance 'cmc'" in capsys.readouterr().err
 
 
+def test_margin_problems_are_worded_from_grid_margin_steps(monkeypatch):
+    """Both margin problems spell GRID_MARGIN_STEPS: 8*step and 4*step at 4, and patching
+    the constant changes both messages."""
+    def problems(**change):
+        with pytest.raises(ConfigError) as err:
+            load_config(dict(BASE_CONFIG, **change))
+        return err.value.problems
+
+    assert problems(fd={"step": 0.5}) == ["fd step 0.5 too large: 8*step must be below every domain width"]
+    assert problems(point=[0.9999, 0.0]) == ["point must lie at least 4*step = 0.0004 inside the domain"]
+    monkeypatch.setattr(cli, "GRID_MARGIN_STEPS", 3.0)
+    assert problems(fd={"step": 0.5}) == ["fd step 0.5 too large: 6*step must be below every domain width"]
+    margin = 3.0 * 1e-4
+    assert problems(point=[0.9999, 0.0]) == [f"point must lie at least 3*step = {margin} inside the domain"]
+
+
 def test_point_near_the_fd_margin_is_accepted():
     config = load_config(dict(BASE_CONFIG, point=[0.9995, -0.9995]))
     assert config.point == [0.9995, -0.9995]
@@ -861,8 +877,18 @@ def test_fd_levels_over_their_bound_exit_2_before_any_evaluation(tmp_path, capsy
 
 def test_fd_levels_bound_keeps_one_stencil_within_one_field_call():
     """At the largest algebra, one centre's oracle stencil of 1 + levels * n (n + 1)
-    rows fits in FIELD_ROWS at the bound, and one more level would not."""
+    rows fits one field call of at most FIELD_ROWS rows at the bound, and one more
+    level would not."""
     n = cli.MAX_DIM_TOTAL - 1
+    for levels in (1, 2):  # the stencil's size at this n, from fd's own table
+        assert len(fd._hessian_table(n, fd.FDParams(levels=levels))[0]) == 1 + levels * n * (n + 1)
+    calls = []
+    field = lambda pts: calls.append(len(pts)) or np.zeros(len(pts))
+    for levels in (cli.MAX_FD_LEVELS, cli.MAX_FD_LEVELS + 1):
+        size = 1 + levels * n * (n + 1)
+        for _ in fd._stencil_values(field, np.zeros((1, n)), size, lambda chunk: np.zeros((size, n))):
+            pass
+    assert len(calls) == 2 and calls[0] <= FIELD_ROWS < calls[1]
     assert 1 + cli.MAX_FD_LEVELS * n * (n + 1) <= FIELD_ROWS < 1 + (cli.MAX_FD_LEVELS + 1) * n * (n + 1)
     assert load_config(dict(BASE_CONFIG, fd={"levels": cli.MAX_FD_LEVELS})).fd.levels == cli.MAX_FD_LEVELS
 

@@ -77,8 +77,8 @@ def test_orientation_flip_negates_gauss():
 def test_gauss_map_unit_and_orthogonal_random():
     rng = np.random.default_rng(31)
     model = exp_model(heisenberg(2))
-    for _ in range(8):
-        chart = random_graph_chart(model, rng)
+    for k in range(8):
+        chart = random_graph_chart(model, 31 * 100 + k)
         u = rng.uniform(-0.4, 0.4, 4)
         cj = chart_jets(chart, u)
         g = gauss_map(chart, u[None])[0]
@@ -104,7 +104,7 @@ def test_stacked_immersion_error_names_the_first_bad_point():
 @pytest.mark.parametrize("algebra", [heisenberg(1), heisenberg(2)])
 def test_stacked_chart_layers_equal_single_points_bit_for_bit(algebra):
     rng = np.random.default_rng(5)
-    chart = random_graph_chart(exp_model(algebra), rng, terms=4)
+    chart = random_graph_chart(exp_model(algebra), 5, terms=4)
     pts = rng.uniform(-0.4, 0.4, (7, chart.param_dim))
     cj = stacked_chart_jets(chart, pts)
     normals = gauss_map(chart, pts)
@@ -121,7 +121,7 @@ def test_svd_only_on_uncertified_rows(monkeypatch):
     """The QR normal's determinant certifies well-conditioned rows; only the
     others get singular values, from one call without singular vectors."""
     rng = np.random.default_rng(6)
-    chart = random_graph_chart(exp_model(heisenberg(2)), rng, terms=4)
+    chart = random_graph_chart(exp_model(heisenberg(2)), 6, terms=4)
     pts = rng.uniform(-0.4, 0.4, (5, chart.param_dim))
     calls = []
     svd = np.linalg.svd
@@ -149,9 +149,8 @@ def test_svd_only_on_uncertified_rows(monkeypatch):
 
 def lean_field_charts():
     """Charts whose components use different parameters, constants included."""
-    rng = np.random.default_rng(8)
-    charts = [random_graph_chart(exp_model(heisenberg(m)), rng, terms=4) for m in (1, 2, 3)]
-    charts += [random_graph_chart(exp_model(free_two_step_5d()), rng, terms=4)]
+    models = [exp_model(heisenberg(m)) for m in (1, 2, 3)] + [exp_model(free_two_step_5d())]
+    charts = [random_graph_chart(model, 8 * 100 + k, terms=4) for k, model in enumerate(models)]
     return charts + [
         cylinder_chart("cos(u1)", "2*sin(u1)", (-0.6, 0.6), (-1, 1)),
         foliation_leaf_chart(0.3),
@@ -229,7 +228,7 @@ def stencil_stack(chart, seed, count=4, per=6, spread=1e-3):
 def test_one_solve_stencil_normals_match_the_qr_normals(monkeypatch, name, orientation):
     """Rows near their centres take one solve, with no QR or det: the complete-QR
     normal to 1e-14, on the orientation's side of det[T | N]."""
-    chart = catalog_chart("random_graph", STENCIL_MODELS[name], {"terms": 4}, orientation=orientation, rng=19)
+    chart = catalog_chart("random_graph", STENCIL_MODELS[name], {"terms": 4}, orientation=orientation, seed=19)
     rows, near = stencil_stack(chart, 20)
 
     def forbidden(*args, **kwargs):
@@ -249,7 +248,7 @@ def test_one_solve_stencil_normals_match_the_qr_normals(monkeypatch, name, orien
 def test_a_row_past_the_drift_bound_takes_the_qr_route(monkeypatch, name):
     """A row whose tangents drift from its centre's by its bound minus 2
     IMMERSION_RANK_TOL or more gets the complete-QR normal, and only that row."""
-    chart = random_graph_chart(STENCIL_MODELS[name], np.random.default_rng(21), terms=4)
+    chart = random_graph_chart(STENCIL_MODELS[name], 21, terms=4)
     rows, (eta, centre_t, bound) = stencil_stack(chart, 22)
     drift = np.linalg.norm(stacked_chart_jets(chart, rows, order=1).tangents - centre_t, axis=(1, 2))
     pushed = bound.copy()
@@ -307,7 +306,7 @@ def test_complex_step_centres_equal_stacked_chart_jets(name):
     """The real parts of each point's first complex-step row, finished like
     stacked_chart_jets, are its ChartJet bit for bit in every field."""
     model, params, domain = CATALOG_REQUESTS[name]
-    chart = catalog_chart(name, model, params, domain, rng=23)
+    chart = catalog_chart(name, model, params, domain, seed=23)
     pts = np.random.default_rng(24).uniform(-0.5, 0.5, (9, chart.param_dim))
     centres, reference = complex_step_jets(chart, pts)[0], stacked_chart_jets(chart, pts)
     for field in CHART_JET_FIELDS:
@@ -505,7 +504,7 @@ def test_leaf_shape_values():
 def test_second_fundamental_matches_coordinate_route(model):
     """h from the algebra connection equals <Ainv (hess + J^T Gamma J), normal>."""
     rng = np.random.default_rng(17)
-    chart = random_graph_chart(model, rng)
+    chart = random_graph_chart(model, 17)
     cj = stacked_chart_jets(chart, rng.uniform(-0.7, 0.7, (256, chart.param_dim)))
     jac = cj.jac[:, None]
     nabla = cj.hess + np.swapaxes(jac, -1, -2) @ model.christoffels(cj.point) @ jac
@@ -541,8 +540,8 @@ def test_abelian_affine_plane_flat():
 def test_shape_symmetry_on_random_charts(h2):
     rng = np.random.default_rng(14)
     model = exp_model(h2)
-    for _ in range(10):
-        chart = random_graph_chart(model, rng)
+    for k in range(10):
+        chart = random_graph_chart(model, 14 * 100 + k)
         u = rng.uniform(-0.4, 0.4, 4)
         frame = adapted_frame(h2, gauss_map(chart, u[None]))[0]
         shape = shape_data(chart, chart_jets(chart, u), frame)[0]
@@ -594,7 +593,7 @@ def random_tangent_vectors(m, seed, count=5, k=3):
     """Stacked chart jets of a random graph chart over H(m), k tangent vectors per row
     and their exact chart directions."""
     rng = np.random.default_rng(seed)
-    chart = random_graph_chart(exp_model(heisenberg(m)), rng, terms=4)
+    chart = random_graph_chart(exp_model(heisenberg(m)), seed, terms=4)
     cj = stacked_chart_jets(chart, rng.uniform(-0.5, 0.5, (count, chart.param_dim)))
     exact = rng.normal(size=(count, k, chart.param_dim))
     return cj, np.einsum("ndj,nkj->nkd", cj.tangents, exact), exact
@@ -624,7 +623,7 @@ def test_chart_coefficients_match_lstsq(m):
 
 def test_chart_coefficients_reject_the_normal():
     rng = np.random.default_rng(7)
-    chart = random_graph_chart(exp_model(heisenberg(2)), rng, terms=4)
+    chart = random_graph_chart(exp_model(heisenberg(2)), 7, terms=4)
     pts = rng.uniform(-0.5, 0.5, (4, 4))
     cj, normals = stacked_chart_jets(chart, pts), gauss_map(chart, pts)
     with pytest.raises(ValueError, match="not tangent"):
@@ -728,8 +727,8 @@ def test_complex_step_normal_is_the_oriented_normal_and_its_derivative(orientati
 def test_mean_curvature_frame_free_matches_trace():
     rng = np.random.default_rng(16)
     model = exp_model(heisenberg(1))
-    for _ in range(6):
-        chart = random_graph_chart(model, rng)
+    for k in range(6):
+        chart = random_graph_chart(model, 16 * 100 + k)
         u = rng.uniform(-0.4, 0.4, 2)
         frame = adapted_frame(model.algebra, gauss_map(chart, u[None]))[0]
         shape = shape_data(chart, chart_jets(chart, u), frame)[0]
