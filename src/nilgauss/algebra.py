@@ -13,8 +13,9 @@ All of the metric geometry is channelled through the skew maps
 
 which this module exposes as ``j_matrix``.  Algebras are immutable
 and every operation is a pure function, so instances can be shared freely.
-The J maps of the basis, the connection, the curvature and the Ricci
-tensor are computed once per instance, as read-only cached arrays.
+The J maps of the basis, the connection, the curvature, the Ricci tensor
+and the closed forms' layouts of the tensors are computed once per
+instance, as read-only cached arrays, and go with it.
 """
 
 from __future__ import annotations
@@ -106,6 +107,18 @@ class NilpotentAlgebra:
     def curvature_rows(self) -> np.ndarray:
         """The curvature tensor as a (d^2, d^2) matrix: rows (a, b), columns (c, k)."""
         return self.curvature_tensor.reshape(self.dim_total**2, -1)
+
+    @cached_property
+    def layouts(self) -> tuple[np.ndarray, ...]:
+        """The bracket and curvature tensors c[a, b, k], R[a, b, c, k] laid out as the matrices
+        the closed forms multiply row stacks by: ad, with [X, x] = X @ (x @ ad) reshaped (d, d);
+        rows (b, k) to a and rows (a, k) to b of c; rows (b, c) to (a, k) of R."""
+        d = self.dim_total
+        c, r = self.bracket_tensor, self.curvature_tensor
+        return tuple(_read_only(arr) for arr in (
+            c.transpose(1, 0, 2).reshape(d, d * d), c.reshape(d, d * d).T,
+            c.transpose(0, 2, 1).reshape(d * d, d), r.transpose(1, 2, 0, 3).reshape(d * d, d * d),
+        ))
 
     @cached_property
     def ricci_matrix(self) -> np.ndarray:

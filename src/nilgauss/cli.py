@@ -184,6 +184,8 @@ def load_config(doc: dict) -> JobConfig:
         problems.append("algebra axioms violated: " + ", ".join(report.names()))
         alg = None
     chart = _build_chart(fields, alg, problems)
+    if alg is not None and chart is not None:  # one algebra per job; a nil_polarized model brings its own
+        alg = chart.model.algebra
     grid, methods, checks, point = fields["grid"], fields["methods"], fields["checks"], fields["point"]
     fdp = FDParams(**fill(fields["fd"], FD))
     if math.prod(grid) > MAX_GRID_POINTS:
@@ -229,6 +231,8 @@ def grid_points(chart: SurfaceChart, grid, fd: FDParams, point=None) -> np.ndarr
     """Evaluation points as rows of an (N, n) array, in grid (C) order."""
     if point is not None:
         return np.array([point], dtype=float)
+    if math.prod(grid) > MAX_GRID_POINTS:  # a defaulted grid; load_config turns away a job's own
+        raise ConfigError([f"grid has {math.prod(grid)} points, above the limit of {MAX_GRID_POINTS}"])
     margin = GRID_MARGIN_STEPS * fd.step
     points = np.empty((*grid, len(grid)))
     for k, ((lo, hi), res) in enumerate(zip(chart.domain, grid)):  # axis k broadcast over the others

@@ -37,15 +37,14 @@ class FDParams:
     levels: int = 2
 
 
-def _richardson(estimates):
-    # estimates[k] computed with step h / 2^k, leading error O(h^2)
-    rows = list(estimates)
-    for j in range(1, len(rows)):
+def _fold(weight: float, level: int, levels: int) -> float:
+    """The folded weight of a raw ``weight`` on the estimate of step h / 2^level, out of
+    ``levels``: the O(h^2) Richardson tableau run with every other level's estimate 0.0."""
+    rows = [0.0] * levels
+    rows[level] = weight
+    for j in range(1, levels):
         factor = 4.0**j
-        rows = [
-            (factor * rows[k + 1] - rows[k]) / (factor - 1.0)
-            for k in range(len(rows) - 1)
-        ]
+        rows = [(factor * rows[k + 1] - rows[k]) / (factor - 1.0) for k in range(len(rows) - 1)]
     return rows[0]
 
 
@@ -108,7 +107,7 @@ def directional_derivative(f, u, direction, fd: FDParams = FDParams(), domain=No
     check_stencil(centres, fd.step * np.abs(unit).max(axis=1), domain)
     hs = fd.step / 2.0 ** np.arange(fd.levels)
     # Richardson folded into one weight per level on (f(u + h d) - f(u - h d))
-    weights = _richardson(np.diag(0.5 / hs))
+    weights = [_fold(0.5 / h, lvl, fd.levels) for lvl, h in enumerate(hs)]
     # u + h d and u - h d, as u + (+-h) d: the sign flips are exact
     signed = np.multiply.outer(hs, [1.0, -1.0])[:, :, None]
     k = flat.shape[1]
@@ -139,8 +138,7 @@ def _hessian_table(n: int, fd: FDParams):
     pairs = len(ia)
     per_level = 2 * n + 2 * pairs
     size = 1 + fd.levels * per_level
-    offsets = np.zeros((size, n))
-    grads, hesss = [], []
+    offsets, grad, hess = np.zeros((size, n)), np.zeros((n, size)), np.zeros((n, n, size))
     diag, rows = np.arange(n), np.arange(pairs)
     for lvl in range(fd.levels):
         h = fd.step / 2.0**lvl
@@ -149,21 +147,18 @@ def _hessian_table(n: int, fd: FDParams):
         offsets[first:first + per_level] = np.concatenate([
             steps, -steps, steps[ia] + steps[ib], -steps[ia] - steps[ib],
         ])
-        grad = np.zeros((n, size))
-        grad[diag, first + diag] = 0.5 / h
-        grad[diag, first + n + diag] = -0.5 / h
-        hess = np.zeros((n, n, size))
-        hess[diag, diag, first + diag] = 1.0 / h**2
-        hess[diag, diag, first + n + diag] = 1.0 / h**2
+        # each level owns its columns, so its weights are folded alone, straight into the tables
+        fold = lambda weight: _fold(weight, lvl, fd.levels)
+        grad[diag, first + diag] = fold(0.5 / h)
+        grad[diag, first + n + diag] = fold(-0.5 / h)
+        hess[diag, diag, first + diag] = hess[diag, diag, first + n + diag] = fold(1.0 / h**2)
         pair = first + 2 * n + rows  # +(e_a + e_b); -(e_a + e_b) follows after all pairs
         for col, weight in (
             (pair, 0.5), (pair + pairs, 0.5),
             (first + ia, -0.5), (first + n + ia, -0.5), (first + ib, -0.5), (first + n + ib, -0.5),
         ):
-            hess[ia, ib, col] = hess[ib, ia, col] = weight / h**2
-        grads.append(grad)
-        hesss.append(hess.reshape(n * n, size))
-    tables = offsets, _richardson(grads), _richardson(hesss)
+            hess[ia, ib, col] = hess[ib, ia, col] = fold(weight / h**2)
+    tables = offsets, grad, hess.reshape(n * n, size)
     for table in tables:
         table.setflags(write=False)
     return tables

@@ -30,12 +30,11 @@ differenced: Y_k(n H) and Gauss-Codazzi take the exact complex step.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import NilpotentAlgebra, _read_only
+from .algebra import NilpotentAlgebra
 from .curvature import curvature
 from .fd import FIELD_ROWS, FDParams, gradient_hessian
 from .surfaces import (
@@ -96,19 +95,6 @@ def _horizontal_rows(frame: AdaptedFrame) -> np.ndarray:
     return np.concatenate([frame.ys[:, :frame.q - 1], frame.x_q[:, None]], axis=1)
 
 
-@functools.lru_cache(maxsize=16)
-def _layouts(alg: NilpotentAlgebra):
-    """The bracket and curvature tensors c[a, b, k], R[a, b, c, k] laid out as the matrices
-    the closed forms multiply row stacks by, once per algebra: ad, with [X, x] = X @ (x @ ad)
-    reshaped (d, d); rows (b, k) to a and rows (a, k) to b of c; rows (b, c) to (a, k) of R."""
-    d = alg.dim_total
-    c, r = alg.bracket_tensor, alg.curvature_tensor
-    return tuple(_read_only(arr) for arr in (
-        c.transpose(1, 0, 2).reshape(d, d * d), c.reshape(d, d * d).T,
-        c.transpose(0, 2, 1).reshape(d * d, d), r.transpose(1, 2, 0, 3).reshape(d * d, d * d),
-    ))
-
-
 def _j_forms(alg: NilpotentAlgebra, frame: AdaptedFrame, b, h) -> tuple[np.ndarray, np.ndarray]:
     """The linear forms in t of the b sums and of the mean-curvature term, (N, d) each:
 
@@ -123,7 +109,7 @@ def _j_forms(alg: NilpotentAlgebra, frame: AdaptedFrame, b, h) -> tuple[np.ndarr
         np.swapaxes(_horizontal_rows(frame), -1, -2) @ weights @ zs,
         (n * h)[:, None, None] * (frame.x_n1[:, :, None] @ frame.z_n1[:, None]),
     ], axis=1)
-    forms = pairs.reshape(-1, 2, d * d) @ _layouts(alg)[2]
+    forms = pairs.reshape(-1, 2, d * d) @ alg.layouts[2]
     return forms[:, 0], forms[:, 1]
 
 
@@ -143,7 +129,7 @@ def laplacian_general(alg: NilpotentAlgebra, frame: AdaptedFrame, shape: ShapeDa
     if frame.ys.shape[1:] != (d, d):
         raise ValueError("frame dimension does not match the algebra")
     x_n1, z_n1 = frame.x_n1, frame.z_n1
-    ad, bracket_rows, _, curvature_rows = _layouts(alg)
+    ad, bracket_rows, _, curvature_rows = alg.layouts
     xs = _horizontal_rows(frame)
 
     # Each slot evaluates linear forms at its target t = X_k (k <= q) or x_n1:

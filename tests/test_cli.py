@@ -1,10 +1,12 @@
 import collections
+import gc
 import importlib.util
 import json
 import math
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -13,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nilgauss import ImmersionError, cli, fd, laplacian, surfaces
+from nilgauss import ImmersionError, algebra, cli, fd, laplacian, surfaces
 from nilgauss.cli import (
     ConfigError,
     EXAMPLE_JOBS,
@@ -899,6 +901,62 @@ def test_grid_at_the_point_bound_is_accepted():
     assert load_config(dict(BASE_CONFIG, grid=[side, side])).grid == [side, side]
     with pytest.raises(ConfigError, match="above the limit"):
         load_config(dict(BASE_CONFIG, grid=[side, side + 1]))
+
+
+# H(5), n = 10: the default grid of 3 per axis has 59049 points
+DEFAULT_GRID_JOB = {"algebra": {"builtin": "heisenberg", "m": 5}, "chart": {"catalog": "random_graph"},
+                    "methods": ["general"]}
+
+
+@pytest.mark.parametrize("verb", ["sweep", "compare"])
+def test_a_defaulted_grid_over_the_point_bound_exits_2_before_any_evaluation(tmp_path, capsys, monkeypatch, verb):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the job was evaluated")
+
+    monkeypatch.setattr(cli, "evaluate_points", forbidden)
+    assert main([verb, "--config", write_config(tmp_path, DEFAULT_GRID_JOB)]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.splitlines() == [f"config error: grid has {3**10} points, above the limit of {cli.MAX_GRID_POINTS}"]
+
+
+def test_a_defaulted_grid_counts_only_where_it_is_swept(tmp_path, capsys):
+    """report evaluates the domain's centre alone, so it runs the job, and validate accepts it."""
+    path = write_config(tmp_path, DEFAULT_GRID_JOB)
+    assert load_config(DEFAULT_GRID_JOB).grid == [3] * 10
+    assert main(["report", "--config", path]) == 0
+    assert json.loads(capsys.readouterr().out)["summary"]["points"] == 1
+    assert main(["validate", "--config", path]) == 0
+    assert json.loads(capsys.readouterr().out) == {"valid": True, "violations": []}
+
+
+def test_one_algebra_per_job_decides_its_h_type_once(monkeypatch):
+    """A job's algebra is its chart model's: a nil_polarized model brings its own Heisenberg
+    algebra, which the job's checks against NEEDS and its evaluation then share."""
+    calls = []
+    original = algebra.is_heisenberg_type
+    monkeypatch.setattr(algebra, "is_heisenberg_type", lambda alg: calls.append(alg) or original(alg))
+    for doc, _ in _load_workloads()["nil_dense"](0):
+        calls.clear()
+        config = load_config(doc)
+        assert config.algebra is config.chart.model.algebra
+        run(config)
+        assert calls == [config.algebra]
+
+
+@pytest.mark.parametrize("doc", [
+    BASE_CONFIG,
+    {"algebra": {"builtin": "heisenberg", "m": 2}, "chart": {"catalog": "random_graph", "params": {"terms": 4}},
+     "point": [0.1, 0.2, -0.1, 0.3], "methods": ["general", "h_type", "heisenberg", "numeric_oracle"]},
+], ids=["nil_polarized", "exp"])
+def test_a_finished_jobs_algebra_is_freed(doc):
+    """Tables built for an algebra live on it, so none keeps it past its job."""
+    config = load_config(doc)
+    run(config)
+    ref = weakref.ref(config.algebra)
+    del config
+    gc.collect()
+    assert ref() is None
 
 
 GRID_JOBS = {

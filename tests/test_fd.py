@@ -1,9 +1,11 @@
 """Richardson central differences on stacked fields."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from nilgauss.fd import BoundaryError, FDParams, directional_derivative, gradient_hessian
+from nilgauss.fd import BoundaryError, FDParams, _fold, _hessian_table, directional_derivative, gradient_hessian
 
 A = np.array([[2.0, -0.5, 0.3], [-0.5, 1.0, 0.7], [0.3, 0.7, -1.5]])
 B = np.array([0.4, -1.2, 2.0])
@@ -250,3 +252,23 @@ def test_hessian_exact_on_polynomials_of_degree_2_levels_plus_1(n, levels):
     _, hess = gradient_hessian(field, centres, FDParams(step=1e-2, levels=levels))
     for u, h in zip(centres, hess):
         np.testing.assert_allclose(h, hessian(u), rtol=0.0, atol=1e-9)
+
+
+def test_fold_runs_the_richardson_tableau_on_one_weight():
+    """Two levels: (4 D(h/2) - D(h)) / 3, the weights of each estimate."""
+    assert _fold(1.0, 0, 2) == -1 / 3
+    assert _fold(1.0, 1, 2) == 4 / 3
+    assert _fold(1.0, 0, 1) == 1.0
+    assert sum(_fold(1.0, level, 5) for level in range(5)) == pytest.approx(1.0, abs=1e-15)
+
+
+def test_hessian_table_is_built_at_its_final_size():
+    """The largest algebra's stencil table at 8 levels (3.7 MiB) takes at most twice
+    its own bytes to build: no dense table per level."""
+    tracemalloc.start()
+    try:
+        tables = _hessian_table.__wrapped__(15, FDParams(levels=8))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * sum(table.nbytes for table in tables)

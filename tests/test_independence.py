@@ -18,6 +18,8 @@ import types
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
+
 import nilgauss
 from nilgauss import cli, laplacian
 from nilgauss.surfaces import CATALOG, ChartJet
@@ -62,13 +64,18 @@ GRAPH_JOB = {
 }
 
 
-def jobs():
-    """The first reference job of each (catalog entry, algebra) pair, and GRAPH_JOB."""
+def reference_jobs():
+    """(name, config document) of every reference job, from ``scripts/reference_reports.py``."""
     spec = importlib.util.spec_from_file_location("reference_reports", ROOT / "scripts" / "reference_reports.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    return module.reference_jobs()
+
+
+def jobs():
+    """The first reference job of each (catalog entry, algebra) pair, and GRAPH_JOB."""
     first = {}
-    for _, doc in module.reference_jobs():
+    for _, doc in reference_jobs():
         first.setdefault((doc["chart"]["catalog"], json.dumps(doc["algebra"], sort_keys=True)), doc)
     return list(first.values()) + [GRAPH_JOB]
 
@@ -154,3 +161,23 @@ def test_the_oracle_shares_only_chart_evaluation_with_the_closed_form(monkeypatc
     assert "laplacian.laplacian_general" in closed_route and "laplacian.oracle_laplacians" in oracle_route
     assert closed_route & oracle_route == set(SHARED)
     assert reads == ORACLE_READS
+
+
+def test_the_oracle_gap_is_the_same_in_the_algebra_basis():
+    """The oracle's report is only a change of basis: on every reference job with
+    an oracle, the gap |ys^T c_general - Delta_oracle| taken in the algebra basis
+    equals the report's |c_general - c_oracle|, in the adapted frame."""
+    rows, worst = 0, 0.0
+    for _, doc in reference_jobs():
+        if "numeric_oracle" not in doc["methods"]:
+            continue
+        config = cli.load_config(doc)
+        points = cli.grid_points(config.chart, config.grid, config.fd, config.point)
+        ev = laplacian.evaluate_points(config.chart, points, config.methods, config.fd)
+        general, oracle = ev.reports["general"].coeffs, ev.reports["numeric_oracle"].coeffs
+        in_algebra = np.linalg.norm((general[:, None] @ ev.frame.ys)[:, 0] - ev.delta, axis=1)
+        in_frame = np.linalg.norm(general - oracle, axis=1)
+        worst = max(worst, np.abs(in_algebra - in_frame).max())
+        rows += len(points)
+    assert rows == 144
+    assert worst <= 1e-14
