@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Compare two directories of reference reports.
 
-    python scripts/compare_reports.py OLD_DIR NEW_DIR [--tol T] [--field-tol LABEL=T ...]
+    python scripts/compare_reports.py OLD_DIR NEW_DIR [--tol T]
 
 OLD_DIR and NEW_DIR hold the output of ``scripts/reference_reports.py``,
 for instance of a parent tree and of a change.  They must hold the same
@@ -11,10 +11,7 @@ boolean, such as a check's ``pass`` and ``skipped``).  For every row field
 (per method) and every numeric summary or check value the script prints the largest
 absolute move between the two directories and the report where it occurs,
 then the number of byte-identical reports.  Exits 1 on a file, structure
-or verdict difference, or on a move above its field's bound: ``--field-tol``
-names a field by its printed label (``rows[numeric_oracle].coeffs``,
-``summary.checks.jacobi.max_residual``) and may be repeated, and ``--tol``
-bounds every other field (no bound by default).
+or verdict difference, or on a move above ``--tol`` (no bound by default).
 """
 
 import argparse
@@ -55,10 +52,8 @@ def walk(old, new, label, name, moves, problems):
         problems.append(f"{name}: {label}: {kind} {old!r} -> {new!r}")
 
 
-def compare(old_dir: Path, new_dir: Path, tol: float, field_tols=None):
-    """(moves by label, byte-identical count, report count, problems); a move is held
-    to ``field_tols[label]``, or to ``tol`` for a label it does not name."""
-    field_tols = field_tols or {}
+def compare(old_dir: Path, new_dir: Path, tol: float):
+    """(moves by label, byte-identical count, report count, problems)."""
     old_names = sorted(p.name for p in old_dir.glob("*.json"))
     new_names = sorted(p.name for p in new_dir.glob("*.json"))
     problems = [f"only in {old_dir}: {name}" for name in old_names if name not in new_names]
@@ -80,8 +75,8 @@ def compare(old_dir: Path, new_dir: Path, tol: float, field_tols=None):
         for row, new_row in zip(old["rows"], new["rows"]):
             walk(row, new_row, f"rows[{row['method']}]", name, moves, problems)
         walk(old["summary"], new["summary"], "summary", name, moves, problems)
-    problems += [f"{label}: move {move:.3g} in {name} is above its bound {field_tols.get(label, tol):g}"
-                 for label, (move, name) in moves.items() if move > field_tols.get(label, tol)]
+    problems += [f"{label}: move {move:.3g} in {name} is above --tol {tol:g}"
+                 for label, (move, name) in moves.items() if move > tol]
     return moves, same, len(shared), problems
 
 
@@ -90,15 +85,9 @@ def main(argv=None) -> int:
     parser.add_argument("old_dir", type=Path)
     parser.add_argument("new_dir", type=Path)
     parser.add_argument("--tol", type=float, default=math.inf, help="largest move allowed")
-    parser.add_argument("--field-tol", action="append", default=[], metavar="LABEL=T",
-                        help="largest move allowed in the field LABEL")
     args = parser.parse_args(argv)
-    try:
-        field_tols = {label: float(tol) for label, _, tol in (spec.rpartition("=") for spec in args.field_tol)}
-    except ValueError:
-        parser.error("--field-tol takes LABEL=T, with T a number")
 
-    moves, same, count, problems = compare(args.old_dir, args.new_dir, args.tol, field_tols)
+    moves, same, count, problems = compare(args.old_dir, args.new_dir, args.tol)
     width = max((len(label) for label in moves), default=5)
     print(f"{'field':<{width}}  {'max move':>9}  report")
     for label in sorted(moves):

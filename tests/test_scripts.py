@@ -104,21 +104,6 @@ def test_compare_reports_move_above_tol_exits_1(tmp_path, example_reports):
     assert compare_reports(tmp_path / "old", tmp_path / "new", "--tol", "1e-8").returncode == 0
 
 
-def test_compare_reports_bounds_a_named_field_by_its_own_tolerance(tmp_path, example_reports):
-    def perturb(doc):
-        doc["rows"][4]["coeffs"][1] += 1e-9
-
-    write_reports(tmp_path / "old", example_reports)
-    write_reports(tmp_path / "new", example_reports, perturb)
-    method = json.loads(example_reports["nil_cylinder_circle.json"])["rows"][4]["method"]
-    dirs = (tmp_path / "old", tmp_path / "new", "--tol", "1e-10")
-    assert compare_reports(*dirs, "--field-tol", f"rows[{method}].coeffs=1e-8").returncode == 0
-    out = compare_reports(*dirs, "--field-tol", f"rows[{method}].coeffs=1e-10", "--field-tol", "summary.points=1")
-    assert out.returncode == 1
-    assert f"DIFFERENCE rows[{method}].coeffs: move " in out.stdout and "above its bound 1e-10" in out.stdout
-    assert compare_reports(*dirs, "--field-tol", "summary.points").returncode == 2
-
-
 def test_compare_reports_flipped_verdict_exits_1(tmp_path, example_reports):
     def flip(doc):
         doc["summary"]["checks"]["jacobi"]["pass"] = not doc["summary"]["checks"]["jacobi"]["pass"]
