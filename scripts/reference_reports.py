@@ -3,55 +3,52 @@
 
     python scripts/reference_reports.py OUT_DIR
 
-The reference jobs are the built-in examples plus every job of the
-benchmark pools (``bench/workloads.py``) at seeds 0, 1 and 2.  Each job
-goes through ``cli.load_config``, ``cli.run`` and ``cli.document_to_json``
-and is written to ``OUT_DIR/<name>.json``.  The package is imported from
-``src/`` next to this directory, so a change is compared with its parent
-by running this script in both trees and comparing the two directories
-with ``diff -r``.  Exits 1 if a job raises.
+The reference jobs are the committed reports under ``tests/reference``:
+each file's ``config_echo`` goes through ``cli.load_config``, ``cli.run``
+and ``cli.document_to_json``, in sorted file-name order, and is written to
+``OUT_DIR`` under the file's name.  Every report is computed before any is
+written, so a job that raises exits 1 and leaves ``OUT_DIR`` as it was;
+``python scripts/reference_reports.py tests/reference`` rewrites the
+baseline in place.  The package is imported from ``src/`` next to this
+directory, so a change is compared with its parent by running this script
+in both trees and comparing the two directories with ``diff -r``.
 """
 
 import argparse
+import json
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
-sys.path.insert(0, str(ROOT / "bench"))
 
 from nilgauss import cli  # noqa: E402
-from workloads import WORKLOADS  # noqa: E402
 
-SEEDS = (0, 1, 2)
+REFERENCE = ROOT / "tests" / "reference"
 
 
 def reference_jobs():
-    """(name, config document) of every reference job, in a fixed order."""
-    for name, (_, doc) in cli.EXAMPLE_JOBS.items():
-        yield f"example-{name}", doc
-    for workload, make_pool in WORKLOADS.items():
-        for seed in SEEDS:
-            for k, (doc, _) in enumerate(make_pool(seed)):
-                yield f"{workload}-seed{seed}-{k:02d}", doc
+    """(file name, config document) of every reference job, in sorted file-name order."""
+    for path in sorted(REFERENCE.glob("*.json")):
+        yield path.name, json.loads(path.read_text())["config_echo"]
 
 
-def main() -> int:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("out_dir", type=Path)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
-    args.out_dir.mkdir(parents=True, exist_ok=True)
-    count = 0
+    reports = {}
     for name, doc in reference_jobs():
         try:
-            text = cli.document_to_json(cli.run(cli.load_config(doc)))
+            reports[name] = cli.document_to_json(cli.run(cli.load_config(doc)))
         except Exception as exc:
             print(f"{name}: {type(exc).__name__}: {exc}", file=sys.stderr)
             return 1
-        (args.out_dir / f"{name}.json").write_text(text)
-        count += 1
-    print(f"wrote {count} reports to {args.out_dir}")
+    args.out_dir.mkdir(parents=True, exist_ok=True)
+    for name, text in reports.items():
+        (args.out_dir / name).write_text(text)
+    print(f"wrote {len(reports)} reports to {args.out_dir}")
     return 0
 
 

@@ -11,8 +11,6 @@ import numbers
 import sys
 from dataclasses import dataclass
 
-from .expressions import Expr
-
 
 class ConfigError(ValueError):
     """Problems with a job or chart configuration, every one found."""
@@ -23,13 +21,13 @@ class ConfigError(ValueError):
 
 
 # kind -> (accepts a value, wording); a bool is not a number, and the bound rejects NaN,
-# the infinities and integers beyond float range; an expression may also be an Expr
+# the infinities and integers beyond float range
 KINDS = {
     "number": (lambda x: isinstance(x, numbers.Real) and not isinstance(x, bool)
                and abs(x) <= sys.float_info.max, "a finite number"),
     "integer": (lambda x: isinstance(x, numbers.Integral) and not isinstance(x, bool), "an integer"),
     "string": (lambda x: isinstance(x, str), "a string"),
-    "expression": (lambda x: isinstance(x, (str, Expr)), "an expression string"),
+    "expression": (lambda x: isinstance(x, str), "an expression string"),
     "list": (lambda x: isinstance(x, list), "a list"),
     "object": (lambda x: isinstance(x, dict), "an object"),
 }

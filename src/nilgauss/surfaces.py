@@ -512,7 +512,7 @@ class CatalogEntry:
 
 def _cylinder_components(model, params, domain, seed):
     """(f1(u1), f2(u1), u2); the profile derivative must not vanish on the u1-range."""
-    e1, e2 = (f if isinstance(f, Expr) else parse_expression(f) for f in (params["f1"], params["f2"]))
+    e1, e2 = parse_expression(params["f1"]), parse_expression(params["f2"])
     for e in (e1, e2):
         if e.max_param > 1:
             raise ValueError("profile expressions may only use u1")

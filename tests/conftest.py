@@ -1,9 +1,18 @@
 import functools
+import importlib.util
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from nilgauss import NilpotentAlgebra, cli, heisenberg, ricci
+
+_spec = importlib.util.spec_from_file_location(
+    "reference_reports", Path(__file__).resolve().parent.parent / "scripts" / "reference_reports.py")
+reference_reports = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(reference_reports)
+# (file name, config document) of every committed report under tests/reference, in sorted name order
+REFERENCE_JOBS = list(reference_reports.reference_jobs())
 
 
 def basis(d, k):

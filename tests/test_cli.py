@@ -1,6 +1,5 @@
 import collections
 import gc
-import importlib.util
 import json
 import math
 import os
@@ -26,7 +25,7 @@ from nilgauss.cli import (
     run,
 )
 from nilgauss.fd import FIELD_ROWS, BoundaryError
-from conftest import meshgrid_points
+from conftest import REFERENCE_JOBS, meshgrid_points
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -699,20 +698,11 @@ def test_grid_points_are_the_meshgrid_points_bit_for_bit(request):
     assert points.tobytes() == expected.tobytes()
 
 
-def _load_workloads():
-    spec = importlib.util.spec_from_file_location("bench_workloads", ROOT / "bench" / "workloads.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.WORKLOADS
-
-
 def test_job_path_calls_no_einsum_or_meshgrid(monkeypatch):
-    """The example jobs and every seed-0 job of the benchmark pools, run once to fill
-    the algebras' cached tensors (which einsum may build), run again with np.einsum
-    and np.meshgrid raising, and write the same report bytes."""
-    docs = [doc for _, doc in EXAMPLE_JOBS.values()]
-    docs += [doc for make_pool in _load_workloads().values() for doc, _ in make_pool(0)]
-    configs = [load_config(doc) for doc in docs]
+    """Every reference job, run once to fill the algebras' cached tensors (which
+    einsum may build), run again with np.einsum and np.meshgrid raising, and
+    write the same report bytes."""
+    configs = [load_config(doc) for _, doc in REFERENCE_JOBS]
     first = [document_to_json(run(config)) for config in configs]
 
     def forbidden(*args, **kwargs):
@@ -936,7 +926,9 @@ def test_one_algebra_per_job_decides_its_h_type_once(monkeypatch):
     calls = []
     original = algebra.is_heisenberg_type
     monkeypatch.setattr(algebra, "is_heisenberg_type", lambda alg: calls.append(alg) or original(alg))
-    for doc, _ in _load_workloads()["nil_dense"](0):
+    docs = [doc for name, doc in REFERENCE_JOBS if name.startswith("nil_dense-seed0-")]
+    assert docs
+    for doc in docs:
         calls.clear()
         config = load_config(doc)
         assert config.algebra is config.chart.model.algebra
@@ -1094,12 +1086,6 @@ def test_document_to_json_cycles_and_deep_nesting_go_as_json_goes():
 
 
 def test_every_reference_report_writes_the_bytes_of_json_dumps():
-    spec = importlib.util.spec_from_file_location("reference_reports", ROOT / "scripts" / "reference_reports.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    count = 0
-    for name, doc in module.reference_jobs():
+    for name, doc in REFERENCE_JOBS:
         report = run(load_config(doc))
         assert document_to_json(report) == json_bytes(report), name
-        count += 1
-    assert count == 78

@@ -114,13 +114,14 @@ def test_every_definition_is_read_exported_or_traced():
     assert unread_definitions(sources, traced_names()) == []
 
 
-# every random_graph job of the reference set: the 36 jobs of the highdim_oracle pools at seeds 0-2
+# every random_graph job of the reference set: the 36 committed highdim_oracle reports
 RANDOM_CHART_JOBS = """
-import sys
-sys.path[:0] = [sys.argv[1], sys.argv[2]]
+import json, sys
+from pathlib import Path
+sys.path.insert(0, sys.argv[1])
 from nilgauss import cli
-from reference_reports import reference_jobs
-docs = [doc for _, doc in reference_jobs() if doc["chart"].get("catalog") == "random_graph"]
+docs = [json.loads(path.read_text())["config_echo"] for path in Path(sys.argv[2]).glob("*.json")]
+docs = [doc for doc in docs if doc["chart"].get("catalog") == "random_graph"]
 for doc in docs:
     cli.document_to_json(cli.run(cli.load_config(doc)))
 print(len(docs), "numpy.random" in sys.modules)
@@ -130,7 +131,7 @@ print(len(docs), "numpy.random" in sys.modules)
 def test_random_chart_jobs_never_import_numpy_random():
     """numpy 2 imports ``numpy.random`` lazily, at a cost of ~6 MiB and ~10 ms per process."""
     out = subprocess.run(
-        [sys.executable, "-c", RANDOM_CHART_JOBS, str(PACKAGE.parent), str(ROOT / "scripts")],
+        [sys.executable, "-c", RANDOM_CHART_JOBS, str(PACKAGE.parent), str(ROOT / "tests" / "reference")],
         capture_output=True, text=True, timeout=120,
     )
     assert out.returncode == 0, out.stderr

@@ -1,7 +1,8 @@
 """The committed reference reports still come out of their own configs.
 
-``tests/reference`` holds the report of every reference job, as
-``scripts/reference_reports.py`` writes it.  Each file's ``config_echo`` is
+``tests/reference`` is the reference set, the only list of reference jobs:
+one report per job, as ``scripts/reference_reports.py`` writes it.  Each
+file's ``config_echo`` is
 run again and the new report is compared with the file through
 ``scripts/compare_reports.py``: the files, the rows by (point, method), the
 keys and every verdict must match exactly, and each number within its
@@ -9,15 +10,16 @@ field's bound.  Byte identity is not asked for, because another numpy or
 BLAS may round the last bits differently.
 
 A change that moves numbers on purpose rewrites the baseline in the same
-commit, with ``scripts/reference_reports.py tests/reference``.
+commit, with ``scripts/reference_reports.py tests/reference``; a job joins
+the set as ``nilgauss sweep --config job.json --out tests/reference/<name>.json``.
 """
 
 import importlib.util
-import json
 import math
 from pathlib import Path
 
 from nilgauss import cli
+from conftest import REFERENCE_JOBS, reference_reports
 
 ROOT = Path(__file__).resolve().parent.parent
 REFERENCE = ROOT / "tests" / "reference"
@@ -44,13 +46,17 @@ def compare_reports():
 
 
 def test_reference_reports_come_out_of_their_own_configs(tmp_path):
-    for path in sorted(REFERENCE.glob("*.json")):
-        doc = json.loads(path.read_text())["config_echo"]
-        (tmp_path / path.name).write_text(cli.document_to_json(cli.run(cli.load_config(doc))))
+    assert reference_reports.main([str(tmp_path)]) == 0
     moves, _, count, problems = compare_reports().compare(REFERENCE, tmp_path, math.inf)
-    assert count == 78
+    assert count == len(REFERENCE_JOBS)
     assert problems == []  # files, rows, keys and verdicts
     assert set(ORACLE_FIELDS) <= set(moves)  # every bound named meets a field
     too_far = {label: (move, name) for label, (move, name) in moves.items()
                if move > (ORACLE_TOL if label in ORACLE_FIELDS else CLOSED_FORM_TOL)}
     assert too_far == {}
+
+
+def test_every_built_in_example_is_a_reference_job():
+    jobs = dict(REFERENCE_JOBS)
+    for name, (_, doc) in cli.EXAMPLE_JOBS.items():
+        assert jobs.get(f"example-{name}.json") == doc, name

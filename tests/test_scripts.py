@@ -8,6 +8,8 @@ from pathlib import Path
 
 import pytest
 
+from conftest import REFERENCE_JOBS, reference_reports
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -41,8 +43,8 @@ def test_readme_library_example_runs():
 
 
 def test_reference_reports_writes_one_report_per_reference_job(tmp_path):
-    """3 examples plus 25 pool jobs at each of seeds 0, 1 and 2; the bytes do not
-    depend on the process, so no set or hash order reaches a report."""
+    """One report per committed reference report, by the same name; the bytes do
+    not depend on the process, so no set or hash order reaches a report."""
     for seed in ("1", "2"):
         out = subprocess.run(
             [sys.executable, str(ROOT / "scripts" / "reference_reports.py"), str(tmp_path / seed)],
@@ -50,9 +52,28 @@ def test_reference_reports_writes_one_report_per_reference_job(tmp_path):
         )
         assert out.returncode == 0, out.stderr
     first, second = ({path.name: path.read_bytes() for path in (tmp_path / seed).glob("*.json")} for seed in "12")
-    assert len(first) == 78
+    assert sorted(first) == [name for name, _ in REFERENCE_JOBS]
     assert all(json.loads(text)["rows"] for text in first.values())
     assert first == second
+
+
+def test_reference_reports_writes_nothing_when_a_job_raises(tmp_path, monkeypatch, capsys):
+    """Every report is computed before any is written, so an in-place rewrite that
+    meets a raising job leaves the baseline as it was."""
+    run = reference_reports.cli.run
+    name, last = REFERENCE_JOBS[-1]
+
+    def raise_on_last(config):
+        if config.raw == last:
+            raise RuntimeError("raised on purpose")
+        return run(config)
+
+    monkeypatch.setattr(reference_reports.cli, "run", raise_on_last)
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    assert reference_reports.main([str(out_dir)]) == 1
+    assert list(out_dir.iterdir()) == []
+    assert f"{name}: RuntimeError: raised on purpose" in capsys.readouterr().err
 
 
 def compare_reports(old, new, *tol):
