@@ -11,6 +11,8 @@ from pathlib import Path
 
 import pytest
 
+from conftest import reference_reports
+
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "nilgauss"
 # __init__ imports names to re-export them
@@ -131,7 +133,7 @@ print(len(docs), "numpy.random" in sys.modules)
 def test_random_chart_jobs_never_import_numpy_random():
     """numpy 2 imports ``numpy.random`` lazily, at a cost of ~6 MiB and ~10 ms per process."""
     out = subprocess.run(
-        [sys.executable, "-c", RANDOM_CHART_JOBS, str(PACKAGE.parent), str(ROOT / "tests" / "reference")],
+        [sys.executable, "-c", RANDOM_CHART_JOBS, str(PACKAGE.parent), str(reference_reports.REFERENCE)],
         capture_output=True, text=True, timeout=120,
     )
     assert out.returncode == 0, out.stderr

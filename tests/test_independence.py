@@ -168,5 +168,5 @@ def test_the_oracle_gap_is_the_same_in_the_algebra_basis():
         in_frame = np.linalg.norm(general - oracle, axis=1)
         worst = max(worst, np.abs(in_algebra - in_frame).max())
         rows += len(points)
-    assert rows
+    assert rows == 144
     assert worst <= 1e-14

@@ -2,27 +2,19 @@
 
 ``tests/reference`` is the reference set, the only list of reference jobs:
 one report per job, as ``scripts/reference_reports.py`` writes it.  Each
-file's ``config_echo`` is
-run again and the new report is compared with the file through
-``scripts/compare_reports.py``: the files, the rows by (point, method), the
-keys and every verdict must match exactly, and each number within its
-field's bound.  Byte identity is not asked for, because another numpy or
-BLAS may round the last bits differently.
-
-A change that moves numbers on purpose rewrites the baseline in the same
-commit, with ``scripts/reference_reports.py tests/reference``; a job joins
-the set as ``nilgauss sweep --config job.json --out tests/reference/<name>.json``.
+file's ``config_echo`` is run again and the new report is compared with the
+file through ``scripts/compare_reports.py``: the files, the rows by (point,
+method), the keys and every verdict must match exactly, and each number
+within its field's bound.  Byte identity is not asked for, because another
+numpy or BLAS may round the last bits differently.  README's Scripts section
+says how a job is added and how the baseline is rewritten.
 """
 
 import importlib.util
 import math
-from pathlib import Path
 
 from nilgauss import cli
 from conftest import REFERENCE_JOBS, reference_reports
-
-ROOT = Path(__file__).resolve().parent.parent
-REFERENCE = ROOT / "tests" / "reference"
 
 # Closed-form rows, h, norm_b2, points and the closed-form check values: exact
 # arithmetic on chart jets, moved by at most 3.0e-15 by any refactor since they
@@ -39,16 +31,18 @@ ORACLE_FIELDS = (
 
 
 def compare_reports():
-    spec = importlib.util.spec_from_file_location("compare_reports", ROOT / "scripts" / "compare_reports.py")
+    path = reference_reports.ROOT / "scripts" / "compare_reports.py"
+    spec = importlib.util.spec_from_file_location("compare_reports", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 def test_reference_reports_come_out_of_their_own_configs(tmp_path):
+    assert len(REFERENCE_JOBS) == 78
     assert reference_reports.main([str(tmp_path)]) == 0
-    moves, _, count, problems = compare_reports().compare(REFERENCE, tmp_path, math.inf)
-    assert count == len(REFERENCE_JOBS)
+    moves, _, count, problems = compare_reports().compare(reference_reports.REFERENCE, tmp_path, math.inf)
+    assert count == 78
     assert problems == []  # files, rows, keys and verdicts
     assert set(ORACLE_FIELDS) <= set(moves)  # every bound named meets a field
     too_far = {label: (move, name) for label, (move, name) in moves.items()
