@@ -5,9 +5,9 @@ chart (catalog entry or raw component expressions), a box domain with a
 grid resolution, the Laplacian methods to evaluate and the checks to
 run.  Reports echo the config, carry one row per grid point and method,
 and end with a summary block whose check verdicts drive the exit code:
-0 when every requested check passes, 1 on a check failure, 2 on a
-configuration or parse error or a chart that cannot be evaluated on its
-grid.
+0 when every requested check passes, 1 on a check failure or a check
+that evaluated no point, 2 on a configuration or parse error or a chart
+that cannot be evaluated on its grid.
 """
 
 from __future__ import annotations
@@ -39,7 +39,8 @@ from .surfaces import SurfaceChart, catalog_chart, expression_chart
 
 METHOD_NAMES = ("general", "h_type", "heisenberg", "numeric_oracle")
 # check -> (default tolerance, key of its value), in verdict order; a check passes when the value is below
-# its tolerance or None (corollary1 skipped); a job may list every check but oracle_gap, which compare adds
+# its tolerance or None (corollary1 skipped), and has no verdict, null, when it evaluated no point
+# (gauss_codazzi where no normal has both parts); a job may list every check but oracle_gap, which compare adds
 CHECKS = {
     "harmonicity": (1e-3, "max_defect"), "prop3": (1e-6, "max_residual"),
     "corollary1": (5e-4, "max_variation"), "jacobi": (5e-4, "max_residual"),
@@ -116,7 +117,6 @@ CONFIG = Field("object", items=DOCUMENT, must="a JSON object")
 
 @dataclass
 class JobConfig:
-    algebra: NilpotentAlgebra
     chart: SurfaceChart
     grid: list[int]
     methods: list[str]
@@ -230,7 +230,7 @@ def load_config(doc: dict) -> JobConfig:
     if problems:
         raise ConfigError(problems)
     tolerances = {key: float(tol) for key, tol in fill(fields["tolerances"], TOLERANCES).items()}
-    return JobConfig(alg, chart, grid, methods, checks, tolerances, fdp, point, direction, doc)
+    return JobConfig(chart, grid, methods, checks, tolerances, fdp, point, direction, doc)
 
 
 def grid_points(chart: SurfaceChart, grid, fd: FDParams, point=None) -> np.ndarray:
@@ -316,7 +316,8 @@ def run(config: JobConfig) -> dict:
     for name, (_, key) in CHECKS.items():
         if name in values:
             value, tol = values[name][key], tols[name]
-            checks[name] = {"pass": value is None or value < tol, **values[name], "tol": tol}
+            verdict = None if values[name].get("points_evaluated") == 0 else value is None or value < tol
+            checks[name] = {"pass": verdict, **values[name], "tol": tol}
 
     summary = {
         "points": len(points),
@@ -480,7 +481,7 @@ def _write(text: str, out: str | None) -> None:
 def _emit(doc: dict, args) -> None:
     _write(document_to_csv(doc) if args.format == "csv" else document_to_json(doc), args.out)
     for name, result in doc["summary"]["checks"].items():
-        status = "PASS" if result["pass"] else "FAIL"
+        status = {True: "PASS", False: "FAIL", None: "NO VERDICT (no point evaluated)"}[result["pass"]]
         print(f"check {name}: {status}", file=sys.stderr)
 
 

@@ -258,7 +258,6 @@ def _tokenize(source: str) -> list[_Token]:
 
 class _Parser:
     def __init__(self, source: str):
-        self.source = source
         self.tokens = _tokenize(source)
         self.i = 0
         self.depth = 0  # nested unary() calls: parentheses, function arguments, minus signs

@@ -16,8 +16,9 @@ symplectically adapted basis); they must agree with the general form to
 machine precision on their domains, which the test suite enforces.
 
 ``oracle_laplacians`` is the independent oracle, and ``laplacian_numeric``
-its one-point view: it applies the Laplace-Beltrami operator of the
-induced metric componentwise to the Gauss map in the fixed algebra basis,
+its row of an ``evaluate_points`` record: it applies the Laplace-Beltrami
+operator of the induced metric componentwise to the Gauss map in the
+fixed algebra basis,
 
     Delta f = g^{ab} d2f/du_a du_b + c^b df/du_b,
     c^b = (det g)^{-1/2} d_a ((det g)^{1/2} g^{ab}),
@@ -52,7 +53,6 @@ from .surfaces import (
     gauss_map,
     induced_metric_with_gradient,
     shape_data,
-    stacked_chart_jets,
 )
 
 @dataclass(frozen=True, eq=False)
@@ -258,15 +258,6 @@ def _oracle_report(frame: AdaptedFrame, delta) -> LaplacianReport:
     return LaplacianReport.from_coeffs(_apply(frame.ys, delta))
 
 
-def laplacian_numeric(chart: SurfaceChart, u, fd: FDParams = FDParams(), frame: AdaptedFrame | None = None):
-    """Numeric Delta G, re-expressed in the adapted frame at u: the
-    one-point view of ``oracle_laplacians``."""
-    u = np.asarray(u, dtype=float)[None]
-    cj = stacked_chart_jets(chart, u)
-    frame = adapted_frame(chart.model.algebra, cj.normal) if frame is None else frame[None]
-    return _oracle_report(frame, oracle_laplacians(chart, cj, u, fd))[0]
-
-
 CLOSED_FORMS = {"general": laplacian_general, "h_type": laplacian_h_type, "heisenberg": laplacian_heisenberg}
 
 
@@ -361,6 +352,12 @@ def closed_form_report(chart: SurfaceChart, u, method: str = "general", fd: FDPa
     """Frame, shape and Laplacian report at one chart point: row views of ``evaluate_points``."""
     ev = evaluate_points(chart, np.asarray(u, dtype=float)[None], [method], fd, completion_start)[0]
     return ev.reports[method], ev.frame, ev.shape
+
+
+def laplacian_numeric(chart: SurfaceChart, u, fd: FDParams = FDParams()) -> LaplacianReport:
+    """Numeric Delta G at one chart point, in its adapted frame: the oracle row of ``evaluate_points``."""
+    ev = evaluate_points(chart, np.asarray(u, dtype=float)[None], ["numeric_oracle"], fd)
+    return ev.reports["numeric_oracle"][0]
 
 
 # ---------------------------------------------------------------------------

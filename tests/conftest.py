@@ -221,3 +221,12 @@ def gram_residual(frame):
     """Largest entry of ys ys^T - I: how far the frame's rows are from orthonormal."""
     gram = frame.ys @ np.swapaxes(frame.ys, -1, -2)
     return float(np.abs(gram - np.eye(frame.ys.shape[-1])).max())
+
+
+def assert_oracle_allowance(ev):
+    """Criterion 2's allowance: at every point of an ``evaluate_points`` record, each coefficient
+    of the oracle's row lies within max(5e-4, 5e-4 |closed|) of ``general``'s."""
+    closed = ev.reports["general"].coeffs
+    gap = np.abs(closed - ev.reports["numeric_oracle"].coeffs)
+    outside = ~(gap <= np.maximum(5e-4, 5e-4 * np.abs(closed))).all(axis=1)
+    assert not outside.any(), (ev.u[outside].tolist(), gap.max())

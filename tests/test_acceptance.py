@@ -28,15 +28,13 @@ from nilgauss import (
     laplacian_heisenberg,
     laplacian_numeric,
     mean_curvature,
-    mean_curvature_derivatives,
     random_graph_chart,
     ricci,
-    shape_data,
     vertical_plane_chart,
 )
-from nilgauss.surfaces import ShapeData, stacked_chart_jets
-from conftest import (curvature_oracle, free_two_step_5d, gram_residual, quaternionic_heisenberg, random_unit,
-                      ricci_identity_check, v_part)
+from nilgauss.surfaces import ShapeData
+from conftest import (assert_oracle_allowance, curvature_oracle, free_two_step_5d, gram_residual,
+                      quaternionic_heisenberg, random_unit, ricci_identity_check, v_part)
 
 
 class timer:
@@ -61,7 +59,7 @@ def test_criterion_1_worked_example_on_the_leaf():
         chart = foliation_leaf_chart()
         for x in (0.0, 0.5, 1.0, 2.0):
             u = [x, 0.0]
-            rep, frame, shape = closed_form_report(chart, u)
+            rep, _, shape = closed_form_report(chart, u)
             assert abs(shape.h) < 1e-8
             expected_b2 = (x * x - 1) ** 2 / (2 * (1 + x * x) ** 2)
             assert shape.norm_b2 == pytest.approx(expected_b2, abs=1e-8)
@@ -69,7 +67,7 @@ def test_criterion_1_worked_example_on_the_leaf():
                 [0.0, -x / (1 + x * x) ** 2, -1.0 / (1 + x * x) ** 2]
             )
             np.testing.assert_allclose(rep.coeffs, target, atol=1e-6)
-            num = laplacian_numeric(chart, u, frame=frame)
+            num = laplacian_numeric(chart, u)
             np.testing.assert_allclose(num.coeffs, target, atol=5e-4)
 
 
@@ -83,12 +81,7 @@ def test_criterion_2_oracle_equivalence_random_charts():
             for k in range(n_charts):
                 chart = random_graph_chart(model, seed * 100 + k)
                 points = rng.uniform(-0.45, 0.45, size=(5, n))
-                for u in points:
-                    rep, frame, _ = closed_form_report(chart, u)
-                    num = laplacian_numeric(chart, u, frame=frame)
-                    gap = np.abs(rep.coeffs - num.coeffs)
-                    allowed = np.maximum(5e-4, 5e-4 * np.abs(rep.coeffs))
-                    assert (gap <= allowed).all(), (m, u, gap.max())
+                assert_oracle_allowance(evaluate_points(chart, points, ["general", "numeric_oracle"]))
 
 
 def test_criterion_3_specialization_identities():
@@ -208,17 +201,10 @@ def test_criterion_8_degenerate_frames():
         plane = vertical_plane_chart()
         cases = [(leaf, [0.0, 0.0]), (plane, [0.2, -0.1])]
         for chart, u in cases:
-            alg = chart.model.algebra
-            g = gauss_map(chart, [u])
-            frame = adapted_frame(alg, g)
-            assert gram_residual(frame) < 1e-10
-            shape, coeffs = shape_data(chart, stacked_chart_jets(chart, [u]), frame)
-            dh = mean_curvature_derivatives(chart, [u], coeffs)
-            for fn in (laplacian_general, laplacian_h_type, laplacian_heisenberg):
-                rep = fn(alg, frame, shape, dh)
+            ev = evaluate_points(chart, [u], ["general", "h_type", "heisenberg", "numeric_oracle"])
+            assert gram_residual(ev.frame) < 1e-10
+            for rep in ev.reports.values():
                 assert np.isfinite(rep.coeffs).all()
-            num = laplacian_numeric(chart, u, frame=frame[0])
-            assert np.isfinite(num.coeffs).all()
         # synthetic degenerate normals in dimension five
         h2 = heisenberg(2)
         for normal in (np.eye(5)[4], np.eye(5)[1]):

@@ -76,7 +76,7 @@ def test_inline_algebra_and_validation():
         "brackets": [{"i": 1, "j": 2, "k": 3, "c": 1.0}],
     }
     config = load_config(doc)
-    assert config.algebra.dim_total == 3
+    assert config.chart.model.algebra.dim_total == 3
 
 
 def test_invalid_algebra_reported():
@@ -804,6 +804,44 @@ def test_gauss_codazzi_is_one_call_per_job(monkeypatch):
     assert events == [("jets", 54, True), "fd", ("jets", 27 * 13, False), "gauss_codazzi"]
 
 
+def test_gauss_codazzi_without_evidence_has_no_verdict(tmp_path, capsys):
+    """A cylinder's normal has no central part, so gauss_codazzi evaluates no point:
+    its verdict is null, stderr says neither PASS nor FAIL, and the job exits 1."""
+    cylinder = {"catalog": "nil_cylinder", "params": {"f1": "cos(u1)", "f2": "sin(u1)"}}
+    path = write_config(tmp_path, dict(BASE_CONFIG, chart=cylinder, checks=["harmonicity", "gauss_codazzi"]))
+    assert main(["sweep", "--config", path]) == 1
+    captured = capsys.readouterr()
+    checks = json.loads(captured.out)["summary"]["checks"]
+    assert checks["harmonicity"]["pass"] is True
+    assert checks["gauss_codazzi"]["points_evaluated"] == 0 and checks["gauss_codazzi"]["pass"] is None
+    assert captured.err.splitlines() == ["check harmonicity: PASS",
+                                         "check gauss_codazzi: NO VERDICT (no point evaluated)"]
+
+
+def test_seed_override_writes_the_bytes_of_the_seeded_document(tmp_path):
+    """sweep --seed 5 on a random_graph job writes what the job with "seed": 5 writes,
+    config_echo included, and not what its own seed gives."""
+    doc = {"algebra": {"builtin": "heisenberg", "m": 1}, "model": "exp", "chart": {"catalog": "random_graph"},
+           "grid": [2, 2], "methods": ["general", "numeric_oracle"], "seed": 0}
+    paths = {seed: write_config(tmp_path, dict(doc, seed=seed), f"seed{seed}.json") for seed in (0, 5)}
+    runs = {"override": ["--seed", "5", "--config", paths[0]], "seeded": ["--config", paths[5]],
+            "own": ["--config", paths[0]]}
+    written = {}
+    for name, argv in runs.items():
+        out = tmp_path / f"{name}.report.json"
+        assert main(["sweep", *argv, "--out", str(out)]) == 0
+        written[name] = out.read_bytes()
+    assert written["override"] == written["seeded"] != written["own"]
+
+
+def test_tol_override_sets_every_listed_checks_tol(tmp_path, capsys):
+    listed = ["harmonicity", "prop3", "corollary1", "jacobi"]
+    path = write_config(tmp_path, dict(BASE_CONFIG, checks=listed, tolerances={"prop3": 1e-9}))
+    assert main(["sweep", "--tol", "0.25", "--config", path]) == 0
+    checks = json.loads(capsys.readouterr().out)["summary"]["checks"]
+    assert {name: res["tol"] for name, res in checks.items()} == dict.fromkeys(listed, 0.25)
+
+
 def test_h_and_norm_b2_repeat_on_every_method_row():
     """h and |B|^2 come from the chart's exact second fundamental form, the
     numeric_oracle row included."""
@@ -931,9 +969,8 @@ def test_one_algebra_per_job_decides_its_h_type_once(monkeypatch):
     for doc in docs:
         calls.clear()
         config = load_config(doc)
-        assert config.algebra is config.chart.model.algebra
         run(config)
-        assert calls == [config.algebra]
+        assert calls == [config.chart.model.algebra]
 
 
 @pytest.mark.parametrize("doc", [
@@ -945,7 +982,7 @@ def test_a_finished_jobs_algebra_is_freed(doc):
     """Tables built for an algebra live on it, so none keeps it past its job."""
     config = load_config(doc)
     run(config)
-    ref = weakref.ref(config.algebra)
+    ref = weakref.ref(config.chart.model.algebra)
     del config
     gc.collect()
     assert ref() is None

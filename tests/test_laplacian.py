@@ -23,7 +23,6 @@ from nilgauss import (
     laplacian_h_type,
     laplacian_heisenberg,
     laplacian_numeric,
-    mean_curvature_derivatives,
     nil_polarized_model,
     random_graph_chart,
     ricci,
@@ -45,7 +44,8 @@ from nilgauss.surfaces import (
     mean_curvature,
     stacked_chart_jets,
 )
-from conftest import abelian_3d, free_two_step_5d, gram_residual, lam, mu, quaternionic_heisenberg, random_unit
+from conftest import (abelian_3d, assert_oracle_allowance, free_two_step_5d, gram_residual, lam, mu,
+                      quaternionic_heisenberg, random_unit)
 
 
 def leaf_target(x):
@@ -73,11 +73,11 @@ def test_abelian_sphere_patch():
     model = exp_model(abelian_3d())
     chart = graph_chart(model, "-sqrt(4 - u1^2 - u2^2)", [(-0.6, 0.6), (-0.6, 0.6)])
     for u in ([0.0, 0.0], [0.3, -0.2]):
-        rep, frame, shape = closed_form_report(chart, u)
+        rep, _, shape = closed_form_report(chart, u)
         assert shape.norm_b2 == pytest.approx(0.5, abs=1e-10)  # 2 / R^2, R = 2
         assert rep.tangential_norm < 1e-10
         assert rep.normal_coeff == pytest.approx(-shape.norm_b2, abs=1e-12)
-        num = laplacian_numeric(chart, u, frame=frame)
+        num = laplacian_numeric(chart, u)
         np.testing.assert_allclose(num.coeffs, rep.coeffs, atol=5e-6)
 
 
@@ -92,14 +92,10 @@ def test_abelian_plane_all_zero():
 
 @pytest.mark.parametrize("x", [0.0, 0.5, 1.0, 2.0])
 def test_leaf_laplacian_closed_form(x):
-    chart = foliation_leaf_chart()
-    rep, frame, shape = closed_form_report(chart, [x, 0.0])
-    np.testing.assert_allclose(rep.coeffs, leaf_target(x), atol=1e-12)
+    reports = evaluate_points(foliation_leaf_chart(), [[x, 0.0]], ["general", "heisenberg"]).reports
+    np.testing.assert_allclose(reports["general"].coeffs[0], leaf_target(x), atol=1e-12)
     # same through the specialized Heisenberg form
-    coeffs = shape_data(chart, chart_jets(chart, [x, 0.0]), frame)[1]
-    dh = mean_curvature_derivatives(chart, [x, 0.0], coeffs)
-    hrep = laplacian_heisenberg(heisenberg(1), frame[None], shape[None], dh[None])
-    np.testing.assert_allclose(hrep.coeffs[0], rep.coeffs, atol=1e-12)
+    np.testing.assert_allclose(reports["heisenberg"].coeffs, reports["general"].coeffs, atol=1e-12)
 
 
 def test_leaf_laplacian_numeric_oracle():
@@ -130,18 +126,10 @@ def test_leaf_displayed_block_identities():
 
 
 def test_vertical_plane_all_methods_zero():
-    chart = vertical_plane_chart()
-    u = [0.2, -0.4]
-    rep, frame, shape = closed_form_report(chart, u)
-    np.testing.assert_allclose(rep.coeffs, np.zeros(3), atol=1e-12)
-    coeffs = shape_data(chart, chart_jets(chart, u), frame)[1]
-    dh = mean_curvature_derivatives(chart, u, coeffs)
-    for fn in (laplacian_h_type, laplacian_heisenberg):
-        np.testing.assert_allclose(
-            fn(heisenberg(1), frame[None], shape[None], dh[None]).coeffs, np.zeros((1, 3)), atol=1e-12
-        )
-    num = laplacian_numeric(chart, u, frame=frame)
-    assert np.abs(num.coeffs).max() < 1e-8
+    ev = evaluate_points(vertical_plane_chart(), [[0.2, -0.4]], ["general", "h_type", "heisenberg", "numeric_oracle"])
+    for method in ("general", "h_type", "heisenberg"):
+        np.testing.assert_allclose(ev.reports[method].coeffs, np.zeros((1, 3)), atol=1e-12)
+    assert np.abs(ev.reports["numeric_oracle"].coeffs).max() < 1e-8
 
 
 def test_report_norms_are_read_off_coeffs():
@@ -231,12 +219,8 @@ def test_oracle_equivalence_random_graphs(m, n_charts):
     n = alg.n
     for k in range(n_charts):
         chart = random_graph_chart(model, (100 + m) * 100 + k)
-        for u in rng.uniform(-0.45, 0.45, (3, n)):
-            rep, frame, _ = closed_form_report(chart, u)
-            num = laplacian_numeric(chart, u, frame=frame)
-            gap = np.abs(rep.coeffs - num.coeffs)
-            allowed = np.maximum(5e-4, 5e-4 * np.abs(rep.coeffs))
-            assert (gap <= allowed).all()
+        points = rng.uniform(-0.45, 0.45, (3, n))
+        assert_oracle_allowance(evaluate_points(chart, points, ["general", "numeric_oracle"]))
 
 
 def test_oracle_equivalence_multicenter(free5):
@@ -245,12 +229,8 @@ def test_oracle_equivalence_multicenter(free5):
     rng = np.random.default_rng(200)
     for k in range(3):
         chart = random_graph_chart(model, 200 * 100 + k)
-        for u in rng.uniform(-0.4, 0.4, (2, 4)):
-            rep, frame, _ = closed_form_report(chart, u)
-            num = laplacian_numeric(chart, u, frame=frame)
-            gap = np.abs(rep.coeffs - num.coeffs)
-            allowed = np.maximum(5e-4, 5e-4 * np.abs(rep.coeffs))
-            assert (gap <= allowed).all()
+        points = rng.uniform(-0.4, 0.4, (2, 4))
+        assert_oracle_allowance(evaluate_points(chart, points, ["general", "numeric_oracle"]))
 
 
 def test_oracle_equivalence_heisenberg_3():
@@ -258,14 +238,10 @@ def test_oracle_equivalence_heisenberg_3():
     model = exp_model(alg)
     rng = np.random.default_rng(77)
     chart = random_graph_chart(model, 77)
-    for u in rng.uniform(-0.4, 0.4, (2, 6)):
-        rep, frame, shape = closed_form_report(chart, u)
-        num = laplacian_numeric(chart, u, frame=frame)
-        assert np.abs(rep.coeffs - num.coeffs).max() < 5e-4
-        coeffs = shape_data(chart, chart_jets(chart, u), frame)[1]
-        dh = mean_curvature_derivatives(chart, u, coeffs)
-        hrep = laplacian_heisenberg(alg, frame[None], shape[None], dh[None])
-        assert np.abs(hrep.coeffs[0] - rep.coeffs).max() < 1e-10
+    ev = evaluate_points(chart, rng.uniform(-0.4, 0.4, (2, 6)), ["general", "heisenberg", "numeric_oracle"])
+    rep = ev.reports["general"]
+    assert np.abs(rep.coeffs - ev.reports["numeric_oracle"].coeffs).max() < 5e-4
+    assert np.abs(ev.reports["heisenberg"].coeffs - rep.coeffs).max() < 1e-10
 
 
 def test_oracle_equivalence_quaternionic_h_type():
@@ -274,14 +250,10 @@ def test_oracle_equivalence_quaternionic_h_type():
     model = exp_model(quat)
     rng = np.random.default_rng(11)
     chart = random_graph_chart(model, 11)
-    for u in rng.uniform(-0.35, 0.35, (2, 6)):
-        rep, frame, shape = closed_form_report(chart, u)
-        num = laplacian_numeric(chart, u, frame=frame)
-        assert np.abs(rep.coeffs - num.coeffs).max() < 5e-4
-        coeffs = shape_data(chart, chart_jets(chart, u), frame)[1]
-        dh = mean_curvature_derivatives(chart, u, coeffs)
-        hrep = laplacian_h_type(quat, frame[None], shape[None], dh[None])
-        assert np.abs(hrep.coeffs[0] - rep.coeffs).max() < 1e-10
+    ev = evaluate_points(chart, rng.uniform(-0.35, 0.35, (2, 6)), ["general", "h_type", "numeric_oracle"])
+    rep = ev.reports["general"]
+    assert np.abs(rep.coeffs - ev.reports["numeric_oracle"].coeffs).max() < 5e-4
+    assert np.abs(ev.reports["h_type"].coeffs - rep.coeffs).max() < 1e-10
 
 
 def test_oracle_shares_nothing_with_the_closed_form(monkeypatch, h2):
@@ -298,7 +270,6 @@ def test_oracle_shares_nothing_with_the_closed_form(monkeypatch, h2):
     pts = rng.uniform(-0.4, 0.4, (3, 4))
     delta = oracle_laplacians(chart, stacked_chart_jets(chart, pts), pts)
     assert delta.shape == (3, 5) and np.isfinite(delta).all()
-    assert np.isfinite(laplacian_numeric(chart, pts[0]).coeffs).all()
 
 
 def test_frame_completion_robustness(h2):
@@ -396,7 +367,7 @@ def test_evaluation_carries_general_and_matches_single_views():
         np.testing.assert_array_equal(rep.coeffs, ev.reports[method].coeffs[0])
         np.testing.assert_array_equal(frame.ys, ev.frame.ys[0])
         assert shape.h == ev.shape.h[0]
-    oracle = laplacian_numeric(chart, u, frame=ev.frame[0])
+    oracle = laplacian_numeric(chart, u)
     np.testing.assert_array_equal(oracle.coeffs, ev.reports["numeric_oracle"].coeffs[0])
 
 
@@ -1133,7 +1104,8 @@ def test_gauss_codazzi_all_skipped_evaluates_no_chart(monkeypatch):
     def no_evaluation(*args, **kwargs):
         raise AssertionError("the chart was evaluated")
 
-    for name in ("stacked_chart_jets", "chart_jets", "_gc_field", "complex_derivative"):
+    monkeypatch.setattr("nilgauss.surfaces.stacked_chart_jets", no_evaluation)
+    for name in ("chart_jets", "_gc_field", "complex_derivative"):
         monkeypatch.setattr(f"nilgauss.laplacian.{name}", no_evaluation)
     assert gauss_codazzi_residuals(chart, evals)[0].tolist() == [False] * 3
     assert [arr.shape for arr in gauss_codazzi_residuals(chart, evals[:0])] == [(0,)] * 5
