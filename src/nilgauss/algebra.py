@@ -29,6 +29,8 @@ from .schema import ConfigError, Field, Table, between, check
 
 # J(z)^2 = -|z|^2 Id must hold to this tolerance for a Heisenberg-type algebra
 H_TYPE_TOL = 1e-9
+# each 2-step axiom must hold to this tolerance for ``validate``
+AXIOM_TOL = 1e-10
 
 
 def _read_only(arr) -> np.ndarray:
@@ -185,7 +187,7 @@ class ValidationReport:
         return [v.name for v in self.violations]
 
 
-def validate(alg: NilpotentAlgebra, tol: float = 1e-10) -> ValidationReport:
+def validate(alg: NilpotentAlgebra) -> ValidationReport:
     """Check the 2-step axioms; violations are data, not exceptions.
 
     The "true center" check stacks the J matrices of the central basis
@@ -198,24 +200,24 @@ def validate(alg: NilpotentAlgebra, tol: float = 1e-10) -> ValidationReport:
     found = []
 
     antisym = np.abs(c + np.transpose(c, (1, 0, 2))).max()
-    if antisym > tol:
+    if antisym > AXIOM_TOL:
         found.append(Violation("antisymmetry", float(antisym)))
 
     into_v = np.abs(c[:, :, :q]).max() if q > 0 else 0.0
-    if into_v > tol:
+    if into_v > AXIOM_TOL:
         found.append(Violation("bracket lands in center", float(into_v)))
 
     central_rows = max(np.abs(c[q:, :, :]).max(), np.abs(c[:, q:, :]).max())
-    if central_rows > tol:
+    if central_rows > AXIOM_TOL:
         found.append(Violation("center is central", float(central_rows)))
 
     top = np.abs(c).max()
-    if top <= tol:
+    if top <= AXIOM_TOL:
         found.append(Violation("non-abelian", float(top)))
 
     stacked = alg.j_tensor[q:, :q, :q].reshape(-1, q)
     smin = np.linalg.svd(stacked, compute_uv=False)[-1]
-    if smin <= tol:
+    if smin <= AXIOM_TOL:
         found.append(Violation("true center", float(smin)))
 
     return ValidationReport(tuple(found))

@@ -39,8 +39,9 @@ from .surfaces import SurfaceChart, catalog_chart, expression_chart
 
 METHOD_NAMES = ("general", "h_type", "heisenberg", "numeric_oracle")
 # check -> (default tolerance, key of its value), in verdict order; a check passes when the value is below
-# its tolerance or None (corollary1 skipped), and has no verdict, null, when it evaluated no point
-# (gauss_codazzi where no normal has both parts); a job may list every check but oracle_gap, which compare adds
+# its tolerance or None (corollary1 skipped), and has no verdict, null, when it evaluated no point (gauss_codazzi
+# where no normal has both parts, corollary1 with no central slot); a job may list every check but oracle_gap,
+# which compare adds
 CHECKS = {
     "harmonicity": (1e-3, "max_defect"), "prop3": (1e-6, "max_residual"),
     "corollary1": (5e-4, "max_variation"), "jacobi": (5e-4, "max_residual"),
@@ -293,8 +294,10 @@ def run(config: JobConfig) -> dict:
     if "corollary1" in config.checks:
         # Z(H) = 0 is a consequence of harmonicity: a chart that is not harmonic skips the check
         skipped = bool(ev.reports["general"].tangential_norm.max() > tols["harmonicity"])
-        variation = None if skipped else float(central_h_variation(chart, ev).max())
-        values["corollary1"] = {"skipped": skipped, "max_variation": variation}
+        values["corollary1"] = {"skipped": skipped, "max_variation": None, "points_evaluated": 0}
+        if not skipped:
+            evaluated, variation = central_h_variation(chart, ev)  # 0.0 at the points with no central slot
+            values["corollary1"].update(max_variation=float(variation.max()), points_evaluated=int(evaluated.sum()))
     if "jacobi" in config.checks:
         direction = config.jacobi_direction
         if direction is None:
@@ -316,7 +319,8 @@ def run(config: JobConfig) -> dict:
     for name, (_, key) in CHECKS.items():
         if name in values:
             value, tol = values[name][key], tols[name]
-            verdict = None if values[name].get("points_evaluated") == 0 else value is None or value < tol
+            evidence = values[name].get("skipped") or values[name].get("points_evaluated") != 0
+            verdict = (value is None or value < tol) if evidence else None
             checks[name] = {"pass": verdict, **values[name], "tol": tol}
 
     summary = {

@@ -2,21 +2,21 @@
 ``gradient_hessian`` of the Gauss map only: every other derivative is exact.
 
 A field ``f`` maps an (N, n) array of parameter points to an array of N
-values, one row per point (each row a float or an array).  Both
-differentiators take one centre (n,) or a stack of M centres (M, n).
-Richardson extrapolation is folded into fixed weights on differenced
-values, so a constant field gives exactly zero.  The Hessian stencil
-takes +-h e_a and +-h (e_a + e_b), n (n + 1) points per level, and reads
-each mixed partial from the seven-point formula.  The stencils, every
-level included, are built, evaluated and reduced one chunk of centres at
-a time: a field call gets at most ``FIELD_ROWS`` rows, or one whole
-centre's stencil if that is larger.
+values, one row per point (each row a float or an array).  There is one
+differentiator, ``gradient_hessian``, and ``directional_derivative`` is its
+gradient contracted with directions.  Both take one centre (n,) or a
+stack of M centres (M, n).  Richardson extrapolation is folded into fixed
+weights on differenced values, so a constant field gives exactly zero.
+The stencil takes +-h e_a and +-h (e_a + e_b), n (n + 1) points per
+level, and reads each mixed partial from the seven-point formula.  The
+stencils, every level included, are built, evaluated and reduced one
+chunk of centres at a time: a field call gets at most ``FIELD_ROWS``
+rows, or one whole centre's stencil if that is larger.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,7 +50,7 @@ def _fold(weight: float, level: int, levels: int) -> float:
 
 def check_stencil(u, radius, domain) -> None:
     """Raise BoundaryError, naming the first offending centre, unless each
-    centre of u, (n,) or (M, n), +- radius (broadcast to u) lies in the domain."""
+    centre of u, (n,) or (M, n), +- radius on every axis lies in the domain."""
     if domain is None:
         return
     u = np.atleast_2d(u)
@@ -60,22 +60,22 @@ def check_stencil(u, radius, domain) -> None:
         i, a = np.argwhere(outside)[0]
         raise BoundaryError(
             f"point {u[i].tolist()} too close to the domain boundary for an FD "
-            f"stencil of radius {np.broadcast_to(radius, u.shape)[i, a]} along u{a + 1}"
+            f"stencil of radius {radius} along u{a + 1}"
         )
 
 
-def _stencil_values(f, centres, size, offsets, per_centre=()):
+def _stencil_values(f, centres, offsets, per_centre=()):
     """Field values at the stencils of ``centres``, (c, S) + row shape, for one
     chunk of c centres at a time: at most ``FIELD_ROWS`` rows per field call,
-    but never less than one whole centre.  ``offsets(chunk)`` gives the S
-    offsets of the centres in the slice ``chunk``, (S, n) or (c, S, n).  Each
-    array of ``per_centre`` holds one row per centre; a field call gets, after
-    its points, the rows of its centres, each repeated for its S points."""
-    n = centres.shape[1]
+    but never less than one whole centre.  ``offsets`` (S, n) are every
+    centre's.  Each array of ``per_centre`` holds one row per centre; a field
+    call gets, after its points, the rows of its centres, each repeated for
+    its S points."""
+    size, n = offsets.shape
     per = max(1, FIELD_ROWS // size)
     for first in range(0, len(centres), per):
         chunk = slice(first, first + per)
-        points = (centres[chunk, None] + offsets(chunk)).reshape(-1, n)
+        points = (centres[chunk, None] + offsets).reshape(-1, n)
         values = np.asarray(f(points, *(np.repeat(arr[chunk], size, axis=0) for arr in per_centre)), dtype=float)
         if values.shape[:1] != (len(points),):
             raise ValueError(
@@ -83,44 +83,6 @@ def _stencil_values(f, centres, size, offsets, per_centre=()):
                 "it must return one row per point"
             )
         yield values.reshape((-1, size) + values.shape[1:])
-
-
-def directional_derivative(f, u, direction, fd: FDParams = FDParams(), domain=None):
-    """Derivative of f along ``direction`` (not normalized here).
-
-    The direction is normalized internally, differenced, and scaled back,
-    so the step length in parameter space equals ``fd.step`` regardless of
-    the magnitude of the direction vector.  ``u`` is one centre (n,) or a
-    stack (M, n); ``direction`` starts with the centre axes of u and holds
-    one vector per centre, ``u.shape[:-1] + (n,)``, or k of them,
-    ``u.shape[:-1] + (k, n)``.  The result has shape ``direction.shape[:-1]``
-    followed by the field's row shape.
-    """
-    u = np.asarray(u, dtype=float)
-    dirs = np.asarray(direction, dtype=float)
-    n = u.shape[-1]
-    centres = u.reshape(-1, n)
-    flat = dirs.reshape(len(centres), -1, n)  # (M, k, n)
-    # np.linalg.norm of one vector, sqrt(d.d): a norm over an axis sums in another order
-    scale = np.array([[math.sqrt(d.dot(d)) for d in ds] for ds in flat])
-    unit = flat / np.where(scale == 0.0, 1.0, scale)[..., None]
-    check_stencil(centres, fd.step * np.abs(unit).max(axis=1), domain)
-    hs = fd.step / 2.0 ** np.arange(fd.levels)
-    # Richardson folded into one weight per level on (f(u + h d) - f(u - h d))
-    weights = [_fold(0.5 / h, lvl, fd.levels) for lvl, h in enumerate(hs)]
-    # u + h d and u - h d, as u + (+-h) d: the sign flips are exact
-    signed = np.multiply.outer(hs, [1.0, -1.0])[:, :, None]
-    k = flat.shape[1]
-    size = 2 * k * fd.levels
-    steps = lambda chunk: (signed * unit[chunk, :, None, None]).reshape(-1, size, n)
-    outs = []
-    for values in _stencil_values(f, centres, size, steps):
-        values = values.reshape((len(values), k, fd.levels, 2) + values.shape[2:])
-        diffs = values[:, :, :, 0] - values[:, :, :, 1]
-        outs.append(sum(w * diffs[:, :, lvl] for lvl, w in enumerate(weights)))
-    out = np.concatenate(outs)
-    out = scale.reshape(scale.shape + (1,) * (out.ndim - 2)) * out
-    return out.reshape(dirs.shape[:-1] + out.shape[2:])
 
 
 @functools.lru_cache(maxsize=32)
@@ -180,7 +142,7 @@ def gradient_hessian(f, u, fd: FDParams = FDParams(), domain=None, per_centre=()
     check_stencil(centres, fd.step, domain)
     offsets, wgrad, whess = _hessian_table(n, fd)
     grads, hesss = [], []
-    for values in _stencil_values(f, centres, len(offsets), lambda chunk: offsets, per_centre):
+    for values in _stencil_values(f, centres, offsets, per_centre):
         diff = values - values[:, :1]
         rows = diff.shape[2:]
         flat = diff.reshape(diff.shape[:2] + (-1,))  # (c, S, R)
@@ -190,3 +152,20 @@ def gradient_hessian(f, u, fd: FDParams = FDParams(), domain=None, per_centre=()
     grad, hess = np.concatenate(grads), np.concatenate(hesss)
     lead = u.shape[:-1]
     return grad.reshape(lead + grad.shape[1:]), hess.reshape(lead + hess.shape[1:])
+
+
+def directional_derivative(f, u, direction, fd: FDParams = FDParams(), domain=None):
+    """Derivative of f along ``direction`` (not normalized): the gradient of one
+    ``gradient_hessian`` call, contracted with the directions.
+
+    ``u`` is one centre (n,) or a stack (M, n); ``direction`` starts with the
+    centre axes of u and holds one vector per centre, ``u.shape[:-1] + (n,)``,
+    or k of them, ``u.shape[:-1] + (k, n)``.  The result has shape
+    ``direction.shape[:-1]`` followed by the field's row shape.
+    """
+    u = np.asarray(u, dtype=float)
+    dirs = np.asarray(direction, dtype=float)
+    grad = gradient_hessian(f, u, fd, domain)[0]
+    n, count = u.shape[-1], u.size // u.shape[-1]
+    flat = dirs.reshape(count, -1, n) @ np.swapaxes(grad.reshape(count, -1, n), 1, 2)  # (M, k, n) @ (M, n, R)
+    return flat.reshape(dirs.shape[:-1] + grad.shape[u.ndim - 1:-1])

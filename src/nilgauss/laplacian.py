@@ -224,13 +224,13 @@ def laplace_beltrami_coefficients(chart: SurfaceChart, cj: ChartJet):
     return ginv, term1 + term2
 
 
-def laplace_beltrami_scalar(chart: SurfaceChart, u, field, fd: FDParams = FDParams()) -> float:
+def laplace_beltrami_scalar(chart: SurfaceChart, u, field) -> float:
     """Laplace-Beltrami operator of a scalar field on the chart.
 
     ``field`` maps an (N, n) array of points to N values.
     """
     ginv, cvec = laplace_beltrami_coefficients(chart, chart_jets(chart, u))
-    grad, hess = gradient_hessian(field, u, fd, domain=chart.domain)
+    grad, hess = gradient_hessian(field, u, domain=chart.domain)
     return float(np.einsum("ab,ab->", ginv, hess) + cvec @ grad)
 
 
@@ -347,16 +347,15 @@ def evaluate_points(chart: SurfaceChart, points, methods=("general",), fd: FDPar
                       steps=steps, steps_h=steps_h)
 
 
-def closed_form_report(chart: SurfaceChart, u, method: str = "general", fd: FDParams = FDParams(),
-                       completion_start: int = 0):
+def closed_form_report(chart: SurfaceChart, u, method: str = "general", completion_start: int = 0):
     """Frame, shape and Laplacian report at one chart point: row views of ``evaluate_points``."""
-    ev = evaluate_points(chart, np.asarray(u, dtype=float)[None], [method], fd, completion_start)[0]
+    ev = evaluate_points(chart, np.asarray(u, dtype=float)[None], [method], completion_start=completion_start)[0]
     return ev.reports[method], ev.frame, ev.shape
 
 
-def laplacian_numeric(chart: SurfaceChart, u, fd: FDParams = FDParams()) -> LaplacianReport:
+def laplacian_numeric(chart: SurfaceChart, u) -> LaplacianReport:
     """Numeric Delta G at one chart point, in its adapted frame: the oracle row of ``evaluate_points``."""
-    ev = evaluate_points(chart, np.asarray(u, dtype=float)[None], ["numeric_oracle"], fd)
+    ev = evaluate_points(chart, np.asarray(u, dtype=float)[None], ["numeric_oracle"])
     return ev.reports["numeric_oracle"][0]
 
 
@@ -404,20 +403,23 @@ def jacobi_residuals(chart: SurfaceChart, ev: Evaluation, direction) -> tuple[np
     return np.abs(lw + pot * w), w
 
 
-def central_h_variation(chart: SurfaceChart, ev: Evaluation) -> np.ndarray:
-    """Largest rate of change of H along a central tangent direction at each point, (N,).
+def central_h_variation(chart: SurfaceChart, ev: Evaluation) -> tuple[np.ndarray, np.ndarray]:
+    """Largest rate of change of H along a central tangent direction at each point,
+    as ``(evaluated, variation)``, (N,) each.
 
     When the Gauss map is harmonic, Z(H) = 0 for every tangent frame vector Z
     lying in the center, so the value means something only at a harmonic
     chart.  It is the largest |Y_k(n H)| / n over the central slots k of the
     record's ``dh``: Y_{q+1} .. Y_n, and the mixed vector Y_q at the points
-    where its horizontal part vanishes.
+    where its horizontal part vanishes.  ``evaluated`` marks the points with
+    at least one central slot; the others read 0.0.
     """
     alg = chart.model.algebra
     q, n = alg.dim_v, alg.n
     dh = np.abs(ev.dh)
-    mixed = np.where(ev.frame.c < 1e-9, dh[:, q - 1], 0.0)  # mixed vector degenerates to a central one
-    return np.maximum(dh[:, q:n].max(axis=1, initial=0.0), mixed) / n
+    degenerate = ev.frame.c < 1e-9  # the mixed vector degenerates to a central one
+    mixed = np.where(degenerate, dh[:, q - 1], 0.0)
+    return degenerate | (n > q), np.maximum(dh[:, q:n].max(axis=1, initial=0.0), mixed) / n
 
 
 def _gc_field(chart: SurfaceChart, cj: ChartJet) -> np.ndarray:

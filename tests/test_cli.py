@@ -818,6 +818,23 @@ def test_gauss_codazzi_without_evidence_has_no_verdict(tmp_path, capsys):
                                          "check gauss_codazzi: NO VERDICT (no point evaluated)"]
 
 
+def test_corollary1_without_a_central_slot_has_no_verdict(tmp_path, capsys):
+    """On H(1) a graph's normal has a central part, so no tangent frame vector is
+    central: a harmonic chart's corollary1 reads no slot, its verdict is null, and
+    the job exits 1."""
+    doc = {"algebra": {"builtin": "heisenberg", "m": 1}, "model": "exp",
+           "chart": {"catalog": "graph", "params": {"expr": "0.0*u1"}}, "domain": [[-1, 1], [-1, 1]],
+           "grid": [3, 3], "methods": ["general"], "checks": ["harmonicity", "corollary1"]}
+    assert main(["sweep", "--config", write_config(tmp_path, doc)]) == 1
+    captured = capsys.readouterr()
+    checks = json.loads(captured.out)["summary"]["checks"]
+    assert checks["harmonicity"]["pass"] is True
+    assert checks["corollary1"] == {"pass": None, "skipped": False, "max_variation": 0.0, "points_evaluated": 0,
+                                    "tol": 5e-4}
+    assert captured.err.splitlines() == ["check harmonicity: PASS",
+                                         "check corollary1: NO VERDICT (no point evaluated)"]
+
+
 def test_seed_override_writes_the_bytes_of_the_seeded_document(tmp_path):
     """sweep --seed 5 on a random_graph job writes what the job with "seed": 5 writes,
     config_echo included, and not what its own seed gives."""
@@ -916,7 +933,7 @@ def test_fd_levels_bound_keeps_one_stencil_within_one_field_call():
     field = lambda pts: calls.append(len(pts)) or np.zeros(len(pts))
     for levels in (cli.MAX_FD_LEVELS, cli.MAX_FD_LEVELS + 1):
         size = 1 + levels * n * (n + 1)
-        for _ in fd._stencil_values(field, np.zeros((1, n)), size, lambda chunk: np.zeros((size, n))):
+        for _ in fd._stencil_values(field, np.zeros((1, n)), np.zeros((size, n))):
             pass
     assert len(calls) == 2 and calls[0] <= FIELD_ROWS < calls[1]
     assert 1 + cli.MAX_FD_LEVELS * n * (n + 1) <= FIELD_ROWS < 1 + (cli.MAX_FD_LEVELS + 1) * n * (n + 1)

@@ -115,16 +115,6 @@ def test_pointwise_field_is_rejected():
         gradient_hessian(lambda pt: 4.2, np.array([0.1, 0.2]))
 
 
-def test_stencil_room_is_checked_per_axis():
-    """Close to the u1 edge, a derivative along u2 keeps its stencil inside."""
-    domain = [(-1.0, 1.0), (-1.0, 1.0)]
-    u = np.array([1.0 - 5e-5, 0.3])
-    deriv = directional_derivative(trig, u, [0.0, 1.0], FDParams(), domain=domain)
-    assert abs(deriv + np.sin(u[0]) * np.sin(u[1])) < 1e-8
-    with pytest.raises(BoundaryError):
-        directional_derivative(trig, u, [1.0, 1.0], FDParams(), domain=domain)
-
-
 def polynomial(pts):
     """Two rows per point from elementwise products only, so every row is
     computed the same way whatever the stack around it."""
@@ -163,10 +153,73 @@ def test_boundary_error_names_the_offending_centre():
     field = counted(polynomial)
     with pytest.raises(BoundaryError, match=r"point \[0\.99995, 0\.2, 0\.0\] .* along u1"):
         gradient_hessian(field, centres, FDParams(step=1e-4), domain=domain)
-    along_u2 = np.tile([0.0, 1.0, 0.0], (3, 1))  # keeps the second centre's stencil inside
-    with pytest.raises(BoundaryError, match=r"point \[0\.1, 0\.99995, 0\.0\] .* along u2"):
+    along_u2 = np.tile([0.0, 1.0, 0.0], (3, 1))  # the room is checked on every axis, not along u2 only
+    with pytest.raises(BoundaryError, match=r"point \[0\.99995, 0\.2, 0\.0\] .* along u1"):
         directional_derivative(field, centres, along_u2, FDParams(step=1e-4), domain=domain)
     assert field.calls == 0
+
+
+def recorded(field, calls):
+    """The field, appending a copy of each call's points to ``calls``."""
+    def wrapper(pts):
+        calls.append(pts.copy())
+        return field(pts)
+
+    return wrapper
+
+
+VIEW_RNG = np.random.default_rng(11)
+VIEW_CASES = {  # centres, directions, field
+    "one centre, one direction": (np.array([0.3, -0.2, 0.5]), np.array([1.0, 2.0, -1.0]), quadratic),
+    "one centre, k directions": (np.array([0.3, -0.2, 0.5]), VIEW_RNG.normal(size=(4, 3)), polynomial),
+    "a stack, one direction each": (VIEW_RNG.uniform(-0.5, 0.5, (5, 3)), VIEW_RNG.normal(size=(5, 3)), polynomial),
+    "a stack, k directions each": (VIEW_RNG.uniform(-0.5, 0.5, (5, 3)), VIEW_RNG.normal(size=(5, 2, 3)), quadratic),
+    "a stack of a scalar field": (VIEW_RNG.uniform(-0.5, 0.5, (4, 2)), VIEW_RNG.normal(size=(4, 3, 2)), trig),
+}
+
+
+@pytest.mark.parametrize("case", VIEW_CASES)
+def test_directional_derivative_is_the_contracted_gradient(case):
+    """The view is gradient_hessian's gradient contracted with the directions, bit
+    for bit, from the same field calls."""
+    u, dirs, field = VIEW_CASES[case]
+    fd = FDParams(step=1e-3, levels=2)
+    view_calls, grad_calls = [], []
+    out = directional_derivative(recorded(field, view_calls), u, dirs, fd)
+    grad, _ = gradient_hessian(recorded(field, grad_calls), u, fd)
+    n, lead = u.shape[-1], u.shape[:-1]
+    rows = grad.shape[len(lead):-1]
+    assert out.shape == dirs.shape[:-1] + rows
+    centre_grads = grad.reshape((-1,) + rows + (n,))
+    centre_dirs = dirs.reshape((len(centre_grads), -1, n))
+    expected = np.stack([d @ g.reshape(-1, n).T for g, d in zip(centre_grads, centre_dirs)])
+    assert out.tobytes() == expected.tobytes()
+    assert len(view_calls) == len(grad_calls) == 1
+    assert view_calls[0].tobytes() == grad_calls[0].tobytes()
+
+
+@pytest.mark.parametrize("axis", [0, 1, 2])
+@pytest.mark.parametrize("edge", [-1.0, 1.0])
+def test_directional_derivative_raises_where_gradient_hessian_does(axis, edge):
+    """A centre without room on one axis: the view raises gradient_hessian's
+    BoundaryError, message included, before any field call, even along a
+    direction with no part on that axis."""
+    domain = [(-1.0, 1.0)] * 3
+    fd = FDParams(step=1e-4)
+    centres = np.array([[0.1, 0.2, -0.3]] * 2)
+    centres[1, axis] = edge * (1.0 - 5e-5)
+    along = np.zeros((2, 3))
+    along[:, (axis + 1) % 3] = 1.0
+    for u, d in ((centres, along), (centres[1], along[1])):
+        calls = []
+        with pytest.raises(BoundaryError) as grad_error:
+            gradient_hessian(recorded(polynomial, calls), u, fd, domain)
+        with pytest.raises(BoundaryError) as view_error:
+            directional_derivative(recorded(polynomial, calls), u, d, fd, domain)
+        assert str(view_error.value) == str(grad_error.value)
+        assert str(grad_error.value).endswith(f"stencil of radius {fd.step} along u{axis + 1}")
+        assert calls == []
+    directional_derivative(polynomial, centres[0], along[0], fd, domain)
 
 
 @pytest.mark.parametrize("levels", [1, 2, 3])
@@ -203,10 +256,10 @@ def test_chunks_of_whole_centres_equal_single_centre_calls(monkeypatch, levels, 
     stencil = 1 + levels * 3 * 4  # centre, then 2n + 2 n(n-1)/2 = n(n+1) per level
     per = max(1, rows // stencil)
     assert sizes == [stencil * len(centres[i:i + per]) for i in range(0, 5, per)]
+    grad_sizes = sizes[:]
     sizes.clear()
     deriv = directional_derivative(field, centres, dirs, fd)
-    per = max(1, rows // (2 * 2 * levels))
-    assert sizes == [2 * 2 * levels * len(centres[i:i + per]) for i in range(0, 5, per)]
+    assert sizes == grad_sizes
     for i, (g, h, d) in enumerate(single):
         np.testing.assert_array_equal(grad[i], g)
         np.testing.assert_array_equal(hess[i], h)

@@ -753,7 +753,7 @@ def test_fd_moves_no_closed_form_row_gauss_codazzi_or_corollary1():
         rows = (evals.dh, [rep.coeffs for rep in evals.reports.values()])
         gc = gauss_codazzi_residuals(leaf, evaluate_points(leaf, grid, fd=fd))
         cylinder_ev = evaluate_points(cylinder, grid, fd=fd)
-        corollary1 = central_h_variation(cylinder, cylinder_ev)
+        corollary1 = central_h_variation(cylinder, cylinder_ev)[1]
         outcomes.append((rows, gc, corollary1, cylinder_ev.reports["general"].tangential_norm))
     ((dh, coeffs), gc, corollary1, defect), ((dh_b, coeffs_b), gc_b, corollary1_b, defect_b) = outcomes
     np.testing.assert_array_equal(dh, dh_b)
@@ -828,18 +828,19 @@ def test_central_variation_cylinder():
     pts = [np.array([s, 0.0]) for s in (-0.3, 0.0, 0.3)]
     ev = evaluate_points(chart, np.array(pts))
     assert harmonic(ev)
-    assert central_h_variation(chart, ev).max() < 1e-8
+    assert central_h_variation(chart, ev)[1].max() < 1e-8
 
 
 def test_central_variation_skipped_for_non_harmonic():
     """The gate is the job's: corollary1 on a chart whose Gauss map is not harmonic
-    reports skipped, with no value."""
+    reports skipped, with no value and no point evaluated, and passes."""
     doc = {"algebra": {"builtin": "heisenberg", "m": 1}, "model": "nil_polarized",
            "chart": {"catalog": "nil_foliation_leaf"}, "domain": [[-2.0, 2.0], [-0.5, 0.5]],
            "point": [0.7, 0.0], "methods": ["general"], "checks": ["corollary1"]}
     rep = run(load_config(doc))["summary"]["checks"]["corollary1"]
     assert rep["skipped"]
     assert rep["max_variation"] is None
+    assert rep["points_evaluated"] == 0 and rep["pass"] is True
 
 
 def test_central_variation_harmonic_h2_chart(h2):
@@ -850,7 +851,7 @@ def test_central_variation_harmonic_h2_chart(h2):
     pts = [np.array([0.1, -0.2, 0.3, 0.0]), np.array([-0.2, 0.1, 0.0, 0.2])]
     ev = evaluate_points(chart, np.array(pts))
     assert harmonic(ev)
-    assert central_h_variation(chart, ev).max() < 5e-4
+    assert central_h_variation(chart, ev)[1].max() < 5e-4
 
 
 def test_central_variation_makes_no_chart_evaluation(monkeypatch):
@@ -862,7 +863,7 @@ def test_central_variation_makes_no_chart_evaluation(monkeypatch):
 
     monkeypatch.setattr("nilgauss.surfaces.stacked_chart_jets", no_evaluation)
     assert harmonic(evals)
-    assert central_h_variation(chart, evals).max() < 1e-8
+    assert central_h_variation(chart, evals)[1].max() < 1e-8
 
 
 def test_central_variation_reads_central_frame_derivatives(free5):
@@ -870,7 +871,8 @@ def test_central_variation_reads_central_frame_derivatives(free5):
     chart = graph_chart(exp_model(free5), "0.3*u1*u2 + 0.2*sin(u3) + 0.1*u4*u1", [(-0.8, 0.8)] * 4)
     pts = [np.array([0.1, -0.2, 0.3, 0.0]), np.array([-0.2, 0.1, 0.0, 0.2])]
     evals = evaluate_points(chart, np.array(pts))
-    variation = central_h_variation(chart, evals)
+    evaluated, variation = central_h_variation(chart, evals)
+    assert evaluated.all()
     h_field = lambda p: mean_curvature(chart, p)
     expected = 0.0
     for u, ys in zip(evals.u, evals.frame.ys):
@@ -1142,7 +1144,7 @@ def test_checkers_over_a_stack_equal_their_rows(name):
     checkers = {
         "harmonicity": lambda rec: (rec.reports["general"].tangential_norm,),
         "prop3": lambda rec: harmonicity_cmc_residuals(rec.shape, rec.frame),
-        "corollary1": lambda rec: (central_h_variation(chart, rec),),
+        "corollary1": lambda rec: central_h_variation(chart, rec),
         "jacobi": lambda rec: jacobi_residuals(chart, rec, v),
         "gauss_codazzi": lambda rec: gauss_codazzi_residuals(chart, rec),
     }
@@ -1157,4 +1159,4 @@ def test_checkers_over_a_stack_equal_their_rows(name):
     assert ("prop3" in arrays) == alg.is_heisenberg and ("gauss_codazzi" in arrays) == (alg.dim_total == 3)
     if "gauss_codazzi" in arrays:
         assert 0 < (~arrays["gauss_codazzi"][0]).sum() < len(rows)
-    assert name != "free5" or arrays["corollary1"][0].max() > 1e-5
+    assert name != "free5" or arrays["corollary1"][1].max() > 1e-5
