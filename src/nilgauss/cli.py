@@ -3,11 +3,11 @@
 A job is a JSON document selecting an algebra, a coordinate model, a
 chart (catalog entry or raw component expressions), a box domain with a
 grid resolution, the Laplacian methods to evaluate and the checks to
-run.  Reports echo the config, carry one row per grid point and method,
-and end with a summary block whose check verdicts drive the exit code:
-0 when every requested check passes, 1 on a check failure or a check
-that evaluated no point, 2 on a configuration or parse error or a chart
-that cannot be evaluated on its grid.
+run.  Reports echo the document, which run again gives their rows, carry
+one row per grid point and method, and end with a summary block whose
+check verdicts drive the exit code: 0 when every requested check passes,
+1 on a check failure or a check that evaluated no point, 2 on a
+configuration or parse error or a chart that cannot be evaluated on its grid.
 """
 
 from __future__ import annotations
@@ -494,17 +494,6 @@ def _load_config_file(path: str) -> dict:
         return json.load(fh)
 
 
-def _apply_overrides(doc, args) -> dict:
-    if not isinstance(doc, dict):
-        raise ConfigError(["config must be a JSON object"])
-    doc = dict(doc)
-    if args.tol is not None and isinstance(doc.get("tolerances", {}), dict):
-        doc["tolerances"] = {**doc.get("tolerances", {}), **dict.fromkeys(TOLERANCES.fields, args.tol)}
-    if args.seed is not None:
-        doc["seed"] = args.seed
-    return doc
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="nilgauss",
@@ -520,10 +509,6 @@ def main(argv=None) -> int:
         p.add_argument("--out")
         if verb != "validate":  # validate writes one JSON document
             p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--tol", type=float)
-        p.add_argument("--seed", type=int)
-        if verb == "report":
-            p.add_argument("--point", help="comma-separated chart parameters")
     args = parser.parse_args(argv)
 
     if args.verb == "examples":
@@ -536,7 +521,9 @@ def main(argv=None) -> int:
             return 2
     try:
         raw = EXAMPLE_JOBS[args.name][1] if args.verb == "examples" else _load_config_file(args.config)
-        doc = _apply_overrides(raw, args)
+        if not isinstance(raw, dict):
+            raise ConfigError(["config must be a JSON object"])
+        doc = dict(raw)  # a copy: compare and report add keys, which config_echo shows
         if args.verb == "validate":
             problems = check(doc, CONFIG, "config")
             alg = None if problems else _build_algebra(doc["algebra"], problems)
@@ -549,19 +536,14 @@ def main(argv=None) -> int:
             violations = [{"name": v.name, "magnitude": v.magnitude} for v in report.violations]
             _write(document_to_json({"valid": report.ok, "violations": violations}), args.out)
             return 0 if report.ok else 1
-        if args.verb == "report" and args.point:
-            try:
-                doc["point"] = [float(x) for x in args.point.split(",")]
-            except ValueError:
-                raise ConfigError(["--point must be comma-separated numbers"]) from None
         if args.verb == "compare":
             methods = doc.get("methods", [])
             if isinstance(methods, list) and "numeric_oracle" not in methods:
                 doc["methods"] = methods + ["numeric_oracle"]
 
         config = load_config(doc)
-        if args.verb == "report" and config.point is None:
-            config.point = [0.5 * (lo + hi) for lo, hi in config.chart.domain]
+        if args.verb == "report" and config.point is None:  # config.raw is doc: the echo names the point
+            config.point = doc["point"] = [0.5 * (lo + hi) for lo, hi in config.chart.domain]
         if args.verb == "compare":
             if all(m == "numeric_oracle" for m in config.methods):
                 raise ConfigError(["compare needs at least one closed-form method"])

@@ -411,13 +411,14 @@ def central_h_variation(chart: SurfaceChart, ev: Evaluation) -> tuple[np.ndarray
     lying in the center, so the value means something only at a harmonic
     chart.  It is the largest |Y_k(n H)| / n over the central slots k of the
     record's ``dh``: Y_{q+1} .. Y_n, and the mixed vector Y_q at the points
-    where its horizontal part vanishes.  ``evaluated`` marks the points with
-    at least one central slot; the others read 0.0.
+    where the frame's ``c`` is 0.0, a central part of norm at most
+    NORMAL_SPLIT_TOL, so that Y_q is central.  ``evaluated`` marks the points
+    with at least one central slot; the others read 0.0.
     """
     alg = chart.model.algebra
     q, n = alg.dim_v, alg.n
     dh = np.abs(ev.dh)
-    degenerate = ev.frame.c < 1e-9  # the mixed vector degenerates to a central one
+    degenerate = ev.frame.c == 0.0  # the mixed vector degenerates to a central one
     mixed = np.where(degenerate, dh[:, q - 1], 0.0)
     return degenerate | (n > q), np.maximum(dh[:, q:n].max(axis=1, initial=0.0), mixed) / n
 
@@ -445,16 +446,17 @@ def gauss_codazzi_residuals(chart: SurfaceChart, ev: Evaluation):
     ``dirs``.  ``gauss`` is the Gauss equation K = det h / det g + the ambient
     sectional curvature, which comes from the same ``curvature`` contraction as
     the Codazzi term.  ``curvature_term`` <R(F1, F2) F1, normal> should equal
-    ``ab_product``, the product of the two normal norms.  Points where either
-    part of the normal vanishes are not evaluated (the adapted frame is not
-    smooth there) and read 0.0 in every residual; when every point is
+    ``ab_product``, the product of the two normal norms.  Points where the
+    frame's ``s`` or ``c`` is 0.0, a part of the normal of norm at most
+    NORMAL_SPLIT_TOL, are not evaluated (the adapted frame is not smooth
+    there) and read 0.0 in every residual; when every point is
     evaluated, the record's arrays are read in place.
     """
     alg = chart.model.algebra
     if alg.dim_total != 3:
         raise ValueError("gauss_codazzi_residuals requires a 3-dimensional model")
     s, c = ev.frame.s, ev.frame.c
-    evaluated = (s >= 1e-8) & (c >= 1e-8)
+    evaluated = (s > 0.0) & (c > 0.0)
     kept = np.flatnonzero(evaluated)
     values = np.zeros((4, len(ev)))  # codazzi, gauss, curvature_term, ab_product
     if not len(kept):

@@ -192,19 +192,13 @@ def test_main_sweep_and_exit_codes(tmp_path, capsys):
 
 
 def test_main_report_single_point(tmp_path):
-    path = write_config(tmp_path, BASE_CONFIG)
+    path = write_config(tmp_path, dict(BASE_CONFIG, point=[0.25, 0.1]))
     out = tmp_path / "report.json"
-    code = main(["report", "--config", path, "--point", "0.25,0.1", "--out", str(out)])
+    code = main(["report", "--config", path, "--out", str(out)])
     assert code == 0
     doc = json.loads(out.read_text())
     assert doc["summary"]["points"] == 1
     assert doc["rows"][0]["point"] == [0.25, 0.1]
-
-
-@pytest.mark.parametrize("point", ["a,b", "0.25,"])
-def test_main_report_bad_point_exit_2(tmp_path, point):
-    path = write_config(tmp_path, BASE_CONFIG)
-    assert main(["report", "--config", path, "--point", point]) == 2
 
 
 def test_main_report_defaults_to_domain_center(tmp_path):
@@ -213,6 +207,44 @@ def test_main_report_defaults_to_domain_center(tmp_path):
     assert main(["report", "--config", path, "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
     assert doc["rows"][0]["point"] == [0.0, 0.0]
+    assert doc["config_echo"] == dict(BASE_CONFIG, point=[0.0, 0.0])
+
+
+ECHO_RUNS = {  # name -> (verb and example name, job document)
+    "sweep": (["sweep"], BASE_CONFIG),
+    "report": (["report"], BASE_CONFIG),
+    "report_with_point": (["report"], dict(BASE_CONFIG, point=[0.25, 0.1])),
+    "compare": (["compare"], dict(BASE_CONFIG, methods=["general"])),
+    "examples": (["examples", "nil_cylinder_circle"], None),
+}
+
+
+@pytest.mark.parametrize("name", ECHO_RUNS)
+def test_config_echo_reruns_to_the_reports_rows(tmp_path, name):
+    """A report's config_echo is its job: run again, it gives the report's rows,
+    report's default point and compare's oracle rows included."""
+    argv, doc = ECHO_RUNS[name]
+    if doc is not None:
+        argv = [*argv, "--config", write_config(tmp_path, doc)]
+    out = tmp_path / "report.json"
+    assert main([*argv, "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert run(load_config(report["config_echo"]))["rows"] == report["rows"]
+
+
+@pytest.mark.parametrize("flag", [["--tol", "1e-3"], ["--seed", "5"], ["--point", "0.25,0.1"]])
+@pytest.mark.parametrize("verb", ["validate", "report", "sweep", "compare", "examples"])
+def test_no_verb_takes_a_job_setting_as_a_flag(tmp_path, capsys, verb, flag):
+    """Every job setting comes from the document: a flag for one is an argparse error."""
+    argv = [verb, "nil_cylinder_circle"]
+    if verb != "examples":
+        argv = [verb, "--config", write_config(tmp_path, BASE_CONFIG)]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, *flag])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"unrecognized arguments: {' '.join(flag)}" in captured.err
 
 
 def test_main_csv_output(tmp_path):
@@ -581,16 +613,11 @@ def test_config_numbers_must_be_json_numbers(tmp_path, capsys, doc, problem):
 
 @pytest.mark.parametrize(
     "argv",
-    [["sweep"], ["validate"], ["compare"], ["sweep", "--tol", "1e-3"]],
+    [["sweep"], ["validate"], ["compare"]],
 )
 def test_top_level_array_exits_2(tmp_path, argv):
     path = write_config(tmp_path, [BASE_CONFIG])
     assert main(argv + ["--config", path]) == 2
-
-
-def test_tol_override_leaves_bad_tolerances_to_the_config_check(tmp_path):
-    path = write_config(tmp_path, dict(BASE_CONFIG, tolerances=[1]))
-    assert main(["sweep", "--tol", "1e-3", "--config", path]) == 2
 
 
 def test_cmc_is_an_unknown_tolerance(tmp_path, capsys):
@@ -833,30 +860,6 @@ def test_corollary1_without_a_central_slot_has_no_verdict(tmp_path, capsys):
                                     "tol": 5e-4}
     assert captured.err.splitlines() == ["check harmonicity: PASS",
                                          "check corollary1: NO VERDICT (no point evaluated)"]
-
-
-def test_seed_override_writes_the_bytes_of_the_seeded_document(tmp_path):
-    """sweep --seed 5 on a random_graph job writes what the job with "seed": 5 writes,
-    config_echo included, and not what its own seed gives."""
-    doc = {"algebra": {"builtin": "heisenberg", "m": 1}, "model": "exp", "chart": {"catalog": "random_graph"},
-           "grid": [2, 2], "methods": ["general", "numeric_oracle"], "seed": 0}
-    paths = {seed: write_config(tmp_path, dict(doc, seed=seed), f"seed{seed}.json") for seed in (0, 5)}
-    runs = {"override": ["--seed", "5", "--config", paths[0]], "seeded": ["--config", paths[5]],
-            "own": ["--config", paths[0]]}
-    written = {}
-    for name, argv in runs.items():
-        out = tmp_path / f"{name}.report.json"
-        assert main(["sweep", *argv, "--out", str(out)]) == 0
-        written[name] = out.read_bytes()
-    assert written["override"] == written["seeded"] != written["own"]
-
-
-def test_tol_override_sets_every_listed_checks_tol(tmp_path, capsys):
-    listed = ["harmonicity", "prop3", "corollary1", "jacobi"]
-    path = write_config(tmp_path, dict(BASE_CONFIG, checks=listed, tolerances={"prop3": 1e-9}))
-    assert main(["sweep", "--tol", "0.25", "--config", path]) == 0
-    checks = json.loads(capsys.readouterr().out)["summary"]["checks"]
-    assert {name: res["tol"] for name, res in checks.items()} == dict.fromkeys(listed, 0.25)
 
 
 def test_h_and_norm_b2_repeat_on_every_method_row():

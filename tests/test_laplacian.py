@@ -914,6 +914,19 @@ def test_gauss_codazzi_skips_degenerate_normal():
     assert not gauss_codazzi_residuals(plane, evaluate_points(plane, [[0.1, 0.1]]))[0][0]
 
 
+def test_gauss_codazzi_evaluates_a_normal_the_frame_splits():
+    """A point is skipped only where the adapted frame sets a part of the normal
+    to 0.0: at u1 = 5e-9 the leaf's horizontal part has norm 5e-9, above
+    NORMAL_SPLIT_TOL, and the point is evaluated with rounding-level residuals."""
+    chart = foliation_leaf_chart()
+    ev = evaluate_points(chart, [[5e-9, 0.2]])
+    assert ev.frame.s[0] == pytest.approx(5e-9, rel=1e-9)
+    evaluated, codazzi, gauss, term, ab = gauss_codazzi_residuals(chart, ev)
+    assert evaluated.tolist() == [True]
+    assert term[0] == pytest.approx(5e-9, rel=1e-9) and ab[0] == pytest.approx(5e-9, rel=1e-9)
+    assert codazzi[0] < 1e-13 and gauss[0] < 1e-13
+
+
 def test_gauss_codazzi_abelian_limit():
     model = exp_model(abelian_3d())
     chart = expression_chart(
