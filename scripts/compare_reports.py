@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Compare two directories of reference reports.
 
-    python scripts/compare_reports.py OLD_DIR NEW_DIR [--tol T]
+    python scripts/compare_reports.py OLD_DIR NEW_DIR
 
 OLD_DIR and NEW_DIR hold the output of ``scripts/reference_reports.py``,
 for instance of a parent tree and of a change.  They must hold the same
@@ -11,7 +11,7 @@ boolean, such as a check's ``pass`` and ``skipped``).  For every row field
 (per method) and every numeric summary or check value the script prints the largest
 absolute move between the two directories and the report where it occurs,
 then the number of byte-identical reports.  Exits 1 on a file, structure
-or verdict difference, or on a move above ``--tol`` (no bound by default).
+or verdict difference; a caller bounds the moves itself.
 """
 
 import argparse
@@ -52,7 +52,7 @@ def walk(old, new, label, name, moves, problems):
         problems.append(f"{name}: {label}: {kind} {old!r} -> {new!r}")
 
 
-def compare(old_dir: Path, new_dir: Path, tol: float):
+def compare(old_dir: Path, new_dir: Path):
     """(moves by label, byte-identical count, report count, problems)."""
     old_names = sorted(p.name for p in old_dir.glob("*.json"))
     new_names = sorted(p.name for p in new_dir.glob("*.json"))
@@ -75,8 +75,6 @@ def compare(old_dir: Path, new_dir: Path, tol: float):
         for row, new_row in zip(old["rows"], new["rows"]):
             walk(row, new_row, f"rows[{row['method']}]", name, moves, problems)
         walk(old["summary"], new["summary"], "summary", name, moves, problems)
-    problems += [f"{label}: move {move:.3g} in {name} is above --tol {tol:g}"
-                 for label, (move, name) in moves.items() if move > tol]
     return moves, same, len(shared), problems
 
 
@@ -84,10 +82,9 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("old_dir", type=Path)
     parser.add_argument("new_dir", type=Path)
-    parser.add_argument("--tol", type=float, default=math.inf, help="largest move allowed")
     args = parser.parse_args(argv)
 
-    moves, same, count, problems = compare(args.old_dir, args.new_dir, args.tol)
+    moves, same, count, problems = compare(args.old_dir, args.new_dir)
     width = max((len(label) for label in moves), default=5)
     print(f"{'field':<{width}}  {'max move':>9}  report")
     for label in sorted(moves):

@@ -3,7 +3,7 @@
 A job is a JSON document selecting an algebra, a coordinate model, a
 chart (catalog entry or raw component expressions), a box domain with a
 grid resolution, the Laplacian methods to evaluate and the checks to
-run.  Reports echo the document, which run again gives their rows, carry
+run.  Reports echo the document, which run again gives the same report, carry
 one row per grid point and method, and end with a summary block whose
 check verdicts drive the exit code: 0 when every requested check passes,
 1 on a check failure or a check that evaluated no point, 2 on a
@@ -40,14 +40,12 @@ from .surfaces import SurfaceChart, catalog_chart, expression_chart
 METHOD_NAMES = ("general", "h_type", "heisenberg", "numeric_oracle")
 # check -> (default tolerance, key of its value), in verdict order; a check passes when the value is below
 # its tolerance or None (corollary1 skipped), and has no verdict, null, when it evaluated no point (gauss_codazzi
-# where no normal has both parts, corollary1 with no central slot); a job may list every check but oracle_gap,
-# which compare adds
+# where no normal has both parts, corollary1 with no central slot)
 CHECKS = {
     "harmonicity": (1e-3, "max_defect"), "prop3": (1e-6, "max_residual"),
     "corollary1": (5e-4, "max_variation"), "jacobi": (5e-4, "max_residual"),
     "gauss_codazzi": (5e-4, "max_residual"), "oracle_gap": (5e-4, "max_oracle_gap"),
 }
-CHECK_NAMES = tuple(CHECKS)[:-1]
 # method or check -> (holds of the job's algebra, wording of the requirement)
 NEEDS = {
     "heisenberg": (lambda alg: alg.is_heisenberg, "a Heisenberg algebra"),
@@ -103,7 +101,7 @@ DOCUMENT = Table(
         "grid": Field("list", default=[], items=Field("integer", span=between(2)),
                       must="a list of integers of at least 2"),
         "methods": Field("list", default=[], items=Field("string", span=one_of(METHOD_NAMES))),
-        "checks": Field("list", default=[], items=Field("string", span=one_of(CHECK_NAMES))),
+        "checks": Field("list", default=[], items=Field("string", span=one_of(CHECKS))),
         "tolerances": Field("object", default={}, items=TOLERANCES),
         "fd": Field("object", default={}, items=FD),
         "point": NUMBERS,
@@ -173,13 +171,6 @@ def _build_chart(fields, alg, problems) -> SurfaceChart | None:
     return None
 
 
-def _grid_problems(grid) -> list:
-    """The point limit, for a job's own grid and for a defaulted one where it is swept."""
-    if math.prod(grid) > MAX_GRID_POINTS:
-        return [f"grid has {math.prod(grid)} points, above the limit of {MAX_GRID_POINTS}"]
-    return []
-
-
 def load_config(doc: dict) -> JobConfig:
     """Check a config document against DOCUMENT before anything is built, then
     build the job, collecting every problem of the rules between fields."""
@@ -196,7 +187,9 @@ def load_config(doc: dict) -> JobConfig:
         alg = chart.model.algebra
     grid, methods, checks, point = fields["grid"], fields["methods"], fields["checks"], fields["point"]
     fdp = FDParams(**fill(fields["fd"], FD))
-    problems += _grid_problems(grid)
+    swept = grid or ([3] * chart.param_dim if chart is not None and point is None else [])
+    if math.prod(swept) > MAX_GRID_POINTS:  # the grid the job sweeps, and its own beside a point
+        problems.append(f"grid has {math.prod(swept)} points, above the limit of {MAX_GRID_POINTS}")
     if chart is not None:
         grid = grid or [3] * chart.param_dim
         if len(grid) != chart.param_dim:
@@ -213,6 +206,8 @@ def load_config(doc: dict) -> JobConfig:
             problems.append(f"point must lie at least {GRID_MARGIN_STEPS:g}*step = {margin} inside the domain")
     if not methods:
         problems.append("no methods requested")
+    if "oracle_gap" in checks and not ("numeric_oracle" in methods and set(methods) - {"numeric_oracle"}):
+        problems.append("check 'oracle_gap' requires numeric_oracle and a closed-form method")
     for key, names in (("method", methods), ("check", checks)):  # entries are known strings by now
         problems += [f"{key} {name!r} is listed more than once"
                      for name in dict.fromkeys(names) if names.count(name) > 1]
@@ -238,8 +233,6 @@ def grid_points(chart: SurfaceChart, grid, fd: FDParams, point=None) -> np.ndarr
     """Evaluation points as rows of an (N, n) array, in grid (C) order."""
     if point is not None:
         return np.array([point], dtype=float)
-    if problems := _grid_problems(grid):  # a defaulted grid; load_config turns away a job's own
-        raise ConfigError(problems)
     margin = GRID_MARGIN_STEPS * fd.step
     points = np.empty((*grid, len(grid)))
     for k, ((lo, hi), res) in enumerate(zip(chart.domain, grid)):  # axis k broadcast over the others
@@ -500,7 +493,7 @@ def main(argv=None) -> int:
         description="Gauss map Laplacians on hypersurfaces of 2-step nilpotent groups",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
-    for verb in ("validate", "report", "sweep", "compare", "examples"):
+    for verb in ("validate", "sweep", "examples"):
         p = sub.add_parser(verb)
         if verb == "examples":
             p.add_argument("name", nargs="?")
@@ -520,10 +513,9 @@ def main(argv=None) -> int:
             print(f"unknown example {args.name!r}", file=sys.stderr)
             return 2
     try:
-        raw = EXAMPLE_JOBS[args.name][1] if args.verb == "examples" else _load_config_file(args.config)
-        if not isinstance(raw, dict):
+        doc = EXAMPLE_JOBS[args.name][1] if args.verb == "examples" else _load_config_file(args.config)
+        if not isinstance(doc, dict):
             raise ConfigError(["config must be a JSON object"])
-        doc = dict(raw)  # a copy: compare and report add keys, which config_echo shows
         if args.verb == "validate":
             problems = check(doc, CONFIG, "config")
             alg = None if problems else _build_algebra(doc["algebra"], problems)
@@ -532,22 +524,10 @@ def main(argv=None) -> int:
             report = validate(alg)
             if report.ok:
                 load_config(doc)  # axioms hold; any other config problem exits 2 before a word is written
-                # (a defaulted grid is held to MAX_GRID_POINTS only where it is swept: grid_points)
             violations = [{"name": v.name, "magnitude": v.magnitude} for v in report.violations]
             _write(document_to_json({"valid": report.ok, "violations": violations}), args.out)
             return 0 if report.ok else 1
-        if args.verb == "compare":
-            methods = doc.get("methods", [])
-            if isinstance(methods, list) and "numeric_oracle" not in methods:
-                doc["methods"] = methods + ["numeric_oracle"]
-
         config = load_config(doc)
-        if args.verb == "report" and config.point is None:  # config.raw is doc: the echo names the point
-            config.point = doc["point"] = [0.5 * (lo + hi) for lo, hi in config.chart.domain]
-        if args.verb == "compare":
-            if all(m == "numeric_oracle" for m in config.methods):
-                raise ConfigError(["compare needs at least one closed-form method"])
-            config.checks = [*config.checks, "oracle_gap"]  # a new list: config_echo keeps the job's own
         # the one error line stands for numpy's overflow warnings, which evaluate_points turns into
         # FloatingPointError; ComplexWarning, a dropped imaginary part, is not a floating-point state
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):

@@ -194,46 +194,47 @@ def test_main_sweep_and_exit_codes(tmp_path, capsys):
 def test_main_report_single_point(tmp_path):
     path = write_config(tmp_path, dict(BASE_CONFIG, point=[0.25, 0.1]))
     out = tmp_path / "report.json"
-    code = main(["report", "--config", path, "--out", str(out)])
+    code = main(["sweep", "--config", path, "--out", str(out)])
     assert code == 0
     doc = json.loads(out.read_text())
     assert doc["summary"]["points"] == 1
-    assert doc["rows"][0]["point"] == [0.25, 0.1]
-
-
-def test_main_report_defaults_to_domain_center(tmp_path):
-    path = write_config(tmp_path, BASE_CONFIG)
-    out = tmp_path / "report.json"
-    assert main(["report", "--config", path, "--out", str(out)]) == 0
-    doc = json.loads(out.read_text())
-    assert doc["rows"][0]["point"] == [0.0, 0.0]
-    assert doc["config_echo"] == dict(BASE_CONFIG, point=[0.0, 0.0])
+    assert [row["point"] for row in doc["rows"]] == [[0.25, 0.1]] * 2
 
 
 ECHO_RUNS = {  # name -> (verb and example name, job document)
     "sweep": (["sweep"], BASE_CONFIG),
-    "report": (["report"], BASE_CONFIG),
-    "report_with_point": (["report"], dict(BASE_CONFIG, point=[0.25, 0.1])),
-    "compare": (["compare"], dict(BASE_CONFIG, methods=["general"])),
+    "sweep_with_point": (["sweep"], dict(BASE_CONFIG, point=[0.25, 0.1])),
+    "sweep_oracle_gap": (["sweep"], dict(BASE_CONFIG, checks=["harmonicity", "oracle_gap"])),
     "examples": (["examples", "nil_cylinder_circle"], None),
 }
 
 
 @pytest.mark.parametrize("name", ECHO_RUNS)
 def test_config_echo_reruns_to_the_reports_rows(tmp_path, name):
-    """A report's config_echo is its job: run again, it gives the report's rows,
-    report's default point and compare's oracle rows included."""
+    """A report's config_echo is its job: run again, it gives the whole report,
+    rows, summary and every verdict, oracle_gap's included."""
     argv, doc = ECHO_RUNS[name]
     if doc is not None:
         argv = [*argv, "--config", write_config(tmp_path, doc)]
     out = tmp_path / "report.json"
     assert main([*argv, "--out", str(out)]) == 0
     report = json.loads(out.read_text())
-    assert run(load_config(report["config_echo"]))["rows"] == report["rows"]
+    assert run(load_config(report["config_echo"])) == report
+
+
+@pytest.mark.parametrize("verb", ["report", "compare"])
+def test_report_and_compare_are_not_verbs(tmp_path, capsys, verb):
+    """A job's point and its oracle_gap check are in its document, and sweep runs it."""
+    with pytest.raises(SystemExit) as exc:
+        main([verb, "--config", write_config(tmp_path, BASE_CONFIG)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"invalid choice: '{verb}'" in captured.err
 
 
 @pytest.mark.parametrize("flag", [["--tol", "1e-3"], ["--seed", "5"], ["--point", "0.25,0.1"]])
-@pytest.mark.parametrize("verb", ["validate", "report", "sweep", "compare", "examples"])
+@pytest.mark.parametrize("verb", ["validate", "sweep", "examples"])
 def test_no_verb_takes_a_job_setting_as_a_flag(tmp_path, capsys, verb, flag):
     """Every job setting comes from the document: a flag for one is an argparse error."""
     argv = [verb, "nil_cylinder_circle"]
@@ -256,36 +257,39 @@ def test_main_csv_output(tmp_path):
     assert len(lines) == 10  # header + 3x3 grid
 
 
-def test_main_compare_verb(tmp_path):
-    doc = dict(BASE_CONFIG)
-    doc["methods"] = ["general"]
-    doc["checks"] = []
-    path = write_config(tmp_path, doc)
-    out = tmp_path / "cmp.json"
-    code = main(["compare", "--config", path, "--out", str(out)])
+def test_main_sweep_lists_the_oracle_gap_check(tmp_path):
+    path = write_config(tmp_path, dict(BASE_CONFIG, checks=["oracle_gap"]))
+    out = tmp_path / "report.json"
+    code = main(["sweep", "--config", path, "--out", str(out)])
     assert code == 0
-    result = json.loads(out.read_text())
-    assert result["summary"]["checks"]["oracle_gap"]["pass"]
+    summary = json.loads(out.read_text())["summary"]
+    assert summary["checks"]["oracle_gap"]["pass"]
+    assert summary["checks"]["oracle_gap"]["max_oracle_gap"] == summary["max_oracle_gap"]
 
 
-def test_compare_verdict_lines_follow_the_check_table_order(tmp_path, capsys):
+def test_verdict_lines_follow_the_check_table_order(tmp_path, capsys):
     """Verdicts come in the check table's order, whatever the job's order, and
-    compare's oracle_gap comes last; JSON sorts its keys, so only stderr shows it."""
+    oracle_gap comes last; JSON sorts its keys, so only stderr shows it."""
     doc = EXAMPLE_JOBS["nil_cylinder_circle"][1]
-    path = write_config(tmp_path, dict(doc, checks=doc["checks"][::-1]))
-    out = tmp_path / "cmp.json"
-    assert main(["compare", "--config", path, "--out", str(out)]) == 0
+    checks = ["oracle_gap", *doc["checks"][::-1]]
+    path = write_config(tmp_path, dict(doc, checks=checks))
+    out = tmp_path / "report.json"
+    assert main(["sweep", "--config", path, "--out", str(out)]) == 0
     assert capsys.readouterr().err.splitlines() == [
         f"check {name}: PASS" for name in ("harmonicity", "prop3", "corollary1", "jacobi", "oracle_gap")
     ]
-    assert json.loads(out.read_text())["config_echo"]["checks"] == doc["checks"][::-1]
+    assert json.loads(out.read_text())["config_echo"]["checks"] == checks
 
 
-@pytest.mark.parametrize("verb", ["sweep", "compare"])
-def test_a_job_cannot_list_the_oracle_gap_check(tmp_path, capsys, verb):
-    path = write_config(tmp_path, dict(BASE_CONFIG, checks=["oracle_gap"]))
-    assert main([verb, "--config", path]) == 2
-    assert capsys.readouterr().err.splitlines() == ["config error: unknown checks entry 'oracle_gap'"]
+@pytest.mark.parametrize("methods", [["general"], ["numeric_oracle"]], ids=["general_only", "numeric_oracle_only"])
+def test_oracle_gap_needs_numeric_oracle_and_a_closed_form_method(tmp_path, capsys, methods):
+    path = write_config(tmp_path, dict(BASE_CONFIG, methods=methods, checks=["oracle_gap"]))
+    assert main(["sweep", "--config", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "config error: check 'oracle_gap' requires numeric_oracle and a closed-form method"
+    ]
 
 
 def test_main_validate_verb(tmp_path):
@@ -432,13 +436,13 @@ def test_random_graph_chart_config(tmp_path):
         "chart": {"catalog": "random_graph", "params": {"index": 2}},
         "grid": [3, 3],
         "methods": ["general", "numeric_oracle"],
-        "checks": [],
+        "checks": ["oracle_gap"],
         "seed": 5,
     }
     path = write_config(tmp_path, doc)
     out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
-    assert main(["compare", "--config", path, "--out", str(out1)]) == 0
-    assert main(["compare", "--config", path, "--out", str(out2)]) == 0
+    assert main(["sweep", "--config", path, "--out", str(out1)]) == 0
+    assert main(["sweep", "--config", path, "--out", str(out2)]) == 0
     assert out1.read_text() == out2.read_text()
 
 
@@ -613,7 +617,7 @@ def test_config_numbers_must_be_json_numbers(tmp_path, capsys, doc, problem):
 
 @pytest.mark.parametrize(
     "argv",
-    [["sweep"], ["validate"], ["compare"]],
+    [["sweep"], ["validate"]],
 )
 def test_top_level_array_exits_2(tmp_path, argv):
     path = write_config(tmp_path, [BASE_CONFIG])
@@ -956,7 +960,7 @@ DEFAULT_GRID_JOB = {"algebra": {"builtin": "heisenberg", "m": 5}, "chart": {"cat
                     "methods": ["general"]}
 
 
-@pytest.mark.parametrize("verb", ["sweep", "compare"])
+@pytest.mark.parametrize("verb", ["sweep", "validate"])
 def test_a_defaulted_grid_over_the_point_bound_exits_2_before_any_evaluation(tmp_path, capsys, monkeypatch, verb):
     def forbidden(*args, **kwargs):
         raise AssertionError("the job was evaluated")
@@ -969,13 +973,19 @@ def test_a_defaulted_grid_over_the_point_bound_exits_2_before_any_evaluation(tmp
 
 
 def test_a_defaulted_grid_counts_only_where_it_is_swept(tmp_path, capsys):
-    """report evaluates the domain's centre alone, so it runs the job, and validate accepts it."""
-    path = write_config(tmp_path, DEFAULT_GRID_JOB)
-    assert load_config(DEFAULT_GRID_JOB).grid == [3] * 10
-    assert main(["report", "--config", path]) == 0
+    """With a point the job evaluates that point alone, so sweep runs it and validate
+    accepts it; without one it sweeps its defaulted grid, and both exit 2."""
+    path = write_config(tmp_path, dict(DEFAULT_GRID_JOB, point=[0.0] * 10))
+    assert main(["sweep", "--config", path]) == 0
     assert json.loads(capsys.readouterr().out)["summary"]["points"] == 1
     assert main(["validate", "--config", path]) == 0
     assert json.loads(capsys.readouterr().out) == {"valid": True, "violations": []}
+    path = write_config(tmp_path, DEFAULT_GRID_JOB)
+    for verb in ("sweep", "validate"):
+        assert main([verb, "--config", path]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.splitlines() == [f"config error: grid has 59049 points, above the limit of {cli.MAX_GRID_POINTS}"]
 
 
 def test_one_algebra_per_job_decides_its_h_type_once(monkeypatch):
