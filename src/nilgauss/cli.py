@@ -39,8 +39,9 @@ from .surfaces import SurfaceChart, catalog_chart, expression_chart
 
 METHOD_NAMES = ("general", "h_type", "heisenberg", "numeric_oracle")
 # check -> (default tolerance, key of its value), in verdict order; a check passes when the value is below
-# its tolerance or None (corollary1 skipped), and has no verdict, null, when it evaluated no point (gauss_codazzi
-# where no normal has both parts, corollary1 with no central slot)
+# its tolerance or None (corollary1 skipped), jacobi only where w = <G, v> > 0 at every point as well (the
+# stability certificate), and has no verdict, null, when it evaluated no point (gauss_codazzi where no normal
+# has both parts, corollary1 with no central slot)
 CHECKS = {
     "harmonicity": (1e-3, "max_defect"), "prop3": (1e-6, "max_residual"),
     "corollary1": (5e-4, "max_variation"), "jacobi": (5e-4, "max_residual"),
@@ -253,9 +254,7 @@ def run(config: JobConfig) -> dict:
     tols = config.tolerances
     points = grid_points(chart, config.grid, fdp, config.point)
 
-    # jacobi reads the oracle's Delta G; its rows are written only when the job lists it
-    methods = [*config.methods, "numeric_oracle"] if "jacobi" in config.checks else config.methods
-    ev = evaluate_points(chart, points, methods, fdp)
+    ev = evaluate_points(chart, points, config.methods, fdp)
     columns = {mth: list(zip(rep.coeffs.tolist(), rep.tangential_norm.tolist(), rep.normal_coeff.tolist()))
                for mth, rep in ev.reports.items() if mth in config.methods}
     rows = [
@@ -313,7 +312,7 @@ def run(config: JobConfig) -> dict:
         if name in values:
             value, tol = values[name][key], tols[name]
             evidence = values[name].get("skipped") or values[name].get("points_evaluated") != 0
-            verdict = (value is None or value < tol) if evidence else None
+            verdict = (value is None or value < tol) and values[name].get("min_w", 1.0) > 0.0 if evidence else None
             checks[name] = {"pass": verdict, **values[name], "tol": tol}
 
     summary = {

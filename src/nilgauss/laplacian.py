@@ -388,17 +388,17 @@ def harmonicity_cmc_residuals(shape: ShapeData, frame: AdaptedFrame):
 def jacobi_residuals(chart: SurfaceChart, ev: Evaluation, direction) -> tuple[np.ndarray, np.ndarray]:
     """|(Delta + |B|^2 + Ric(normal, normal)) w| and w = <G, v> at each point, (N,) each.
 
-    ``ev`` is an ``evaluate_points`` record with the oracle's ``delta``, from
-    which Delta w is read; the chart is expected to be CMC with harmonic Gauss
-    map.  A strictly positive w over the stack is the stability certificate.
+    ``ev`` is an ``evaluate_points`` record; Delta w is read from its ``general``
+    report, the closed form every record holds, so no oracle is needed.  The
+    chart is expected to be CMC with harmonic Gauss map.  A strictly positive w
+    over the stack is the stability certificate.
     """
-    if ev.delta is None:
-        raise ValueError("jacobi_residuals reads the oracle's delta: evaluate with 'numeric_oracle'")
     v = np.asarray(direction, dtype=float)
     v = v / np.linalg.norm(v)
     normal = ev.frame.normal
     w = _dot(normal, v)
-    lw = _dot(ev.delta, v)  # v is constant: Delta <G, v> = <Delta G, v>
+    delta = (ev.reports["general"].coeffs[:, None] @ ev.frame.ys)[:, 0]  # Delta G = ys^T coeffs
+    lw = _dot(delta, v)  # v is constant: Delta <G, v> = <Delta G, v>
     pot = ev.shape.norm_b2 + _ricci_normal(chart.model.algebra, normal)
     return np.abs(lw + pot * w), w
 

@@ -532,29 +532,33 @@ def test_large_jacobi_direction_gives_the_verdict_of_its_unit_direction():
         assert abs(big[key] - unit[key]) <= 1e-15
 
 
-def test_jacobi_job_gets_the_oracle_from_evaluate_points(monkeypatch):
-    """A jacobi job without numeric_oracle among its methods makes one oracle call, from
-    inside evaluate_points, and writes no numeric_oracle row; its config_echo is the job's."""
-    oracle, calls = laplacian.oracle_laplacians, []
+def test_jacobi_job_without_the_oracle_evaluates_none(monkeypatch):
+    """A jacobi job without numeric_oracle among its methods makes no oracle call and
+    writes no numeric_oracle row: jacobi reads the closed form, and run hands
+    evaluate_points the methods the document lists."""
+    evaluate, calls = cli.evaluate_points, []
 
-    def counted(*args, **kwargs):
-        calls.append(sys._getframe(1).f_code.co_name)
-        return oracle(*args, **kwargs)
+    def listed(chart, points, methods, fd):
+        calls.append(methods)
+        return evaluate(chart, points, methods, fd)
 
-    monkeypatch.setattr(laplacian, "oracle_laplacians", counted)
+    def no_oracle(*args, **kwargs):
+        raise AssertionError("the oracle was evaluated")
+
+    monkeypatch.setattr(cli, "evaluate_points", listed)
+    monkeypatch.setattr(laplacian, "oracle_laplacians", no_oracle)
     doc = dict(BASE_CONFIG, chart={"catalog": "nil_cylinder", "params": {"f1": "cos(u1)", "f2": "sin(u1)"}},
                methods=["general", "heisenberg"], checks=["jacobi"])
     report = run(load_config(doc))
-    assert calls == ["evaluate_points"]
+    assert calls == [["general", "heisenberg"]]
     assert {row["method"] for row in report["rows"]} == {"general", "heisenberg"}
-    assert report["config_echo"] == doc and report["config_echo"]["methods"] == ["general", "heisenberg"]
+    assert report["config_echo"] == doc
     assert report["summary"]["max_oracle_gap"] is None
     assert report["summary"]["checks"]["jacobi"]["pass"] is True
 
 
 def test_jacobi_job_listing_the_oracle_computes_it_once(monkeypatch):
-    """A jacobi job that lists numeric_oracle gets it once: evaluate_points skips a
-    method it has already evaluated."""
+    """A jacobi job that lists numeric_oracle evaluates it once, for its rows alone."""
     oracle, calls = laplacian.oracle_laplacians, []
 
     def counted(*args, **kwargs):
@@ -567,6 +571,53 @@ def test_jacobi_job_listing_the_oracle_computes_it_once(monkeypatch):
     report = run(load_config(doc))
     assert calls == ["evaluate_points"]
     assert {row["method"] for row in report["rows"]} == {"general", "numeric_oracle"}
+
+
+CYLINDER_CIRCLE = EXAMPLE_JOBS["nil_cylinder_circle"][1]
+
+
+@pytest.mark.parametrize(
+    "doc, min_w",
+    [
+        # v orthogonal to the plane's constant Gauss map: the residual is 0.0, and so is w
+        (dict(EXAMPLE_JOBS["nil_vertical_plane"][1], jacobi_direction=[0.0, 0.0, 1.0]), 0.0),
+        # the arc turns past a quarter circle each way, so its normals leave every open hemisphere
+        (dict(CYLINDER_CIRCLE, domain=[[-2.5, 2.5], [-1.0, 1.0]], grid=[7, 3], methods=["general"],
+              checks=["harmonicity", "jacobi"]), -0.80),
+    ],
+    ids=["w_zero", "w_changes_sign"],
+)
+def test_jacobi_fails_where_w_is_not_positive(tmp_path, capsys, doc, min_w):
+    """A Jacobi field w = <G, v> certifies stability only where it is positive: with a
+    residual below its tolerance, a w that vanishes or changes sign fails the check."""
+    out = tmp_path / "report.json"
+    assert main(["sweep", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 1
+    assert "check jacobi: FAIL" in capsys.readouterr().err.splitlines()
+    jacobi = json.loads(out.read_text())["summary"]["checks"]["jacobi"]
+    assert jacobi["pass"] is False
+    assert jacobi["max_residual"] < 1e-14
+    assert jacobi["min_w"] == pytest.approx(min_w, abs=0.01)
+
+
+def test_jacobi_residual_is_rounding_on_every_reference_job():
+    """jacobi reads the closed form's Delta G, in which the Jacobi equation holds
+    exactly: its residual is rounding on every reference job, and its w is positive."""
+    results = [run(load_config(doc))["summary"]["checks"]["jacobi"]
+               for _, doc in REFERENCE_JOBS if "jacobi" in doc.get("checks", [])]
+    assert len(results) == 23
+    assert max(result["max_residual"] for result in results) <= 1e-14
+    assert all(result["pass"] and result["min_w"] > 0.0 for result in results)
+
+
+def test_fd_levels_do_not_move_jacobi(tmp_path, capsys):
+    """At 16 Richardson levels the oracle's rows are rounding noise, but jacobi reads
+    none of them: nil_cylinder_circle exits 0 and its residual is rounding."""
+    out = tmp_path / "report.json"
+    path = write_config(tmp_path, dict(CYLINDER_CIRCLE, fd={"levels": 16}))
+    assert main(["sweep", "--config", path, "--out", str(out)]) == 0
+    assert "check jacobi: PASS" in capsys.readouterr().err.splitlines()
+    jacobi = json.loads(out.read_text())["summary"]["checks"]["jacobi"]
+    assert jacobi["pass"] is True and jacobi["max_residual"] <= 1e-14
 
 
 H1_INLINE = {"dim_total": 3, "dim_center": 1, "brackets": [{"i": 1, "j": 2, "k": 3, "c": 1.0}]}

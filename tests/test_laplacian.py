@@ -385,7 +385,7 @@ def test_coupling_requires_special_frame(free5):
 def test_jacobi_vertical_plane():
     chart = vertical_plane_chart()
     pts = [np.array([s, t]) for s in (-0.4, 0.0, 0.4) for t in (-0.4, 0.4)]
-    ev = evaluate_points(chart, np.array(pts), ["numeric_oracle"])
+    ev = evaluate_points(chart, np.array(pts))
     residual, w = jacobi_residuals(chart, ev, [0.0, 1.0, 0.0])
     assert residual.max() < 1e-12
     assert w.min() == pytest.approx(1.0)
@@ -398,7 +398,7 @@ def test_jacobi_vertical_plane():
 def test_jacobi_direction_orthogonal_gives_zero():
     chart = vertical_plane_chart()
     pts = [np.array([0.0, 0.0]), np.array([0.3, -0.2])]
-    evals = evaluate_points(chart, np.array(pts), ["numeric_oracle"])
+    evals = evaluate_points(chart, np.array(pts))
     residual, w = jacobi_residuals(chart, evals, [0.0, 0.0, 1.0])  # v orthogonal to G = L
     assert residual.max() < 1e-12
     assert abs(w.min()) < 1e-12
@@ -408,9 +408,9 @@ def test_jacobi_circular_arc_cylinder():
     chart = cylinder_chart("cos(u1)", "sin(u1)", (-0.6, 0.6), (-1, 1))
     pts = [np.array([s, t]) for s in (-0.45, 0.0, 0.45) for t in (-0.5, 0.5)]
     mean_g = gauss_map(chart, np.array(pts)).mean(axis=0)
-    ev = evaluate_points(chart, np.array(pts), ["numeric_oracle"])
+    ev = evaluate_points(chart, np.array(pts))
     residual, w = jacobi_residuals(chart, ev, mean_g / np.linalg.norm(mean_g))
-    assert residual.max() < 5e-4
+    assert residual.max() < 1e-14  # the closed form's Delta G: the equation holds to rounding
     assert w.min() > 0.0  # image in an open hemisphere: stability certificate
     assert np.ptp(ev.shape.h) <= 1e-3 and ev.reports["general"].tangential_norm.max() <= 1e-3
 
@@ -441,13 +441,13 @@ CYLINDER_PROFILES = [
 
 
 @pytest.mark.parametrize("f1, f2", CYLINDER_PROFILES)
-def test_jacobi_reads_the_oracle_laplacian(f1, f2):
-    """Delta <G, v> from the oracle's Delta G equals the Laplace-Beltrami
+def test_jacobi_residual_matches_the_laplace_beltrami_of_w(f1, f2):
+    """Delta <G, v> from the closed form's Delta G equals the Laplace-Beltrami
     operator applied to the scalar field <G, v> itself."""
     alg = heisenberg(1)
     chart = cylinder_chart(f1, f2, (-0.6, 0.6), (-1.0, 1.0))
     pts = np.array([[s, t] for s in (-0.45, 0.0, 0.45) for t in (-0.5, 0.5)])
-    evals = evaluate_points(chart, pts, ["numeric_oracle"])
+    evals = evaluate_points(chart, pts)
     v = evals.frame.normal.mean(axis=0)
     v /= np.linalg.norm(v)
     expected = 0.0
@@ -457,16 +457,6 @@ def test_jacobi_reads_the_oracle_laplacian(f1, f2):
         expected = max(expected, abs(lw + pot * float(normal @ v)))
     residual, _ = jacobi_residuals(chart, evals, v)
     assert residual.max() == pytest.approx(expected, abs=1e-6)
-
-
-def test_jacobi_needs_the_oracle_laplacian():
-    """Delta w comes from the record's oracle delta only: a record evaluated
-    without ``numeric_oracle`` is refused, not re-evaluated."""
-    chart = cylinder_chart("cos(u1)", "sin(u1)", (-0.6, 0.6), (-1, 1))
-    bare = evaluate_points(chart, np.array([[0.0, 0.5]]))
-    assert bare.delta is None
-    with pytest.raises(ValueError, match="numeric_oracle"):
-        jacobi_residuals(chart, bare, [0.3, 0.9, 0.1])
 
 
 # ---------------------------------------------------------------------------
@@ -741,21 +731,25 @@ def test_qr_and_det_once_per_chunk_of_centres_never_on_stencil_rows(monkeypatch)
 
 def test_fd_moves_no_closed_form_row_gauss_codazzi_or_corollary1():
     """fd reaches the oracle only: closed-form reports, Y_k(n H), Gauss-Codazzi
-    results and corollary1 are bit for bit the same under any FDParams."""
+    results, corollary1 and jacobi's residual and w are bit for bit the same
+    under any FDParams."""
     h2_chart = random_graph_chart(exp_model(heisenberg(2)), 5, terms=4)
     h2_pts = np.random.default_rng(6).uniform(-0.4, 0.4, (4, 4))
     cylinder = cylinder_chart("cos(u1)", "sin(u1)", (-0.6, 0.6), (-1, 1))
     leaf = foliation_leaf_chart()
     grid = np.array([[x, y] for x in (-0.5, 0.3) for y in (-0.2, 0.4)])
-    outcomes = []
+    outcomes, deltas = [], []
     for fd in (FDParams(), FDParams(step=1e-3, levels=1)):
         evals = evaluate_points(h2_chart, h2_pts, ["general", "h_type", "heisenberg"], fd)
         rows = (evals.dh, [rep.coeffs for rep in evals.reports.values()])
         gc = gauss_codazzi_residuals(leaf, evaluate_points(leaf, grid, fd=fd))
-        cylinder_ev = evaluate_points(cylinder, grid, fd=fd)
+        cylinder_ev = evaluate_points(cylinder, grid, ["numeric_oracle"], fd)  # jacobi beside a moving oracle
+        deltas.append(cylinder_ev.delta)
         corollary1 = central_h_variation(cylinder, cylinder_ev)[1]
-        outcomes.append((rows, gc, corollary1, cylinder_ev.reports["general"].tangential_norm))
-    ((dh, coeffs), gc, corollary1, defect), ((dh_b, coeffs_b), gc_b, corollary1_b, defect_b) = outcomes
+        jacobi = jacobi_residuals(cylinder, cylinder_ev, [1.0, 0.0, 0.0])
+        outcomes.append((rows, gc, corollary1, cylinder_ev.reports["general"].tangential_norm, jacobi))
+    (((dh, coeffs), gc, corollary1, defect, jacobi),
+     ((dh_b, coeffs_b), gc_b, corollary1_b, defect_b, jacobi_b)) = outcomes
     np.testing.assert_array_equal(dh, dh_b)
     for a, b in zip(coeffs, coeffs_b):
         np.testing.assert_array_equal(a, b)
@@ -765,6 +759,10 @@ def test_fd_moves_no_closed_form_row_gauss_codazzi_or_corollary1():
     np.testing.assert_array_equal(corollary1, corollary1_b)
     np.testing.assert_array_equal(defect, defect_b)  # the gate's input, the same under both
     assert defect.max() <= 1e-3  # harmonic: a job's corollary1 gate is open
+    for a, b in zip(jacobi, jacobi_b, strict=True):  # the residual and w
+        np.testing.assert_array_equal(a, b)
+    assert jacobi[1].min() > 0.0
+    assert np.abs(deltas[0] - deltas[1]).max() > 1e-8  # while the oracle moves
 
 
 def test_complex_step_size_moves_nothing(monkeypatch):
