@@ -29,7 +29,6 @@ from .fd import FIELD_ROWS, FDParams
 from .laplacian import (
     central_h_variation,
     evaluate_points,
-    gauss_codazzi_residuals,
     harmonicity_cmc_residuals,
     jacobi_residuals,
 )
@@ -40,8 +39,7 @@ from .surfaces import SurfaceChart, catalog_chart, expression_chart
 METHOD_NAMES = ("general", "h_type", "heisenberg", "numeric_oracle")
 # check -> (default tolerance, key of its value), in verdict order; a check passes when the value is below
 # its tolerance or None (corollary1 skipped), jacobi only where w = <G, v> > 0 at every point as well (the
-# stability certificate), and has no verdict, null, when it evaluated no point (gauss_codazzi where no normal
-# has both parts, corollary1 with no central slot)
+# stability certificate), and has no verdict, null, when it evaluated no point (corollary1 with no central slot)
 CHECKS = {
     "harmonicity": (1e-3, "max_defect"), "prop3": (1e-6, "max_residual"),
     "corollary1": (5e-4, "max_variation"), "jacobi": (5e-4, "max_residual"),
@@ -52,7 +50,6 @@ NEEDS = {
     "heisenberg": (lambda alg: alg.is_heisenberg, "a Heisenberg algebra"),
     "h_type": (lambda alg: alg.is_h_type, "a Heisenberg-type algebra"),
     "prop3": (lambda alg: alg.is_heisenberg, "a Heisenberg algebra"),
-    "gauss_codazzi": (lambda alg: alg.dim_total == 3, "a 3-dimensional model"),
 }
 
 # largest algebra dimension; one oracle stencil's first-order chart jets take ~5 MB at 16 and
@@ -254,7 +251,7 @@ def run(config: JobConfig) -> dict:
     tols = config.tolerances
     points = grid_points(chart, config.grid, fdp, config.point)
 
-    ev = evaluate_points(chart, points, config.methods, fdp)
+    ev = evaluate_points(chart, points, config.methods, fdp, checks=config.checks)
     columns = {mth: list(zip(rep.coeffs.tolist(), rep.tangential_norm.tolist(), rep.normal_coeff.tolist()))
                for mth, rep in ev.reports.items() if mth in config.methods}
     rows = [
@@ -299,12 +296,7 @@ def run(config: JobConfig) -> dict:
         values["jacobi"] = {"max_residual": float(residual.max()), "min_w": float(w.min()),
                             "direction": [float(x) for x in np.asarray(direction, dtype=float)]}
     if "gauss_codazzi" in config.checks:
-        evaluated, codazzi, gauss, term, ab = gauss_codazzi_residuals(chart, ev)
-        values["gauss_codazzi"] = {  # 0.0 at the points not evaluated, and with none
-            "max_residual": float(np.maximum(codazzi, gauss).max(initial=0.0)),
-            "identity_residual": float(np.abs(term - ab).max(initial=0.0)),
-            "points_evaluated": int(evaluated.sum()),
-        }
+        values["gauss_codazzi"] = {"max_residual": float(ev.gauss_codazzi.max())}
     if "oracle_gap" in config.checks:
         values["oracle_gap"] = {"max_oracle_gap": max_gap}
     checks = {}

@@ -27,6 +27,10 @@ with metric coefficients exact (from chart jets) and only the derivatives
 of the Gauss map taken by Richardson finite differences.  Closed forms
 and oracle share no code path beyond chart evaluation.  Nothing else is
 differenced: Y_k(n H) and Gauss-Codazzi take the exact complex step.
+
+The checkers read an ``evaluate_points`` record, except
+``gauss_codazzi_residuals``, which reads the complex-step rows no record
+keeps, in any dimension, and runs inside ``evaluate_points``.
 """
 
 from __future__ import annotations
@@ -270,12 +274,9 @@ class Evaluation(Stack):
     (N, n, n), ``h`` and ``norm_b2`` (N,); ``dirs`` (N, n, n), the chart
     directions of Y_1 .. Y_n; ``dh`` (N, n), the derivatives Y_k(n H);
     ``reports``, one per method: ``coeffs`` (N, d), ``tangential_norm`` and
-    ``normal_coeff`` (N,); ``delta`` (N, d), the
-    oracle's Delta G in the algebra basis, None without it; ``jet``, the centre
-    ChartJet stack; ``steps``, in a 3-dimensional model, the complex-step rows with
-    leading axes (N, n), and ``steps_h`` (N, n, n, n), the second fundamental form
-    h_ab at those rows, both None elsewhere.  ``ev[kept]`` is the record at the
-    points ``kept``.
+    ``normal_coeff`` (N,); ``jet``, the centre ChartJet stack;
+    ``gauss_codazzi`` (N,), the Gauss-Codazzi residual, None unless asked for.
+    ``ev[kept]`` is the record at the points ``kept``.
     """
 
     u: np.ndarray
@@ -284,17 +285,15 @@ class Evaluation(Stack):
     dirs: np.ndarray
     dh: np.ndarray
     reports: dict[str, LaplacianReport]
-    delta: np.ndarray | None
     jet: ChartJet
-    steps: ChartJet | None
-    steps_h: np.ndarray | None
+    gauss_codazzi: np.ndarray | None
 
     def __len__(self) -> int:
         return len(self.u)
 
 
 def evaluate_points(chart: SurfaceChart, points, methods=("general",), fd: FDParams = FDParams(),
-                    completion_start: int = 0) -> Evaluation:
+                    completion_start: int = 0, checks=()) -> Evaluation:
     """Frames, shapes and a report per method at every row of an (N, n) array, as one record.
 
     The one pipeline: one second-order chart walk at the points' N n
@@ -302,49 +301,49 @@ def evaluate_points(chart: SurfaceChart, points, methods=("general",), fd: FDPar
     field call), whose real parts give the ChartJet stack at the points and
     whose h_ab, one ``_second_fundamental`` call per chunk, gives n H there,
     whose imaginary parts give grad(n H), so Y_k(n H) = coeffs @ grad(n H)
-    exactly; then the oracle's FD call, moved by ``fd``, with one first-order
-    walk per chunk of its stencil.  Frames and closed forms run over the whole
-    stack.  ``general`` is always evaluated, because the checkers read it.  The
-    oracle shares only the chart jets at the points with the closed forms, and
-    gets the frames only to re-express Delta G.  Each row equals the
-    evaluation of its point as a stack of one, bit for bit.  Raises
-    FloatingPointError naming the first point whose h, |B|^2, dh or report
-    of a method is not finite, as a chart whose jets overflow gives.
+    exactly, and, when ``checks`` lists ``gauss_codazzi``, the chunk's
+    ``gauss_codazzi_residuals``; then the oracle's FD call, moved by ``fd``,
+    with one first-order walk per chunk of its stencil.  Frames and closed
+    forms run over the whole stack.  ``general`` is always evaluated, because
+    the checkers read it.  The oracle shares only the chart jets at the points
+    with the closed forms, and gets the frames only to re-express Delta G.
+    Each row equals the evaluation of its point as a stack of one, bit for
+    bit.  Raises FloatingPointError naming the first point whose h, |B|^2, dh,
+    Gauss-Codazzi residual or report of a method is not finite, as a chart
+    whose jets overflow gives.
     """
     alg = chart.model.algebra
     points = np.asarray(points, dtype=float)
-    n = chart.param_dim
-    centres, grads, steps, forms, per = [], [], [], [], max(1, FIELD_ROWS // (2 * n))
+    n, check_gc = chart.param_dim, "gauss_codazzi" in checks
+    # Gauss-Codazzi's temporaries take about four times its chunk's complex rows, so
+    # its chunks are a quarter the size: a job peaks about where one without it does
+    centres, grads, residuals, per = [], [], [], max(1, FIELD_ROWS // (2 * n * (4 if check_gc else 1)))
     for k in range(0, len(points), per):
         cj, rows = complex_step_jets(chart, points[k:k + per])
         h = _second_fundamental(chart, rows)
         centres.append(cj)
         grads.append(complex_derivative(_n_mean_curvature(rows, h), n))
-        if n == 2:  # kept for Gauss-Codazzi, which runs in 3 dimensions only; elsewhere n times the jets for nothing
-            steps.append(rows)
-            forms.append(h)
+        if check_gc:
+            residuals.append(gauss_codazzi_residuals(chart, rows, h))
     cj = ChartJet.join(centres)
     frame = adapted_frame(alg, cj.normal, completion_start)
     shape, dirs = shape_data(chart, cj, frame)
     dh = (dirs @ np.concatenate(grads)[..., None])[..., 0]
-    steps = ChartJet.join(steps).map(lambda arr: arr.reshape((-1, n) + arr.shape[1:])) if steps else None
-    steps_h = np.concatenate(forms).reshape(-1, n, n, n) if forms else None
-    reports, delta = {"general": laplacian_general(alg, frame, shape, dh)}, None
+    gc = np.concatenate(residuals) if residuals else None
+    reports = {"general": laplacian_general(alg, frame, shape, dh)}
     for mth in methods:
         if mth in reports:
             continue
         if mth == "numeric_oracle":
-            delta = oracle_laplacians(chart, cj, points, fd)
-            reports[mth] = _oracle_report(frame, delta)
+            reports[mth] = _oracle_report(frame, oracle_laplacians(chart, cj, points, fd))
         else:
             reports[mth] = CLOSED_FORMS[mth](alg, frame, shape, dh)
-    values = [shape.h[:, None], shape.norm_b2[:, None], dh]
+    values = [shape.h[:, None], shape.norm_b2[:, None], dh] + ([] if gc is None else [gc[:, None]])
     values += [arr for rep in reports.values() for arr in (rep.coeffs, rep.tangential_norm[:, None])]
     finite = np.isfinite(np.concatenate(values, axis=1))
     if not finite.all():
         raise FloatingPointError(f"non-finite evaluation at u={points[np.argmin(finite.all(axis=1))].tolist()}")
-    return Evaluation(u=points, frame=frame, shape=shape, dirs=dirs, dh=dh, reports=reports, delta=delta, jet=cj,
-                      steps=steps, steps_h=steps_h)
+    return Evaluation(u=points, frame=frame, shape=shape, dirs=dirs, dh=dh, reports=reports, jet=cj, gauss_codazzi=gc)
 
 
 def closed_form_report(chart: SurfaceChart, u, method: str = "general", completion_start: int = 0):
@@ -423,70 +422,52 @@ def central_h_variation(chart: SurfaceChart, ev: Evaluation) -> tuple[np.ndarray
     return degenerate | (n > q), np.maximum(dh[:, q:n].max(axis=1, initial=0.0), mixed) / n
 
 
-def _gc_field(chart: SurfaceChart, cj: ChartJet) -> np.ndarray:
-    """The induced Christoffels Gamma^c_ab, (M, 2, 2, 2) indexed [c, a, b], at a ChartJet stack."""
-    g, dg = induced_metric_with_gradient(chart, cj)
-    # Gamma^c_ab = g^cd (d_a g_db + d_b g_da - d_d g_ab) / 2
-    lower = dg.transpose(0, 2, 1, 3) + dg.transpose(0, 2, 3, 1) - dg
-    return (0.5 * (np.linalg.inv(g) @ lower.reshape(-1, 2, 4))).reshape(-1, 2, 2, 2)
+def _in_frame(tensor, frame) -> np.ndarray:
+    """The components (M, n, .., n) of a covariant tensor (M, n, .., n) on the columns of
+    ``frame`` (M, n, n): each index in turn contracted by one matmul, last index first."""
+    m, n = frame.shape[:2]
+    for _ in range(tensor.ndim - 1):
+        tensor = np.moveaxis((tensor.reshape(m, -1, n) @ frame).reshape(tensor.shape), -1, 1)
+    return tensor
 
 
-def gauss_codazzi_residuals(chart: SurfaceChart, ev: Evaluation):
-    """Compatibility residuals of a surface in a 3-dimensional model, in chart coordinates.
+def gauss_codazzi_residuals(chart: SurfaceChart, rows: ChartJet, h) -> np.ndarray:
+    """The largest component of the Codazzi and Gauss tensors, (M,), at the M points of
+    ``complex_step_jets`` rows (each point's n together) with their ``_second_fundamental`` h:
 
-    ``ev`` is an ``evaluate_points`` record; the result is five (N,) arrays,
-    ``(evaluated, codazzi, gauss, curvature_term, ab_product)``, with one row
-    per point.  No chart is evaluated: the record's ``steps_h`` gives h_ab (real
-    parts) and its derivatives along u1 and u2 (imaginary parts), and one
-    ``_gc_field`` call on its ``steps`` rows gives Gamma^c_ab and their
-    derivatives, all exact.  ``codazzi`` is the worse of the Codazzi lines
-    T(d1, d2, d1), T(d2, d1, d2),
-    T_abc = nabla_a h_bc - nabla_b h_ac - <R(t_a, t_b) t_c, normal>, with d1, d2
-    the chart directions of the point's Y_1, Y_2, read from the record's
-    ``dirs``.  ``gauss`` is the Gauss equation K = det h / det g + the ambient
-    sectional curvature, which comes from the same ``curvature`` contraction as
-    the Codazzi term.  ``curvature_term`` <R(F1, F2) F1, normal> should equal
-    ``ab_product``, the product of the two normal norms.  Points where the
-    frame's ``s`` or ``c`` is 0.0, a part of the normal of norm at most
-    NORMAL_SPLIT_TOL, are not evaluated (the adapted frame is not smooth
-    there) and read 0.0 in every residual; when every point is
-    evaluated, the record's arrays are read in place.
+        T_abc = nabla_a h_bc - nabla_b h_ac - <R(t_a, t_b) t_c, normal>,
+        G_abcd = <R^S(d_a, d_b) d_c, d_d> - <R(t_a, t_b) t_c, t_d> - (h_bc h_ad - h_ac h_bd),
+
+    t_a the algebra tangents, both zero on every immersed hypersurface of any
+    dimension.  The real parts of each point's first row give h, g, d g, the
+    tangents and the normal; the imaginary parts give d_a h and the second
+    derivatives of g, exact, so no chart is evaluated.  Both tensors are read on
+    the orthonormal tangent frame of the columns of the Cholesky factor of g^-1.
     """
-    alg = chart.model.algebra
-    if alg.dim_total != 3:
-        raise ValueError("gauss_codazzi_residuals requires a 3-dimensional model")
-    s, c = ev.frame.s, ev.frame.c
-    evaluated = (s > 0.0) & (c > 0.0)
-    kept = np.flatnonzero(evaluated)
-    values = np.zeros((4, len(ev)))  # codazzi, gauss, curvature_term, ab_product
-    if not len(kept):
-        return evaluated, *values
-
-    cj, ys, dirs, steps, forms = ev.jet, ev.frame.ys, ev.dirs, ev.steps, ev.steps_h
-    if len(kept) < len(ev):
-        cj, ys, dirs, steps, forms = cj[kept], ys[kept], dirs[kept], steps[kept], forms[kept]
-    field = _gc_field(chart, steps.map(lambda arr: arr.reshape((-1,) + arr.shape[2:])))
-    # f(u) = Re f(u + i h e_1) + O(h^2); dh[:, a] = d_a h
-    h, dh = forms[:, 0].real, complex_derivative(forms.reshape(-1, 2, 2), 2)
-    gamma, dgamma = field[::2].real, complex_derivative(field, 2)
-    t = np.swapaxes(cj.tangents, -1, -2)  # rows t_1, t_2
-    f1, f2, eta = ys[:, 0], ys[:, 1], ys[:, 2]
-    rt = curvature(alg, t[:, :, None, None], t[:, None, :, None], t[:, None, None, :])  # R(t_a, t_b) t_c
+    n = chart.param_dim
+    g, dg = induced_metric_with_gradient(chart, rows)
+    ddg = complex_derivative(dg, n)  # ddg[x, y, a, b] = d_x d_y g_ab
+    g, dg, dh = g[::n].real, dg[::n].real, complex_derivative(h, n)  # dh[a, b, c] = d_a h_bc
+    h = np.ascontiguousarray(h[::n].real)
+    # Christoffels Gamma_{e,ab} = (d_a g_eb + d_b g_ea - d_e g_ab) / 2 and Gamma^e_ab, rows e, columns (a, b)
+    first = 0.5 * (dg.transpose(0, 2, 1, 3) + dg.transpose(0, 2, 3, 1) - dg).reshape(-1, n, n * n)
+    second = np.linalg.solve(g, first)
+    frame = np.concatenate([rows.tangents[::n], rows.normal[::n, :, None]], axis=-1).real  # t_1 .. t_n, normal
+    t = np.swapaxes(frame[..., :n], -1, -2)  # rows t_a
+    rt = curvature(chart.model.algebra, t[:, :, None, None], t[:, None, :, None], t[:, None, None, :])
+    ambient = (rt.reshape(len(t), n**3, -1) @ frame).reshape(-1, n, n, n, n + 1)  # <R(t_a, t_b) t_c, .>
 
     # nabla_a h_bc = d_a h_bc - Gamma^e_ab h_ec - Gamma^e_ac h_be
-    flat = gamma.reshape(-1, 2, 4)  # rows e, columns (a, b)
-    nabla_h = (dh - (np.swapaxes(flat, 1, 2) @ h).reshape(-1, 2, 2, 2)
-               - np.swapaxes((h @ flat).reshape(-1, 2, 2, 2), 1, 2))
-    tensor = nabla_h - nabla_h.transpose(0, 2, 1, 3) - _dot(rt, eta[:, None, None, None])
-    lines = (dirs @ tensor.reshape(-1, 2, 4)).reshape(-1, 2, 2, 2)  # T(d_l, ., .)
-    codazzi = np.abs(_dot(dirs[:, ::-1], _apply(lines, dirs))).max(axis=1)
+    second_t = np.ascontiguousarray(np.swapaxes(second, 1, 2))  # rows (a, b), columns e
+    nabla_h = dh - (second_t @ h).reshape(dh.shape) - (h @ second).reshape(dh.shape).swapaxes(1, 2)
+    codazzi = nabla_h - nabla_h.swapaxes(1, 2) - ambient[..., n]
 
-    # R^d_101 = d_0 Gamma^d_11 - d_1 Gamma^d_01 + Gamma^d_0e Gamma^e_11 - Gamma^d_1e Gamma^e_01
-    riem = dgamma[:, 0, :, 1, 1] - dgamma[:, 1, :, 0, 1]
-    riem += (gamma[:, :, 0] @ gamma[:, :, 1, 1, None] - gamma[:, :, 1] @ gamma[:, :, 0, 1, None])[..., 0]
-    g = t @ cj.tangents
-    sectional = _dot(rt[:, 0, 1, 1], t[:, 0])  # <R(t_1, t_2) t_2, t_1>
-    gauss_res = np.abs(_dot(g[:, 0], riem) - np.linalg.det(h) - sectional) / np.linalg.det(g)
+    # <R^S(d_a, d_b) d_c, d_d> is Alt_ab Alt_cd / 2 of d_a d_c g_bd + Gamma^e_ac Gamma_{e,bd}
+    v = (ddg.reshape(-1, n * n, n * n) + second_t @ first).reshape(-1, n, n, n, n).transpose(0, 1, 3, 2, 4)
+    alt = v - v.swapaxes(1, 2)
+    hh = h[:, None, :, :, None] * h[:, :, None, None, :]  # h_bc h_ad
+    gauss = 0.5 * (alt - alt.swapaxes(3, 4)) - ambient[..., :n] - (hh - hh.swapaxes(1, 2))
 
-    values[:, kept] = codazzi, gauss_res, _dot(curvature(alg, f1, f2, f1), eta), (s * c)[kept]
-    return evaluated, *values
+    lower = np.linalg.cholesky(np.linalg.inv(g))
+    worst = [np.abs(_in_frame(tensor, lower)).reshape(len(t), -1).max(axis=1) for tensor in (codazzi, gauss)]
+    return np.maximum(*worst)

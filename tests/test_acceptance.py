@@ -18,7 +18,6 @@ from nilgauss import (
     evaluate_points,
     exp_model,
     foliation_leaf_chart,
-    gauss_codazzi_residuals,
     gauss_map,
     harmonicity_cmc_residuals,
     heisenberg,
@@ -186,12 +185,13 @@ def test_criterion_6_negative_control_leaf():
 def test_criterion_7_gauss_codazzi_residuals():
     with timer("7 Gauss-Codazzi residuals on the leaf", 5.0):
         chart = foliation_leaf_chart()
-        points = np.array([[x, 0.0] for x in np.linspace(0.35, 2.0, 10)])
-        evaluated, codazzi, gauss, term, ab = gauss_codazzi_residuals(chart, evaluate_points(chart, points))
-        assert evaluated.all()
-        assert codazzi.max() < 5e-4
-        assert gauss.max() < 5e-4
-        assert term == pytest.approx(ab, abs=1e-10)
+        points = np.array([[x, 0.0] for x in np.linspace(0.0, 2.0, 10)])  # a central normal at x = 0
+        ev = evaluate_points(chart, points, checks=["gauss_codazzi"])
+        assert ev.gauss_codazzi.max() < 5e-4
+        # the ambient term of the Gauss equation in the adapted frame: <R(F1, F2) F1, normal> = s c
+        f1, f2, eta = np.moveaxis(ev.frame.ys, 1, 0)
+        term = (curvature(chart.model.algebra, f1, f2, f1) * eta).sum(axis=1)
+        assert term == pytest.approx(ev.frame.s * ev.frame.c, abs=1e-10)
 
 
 def test_criterion_8_degenerate_frames():

@@ -90,6 +90,8 @@ def test_invalid_algebra_reported():
 
 
 def test_checks_gated_by_algebra_shape():
+    """prop3 needs a Heisenberg algebra; gauss_codazzi holds in every dimension, so an
+    H(2) job with it loads and passes."""
     doc = dict(BASE_CONFIG)
     doc["model"] = "exp"
     doc["algebra"] = {"builtin": "heisenberg", "m": 2}
@@ -97,10 +99,11 @@ def test_checks_gated_by_algebra_shape():
     doc["domain"] = [[-1, 1]] * 4
     doc["grid"] = [2, 2, 2, 2]
     doc["methods"] = ["general"]
-    doc["checks"] = ["gauss_codazzi"]  # needs a 3-dimensional model
+    doc["checks"] = ["gauss_codazzi"]
+    assert run(load_config(doc))["summary"]["checks"]["gauss_codazzi"]["pass"] is True
     with pytest.raises(ConfigError) as err:
-        load_config(doc)
-    assert any("3-dimensional" in p for p in err.value.problems)
+        load_config(dict(doc, algebra=TWO_BRACKET_JOB["algebra"], checks=["gauss_codazzi", "prop3"]))
+    assert err.value.problems == ["check 'prop3' requires a Heisenberg algebra"]
 
 
 def test_heisenberg_method_needs_heisenberg_algebra():
@@ -135,13 +138,10 @@ TWO_BRACKET_JOB = dict(
     ({"methods": ["heisenberg"]}, "method 'heisenberg' requires a Heisenberg algebra"),
     ({"methods": ["h_type"]}, "method 'h_type' requires a Heisenberg-type algebra"),
     ({"checks": ["prop3"]}, "check 'prop3' requires a Heisenberg algebra"),
-    ({"algebra": {"builtin": "heisenberg", "m": 2}, "checks": ["gauss_codazzi"]},
-     "check 'gauss_codazzi' requires a 3-dimensional model"),
 ])
 def test_requirement_messages_are_exact(tmp_path, capsys, change, line):
     """Each method or check that needs more of the algebra names what it requires:
-    the two-bracket 5-dimensional algebra is neither Heisenberg nor H-type, and
-    H(2) on exp is not a 3-dimensional model."""
+    the two-bracket 5-dimensional algebra is neither Heisenberg nor H-type."""
     path = write_config(tmp_path, dict(TWO_BRACKET_JOB, **change))
     assert main(["sweep", "--config", path]) == 2
     assert capsys.readouterr().err.splitlines() == [f"config error: {line}"]
@@ -535,12 +535,12 @@ def test_large_jacobi_direction_gives_the_verdict_of_its_unit_direction():
 def test_jacobi_job_without_the_oracle_evaluates_none(monkeypatch):
     """A jacobi job without numeric_oracle among its methods makes no oracle call and
     writes no numeric_oracle row: jacobi reads the closed form, and run hands
-    evaluate_points the methods the document lists."""
+    evaluate_points the methods and checks the document lists."""
     evaluate, calls = cli.evaluate_points, []
 
-    def listed(chart, points, methods, fd):
-        calls.append(methods)
-        return evaluate(chart, points, methods, fd)
+    def listed(chart, points, methods, fd, checks):
+        calls.append((methods, checks))
+        return evaluate(chart, points, methods, fd, checks=checks)
 
     def no_oracle(*args, **kwargs):
         raise AssertionError("the oracle was evaluated")
@@ -550,7 +550,7 @@ def test_jacobi_job_without_the_oracle_evaluates_none(monkeypatch):
     doc = dict(BASE_CONFIG, chart={"catalog": "nil_cylinder", "params": {"f1": "cos(u1)", "f2": "sin(u1)"}},
                methods=["general", "heisenberg"], checks=["jacobi"])
     report = run(load_config(doc))
-    assert calls == [["general", "heisenberg"]]
+    assert calls == [(["general", "heisenberg"], ["jacobi"])]
     assert {row["method"] for row in report["rows"]} == {"general", "heisenberg"}
     assert report["config_echo"] == doc
     assert report["summary"]["max_oracle_gap"] is None
@@ -781,10 +781,18 @@ def test_grid_points_are_the_meshgrid_points_bit_for_bit(request):
 
 
 def test_job_path_calls_no_einsum_or_meshgrid(monkeypatch):
-    """Every reference job, run once to fill the algebras' cached tensors (which
-    einsum may build), run again with np.einsum and np.meshgrid raising, and
-    write the same report bytes."""
-    configs = [load_config(doc) for _, doc in REFERENCE_JOBS]
+    """Every reference job and two gauss_codazzi jobs beyond 3 dimensions, run once to
+    fill the algebras' cached tensors (which einsum may build), run again with
+    np.einsum and np.meshgrid raising, and write the same report bytes."""
+    gauss_codazzi = {"model": "exp", "chart": {"catalog": "random_graph", "params": {"terms": 4}},
+                     "grid": [2] * 4, "methods": ["general"], "checks": ["gauss_codazzi"], "seed": 3}
+    jobs = [doc for _, doc in REFERENCE_JOBS]
+    jobs += [
+        dict(gauss_codazzi, algebra={"builtin": "heisenberg", "m": 2}),
+        dict(gauss_codazzi, algebra=next(doc["algebra"] for doc in jobs if doc["algebra"].get("dim_total") == 7),
+             grid=[2] * 6),
+    ]
+    configs = [load_config(doc) for doc in jobs]
     first = [document_to_json(run(config)) for config in configs]
 
     def forbidden(*args, **kwargs):
@@ -861,8 +869,8 @@ def test_oversized_or_non_integer_algebra_sizes_exit_2(
 def test_gauss_codazzi_is_one_call_per_job(monkeypatch):
     """One checker call per job, which evaluates no chart and takes no FD stencil: on
     the 27-point foliation example the job's chart evaluations are the 2 x 27
-    complex-step rows of the 27 centres and the oracle's one stencil field call of
-    27 x 13 rows, all before the checker."""
+    complex-step rows of the 27 centres, which the checker reads, and the oracle's
+    one stencil field call of 27 x 13 rows, after it."""
     events = []
     checker, values, stencils = laplacian.gauss_codazzi_residuals, surfaces.expression_jets, fd._stencil_values
 
@@ -878,26 +886,25 @@ def test_gauss_codazzi_is_one_call_per_job(monkeypatch):
         events.append("fd")
         yield from stencils(*args)
 
-    monkeypatch.setattr(cli, "gauss_codazzi_residuals", gc)
+    monkeypatch.setattr(laplacian, "gauss_codazzi_residuals", gc)
     monkeypatch.setattr(surfaces, "expression_jets", jets)
     monkeypatch.setattr(fd, "_stencil_values", stencil_values)
     doc = run(load_config(EXAMPLE_JOBS["nil_foliation_example"][1]))
-    assert doc["summary"]["checks"]["gauss_codazzi"]["points_evaluated"] == 24
-    assert events == [("jets", 54, True), "fd", ("jets", 27 * 13, False), "gauss_codazzi"]
+    assert doc["summary"]["points"] == 27 and doc["summary"]["checks"]["gauss_codazzi"]["pass"] is True
+    assert events == [("jets", 54, True), "gauss_codazzi", "fd", ("jets", 27 * 13, False)]
 
 
-def test_gauss_codazzi_without_evidence_has_no_verdict(tmp_path, capsys):
-    """A cylinder's normal has no central part, so gauss_codazzi evaluates no point:
-    its verdict is null, stderr says neither PASS nor FAIL, and the job exits 1."""
+def test_gauss_codazzi_on_a_cylinder_passes(tmp_path, capsys):
+    """A cylinder's normal has no central part, and gauss_codazzi, which reads no
+    adapted frame, evaluates every point all the same: it passes and the job exits 0."""
     cylinder = {"catalog": "nil_cylinder", "params": {"f1": "cos(u1)", "f2": "sin(u1)"}}
     path = write_config(tmp_path, dict(BASE_CONFIG, chart=cylinder, checks=["harmonicity", "gauss_codazzi"]))
-    assert main(["sweep", "--config", path]) == 1
+    assert main(["sweep", "--config", path]) == 0
     captured = capsys.readouterr()
     checks = json.loads(captured.out)["summary"]["checks"]
     assert checks["harmonicity"]["pass"] is True
-    assert checks["gauss_codazzi"]["points_evaluated"] == 0 and checks["gauss_codazzi"]["pass"] is None
-    assert captured.err.splitlines() == ["check harmonicity: PASS",
-                                         "check gauss_codazzi: NO VERDICT (no point evaluated)"]
+    assert checks["gauss_codazzi"]["pass"] is True and checks["gauss_codazzi"]["max_residual"] < 1e-13
+    assert captured.err.splitlines() == ["check harmonicity: PASS", "check gauss_codazzi: PASS"]
 
 
 def test_corollary1_without_a_central_slot_has_no_verdict(tmp_path, capsys):

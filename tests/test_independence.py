@@ -4,7 +4,8 @@ Reference jobs, one for each pair of catalog entry and algebra, plus a
 ``graph`` job (no reference job uses that entry), run through ``cli.run``
 under ``sys.setprofile``.  Every ``nilgauss`` function called inside
 ``evaluate_points`` is put on one of two routes: the oracle's, when it runs
-inside ``oracle_laplacians``, or the closed form's otherwise.  The functions
+inside ``oracle_laplacians``, or the closed form's otherwise, except inside
+``gauss_codazzi_residuals``, a checker that is neither.  The functions
 on both routes must be exactly ``SHARED``, and the oracle may read only
 ``ORACLE_READS`` of the centre ChartJet it is given.
 """
@@ -101,8 +102,9 @@ def routes(monkeypatch):
     """(closed-form route, oracle route, ChartJet fields the oracle read, unnamed package frames)."""
     names = function_names()
     evaluate, oracle = laplacian.evaluate_points.__code__, laplacian.oracle_laplacians.__code__
+    checker = laplacian.gauss_codazzi_residuals.__code__
     closed_route, oracle_route, reads, unnamed = set(), set(), set(), set()
-    depth = {evaluate: 0, oracle: 0}
+    depth = {evaluate: 0, oracle: 0, checker: 0}
 
     def profile(frame, event, arg):
         code = frame.f_code
@@ -110,7 +112,7 @@ def routes(monkeypatch):
             return
         if code in depth:
             depth[code] += 1 if event == "call" else -1
-        if event != "call" or not depth[evaluate]:
+        if event != "call" or not depth[evaluate] or depth[checker]:
             return
         name = names.get(code)
         if name is not None:
@@ -163,8 +165,9 @@ def test_the_oracle_gap_is_the_same_in_the_algebra_basis():
         config = cli.load_config(doc)
         points = cli.grid_points(config.chart, config.grid, config.fd, config.point)
         ev = laplacian.evaluate_points(config.chart, points, config.methods, config.fd)
+        delta = laplacian.oracle_laplacians(config.chart, ev.jet, points, config.fd)
         general, oracle = ev.reports["general"].coeffs, ev.reports["numeric_oracle"].coeffs
-        in_algebra = np.linalg.norm((general[:, None] @ ev.frame.ys)[:, 0] - ev.delta, axis=1)
+        in_algebra = np.linalg.norm((general[:, None] @ ev.frame.ys)[:, 0] - delta, axis=1)
         in_frame = np.linalg.norm(general - oracle, axis=1)
         worst = max(worst, np.abs(in_algebra - in_frame).max())
         rows += len(points)

@@ -1,3 +1,6 @@
+import itertools
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -29,14 +32,17 @@ from nilgauss import (
     shape_data,
     vertical_plane_chart,
 )
+from nilgauss import laplacian
 from nilgauss.cli import NEEDS, load_config, run
 from nilgauss.curvature import curvature
 from nilgauss.expressions import expression_jets
 from nilgauss.fd import FDParams, directional_derivative
-from nilgauss.laplacian import _gc_field, oracle_laplacians
+from nilgauss.laplacian import oracle_laplacians
 from nilgauss.surfaces import (
+    CATALOG,
     ShapeData,
     _second_fundamental,
+    catalog_chart,
     chart_coefficients,
     chart_jets,
     complex_step_jets,
@@ -371,6 +377,27 @@ def test_evaluation_carries_general_and_matches_single_views():
     np.testing.assert_array_equal(oracle.coeffs, ev.reports["numeric_oracle"].coeffs[0])
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_coupling_residuals_read_the_general_slots(m):
+    """In the symplectically adapted frame the tangential slots of ``general`` plus
+    Y_k(n H) are -2 s b_{2m,m+k} (k < m), 2 s b_{2m,k} (m + k), -s c (n H + 2 b_{2m,2m})
+    (m) and s c (2 b_{2m,m} - s^2) (2m), so 2 s r1, s r3 and s r2 are the largest of
+    their slots, at every corner of random graphs over H(m)."""
+    alg = heisenberg(m)
+    n, last = alg.n, 2 * m - 1
+    worst = 0.0
+    for seed in range(6):
+        chart = random_graph_chart(exp_model(alg), seed, terms=6)
+        ev = evaluate_points(chart, np.array(list(itertools.product((-0.75, 0.75), repeat=n))))
+        slots = np.abs(ev.reports["general"].coeffs[:, :n] + ev.dh)
+        r1, r2, r3 = harmonicity_cmc_residuals(ev.shape, ev.frame)
+        s = ev.frame.s
+        off = np.concatenate([slots[:, :m - 1], slots[:, m:last]], axis=1).max(axis=1, initial=0.0)
+        errors = [2.0 * s * r1 - off, s * r3 - slots[:, m - 1], s * r2 - slots[:, last]]
+        worst = max(worst, np.abs(errors).max())
+    assert worst <= 1e-14
+
+
 def test_coupling_requires_special_frame(free5):
     rng = np.random.default_rng(3)
     frame = adapted_frame(free5, random_unit(rng, 5)[None])
@@ -471,7 +498,8 @@ ALGEBRAS = {
 
 
 def assert_same_record(a, b):
-    """Two Evaluation stacks hold the same points, frames, shapes, dh and reports, bit for bit."""
+    """Two Evaluation stacks hold the same points, frames, shapes, dh, reports and Gauss-Codazzi
+    residuals, bit for bit."""
     np.testing.assert_array_equal(a.u, b.u)
     for name in ("ys", "x_q", "z_q", "x_n1", "z_n1"):
         np.testing.assert_array_equal(getattr(a.frame, name), getattr(b.frame, name))
@@ -480,9 +508,9 @@ def assert_same_record(a, b):
     for name in ("b", "h", "norm_b2"):
         np.testing.assert_array_equal(getattr(a.shape, name), getattr(b.shape, name))
     np.testing.assert_array_equal(a.dh, b.dh)
-    assert (a.delta is None) == (b.delta is None)
-    if a.delta is not None:
-        np.testing.assert_array_equal(a.delta, b.delta)
+    assert (a.gauss_codazzi is None) == (b.gauss_codazzi is None)
+    if a.gauss_codazzi is not None:
+        assert a.gauss_codazzi.tobytes() == b.gauss_codazzi.tobytes()
     assert list(a.reports) == list(b.reports)
     for method, rep in a.reports.items():
         np.testing.assert_array_equal(rep.coeffs, b.reports[method].coeffs)
@@ -503,14 +531,15 @@ def test_evaluate_points_rows_equal_stacks_of_one(name, count, seed, completion_
     valid += ["h_type"] if alg.is_h_type else []
     valid += ["heisenberg"] if alg.is_heisenberg else []
     methods = data.draw(st.lists(st.sampled_from(valid), min_size=1, unique=True))
+    checks = data.draw(st.sampled_from([(), ("gauss_codazzi",)]))
     rng = np.random.default_rng(seed)
     chart = random_graph_chart(exp_model(alg), seed, terms=4)
     pts = rng.uniform(-0.45, 0.45, (count, chart.param_dim))
-    evals = evaluate_points(chart, pts, methods, completion_start=completion_start)
+    evals = evaluate_points(chart, pts, methods, completion_start=completion_start, checks=checks)
     assert len(evals) == count
     for i in range(count):
         assert_same_record(evals[i:i + 1], evaluate_points(chart, pts[i:i + 1], methods,
-                                                           completion_start=completion_start))
+                                                           completion_start=completion_start, checks=checks))
 
 
 def _degenerate_stacks():
@@ -567,18 +596,13 @@ def test_stacked_frames_with_degenerate_rows(name):
 
 def _matmul_stages(chart, cj):
     """The stages that contract by matmul on the model's and algebra's cached layouts, at a
-    ChartJet stack or row, as name -> tuple of arrays; ``_gc_field`` takes a row as a stack of one."""
-    alg, row = chart.model.algebra, cj.point.ndim == 1
-    outputs = {
+    ChartJet stack or row, as name -> tuple of arrays."""
+    return {
         "frame_inverse": (chart.model.frame_inverse(cj.point),),
         "induced_metric_with_gradient": induced_metric_with_gradient(chart, cj),
         "_second_fundamental": (_second_fundamental(chart, cj),),
-        "curvature": (curvature(alg, cj.normal.real, cj.jac[..., 0].real, cj.point.real),),
+        "curvature": (curvature(chart.model.algebra, cj.normal.real, cj.jac[..., 0].real, cj.point.real),),
     }
-    if alg.dim_total == 3:
-        field = _gc_field(chart, cj[None] if row else cj)
-        outputs["_gc_field"] = (field[0] if row else field,)
-    return outputs
 
 
 def _strided(arr):
@@ -622,6 +646,20 @@ def test_matmul_stages_on_noncontiguous_stacks_equal_single_points(name, layout)
                         assert got[k].tobytes() == want.tobytes(), (stage, i)
 
 
+@pytest.mark.parametrize("layout", ["stepped", "transposed"])
+@pytest.mark.parametrize("name", MATMUL_CHARTS)
+def test_gauss_codazzi_on_noncontiguous_rows_equals_single_points(name, layout):
+    """Complex-step rows and their h in a view with a step on every axis, or in a
+    transposed copy: the checker gives each point the bits of its n rows alone."""
+    chart = MATMUL_CHARTS[name]
+    n = chart.param_dim
+    rows = complex_step_jets(chart, np.random.default_rng(4).uniform(-0.4, 0.4, (5, n)))[1]
+    h = _second_fundamental(chart, rows)
+    singles = [gauss_codazzi_residuals(chart, rows[k:k + n], h[k:k + n]) for k in range(0, 5 * n, n)]
+    move = _strided if layout == "stepped" else _transposed
+    assert gauss_codazzi_residuals(chart, rows.map(move), move(h)).tobytes() == np.concatenate(singles).tobytes()
+
+
 @pytest.mark.parametrize("name", ["h1", "h2", "h3", "quat7", "free5"])
 def test_stacked_adapted_frame_rows_equal_single_frames(name):
     """Normals with s = 0, c = 0 and neither in one stack: each frame row is the
@@ -660,13 +698,13 @@ def test_evaluate_points_one_field_call_per_stage(monkeypatch):
     assert sizes == [6 * 4, 6 * (1 + 2 * (8 + 12))]
 
 
-def test_complex_step_rows_go_in_chunks_and_stay_only_in_3d(monkeypatch):
-    """At most FIELD_ROWS / 2 complex-step rows per chart evaluation, whole points
-    each, with the records unchanged bit for bit; a record outside a 3-dimensional
-    model keeps no complex-step rows."""
+def test_complex_step_rows_go_in_chunks(monkeypatch):
+    """At most FIELD_ROWS / 2 complex-step rows per chart evaluation, a quarter of that
+    with Gauss-Codazzi, whole points each, with the records, Gauss-Codazzi residuals
+    included, unchanged bit for bit."""
     chart = random_graph_chart(exp_model(heisenberg(2)), 4, terms=4)
     pts = np.random.default_rng(5).uniform(-0.4, 0.4, (5, 4))
-    whole = evaluate_points(chart, pts, ["general", "h_type"])
+    whole = evaluate_points(chart, pts, ["general", "h_type"], checks=["gauss_codazzi"])
     sizes = []
 
     def counted(exprs, p, order=2):
@@ -674,11 +712,10 @@ def test_complex_step_rows_go_in_chunks_and_stay_only_in_3d(monkeypatch):
         return expression_jets(exprs, p, order)
 
     monkeypatch.setattr("nilgauss.surfaces.expression_jets", counted)
-    monkeypatch.setattr("nilgauss.laplacian.FIELD_ROWS", 16)  # two points of 4 rows
-    chunked = evaluate_points(chart, pts, ["general", "h_type"])
+    monkeypatch.setattr("nilgauss.laplacian.FIELD_ROWS", 64)  # two points of 4 rows with Gauss-Codazzi
+    chunked = evaluate_points(chart, pts, ["general", "h_type"], checks=["gauss_codazzi"])
     assert sizes == [8, 8, 4]
     assert_same_record(whole, chunked)
-    assert whole.steps is None and chunked.steps is None
 
 
 def record_arrays(ev):
@@ -690,7 +727,7 @@ def record_arrays(ev):
 
 @pytest.mark.parametrize("three_dim", [True, False], ids=["leaf", "h2"])
 def test_chunked_evaluation_equals_the_whole_one(monkeypatch, three_dim):
-    """Centres, complex-step rows, frames, reports and the oracle's Delta G: every array
+    """Centres, frames, reports, the oracle's and the Gauss-Codazzi residuals: every array
     of the record is the same bit for bit whatever the chunk of complex-step rows."""
     if three_dim:
         chart, pts = foliation_leaf_chart(), np.array([[x, y] for x in (-0.5, 0.3, 1.1) for y in (-0.2, 0.4)])
@@ -698,10 +735,9 @@ def test_chunked_evaluation_equals_the_whole_one(monkeypatch, three_dim):
     else:
         chart = random_graph_chart(exp_model(heisenberg(2)), 26, terms=4)
         pts, methods = np.random.default_rng(27).uniform(-0.4, 0.4, (5, 4)), ["general", "h_type", "numeric_oracle"]
-    whole = evaluate_points(chart, pts, methods)
+    whole = evaluate_points(chart, pts, methods, checks=["gauss_codazzi"])
     monkeypatch.setattr("nilgauss.laplacian.FIELD_ROWS", 2 * chart.param_dim)  # one point per chunk
-    chunked = evaluate_points(chart, pts, methods)
-    assert (whole.steps is None) != three_dim
+    chunked = evaluate_points(chart, pts, methods, checks=["gauss_codazzi"])
     arrays, chunked_arrays = record_arrays(whole), record_arrays(chunked)
     assert len(arrays) == len(chunked_arrays) > 20
     for a, b in zip(arrays, chunked_arrays):
@@ -738,13 +774,13 @@ def test_fd_moves_no_closed_form_row_gauss_codazzi_or_corollary1():
     cylinder = cylinder_chart("cos(u1)", "sin(u1)", (-0.6, 0.6), (-1, 1))
     leaf = foliation_leaf_chart()
     grid = np.array([[x, y] for x in (-0.5, 0.3) for y in (-0.2, 0.4)])
-    outcomes, deltas = [], []
+    outcomes, oracles = [], []
     for fd in (FDParams(), FDParams(step=1e-3, levels=1)):
         evals = evaluate_points(h2_chart, h2_pts, ["general", "h_type", "heisenberg"], fd)
         rows = (evals.dh, [rep.coeffs for rep in evals.reports.values()])
-        gc = gauss_codazzi_residuals(leaf, evaluate_points(leaf, grid, fd=fd))
+        gc = evaluate_points(leaf, grid, ["numeric_oracle"], fd, checks=["gauss_codazzi"]).gauss_codazzi
         cylinder_ev = evaluate_points(cylinder, grid, ["numeric_oracle"], fd)  # jacobi beside a moving oracle
-        deltas.append(cylinder_ev.delta)
+        oracles.append(cylinder_ev.reports["numeric_oracle"].coeffs)
         corollary1 = central_h_variation(cylinder, cylinder_ev)[1]
         jacobi = jacobi_residuals(cylinder, cylinder_ev, [1.0, 0.0, 0.0])
         outcomes.append((rows, gc, corollary1, cylinder_ev.reports["general"].tangential_norm, jacobi))
@@ -753,16 +789,14 @@ def test_fd_moves_no_closed_form_row_gauss_codazzi_or_corollary1():
     np.testing.assert_array_equal(dh, dh_b)
     for a, b in zip(coeffs, coeffs_b):
         np.testing.assert_array_equal(a, b)
-    for a, b in zip(gc, gc_b):
-        np.testing.assert_array_equal(a, b)
-    assert gc[0][0]  # the first point is evaluated
+    np.testing.assert_array_equal(gc, gc_b)
     np.testing.assert_array_equal(corollary1, corollary1_b)
     np.testing.assert_array_equal(defect, defect_b)  # the gate's input, the same under both
     assert defect.max() <= 1e-3  # harmonic: a job's corollary1 gate is open
     for a, b in zip(jacobi, jacobi_b, strict=True):  # the residual and w
         np.testing.assert_array_equal(a, b)
     assert jacobi[1].min() > 0.0
-    assert np.abs(deltas[0] - deltas[1]).max() > 1e-8  # while the oracle moves
+    assert np.abs(oracles[0] - oracles[1]).max() > 1e-8  # while the oracle moves
 
 
 def test_complex_step_size_moves_nothing(monkeypatch):
@@ -780,14 +814,12 @@ def test_complex_step_size_moves_nothing(monkeypatch):
     for h in (1e-20, 1e-30):
         monkeypatch.setattr("nilgauss.surfaces.COMPLEX_STEP", h)
         dh = evaluate_points(h2_chart, h2_pts).dh
-        gc = gauss_codazzi_residuals(leaf, evaluate_points(leaf, gc_pts))
+        gc = evaluate_points(leaf, gc_pts, checks=["gauss_codazzi"]).gauss_codazzi
         outcomes.append((dh, gc))
     (dh, gc), (dh_b, gc_b) = outcomes
     assert np.abs(dh).max() > 0.1
     np.testing.assert_allclose(dh_b, dh, rtol=1e-14, atol=1e-15)
-    assert gc[0].all()
-    for one, other in zip(gc[1:3], gc_b[1:3]):  # the codazzi and gauss residuals
-        assert np.abs(one - other).max() <= 1e-15
+    assert np.abs(gc - gc_b).max() <= 1e-15
 
 
 def test_evaluate_points_one_chart_direction_solve(monkeypatch):
@@ -889,40 +921,33 @@ def test_central_variation_reads_central_frame_derivatives(free5):
 # Gauss-Codazzi residuals
 
 
+def gauss_codazzi(chart, points):
+    """The record's Gauss-Codazzi residual at each of the points, (N,)."""
+    return evaluate_points(chart, np.asarray(points, dtype=float), checks=["gauss_codazzi"]).gauss_codazzi
+
+
 def test_gauss_codazzi_identity_exact():
-    """<R(F1, F2) F1, normal> equals the product of the two normal norms."""
+    """The ambient term the leaf's Gauss equation reads, <R(F1, F2) F1, normal> in
+    the adapted frame, equals the product of the two normal norms."""
     chart = foliation_leaf_chart()
     ev = evaluate_points(chart, [[x, 0.0] for x in (0.4, 0.9, 1.6)])
-    evaluated, _, _, term, ab = gauss_codazzi_residuals(chart, ev)
-    assert evaluated.all()
-    assert term == pytest.approx(ab, abs=1e-10)
+    f1, f2, eta = np.moveaxis(ev.frame.ys, 1, 0)
+    term = (curvature(chart.model.algebra, f1, f2, f1) * eta).sum(axis=1)
+    assert term == pytest.approx(ev.frame.s * ev.frame.c, abs=1e-10)
 
 
 def test_gauss_codazzi_leaf_residuals():
     chart = foliation_leaf_chart()
-    points = np.array([[x, 0.0] for x in np.linspace(0.35, 2.0, 10)])
-    _, codazzi, gauss, _, _ = gauss_codazzi_residuals(chart, evaluate_points(chart, points))
-    assert codazzi.max() < 5e-4
-    assert gauss.max() < 5e-4
-
-
-def test_gauss_codazzi_skips_degenerate_normal():
-    leaf, plane = foliation_leaf_chart(), vertical_plane_chart()
-    assert not gauss_codazzi_residuals(leaf, evaluate_points(leaf, [[0.0, 0.0]]))[0][0]
-    assert not gauss_codazzi_residuals(plane, evaluate_points(plane, [[0.1, 0.1]]))[0][0]
+    assert gauss_codazzi(chart, [[x, 0.0] for x in np.linspace(0.35, 2.0, 10)]).max() < 5e-4
 
 
 def test_gauss_codazzi_evaluates_a_normal_the_frame_splits():
-    """A point is skipped only where the adapted frame sets a part of the normal
-    to 0.0: at u1 = 5e-9 the leaf's horizontal part has norm 5e-9, above
-    NORMAL_SPLIT_TOL, and the point is evaluated with rounding-level residuals."""
+    """At u1 = 5e-9 the leaf's horizontal part has norm 5e-9, above NORMAL_SPLIT_TOL,
+    and the residual reads rounding, as at u1 = 0 where the frame drops it."""
     chart = foliation_leaf_chart()
-    ev = evaluate_points(chart, [[5e-9, 0.2]])
-    assert ev.frame.s[0] == pytest.approx(5e-9, rel=1e-9)
-    evaluated, codazzi, gauss, term, ab = gauss_codazzi_residuals(chart, ev)
-    assert evaluated.tolist() == [True]
-    assert term[0] == pytest.approx(5e-9, rel=1e-9) and ab[0] == pytest.approx(5e-9, rel=1e-9)
-    assert codazzi[0] < 1e-13 and gauss[0] < 1e-13
+    ev = evaluate_points(chart, [[5e-9, 0.2], [0.0, 0.2]], checks=["gauss_codazzi"])
+    assert ev.frame.s.tolist() == [pytest.approx(5e-9, rel=1e-9), 0.0]
+    assert ev.gauss_codazzi.max() < 1e-13
 
 
 def test_gauss_codazzi_abelian_limit():
@@ -930,19 +955,40 @@ def test_gauss_codazzi_abelian_limit():
     chart = expression_chart(
         model, ["u1", "u2", "0.4*u1 + 0.7*u2"], [(-1, 1), (-1, 1)]
     )
-    evaluated, codazzi, gauss, term, _ = gauss_codazzi_residuals(chart, evaluate_points(chart, [[0.1, -0.2]]))
-    assert evaluated[0]
-    assert codazzi[0] < 1e-8
-    assert gauss[0] < 1e-8
-    assert term[0] == pytest.approx(0.0, abs=1e-12)
+    assert gauss_codazzi(chart, [[0.1, -0.2]])[0] < 1e-8
 
 
-def test_gauss_codazzi_requires_3d():
-    model = exp_model(heisenberg(2))
-    chart = graph_chart(model, "0", [(-1, 1)] * 4)
-    ev = evaluate_points(chart, np.zeros((1, 4)))
-    with pytest.raises(ValueError, match="3-dimensional"):
-        gauss_codazzi_residuals(chart, ev)
+def _catalog_cases():
+    """(name, chart, points) for every CATALOG entry each model admits: the nil_polarized
+    model's five, and graph and random_graph over H(1..3), FREE5 and the quaternionic
+    algebra; the leaf's points include u1 = 0, where its normal is central."""
+    polarized = nil_polarized_model()
+    rng = np.random.default_rng(42)
+    params = {"nil_foliation_leaf": {"z0": 0.3}, "nil_vertical_plane": {},
+              "nil_cylinder": {"f1": "cos(u1)", "f2": "2*sin(u1)"}, "graph": {"expr": "0.3*u1*u2 + 0.2*sin(u1)"},
+              "random_graph": {"terms": 6}}
+    for name, entry in CATALOG.items():
+        domain = [(-0.8, 0.8)] * 2 if entry.domain is None else None
+        points = rng.uniform(-0.5, 0.5, (4, 2))
+        if name == "nil_foliation_leaf":
+            points[:2, 0] = 0.0
+        yield f"nil_polarized-{name}", catalog_chart(name, polarized, params[name], domain, seed=3), points
+    for alg_name, alg in FRAME_ALGEBRAS.items():
+        model = exp_model(alg)
+        expr = f"0.3*u1*u2 + 0.2*sin(u{alg.n}) - 0.1*u2^2"
+        for name, chart in (("graph", graph_chart(model, expr, [(-0.8, 0.8)] * alg.n)),
+                            ("random_graph", random_graph_chart(model, 5, terms=6))):
+            yield f"{alg_name}-{name}", chart, rng.uniform(-0.5, 0.5, (3, alg.n))
+
+
+def test_gauss_codazzi_in_every_dimension():
+    """Both equations hold to rounding at every point of every catalog chart over every
+    algebra: the largest Codazzi or Gauss component is at most 1e-13."""
+    start = time.perf_counter()
+    worst = {name: gauss_codazzi(chart, points).max() for name, chart, points in _catalog_cases()}
+    assert len(worst) == 5 + 2 * len(FRAME_ALGEBRAS)
+    assert max(worst.values()) <= 1e-13, worst
+    assert time.perf_counter() - start <= 5.0
 
 
 def forbid_chart_evaluation(monkeypatch):
@@ -957,14 +1003,13 @@ def forbid_chart_evaluation(monkeypatch):
 
 
 def test_gauss_codazzi_evaluates_no_chart_and_no_frames(monkeypatch):
-    """One record at a time: h, Gamma and their derivatives come from the record's
-    ChartJet and complex-step rows; no chart, adapted frame or gauss_map call."""
+    """h, g and their derivatives come from the complex-step rows and their h; no
+    chart, adapted frame or gauss_map call."""
     chart = foliation_leaf_chart()
-    evals = [evaluate_points(chart, [[x, 0.0]]) for x in (0.0, 0.5, 1.2)]  # x = 0 is skipped
+    rows = complex_step_jets(chart, np.array([[x, 0.0] for x in (0.0, 0.5, 1.2)]))[1]
+    h = _second_fundamental(chart, rows)
     forbid_chart_evaluation(monkeypatch)
-    evaluated, codazzi, gauss, _, _ = over_records(lambda ev: gauss_codazzi_residuals(chart, ev), evals)
-    assert evaluated.tolist() == [False, True, True]
-    assert max(codazzi[1:].max(), gauss[1:].max()) < 1e-13
+    assert gauss_codazzi_residuals(chart, rows, h).max() < 1e-13
 
 
 GC_CHARTS = {
@@ -983,22 +1028,13 @@ GC_POINTS = ([0.2, -0.3], [0.5, 0.4], [-0.4, 0.1])
 
 @pytest.mark.parametrize("name", GC_CHARTS)
 def test_gauss_codazzi_residuals_at_rounding_level(name):
-    chart = GC_CHARTS[name](1)
-    evaluated, codazzi, gauss, _, _ = gauss_codazzi_residuals(chart, evaluate_points(chart, GC_POINTS))
-    assert evaluated.all()
-    assert codazzi.max() < 1e-10
-    assert gauss.max() < 1e-10
+    assert gauss_codazzi(GC_CHARTS[name](1), GC_POINTS).max() < 1e-10
 
 
 @pytest.mark.parametrize("name", GC_CHARTS)
 def test_gauss_codazzi_orientation_invariance(name):
-    plus, minus = (
-        gauss_codazzi_residuals(chart, evaluate_points(chart, GC_POINTS))
-        for chart in (GC_CHARTS[name](1), GC_CHARTS[name](-1))
-    )
-    np.testing.assert_array_equal(minus[0], plus[0])
-    assert minus[1] == pytest.approx(plus[1], abs=1e-10)  # codazzi
-    assert minus[2] == pytest.approx(plus[2], abs=1e-10)  # gauss
+    plus, minus = (gauss_codazzi(GC_CHARTS[name](sign), GC_POINTS) for sign in (1, -1))
+    assert minus == pytest.approx(plus, abs=1e-10)
 
 
 def _nil_graph_central_point():
@@ -1011,8 +1047,8 @@ def _nil_graph_central_point():
 
 
 GC_GRIDS = {
-    # each grid holds skipped records: a central normal at u1 = 0 on the leaf,
-    # at the origin of exp_h1 and at one computed point of nil_graph
+    # each grid holds central normals: at u1 = 0 on the leaf, at the origin of
+    # exp_h1 and at one computed point of nil_graph
     "leaf": (
         foliation_leaf_chart,
         [[x, y] for x in np.linspace(-1.5, 1.5, 5) for y in (-0.4, 0.0, 0.4)],
@@ -1028,72 +1064,82 @@ GC_GRIDS = {
 }
 @pytest.mark.parametrize("name", GC_GRIDS)
 def test_gauss_codazzi_list_equals_per_record_calls(name):
+    """A grid's residuals are, bit for bit, those of its points evaluated one by one."""
     build, points = GC_GRIDS[name]
     chart = build()
-    evals = evaluate_points(chart, np.array(points))
-    stacked = gauss_codazzi_residuals(chart, evals)
-    single = over_records(lambda ev: gauss_codazzi_residuals(chart, ev), [evals[i:i + 1] for i in range(len(evals))])
-    evaluated = single[0]
-    assert len(stacked[0]) == len(evals)
-    assert 0 < (~evaluated).sum() < len(evals)
-    np.testing.assert_array_equal(stacked[0], evaluated)
-    for row, one in zip(stacked[1:], single[1:]):  # codazzi, gauss, curvature_term, ab_product
-        assert not row[~evaluated].any()
-        assert np.abs(row - one).max() <= 1e-15
+    stacked = gauss_codazzi(chart, points)
+    single = np.concatenate([gauss_codazzi(chart, [u]) for u in points])
+    assert stacked.shape == (len(points),)
+    assert stacked.tobytes() == single.tobytes()
+    assert stacked.max() < 1e-13
 
 
 def test_gauss_codazzi_list_evaluates_no_chart(monkeypatch):
-    """k evaluated records: one _gc_field call, on their 2 k complex-step rows, which
-    gives Gamma (real parts) and its derivatives, and no chart evaluation."""
+    """The check adds no chart evaluation to its job: its chunks are a quarter the
+    size, the same complex-step rows in all, with one checker call on each chunk's
+    2 k rows."""
     chart = foliation_leaf_chart()
-    evals = evaluate_points(chart, np.array([[x, 0.2] for x in (-1.0, 0.0, 0.4, 1.3)]))
-    rows = []
+    points = np.array([[x, 0.2] for x in (-1.0, 0.0, 0.4, 1.3)])
+    walks, calls, checker = [], [], laplacian.gauss_codazzi_residuals
 
-    def counted(chart_, cj):
-        rows.append((len(cj.point), np.iscomplexobj(cj.point)))
-        return _gc_field(chart_, cj)
+    def jets(exprs, p, order=2):
+        walks.append(len(p))
+        return expression_jets(exprs, p, order)
 
-    forbid_chart_evaluation(monkeypatch)
-    monkeypatch.setattr("nilgauss.laplacian._gc_field", counted)
-    evaluated = gauss_codazzi_residuals(chart, evals)[0]
-    assert evaluated.tolist() == [True, False, True, True]
-    assert rows == [(2 * 3, True)]
+    def counted(chart_, rows, h):
+        calls.append((len(rows.point), np.iscomplexobj(rows.point), h.shape))
+        return checker(chart_, rows, h)
+
+    monkeypatch.setattr("nilgauss.surfaces.expression_jets", jets)
+    monkeypatch.setattr("nilgauss.laplacian.gauss_codazzi_residuals", counted)
+    monkeypatch.setattr("nilgauss.laplacian.FIELD_ROWS", 48)  # 12 points of 2 rows per chunk, 3 with the check
+    evaluate_points(chart, points)
+    assert walks == [8]
+    walks.clear()
+    evaluate_points(chart, points, checks=["gauss_codazzi"])
+    assert walks == [6, 2]
+    assert calls == [(6, True, (6, 2, 2)), (2, True, (2, 2, 2))]
 
 
 @pytest.mark.parametrize("name", GC_GRIDS)
 def test_gauss_codazzi_reads_the_records_second_fundamental_form(monkeypatch, name):
-    """Gauss-Codazzi takes h_ab and its derivatives from the record's ``steps_h``, which
-    is ``_second_fundamental`` of its ``steps`` rows bit for bit, makes no
-    ``_second_fundamental`` call, and contracts the curvature twice: once for the
-    Codazzi and Gauss terms, once for ``curvature_term``."""
+    """Gauss-Codazzi takes h_ab and its derivatives from the chunk's one
+    ``_second_fundamental`` call, which n H reads too: a job with the check makes the
+    same two calls as one without it (the chunk's and ``shape_data``'s), and the checker
+    contracts the curvature once."""
     build, points = GC_GRIDS[name]
     chart = build()
-    ev = evaluate_points(chart, np.array(points))
-    assert ev.steps_h.shape == (len(ev), 2, 2, 2)
-    assert ev.steps_h.tobytes() == _second_fundamental(chart, ev.steps).tobytes()
-    expected = gauss_codazzi_residuals(chart, ev)
-    calls = []
+    seen, calls, forms = {}, [], []
+    second_fundamental, checker = _second_fundamental, laplacian.gauss_codazzi_residuals
 
-    def counted(*args):
+    def counted_form(chart_, cj):
+        forms.append(second_fundamental(chart_, cj))
+        return forms[-1]
+
+    def counted_curvature(*args):
         calls.append(len(args[1]))
         return curvature(*args)
 
-    def unavailable(*args, **kwargs):
-        raise AssertionError("Gauss-Codazzi recomputed the second fundamental form")
+    def recorded(chart_, rows, h):
+        seen["h"] = h
+        return checker(chart_, rows, h)
 
-    monkeypatch.setattr("nilgauss.surfaces._second_fundamental", unavailable)
-    monkeypatch.setattr("nilgauss.laplacian._second_fundamental", unavailable)
-    monkeypatch.setattr("nilgauss.laplacian.curvature", counted)
-    for arr, want in zip(gauss_codazzi_residuals(chart, ev), expected):
-        assert arr.tobytes() == want.tobytes()
-    kept = expected[0].sum()
-    assert 0 < kept < len(ev) and calls == [kept, kept]
+    monkeypatch.setattr("nilgauss.surfaces._second_fundamental", counted_form)
+    monkeypatch.setattr("nilgauss.laplacian._second_fundamental", counted_form)
+    monkeypatch.setattr("nilgauss.laplacian.curvature", counted_curvature)
+    monkeypatch.setattr("nilgauss.laplacian.gauss_codazzi_residuals", recorded)
+    evaluate_points(chart, np.array(points))
+    assert len(forms) == 2 and calls == []
+    forms.clear()
+    evaluate_points(chart, np.array(points), checks=["gauss_codazzi"])
+    assert len(forms) == 2 and seen["h"] is forms[0]
+    assert calls == [len(points)]
 
 
 @pytest.mark.parametrize("name", GC_GRIDS)
 def test_gauss_codazzi_job_solves_its_chart_directions_once(monkeypatch, name):
     """A Gauss-Codazzi job solves for the chart directions of its frames once, in
-    ``shape_data``; the checker reads them from the record's ``dirs``."""
+    ``shape_data``; the checker reads its orthonormal frame from g."""
     build, points = GC_GRIDS[name]
     chart = build()
     shapes = []
@@ -1105,23 +1151,22 @@ def test_gauss_codazzi_job_solves_its_chart_directions_once(monkeypatch, name):
     # under both module names by which the pipeline could reach it
     monkeypatch.setattr("nilgauss.surfaces.chart_coefficients", counted)
     monkeypatch.setattr("nilgauss.laplacian.chart_coefficients", counted, raising=False)
-    evaluated = gauss_codazzi_residuals(chart, evaluate_points(chart, np.array(points)))[0]
-    assert evaluated.any()
+    assert gauss_codazzi(chart, points).max() < 1e-13
     assert shapes == [(len(points), 2, 3)]
 
 
-def test_gauss_codazzi_all_skipped_evaluates_no_chart(monkeypatch):
+def test_gauss_codazzi_runs_only_when_listed(monkeypatch):
+    """A record gets Gauss-Codazzi residuals only when ``checks`` lists the check."""
     chart = foliation_leaf_chart()
-    evals = evaluate_points(chart, np.array([[0.0, y] for y in (-0.5, 0.0, 0.5)]))
+    points = np.array([[0.0, y] for y in (-0.5, 0.0, 0.5)])
+    residual = gauss_codazzi(chart, points)
+    assert residual.shape == (3,) and residual.max() < 1e-13
 
-    def no_evaluation(*args, **kwargs):
-        raise AssertionError("the chart was evaluated")
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the checker ran")
 
-    monkeypatch.setattr("nilgauss.surfaces.stacked_chart_jets", no_evaluation)
-    for name in ("chart_jets", "_gc_field", "complex_derivative"):
-        monkeypatch.setattr(f"nilgauss.laplacian.{name}", no_evaluation)
-    assert gauss_codazzi_residuals(chart, evals)[0].tolist() == [False] * 3
-    assert [arr.shape for arr in gauss_codazzi_residuals(chart, evals[:0])] == [(0,)] * 5
+    monkeypatch.setattr("nilgauss.laplacian.gauss_codazzi_residuals", forbidden)
+    assert evaluate_points(chart, points, ["general", "heisenberg"], checks=["prop3"]).gauss_codazzi is None
 
 
 # ---------------------------------------------------------------------------
@@ -1144,8 +1189,9 @@ CHECKER_STACKS = {
 @pytest.mark.parametrize("name", CHECKER_STACKS)
 def test_checkers_over_a_stack_equal_their_rows(name):
     """Every array of the five checks a job runs on the chart's algebra and model (a
-    Heisenberg algebra for prop3, 3 dimensions for Gauss-Codazzi) is, bit for bit, the
-    concatenation of its arrays over each point's stack of one."""
+    Heisenberg algebra for prop3) is, bit for bit, the concatenation of its arrays over
+    each point's stack of one; Gauss-Codazzi, which runs inside the evaluation, over
+    each point evaluated alone."""
     build, points = CHECKER_STACKS[name]
     chart = build()
     alg = chart.model.algebra
@@ -1157,7 +1203,7 @@ def test_checkers_over_a_stack_equal_their_rows(name):
         "prop3": lambda rec: harmonicity_cmc_residuals(rec.shape, rec.frame),
         "corollary1": lambda rec: central_h_variation(chart, rec),
         "jacobi": lambda rec: jacobi_residuals(chart, rec, v),
-        "gauss_codazzi": lambda rec: gauss_codazzi_residuals(chart, rec),
+        "gauss_codazzi": lambda rec: (gauss_codazzi(chart, rec.u),),
     }
     arrays = {}
     for check, checker in checkers.items():
@@ -1167,7 +1213,5 @@ def test_checkers_over_a_stack_equal_their_rows(name):
         for stacked, joined in zip(arrays[check], over_records(checker, rows), strict=True):
             assert stacked.shape == (len(ev),)
             assert stacked.tobytes() == joined.tobytes(), check
-    assert ("prop3" in arrays) == alg.is_heisenberg and ("gauss_codazzi" in arrays) == (alg.dim_total == 3)
-    if "gauss_codazzi" in arrays:
-        assert 0 < (~arrays["gauss_codazzi"][0]).sum() < len(rows)
+    assert ("prop3" in arrays) == alg.is_heisenberg and "gauss_codazzi" in arrays
     assert name != "free5" or arrays["corollary1"][1].max() > 1e-5
